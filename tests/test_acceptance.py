@@ -115,8 +115,14 @@ def test_criterion_1_e8_nullcone(e8, e8_alpha, capsys):
     red = reducedness_report(spec, comps)
     ok &= red.verdict == "not-reduced"
     ok &= as_multiset(red.witness) == sorted(E8_COMPONENTS[0])
-    from qsing.orbits import h_nonempty
+    from qsing.orbits import h_nonempty, survey
     ok &= h_nonempty(spec)  # H is nonempty even though N1 fails (a)
+    # the survey's bookkeeping, as the unpruned pass over every class gave it
+    sv = survey(spec)
+    ok &= sv.total == 1_543_628 and len(sv.h_points) == 401
+    ok &= {k: len(v) for k, v in sv.patterns.items()} == {
+        1: 95, 2: 370, 3: 55, 4: 14, 5: 162}
+    ok &= sv.zprime_witness is None
     # the violating value: hom = 2 against the printed second simple
     table = hom_table(e8)
     second = (0, 1, 2, 1, 1, 1, 0, 1)

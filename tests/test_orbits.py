@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from qsing.decomp import class_hom, class_self_ext, generic_decomposition, make_class
+from qsing import orbits
+from qsing.decomp import (
+    class_ext,
+    class_hom,
+    class_self_ext,
+    generic_decomposition,
+    make_class,
+)
 from qsing.orbits import (
     NotFound,
     components,
@@ -19,6 +26,7 @@ from qsing.orbits import (
     nq_bound,
     reduced_bound,
     reducedness_report,
+    survey,
     zprime_nonempty,
 )
 from qsing.quiver import Quiver
@@ -197,3 +205,68 @@ def test_e6_nullcone_reduced(e6, e6_alpha):
     ks = [k for k, _ in comps[0].gradient_b_witnesses]
     assert ks == [1, 2, 3, 4]
     assert zprime_nonempty(spec) and h_nonempty(spec)
+
+
+def reference_survey(spec):
+    """The survey by brute force: every class of alpha, in enumeration
+    order, with Hom and Ext sums recomputed from scratch."""
+    table = hom_table(spec.quiver)
+    total, h_points, zprime = 0, [], None
+    patterns = {k: [] for k in spec.selected}
+    for cls in enumerate_classes(spec.quiver, spec.alpha):
+        total += 1
+        homs = [class_hom(table, cls, s) for s in spec.selected_simples]
+        text = class_ext(table, cls, spec.t_class) + class_ext(table, spec.t_class, cls)
+        if all(h == 1 for h in homs):
+            h_points.append(cls)
+        for k in spec.selected:
+            if homs == [int(j != k) for j in spec.selected]:
+                patterns[k].append(cls)
+        if zprime is None and text == 0 and all(homs):
+            zprime = cls
+    return total, h_points, patterns, zprime
+
+
+@pytest.mark.parametrize("name, alpha, selected", [
+    ("a3", (2, 3, 2), None),
+    ("a3", (3, 3, 3), (2,)),
+    ("a3", (0, 3, 3), (1,)),  # the Z' witness has a Hom equal to 2
+    ("d4", (2, 2, 2, 3), None),
+    ("d4", (2, 2, 2, 4), (2,)),
+    ("d4", (1, 2, 1, 3), None),
+    ("e6", (1, 3, 3, 3, 1, 2), None),
+    ("e6", (1, 3, 3, 3, 1, 2), (1, 3)),
+    ("e6", (1, 2, 3, 2, 1, 2), None),
+])
+def test_survey_matches_brute_force(request, name, alpha, selected):
+    q = request.getfixturevalue(name)
+    spec = make_spec(q, alpha, selected)
+    if selected is not None:
+        assert len(spec.selected) < spec.perp.r  # a proper subset
+    total, h_points, patterns, zprime = reference_survey(spec)
+    sv = survey(spec)
+    assert sv.total == total
+    assert sv.h_points == h_points
+    assert sv.patterns == patterns
+    assert sv.zprime_witness == zprime
+    assert not sv.h_truncated
+
+
+E6_SMALL = (1, 3, 3, 3, 1, 2)  # e6-ex1 at n = m = 1
+
+
+def test_survey_cache_keyed_on_h_cap(e6):
+    spec = make_spec(e6, E6_SMALL)
+    capped = survey(spec, h_cap=1)
+    assert len(capped.h_points) == 1 and capped.h_truncated
+    full = survey(spec)
+    assert len(full.h_points) == len(reference_survey(spec)[1]) > 1
+    assert reducedness_report(spec).verdict == "reduced"
+
+
+def test_capped_survey_gives_no_verdict(e6, monkeypatch):
+    real = orbits.survey
+    monkeypatch.setattr(orbits, "survey", lambda spec, h_cap=5000: real(spec, h_cap=1))
+    rr = reducedness_report(make_spec(e6, E6_SMALL))
+    assert rr.verdict == "unverified"
+    assert "h_cap=1" in rr.reason
