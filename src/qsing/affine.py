@@ -8,7 +8,7 @@ is exact because each parameter appears independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 INF = None  # upper bound marker for unbounded symbols
@@ -64,12 +64,6 @@ class Affine:
 
     def is_const(self):
         return not self.coeffs
-
-    def subst(self, name, value):
-        m = self._map()
-        c = m.pop(name, Fraction(0))
-        return Affine(self.const + c * Fraction(value),
-                      tuple(sorted(m.items())))
 
     def __str__(self):
         parts = [] if not self.const and self.coeffs else [str(self.const)]

@@ -23,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .quiver import (Quiver, coxeter, coxeter_apply, euler_form,
-                     reflect_dim, require_dynkin)
+from .quiver import (Quiver, coxeter_apply, euler_form, reflect_dim,
+                     require_dynkin)
+from .roots import hom_table
 
 
 class TerminalRuleInapplicable(Exception):
@@ -206,13 +207,6 @@ class ReflectionState:
         return [j for j, b in enumerate(self.betas) if b is not None]
 
 
-def _inverse_coxeter(q: Quiver):
-    from .exactmat import Mat, inverse
-    cox = coxeter(q).coxeter_matrix
-    inv = inverse(Mat(q.n, q.n, [list(r) for r in cox]))
-    return tuple(tuple(int(x) for x in row) for row in inv.rows)
-
-
 def reflection_step(state: ReflectionState, direction=+1) -> ReflectionState:
     """One application of the Coxeter reflection formula.
 
@@ -234,7 +228,8 @@ def reflection_step(state: ReflectionState, direction=+1) -> ReflectionState:
         raise PreconditionFailed("all slots are dead")
     q = state.quiver
     r = len(state.betas)
-    cox = coxeter(q).coxeter_matrix if direction > 0 else _inverse_coxeter(q)
+    table = hom_table(q)
+    cox = table.coxeter if direction > 0 else table.coxeter_inv
     alpha2 = coxeter_apply(cox, state.alpha)
     betas2 = []
     for b in state.betas:

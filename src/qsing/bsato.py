@@ -14,6 +14,7 @@ re-verifies arithmetically.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -26,9 +27,7 @@ def _binom_value(z, m):
     v = Fraction(1)
     for t in range(m):
         v *= Fraction(z) - t
-    return v / Fraction(
-        __import__("math").factorial(m)
-    )
+    return v / math.factorial(m)
 
 
 @dataclass
@@ -99,17 +98,14 @@ def _cover_check(intervals, tail_from, start):
             return False, t
 
 
-def _interval_ge(a, b, c):
-    """Integer solutions t of a*t >= b on direction c in {+1,-1}... helper
-    returning (lo, hi|None) for {t : a*t + b >= 0}, or None if empty/all."""
-    # a*t + b >= 0
+def _interval_ge(a, b):
+    """The integers t with a*t + b >= 0, as ('ge', lo), ('le', hi), ('all',)
+    or ('none',)."""
     if a == 0:
         return ("all",) if b >= 0 else ("none",)
     bound = Fraction(-b, a)
     if a > 0:
-        import math
         return ("ge", math.ceil(bound))
-    import math
     return ("le", math.floor(bound))
 
 
@@ -164,9 +160,9 @@ def membership_in_ztilde(family: BFunctionFamily, z, box_bound=8) -> Membership:
                     w = int(w)
                     # sigma(t) = -g2*t <= w ; sigma(t) >= w - g1*(1+t) + 1
                     conds = [
-                        _interval_ge(g[1], w, +1),              # g2*t + w >= 0
-                        _interval_ge(g[0] - g[1], g[0] - 1 - w, +1),
-                        _interval_ge(g[0], g[0] - 1, +1),       # depth >= 1
+                        _interval_ge(g[1], w),              # g2*t + w >= 0
+                        _interval_ge(g[0] - g[1], g[0] - 1 - w),
+                        _interval_ge(g[0], g[0] - 1),       # depth >= 1
                     ]
                     iv = _conj_to_interval(conds)
                     if iv:
@@ -189,9 +185,9 @@ def membership_in_ztilde(family: BFunctionFamily, z, box_bound=8) -> Membership:
                     w = int(w)
                     # 0 <= w - g1*(1-u) <= g2*u - 1
                     conds = [
-                        _interval_ge(g[0], w - g[0], +1),       # g1*u + (w-g1) >= 0
-                        _interval_ge(g[1] - g[0], g[1] - 1 - w + g[0], +1),
-                        _interval_ge(g[1], g[1] - 1, +1),       # depth >= 1
+                        _interval_ge(g[0], w - g[0]),       # g1*u + (w-g1) >= 0
+                        _interval_ge(g[1] - g[0], g[1] - 1 - w + g[0]),
+                        _interval_ge(g[1], g[1] - 1),       # depth >= 1
                     ]
                     iv = _conj_to_interval(conds)
                     if iv:
@@ -510,11 +506,6 @@ def _assumption_json(var, kind, value, symbol=None):
     if symbol:
         out["symbol"] = symbol
     return out
-
-
-class _Refuted(Exception):
-    def __init__(self, z):
-        self.z = z
 
 
 def _leaf_all_fixed(state: SymState):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .brackets import (
     BFunctionFamily,
@@ -28,8 +27,8 @@ from .bsato import (
 )
 from .decomp import generic_decomposition, perp_simples
 from .orbits import components, is_set_theoretic_ci, make_spec, reducedness_report
-from .presets import preset
-from .quiver import NonDynkinError, Quiver, QuiverError, parse_quiver_file
+from .presets import PRESET_NAMES, preset
+from .quiver import NonDynkinError, QuiverError, parse_quiver_file
 from .roots import hom_table, is_positive_root
 
 EXIT_BAD_INPUT = 2
@@ -50,30 +49,55 @@ def _parse_dim(text, n=None):
         raise CliError(f"cannot parse dimension vector {text!r}: {exc}")
     if n is not None and len(vec) != n:
         raise CliError(f"dimension vector has {len(vec)} entries, expected {n}")
+    if any(a < 0 for a in vec):
+        raise CliError(f"dimension vector {text!r} has a negative entry")
     return vec
 
 
-def _load_request(args):
-    """(quiver, alpha, selected, branch_last) from --preset or --quiver/--dim."""
-    if getattr(args, "preset", None):
-        q, alpha, selected, branch = preset(args.preset, n=args.n, m=args.m)
-        if getattr(args, "simples", None):
-            selected = tuple(int(x) for x in args.simples.split(","))
-        return q, alpha, selected, branch
-    if not args.quiver or not args.dim:
-        raise CliError("need --preset or both --quiver FILE and --dim VECTOR")
+def _parse_simples(text, q, alpha):
+    """--simples as 1-based indices into the perpendicular simples of alpha,
+    of which there are n minus the number of generic summands."""
     try:
-        with open(args.quiver) as fh:
-            q = parse_quiver_file(fh.read())
+        selected = tuple(int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise CliError(f"cannot parse --simples {text!r}: {exc}")
+    r = q.n - len(generic_decomposition(q, alpha).parts)
+    for j in selected:
+        if not 1 <= j <= r:
+            raise CliError(f"--simples index {j} out of range 1..{r}")
+    return selected
+
+
+def _read_quiver(path):
+    if not path:
+        raise CliError("need --preset or --quiver FILE")
+    try:
+        with open(path) as fh:
+            return parse_quiver_file(fh.read())
     except OSError as exc:
         raise CliError(f"cannot read quiver file: {exc}")
     except QuiverError as exc:
         raise CliError(f"bad quiver file: {exc}")
-    alpha = _parse_dim(args.dim, q.n)
-    selected = None
+
+
+def _load_request(args):
+    """(quiver, alpha, selected, branch_last) from --preset or --quiver/--dim."""
+    if args.preset:
+        if args.preset not in PRESET_NAMES:
+            raise CliError(f"unknown preset {args.preset!r}; "
+                           f"available: {', '.join(PRESET_NAMES)}")
+        q, alpha, selected, branch = preset(args.preset, n=args.n, m=args.m)
+        if any(a < 0 for a in alpha):
+            raise CliError(f"--n {args.n} --m {args.m} give {args.preset} "
+                           f"a negative dimension vector")
+    else:
+        if not args.quiver or not args.dim:
+            raise CliError("need --preset or both --quiver FILE and --dim VECTOR")
+        q = _read_quiver(args.quiver)
+        alpha, selected, branch = _parse_dim(args.dim, q.n), None, False
     if getattr(args, "simples", None):
-        selected = tuple(int(x) for x in args.simples.split(","))
-    return q, alpha, selected, False
+        selected = _parse_simples(args.simples, q, alpha)
+    return q, alpha, selected, branch
 
 
 def _fmt_vec(v, branch_last):
@@ -210,13 +234,10 @@ def cmd_singularities(args):
 
 
 def cmd_hom(args):
-    q, _alpha, _sel, branch = _load_request(args) if args.preset else (None,) * 4
-    if q is None:
-        try:
-            with open(args.quiver) as fh:
-                q = parse_quiver_file(fh.read())
-        except (OSError, QuiverError) as exc:
-            raise CliError(f"cannot read quiver: {exc}")
+    if args.preset:
+        q, _alpha, _sel, branch = _load_request(args)
+    else:
+        q, branch = _read_quiver(args.quiver), False
     a = _parse_dim(args.a, q.n)
     b = _parse_dim(args.b, q.n)
     table = hom_table(q)
@@ -236,10 +257,14 @@ def cmd_verify_certificate(args):
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read certificate: {exc}")
-    terms = [BracketTerm(tuple(t["gamma"]), t["a"], t["b"], t["mult"])
-             for t in payload["terms"]]
-    fam = family_from_terms(payload["r"], terms)
-    ok, msg = verify_certificate(fam, cert_from_json(payload["certificate"]))
+    try:
+        terms = [BracketTerm(tuple(t["gamma"]), t["a"], t["b"], t["mult"])
+                 for t in payload["terms"]]
+        fam = family_from_terms(payload["r"], terms)
+        cert = cert_from_json(payload["certificate"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"malformed certificate file: {exc!r}")
+    ok, msg = verify_certificate(fam, cert)
     print(("accepted: " if ok else "REJECTED: ") + msg)
     if not ok:
         sys.exit(1)

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmat import det
-from .quiver import NonDynkinError, Quiver, classify, euler_form, require_dynkin
-from .roots import Representation, hom_matrix_dvw, hom_table, positive_roots
+from .quiver import NonDynkinError, Quiver, classify, euler_form
+from .roots import Representation, hom_matrix_dvw, hom_table
 
 
 class NonSquareError(ValueError):
@@ -74,52 +74,36 @@ def class_self_ext(table, cls: RepClass) -> int:
 def generic_decomposition(q: Quiver, alpha) -> RepClass:
     """The unique multiset of positive roots summing to alpha with all
     pairwise Ext vanishing (depth-first over roots in decreasing lex order)."""
-    require_dynkin(q)
+    table = hom_table(q)
     alpha = tuple(int(a) for a in alpha)
     if any(a < 0 for a in alpha):
         raise ValueError("dimension vector must be nonnegative")
     if not any(alpha):
         return RepClass(())
-    table = hom_table(q)
-    roots = sorted(table.roots, reverse=True)  # decreasing lexicographic
-    ext = table.ext
-    idx = table.index
-    compat = [
-        [ext[i][j] == 0 and ext[j][i] == 0 for j in range(len(roots))]
-        for i in range(len(roots))
-    ]
-    order = [idx[r] for r in roots]
+    roots, ext, order = table.roots, table.ext, table.lex_desc
 
-    chosen = []
-
-    def rest_fits(rem, pos):
-        for v in range(len(rem)):
-            if rem[v]:
-                if all(roots[p][v] == 0 for p in range(pos, len(roots))):
-                    return False
-        return True
+    chosen = []  # (root index, mult)
 
     def dfs(rem, pos):
         if not any(rem):
             return True
-        if pos == len(roots) or not rest_fits(rem, pos):
+        # some vertex of rem lies in the support of no root from pos on
+        if any(a and pos > last for a, last in zip(rem, table.last_support)):
             return False
-        r = roots[pos]
         ri = order[pos]
-        maxmult = min((rem[v] // r[v] for v in range(len(r)) if r[v]), default=0)
-        ok_pair = all(compat[ri][idx[c]] for c, _ in chosen)
-        if ok_pair:
+        r = roots[ri]
+        if all(ext[ri][c] == 0 and ext[c][ri] == 0 for c, _ in chosen):
+            maxmult = min(a // c for a, c in zip(rem, r) if c)
             for mult in range(maxmult, 0, -1):
-                chosen.append((r, mult))
-                new_rem = tuple(rem[v] - mult * r[v] for v in range(len(rem)))
-                if dfs(new_rem, pos + 1):
+                chosen.append((ri, mult))
+                if dfs(tuple(a - mult * c for a, c in zip(rem, r)), pos + 1):
                     return True
                 chosen.pop()
         return dfs(rem, pos + 1)
 
     found = dfs(alpha, 0)
     assert found, "no ext-compatible decomposition found (should not happen on Dynkin)"
-    cls = make_class(chosen)
+    cls = make_class([(roots[ri], m) for ri, m in chosen])
     assert cls.total() == alpha
     return cls
 

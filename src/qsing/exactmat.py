@@ -32,12 +32,6 @@ class Mat:
             m.rows[i][i] = Fraction(1)
         return m
 
-    @staticmethod
-    def from_rows(rows):
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        return Mat(nrows, ncols, rows)
-
     def copy(self):
         return Mat(self.nrows, self.ncols, [r[:] for r in self.rows])
 
@@ -74,11 +68,6 @@ class Mat:
                         if rk[j]:
                             oi[j] += a * rk[j]
         return out
-
-    def matvec(self, v):
-        assert self.ncols == len(v)
-        return [sum((self.rows[i][j] * v[j] for j in range(self.ncols)), Fraction(0))
-                for i in range(self.nrows)]
 
     def transpose(self):
         out = Mat(self.ncols, self.nrows)

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from .decomp import (
     PerpData,
     RepClass,
-    class_ext,
     class_hom,
     class_self_ext,
     generic_decomposition,
@@ -62,13 +61,16 @@ def reduced_bound(q: Quiver) -> int:
     return REDUCED_BOUND[cls.letter]
 
 
-def _ordered_roots(q: Quiver):
-    """Roots grouped by first-support vertex, descending lex inside a group."""
-    table = hom_table(q)
-    roots = table.roots
-    first = [next(i for i, c in enumerate(r) if c) for r in roots]
-    order = sorted(range(len(roots)), key=lambda i: (first[i], [-c for c in roots[i]]))
-    return table, [roots[i] for i in order], [first[i] for i in order], order
+def _children(table, rem, minpos):
+    """(walk position, root, largest multiplicity) of every root the class
+    walk may add next to a nonzero remainder ``rem``, in walk order: the
+    roots from walk position ``minpos`` on whose first support vertex is the
+    first nonzero vertex of ``rem``."""
+    x = next(v for v, a in enumerate(rem) if a)
+    for p in range(max(minpos, table.start[x]), table.end[x]):
+        maxmult = min([rem[v] // c for v, c in table.support[p]])
+        if maxmult:
+            yield p, table.roots[table.walk[p]], maxmult
 
 
 def enumerate_classes(q: Quiver, alpha, max_self_ext=None):
@@ -78,44 +80,28 @@ def enumerate_classes(q: Quiver, alpha, max_self_ext=None):
     ``max_self_ext`` prunes branches whose accumulated self-Ext already
     exceeds the bound (self-Ext only grows when parts are added).
     """
-    require_dynkin(q)
+    table = hom_table(q)
     alpha = tuple(int(a) for a in alpha)
-    n = q.n
     if any(a < 0 for a in alpha):
         raise ValueError("negative dimension vector")
-    table, roots, first, order = _ordered_roots(q)
-    ext = table.ext
+    ext, walk = table.ext, table.walk
 
-    chosen = []  # (position, mult)
-
-    def ext_increase(p, mult):
-        ri = order[p]
-        inc = 0
-        for pp, m in chosen:
-            rj = order[pp]
-            inc += mult * m * (ext[ri][rj] + ext[rj][ri])
-        return inc  # ext[ri][ri] == 0 for real roots
+    chosen = []  # (root, root index, mult)
 
     def dfs(rem, minpos, acc):
-        x = next((v for v in range(n) if rem[v]), None)
-        if x is None:
-            yield make_class([(roots[p], m) for p, m in chosen])
+        if not any(rem):
+            yield make_class([(r, m) for r, _, m in chosen])
             return
-        p = minpos
-        while p < len(roots) and first[p] < x:
-            p += 1
-        for p2 in range(p, len(roots)):
-            if first[p2] != x:
-                break
-            r = roots[p2]
-            maxmult = min(rem[v] // r[v] for v in range(n) if r[v])
+        for p, r, maxmult in _children(table, rem, minpos):
+            ri = walk[p]
+            # self-Ext added by each copy of r (ext[ri][ri] == 0: real roots)
+            per_copy = sum(m * (ext[ri][rj] + ext[rj][ri]) for _, rj, m in chosen)
             for mult in range(1, maxmult + 1):
-                inc = ext_increase(p2, mult)
-                if max_self_ext is not None and acc + inc > max_self_ext:
-                    break  # ext_increase is nondecreasing in mult
-                chosen.append((p2, mult))
-                new_rem = tuple(rem[v] - mult * r[v] for v in range(n))
-                yield from dfs(new_rem, p2 + 1, acc + inc)
+                if max_self_ext is not None and acc + mult * per_copy > max_self_ext:
+                    break  # the increase is nondecreasing in mult
+                chosen.append((r, ri, mult))
+                yield from dfs(tuple(a - mult * c for a, c in zip(rem, r)),
+                               p + 1, acc + mult * per_copy)
                 chosen.pop()
 
     yield from dfs(alpha, 0, 0)
@@ -207,9 +193,11 @@ _survey_cache: dict = {}
 def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
     """Collect the reducedness bookkeeping over the classes of alpha.
 
-    The walk follows the depth-first order of ``enumerate_classes`` and
-    keeps the Hom sums ``hsum`` against the selected simples and the sum
-    ``text`` of Ext(X,T) + Ext(T,X) incrementally, so each node costs O(r).
+    The walk follows the depth-first order of ``enumerate_classes``: the
+    root order of the per-quiver context and the same child step
+    (``_children``).  It keeps the Hom sums ``hsum`` against the selected
+    simples and the sum ``text`` of Ext(X,T) + Ext(T,X) incrementally, so
+    each node costs O(r).
     Each list keeps at most ``h_cap`` classes; ``h_truncated`` records
     whether an h-point was dropped.
 
@@ -223,62 +211,47 @@ def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
     witness is still the first one in enumeration order.
 
     ``total`` is the exact number of classes of alpha, counted separately
-    over the same root order with memoization on (remaining vector, first
+    over the same children with memoization on (remaining vector, first
     admissible position), since the cut walk no longer visits every class.
     On the E8 example that is 6,663 memoized states for 1,543,628 classes.
+
+    Results are cached on (spec, h_cap), so ``reducedness_report`` reuses a
+    survey its caller has already run.
     """
     key = (spec, h_cap)
     if key in _survey_cache:
         return _survey_cache[key]
-    q, alpha = spec.quiver, spec.alpha
-    n = q.n
-    table, roots, first, order = _ordered_roots(q)
-    ext = table.ext
-    hom = table.hom
+    table = hom_table(spec.quiver)
+    hom, ext = table.hom, table.ext
     sel_idx = [table.index[s] for s in spec.selected_simples]
     r = len(sel_idx)
     t_idx = [(table.index[tr], m) for tr, m in spec.t_class.parts]
 
-    # per ordered-root data; roots with first support vertex x occupy
-    # positions start[x] .. end[x] - 1
-    hom_to_sel = [[hom[order[p]][j] for j in sel_idx] for p in range(len(roots))]
-    ext_with_t = [
-        sum(m * (ext[ti][order[p]] + ext[order[p]][ti]) for ti, m in t_idx)
-        for p in range(len(roots))
-    ]
-    start = [first.index(x) for x in range(n)]
-    end = [start[x] + first.count(x) for x in range(n)]
-    support = [[(v, c) for v, c in enumerate(rt) if c] for rt in roots]
-
-    def children(rem, minpos):
-        """(position, root, largest multiplicity) of every root the DFS may
-        add next, in enumeration order."""
-        x = next(v for v in range(n) if rem[v])
-        for p in range(max(minpos, start[x]), end[x]):
-            maxmult = min([rem[v] // c for v, c in support[p]])
-            if maxmult:
-                yield p, roots[p], maxmult
+    # per walk position: Hom to the selected simples, Ext with T
+    hom_to_sel = [[hom[i][j] for j in sel_idx] for i in table.walk]
+    ext_with_t = [sum(m * (ext[ti][i] + ext[i][ti]) for ti, m in t_idx)
+                  for i in table.walk]
 
     counted = {}
 
     def count(rem, minpos):
         if not any(rem):
             return 1
-        x = next(v for v in range(n) if rem[v])
-        state = (rem, max(minpos, start[x]))  # the same count for every lower minpos
+        x = next(v for v, a in enumerate(rem) if a)
+        state = (rem, max(minpos, table.start[x]))  # the same count for every lower minpos
         if state not in counted:
             counted[state] = sum(
                 count(tuple(a - mult * c for a, c in zip(rem, rt)), p + 1)
-                for p, rt, maxmult in children(rem, minpos)
+                for p, rt, maxmult in _children(table, rem, minpos)
                 for mult in range(1, maxmult + 1))
         return counted[state]
 
-    res = Survey(total=count(alpha, 0), h_points=[],
+    res = Survey(total=count(spec.alpha, 0), h_points=[],
                  patterns={k: [] for k in spec.selected}, zprime_witness=None)
-    chosen = []
+    chosen = []  # (root, mult)
 
     def keep(hsum, text):
-        leaf = lambda: make_class([(roots[p], m) for p, m in chosen])
+        leaf = lambda: make_class(chosen)
         if all(h == 1 for h in hsum):
             if len(res.h_points) < h_cap:
                 res.h_points.append(leaf())
@@ -295,18 +268,18 @@ def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
         if not any(rem):
             keep(hsum, text)
             return
-        for p, rt, maxmult in children(rem, minpos):
+        for p, rt, maxmult in _children(table, rem, minpos):
             hs, et = hom_to_sel[p], ext_with_t[p]
             for mult in range(1, maxmult + 1):
                 nh = [h + mult * c for h, c in zip(hsum, hs)]
                 ntext = text + mult * et
                 if (ntext or res.zprime_witness is not None) and max(nh) > 1:
                     break  # the cut rule; both sums are nondecreasing in mult
-                chosen.append((p, mult))
+                chosen.append((rt, mult))
                 walk(tuple(a - mult * c for a, c in zip(rem, rt)), p + 1, nh, ntext)
                 chosen.pop()
 
-    walk(alpha, 0, [0] * r, 0)
+    walk(spec.alpha, 0, [0] * r, 0)
     if len(_survey_cache) > 64:
         _survey_cache.clear()
     _survey_cache[key] = res
@@ -383,15 +356,17 @@ def gradient_condition_b_witness(x: RepClass, spec: ZeroSetSpec, k,
     hom(X', S_j) = 1 - delta_{jk} over the selected simples, and X a minimal
     degeneration of X'.  Then Y_k = X + X' has hom(Y_k, S_j) = 2 - delta_{jk}.
     Returns X' or raises NotFound; sufficient, never a proof of failure.
+
+    ``candidates`` are (class, Hom profile) pairs, by default the survey's
+    index-k patterns with their profiles.
     """
     if k not in spec.selected:
         raise ValueError("k must be a selected index")
     table = hom_table(spec.quiver)
     if candidates is None:
-        candidates = survey(spec).patterns[k]
+        candidates = [(c, hom_profile(table, c)) for c in survey(spec).patterns[k]]
     px = hom_profile(table, x)
-    for cand in candidates:
-        pc = hom_profile(table, cand)
+    for cand, pc in candidates:
         if pc == px or not all(a <= b for a, b in zip(pc, px)):
             continue
         if _is_cover(table, cand, pc, x, px, pool_profiles):
@@ -451,15 +426,16 @@ def reducedness_report(spec: ZeroSetSpec, comps=None, full_cover_scan=None) -> R
         return rep
     sv = survey(spec)
     h_profiles = [(cls, hom_profile(table, cls)) for cls in sv.h_points]
-    comp_profiles = {c.rep_class: hom_profile(table, c.rep_class) for c in comps}
+    pattern_profiles = {k: [(cls, hom_profile(table, cls)) for cls in sv.patterns[k]]
+                        for k in spec.selected}
 
     # condition (a) first for every component: not-reduced short-circuits
     a_points = {}
     for comp in comps:
-        pc = comp_profiles[comp.rep_class]
-        pts = [cls for cls, ph in h_profiles
+        pc = hom_profile(table, comp.rep_class)
+        pts = [(cls, ph) for cls, ph in h_profiles
                if all(a <= b for a, b in zip(pc, ph))]
-        pts.sort(key=lambda c: (sum(hom_profile(table, c)), c.parts))
+        pts.sort(key=lambda t: (sum(t[1]), t[0].parts))
         if not pts:
             if sv.h_truncated:
                 rep.reason = (f"the survey kept only h_cap={len(sv.h_points)} "
@@ -487,12 +463,12 @@ def reducedness_report(spec: ZeroSetSpec, comps=None, full_cover_scan=None) -> R
                         (cls, hom_profile(table, cls))
                         for cls in enumerate_classes(spec.quiver, spec.alpha)
                     ]
-            for cand in a_points[comp.rep_class][:50]:
+            for cand, _ in a_points[comp.rep_class][:50]:
                 witnesses = []
                 try:
                     for k in spec.selected:
                         w = gradient_condition_b_witness(
-                            cand, spec, k, candidates=sv.patterns[k],
+                            cand, spec, k, candidates=pattern_profiles[k],
                             pool_profiles=pool_profiles if use_pool else None)
                         witnesses.append((k, w))
                 except NotFound:

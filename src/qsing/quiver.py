@@ -8,7 +8,6 @@ inspected for membership in N^n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactmat import Mat, inverse
 
@@ -58,12 +57,6 @@ class Quiver:
         return seen != self.n
 
     # -- basic structure ---------------------------------------------------
-
-    def arrows_into(self, x):
-        return [a for a in self.arrows if a[1] == x]
-
-    def arrows_out_of(self, x):
-        return [a for a in self.arrows if a[0] == x]
 
     def sinks(self):
         outs = {t for t, _ in self.arrows}
@@ -127,22 +120,6 @@ class Quiver:
 
 
 # -- dimension vector helpers ----------------------------------------------
-
-def dv_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def dv_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def dv_scale(k, a):
-    return tuple(k * x for x in a)
-
-
-def dv_is_nonneg(a):
-    return all(x >= 0 for x in a)
-
 
 def simple_root(n, x):
     return tuple(1 if i == x else 0 for i in range(1, n + 1))

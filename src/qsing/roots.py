@@ -1,27 +1,28 @@
 """Positive roots of Dynkin quivers, explicit indecomposable representations,
-and Hom/Ext dimensions.
+Hom/Ext dimensions, and the per-quiver context.
 
 Two routes to Hom dimensions coexist on purpose:
 
 * ``hom_dim`` computes the nullity of the explicit matrix of
   d^V_W : (+)_x Hom(V(x),W(x)) -> (+)_a Hom(V(ta),W(ha))
   over Q, from concrete rational matrices.  This is the ground truth.
-* ``hom_table`` computes all pairwise Hom dimensions between indecomposables
-  by walking an admissible sink sequence and reflecting dimension vectors,
-  which is exact integer arithmetic and fast enough for E8.  The two routes
-  are cross-checked in the test suite.
+* ``hom_table`` builds the per-quiver context once per quiver: the roots,
+  every pairwise Hom/Ext dimension, the root orders the class walk and the
+  generic decomposition use, and the Coxeter matrix with its inverse.  Its
+  Hom table comes from one reflection walk per root along an admissible
+  sink sequence, in exact integer arithmetic.  The two routes are
+  cross-checked in the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .exactmat import Mat, left_nullspace, nullspace, rank
+from .exactmat import Mat, inverse, left_nullspace, rank
 from .quiver import (
-    NonDynkinError,
     Quiver,
+    coxeter,
     euler_form,
     reflect_dim,
     require_dynkin,
@@ -70,11 +71,6 @@ class Representation:
     quiver: Quiver
     dims: tuple
     maps: dict  # arrow index in quiver.arrows -> Mat of shape dims[ha] x dims[ta]
-
-    def check_shapes(self):
-        for idx, (t, h) in enumerate(self.quiver.arrows):
-            m = self.maps[idx]
-            assert m.nrows == self.dims[h - 1] and m.ncols == self.dims[t - 1]
 
 
 def simple_rep(q: Quiver, x) -> Representation:
@@ -221,40 +217,34 @@ def ext_dim(v: Representation, w: Representation) -> int:
     return e
 
 
-def hom_dim_roots(q: Quiver, dm, dn) -> int:
-    """dim Hom between the indecomposables with dimension vectors dm, dn,
-    by reflection-functor recursion on dimension vectors (exact integers).
-
-    At a sink x: Hom(S_x, N) = dim N(x) and Hom(M, S_x) = 0 for an
-    indecomposable M != S_x, while C^+_x preserves Hom spaces between
-    indecomposables that are not S_x.
-    """
-    seq = q.admissible_sink_sequence()
-    n = q.n
-    dm, dn = tuple(dm), tuple(dn)
-    t = 0
-    while True:
-        x = seq[t % n]
-        ex = simple_root(n, x)
-        if dm == ex:
-            return dn[x - 1]
-        if dn == ex:
-            return 0
-        dm = reflect_dim(q, x, dm)
-        dn = reflect_dim(q, x, dn)
-        t += 1
-        assert t < 64 * n, "hom recursion failed to terminate"
-
-
 @dataclass
 class HomTable:
-    """Pairwise hom/ext dimensions over all positive roots, plus index maps."""
+    """The per-quiver context: every fact qsing derives from a Dynkin quiver
+    alone, built once per quiver by ``hom_table``.
+
+    Root indices refer to ``roots``.  The class walk of ``orbits`` visits
+    roots in the order ``walk`` (grouped by first support vertex, decreasing
+    lex inside a group); the roots whose first support vertex is x (0-based)
+    sit at walk positions start[x] .. end[x] - 1, and support[p] lists the
+    (vertex, coordinate) pairs of the root at walk position p.
+    ``generic_decomposition`` tries roots in the order ``lex_desc``
+    (decreasing lex), and last_support[v] is the last position in it whose
+    root has v in its support.
+    """
 
     quiver: Quiver
-    roots: list
-    index: dict  # root tuple -> position
+    roots: list  # positive roots, by height then lexicographically
+    index: dict  # root tuple -> position in roots
     hom: list  # hom[i][j] = dim Hom(X_i, X_j)
-    ext: list
+    ext: list  # ext[i][j] = dim Ext^1(X_i, X_j)
+    walk: list
+    start: list
+    end: list
+    support: list
+    lex_desc: list
+    last_support: list
+    coxeter: tuple  # Coxeter matrix c = -E^{-1} E^t, integral
+    coxeter_inv: tuple  # its inverse, integral as well
 
     def hom_root(self, a, b):
         return self.hom[self.index[tuple(a)]][self.index[tuple(b)]]
@@ -265,18 +255,53 @@ class HomTable:
 
 @lru_cache(maxsize=None)
 def hom_table(q: Quiver) -> HomTable:
-    require_dynkin(q)
+    """The per-quiver context of ``q``; raises NonDynkinError off Dynkin type.
+
+    Hom dimensions follow the reflection-functor recursion along the
+    admissible sink sequence x_0, x_1, ...: at a sink x, Hom(S_x, N) =
+    dim N(x) and Hom(M, S_x) = 0 for an indecomposable M != S_x, and C^+_x
+    preserves Hom between indecomposables other than S_x.  A root's walk
+    does not depend on the other root of a pair, so each root i is walked
+    once, to the step t_i at which it is the simple at the vertex x_{t_i}
+    reflected next.  Then hom(i, j) is coordinate x_{t_i} of root j walked
+    t_i steps when t_j >= t_i, and 0 otherwise.
+    """
     roots = positive_roots(q)
-    idx = {r: i for i, r in enumerate(roots)}
-    k = len(roots)
+    n, k = q.n, len(roots)
+    seq = q.admissible_sink_sequence()
+    paths = []  # paths[i][t]: root i after t steps of the walk
+    for r in roots:
+        path = [r]
+        while path[-1] != simple_root(n, seq[(len(path) - 1) % n]):
+            path.append(reflect_dim(q, seq[(len(path) - 1) % n], path[-1]))
+            assert len(path) < 64 * n, "reflection walk failed to terminate"
+        paths.append(path)
     hom = [[0] * k for _ in range(k)]
     ext = [[0] * k for _ in range(k)]
-    for i, ri in enumerate(roots):
-        for j, rj in enumerate(roots):
-            h = hom_dim_roots(q, ri, rj)
-            e = h - euler_form(q, ri, rj)
+    for i, pi in enumerate(paths):
+        t = len(pi) - 1
+        x = seq[t % n] - 1
+        for j, pj in enumerate(paths):
+            h = pj[t][x] if len(pj) > t else 0
+            e = h - euler_form(q, roots[i], roots[j])
             assert e >= 0
             hom[i][j] = h
             ext[i][j] = e
         assert hom[i][i] == 1 and ext[i][i] == 0
-    return HomTable(q, roots, idx, hom, ext)
+
+    first = [next(v for v, c in enumerate(r) if c) for r in roots]
+    walk = sorted(range(k), key=lambda i: (first[i], [-c for c in roots[i]]))
+    walk_first = [first[i] for i in walk]
+    start = [walk_first.index(x) for x in range(n)]
+    end = [start[x] + walk_first.count(x) for x in range(n)]
+    support = [[(v, c) for v, c in enumerate(roots[i]) if c] for i in walk]
+    lex_desc = sorted(range(k), key=lambda i: roots[i], reverse=True)
+    last_support = [max(p for p, i in enumerate(lex_desc) if roots[i][v])
+                    for v in range(n)]
+
+    cox = coxeter(q).coxeter_matrix
+    inv = inverse(Mat(n, n, [list(row) for row in cox]))
+    cox_inv = tuple(tuple(int(c) for c in row) for row in inv.rows)
+    return HomTable(q, roots, {r: i for i, r in enumerate(roots)}, hom, ext,
+                    walk, start, end, support, lex_desc, last_support,
+                    cox, cox_inv)

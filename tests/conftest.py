@@ -25,9 +25,21 @@ def d4():
 
 
 @pytest.fixture(scope="session")
+def d5():
+    # three arms at vertex 5: 1 -> 5, 2 -> 5 and 5 -> 3 -> 4
+    return Quiver(5, ((1, 5), (2, 5), (5, 3), (3, 4)))
+
+
+@pytest.fixture(scope="session")
 def e6():
     # row 1..5 with the branch vertex 6 attached to the middle
     return Quiver(6, ((1, 2), (2, 3), (4, 3), (5, 4), (6, 3)))
+
+
+@pytest.fixture(scope="session")
+def e7():
+    # row 1..6 with the branch vertex 7 attached to vertex 3
+    return Quiver(7, ((1, 2), (2, 3), (4, 3), (5, 4), (6, 5), (7, 3)))
 
 
 @pytest.fixture(scope="session")

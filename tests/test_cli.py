@@ -115,3 +115,29 @@ def test_hom_subcommand():
     proc = run_cli(["hom", "--preset", "e8-notred",
                     "--a", "0,0,1,0,0,0,0,0", "--b", "0,1,2,1,1,1,0,1"])
     assert "= 2" in proc.stdout
+
+
+A3_FILE = "vertices 3\narrow 1 2\narrow 2 3\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["decompose", "--quiver", "{a3}", "--dim=-1,2,3"],
+    ["decompose", "--preset", "e6-ex1", "--n", "-1"],
+    ["nullcone", "--quiver", "{a3}", "--dim", "1,2,1", "--simples", "x"],
+    ["nullcone", "--quiver", "{a3}", "--dim", "1,2,1", "--simples", "9"],
+    ["nullcone", "--preset", "e6-ex1", "--simples", "9"],
+    ["hom", "--a", "1,0,0", "--b", "0,1,0"],
+    ["decompose", "--preset", "nope"],
+    ["verify-certificate", "{cert}"],
+], ids=["negative-dim", "negative-preset-n", "simples-not-int",
+        "simples-range-file", "simples-range-preset", "hom-no-quiver",
+        "unknown-preset", "certificate-without-r"])
+def test_bad_input_exits_2_without_traceback(tmp_path, args):
+    (tmp_path / "a3.quiver").write_text(A3_FILE)
+    (tmp_path / "cert.json").write_text(json.dumps({"terms": []}))
+    args = [a.format(a3=tmp_path / "a3.quiver", cert=tmp_path / "cert.json")
+            for a in args]
+    proc = run_cli(args, check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr

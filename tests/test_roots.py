@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -6,7 +8,6 @@ from qsing.quiver import Quiver, euler_form, tits_form
 from qsing.roots import (
     NotARootError,
     hom_dim,
-    hom_dim_roots,
     hom_matrix_dvw,
     hom_table,
     positive_roots,
@@ -95,9 +96,11 @@ def test_hom_table_matches_euler_form(a2, a3, d4, e6, e8):
                 assert t.hom[i][j] >= 0 and t.ext[i][j] >= 0
 
 
-def test_hom_table_agrees_with_matrix_kernels(a2, a3, d4):
-    # the fast dimension-vector recursion against the d^V_W nullity route
-    for q in (a2, a3, d4):
+def test_hom_table_agrees_with_matrix_kernels(a2, a3, d4, d5):
+    # the fast dimension-vector recursion against the d^V_W nullity route,
+    # also on a D4 orientation with a source, a sink and two other arms
+    d4_mixed = Quiver(4, ((4, 1), (2, 4), (4, 3)))
+    for q in (a2, a3, d4, d4_mixed, d5):
         t = hom_table(q)
         reps = {r: realize(q, r) for r in t.roots}
         for a in t.roots:
@@ -137,6 +140,27 @@ def test_realization_independent_of_reflection_order(a3, d4):
                 assert t1.hom_root(a, b) == t2.hom_root(pa, pb)
 
 
-def test_hom_dim_roots_direct(a2):
-    assert hom_dim_roots(a2, (1, 1), (1, 0)) == 1
-    assert hom_dim_roots(a2, (1, 0), (1, 1)) == 0
+# sha256 of json [roots, hom] as the pairwise recursion built it: for every
+# pair, both roots walked together along the sink sequence until one of them
+# is the simple at the vertex reflected next
+PAIRWISE_HOM_DIGESTS = {
+    "d5": "285dbb9fb5811d226c439d45f9c9b843b77165b293b9d6d0bb17b3d5d8794cc9",
+    "e7": "18ce71cd408590f72b951585c07b4c8b8f6f7c7d88ec314d0ee826cc8fd26b92",
+    "e8": "f9c2dcb06d4023e6e3314db8b1080991b3ce09ff6a815cb2618f5581913b8ac0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIRWISE_HOM_DIGESTS))
+def test_hom_table_matches_pairwise_recursion(request, name):
+    t = hom_table(request.getfixturevalue(name))
+    text = json.dumps([t.roots, t.hom], separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PAIRWISE_HOM_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "a4", "d4", "d5", "e6", "e7", "e8"])
+def test_coxeter_inverse(request, name):
+    q = request.getfixturevalue(name)
+    t = hom_table(q)
+    product = [[sum(t.coxeter_inv[i][k] * t.coxeter[k][j] for k in range(q.n))
+                for j in range(q.n)] for i in range(q.n)]
+    assert product == [[int(i == j) for j in range(q.n)] for i in range(q.n)]
