@@ -78,24 +78,19 @@ class Membership:
 
 def _cover_check(intervals, tail_from, start):
     """Do the integer intervals (lo, hi|None) plus the tail {t >= tail_from}
-    cover every integer t >= start?  Returns (covered, first gap)."""
+    cover every integer t >= start?  Returns (covered, first gap).  One
+    sweep over the intervals by increasing lo: t is the least integer not
+    yet covered, and an interval starting above t leaves t uncovered."""
     t = start
-    guard = 0
-    while True:
-        if tail_from is not None and t >= tail_from:
+    for lo, hi in sorted(intervals, key=lambda iv: iv[0]):
+        if (tail_from is not None and t >= tail_from) or lo > t:
+            break
+        if hi is None:
             return True, None
-        best = None
-        for lo, hi in intervals:
-            if lo <= t and (hi is None or t <= hi):
-                if hi is None:
-                    return True, None
-                best = hi if best is None else max(best, hi)
-        if best is None:
-            return False, t
-        t = best + 1
-        guard += 1
-        if guard > 10000:
-            return False, t
+        t = max(t, hi + 1)
+    if tail_from is not None and t >= tail_from:
+        return True, None
+    return False, t
 
 
 def _interval_ge(a, b):
@@ -109,20 +104,20 @@ def _interval_ge(a, b):
     return ("le", math.floor(bound))
 
 
-def _conj_to_interval(conds):
+def _conj_to_interval(conds, floor):
     """Intersect conditions of the forms ('ge', v) / ('le', v) / ('all',) /
-    ('none',) into a single integer interval (lo, hi|None) or None."""
-    lo, hi = None, None
+    ('none',) with {t >= floor} into an integer interval (lo, hi|None), or
+    None when empty."""
+    lo, hi = floor, None
     for c in conds:
         if c[0] == "none":
             return None
         if c[0] == "all":
             continue
         if c[0] == "ge":
-            lo = c[1] if lo is None else max(lo, c[1])
+            lo = max(lo, c[1])
         else:
             hi = c[1] if hi is None else min(hi, c[1])
-    lo = lo if lo is not None else -(10 ** 9)
     if hi is not None and lo > hi:
         return None
     return (lo, hi)
@@ -164,9 +159,9 @@ def membership_in_ztilde(family: BFunctionFamily, z, box_bound=8) -> Membership:
                         _interval_ge(g[0] - g[1], g[0] - 1 - w),
                         _interval_ge(g[0], g[0] - 1),       # depth >= 1
                     ]
-                    iv = _conj_to_interval(conds)
+                    iv = _conj_to_interval(conds, 0)
                     if iv:
-                        intervals.append((max(iv[0], 0), iv[1]))
+                        intervals.append(iv)
                 if z[1].denominator == 1 and z[1] >= 0:
                     tail_from = int(z[1]) + 1
                 covered, gap = _cover_check(intervals, tail_from, 0)
@@ -189,9 +184,9 @@ def membership_in_ztilde(family: BFunctionFamily, z, box_bound=8) -> Membership:
                         _interval_ge(g[1] - g[0], g[1] - 1 - w + g[0]),
                         _interval_ge(g[1], g[1] - 1),       # depth >= 1
                     ]
-                    iv = _conj_to_interval(conds)
+                    iv = _conj_to_interval(conds, 1)
                     if iv:
-                        intervals.append((max(iv[0], 1), iv[1]))
+                        intervals.append(iv)
                 if z[0].denominator == 1 and z[0] >= 0:
                     tail_from = int(z[0]) + 2
                 covered, gap = _cover_check(intervals, tail_from, 1)
@@ -331,15 +326,15 @@ def _reduc_a_tuple_cert(state: SymState, terms):
     min_k = state.box.min_of(state.k_total())
     if min_k is None:
         return None
-    rhs = Fraction(state.r_global) - min_k
+    rhs = state.r_global - min_k
     cons = []
     for d in range(rcur):
-        cons.append(([Fraction(t.gamma[d]) for t in terms], "=", 1))
+        cons.append(([t.gamma[d] for t in terms], "=", 1))
     for i in range(k):
-        coeffs = [Fraction(0)] * k
-        coeffs[i] = Fraction(-1)
+        coeffs = [0] * k
+        coeffs[i] = -1
         cons.append((coeffs, "<=", 0))
-    cons.append(([-Fraction(w) for w in mins], "<", -rhs))
+    cons.append(([-w for w in mins], "<", -rhs))
     res = solve(cons, k)
     if not res.feasible:
         return None
@@ -897,12 +892,16 @@ def _check_node(state: SymState, node) -> None:
 
 def verify_certificate(family: BFunctionFamily, cert) -> tuple:
     """Re-verify a goodness certificate against the family from scratch.
-    Returns (ok, message)."""
+    Returns (ok, message).  Node data that is missing or of the wrong type
+    is a rejection too, with a message starting "malformed certificate"."""
     try:
         _check_node(sym_state_from_family(family), cert)
         return True, "certificate verified"
     except CertificateError as exc:
         return False, str(exc)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
+            ZeroDivisionError) as exc:
+        return False, f"malformed certificate: {type(exc).__name__}: {exc}"
 
 
 def cert_to_json(node: CertNode):

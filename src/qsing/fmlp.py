@@ -2,15 +2,26 @@
 certificate extraction.
 
 Systems are lists of constraints  sum c_i x_i  (rel)  rhs  with rel in
-{"<=", "<", "="}.  Elimination keeps, for every derived inequality, its
-nonnegative-combination provenance over the input rows, so infeasibility
-yields an explicit Farkas certificate and feasibility yields a point by
-back-substitution.  Dimensions here are tiny (r <= 5), where FM is exact
-and fast.
+{"<=", "<", "="} and int or Fraction (any exact rational) data.
+Elimination runs on plain Python integers: each input row is multiplied
+once by the lcm of its denominators, and each derived row
+b*upper + a*lower is divided by the gcd of its coefficients, right-hand
+side and provenance.  Both factors are positive, so by induction every row
+is a positive multiple of the row that elimination on Fractions builds: the
+same inequality, in the same order, giving the same bound rest/c on its
+variable.  Feasibility and the back-substituted point (the one place that
+divides, in Fractions) are therefore exactly those of the Fraction
+computation.
+
+Every row carries its provenance, integer multipliers over the input rows,
+so infeasibility yields an explicit Farkas certificate (a positive multiple
+of the Fraction one) and feasibility yields a point.  Dimensions here are
+tiny (r <= 5), where FM is exact and fast.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,83 +29,88 @@ from fractions import Fraction
 @dataclass
 class FMResult:
     feasible: bool
-    point: list | None = None  # rational point when feasible
-    farkas: list | None = None  # multipliers over input rows when infeasible
+    point: list | None = None  # Fraction point when feasible
+    farkas: list | None = None  # int multipliers over input rows when infeasible
 
 
-def _norm(con, nvars):
-    coeffs, rel, rhs = con
-    coeffs = [Fraction(c) for c in coeffs]
-    assert len(coeffs) == nvars and rel in ("<=", "<", "=")
-    return coeffs, rel, Fraction(rhs)
+def _int_row(values):
+    """values times the lcm of their denominators, as ints, with the lcm."""
+    if all(type(x) is int for x in values):
+        return list(values), 1
+    values = [Fraction(x) for x in values]
+    scale = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
 def solve(constraints, nvars) -> FMResult:
-    """Decide { x in Q^nvars : constraints }, returning a point or a Farkas
-    combination (multipliers m >= 0 with sum m_i * row_i = (0 rel c), c
-    violating the relation)."""
-    rows = []
-    for k, con in enumerate(constraints):
-        coeffs, rel, rhs = _norm(con, nvars)
-        prov = [Fraction(1) if i == k else Fraction(0)
-                for i in range(len(constraints))]
+    """Decide { x in Q^nvars : constraints }.
+
+    Feasible: a point of Fractions, found by back-substitution through the
+    elimination levels.  Infeasible: integer Farkas multipliers m over the
+    input rows, m_i >= 0 on inequality rows, with sum m_i * row_i equal to
+    (0 rel c) for a constant c violating the relation (c < 0, or c <= 0 if
+    a strict row has positive weight).  The multipliers are a positive
+    multiple of those elimination on Fractions gives.
+    """
+    rows = []  # (int coeffs, strict, int rhs, int provenance)
+    ncons = len(constraints)
+    for k, (coeffs, rel, rhs) in enumerate(constraints):
+        assert len(coeffs) == nvars and rel in ("<=", "<", "=")
+        row, scale = _int_row([*coeffs, rhs])
+        coeffs, rhs = row[:-1], row[-1]
+        prov = [0] * ncons
+        prov[k] = scale
+        rows.append((coeffs, rel == "<", rhs, prov))
         if rel == "=":
-            rows.append((coeffs, "<=", rhs, prov, 1))
-            rows.append(([-c for c in coeffs], "<=", -rhs,
-                         [-p for p in prov], -1))
-        else:
-            rows.append((coeffs, rel, rhs, prov, 1))
+            rows.append(([-c for c in coeffs], False, -rhs, [-p for p in prov]))
 
     levels = []  # per eliminated variable: rows at that level
     cur = rows
     for v in range(nvars):
         levels.append(cur)
-        lower, upper, rest = [], [], []
-        for coeffs, rel, rhs, prov, sg in cur:
-            c = coeffs[v]
-            if c > 0:
-                upper.append((coeffs, rel, rhs, prov, sg))
-            elif c < 0:
-                lower.append((coeffs, rel, rhs, prov, sg))
-            else:
-                rest.append((coeffs, rel, rhs, prov, sg))
-        new = list(rest)
-        for lc, lrel, lrhs, lprov, _ in lower:
-            for uc, urel, urhs, uprov, _ in upper:
+        lower, upper, new = [], [], []
+        for row in cur:
+            c = row[0][v]
+            (upper if c > 0 else lower if c < 0 else new).append(row)
+        for lc, lstrict, lrhs, lprov in lower:
+            b = -lc[v]
+            for uc, ustrict, urhs, uprov in upper:
                 a = uc[v]
-                b = -lc[v]
                 # b*upper + a*lower eliminates v
-                coeffs = [b * uc[i] + a * lc[i] for i in range(nvars)]
+                coeffs = [b * u + a * l for u, l in zip(uc, lc)]
                 rhs = b * urhs + a * lrhs
-                rel = "<" if "<" in (lrel, urel) else "<="
-                prov = [b * up + a * lp for up, lp in zip(uprov, lprov)]
-                new.append((coeffs, rel, rhs, prov, 1))
+                prov = [b * u + a * l for u, l in zip(uprov, lprov)]
+                g = math.gcd(*coeffs, rhs, *prov)
+                if g > 1:
+                    coeffs = [x // g for x in coeffs]
+                    rhs //= g
+                    prov = [x // g for x in prov]
+                new.append((coeffs, lstrict or ustrict, rhs, prov))
         cur = new
 
     # ground facts: all coefficients zero
-    for coeffs, rel, rhs, prov, _ in cur:
-        assert all(c == 0 for c in coeffs)
-        bad = rhs < 0 if rel == "<=" else rhs <= 0
-        if bad:
+    for coeffs, strict, rhs, prov in cur:
+        assert not any(coeffs)
+        if rhs < 0 or (strict and rhs == 0):
             return FMResult(False, farkas=prov)
 
     # back-substitute a feasible point
     point = [Fraction(0)] * nvars
     for v in range(nvars - 1, -1, -1):
         lo, hi, lo_strict, hi_strict = None, None, False, False
-        for coeffs, rel, rhs, prov, _ in levels[v]:
+        for coeffs, strict, rhs, _ in levels[v]:
             c = coeffs[v]
             if c == 0:
                 continue
             rest = rhs - sum(coeffs[i] * point[i]
                              for i in range(v + 1, nvars))
-            bound = rest / c
+            bound = Fraction(rest, c)
             if c > 0:
-                if hi is None or bound < hi or (bound == hi and rel == "<"):
-                    hi, hi_strict = bound, rel == "<"
+                if hi is None or bound < hi or (bound == hi and strict):
+                    hi, hi_strict = bound, strict
             else:
-                if lo is None or bound > lo or (bound == lo and rel == "<"):
-                    lo, lo_strict = bound, rel == "<"
+                if lo is None or bound > lo or (bound == lo and strict):
+                    lo, lo_strict = bound, strict
         if lo is None and hi is None:
             point[v] = Fraction(0)
         elif lo is None:
@@ -107,24 +123,20 @@ def solve(constraints, nvars) -> FMResult:
 
 
 def cone_membership(target, generators, lines=()):
-    """Is target in cone(generators) + span(lines)?  Returns (noneg
+    """Is target in cone(generators) + span(lines)?  Returns (nonneg
     lambdas, line coefficients) or None.  All vectors are rational tuples.
     """
-    gens = [list(map(Fraction, g)) for g in generators]
-    lns = [list(map(Fraction, l)) for l in lines]
-    tgt = list(map(Fraction, target))
-    dim = len(tgt)
-    k, l = len(gens), len(lns)
+    k, l = len(generators), len(lines)
     nvars = k + 2 * l  # lambdas >= 0, lines split into +/- parts
     cons = []
-    for d in range(dim):
-        coeffs = [gens[i][d] for i in range(k)]
-        for j in range(l):
-            coeffs += [lns[j][d], -lns[j][d]]
-        cons.append((coeffs, "=", tgt[d]))
+    for d, t in enumerate(target):
+        coeffs = [g[d] for g in generators]
+        for ln in lines:
+            coeffs += [ln[d], -ln[d]]
+        cons.append((coeffs, "=", t))
     for i in range(nvars):
-        coeffs = [Fraction(0)] * nvars
-        coeffs[i] = Fraction(-1)
+        coeffs = [0] * nvars
+        coeffs[i] = -1
         cons.append((coeffs, "<=", 0))
     res = solve(cons, nvars)
     if not res.feasible:
@@ -138,15 +150,8 @@ def separating_functional(target, generators, orthogonal_to=()):
     """A rational vector y with y.g <= 0 for all generators, y.e = 0 for the
     orthogonal set, and y.target > 0 -- a Farkas witness that target is not
     in cone(generators) + span(orthogonal_to).  None if no such y exists."""
-    gens = [list(map(Fraction, g)) for g in generators]
-    orth = [list(map(Fraction, o)) for o in orthogonal_to]
-    tgt = list(map(Fraction, target))
-    dim = len(tgt)
-    cons = []
-    for g in gens:
-        cons.append((g, "<=", 0))
-    for o in orth:
-        cons.append((o, "=", 0))
-    cons.append(([-t for t in tgt], "<", 0))
-    res = solve(cons, dim)
+    cons = [(list(g), "<=", 0) for g in generators]
+    cons += [(list(o), "=", 0) for o in orthogonal_to]
+    cons.append(([-t for t in target], "<", 0))
+    res = solve(cons, len(target))
     return res.point if res.feasible else None

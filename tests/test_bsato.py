@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -8,6 +9,8 @@ from qsing.affine import Affine, Box
 from qsing.brackets import BracketTerm, compute_bfunction, family_from_terms
 from qsing.bsato import (
     CertifyOutcome,
+    _conj_to_interval,
+    _cover_check,
     cert_from_json,
     cert_to_json,
     certify_all_good,
@@ -23,6 +26,8 @@ from qsing.bsato import (
     verify_certificate,
 )
 from qsing.decomp import generic_decomposition, perp_simples
+from qsing.orbits import make_spec
+from qsing.presets import preset
 
 E6_FAMILY_PAPER_ORDER = lambda n, m: family_from_terms(4, [
     # paper's own variable order (s_1..s_4) for readability in these tests
@@ -265,6 +270,105 @@ def test_certify_expos_refuted():
     z = out.witness
     assert not is_good(z, 2)
     assert membership_in_ztilde(fam, z).kind == "member"
+
+
+def _preset_family(name, n, m=1):
+    q, alpha, sel, _ = preset(name, n, m)
+    spec = make_spec(q, alpha, sel)
+    return compute_bfunction(q, spec.alpha, spec.selected_simples)
+
+
+# sha256 of json.dumps(cert_to_json(certificate), sort_keys=True), recorded
+# with the Fraction-row Fourier-Motzkin solver; None marks an inconclusive
+# outcome, which has no certificate
+E6_CERT_SHA256 = {
+    (1, 1): None,
+    (2, 1): "c2800da1cd1439c2bbc80401414aa40265f9fdb72d73a9dc26bd5b448b51c3d8",
+    (1, 2): None,
+    (2, 2): "73bc2d387dbc23295679f1d9013aed8f8f2440ade5e6309d398abaf9cb7633e9",
+    (3, 1): "e9ac36c2526f8c7b8db876da96ef6ed622bacb6231bd1a08537b7cdc7ff59d5f",
+}
+
+
+@pytest.mark.parametrize("n,m", sorted(E6_CERT_SHA256))
+def test_certificate_json_pinned(n, m):
+    """certify_all_good on the e6-ex1 preset gives byte-identical
+    certificate JSON (LP multipliers, Farkas functionals, cone memberships)
+    to the recorded one, and the same outcome where it cannot close."""
+    fam = _preset_family("e6-ex1", n, m)
+    out = certify_all_good(fam)
+    want = E6_CERT_SHA256[(n, m)]
+    if want is None:
+        assert out.kind == "inconclusive" and out.certificate is None
+        assert out.reason == "case analysis exhausted without closing"
+        return
+    assert out.kind == "certificate"
+    blob = json.dumps(cert_to_json(out.certificate), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == want
+    assert verify_certificate(fam, out.certificate) == (
+        True, "certificate verified")
+
+
+def test_e8_pos_outcome_pinned():
+    out = certify_all_good(_preset_family("e8-pos", 1))
+    assert out.kind == "refuted"
+    assert out.witness == (Fraction(-4), Fraction(2))
+    assert out.certificate is None
+
+
+def test_checker_rejects_malformed_node_data():
+    """Missing or ill-typed node data is a rejection, not an exception."""
+    fam = E6_FAMILY_PAPER_ORDER(2, 2)
+    blob = cert_to_json(certify_all_good(fam).certificate)
+    malformed = []
+    for edit in (lambda b: b["data"].pop("I"),
+                 lambda b: b["data"]["certs"][0].pop("u"),
+                 lambda b: b["data"]["certs"][0].update(u=["x", "1"]),
+                 lambda b: b["data"].update(I=5),
+                 lambda b: b["branches"][0][0].pop("value"),
+                 lambda b: b.pop("data")):
+        bad = json.loads(json.dumps(blob))
+        edit(bad)
+        malformed.append(bad)
+    malformed.append({"rule": "reduc_a", "data": {}, "branches": []})
+    for bad in malformed:
+        ok, msg = verify_certificate(fam, bad)
+        assert not ok and msg.startswith("malformed certificate: "), msg
+
+
+def test_cover_check_has_no_step_cap():
+    # 20,000 unit intervals cover 0..19999 and the tail the rest; a step
+    # guard used to report a false gap at 10001 here
+    assert _cover_check([(i, i) for i in range(20000)], 20000, 0) == (True, None)
+    assert _cover_check([(0, 3), (5, None)], None, 0) == (False, 4)
+    assert _cover_check([(2, 7), (0, 1), (8, None)], None, 0) == (True, None)
+
+
+def test_cover_check_matches_brute_force():
+    """The first gap is the least integer t >= start in no interval and
+    below the tail; intervals and tails stay below 40, so a scan to 60
+    decides it."""
+    rng = random.Random(5)
+    for _ in range(2000):
+        intervals = []
+        for _ in range(rng.randint(0, 6)):
+            lo = rng.randint(-3, 30)
+            hi = None if rng.random() < 0.1 else lo + rng.randint(-2, 8)
+            intervals.append((lo, hi))
+        tail = rng.choice([None, rng.randint(0, 40)])
+        start = rng.randint(0, 2)
+        covered = lambda t: (tail is not None and t >= tail) or any(
+            lo <= t and (hi is None or t <= hi) for lo, hi in intervals)
+        gap = next((t for t in range(start, 60) if not covered(t)), None)
+        assert _cover_check(intervals, tail, start) == (gap is None, gap)
+
+
+def test_conj_to_interval_starts_at_floor():
+    assert _conj_to_interval([("all",)], 1) == (1, None)
+    assert _conj_to_interval([("ge", -5), ("le", 4)], 0) == (0, 4)
+    assert _conj_to_interval([("ge", 3), ("le", 9)], 1) == (3, 9)
+    assert _conj_to_interval([("le", -1)], 0) is None
+    assert _conj_to_interval([("ge", 0), ("none",)], 0) is None
 
 
 def test_single_variable_roots():

@@ -141,3 +141,33 @@ def test_bad_input_exits_2_without_traceback(tmp_path, args):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+MALFORMED_NODE = {
+    "terms": [{"gamma": [1, 0], "a": 0, "b": 1, "mult": 1},
+              {"gamma": [0, 1], "a": 0, "b": 1, "mult": 1}],
+    "r": 2,
+    "certificate": {"rule": "reduc_a", "data": {}, "branches": []},
+}
+
+
+def _reduc_a_cert_without_u(tmp_path):
+    cert = tmp_path / "full.json"
+    run_cli(["singularities", "--preset", "e6-ex1", "--n", "2", "--m", "2",
+             "--certificate-out", str(cert)])
+    payload = json.loads(cert.read_text())
+    assert payload["certificate"]["rule"] == "reduc_a"
+    del payload["certificate"]["data"]["certs"][0]["u"]
+    return payload
+
+
+@pytest.mark.parametrize("payload", [lambda _: MALFORMED_NODE,
+                                     _reduc_a_cert_without_u],
+                         ids=["reduc_a-empty-data", "reduc_a-missing-u"])
+def test_malformed_node_data_is_rejected_without_traceback(tmp_path, payload):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(payload(tmp_path)))
+    proc = run_cli(["verify-certificate", str(cert)], check=False)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.startswith("REJECTED: malformed certificate: ")
+    assert "Traceback" not in proc.stderr

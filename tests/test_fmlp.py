@@ -6,6 +6,77 @@ from hypothesis import strategies as st
 from qsing.fmlp import cone_membership, separating_functional, solve
 
 
+def reference_solve(constraints, nvars):
+    """Fourier-Motzkin elimination on Fraction rows, without any scaling:
+    the oracle for `solve`.  Returns (feasible, point or Farkas vector)."""
+    rows = []
+    for k, (coeffs, rel, rhs) in enumerate(constraints):
+        coeffs, rhs = [Fraction(c) for c in coeffs], Fraction(rhs)
+        prov = [Fraction(int(i == k)) for i in range(len(constraints))]
+        if rel == "=":
+            rows.append((coeffs, "<=", rhs, prov))
+            rows.append(([-c for c in coeffs], "<=", -rhs, [-p for p in prov]))
+        else:
+            rows.append((coeffs, rel, rhs, prov))
+    levels, cur = [], rows
+    for v in range(nvars):
+        levels.append(cur)
+        lower = [r for r in cur if r[0][v] < 0]
+        upper = [r for r in cur if r[0][v] > 0]
+        new = [r for r in cur if r[0][v] == 0]
+        for lc, lrel, lrhs, lprov in lower:
+            for uc, urel, urhs, uprov in upper:
+                a, b = uc[v], -lc[v]
+                new.append(([b * u + a * l for u, l in zip(uc, lc)],
+                            "<" if "<" in (lrel, urel) else "<=",
+                            b * urhs + a * lrhs,
+                            [b * u + a * l for u, l in zip(uprov, lprov)]))
+        cur = new
+    for _, rel, rhs, prov in cur:
+        if (rhs < 0) if rel == "<=" else (rhs <= 0):
+            return False, prov
+    point = [Fraction(0)] * nvars
+    for v in range(nvars - 1, -1, -1):
+        lo, hi, lo_strict, hi_strict = None, None, False, False
+        for coeffs, rel, rhs, _ in levels[v]:
+            c = coeffs[v]
+            if c == 0:
+                continue
+            bound = (rhs - sum(coeffs[i] * point[i]
+                               for i in range(v + 1, nvars))) / c
+            if c > 0:
+                if hi is None or bound < hi or (bound == hi and rel == "<"):
+                    hi, hi_strict = bound, rel == "<"
+            elif lo is None or bound > lo or (bound == lo and rel == "<"):
+                lo, lo_strict = bound, rel == "<"
+        if lo is None and hi is None:
+            point[v] = Fraction(0)
+        elif lo is None:
+            point[v] = hi - 1 if hi_strict else hi
+        elif hi is None:
+            point[v] = lo + 1 if lo_strict else lo
+        else:
+            point[v] = (lo + hi) / 2 if (lo_strict or hi_strict) else lo
+    return True, point
+
+
+def assert_farkas(constraints, m):
+    """m certifies infeasibility: nonnegative on inequality rows, zero
+    combined coefficients, and a combined constant violating the relation
+    (c < 0, or c <= 0 when a strict row carries weight)."""
+    assert len(m) == len(constraints)
+    for (_, rel, _), mi in zip(constraints, m):
+        assert rel == "=" or mi >= 0
+    nvars = len(constraints[0][0])
+    for j in range(nvars):
+        assert sum(mi * Fraction(con[0][j])
+                   for mi, con in zip(m, constraints)) == 0
+    c = sum(mi * Fraction(con[2]) for mi, con in zip(m, constraints))
+    strict = any(mi > 0 for (_, rel, _), mi in zip(constraints, m)
+                 if rel == "<")
+    assert c < 0 or (strict and c == 0)
+
+
 def test_feasible_point_satisfies_system():
     cons = [([1, 1], "<=", 4), ([-1, 0], "<=", 0), ([0, -1], "<=", 0),
             ([1, -1], "<", 2)]
@@ -72,3 +143,65 @@ def test_membership_and_separation_are_exclusive(gens):
         lam, _ = member
         combo = [sum(l * g[d] for l, g in zip(lam, gens)) for d in range(2)]
         assert combo == [1, 1] and all(l >= 0 for l in lam)
+
+
+RATIONALS = st.one_of(st.integers(-3, 3),
+                      st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+@st.composite
+def systems(draw):
+    nvars = draw(st.integers(1, 4))
+    row = st.tuples(st.lists(RATIONALS, min_size=nvars, max_size=nvars),
+                    st.sampled_from(("<=", "<", "=")), RATIONALS)
+    return draw(st.lists(row, min_size=1, max_size=5)), nvars
+
+
+@given(systems())
+@settings(max_examples=400, deadline=None)
+def test_solve_matches_fraction_oracle(system):
+    """Integer rows give the oracle's verdict and point exactly; on
+    infeasible systems the integer Farkas vector is a valid certificate and
+    a positive multiple of the oracle's."""
+    constraints, nvars = system
+    feasible, ref = reference_solve(constraints, nvars)
+    res = solve(constraints, nvars)
+    assert res.feasible == feasible
+    if feasible:
+        assert res.point == ref
+        assert all(type(x) is Fraction for x in res.point)
+        return
+    assert all(type(x) is int for x in res.farkas)
+    assert_farkas(constraints, res.farkas)
+    ratios = {Fraction(a) / b for a, b in zip(res.farkas, ref) if b}
+    assert len(ratios) == 1 and ratios.pop() > 0
+    assert [a == 0 for a in res.farkas] == [b == 0 for b in ref]
+
+
+def test_oracle_differential_sees_both_verdicts():
+    """The system strategy is not one-sided: a fixed draw of it holds both
+    feasible and infeasible systems."""
+    verdicts = set()
+
+    @given(systems())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def collect(system):
+        verdicts.add(reference_solve(*system)[0])
+
+    collect()
+    assert verdicts == {True, False}
+
+
+def test_fractional_rows_scale_to_integers():
+    # 1/2 x <= 1/3 and -x < -2/3 (x > 2/3): infeasible; the row scales are
+    # 6 and 3, so the Farkas vector is integral
+    cons = [([Fraction(1, 2)], "<=", Fraction(1, 3)),
+            ([-1], "<", Fraction(-2, 3))]
+    res = solve(cons, 1)
+    assert not res.feasible
+    assert all(type(x) is int for x in res.farkas)
+    assert_farkas(cons, res.farkas)
+    # 1/3 < x <= 2/3: the midpoint, since the lower bound is strict
+    res = solve([([Fraction(1, 2)], "<=", Fraction(1, 3)),
+                 ([-1], "<", Fraction(-1, 3))], 1)
+    assert res.feasible and res.point == [Fraction(1, 2)]
