@@ -29,7 +29,6 @@ from .decomp import (
     RepClass,
     evaluate_semiinvariant,
     generic_decomposition,
-    is_prehomogeneous,
     make_class,
     perp_simples,
 )

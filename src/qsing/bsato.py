@@ -123,14 +123,43 @@ def _conj_to_interval(conds, floor):
     return (lo, hi)
 
 
+def _half_line(offsets, z):
+    """The generators b_c with c = (1+t, -t), t >= 0, of an r = 2 family
+    at z, from its offsets (g, o) of nonzero multiplicity.
+
+    Here c+ = (1+t, 0) and c- = (0, -t), so the offset (g, o) gives the
+    factors g.s - g_2*t + o + j, j = 0 .. g_1*(1+t) - 1.  One of them
+    vanishes at z iff w = -(g.z) - o is an integer with
+    0 <= w + g_2*t <= g_1*(1+t) - 1, a t-interval; the factor
+    binom(s_2, t) vanishes iff z_2 is an integer with 0 <= z_2 < t.
+    Returns (intervals, tail, gap): gap is the first t whose b_c does not
+    vanish at z, or None when every one does.
+    """
+    intervals = []
+    for g, o in offsets:
+        w = -(g[0] * z[0] + g[1] * z[1]) - o
+        if w.denominator != 1:
+            continue
+        w = int(w)
+        iv = _conj_to_interval([_interval_ge(g[1], w),
+                                _interval_ge(g[0] - g[1], g[0] - 1 - w)], 0)
+        if iv:
+            intervals.append(iv)
+    tail = int(z[1]) + 1 if z[1].denominator == 1 and z[1] >= 0 else None
+    covered, gap = _cover_check(intervals, tail, 0)
+    return intervals, tail, gap
+
+
 def membership_in_ztilde(family: BFunctionFamily, z, box_bound=8) -> Membership:
     """Does every generator b_c vanish at z?
 
-    r <= 2 is decided exactly: c = (1+t, -t) is a line in one integer
-    parameter and each bracket's vanishing condition is a t-interval, so
-    universal vanishing is a finite interval-cover check.  For r > 2 a box
-    |c_i| <= box_bound is scanned; absence of a counterexample there is
-    reported as unknown, never as membership.
+    r <= 2 is decided exactly: the c with c_1 + c_2 = 1 are the half-lines
+    (1+t, -t) and (-t, 1+t), t >= 0, the second being the first with both
+    coordinates swapped.  On each, every bracket's vanishing condition is a
+    t-interval, so universal vanishing is a finite interval-cover check
+    (``_half_line``).  For r > 2 a box |c_i| <= box_bound is scanned;
+    absence of a counterexample there is reported as unknown, never as
+    membership.
     """
     r = family.r
     z = tuple(Fraction(x) for x in z)
@@ -140,60 +169,16 @@ def membership_in_ztilde(family: BFunctionFamily, z, box_bound=8) -> Membership:
             return Membership("member", proof={"c": (1,)})
         return Membership("nonmember", witness_c=(1,))
     if r == 2:
+        offsets = [g_o for g_o, cnt in family.offsets.items() if cnt]
+        swapped = [((g[1], g[0]), o) for g, o in offsets]
         proof = {}
-        for direction in ("pos", "neg"):
-            intervals = []
-            tail_from = None
-            if direction == "pos":
-                # c = (1+t, -t), t >= 0: c+ = (1+t, 0), c- = (0, -t)
-                for (g, o), cnt in family.offsets.items():
-                    if not cnt:
-                        continue
-                    w = -(g[0] * z[0] + g[1] * z[1]) - o
-                    if w.denominator != 1:
-                        continue
-                    w = int(w)
-                    # sigma(t) = -g2*t <= w ; sigma(t) >= w - g1*(1+t) + 1
-                    conds = [
-                        _interval_ge(g[1], w),              # g2*t + w >= 0
-                        _interval_ge(g[0] - g[1], g[0] - 1 - w),
-                        _interval_ge(g[0], g[0] - 1),       # depth >= 1
-                    ]
-                    iv = _conj_to_interval(conds, 0)
-                    if iv:
-                        intervals.append(iv)
-                if z[1].denominator == 1 and z[1] >= 0:
-                    tail_from = int(z[1]) + 1
-                covered, gap = _cover_check(intervals, tail_from, 0)
-                if not covered:
-                    t = gap
-                    return Membership("nonmember", witness_c=(1 + t, -t))
-                proof["pos"] = {"intervals": intervals, "tail": tail_from}
-            else:
-                # c = (1-u, u), u >= 1: c+ = (0, u), c- = (1-u, 0)
-                for (g, o), cnt in family.offsets.items():
-                    if not cnt:
-                        continue
-                    w = -(g[0] * z[0] + g[1] * z[1]) - o
-                    if w.denominator != 1:
-                        continue
-                    w = int(w)
-                    # 0 <= w - g1*(1-u) <= g2*u - 1
-                    conds = [
-                        _interval_ge(g[0], w - g[0]),       # g1*u + (w-g1) >= 0
-                        _interval_ge(g[1] - g[0], g[1] - 1 - w + g[0]),
-                        _interval_ge(g[1], g[1] - 1),       # depth >= 1
-                    ]
-                    iv = _conj_to_interval(conds, 1)
-                    if iv:
-                        intervals.append(iv)
-                if z[0].denominator == 1 and z[0] >= 0:
-                    tail_from = int(z[0]) + 2
-                covered, gap = _cover_check(intervals, tail_from, 1)
-                if not covered:
-                    u = gap
-                    return Membership("nonmember", witness_c=(1 - u, u))
-                proof["neg"] = {"intervals": intervals, "tail": tail_from}
+        for side, offs, zz in (("pos", offsets, z), ("neg", swapped, z[::-1])):
+            intervals, tail, gap = _half_line(offs, zz)
+            if gap is not None:
+                c = (1 + gap, -gap)
+                return Membership("nonmember",
+                                  witness_c=c if side == "pos" else c[::-1])
+            proof[side] = {"intervals": intervals, "tail": tail}
         return Membership("member", proof=proof)
 
     # r > 2: box scan
@@ -622,28 +607,36 @@ def _certify(state: SymState, depth, depth_bound, counter):
 
 
 def _refutation_candidates(family: BFunctionFamily, bound):
-    """Intersections of pairs of independent linear forms gamma.z = -v with
-    integer v in a box; deterministic order."""
-    gammas = sorted({g for (g, _o) in family.offsets})
-    for i in range(family.r):
-        gammas.append(tuple(1 if d == i else 0 for d in range(family.r)))
-    gammas = sorted(set(gammas))
-    cands = []
-    for g1, g2 in itertools.combinations(gammas, 2):
-        det = g1[0] * g2[1] - g1[1] * g2[0]
-        if det == 0:
-            continue
-        for v1 in range(-bound, bound + 1):
-            for v2 in range(-bound, bound + 1):
-                z1 = Fraction(-v1 * g2[1] + v2 * g1[1], det)
-                z2 = Fraction(-v2 * g1[0] + v1 * g2[0], det)
-                cands.append((abs(v1) + abs(v2), (z1, z2)))
-    cands.sort(key=lambda t: (t[0], t[1]))
+    """Intersections z of pairs of independent linear forms gamma.z = -v
+    with integers |v_1|, |v_2| <= bound, each point once, ordered by
+    (|v_1| + |v_2|, z) at the least level that reaches it.  Each level is
+    built and sorted only once the previous one is used up."""
+    gammas = {g for (g, _o) in family.offsets}
+    gammas.update(tuple(int(d == i) for d in range(family.r)) for i in range(family.r))
+    pairs = [(g1, g2, det) for g1, g2 in itertools.combinations(sorted(gammas), 2)
+             if (det := g1[0] * g2[1] - g1[1] * g2[0])]
     seen = set()
-    for _, z in cands:
-        if z not in seen:
-            seen.add(z)
-            yield z
+    for level in range(2 * bound + 1):
+        top = min(level, bound)
+        vs = [(v1, v2) for v1 in range(-top, top + 1)
+              for v2 in {level - abs(v1), abs(v1) - level}
+              if abs(v2) <= bound]
+        points = sorted({(Fraction(-v1 * g2[1] + v2 * g1[1], det),
+                          Fraction(-v2 * g1[0] + v1 * g2[0], det))
+                         for g1, g2, det in pairs for v1, v2 in vs} - seen)
+        seen.update(points)
+        yield from points
+
+
+def _refute(family: BFunctionFamily, bound):
+    """The first refutation candidate that is not good but lies in Z(B~),
+    or None.  Only r = 2 has exact membership to refute with."""
+    if family.r != 2:
+        return None
+    for z in _refutation_candidates(family, bound):
+        if not is_good(z, family.r) and membership_in_ztilde(family, z).kind == "member":
+            return z
+    return None
 
 
 def certify_all_good(family: BFunctionFamily, depth_bound=16,
@@ -660,12 +653,9 @@ def certify_all_good(family: BFunctionFamily, depth_bound=16,
     node = _certify(state, 0, depth_bound, counter)
     if node is not None:
         return CertifyOutcome("certificate", certificate=node)
-    if family.r == 2:
-        for z in _refutation_candidates(family, refute_bound):
-            if is_good(z, family.r):
-                continue
-            if membership_in_ztilde(family, z).kind == "member":
-                return CertifyOutcome("refuted", witness=tuple(z))
+    witness = _refute(family, refute_bound)
+    if witness is not None:
+        return CertifyOutcome("refuted", witness=witness)
     return CertifyOutcome("inconclusive",
                           reason="case analysis exhausted without closing")
 
@@ -984,13 +974,7 @@ def rational_singularities_verdict(q, alpha, selected=None, depth_bound=16,
     if not check_form_assumption(fam):
         v = Verdict("not_certified", family=fam,
                     reason="bracket form condition e.gamma <= a fails")
-        if fam.r == 2:
-            for z in _refutation_candidates(fam, refute_bound):
-                if is_good(z, fam.r):
-                    continue
-                if membership_in_ztilde(fam, z).kind == "member":
-                    v.witness = tuple(z)
-                    break
+        v.witness = _refute(fam, refute_bound)
         return v
 
     comps = components(spec)

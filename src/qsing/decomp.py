@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmat import det
-from .quiver import NonDynkinError, Quiver, classify, euler_form
+from .quiver import Quiver, euler_form
 from .roots import Representation, hom_matrix_dvw, hom_table
 
 
@@ -106,23 +106,6 @@ def generic_decomposition(q: Quiver, alpha) -> RepClass:
     cls = make_class([(roots[ri], m) for ri, m in chosen])
     assert cls.total() == alpha
     return cls
-
-
-def is_prehomogeneous(q: Quiver, alpha) -> bool:
-    """Whether Rep(Q, alpha) has a dense orbit.
-
-    Dynkin quivers always do.  For extended Dynkin quivers a dense orbit
-    forces hom(V,V) = <alpha,alpha> >= 1 for the generic V, and the Tits
-    form value >= 1 conversely rules out an isotropic (tube) summand at this
-    desk scale; wild quivers are rejected.
-    """
-    cls = classify(q)
-    alpha = tuple(alpha)
-    if cls.is_dynkin:
-        return True
-    if cls.kind == "extended":
-        return euler_form(q, alpha, alpha) >= 1
-    raise NonDynkinError("prehomogeneity test supports tame quivers only")
 
 
 @dataclass(frozen=True)

@@ -6,21 +6,30 @@ dim Hom(M,X) <= dim Hom(N,X) for every indecomposable X.  Semicontinuity
 gives one direction; the converse for Dynkin quivers (Bongartz) is adopted
 as an external fact and validated end-to-end on the worked examples.
 
-Scale notes.  Components of Z(f_1,...,f_k) have codimension at most k
-(Krull), and self-Ext only grows when parts are added, so the component
-search enumerates with ``max_self_ext = k`` and prunes hard.  The
-reducedness survey ranges over classes of unbounded self-Ext but keeps only
-rare ones: the Hom-dimension-one points, the per-index witness patterns
-(every selected Hom at most 1) and one Z' witness (no Ext with T).  Hom and
-Ext sums only grow down a branch, so the survey cuts a branch once some Hom
-sum exceeds 1 and it can no longer give a new Z' witness; on the E8 example
-it visits about 109k nodes instead of all 1,543,628 classes.  The exact
-class count comes from a separate memoized count.
+Scale notes.  Every pass over the classes of alpha is one walk, ``_walk``:
+a depth-first search carrying a tuple of integer sums that only grow as
+parts are added, which cuts a branch once its sums fail a test that every
+larger tuple fails too.  It has three callers.
+- ``enumerate_classes`` sums self-Ext.  Components of Z(f_1,...,f_k) have
+  codimension at most k (Krull), so ``components`` enumerates with
+  ``max_self_ext = k`` and tests the zero set at each class.
+- The reducedness survey sums Ext with T and the Hom to each selected
+  simple.  It keeps only rare classes (the Hom-dimension-one points, the
+  per-index witness patterns and one Z' witness) and cuts a branch once
+  some Hom sum exceeds 1 and the branch can no longer give a new Z'
+  witness.  On the E8 example it visits about 109k nodes instead of all
+  1,543,628 classes.
+- A minimal-degeneration check with codimension gap >= 2 sums Hom
+  profiles and walks only the classes whose profile stays below the
+  target's.
+The exact class count is a separate memoized count, run only when
+``Survey.total`` is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .decomp import (
     PerpData,
@@ -31,29 +40,11 @@ from .decomp import (
     make_class,
     perp_simples,
 )
-from .quiver import NonDynkinError, Quiver, classify, require_dynkin
+from .quiver import Quiver, require_dynkin
 from .roots import hom_table
-
-# nullcone bounds: complete intersection at N(Q), irreducible at N(Q)+1
-CI_BOUND = {
-    ("dynkin", "A"): 1,
-    ("dynkin", "D"): 2,
-    ("dynkin", "E"): 2,
-    ("extended", "A"): 1,
-    ("extended", "D"): 3,
-    ("extended", "E"): 3,
-}
 
 # multiplicity bound guaranteeing the nullcone is reduced (Dynkin only)
 REDUCED_BOUND = {"A": 1, "D": 2, "E": 2}
-
-
-def nq_bound(q: Quiver) -> int:
-    cls = classify(q)
-    key = (cls.kind, cls.letter)
-    if key not in CI_BOUND:
-        raise NonDynkinError("no nullcone bound for wild quivers")
-    return CI_BOUND[key]
 
 
 def reduced_bound(q: Quiver) -> int:
@@ -73,6 +64,71 @@ def _children(table, rem, minpos):
             yield p, table.roots[table.walk[p]], maxmult
 
 
+def _walk(table, alpha, gain, fits):
+    """Stream (chosen, acc) for the classes of ``alpha`` in depth-first walk
+    order, each class at most once; ``chosen`` lists its (walk position,
+    multiplicity) pairs and is reused, so copy it to keep it.
+
+    ``acc`` is an integer accumulator that starts at 0, and
+    ``gain(p, chosen)`` is what one more copy of the root at walk position
+    ``p`` adds to it, never negative.  A child is
+    cut, with every larger multiplicity of its root, once ``fits`` fails on
+    its accumulator.  ``fits`` must then fail after any further gain too,
+    so a cut loses no class that passes it.  A caller with several sums
+    packs them into one integer (``_pack``).
+    """
+    chosen = []
+
+    def dfs(rem, minpos, acc):
+        if not any(rem):
+            yield chosen, acc
+            return
+        for p, rt, maxmult in _children(table, rem, minpos):
+            g = gain(p, chosen)
+            for mult in range(1, maxmult + 1):
+                nacc = acc + mult * g
+                if not fits(nacc):
+                    break  # the accumulator is nondecreasing in mult
+                chosen.append((p, mult))
+                yield from dfs(tuple([a - mult * c for a, c in zip(rem, rt)]),
+                               p + 1, nacc)
+                chosen.pop()
+
+    return dfs(tuple(alpha), 0, 0)
+
+
+def _pack(values, w):
+    """The nonnegative integers ``values`` as one integer, entry j in bits
+    j*w and up.  Adding packed integers adds them entry by entry while
+    every entry but the last stays below 2**w."""
+    return sum(v << (w * j) for j, v in enumerate(values))
+
+
+def _class_of(table, chosen):
+    return make_class([(table.roots[table.walk[p]], m) for p, m in chosen])
+
+
+def _count_classes(table, alpha):
+    """The exact number of classes of alpha, over the same children as
+    ``_walk``, memoized on (remaining vector, first admissible position).
+    On the E8 example that is 6,663 states for 1,543,628 classes."""
+    counted = {}
+
+    def count(rem, minpos):
+        if not any(rem):
+            return 1
+        x = next(v for v, a in enumerate(rem) if a)
+        state = (rem, max(minpos, table.start[x]))  # the same count for every lower minpos
+        if state not in counted:
+            counted[state] = sum(
+                count(tuple(a - mult * c for a, c in zip(rem, rt)), p + 1)
+                for p, rt, maxmult in _children(table, rem, minpos)
+                for mult in range(1, maxmult + 1))
+        return counted[state]
+
+    return count(tuple(alpha), 0)
+
+
 def enumerate_classes(q: Quiver, alpha, max_self_ext=None):
     """Stream every multiset of positive roots with total alpha, each exactly
     once, in a deterministic depth-first order.
@@ -86,25 +142,14 @@ def enumerate_classes(q: Quiver, alpha, max_self_ext=None):
         raise ValueError("negative dimension vector")
     ext, walk = table.ext, table.walk
 
-    chosen = []  # (root, root index, mult)
+    def gain(p, chosen):
+        # self-Ext added by each copy of the root at p (ext[i][i] == 0: real roots)
+        i = walk[p]
+        return sum(m * (ext[i][walk[pj]] + ext[walk[pj]][i]) for pj, m in chosen)
 
-    def dfs(rem, minpos, acc):
-        if not any(rem):
-            yield make_class([(r, m) for r, _, m in chosen])
-            return
-        for p, r, maxmult in _children(table, rem, minpos):
-            ri = walk[p]
-            # self-Ext added by each copy of r (ext[ri][ri] == 0: real roots)
-            per_copy = sum(m * (ext[ri][rj] + ext[rj][ri]) for _, rj, m in chosen)
-            for mult in range(1, maxmult + 1):
-                if max_self_ext is not None and acc + mult * per_copy > max_self_ext:
-                    break  # the increase is nondecreasing in mult
-                chosen.append((r, ri, mult))
-                yield from dfs(tuple(a - mult * c for a, c in zip(rem, r)),
-                               p + 1, acc + mult * per_copy)
-                chosen.pop()
-
-    yield from dfs(alpha, 0, 0)
+    fits = lambda acc: max_self_ext is None or acc <= max_self_ext
+    for chosen, _ in _walk(table, alpha, gain, fits):
+        yield _class_of(table, chosen)
 
 
 @dataclass(frozen=True)
@@ -178,13 +223,18 @@ class ComponentReport:
 @dataclass
 class Survey:
     """The rare classes of alpha, in the enumeration order of
-    ``enumerate_classes``, and the exact number of classes of alpha."""
+    ``enumerate_classes``.  ``total``, the exact number of classes of
+    alpha, is counted when it is first read; no verdict needs it."""
 
-    total: int
+    spec: ZeroSetSpec
     h_points: list  # classes with hom(X,S_j) == 1 for all selected j
     patterns: dict  # selected index k -> classes with hom == 1 - delta_{jk}
     zprime_witness: RepClass | None  # in zero set, Ext(T,X) = Ext(X,T) = 0
     h_truncated: bool = False  # an h-point was dropped because of h_cap
+
+    @cached_property
+    def total(self) -> int:
+        return _count_classes(hom_table(self.spec.quiver), self.spec.alpha)
 
 
 _survey_cache: dict = {}
@@ -193,11 +243,9 @@ _survey_cache: dict = {}
 def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
     """Collect the reducedness bookkeeping over the classes of alpha.
 
-    The walk follows the depth-first order of ``enumerate_classes``: the
-    root order of the per-quiver context and the same child step
-    (``_children``).  It keeps the Hom sums ``hsum`` against the selected
-    simples and the sum ``text`` of Ext(X,T) + Ext(T,X) incrementally, so
-    each node costs O(r).
+    One ``_walk`` over the classes carries the sum ``text`` of Ext(X,T) +
+    Ext(T,X) and the Hom sums ``hsum`` against the selected simples, packed
+    into one integer, so each node costs one addition and the cut test.
     Each list keeps at most ``h_cap`` classes; ``h_truncated`` records
     whether an h-point was dropped.
 
@@ -209,11 +257,6 @@ def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
     pattern needs every hsum <= 1, and a Z' witness needs text == 0.  Every
     text == 0 branch survives until the first witness is found, so the
     witness is still the first one in enumeration order.
-
-    ``total`` is the exact number of classes of alpha, counted separately
-    over the same children with memoization on (remaining vector, first
-    admissible position), since the cut walk no longer visits every class.
-    On the E8 example that is 6,663 memoized states for 1,543,628 classes.
 
     Results are cached on (spec, h_cap), so ``reducedness_report`` reuses a
     survey its caller has already run.
@@ -227,59 +270,37 @@ def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
     r = len(sel_idx)
     t_idx = [(table.index[tr], m) for tr, m in spec.t_class.parts]
 
-    # per walk position: Hom to the selected simples, Ext with T
-    hom_to_sel = [[hom[i][j] for j in sel_idx] for i in table.walk]
-    ext_with_t = [sum(m * (ext[ti][i] + ext[i][ti]) for ti, m in t_idx)
-                  for i in table.walk]
+    # The sums packed into one integer: the Hom sum to the j-th selected
+    # simple in bits j*w .. j*w + w - 1 and the Ext sum with T above them.
+    # A Hom sum is at most sum_x alpha_x dim (S_j)_x < 2**w, so the packed
+    # gains add every sum in its own field.
+    w = max(1, max(sum(a * c for a, c in zip(spec.alpha, s))
+                   for s in spec.selected_simples).bit_length())
+    text_at, field = w * r, (1 << w) - 1
+    gains = [_pack([*(hom[i][j] for j in sel_idx),
+                    sum(m * (ext[ti][i] + ext[i][ti]) for ti, m in t_idx)], w)
+             for i in table.walk]
+    over_one = _pack([field - 1] * r, w)  # meets acc iff some Hom sum is >= 2
 
-    counted = {}
+    res = Survey(spec, h_points=[], patterns={k: [] for k in spec.selected},
+                 zprime_witness=None)
 
-    def count(rem, minpos):
-        if not any(rem):
-            return 1
-        x = next(v for v, a in enumerate(rem) if a)
-        state = (rem, max(minpos, table.start[x]))  # the same count for every lower minpos
-        if state not in counted:
-            counted[state] = sum(
-                count(tuple(a - mult * c for a, c in zip(rem, rt)), p + 1)
-                for p, rt, maxmult in _children(table, rem, minpos)
-                for mult in range(1, maxmult + 1))
-        return counted[state]
+    def fits(acc):  # the cut rule
+        return not acc & over_one or not (acc >> text_at or res.zprime_witness is not None)
 
-    res = Survey(total=count(spec.alpha, 0), h_points=[],
-                 patterns={k: [] for k in spec.selected}, zprime_witness=None)
-    chosen = []  # (root, mult)
-
-    def keep(hsum, text):
-        leaf = lambda: make_class(chosen)
+    for chosen, acc in _walk(table, spec.alpha, lambda p, _: gains[p], fits):
+        hsum = [(acc >> (w * j)) & field for j in range(r)]
         if all(h == 1 for h in hsum):
             if len(res.h_points) < h_cap:
-                res.h_points.append(leaf())
+                res.h_points.append(_class_of(table, chosen))
             else:
                 res.h_truncated = True
         elif hsum.count(0) == 1 and hsum.count(1) == r - 1:
             k = spec.selected[hsum.index(0)]
             if len(res.patterns[k]) < h_cap:
-                res.patterns[k].append(leaf())
-        if res.zprime_witness is None and text == 0 and 0 not in hsum:
-            res.zprime_witness = leaf()
-
-    def walk(rem, minpos, hsum, text):
-        if not any(rem):
-            keep(hsum, text)
-            return
-        for p, rt, maxmult in _children(table, rem, minpos):
-            hs, et = hom_to_sel[p], ext_with_t[p]
-            for mult in range(1, maxmult + 1):
-                nh = [h + mult * c for h, c in zip(hsum, hs)]
-                ntext = text + mult * et
-                if (ntext or res.zprime_witness is not None) and max(nh) > 1:
-                    break  # the cut rule; both sums are nondecreasing in mult
-                chosen.append((rt, mult))
-                walk(tuple(a - mult * c for a, c in zip(rem, rt)), p + 1, nh, ntext)
-                chosen.pop()
-
-    walk(spec.alpha, 0, [0] * r, 0)
+                res.patterns[k].append(_class_of(table, chosen))
+        if res.zprime_witness is None and not acc >> text_at and 0 not in hsum:
+            res.zprime_witness = _class_of(table, chosen)
     if len(_survey_cache) > 64:
         _survey_cache.clear()
     _survey_cache[key] = res
@@ -330,28 +351,37 @@ class NotFound(Exception):
     pass
 
 
-def _is_cover(table, cand, cand_prof, x, x_prof, pool_profiles):
-    """cand -> x a minimal degeneration: codim gap one is always minimal
-    (codimension strictly increases along proper degenerations); otherwise
-    scan the provided classes for something strictly between."""
+def _is_cover(table, cand, cand_prof, x, x_prof):
+    """cand -> x is a minimal degeneration (cand's Hom profile is below x's).
+
+    A codimension gap of one is always minimal, since codimension strictly
+    increases along proper degenerations.  A larger gap is minimal when no
+    class lies strictly between the two in the Hom order; the walk visits
+    only the classes whose Hom profile stays below x's.
+    """
     gap = class_self_ext(table, x) - class_self_ext(table, cand)
     if gap <= 0:
         return False
     if gap == 1:
         return True
-    if pool_profiles is None:
-        return False  # cannot certify at this scale; stay honest
-    for w, pw in pool_profiles:
-        if pw == cand_prof or pw == x_prof:
-            continue
-        if all(a <= b for a, b in zip(cand_prof, pw)) and \
-                all(a <= b for a, b in zip(pw, x_prof)):
+    # Hom profiles packed w bits per root, as in ``survey``, with a spare
+    # top bit per field: no entry reaches 2**(w-1), so (p | guard) - q
+    # keeps a field's top bit iff p >= q in that field
+    alpha = x.total()
+    w = 1 + max(sum(a * c for a, c in zip(alpha, root))
+                for root in table.roots).bit_length()
+    guard = _pack([1 << (w - 1)] * len(table.roots), w)
+    geq = lambda p, q: ((p | guard) - q) & guard == guard
+    rows = [_pack(table.hom[i], w) for i in table.walk]
+    pc, px = _pack(cand_prof, w), _pack(x_prof, w)
+    for _, pw in _walk(table, alpha, lambda p, _: rows[p], lambda acc: geq(px, acc)):
+        if pw != pc and pw != px and geq(pw, pc):
             return False
     return True
 
 
 def gradient_condition_b_witness(x: RepClass, spec: ZeroSetSpec, k,
-                                 candidates=None, pool_profiles=None):
+                                 candidates=None):
     """Search X' with: X' in the zero set of the selection minus k,
     hom(X', S_j) = 1 - delta_{jk} over the selected simples, and X a minimal
     degeneration of X'.  Then Y_k = X + X' has hom(Y_k, S_j) = 2 - delta_{jk}.
@@ -369,7 +399,7 @@ def gradient_condition_b_witness(x: RepClass, spec: ZeroSetSpec, k,
     for cand, pc in candidates:
         if pc == px or not all(a <= b for a, b in zip(pc, px)):
             continue
-        if _is_cover(table, cand, pc, x, px, pool_profiles):
+        if _is_cover(table, cand, pc, x, px):
             return cand
     raise NotFound(f"no condition-(b) witness found for k={k}")
 
@@ -393,7 +423,7 @@ class ReducednessReport:
     ci: bool = False
 
 
-def reducedness_report(spec: ZeroSetSpec, comps=None, full_cover_scan=None) -> ReducednessReport:
+def reducedness_report(spec: ZeroSetSpec, comps=None) -> ReducednessReport:
     """Serre-criterion verdict for the zero set, read from ``survey(spec)``.
 
     not-reduced: some component has no representation satisfying the
@@ -406,9 +436,10 @@ def reducedness_report(spec: ZeroSetSpec, comps=None, full_cover_scan=None) -> R
     unverified: anything in between (the (b)-search is sufficient only), or
     the zero set is not a set-theoretic complete intersection.
 
-    ``full_cover_scan``: at small scale (class count below the threshold,
-    default 200000) minimal degenerations with codim gap > 1 are certified
-    by scanning all classes; above it only gap-one covers are used.
+    Each component tries at most 50 condition-(a) points, smallest Hom
+    profile sum first.  A condition-(b) witness must be a minimal degeneration onto
+    the point (``_is_cover``): a codimension gap of one needs no search, a
+    larger gap a walk over the classes between the two.
     """
     table = hom_table(spec.quiver)
     if comps is None:
@@ -448,38 +479,19 @@ def reducedness_report(spec: ZeroSetSpec, comps=None, full_cover_scan=None) -> R
             return rep
         a_points[comp.rep_class] = pts
 
-    if full_cover_scan is None:
-        full_cover_scan = sv.total <= 200000
-    pool_profiles = None  # built lazily: codim-gap-one covers usually suffice
-
     for comp in comps:
-        verified = False
-        for use_pool in (False, True):
-            if use_pool:
-                if not full_cover_scan:
-                    break
-                if pool_profiles is None:
-                    pool_profiles = [
-                        (cls, hom_profile(table, cls))
-                        for cls in enumerate_classes(spec.quiver, spec.alpha)
-                    ]
-            for cand, _ in a_points[comp.rep_class][:50]:
-                witnesses = []
-                try:
-                    for k in spec.selected:
-                        w = gradient_condition_b_witness(
-                            cand, spec, k, candidates=pattern_profiles[k],
-                            pool_profiles=pool_profiles if use_pool else None)
-                        witnesses.append((k, w))
-                except NotFound:
-                    continue
-                comp.gradient_b = "verified"
-                comp.gradient_b_witnesses = tuple(witnesses)
-                verified = True
-                break
-            if verified:
-                break
-        if not verified:
+        for cand, _ in a_points[comp.rep_class][:50]:
+            try:
+                witnesses = tuple(
+                    (k, gradient_condition_b_witness(
+                        cand, spec, k, candidates=pattern_profiles[k]))
+                    for k in spec.selected)
+            except NotFound:
+                continue
+            comp.gradient_b = "verified"
+            comp.gradient_b_witnesses = witnesses
+            break
+        else:
             rep.verdict = "unverified"
             rep.reason = "condition (b) witness search failed for a component"
             return rep

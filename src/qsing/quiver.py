@@ -107,17 +107,6 @@ class Quiver:
         """
         return list(reversed(self.topological_order()))
 
-    def projective_dim(self, x):
-        """Dimension vector of the indecomposable projective at x (path counts)."""
-        counts = [0] * (self.n + 1)
-        counts[x] = 1
-        for v in self.topological_order():
-            if counts[v]:
-                for t, h in self.arrows:
-                    if t == v:
-                        counts[h] += counts[v]
-        return tuple(counts[1:])
-
 
 # -- dimension vector helpers ----------------------------------------------
 
@@ -188,7 +177,7 @@ def coxeter_apply(cox, v):
 
 @dataclass(frozen=True)
 class Classification:
-    kind: str  # "dynkin" | "extended" | "wild"
+    kind: str  # "dynkin" | "non-dynkin"
     letter: str | None = None  # "A" | "D" | "E"
     rank: int | None = None
 
@@ -197,11 +186,11 @@ class Classification:
         return self.kind == "dynkin"
 
 
-WILD = Classification("wild")
+NON_DYNKIN = Classification("non-dynkin")
 
 
 def _branch_lengths(adj, center):
-    """Arm lengths of a tree from a branching vertex (center has degree >= 3)."""
+    """Arm lengths of a tree from its only branching vertex."""
     lengths = []
     for start in adj[center]:
         ln = 1
@@ -210,8 +199,6 @@ def _branch_lengths(adj, center):
             nxt = [y for y in adj[cur] if y != prev]
             if not nxt:
                 break
-            if len(nxt) > 1:
-                return None  # second branch point on this arm
             prev, cur = cur, nxt[0]
             ln += 1
         lengths.append(ln)
@@ -219,11 +206,9 @@ def _branch_lengths(adj, center):
 
 
 def classify(q: Quiver) -> Classification:
-    """Classify the underlying undirected graph of a connected quiver.
-
-    Returns Dynkin(A/D/E, rank), ExtendedDynkin(A/D/E, rank) or Wild.
-    Disconnected quivers are reported as wild (the analysis pipeline always
-    works with connected quivers).
+    """Classify the underlying undirected graph of a quiver as Dynkin
+    (A/D/E, rank) or not.  Disconnected quivers are not Dynkin (the
+    analysis pipeline always works with connected quivers).
     """
     n = q.n
     edges = [(min(t, h), max(t, h)) for t, h in q.arrows]
@@ -240,71 +225,28 @@ def classify(q: Quiver) -> Classification:
             if y not in seen:
                 seen.add(y)
                 stack.append(y)
-    if len(seen) != n:
-        return WILD
-
-    m = len(edges)
-    if len(set(edges)) != m:
-        # parallel edges: only the double edge on two vertices is tame
-        if n == 2 and m == 2 and len(set(edges)) == 1:
-            return Classification("extended", "A", 1)
-        return WILD
+    # a connected graph with n - 1 edges is a tree, so has no parallel edges
+    if len(seen) != n or len(edges) != n - 1:
+        return NON_DYNKIN
 
     degs = sorted(len(adj[x]) for x in range(1, n + 1))
-    if m == n:
-        # single cycle on n vertices: A~_{n-1}
-        if degs == [2] * n:
-            return Classification("extended", "A", n - 1)
-        return WILD
-    if m != n - 1:
-        return WILD
-
-    # tree cases
-    maxdeg = degs[-1]
-    if maxdeg <= 2:
+    if degs[-1] <= 2:
         return Classification("dynkin", "A", n)
     branch = [x for x in range(1, n + 1) if len(adj[x]) >= 3]
-    if maxdeg >= 4:
-        if maxdeg == 4 and len(branch) == 1 and n == 5 and degs == [1, 1, 1, 1, 4]:
-            return Classification("extended", "D", 4)
-        return WILD
-    if len(branch) == 1:
-        arms = _branch_lengths(adj, branch[0])
-        if arms is None or len(arms) != 3:
-            return WILD
-        a, b, c = arms
-        if (a, b) == (1, 1):
-            return Classification("dynkin", "D", c + 3)
-        if (a, b, c) == (1, 2, 2):
-            return Classification("dynkin", "E", 6)
-        if (a, b, c) == (1, 2, 3):
-            return Classification("dynkin", "E", 7)
-        if (a, b, c) == (1, 2, 4):
-            return Classification("dynkin", "E", 8)
-        if (a, b, c) == (2, 2, 2):
-            return Classification("extended", "E", 6)
-        if (a, b, c) == (1, 3, 3):
-            return Classification("extended", "E", 7)
-        if (a, b, c) == (1, 2, 5):
-            return Classification("extended", "E", 8)
-        return WILD
-    if len(branch) == 2:
-        # D~_n: a path with two extra leaves at each end
-        b1, b2 = branch
-        if len(adj[b1]) != 3 or len(adj[b2]) != 3:
-            return WILD
-        leaves1 = [y for y in adj[b1] if len(adj[y]) == 1]
-        leaves2 = [y for y in adj[b2] if len(adj[y]) == 1]
-        if len(leaves1) >= 2 and len(leaves2) >= 2:
-            return Classification("extended", "D", n - 1)
-        return WILD
-    return WILD
+    if degs[-1] > 3 or len(branch) != 1:
+        return NON_DYNKIN
+    a, b, c = _branch_lengths(adj, branch[0])
+    if (a, b) == (1, 1):
+        return Classification("dynkin", "D", c + 3)
+    if (a, b) == (1, 2) and c <= 4:
+        return Classification("dynkin", "E", c + 4)
+    return NON_DYNKIN
 
 
 def require_dynkin(q: Quiver) -> Classification:
     cls = classify(q)
     if not cls.is_dynkin:
-        raise NonDynkinError(f"quiver is not of Dynkin type (got {cls.kind})")
+        raise NonDynkinError("quiver is not of Dynkin type")
     return cls
 
 

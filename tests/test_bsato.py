@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -9,8 +10,10 @@ from qsing.affine import Affine, Box
 from qsing.brackets import BracketTerm, compute_bfunction, family_from_terms
 from qsing.bsato import (
     CertifyOutcome,
+    _binom_value,
     _conj_to_interval,
     _cover_check,
+    _refutation_candidates,
     cert_from_json,
     cert_to_json,
     certify_all_good,
@@ -152,6 +155,90 @@ def test_membership_brute_force_cross_check():
             for t in range(-40, 41)
         )
         assert vanishes_everywhere == expected
+
+
+def _swapped(fam):
+    return family_from_terms(2, [BracketTerm(t.gamma[::-1], t.a, t.b, t.mult)
+                                 for t in fam.terms()])
+
+
+def _vanishes(gen, z):
+    """b_c(z) == 0, read factor by factor: a product vanishes iff one of
+    its factors does (every multiplicity is positive)."""
+    assert all(cnt > 0 for cnt in gen.factors.values())
+    return any(g[0] * z[0] + g[1] * z[1] + const == 0 for g, const in gen.factors) \
+        or any(_binom_value(z[i - 1], order) == 0 for i, order in gen.binomial_factors)
+
+
+def test_membership_r2_regressions():
+    """Points where the c = (1-u, u) side once used the constant
+    g_2 - 1 - w + g_1 instead of g_1 - 1 - w, and so answered member."""
+    fam = E8_POS_FAMILY(1)
+    got = membership_in_ztilde(fam, (-1, -5))
+    assert got.kind == "nonmember" and got.witness_c == (0, 1)
+    assert generator_bc(fam, (0, 1)).value_at((-1, -5)) == -298598400
+    swapped = _swapped(fam)
+    got = membership_in_ztilde(swapped, (-7, 6))
+    assert got.kind == "nonmember"
+    assert generator_bc(swapped, got.witness_c).value_at((-7, 6)) != 0
+    assert not is_good((-7, 6), 2)
+
+
+@pytest.mark.parametrize("name", ["e8-pos", "e8-pos swapped", "d4"])
+def test_membership_r2_matches_direct_evaluation(name):
+    """Exact r = 2 membership against evaluating every b_c with
+    c = (1+t, -t), |t| <= 40, on a seeded sample of integer and
+    half-integer points with |z_i| <= 9; the sample holds both answers.
+    The d4 family is the one of D4 (three arms into the centre) at
+    alpha = (1, 1, 2, 3)."""
+    fam = {"e8-pos": E8_POS_FAMILY(1),
+           "e8-pos swapped": _swapped(E8_POS_FAMILY(1)),
+           "d4": family_from_terms(2, [BracketTerm((0, 1), 0, 1),
+                                       BracketTerm((1, 0), 0, 1),
+                                       BracketTerm((1, 1), 1, 3)])}[name]
+    gens = [generator_bc(fam, (1 + t, -t)) for t in range(-40, 41)]
+    grid = [(Fraction(a, 2), Fraction(b, 2))
+            for a, b in itertools.product(range(-18, 19), repeat=2)]
+    kinds = set()
+    for z in random.Random(7).sample(grid, 120):
+        got = membership_in_ztilde(fam, z)
+        kinds.add(got.kind)
+        assert (got.kind == "member") == all(_vanishes(g, z) for g in gens), z
+        if got.kind == "nonmember":
+            assert not _vanishes(generator_bc(fam, got.witness_c), z)
+    assert kinds == {"member", "nonmember"}
+
+
+def sorted_refutation_candidates(family, bound):
+    """Every candidate built and sorted at once: the oracle for the
+    level-by-level generator."""
+    gammas = sorted({g for (g, _o) in family.offsets})
+    for i in range(family.r):
+        gammas.append(tuple(1 if d == i else 0 for d in range(family.r)))
+    gammas = sorted(set(gammas))
+    cands = []
+    for g1, g2 in itertools.combinations(gammas, 2):
+        det = g1[0] * g2[1] - g1[1] * g2[0]
+        if det == 0:
+            continue
+        for v1 in range(-bound, bound + 1):
+            for v2 in range(-bound, bound + 1):
+                z1 = Fraction(-v1 * g2[1] + v2 * g1[1], det)
+                z2 = Fraction(-v2 * g1[0] + v1 * g2[0], det)
+                cands.append((abs(v1) + abs(v2), (z1, z2)))
+    cands.sort(key=lambda t: (t[0], t[1]))
+    seen = set()
+    for _, z in cands:
+        if z not in seen:
+            seen.add(z)
+            yield z
+
+
+@pytest.mark.parametrize("bound", [0, 1, 4, 30])
+def test_refutation_candidates_match_sorted_oracle(bound):
+    fam = E8_POS_FAMILY(1)
+    assert list(_refutation_candidates(fam, bound)) == \
+        list(sorted_refutation_candidates(fam, bound))
 
 
 def test_membership_box_r4():

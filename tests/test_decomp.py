@@ -9,7 +9,6 @@ from qsing.decomp import (
     class_ext,
     evaluate_semiinvariant,
     generic_decomposition,
-    is_prehomogeneous,
     make_class,
     perp_simples,
 )
@@ -101,16 +100,6 @@ def test_uniqueness_oracle_d4(d4, alpha):
     assert len(sols) == 1
     expected = tuple(sorted(generic_decomposition(d4, alpha).as_multiset()))
     assert sols == {expected}
-
-
-def test_prehomogeneous(a2, d4):
-    assert is_prehomogeneous(a2, (5, 3))
-    assert is_prehomogeneous(d4, (1, 1, 1, 2))
-    kron = Quiver(2, ((1, 2), (1, 2)))
-    # the isotropic vector (1,1) carries a one-parameter family of orbits:
-    # every orbit has dimension <= dim GL(alpha) - 1 = 1 < 2 = dim Rep
-    assert not is_prehomogeneous(kron, (1, 1))
-    assert is_prehomogeneous(kron, (2, 1))
 
 
 def test_perp_simples_a2(a2):

@@ -112,10 +112,15 @@ def test_cone_membership_basic():
 
 
 def test_cone_membership_with_lines():
-    lam, mus = cone_membership((1, 1, 1), [(0, 1, 1), (1, 1, 0)],
-                               lines=[(1, 0, 0)])
-    total = [lam[0] * g + m for g, m in zip((0, 1, 1), [mus[0], 0, 0])]
-    assert lam is not None
+    gens, lines = [(0, 1, 1), (1, 1, 0)], [(1, 0, 0)]
+    got = cone_membership((1, 1, 1), gens, lines=lines)
+    assert got is not None
+    lam, mus = got
+    assert len(lam) == len(gens) and len(mus) == len(lines)
+    assert all(x >= 0 for x in lam)
+    total = [sum(c * v[d] for c, v in zip([*lam, *mus], gens + lines))
+             for d in range(3)]
+    assert total == [1, 1, 1]
 
 
 def test_separating_functional_certifies():

@@ -23,7 +23,6 @@ from qsing.orbits import (
     in_zero_set,
     is_set_theoretic_ci,
     make_spec,
-    nq_bound,
     reduced_bound,
     reducedness_report,
     survey,
@@ -169,10 +168,8 @@ def test_reduced_a2(a2):
 
 
 def test_bound_tables(a3, d4, e6):
-    kron = Quiver(2, ((1, 2), (1, 2)))
-    assert nq_bound(a3) == 1 and nq_bound(d4) == 2 and nq_bound(e6) == 2
-    assert nq_bound(kron) == 1
     assert reduced_bound(a3) == 1 and reduced_bound(d4) == 2
+    assert reduced_bound(e6) == 2
 
 
 @pytest.mark.parametrize("alpha", [(2, 2, 2), (3, 4, 3), (1, 3, 2), (4, 4, 4)])
@@ -270,3 +267,28 @@ def test_capped_survey_gives_no_verdict(e6, monkeypatch):
     rr = reducedness_report(make_spec(e6, E6_SMALL))
     assert rr.verdict == "unverified"
     assert "h_cap=1" in rr.reason
+
+
+@pytest.mark.parametrize("name, alpha, counts", [
+    ("a2", (2, 2), (1, 1)),
+    ("a3", (1, 2, 1), (2, 4)),
+    ("d4", (1, 1, 1, 3), (9, 62)),
+])
+def test_gap_two_covers_match_brute_force(request, name, alpha, counts):
+    """``_is_cover`` on every Hom-comparable pair with codimension gap >= 2
+    against a scan of all classes for one strictly in between; ``counts``
+    is (minimal, not minimal), so both outcomes are reached."""
+    q = request.getfixturevalue(name)
+    table = hom_table(q)
+    classes = [(c, hom_profile(table, c), class_self_ext(table, c))
+               for c in enumerate_classes(q, alpha)]
+    leq = lambda p, r: all(a <= b for a, b in zip(p, r))
+    seen = [0, 0]
+    for (m, pm, em), (x, px, ex) in itertools.product(classes, repeat=2):
+        if ex - em < 2 or not leq(pm, px):
+            continue
+        minimal = not any(pw not in (pm, px) and leq(pm, pw) and leq(pw, px)
+                          for _, pw, _ in classes)
+        assert orbits._is_cover(table, m, pm, x, px) == minimal, (m, x)
+        seen[not minimal] += 1
+    assert tuple(seen) == counts

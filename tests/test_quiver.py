@@ -3,6 +3,7 @@ import random
 import pytest
 
 from qsing.quiver import (
+    Classification,
     Quiver,
     QuiverError,
     classify,
@@ -92,12 +93,24 @@ def test_coxeter_determinant_unimodular(e8):
     assert d in (1, -1)
 
 
+def projective_dim(q, x):
+    """Dimension vector of the indecomposable projective at x (path counts)."""
+    counts = [0] * (q.n + 1)
+    counts[x] = 1
+    for v in q.topological_order():
+        if counts[v]:
+            for t, h in q.arrows:
+                if t == v:
+                    counts[h] += counts[v]
+    return tuple(counts[1:])
+
+
 def test_coxeter_kills_projectives(a3, d4, e6, e8):
     # c(dim P_x) has a negative entry for every projective root
     for q in (a3, d4, e6, e8):
         c = coxeter(q).coxeter_matrix
         for x in range(1, q.n + 1):
-            image = coxeter_apply(c, q.projective_dim(x))
+            image = coxeter_apply(c, projective_dim(q, x))
             assert any(v < 0 for v in image)
 
 
@@ -111,21 +124,24 @@ def test_classify_dynkin(a2, a3, d4, e6, e8):
 
 
 def test_classify_extended_and_wild():
-    kron = Quiver(2, ((1, 2), (1, 2)))
-    assert (classify(kron).kind, classify(kron).letter, classify(kron).rank) == \
-        ("extended", "A", 1)
-    d4t = Quiver(5, ((1, 5), (2, 5), (3, 5), (4, 5)))
-    assert (classify(d4t).kind, classify(d4t).letter, classify(d4t).rank) == \
-        ("extended", "D", 4)
-    e6t = Quiver(7, ((1, 2), (2, 3), (4, 5), (5, 3), (6, 7), (7, 3)))
-    assert (classify(e6t).kind, classify(e6t).letter, classify(e6t).rank) == \
-        ("extended", "E", 6)
-    cycle = Quiver(4, ((1, 2), (2, 3), (3, 4), (1, 4)))
-    assert (classify(cycle).kind, classify(cycle).rank) == ("extended", 3)
-    star5 = Quiver(6, ((1, 6), (2, 6), (3, 6), (4, 6), (5, 6)))
-    assert classify(star5).kind == "wild"
-    triple = Quiver(2, ((1, 2), (1, 2), (1, 2)))
-    assert classify(triple).kind == "wild"
+    # the extended Dynkin (tame) graphs and the wild ones get the same kind
+    non_dynkin = [
+        Quiver(2, ((1, 2), (1, 2))),  # Kronecker, A~1
+        Quiver(5, ((1, 5), (2, 5), (3, 5), (4, 5))),  # D~4
+        Quiver(7, ((1, 2), (2, 3), (4, 5), (5, 3), (6, 7), (7, 3))),  # E~6
+        Quiver(8, ((1, 2), (2, 3), (3, 4), (5, 4), (6, 5), (8, 6), (7, 4))),  # E~7
+        Quiver(8, ((1, 2), (2, 3), (3, 4), (5, 4), (6, 5), (7, 4), (8, 7))),  # wild T(3,3,4)
+        Quiver(9, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (7, 6), (8, 7),
+                   (9, 6))),  # E~8
+        Quiver(6, ((1, 3), (2, 3), (3, 4), (4, 5), (4, 6))),  # D~5
+        Quiver(4, ((1, 2), (2, 3), (3, 4), (1, 4))),  # A~3, a cycle
+        Quiver(6, ((1, 6), (2, 6), (3, 6), (4, 6), (5, 6))),  # wild star
+        Quiver(2, ((1, 2), (1, 2), (1, 2))),  # wild, three arrows
+        Quiver(3, ((1, 2),)),  # disconnected
+    ]
+    for q in non_dynkin:
+        assert classify(q) == Classification("non-dynkin"), q
+        assert not classify(q).is_dynkin
 
 
 def test_reflection_involution(d4):
