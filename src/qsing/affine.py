@@ -121,14 +121,6 @@ class Box:
                 val += c * lo
         return val
 
-    def always_ge(self, expr: Affine, bound) -> bool:
-        mn = self.min_of(expr)
-        return mn is not None and mn >= Fraction(bound)
-
-    def always_gt(self, expr: Affine, bound) -> bool:
-        mn = self.min_of(expr)
-        return mn is not None and mn > Fraction(bound)
-
 
 def aff_to_json(a: Affine):
     return {"const": str(a.const), "coeffs": {s: str(c) for s, c in a.coeffs}}

@@ -106,8 +106,10 @@ def family_from_terms(r, terms, meta=None) -> BFunctionFamily:
     offs = {}
     for t in terms:
         g = tuple(t.gamma)
-        assert len(g) == r and all(c >= 0 for c in g)
-        assert t.a <= t.b
+        if len(g) != r or any(c < 0 for c in g):
+            raise ValueError(f"term gamma {g} is not a nonnegative {r}-vector")
+        if t.a > t.b:
+            raise ValueError(f"term bracket a = {t.a} exceeds b = {t.b}")
         if not any(g):
             continue
         for i in range(t.a + 1, t.b + 1):
@@ -117,7 +119,8 @@ def family_from_terms(r, terms, meta=None) -> BFunctionFamily:
 
 def expand(family: BFunctionFamily, m):
     """Multiset of linear forms (gamma, const) at multiplicity tuple m."""
-    assert len(m) == family.r and all(x >= 0 for x in m)
+    if len(m) != family.r or any(x < 0 for x in m):
+        raise ValueError(f"m = {tuple(m)} is not a nonnegative {family.r}-vector")
     forms = {}
     for (g, i), cnt in family.offsets.items():
         if cnt == 0:
@@ -144,7 +147,8 @@ def bracket_identity_check(d, a, b, mults=((1,), (2,), (3,))) -> bool:
     if isinstance(d, int):
         d = (d,)
     r = len(d)
-    assert 0 <= a <= b
+    if not 0 <= a <= b:
+        raise ValueError(f"need 0 <= a <= b, got a = {a}, b = {b}")
     left = family_from_terms(r, [BracketTerm(tuple(d), a, b), BracketTerm(tuple(d), 0, a)])
     right = family_from_terms(r, [BracketTerm(tuple(d), 0, b)])
     for m in mults:
@@ -160,7 +164,8 @@ def specialize(family: BFunctionFamily, i, value):
     coordinates and shifts its offsets by gamma_i * value; a term whose
     gamma becomes zero turns into the scalar factors (gamma_i*value + o)
     which are recorded, not discarded."""
-    assert 1 <= i <= family.r
+    if not 1 <= i <= family.r:
+        raise ValueError(f"variable index {i} outside 1..{family.r}")
     offs = {}
     scalars = []
     for (g, o), cnt in family.offsets.items():

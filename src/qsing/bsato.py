@@ -49,7 +49,8 @@ class GeneratorBc:
 def generator_bc(family: BFunctionFamily, c) -> GeneratorBc:
     """b_c = b_{c+}(s + c-) * prod_{c_i<0} binom(s_i, -c_i), e.c = 1."""
     c = tuple(int(x) for x in c)
-    assert len(c) == family.r and sum(c) == 1
+    if len(c) != family.r or sum(c) != 1:
+        raise ValueError(f"c = {c} is not a {family.r}-vector with e.c = 1")
     cplus = tuple(max(x, 0) for x in c)
     cminus = tuple(x - p for x, p in zip(c, cplus))
     factors = {}
@@ -929,7 +930,8 @@ class Verdict:
 def single_variable_roots(family: BFunctionFamily):
     """Roots of the expanded one-variable b-function at m = (1), with
     multiplicities, sorted descending."""
-    assert family.r == 1
+    if family.r != 1:
+        raise ValueError(f"single-variable roots need r = 1, got r = {family.r}")
     roots = {}
     for (g, const), cnt in expand(family, (1,)).items():
         root = Fraction(-const, g[0])

@@ -1,5 +1,12 @@
-"""Generic decomposition, prehomogeneity, perpendicular-category simples,
-and evaluation of the fundamental semi-invariants c_S = det d^V_S.
+"""Generic decomposition, perpendicular-category simples, and evaluation of
+the fundamental semi-invariants c_S = det d^V_S.
+
+The generic decomposition T of alpha comes from one walk of alpha along the
+admissible sink sequence, splitting off simples as the
+Bernstein-Gelfand-Ponomarev reflection functors allow.  The simples of
+T-perp, whose semi-invariants c_S cut out the zero sets, are read off the
+Hom table.  Neither needs a search; both read the per-quiver context
+``roots.hom_table``.
 """
 
 from __future__ import annotations
@@ -72,40 +79,38 @@ def class_self_ext(table, cls: RepClass) -> int:
 
 
 def generic_decomposition(q: Quiver, alpha) -> RepClass:
-    """The unique multiset of positive roots summing to alpha with all
-    pairwise Ext vanishing (depth-first over roots in decreasing lex order)."""
+    """The generic decomposition of alpha: the unique multiset of positive
+    roots summing to alpha with all pairwise Ext vanishing.
+
+    Walks alpha along the admissible sink sequence of ``hom_table``, with
+    no search.  At step t, x = x_t is a sink of the current quiver, and the
+    generic map from the neighbours into x has full rank, so S_x splits off
+    the generic representation exactly k = max(0, alpha_x - sum_{y~x}
+    alpha_y) times.  The reflection functor C^+_x is an equivalence on
+    representations without an S_x summand and preserves Ext, so the rest
+    stays rigid, hence generic, with dimension vector s_x(alpha - k e_x).
+    The part split off at step t is the root the table walk reaches as the
+    simple at x_t after t steps.
+    """
     table = hom_table(q)
     alpha = tuple(int(a) for a in alpha)
     if any(a < 0 for a in alpha):
         raise ValueError("dimension vector must be nonnegative")
-    if not any(alpha):
-        return RepClass(())
-    roots, ext, order = table.roots, table.ext, table.lex_desc
-
-    chosen = []  # (root index, mult)
-
-    def dfs(rem, pos):
+    rem = list(alpha)
+    parts = []
+    for x, nbrs, i in table.steps:
         if not any(rem):
-            return True
-        # some vertex of rem lies in the support of no root from pos on
-        if any(a and pos > last for a, last in zip(rem, table.last_support)):
-            return False
-        ri = order[pos]
-        r = roots[ri]
-        if all(ext[ri][c] == 0 and ext[c][ri] == 0 for c, _ in chosen):
-            maxmult = min(a // c for a, c in zip(rem, r) if c)
-            for mult in range(maxmult, 0, -1):
-                chosen.append((ri, mult))
-                if dfs(tuple(a - mult * c for a, c in zip(rem, r)), pos + 1):
-                    return True
-                chosen.pop()
-        return dfs(rem, pos + 1)
-
-    found = dfs(alpha, 0)
-    assert found, "no ext-compatible decomposition found (should not happen on Dynkin)"
-    cls = make_class([(roots[ri], m) for ri, m in chosen])
-    assert cls.total() == alpha
-    return cls
+            break
+        excess = rem[x] - sum(rem[y] for y in nbrs)
+        if excess > 0:
+            parts.append((table.roots[i], excess))
+        rem[x] = max(0, -excess)  # coordinate x of s_x(alpha - k e_x)
+    if any(rem):
+        raise AssertionError(
+            f"sink walk left {tuple(rem)} of {alpha}; "
+            "this indicates a bug, not a user error"
+        )
+    return make_class(parts)
 
 
 @dataclass(frozen=True)
@@ -120,39 +125,24 @@ def perp_simples(q: Quiver, t_class: RepClass) -> PerpData:
     """Simples of the right perpendicular category of the generic T.
 
     Collect the positive roots beta with hom(T_i,beta) = ext(T_i,beta) = 0
-    for every part T_i, then drop those expressible as an N-combination of
-    at least two collected elements (a simple object has composition length
-    one in T-perp, so it cannot split additively).
+    for every part T_i, then keep beta exactly when no other collected root
+    beta' <= beta has hom(beta', beta) > 0.  T-perp is an exact abelian
+    subcategory closed under images, so a nonzero map from an object of
+    T-perp to a simple one there is onto, and an onto map beta' -> beta
+    needs beta' >= beta.  A beta that is not simple contains a simple beta'
+    of T-perp, which is a root with beta' <= beta and hom(beta', beta) > 0.
     """
     table = hom_table(q)
-    perp = []
-    for beta in table.roots:
-        j = table.index[beta]
-        if all(
-            table.hom[table.index[r]][j] == 0 and table.ext[table.index[r]][j] == 0
-            for r, _ in t_class.parts
-        ):
-            perp.append(beta)
-
-    perp_set = sorted(perp)
-
-    def is_sum(beta):
-        # can beta be written as a sum of >= 2 elements of perp_set?
-        n = len(beta)
-
-        def dfs(rem, pos, count):
-            if not any(rem):
-                return count >= 2
-            for p in range(pos, len(perp_set)):
-                cand = perp_set[p]
-                if all(cand[i] <= rem[i] for i in range(n)) and cand != beta:
-                    if dfs(tuple(rem[i] - cand[i] for i in range(n)), p, count + 1):
-                        return True
-            return False
-
-        return dfs(beta, 0, 0)
-
-    simples = tuple(b for b in perp_set if not is_sum(b))
+    roots, hom = table.roots, table.hom
+    ts = [table.index[r] for r, _ in t_class.parts]
+    perp = [j for j in range(len(roots))
+            if all(hom[i][j] == 0 and table.ext[i][j] == 0 for i in ts)]
+    simples = tuple(sorted(
+        roots[j] for j in perp
+        if not any(i != j and hom[i][j]
+                   and all(a <= b for a, b in zip(roots[i], roots[j]))
+                   for i in perp)
+    ))
     m = len(t_class.parts)
     r = q.n - m
     if len(simples) != r:

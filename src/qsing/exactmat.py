@@ -25,23 +25,8 @@ class Mat:
             assert len(rows) == nrows and all(len(r) == ncols for r in rows)
         self.rows = rows
 
-    @staticmethod
-    def identity(n):
-        m = Mat(n, n)
-        for i in range(n):
-            m.rows[i][i] = Fraction(1)
-        return m
-
     def copy(self):
         return Mat(self.nrows, self.ncols, [r[:] for r in self.rows])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def __setitem__(self, ij, v):
-        i, j = ij
-        self.rows[i][j] = Fraction(v)
 
     def __eq__(self, other):
         return (
@@ -170,15 +155,3 @@ def inverse(m: Mat) -> Mat:
     if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
     return Mat(n, n, [row[n:] for row in aug])
-
-
-def solve(m: Mat, b):
-    """One solution of m x = b, or None."""
-    rows = [m.rows[i][:] + [Fraction(b[i])] for i in range(m.nrows)]
-    pivots = _echelon(rows, m.ncols + 1) if rows else []
-    if m.ncols in pivots:
-        return None
-    x = [Fraction(0)] * m.ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][m.ncols]
-    return x

@@ -7,11 +7,11 @@ Two routes to Hom dimensions coexist on purpose:
   d^V_W : (+)_x Hom(V(x),W(x)) -> (+)_a Hom(V(ta),W(ha))
   over Q, from concrete rational matrices.  This is the ground truth.
 * ``hom_table`` builds the per-quiver context once per quiver: the roots,
-  every pairwise Hom/Ext dimension, the root orders the class walk and the
-  generic decomposition use, and the Coxeter matrix with its inverse.  Its
-  Hom table comes from one reflection walk per root along an admissible
-  sink sequence, in exact integer arithmetic.  The two routes are
-  cross-checked in the test suite.
+  every pairwise Hom/Ext dimension, the root order of the class walk, the
+  steps of the sink walk that the generic decomposition follows, and the
+  Coxeter matrix with its inverse.  Its Hom table comes from one reflection
+  walk per root along an admissible sink sequence, in exact integer
+  arithmetic.  The two routes are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -227,9 +227,12 @@ class HomTable:
     lex inside a group); the roots whose first support vertex is x (0-based)
     sit at walk positions start[x] .. end[x] - 1, and support[p] lists the
     (vertex, coordinate) pairs of the root at walk position p.
-    ``generic_decomposition`` tries roots in the order ``lex_desc``
-    (decreasing lex), and last_support[v] is the last position in it whose
-    root has v in its support.
+    steps[t] = (x, neighbours, i) for the steps t = 0, 1, ... of the
+    admissible sink sequence, with 0-based vertices: step t reflects at x,
+    whose neighbours in the underlying graph are listed, and root i is the
+    one whose walk ends there as the simple at x (t_i = t in ``hom_table``),
+    or None when no root's walk does.  ``generic_decomposition`` walks a
+    dimension vector along these steps.
     """
 
     quiver: Quiver
@@ -241,8 +244,7 @@ class HomTable:
     start: list
     end: list
     support: list
-    lex_desc: list
-    last_support: list
+    steps: list
     coxeter: tuple  # Coxeter matrix c = -E^{-1} E^t, integral
     coxeter_inv: tuple  # its inverse, integral as well
 
@@ -295,13 +297,15 @@ def hom_table(q: Quiver) -> HomTable:
     start = [walk_first.index(x) for x in range(n)]
     end = [start[x] + walk_first.count(x) for x in range(n)]
     support = [[(v, c) for v, c in enumerate(roots[i]) if c] for i in walk]
-    lex_desc = sorted(range(k), key=lambda i: roots[i], reverse=True)
-    last_support = [max(p for p, i in enumerate(lex_desc) if roots[i][v])
-                    for v in range(n)]
+    ends = {len(p) - 1: i for i, p in enumerate(paths)}  # t_i -> i
+    steps = []
+    for t in range(max(ends) + 1):
+        x = seq[t % n]
+        steps.append((x - 1, tuple(y - 1 for y in q.neighbors(x)), ends.get(t)))
 
     cox = coxeter(q).coxeter_matrix
     inv = inverse(Mat(n, n, [list(row) for row in cox]))
     cox_inv = tuple(tuple(int(c) for c in row) for row in inv.rows)
     return HomTable(q, roots, {r: i for i, r in enumerate(roots)}, hom, ext,
-                    walk, start, end, support, lex_desc, last_support,
+                    walk, start, end, support, steps,
                     cox, cox_inv)

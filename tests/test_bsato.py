@@ -2,12 +2,21 @@ import hashlib
 import itertools
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from qsing.affine import Affine, Box
-from qsing.brackets import BracketTerm, compute_bfunction, family_from_terms
+from qsing.brackets import (
+    BracketTerm,
+    bracket_identity_check,
+    compute_bfunction,
+    expand,
+    family_from_terms,
+    specialize,
+)
 from qsing.bsato import (
     CertifyOutcome,
     _binom_value,
@@ -90,6 +99,50 @@ def test_generator_a2():
     fam = family_from_terms(1, [BracketTerm((1,), 0, 1)])
     gen = generator_bc(fam, (1,))
     assert gen.factors == {((1,), 1): 1}
+
+
+INPUT_CHECKS = [
+    "generator_bc(E8_POS_FAMILY(1), (2, 2))",
+    "generator_bc(E8_POS_FAMILY(1), (1, 0, 0))",
+    "single_variable_roots(E8_POS_FAMILY(1))",
+    "family_from_terms(2, [BracketTerm((1, 0), 3, 1)])",
+    "family_from_terms(2, [BracketTerm((1, -1), 0, 1)])",
+    "expand(E8_POS_FAMILY(1), (1, -1))",
+    "bracket_identity_check(1, 2, 1)",
+    "specialize(E8_POS_FAMILY(1), 3, 0)",
+]
+
+
+@pytest.mark.parametrize("call", INPUT_CHECKS)
+def test_input_checks_raise_value_error(call):
+    with pytest.raises(ValueError):
+        eval(call)
+
+
+def test_input_checks_survive_optimize():
+    # python -O drops assert statements; input checks must not ride on them
+    source = "\n".join([
+        "from qsing.brackets import BracketTerm, bracket_identity_check, "
+        "expand, family_from_terms, specialize",
+        "from qsing.bsato import generator_bc, single_variable_roots",
+        "E8_POS_FAMILY = lambda n: family_from_terms(2, [",
+        "    BracketTerm((0, 1), 0, 4 * n), BracketTerm((0, 1), n, 3 * n, 2),",
+        "    BracketTerm((0, 1), 2 * n, 4 * n), BracketTerm((1, 0), 0, n),",
+        "    BracketTerm((1, 1), n, 4 * n), BracketTerm((1, 2), 4 * n, 7 * n)])",
+        "for call in %r:" % (INPUT_CHECKS,),
+        "    try:",
+        "        eval(call)",
+        "    except ValueError:",
+        "        continue",
+        "    except Exception as exc:",
+        "        print('raised', type(exc).__name__ + ':', call)",
+        "        continue",
+        "    print('returned:', call)",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", source],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
 
 
 def test_generator_soundness_random():
@@ -504,7 +557,6 @@ def test_affine_box_arithmetic():
     e = k * 2 + 3
     assert box.min_of(e) == 5 and box.max_of(e) is None
     assert box.min_of(-k) is None
-    assert box.always_ge(e, 5) and not box.always_gt(e, 5)
     bounded = Box().with_symbol("k", 1, 4)
     assert bounded.max_of(e) == 11
     assert (k - k).is_const()

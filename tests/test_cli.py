@@ -119,6 +119,14 @@ def test_hom_subcommand():
 
 A3_FILE = "vertices 3\narrow 1 2\narrow 2 3\n"
 
+# a bracket [s]_{a,b} with a > b is not a term of any b-function family
+REVERSED_TERM = {
+    "terms": [{"gamma": [1, 0], "a": 3, "b": 1, "mult": 1},
+              {"gamma": [0, 1], "a": 0, "b": 1, "mult": 1}],
+    "r": 2,
+    "certificate": {"rule": "reduc_a", "data": {}, "branches": []},
+}
+
 
 @pytest.mark.parametrize("args", [
     ["decompose", "--quiver", "{a3}", "--dim=-1,2,3"],
@@ -129,13 +137,16 @@ A3_FILE = "vertices 3\narrow 1 2\narrow 2 3\n"
     ["hom", "--a", "1,0,0", "--b", "0,1,0"],
     ["decompose", "--preset", "nope"],
     ["verify-certificate", "{cert}"],
+    ["verify-certificate", "{reversed}"],
 ], ids=["negative-dim", "negative-preset-n", "simples-not-int",
         "simples-range-file", "simples-range-preset", "hom-no-quiver",
-        "unknown-preset", "certificate-without-r"])
+        "unknown-preset", "certificate-without-r", "certificate-term-a-above-b"])
 def test_bad_input_exits_2_without_traceback(tmp_path, args):
     (tmp_path / "a3.quiver").write_text(A3_FILE)
     (tmp_path / "cert.json").write_text(json.dumps({"terms": []}))
-    args = [a.format(a3=tmp_path / "a3.quiver", cert=tmp_path / "cert.json")
+    (tmp_path / "reversed.json").write_text(json.dumps(REVERSED_TERM))
+    args = [a.format(a3=tmp_path / "a3.quiver", cert=tmp_path / "cert.json",
+                     reversed=tmp_path / "reversed.json")
             for a in args]
     proc = run_cli(args, check=False)
     assert proc.returncode == 2, proc.stderr

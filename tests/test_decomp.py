@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from fractions import Fraction
@@ -12,6 +13,7 @@ from qsing.decomp import (
     make_class,
     perp_simples,
 )
+from qsing.orbits import enumerate_classes
 from qsing.quiver import Quiver, euler_form
 from qsing.roots import Representation, hom_table, positive_roots, realize
 from qsing.exactmat import Mat
@@ -193,3 +195,94 @@ def test_semiinvariant_vanishing_matches_hom(a3, d4):
                 hom = sum(mult * table.hom_root(r, s) for r, mult in cls.parts)
                 assert (val == 0) == (hom > 0)
                 count += 1
+
+
+def _search_generic_decomposition(q, alpha):
+    """Oracle: the depth-first search that computed the generic
+    decomposition before the sink walk.  Tries roots in decreasing lex
+    order, each with its largest multiplicity first, keeping parts with
+    pairwise vanishing Ext."""
+    table = hom_table(q)
+    roots, ext = table.roots, table.ext
+    order = sorted(range(len(roots)), key=lambda i: roots[i], reverse=True)
+    # last_support[v]: the last position in order whose root has v in its support
+    last_support = [max(p for p, i in enumerate(order) if roots[i][v])
+                    for v in range(q.n)]
+    chosen = []
+
+    def dfs(rem, pos):
+        if not any(rem):
+            return True
+        if any(a and pos > last for a, last in zip(rem, last_support)):
+            return False
+        ri = order[pos]
+        r = roots[ri]
+        if all(ext[ri][c] == 0 and ext[c][ri] == 0 for c, _ in chosen):
+            maxmult = min(a // c for a, c in zip(rem, r) if c)
+            for mult in range(maxmult, 0, -1):
+                chosen.append((ri, mult))
+                if dfs(tuple(a - mult * c for a, c in zip(rem, r)), pos + 1):
+                    return True
+                chosen.pop()
+        return dfs(rem, pos + 1)
+
+    found = dfs(tuple(alpha), 0)
+    assert found
+    return make_class([(roots[ri], m) for ri, m in chosen])
+
+
+def _sum_free_perp_simples(q, t_class):
+    """Oracle: the perpendicular roots that are not a sum of at least two
+    perpendicular roots, found by search, in lex order."""
+    table = hom_table(q)
+    perp_set = sorted(
+        beta for beta in table.roots
+        if all(table.hom_root(r, beta) == 0 and table.ext_root(r, beta) == 0
+               for r, _ in t_class.parts))
+
+    def is_sum(beta):
+        def dfs(rem, pos, count):
+            if not any(rem):
+                return count >= 2
+            for p in range(pos, len(perp_set)):
+                cand = perp_set[p]
+                if all(c <= a for c, a in zip(cand, rem)) and cand != beta:
+                    if dfs(tuple(a - c for a, c in zip(rem, cand)), p, count + 1):
+                        return True
+            return False
+
+        return dfs(beta, 0, 0)
+
+    return tuple(b for b in perp_set if not is_sum(b))
+
+
+BOX_QUIVERS = [
+    pytest.param(Quiver(3, ((1, 2), (2, 3))), 6, id="A3"),
+    pytest.param(Quiver(3, ((1, 2), (3, 2))), 6, id="A3-sink"),
+    pytest.param(Quiver(4, ((1, 2), (2, 3), (3, 4))), 4, id="A4"),
+    pytest.param(Quiver(4, ((2, 1), (2, 3), (4, 3))), 4, id="A4-zigzag"),
+    pytest.param(Quiver(4, ((1, 4), (2, 4), (3, 4))), 4, id="D4"),
+    pytest.param(Quiver(4, ((4, 1), (4, 2), (3, 4))), 4, id="D4-mixed"),
+    pytest.param(Quiver(5, ((1, 5), (2, 5), (5, 3), (3, 4))), 2, id="D5"),
+    pytest.param(Quiver(6, ((1, 2), (2, 3), (4, 3), (5, 4), (6, 3))), 2,
+                 id="E6"),
+]
+
+
+@pytest.mark.parametrize("q, top", BOX_QUIVERS)
+def test_sink_walk_matches_rigid_class_and_search(q, top):
+    # every alpha with coordinates in 0..top
+    for alpha in itertools.product(range(top + 1), repeat=q.n):
+        t = generic_decomposition(q, alpha)
+        assert list(enumerate_classes(q, alpha, max_self_ext=0)) == [t]
+        assert _search_generic_decomposition(q, alpha) == t
+        assert perp_simples(q, t).simples == _sum_free_perp_simples(q, t)
+
+
+def test_e8_scaled_decomposition_without_search(e8, e8_alpha):
+    # the depth-first search took minutes here; the walk does not scale with alpha
+    base = generic_decomposition(e8, e8_alpha(1))
+    start = time.perf_counter()
+    t = generic_decomposition(e8, e8_alpha(5))
+    assert time.perf_counter() - start < 1.0
+    assert t.parts == tuple((r, 5 * m) for r, m in base.parts)
