@@ -6,16 +6,24 @@ rational-singularity verdicts.
 The certification works branch by branch on a symbolic state: specialized
 coordinates are stored as affine values in integer parameters (k1, k2, ...)
 with box domains, so a branch like "z_3 = -k, k >= 1" is a single node.
-Every rule application carries an explicit certificate (LP multipliers,
-Farkas functionals, or interval bounds) that the independent checker
-re-verifies arithmetically.
+The certifier and the independent checker split the work three ways:
+
+* Rules, each written once and called by both: the leaves
+  ``leaf_all_fixed``, ``leaf_empty_generator`` and ``leaf_last_var``, the
+  cases of lemma (a) (``unit_root_cases``) and of lemma (b), J+ then J-
+  (``sign_cases``), and ``branch_state``, which builds a case's state.
+* Searches, certifier only: which rule to try, the LP multipliers of
+  lemma (a) and the Farkas functional and cone memberships of lemma (b).
+* Re-verification, checker only: the arithmetic of those multipliers,
+  functionals and memberships.  The checker runs each rule on the state
+  it rebuilds, and a node's branches must be exactly the rule's cases.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .affine import Affine, Box, aff_from_json, aff_to_json
@@ -74,7 +82,6 @@ def is_good(z, r) -> bool:
 class Membership:
     kind: str  # "member" | "nonmember" | "unknown"
     witness_c: tuple | None = None  # generator not vanishing at z
-    proof: dict | None = None  # r<=2 exact interval-cover data
 
 
 def _cover_check(intervals, tail_from, start):
@@ -133,8 +140,8 @@ def _half_line(offsets, z):
     vanishes at z iff w = -(g.z) - o is an integer with
     0 <= w + g_2*t <= g_1*(1+t) - 1, a t-interval; the factor
     binom(s_2, t) vanishes iff z_2 is an integer with 0 <= z_2 < t.
-    Returns (intervals, tail, gap): gap is the first t whose b_c does not
-    vanish at z, or None when every one does.
+    Returns the first t whose b_c does not vanish at z, or None when every
+    one does.
     """
     intervals = []
     for g, o in offsets:
@@ -147,8 +154,7 @@ def _half_line(offsets, z):
         if iv:
             intervals.append(iv)
     tail = int(z[1]) + 1 if z[1].denominator == 1 and z[1] >= 0 else None
-    covered, gap = _cover_check(intervals, tail, 0)
-    return intervals, tail, gap
+    return _cover_check(intervals, tail, 0)[1]
 
 
 def membership_in_ztilde(family: BFunctionFamily, z, box_bound=8) -> Membership:
@@ -167,20 +173,18 @@ def membership_in_ztilde(family: BFunctionFamily, z, box_bound=8) -> Membership:
     if r == 1:
         gen = generator_bc(family, (1,))
         if gen.value_at(z) == 0:
-            return Membership("member", proof={"c": (1,)})
+            return Membership("member")
         return Membership("nonmember", witness_c=(1,))
     if r == 2:
         offsets = [g_o for g_o, cnt in family.offsets.items() if cnt]
         swapped = [((g[1], g[0]), o) for g, o in offsets]
-        proof = {}
         for side, offs, zz in (("pos", offsets, z), ("neg", swapped, z[::-1])):
-            intervals, tail, gap = _half_line(offs, zz)
+            gap = _half_line(offs, zz)
             if gap is not None:
                 c = (1 + gap, -gap)
                 return Membership("nonmember",
                                   witness_c=c if side == "pos" else c[::-1])
-            proof[side] = {"intervals": intervals, "tail": tail}
-        return Membership("member", proof=proof)
+        return Membership("member")
 
     # r > 2: box scan
     rng = range(-box_bound, box_bound + 1)
@@ -251,16 +255,6 @@ class SymState:
                       flags, self.r_global)
         return st, scalars
 
-    def with_flag(self, var, flag):
-        flags = dict(self.flags)
-        flags[var] = frozenset(flags.get(var, frozenset()) | {flag})
-        return SymState(self.vars, self.terms, self.fixed, self.box, flags,
-                        self.r_global)
-
-    def with_box(self, box):
-        return SymState(self.vars, self.terms, self.fixed, box, self.flags,
-                        self.r_global)
-
 
 def sym_state_from_family(family: BFunctionFamily) -> SymState:
     terms = tuple(
@@ -281,21 +275,163 @@ def check_form_assumption(family: BFunctionFamily) -> bool:
     return True
 
 
-# -- reduction lemmas ---------------------------------------------------------
+# -- the rules: one definition each, called by the certifier and the checker --
+
+class CertificateError(Exception):
+    pass
+
+
+def leaf_all_fixed(state: SymState):
+    """Every variable specialized.  A clean branch (all values negative
+    integers) is automatically good: the r fixed values are each <= -1, so
+    e.z <= -r with equality only at z = -e.  A dirty branch needs the
+    strict total bound.  Returns ("clean", None), ("strict", max of e.z)
+    or None."""
+    if state.vars:
+        return None
+    if state.clean:
+        return "clean", None
+    mx = state.box.max_of(-state.k_total())
+    if mx is not None and mx < -state.r_global:
+        return "strict", mx
+    return None
+
+
+def leaf_empty_generator(state: SymState, pos):
+    """A generator that provably cannot vanish under the branch assumptions,
+    for the active position pos: either no bracket involves s_i at all
+    (b_{e^i} = 1, mode "no-terms"), or every bracket involving s_i is a
+    plain unit bracket with nonnegative lower endpoint while z_i is known
+    not to be a negative integer (mode "units-positive").  Returns (mode,
+    the brackets involving s_i) or None."""
+    touching = [t for t in state.terms if t.gamma[pos] > 0]
+    if not touching:
+        return "no-terms", touching
+    if "not_neg_int" not in state.flags.get(state.vars[pos], frozenset()):
+        return None
+    unit = tuple(1 if d == pos else 0 for d in range(len(state.vars)))
+    for t in touching:
+        if t.gamma != unit:
+            return None
+        mn = state.box.min_of(t.a)
+        if mn is None or mn < 0:
+            return None
+    return "units-positive", touching
+
+
+def leaf_last_var(state: SymState):
+    """r' = 1: every root of the single generator must be good.  Returns
+    (bracket, lower bound of K + (a+1)/g) for each bracket, or None.  A
+    generator without brackets is an empty-generator leaf instead."""
+    if len(state.vars) != 1 or not state.terms:
+        return None
+    k_total = state.k_total()
+    r = state.r_global
+    bounds = []
+    for t in state.terms:
+        g = t.gamma[0]
+        mu = state.box.min_of(k_total + (t.a + 1) / g)
+        if mu is None or mu < r:
+            return None
+        if mu == r:
+            lo = state.box.min_of((t.a + 1) / g)
+            if not (state.clean and lo is not None and lo >= 1):
+                return None
+        bounds.append((t, mu))
+    return bounds
+
+
+@dataclass(frozen=True)
+class Case:
+    """One branch of a case split: z_var = value.  The kinds are "neg_int"
+    (value -o for an integer o >= 1), "neg_int_sym" (value -k for a new
+    symbol k >= 1) and "nat_sym" (value k for a new symbol k >= 0).
+    negations holds the (var, flag) pairs the branch assumes besides."""
+    var: int
+    kind: str
+    value: Affine
+    symbol: str | None = None
+    negations: tuple = ()
+
+
+def unit_root_cases(state: SymState, positions):
+    """Lemma (a)'s cases on the index set I of active positions: z_i = -o
+    for each root -o of a unit bracket [s_i]_{a,b}, o = a+1 .. b, by i in
+    I and then by o.  None when an endpoint is symbolic or a root is not a
+    negative integer."""
+    cases = []
+    for i in positions:
+        offsets = set()
+        for t in state.terms:
+            if _is_unit(t.gamma) and t.gamma[i] == 1:
+                if not (t.a.is_const() and t.b.is_const()):
+                    return None
+                offsets.update(range(int(t.a.const) + 1, int(t.b.const) + 1))
+        if offsets and min(offsets) < 1:
+            return None
+        cases += [Case(state.vars[i], "neg_int", Affine.of(-o))
+                  for o in sorted(offsets)]
+    return cases
+
+
+def sign_cases(j_plus, j_minus, symbols):
+    """Lemma (b)'s cases in order: z_v = -k, k >= 1, for each variable v in
+    J+, then z_v = k, k >= 0, for each v in J-, each under the negations of
+    the cases before it.  A case draws its symbol from the iterator
+    ``symbols`` only when it is reached, and None once that runs out."""
+    kinds = [(v, "neg_int_sym", -1, "not_neg_int") for v in j_plus] + \
+            [(v, "nat_sym", 1, "not_nat") for v in j_minus]
+    negations = ()
+    for var, kind, sign, flag in kinds:
+        sym = next(symbols, None)
+        yield Case(var, kind, Affine.sym(sym, sign), sym, negations)
+        negations += ((var, flag),)
+
+
+def branch_state(state: SymState, case: Case):
+    """The state on the branch of ``case``, with the scalar brackets its
+    specialization leaves: the negation flags are set, the symbol is bound
+    to its domain, and the variable is fixed to the value."""
+    flags = dict(state.flags)
+    for var, flag in case.negations:
+        flags[var] = flags.get(var, frozenset()) | {flag}
+    box = state.box
+    if case.symbol is not None:
+        if any(s == case.symbol for s, _, _ in box.domains):
+            raise CertificateError(f"symbol {case.symbol} is already bound")
+        box = box.with_symbol(case.symbol, 1 if case.kind == "neg_int_sym" else 0)
+    st = replace(state, flags=flags, box=box)
+    return st.specialize(st.vars.index(case.var), case.value,
+                         case.kind != "nat_sym")
+
+
+def _gammas(state: SymState):
+    """The distinct directions gamma of the non-unit brackets, sorted."""
+    return sorted({t.gamma for t in state.terms if not _is_unit(t.gamma)})
+
+
+def _lemma_a_tuples(state: SymState, positions):
+    """The tuples lemma (a) needs a certificate for: the distinct terms of
+    each element of the product of the Gamma_i, i in I.  There are none
+    when some Gamma_i is empty."""
+    pools = [[t for t in state.terms if not _is_unit(t.gamma) and t.gamma[i] > 0]
+             for i in positions]
+    if not all(pools):
+        return
+    for combo in itertools.product(*pools):
+        distinct = []
+        for t in combo:
+            if t not in distinct:
+                distinct.append(t)
+        yield distinct
+
+
+# -- the searches: certifier only ---------------------------------------------
 
 @dataclass
 class ReducACert:
     tuple_sigs: tuple  # signatures of the distinct terms in the tuple
     u: tuple  # rational multipliers, same order
-
-
-def _gamma_sets(state: SymState):
-    gamma_terms = [t for t in state.terms if not _is_unit(t.gamma)]
-    per_var = {
-        i: [t for t in gamma_terms if t.gamma[i] > 0]
-        for i in range(len(state.vars))
-    }
-    return gamma_terms, per_var
 
 
 def _reduc_a_tuple_cert(state: SymState, terms):
@@ -328,38 +464,20 @@ def _reduc_a_tuple_cert(state: SymState, terms):
 
 
 def reduc_a(state: SymState, positions):
-    """Lemma (a) for the index set I given by active positions: a
-    certificate for every tuple in the product of the Gamma_i, plus the
-    concrete unit split offsets per position.  Returns (certs, splits) or
-    None (with the failing tuple recorded as None.certs ... callers get
-    (None, failing_terms))."""
-    _, per_var = _gamma_sets(state)
-    splits = {}
-    for i in positions:
-        offsets = set()
-        for t in state.terms:
-            if _is_unit(t.gamma) and t.gamma[i] == 1:
-                if not (t.a.is_const() and t.b.is_const()):
-                    return None, ("symbolic-unit-interval", state.vars[i])
-                a, b = int(t.a.const), int(t.b.const)
-                offsets.update(range(a + 1, b + 1))
-        splits[i] = sorted(offsets)
+    """Lemma (a) on the index set I of active positions: an LP certificate
+    for every tuple of ``_lemma_a_tuples``, and the unit-root cases.
+    Returns (certs, cases), or None when some tuple has no certificate or
+    ``unit_root_cases`` does not apply."""
+    cases = unit_root_cases(state, positions)
+    if cases is None:
+        return None
     certs = []
-    pools = [per_var[i] for i in positions]
-    if any(pools) and all(pools):
-        for combo in itertools.product(*pools):
-            distinct = []
-            for t in combo:
-                if t not in distinct:
-                    distinct.append(t)
-            cert = _reduc_a_tuple_cert(state, distinct)
-            if cert is None:
-                return None, ("no-certificate", tuple(t.signature() for t in distinct))
-            certs.append(cert)
-    elif any(pools):
-        # some Gamma_i empty: vacuously certified (no tuples)
-        certs = []
-    return (certs, splits), None
+    for terms in _lemma_a_tuples(state, positions):
+        cert = _reduc_a_tuple_cert(state, terms)
+        if cert is None:
+            return None
+        certs.append(cert)
+    return certs, cases
 
 
 @dataclass
@@ -375,8 +493,7 @@ def reduc_b(state: SymState):
     """Lemma (b): maximal J with e outside cone(Gamma) + span(e^J), then the
     partition of the complement.  None when e is already in the cone."""
     rcur = len(state.vars)
-    gamma_terms, _ = _gamma_sets(state)
-    gammas = sorted({t.gamma for t in gamma_terms})
+    gammas = _gammas(state)
     e = (1,) * rcur
 
     def unit(i):
@@ -429,94 +546,53 @@ class CertifyOutcome:
     reason: str = ""
 
 
-def _leaf_empty_generator(state: SymState):
-    """A generator that provably cannot vanish under the branch assumptions:
-    for some active i, either no bracket involves s_i at all (b_{e^i} = 1),
-    or every bracket involving s_i is a plain unit bracket with nonnegative
-    lower endpoint while z_i is known not to be a negative integer."""
+def _leaf_node(state: SymState):
+    """The node of the first leaf rule that holds on the state, or None."""
+    got = leaf_all_fixed(state)
+    if got is not None:
+        mode, mx = got
+        data = {"mode": mode} if mx is None else {"mode": mode, "max": str(mx)}
+        return CertNode("leaf_all_fixed", data)
     for pos, var in enumerate(state.vars):
-        touching = [t for t in state.terms if t.gamma[pos] > 0]
-        if not touching:
-            return CertNode("leaf_empty_generator",
-                            {"var": var, "mode": "no-terms"})
-        if "not_neg_int" not in state.flags.get(var, frozenset()):
-            continue
-        ok = True
-        for t in touching:
-            if t.gamma != tuple(1 if d == pos else 0
-                                for d in range(len(state.vars))):
-                ok = False
-                break
-            mn = state.box.min_of(t.a)
-            if mn is None or mn < 0:
-                ok = False
-                break
-        if ok:
-            return CertNode("leaf_empty_generator",
-                            {"var": var, "mode": "units-positive",
-                             "terms": [t.signature() for t in touching]})
+        got = leaf_empty_generator(state, pos)
+        if got is not None:
+            mode, touching = got
+            data = {"var": var, "mode": mode}
+            if touching:
+                data["terms"] = [t.signature() for t in touching]
+            return CertNode("leaf_empty_generator", data)
+    bounds = leaf_last_var(state)
+    if bounds is not None:
+        return CertNode("leaf_last_var", {
+            "bounds": [(t.signature(), str(mu)) for t, mu in bounds]})
     return None
 
 
-def _leaf_last_var(state: SymState):
-    """r' = 1: every root of the single generator must be good."""
-    if len(state.vars) != 1:
-        return None
-    if not state.terms:
-        return CertNode("leaf_empty_generator",
-                        {"var": state.vars[0], "mode": "no-terms"})
-    k_total = state.k_total()
-    r = state.r_global
-    bounds = []
-    for t in state.terms:
-        g = t.gamma[0]
-        expr = k_total + (t.a + 1) / g
-        mu = state.box.min_of(expr)
-        if mu is None or mu < r:
-            return None
-        if mu == r:
-            lo = state.box.min_of((t.a + 1) / g)
-            if not (state.clean and lo is not None and lo >= 1):
-                return None
-        bounds.append((t.signature(), str(mu)))
-    return CertNode("leaf_last_var", {"bounds": bounds})
-
-
-def _assumption_json(var, kind, value, symbol=None):
-    out = {"var": var, "kind": kind, "value": aff_to_json(Affine.of(value))}
-    if symbol:
-        out["symbol"] = symbol
+def _case_json(case: Case, scalars):
+    out = {"var": case.var, "kind": case.kind, "value": aff_to_json(case.value)}
+    if case.symbol is not None:
+        out["symbol"] = case.symbol
+        out["negations"] = [{"var": v, "flag": f} for v, f in case.negations]
+    out["scalars"] = [(aff_to_json(a), aff_to_json(b), m) for a, b, m in scalars]
     return out
 
 
-def _leaf_all_fixed(state: SymState):
-    """Every variable specialized.  A clean branch (all values negative
-    integers) is automatically good: the r fixed values are each <= -1, so
-    e.z <= -r with equality only at z = -e.  A dirty branch needs the
-    strict total bound."""
-    if state.vars:
-        return None
-    s_total = Affine.of(0)
-    for _, v, _ in state.fixed:
-        s_total = s_total + v
-    if state.clean:
-        return CertNode("leaf_all_fixed", {"mode": "clean"})
-    mx = state.box.max_of(s_total)
-    if mx is not None and mx < -state.r_global:
-        return CertNode("leaf_all_fixed", {"mode": "strict", "max": str(mx)})
-    return None
+def _close(state: SymState, node: CertNode, cases, depth, depth_bound, symbols):
+    """Certify the branch of each case in turn into node.branches; False
+    at the first branch that does not close."""
+    for case in cases:
+        sub, scalars = branch_state(state, case)
+        child = _certify(sub, depth + 1, depth_bound, symbols)
+        if child is None:
+            return False
+        node.branches.append((_case_json(case, scalars), child))
+    return True
 
 
-def _certify(state: SymState, depth, depth_bound, counter):
+def _certify(state: SymState, depth, depth_bound, symbols):
     if depth > depth_bound:
         return None
-    leaf = _leaf_all_fixed(state)
-    if leaf is not None:
-        return leaf
-    leaf = _leaf_empty_generator(state)
-    if leaf is not None:
-        return leaf
-    leaf = _leaf_last_var(state)
+    leaf = _leaf_node(state)
     if leaf is not None:
         return leaf
     rcur = len(state.vars)
@@ -524,32 +600,16 @@ def _certify(state: SymState, depth, depth_bound, counter):
     # reduc (a): try index sets small-first; commit to the first that closes
     for size in range(1, rcur + 1):
         for positions in itertools.combinations(range(rcur), size):
-            got, _fail = reduc_a(state, positions)
-            if got is None:
-                continue
-            certs, splits = got
-            if not any(splits[i] for i in positions) and not certs:
-                continue  # nothing to say
+            got = reduc_a(state, positions)
+            if got is None or not (got[0] or got[1]):
+                continue  # not applicable, or nothing to say
+            certs, cases = got
             node = CertNode("reduc_a", {
                 "I": [state.vars[i] for i in positions],
                 "certs": [{"tuple": list(c.tuple_sigs),
                            "u": [str(x) for x in c.u]} for c in certs],
             })
-            ok = True
-            for i in positions:
-                for o in splits[i]:
-                    sub, scalars = state.specialize(i, Affine.of(-o), o >= 1)
-                    child = _certify(sub, depth + 1, depth_bound, counter)
-                    if child is None:
-                        ok = False
-                        break
-                    assume = _assumption_json(state.vars[i], "neg_int", -o)
-                    assume["scalars"] = [
-                        (aff_to_json(a), aff_to_json(b), m) for a, b, m in scalars]
-                    node.branches.append((assume, child))
-                if not ok:
-                    break
-            if ok:
+            if _close(state, node, cases, depth, depth_bound, symbols):
                 return node
 
     # reduc (b)
@@ -568,41 +628,8 @@ def _certify(state: SymState, depth, depth_bound, counter):
                 } for i, (lm, mu, sg) in rb.memberships.items()
             },
         })
-        ordered = [(i, "neg") for i in rb.j_plus] + [(i, "nat") for i in rb.j_minus]
-        prior = []
-        ok = True
-        for i, sign in ordered:
-            counter[0] += 1
-            sym = f"k{counter[0]}"
-            st = state
-            negs = []
-            for pv, psign in prior:
-                flag = "not_neg_int" if psign == "neg" else "not_nat"
-                st = st.with_flag(pv, flag)
-                negs.append({"var": pv, "flag": flag})
-            pos = st.vars.index(state.vars[i])
-            if sign == "neg":
-                box = st.box.with_symbol(sym, 1)
-                st = st.with_box(box)
-                sub, scalars = st.specialize(pos, -Affine.sym(sym), True)
-                assume = _assumption_json(state.vars[i], "neg_int_sym",
-                                          -Affine.sym(sym), sym)
-            else:
-                box = st.box.with_symbol(sym, 0)
-                st = st.with_box(box)
-                sub, scalars = st.specialize(pos, Affine.sym(sym), False)
-                assume = _assumption_json(state.vars[i], "nat_sym",
-                                          Affine.sym(sym), sym)
-            assume["negations"] = negs
-            assume["scalars"] = [
-                (aff_to_json(a), aff_to_json(b), m) for a, b, m in scalars]
-            child = _certify(sub, depth + 1, depth_bound, counter)
-            if child is None:
-                ok = False
-                break
-            node.branches.append((assume, child))
-            prior.append((state.vars[i], sign))
-        if ok:
+        cases = sign_cases(node.data["Jplus"], node.data["Jminus"], symbols)
+        if _close(state, node, cases, depth, depth_bound, symbols):
             return node
     return None
 
@@ -650,8 +677,8 @@ def certify_all_good(family: BFunctionFamily, depth_bound=16,
     explicit bad element of Z(B~).
     """
     state = sym_state_from_family(family)
-    counter = [0]
-    node = _certify(state, 0, depth_bound, counter)
+    symbols = (f"k{i}" for i in itertools.count(1))
+    node = _certify(state, 0, depth_bound, symbols)
     if node is not None:
         return CertifyOutcome("certificate", certificate=node)
     witness = _refute(family, refute_bound)
@@ -661,114 +688,51 @@ def certify_all_good(family: BFunctionFamily, depth_bound=16,
                           reason="case analysis exhausted without closing")
 
 
-# -- independent certificate verification -------------------------------------
+# -- the re-verification: checker only ----------------------------------------
 
-class CertificateError(Exception):
-    pass
-
-
-def _reconstruct_child(state: SymState, assume):
-    var = assume["var"]
+def _position(state: SymState, var, rule):
     if var not in state.vars:
-        raise CertificateError(f"assumption on inactive variable {var}")
-    st = state
-    for neg in assume.get("negations", []):
-        if neg["var"] not in st.vars:
-            raise CertificateError("negation flag on inactive variable")
-        st = st.with_flag(neg["var"], neg["flag"])
-    kind = assume["kind"]
-    value = aff_from_json(assume["value"])
-    if kind == "neg_int":
-        if not value.is_const() or value.const >= 0:
-            raise CertificateError("neg_int assumption with nonnegative value")
-        clean = True
-    elif kind == "neg_int_sym":
-        sym = assume["symbol"]
-        st = st.with_box(st.box.with_symbol(sym, 1))
-        clean = True
-    elif kind == "nat_sym":
-        sym = assume["symbol"]
-        st = st.with_box(st.box.with_symbol(sym, 0))
-        clean = False
-    else:
-        raise CertificateError(f"unknown assumption kind {kind}")
-    pos = st.vars.index(var)
-    sub, _scalars = st.specialize(pos, value, clean)
-    return sub
+        raise CertificateError(f"{rule} on inactive variable {var}")
+    return state.vars.index(var)
+
+
+def _case_from_json(assume) -> Case:
+    return Case(assume["var"], assume["kind"], aff_from_json(assume["value"]),
+                assume.get("symbol"),
+                tuple((n["var"], n["flag"]) for n in assume.get("negations", ())))
+
+
+def _check_cases(state: SymState, rule, cases, branches) -> None:
+    """The branches must be the rule's cases, in order, and each close."""
+    if [_case_from_json(assume) for assume, _ in branches] != cases:
+        raise CertificateError(f"{rule} branches are not the rule's cases")
+    for case, (_, child) in zip(cases, branches):
+        _check_node(branch_state(state, case)[0], child)
 
 
 def _check_node(state: SymState, node) -> None:
-    rule = node["rule"] if isinstance(node, dict) else node.rule
-    data = node["data"] if isinstance(node, dict) else node.data
-    branches = node["branches"] if isinstance(node, dict) else node.branches
+    rule, data, branches = node["rule"], node["data"], node["branches"]
     rcur = len(state.vars)
-    e = (1,) * rcur
 
     if rule == "leaf_all_fixed":
-        if state.vars:
-            raise CertificateError("leaf_all_fixed with active variables")
-        if data["mode"] == "clean":
-            if not state.clean:
-                raise CertificateError("clean leaf on a dirty branch")
-        else:
-            s_total = Affine.of(0)
-            for _, v, _ in state.fixed:
-                s_total = s_total + v
-            mx = state.box.max_of(s_total)
-            if mx is None or mx >= -state.r_global:
-                raise CertificateError("strict total bound fails")
+        got = leaf_all_fixed(state)
+        if got is None or got[0] != data["mode"]:
+            raise CertificateError("leaf_all_fixed does not hold")
         return
 
     if rule == "leaf_empty_generator":
-        var = data["var"]
-        if var not in state.vars:
-            raise CertificateError("empty-generator leaf on inactive variable")
-        pos = state.vars.index(var)
-        touching = [t for t in state.terms if t.gamma[pos] > 0]
-        if data["mode"] == "no-terms":
-            if touching:
-                raise CertificateError("generator is not empty")
-            return
-        if data["mode"] == "units-positive":
-            if "not_neg_int" not in state.flags.get(var, frozenset()):
-                raise CertificateError("missing not_neg_int flag")
-            unit = tuple(1 if d == pos else 0 for d in range(rcur))
-            for t in touching:
-                if t.gamma != unit:
-                    raise CertificateError("non-unit bracket touches the variable")
-                mn = state.box.min_of(t.a)
-                if mn is None or mn < 0:
-                    raise CertificateError("unit bracket with negative endpoint")
-            return
-        raise CertificateError(f"unknown leaf mode {data['mode']}")
+        got = leaf_empty_generator(state, _position(state, data["var"], rule))
+        if got is None or got[0] != data["mode"]:
+            raise CertificateError("leaf_empty_generator does not hold")
+        return
 
     if rule == "leaf_last_var":
-        if rcur != 1:
-            raise CertificateError("last-var leaf with several variables")
-        if not state.terms:
-            raise CertificateError("last-var leaf should be an empty generator")
-        k_total = state.k_total()
-        r = state.r_global
-        for t in state.terms:
-            g = t.gamma[0]
-            mu = state.box.min_of(k_total + (t.a + 1) / g)
-            if mu is None or mu < r:
-                raise CertificateError("root can be worse than -r")
-            if mu == r:
-                lo = state.box.min_of((t.a + 1) / g)
-                if not (state.clean and lo is not None and lo >= 1):
-                    raise CertificateError("equality case without clean all-ones")
+        if leaf_last_var(state) is None:
+            raise CertificateError("leaf_last_var does not hold")
         return
 
     if rule == "reduc_a":
-        ivars = data["I"]
-        positions = []
-        for v in ivars:
-            if v not in state.vars:
-                raise CertificateError("reduc_a on inactive variable")
-            positions.append(state.vars.index(v))
-        _, per_var = _gamma_sets(state)
-        pools = [per_var[i] for i in positions]
+        positions = [_position(state, v, rule) for v in data["I"]]
         stored = {}
         for c in data["certs"]:
             key = tuple(sorted(c["tuple"]))
@@ -776,58 +740,36 @@ def _check_node(state: SymState, node) -> None:
         min_k = state.box.min_of(state.k_total())
         if min_k is None:
             raise CertificateError("unbounded K in reduc_a")
-        if all(pools):
-            for combo in itertools.product(*pools):
-                distinct = []
-                for t in combo:
-                    if t not in distinct:
-                        distinct.append(t)
-                key = tuple(sorted(t.signature() for t in distinct))
-                if key not in stored:
-                    raise CertificateError("missing LP certificate for a tuple")
-                sig_order, u = stored[key]
-                by_sig = {t.signature(): t for t in distinct}
-                distinct = [by_sig[s] for s in sig_order]
-                if len(u) != len(distinct) or any(x < 0 for x in u):
-                    raise CertificateError("bad multipliers")
-                for d in range(rcur):
-                    if sum(ux * t.gamma[d] for ux, t in zip(u, distinct)) != 1:
-                        raise CertificateError("multipliers do not combine to e")
-                total = Fraction(0)
-                for ux, t in zip(u, distinct):
-                    mn = state.box.min_of(t.a)
-                    if mn is None:
-                        raise CertificateError("unbounded bracket endpoint")
-                    total += ux * (mn + 1)
-                if not total + min_k > state.r_global:
-                    raise CertificateError("certificate bound not above r")
-        # branch coverage: every unit offset of every I-variable
-        expected = []
-        for i, v in zip(positions, ivars):
-            offsets = set()
-            for t in state.terms:
-                if _is_unit(t.gamma) and t.gamma[i] == 1:
-                    if not (t.a.is_const() and t.b.is_const()):
-                        raise CertificateError("symbolic unit interval in reduc_a")
-                    offsets.update(range(int(t.a.const) + 1, int(t.b.const) + 1))
-            expected.extend((v, -o) for o in sorted(offsets))
-        got = [(a["var"], int(aff_from_json(a["value"]).const))
-               for a, _ in branches]
-        if got != expected:
-            raise CertificateError("reduc_a branches do not cover the unit roots")
-        for assume, child in branches:
-            _check_node(_reconstruct_child(state, assume), child)
+        for distinct in _lemma_a_tuples(state, positions):
+            by_sig = {t.signature(): t for t in distinct}
+            key = tuple(sorted(by_sig))
+            if key not in stored:
+                raise CertificateError("missing LP certificate for a tuple")
+            sig_order, u = stored[key]
+            distinct = [by_sig[s] for s in sig_order]
+            if len(u) != len(distinct) or any(x < 0 for x in u):
+                raise CertificateError("bad multipliers")
+            for d in range(rcur):
+                if sum(ux * t.gamma[d] for ux, t in zip(u, distinct)) != 1:
+                    raise CertificateError("multipliers do not combine to e")
+            total = Fraction(0)
+            for ux, t in zip(u, distinct):
+                mn = state.box.min_of(t.a)
+                if mn is None:
+                    raise CertificateError("unbounded bracket endpoint")
+                total += ux * (mn + 1)
+            if not total + min_k > state.r_global:
+                raise CertificateError("certificate bound not above r")
+        cases = unit_root_cases(state, positions)
+        if cases is None:
+            raise CertificateError("reduc_a unit roots are symbolic or not negative")
+        _check_cases(state, rule, cases, branches)
         return
 
     if rule == "reduc_b":
-        gamma_terms, _ = _gamma_sets(state)
-        gammas = sorted({t.gamma for t in gamma_terms})
+        gammas = _gammas(state)
         jvars = data["J"]
-        jpos = []
-        for v in jvars:
-            if v not in state.vars:
-                raise CertificateError("reduc_b J contains inactive variable")
-            jpos.append(state.vars.index(v))
+        jpos = [_position(state, v, rule) for v in jvars]
         y = [Fraction(x) for x in data["farkas"]]
         if len(y) != rcur:
             raise CertificateError("farkas length mismatch")
@@ -862,29 +804,21 @@ def _check_node(state: SymState, node) -> None:
                 total += sum(m for m, jp in zip(mus, jpos) if jp == d)
                 if total != 1:
                     raise CertificateError("membership does not combine to e")
-        expected = [(v, "neg_int_sym") for v in jplus] + \
-                   [(v, "nat_sym") for v in jminus]
-        got = [(a["var"], a["kind"]) for a, _ in branches]
-        if got != expected:
-            raise CertificateError("reduc_b branches out of order")
-        prior = []
-        for assume, child in branches:
-            want = [{"var": pv, "flag": pf} for pv, pf in prior]
-            if assume.get("negations", []) != want:
-                raise CertificateError("negation flags inconsistent")
-            _check_node(_reconstruct_child(state, assume), child)
-            prior.append((assume["var"],
-                          "not_neg_int" if assume["kind"] == "neg_int_sym"
-                          else "not_nat"))
+        symbols = iter([assume.get("symbol") for assume, _ in branches])
+        _check_cases(state, rule, list(sign_cases(jplus, jminus, symbols)),
+                     branches)
         return
 
     raise CertificateError(f"unknown rule {rule}")
 
 
 def verify_certificate(family: BFunctionFamily, cert) -> tuple:
-    """Re-verify a goodness certificate against the family from scratch.
-    Returns (ok, message).  Node data that is missing or of the wrong type
-    is a rejection too, with a message starting "malformed certificate"."""
+    """Re-verify a goodness certificate (a CertNode or its JSON form)
+    against the family from scratch.  Returns (ok, message).  Node data
+    that is missing or of the wrong type is a rejection too, with a
+    message starting "malformed certificate"."""
+    if isinstance(cert, CertNode):
+        cert = cert_to_json(cert)
     try:
         _check_node(sym_state_from_family(family), cert)
         return True, "certificate verified"

@@ -227,8 +227,11 @@ def cmd_singularities(args):
         payload = {"terms": _family_json(v.family),
                    "r": v.family.r,
                    "certificate": cert_to_json(v.certificate)}
-        with open(args.certificate_out, "w") as fh:
-            json.dump(payload, fh, indent=1)
+        try:
+            with open(args.certificate_out, "w") as fh:
+                json.dump(payload, fh, indent=1)
+        except OSError as exc:
+            raise CliError(f"cannot write certificate: {exc}")
         text.append(f"certificate written to {args.certificate_out}")
     _emit(report, args)
 

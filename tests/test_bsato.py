@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from qsing.affine import Affine, Box
+from qsing.affine import Affine, Box, aff_to_json
 from qsing.brackets import (
     BracketTerm,
+    TerminalRuleInapplicable,
     bracket_identity_check,
     compute_bfunction,
     expand,
@@ -39,7 +40,7 @@ from qsing.bsato import (
 )
 from qsing.decomp import generic_decomposition, perp_simples
 from qsing.orbits import make_spec
-from qsing.presets import preset
+from qsing.presets import E6_QUIVER, preset
 
 E6_FAMILY_PAPER_ORDER = lambda n, m: family_from_terms(4, [
     # paper's own variable order (s_1..s_4) for readability in these tests
@@ -314,25 +315,24 @@ def test_check_form_assumption():
 def test_reduc_a_examples():
     fam = E6_FAMILY_PAPER_ORDER(2, 2)
     state = sym_state_from_family(fam)
-    got, fail = reduc_a(state, (0, 1))
+    got = reduc_a(state, (0, 1))
     assert got is not None
-    certs, splits = got
+    certs, cases = got
     assert len(certs) == 1
     assert [Fraction(x) for x in certs[0].u] == [1, 1]
-    assert splits[0] == [1, 2, 3, 4] and splits[1] == [1, 2, 3, 4]
+    assert [(c.var, c.value.const) for c in cases] == \
+        [(v, -o) for v in (1, 2) for o in (1, 2, 3, 4)]
     # ex:pos: I = {1} fails with the (1,1) bracket tuple
     state2 = sym_state_from_family(E8_POS_FAMILY(1))
-    got2, fail2 = reduc_a(state2, (0,))
-    assert got2 is None and fail2[0] == "no-certificate"
+    assert reduc_a(state2, (0,)) is None
 
 
 def test_reduc_a_vacuous_when_gamma_empty():
     fam = family_from_terms(2, [BracketTerm((1, 0), 0, 2),
                                 BracketTerm((0, 1), 0, 2)])
     state = sym_state_from_family(fam)
-    got, _ = reduc_a(state, (0,))
-    certs, splits = got
-    assert certs == [] and splits[0] == [1, 2]
+    certs, cases = reduc_a(state, (0,))
+    assert certs == [] and [c.value.const for c in cases] == [-1, -2]
 
 
 def test_reduc_b_b1_family():
@@ -456,6 +456,33 @@ def test_e8_pos_outcome_pinned():
     assert out.certificate is None
 
 
+def _first_branch(node, kind):
+    for assume, child in node["branches"]:
+        if assume["kind"] == kind:
+            return assume
+        found = _first_branch(child, kind)
+        if found:
+            return found
+    return None
+
+
+def test_checker_rejects_branches_other_than_the_rules_cases():
+    """A branch must be exactly the case its rule gives: a J+ branch
+    z = -k - 1 would leave out z = -1, and a unit-root branch may assume
+    no negation flags."""
+    fam = _preset_family("e6-ex1", 2, 2)
+    blob = cert_to_json(certify_all_good(fam).certificate)
+    shifted = json.loads(json.dumps(blob))
+    _first_branch(shifted, "neg_int_sym")["value"]["const"] = "-1"
+    flagged = json.loads(json.dumps(blob))
+    assume = _first_branch(flagged, "neg_int")
+    assume["negations"] = [{"var": assume["var"], "flag": "not_nat"}]
+    assert verify_certificate(fam, shifted) == (
+        False, "reduc_b branches are not the rule's cases")
+    assert verify_certificate(fam, flagged) == (
+        False, "reduc_a branches are not the rule's cases")
+
+
 def test_checker_rejects_malformed_node_data():
     """Missing or ill-typed node data is a rejection, not an exception."""
     fam = E6_FAMILY_PAPER_ORDER(2, 2)
@@ -474,6 +501,91 @@ def test_checker_rejects_malformed_node_data():
     for bad in malformed:
         ok, msg = verify_certificate(fam, bad)
         assert not ok and msg.startswith("malformed certificate: "), msg
+
+
+UNITS3_TERMS = [{"gamma": [int(d == i) for d in range(3)], "a": 0, "b": 2,
+                 "mult": 1} for i in range(3)]
+
+
+def _one_branch_reduc_b(state, symbol, child):
+    """A reduc_b node on the state, with its data from reduc_b(state) and
+    its one J+ branch binding the given symbol."""
+    rb = reduc_b(state)
+    var = state.vars[rb.j_plus[0]]
+    return {"rule": "reduc_b", "data": {
+        "J": [state.vars[i] for i in rb.j_set], "Jplus": [var], "Jminus": [],
+        "farkas": [str(x) for x in rb.farkas],
+        "memberships": {str(state.vars[i]): {"lambdas": [str(x) for x in lm],
+                                             "mus": [str(x) for x in mu],
+                                             "sign": sg}
+                        for i, (lm, mu, sg) in rb.memberships.items()}},
+        "branches": [[{"var": var, "kind": "neg_int_sym",
+                       "value": aff_to_json(-Affine.sym(symbol)),
+                       "symbol": symbol, "negations": []}, child]]}
+
+
+def nested_certificate(inner_symbol):
+    """Three unit brackets [s]^{e_i}_{0,2}: a reduc_b root whose branch binds
+    k1, over a second reduc_b node whose branch binds inner_symbol, over a
+    last-variable leaf."""
+    fam = family_from_terms(3, [BracketTerm(tuple(t["gamma"]), 0, 2)
+                                for t in UNITS3_TERMS])
+    outer = sym_state_from_family(fam)
+    inner, _ = outer.specialize(reduc_b(outer).j_plus[0], -Affine.sym("k1"), True)
+    leaf = {"rule": "leaf_last_var", "data": {}, "branches": []}
+    return fam, _one_branch_reduc_b(
+        outer, "k1", _one_branch_reduc_b(inner, inner_symbol, leaf))
+
+
+def test_checker_rejects_a_rebound_symbol():
+    fam, cert = nested_certificate("k2")
+    assert verify_certificate(fam, cert) == (True, "certificate verified")
+    fam, cert = nested_certificate("k1")
+    assert verify_certificate(fam, cert) == (
+        False, "symbol k1 is already bound")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_rebound_symbol_rejected_by_cli(tmp_path, flags):
+    # python -O drops the assert in Box.with_symbol, so the check must not
+    # ride on it
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps({"terms": UNITS3_TERMS, "r": 3,
+                                "certificate": nested_certificate("k1")[1]}))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "qsing.cli", "verify-certificate",
+         str(path)], capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == "REJECTED: symbol k1 is already bound\n"
+    assert "Traceback" not in proc.stderr
+
+
+def test_certifier_and_checker_agree_beyond_the_presets(d4, d5):
+    """Every all-simples family with r >= 2 on D4 (totals <= 8), D5 (<= 5)
+    and E6 (<= 4): each certificate passes the checker as returned and
+    after a JSON round trip, and each refutation witness is a bad member
+    of Z(B~)."""
+    kinds = []
+    for q, bound in ((d4, 8), (d5, 5), (E6_QUIVER, 4)):
+        for alpha in itertools.product(range(bound + 1), repeat=q.n):
+            if not 0 < sum(alpha) <= bound or \
+                    perp_simples(q, generic_decomposition(q, alpha)).r < 2:
+                continue
+            spec = make_spec(q, alpha)
+            try:
+                fam = compute_bfunction(q, spec.alpha, spec.selected_simples)
+            except TerminalRuleInapplicable:
+                continue
+            out = certify_all_good(fam, refute_bound=4)
+            kinds.append(out.kind)
+            if out.kind == "certificate":
+                assert verify_certificate(fam, out.certificate)[0], alpha
+                blob = json.loads(json.dumps(cert_to_json(out.certificate)))
+                assert verify_certificate(fam, cert_from_json(blob))[0], alpha
+            elif out.kind == "refuted":
+                assert not is_good(out.witness, fam.r), alpha
+                assert membership_in_ztilde(fam, out.witness).kind == "member"
+    assert kinds.count("certificate") > 700 and "refuted" in kinds
 
 
 def test_cover_check_has_no_step_cap():

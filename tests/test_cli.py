@@ -138,15 +138,19 @@ REVERSED_TERM = {
     ["decompose", "--preset", "nope"],
     ["verify-certificate", "{cert}"],
     ["verify-certificate", "{reversed}"],
+    ["singularities", "--preset", "e6-ex1", "--n", "2", "--m", "1",
+     "--certificate-out", "{missing}/c.json"],
 ], ids=["negative-dim", "negative-preset-n", "simples-not-int",
         "simples-range-file", "simples-range-preset", "hom-no-quiver",
-        "unknown-preset", "certificate-without-r", "certificate-term-a-above-b"])
+        "unknown-preset", "certificate-without-r", "certificate-term-a-above-b",
+        "certificate-out-missing-dir"])
 def test_bad_input_exits_2_without_traceback(tmp_path, args):
     (tmp_path / "a3.quiver").write_text(A3_FILE)
     (tmp_path / "cert.json").write_text(json.dumps({"terms": []}))
     (tmp_path / "reversed.json").write_text(json.dumps(REVERSED_TERM))
     args = [a.format(a3=tmp_path / "a3.quiver", cert=tmp_path / "cert.json",
-                     reversed=tmp_path / "reversed.json")
+                     reversed=tmp_path / "reversed.json",
+                     missing=tmp_path / "missing")
             for a in args]
     proc = run_cli(args, check=False)
     assert proc.returncode == 2, proc.stderr
