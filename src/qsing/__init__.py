@@ -3,7 +3,6 @@ geometry, multi-variable b-functions and rational-singularity certificates."""
 
 from .quiver import (
     Classification,
-    EulerData,
     NonDynkinError,
     Quiver,
     QuiverError,

@@ -98,9 +98,6 @@ class BFunctionFamily:
     def term_multiset(self):
         return sorted((t.gamma, t.a, t.b, t.mult) for t in self.terms())
 
-    def copy(self):
-        return BFunctionFamily(self.r, dict(self.offsets), dict(self.meta))
-
 
 def family_from_terms(r, terms, meta=None) -> BFunctionFamily:
     offs = {}

@@ -816,16 +816,17 @@ def verify_certificate(family: BFunctionFamily, cert) -> tuple:
     """Re-verify a goodness certificate (a CertNode or its JSON form)
     against the family from scratch.  Returns (ok, message).  Node data
     that is missing or of the wrong type is a rejection too, with a
-    message starting "malformed certificate"."""
-    if isinstance(cert, CertNode):
-        cert = cert_to_json(cert)
+    message starting "malformed certificate"; so is a certificate nested
+    deeper than the interpreter's recursion limit."""
     try:
+        if isinstance(cert, CertNode):
+            cert = cert_to_json(cert)
         _check_node(sym_state_from_family(family), cert)
         return True, "certificate verified"
     except CertificateError as exc:
         return False, str(exc)
     except (KeyError, IndexError, TypeError, ValueError, AttributeError,
-            ZeroDivisionError) as exc:
+            ZeroDivisionError, RecursionError) as exc:
         return False, f"malformed certificate: {type(exc).__name__}: {exc}"
 
 
@@ -835,15 +836,6 @@ def cert_to_json(node: CertNode):
         "data": node.data,
         "branches": [[assume, cert_to_json(child)]
                      for assume, child in node.branches],
-    }
-
-
-def cert_from_json(d):
-    return {
-        "rule": d["rule"],
-        "data": d["data"],
-        "branches": [(assume, cert_from_json(child))
-                     for assume, child in d["branches"]],
     }
 
 

@@ -20,7 +20,6 @@ from .brackets import (
     render_family,
 )
 from .bsato import (
-    cert_from_json,
     cert_to_json,
     rational_singularities_verdict,
     verify_certificate,
@@ -258,13 +257,13 @@ def cmd_verify_certificate(args):
     try:
         with open(args.certificate) as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"cannot read certificate: {exc}")
     try:
         terms = [BracketTerm(tuple(t["gamma"]), t["a"], t["b"], t["mult"])
                  for t in payload["terms"]]
         fam = family_from_terms(payload["r"], terms)
-        cert = cert_from_json(payload["certificate"])
+        cert = payload["certificate"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed certificate file: {exc!r}")
     ok, msg = verify_certificate(fam, cert)

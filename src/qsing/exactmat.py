@@ -39,21 +39,6 @@ class Mat:
     def __repr__(self):
         return f"Mat({self.nrows}x{self.ncols}, {self.rows})"
 
-    def mul(self, other):
-        assert self.ncols == other.nrows
-        out = Mat(self.nrows, other.ncols)
-        for i in range(self.nrows):
-            ri = self.rows[i]
-            oi = out.rows[i]
-            for k in range(self.ncols):
-                a = ri[k]
-                if a:
-                    rk = other.rows[k]
-                    for j in range(other.ncols):
-                        if rk[j]:
-                            oi[j] += a * rk[j]
-        return out
-
     def transpose(self):
         out = Mat(self.ncols, self.nrows)
         for i in range(self.nrows):
@@ -144,14 +129,3 @@ def det(m: Mat) -> Fraction:
                 f = rows[i][c] * inv
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
     return d * sign
-
-
-def inverse(m: Mat) -> Mat:
-    assert m.nrows == m.ncols
-    n = m.nrows
-    aug = [m.rows[i][:] + [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-           for i in range(n)]
-    pivots = _echelon(aug, 2 * n)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("singular matrix")
-    return Mat(n, n, [row[n:] for row in aug])

@@ -2,14 +2,13 @@
 
 Vertices are 1..n. Dimension vectors are plain integer tuples of length n;
 negative entries are allowed at the type level so Coxeter images can be
-inspected for membership in N^n.
+inspected for membership in N^n.  The Coxeter transformation is the product
+of the simple reflections along an admissible sink sequence, in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .exactmat import Mat, inverse
 
 
 class QuiverError(ValueError):
@@ -133,40 +132,26 @@ def euler_form(q: Quiver, a, b) -> int:
     return val
 
 
-def euler_matrix(q: Quiver):
-    e = [[0] * q.n for _ in range(q.n)]
-    for i in range(q.n):
-        e[i][i] = 1
-    for t, h in q.arrows:
-        e[t - 1][h - 1] -= 1
-    return tuple(tuple(r) for r in e)
-
-
 def tits_form(q: Quiver, a) -> int:
     return euler_form(q, a, a)
 
 
-@dataclass(frozen=True)
-class EulerData:
-    euler_matrix: tuple
-    coxeter_matrix: tuple
+def reflection_product(q: Quiver, seq):
+    """Integer matrix of s_{seq[-1]} ... s_{seq[0]}: seq[0] is applied first."""
+    cols = []
+    for j in range(1, q.n + 1):
+        v = simple_root(q.n, j)
+        for x in seq:
+            v = reflect_dim(q, x, v)
+        cols.append(v)
+    return tuple(zip(*cols))
 
 
-def coxeter(q: Quiver) -> EulerData:
-    """Exact integer Euler matrix E and Coxeter matrix c = -E^{-1} E^t."""
-    e = euler_matrix(q)
-    em = Mat(q.n, q.n, [list(r) for r in e])
-    einv = inverse(em)  # acyclic => E unimodular, inverse is integral
-    c = einv.mul(em.transpose())
-    crows = []
-    for i in range(q.n):
-        row = []
-        for j in range(q.n):
-            v = -c.rows[i][j]
-            assert v.denominator == 1
-            row.append(int(v))
-        crows.append(tuple(row))
-    return EulerData(euler_matrix=e, coxeter_matrix=tuple(crows))
+def coxeter(q: Quiver):
+    """Coxeter matrix c = s_{x_n} ... s_{x_1} for the admissible sink
+    sequence x_1, ..., x_n of q (Bernstein-Gelfand-Ponomarev); it equals
+    -E^{-1} E^t for the Euler matrix E."""
+    return reflection_product(q, q.admissible_sink_sequence())
 
 
 def coxeter_apply(cox, v):

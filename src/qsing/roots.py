@@ -10,8 +10,11 @@ Two routes to Hom dimensions coexist on purpose:
   every pairwise Hom/Ext dimension, the root order of the class walk, the
   steps of the sink walk that the generic decomposition follows, and the
   Coxeter matrix with its inverse.  Its Hom table comes from one reflection
-  walk per root along an admissible sink sequence, in exact integer
-  arithmetic.  The two routes are cross-checked in the test suite.
+  walk per root along an admissible sink sequence, and the two Coxeter
+  matrices are products of the simple reflections along that sequence and
+  its reverse, all in exact integer arithmetic.  ``realize`` reads each
+  root's walk from the table.  The two routes are cross-checked in the test
+  suite.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exactmat import Mat, inverse, left_nullspace, rank
+from .exactmat import Mat, left_nullspace, rank
 from .quiver import (
     Quiver,
-    coxeter,
     euler_form,
     reflect_dim,
+    reflection_product,
     require_dynkin,
     simple_root,
     tits_form,
@@ -127,38 +130,26 @@ def realize(q: Quiver, root) -> Representation:
     """Explicit indecomposable with dimension vector ``root``.
 
     Built with Bernstein-Gelfand-Ponomarev reflection functors along the
-    admissible sink sequence: walk the root down to a simple, then apply the
-    inverse reflections to the simple representation.
+    admissible sink sequence: the root's walk ends at step t as the simple
+    at the vertex of steps[t] in ``hom_table``, so apply the inverse
+    reflections of steps t - 1, ..., 0 to that simple representation.
+    Raises NonDynkinError off Dynkin type and NotARootError for a vector
+    that is not a positive root.
     """
-    require_dynkin(q)
+    table = hom_table(q)
     root = tuple(root)
-    if not is_positive_root(q, root):
+    if root not in table.index:
         raise NotARootError(f"{root} is not a positive root")
-    seq = q.admissible_sink_sequence()
-    # r_t = s_{x_t}(r_{t-1}); find first t with r_t not >= 0, then
-    # r_{t-1} = e_{x_t}.
+    i = table.index[root]
+    t = next(t for t, (_, _, j) in enumerate(table.steps) if j == i)
+    xs = [x + 1 for x, _, _ in table.steps[:t + 1]]
     quivers = [q]
-    vecs = [root]
-    t = 0
-    cur = root
-    while True:
-        x = seq[t % q.n]
-        nxt = reflect_dim(q, x, cur)
-        if any(c < 0 for c in nxt):
-            break
+    for x in xs[:-1]:
         quivers.append(quivers[-1].reflect(x))
-        vecs.append(nxt)
-        cur = nxt
-        t += 1
-        assert t < 64 * q.n, "reflection walk failed to terminate"
-    # cur == e_x at step t
-    x = seq[t % q.n]
-    assert cur == simple_root(q.n, x)
-    rep = simple_rep(quivers[t], x)
+    rep = simple_rep(quivers[t], xs[t])
     for s in range(t - 1, -1, -1):
-        xs = seq[s % q.n]
-        # xs is a source of quivers[s+1]; reflect back to quivers[s]
-        rep = _coreflect(quivers[s], xs, rep)
+        # xs[s] is a source of quivers[s+1]; reflect back to quivers[s]
+        rep = _coreflect(quivers[s], xs[s], rep)
     assert rep.dims == root
     return rep
 
@@ -245,8 +236,8 @@ class HomTable:
     end: list
     support: list
     steps: list
-    coxeter: tuple  # Coxeter matrix c = -E^{-1} E^t, integral
-    coxeter_inv: tuple  # its inverse, integral as well
+    coxeter: tuple  # c = s_{x_n} ... s_{x_1} along the admissible sink sequence
+    coxeter_inv: tuple  # c^{-1} = s_{x_1} ... s_{x_n}, the reversed product
 
     def hom_root(self, a, b):
         return self.hom[self.index[tuple(a)]][self.index[tuple(b)]]
@@ -303,9 +294,7 @@ def hom_table(q: Quiver) -> HomTable:
         x = seq[t % n]
         steps.append((x - 1, tuple(y - 1 for y in q.neighbors(x)), ends.get(t)))
 
-    cox = coxeter(q).coxeter_matrix
-    inv = inverse(Mat(n, n, [list(row) for row in cox]))
-    cox_inv = tuple(tuple(int(c) for c in row) for row in inv.rows)
     return HomTable(q, roots, {r: i for i, r in enumerate(roots)}, hom, ext,
                     walk, start, end, support, steps,
-                    cox, cox_inv)
+                    reflection_product(q, seq),
+                    reflection_product(q, seq[::-1]))

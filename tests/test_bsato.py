@@ -19,12 +19,12 @@ from qsing.brackets import (
     specialize,
 )
 from qsing.bsato import (
+    CertNode,
     CertifyOutcome,
     _binom_value,
     _conj_to_interval,
     _cover_check,
     _refutation_candidates,
-    cert_from_json,
     cert_to_json,
     certify_all_good,
     check_form_assumption,
@@ -386,7 +386,7 @@ def test_certify_e6_and_checker():
     assert ok, msg
     # serialization round trip feeds the checker equally well
     blob = json.dumps(cert_to_json(out.certificate))
-    ok2, msg2 = verify_certificate(fam, cert_from_json(json.loads(blob)))
+    ok2, msg2 = verify_certificate(fam, json.loads(blob))
     assert ok2, msg2
 
 
@@ -395,11 +395,11 @@ def test_checker_rejects_tampered_certificate():
     out = certify_all_good(fam)
     blob = cert_to_json(out.certificate)
     blob["data"]["certs"][0]["u"] = ["1", "0"]  # no longer combines to e
-    ok, msg = verify_certificate(fam, cert_from_json(blob))
+    ok, msg = verify_certificate(fam, blob)
     assert not ok
     blob2 = cert_to_json(out.certificate)
     del blob2["branches"][0]  # drop a case
-    ok2, _ = verify_certificate(fam, cert_from_json(blob2))
+    ok2, _ = verify_certificate(fam, blob2)
     assert not ok2
 
 
@@ -503,6 +503,16 @@ def test_checker_rejects_malformed_node_data():
         assert not ok and msg.startswith("malformed certificate: "), msg
 
 
+def test_checker_rejects_a_certificate_deeper_than_the_recursion_limit():
+    fam = family_from_terms(2, [BracketTerm((1, 0), 0, 1),
+                                BracketTerm((0, 1), 0, 1)])
+    cert = CertNode("leaf_last_var")
+    for _ in range(2 * sys.getrecursionlimit()):
+        cert = CertNode("reduc_a", {}, [({}, cert)])
+    ok, msg = verify_certificate(fam, cert)
+    assert not ok and msg.startswith("malformed certificate: RecursionError"), msg
+
+
 UNITS3_TERMS = [{"gamma": [int(d == i) for d in range(3)], "a": 0, "b": 2,
                  "mult": 1} for i in range(3)]
 
@@ -581,7 +591,7 @@ def test_certifier_and_checker_agree_beyond_the_presets(d4, d5):
             if out.kind == "certificate":
                 assert verify_certificate(fam, out.certificate)[0], alpha
                 blob = json.loads(json.dumps(cert_to_json(out.certificate)))
-                assert verify_certificate(fam, cert_from_json(blob))[0], alpha
+                assert verify_certificate(fam, blob)[0], alpha
             elif out.kind == "refuted":
                 assert not is_good(out.witness, fam.r), alpha
                 assert membership_in_ztilde(fam, out.witness).kind == "member"

@@ -128,6 +128,16 @@ REVERSED_TERM = {
 }
 
 
+# 600 nested reduc_a nodes, 1,800 levels of JSON nesting: more than json.load
+# can read under the default recursion limit; written as text, because
+# json.dumps cannot write it either
+DEEP_CERTIFICATE = (
+    '{"terms": [], "r": 2, "certificate": '
+    + '{"rule": "reduc_a", "data": {}, "branches": [[{}, ' * 600
+    + '{"rule": "leaf_last_var", "data": {}, "branches": []}'
+    + ']]}' * 600 + '}')
+
+
 @pytest.mark.parametrize("args", [
     ["decompose", "--quiver", "{a3}", "--dim=-1,2,3"],
     ["decompose", "--preset", "e6-ex1", "--n", "-1"],
@@ -138,18 +148,22 @@ REVERSED_TERM = {
     ["decompose", "--preset", "nope"],
     ["verify-certificate", "{cert}"],
     ["verify-certificate", "{reversed}"],
+    ["verify-certificate", "{deep}"],
     ["singularities", "--preset", "e6-ex1", "--n", "2", "--m", "1",
      "--certificate-out", "{missing}/c.json"],
 ], ids=["negative-dim", "negative-preset-n", "simples-not-int",
         "simples-range-file", "simples-range-preset", "hom-no-quiver",
         "unknown-preset", "certificate-without-r", "certificate-term-a-above-b",
+        "certificate-nested-past-json-recursion-limit",
         "certificate-out-missing-dir"])
 def test_bad_input_exits_2_without_traceback(tmp_path, args):
     (tmp_path / "a3.quiver").write_text(A3_FILE)
     (tmp_path / "cert.json").write_text(json.dumps({"terms": []}))
     (tmp_path / "reversed.json").write_text(json.dumps(REVERSED_TERM))
+    (tmp_path / "deep.json").write_text(DEEP_CERTIFICATE)
     args = [a.format(a3=tmp_path / "a3.quiver", cert=tmp_path / "cert.json",
                      reversed=tmp_path / "reversed.json",
+                     deep=tmp_path / "deep.json",
                      missing=tmp_path / "missing")
             for a in args]
     proc = run_cli(args, check=False)

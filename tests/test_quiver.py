@@ -1,4 +1,4 @@
-import random
+import itertools
 
 import pytest
 
@@ -10,7 +10,6 @@ from qsing.quiver import (
     coxeter,
     coxeter_apply,
     euler_form,
-    euler_matrix,
     format_quiver_file,
     parse_quiver_file,
     reflect_dim,
@@ -50,14 +49,12 @@ def test_euler_form_perp_vanishing(e6, e6_alpha):
 
 
 def test_coxeter_a2(a2):
-    ed = coxeter(a2)
-    assert ed.coxeter_matrix == ((0, -1), (1, -1))
-    assert ed.euler_matrix == ((1, -1), (0, 1))
+    assert coxeter(a2) == ((0, -1), (1, -1))
 
 
 def test_coxeter_order_is_coxeter_number(a2):
     # h = 3 for A2: c^3 = id
-    c = coxeter(a2).coxeter_matrix
+    c = coxeter(a2)
     v = (7, -3)
     w = v
     for _ in range(3):
@@ -65,30 +62,29 @@ def test_coxeter_order_is_coxeter_number(a2):
     assert w == v
 
 
-def test_euler_matrix_represents_form(a3):
-    rng = random.Random(7)
-    e = euler_matrix(a3)
-    for _ in range(10):
-        a = tuple(rng.randint(-5, 5) for _ in range(3))
-        b = tuple(rng.randint(-5, 5) for _ in range(3))
-        via_matrix = sum(a[i] * e[i][j] * b[j] for i in range(3) for j in range(3))
-        assert via_matrix == euler_form(a3, a, b)
+def orientations(q):
+    """Every orientation of the underlying graph of q."""
+    for flips in itertools.product((False, True), repeat=len(q.arrows)):
+        yield Quiver(q.n, tuple((h, t) if f else (t, h)
+                                for (t, h), f in zip(q.arrows, flips)))
 
 
-def test_coxeter_adjoint_identity(a3, d4, e6):
-    # <a, c(b)> = -<b, a>
-    rng = random.Random(11)
-    for q in (a3, d4, e6):
-        c = coxeter(q).coxeter_matrix
-        for _ in range(10):
-            a = tuple(rng.randint(-4, 4) for _ in range(q.n))
-            b = tuple(rng.randint(-4, 4) for _ in range(q.n))
-            assert euler_form(q, a, coxeter_apply(c, b)) == -euler_form(q, b, a)
+def test_coxeter_adjoint_identity(a2, a3, a4, d4, d5, e6, e7, e8):
+    # <e_i, c e_j> = -<e_j, e_i> on every basis pair; E is unimodular, so
+    # this is exactly c = -E^{-1} E^t
+    quivers = [a2, a3, a4, d4, e7, e8, *orientations(d5), *orientations(e6)]
+    for q in quivers:
+        c = coxeter(q)
+        basis = [simple_root(q.n, x) for x in range(1, q.n + 1)]
+        for a in basis:
+            for b in basis:
+                assert euler_form(q, a, coxeter_apply(c, b)) == \
+                    -euler_form(q, b, a), q
 
 
 def test_coxeter_determinant_unimodular(e8):
     from qsing.exactmat import Mat, det
-    c = coxeter(e8).coxeter_matrix
+    c = coxeter(e8)
     d = det(Mat(e8.n, e8.n, [list(r) for r in c]))
     assert d in (1, -1)
 
@@ -108,7 +104,7 @@ def projective_dim(q, x):
 def test_coxeter_kills_projectives(a3, d4, e6, e8):
     # c(dim P_x) has a negative entry for every projective root
     for q in (a3, d4, e6, e8):
-        c = coxeter(q).coxeter_matrix
+        c = coxeter(q)
         for x in range(1, q.n + 1):
             image = coxeter_apply(c, projective_dim(q, x))
             assert any(v < 0 for v in image)

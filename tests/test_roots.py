@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qsing.quiver import Quiver, euler_form, tits_form
+from qsing.quiver import NonDynkinError, Quiver, euler_form, tits_form
 from qsing.roots import (
     NotARootError,
     hom_dim,
@@ -41,6 +41,10 @@ def test_realize_a2(a2):
     assert s2.maps[0].nrows == 1 and s2.maps[0].ncols == 0
     with pytest.raises(NotARootError):
         realize(a2, (2, 1))
+    with pytest.raises(NotARootError):
+        realize(a2, (1, 1, 0))
+    with pytest.raises(NonDynkinError):
+        realize(Quiver(2, ((1, 2), (1, 2))), (1, 1))
 
 
 def test_realize_all_roots_have_trivial_endomorphisms(a3, d4, e6):
@@ -164,3 +168,29 @@ def test_coxeter_inverse(request, name):
     product = [[sum(t.coxeter_inv[i][k] * t.coxeter[k][j] for k in range(q.n))
                 for j in range(q.n)] for i in range(q.n)]
     assert product == [[int(i == j) for j in range(q.n)] for i in range(q.n)]
+
+
+def _sha256(obj):
+    return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
+
+
+# sha256 of json [coxeter, coxeter_inv] and of realize's matrices for every
+# root, as recorded when the Coxeter matrix was -E^{-1} E^t by exact matrix
+# inversion and realize walked each root down the sink sequence itself
+COXETER_REALIZE_DIGESTS = {
+    "d5": ("1b50358b4c5048d914c42c0c93afe3f147fc4abd335a4adfa4adc28265b85f75",
+           "18a5131094168745eaa96416fd5fde3f3ca786ed3e7c49a407d0d7a0c4aaa31c"),
+    "e6": ("4f7f5817335dd646aa5e237f0649d3e137e6b035910b84170dba9d0db8581129",
+           "78c5951cff04aedeaa81d67b5e6c7f7df99a35df4dd3b1c385bc27f14601d050"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COXETER_REALIZE_DIGESTS))
+def test_coxeter_and_realize_match_recorded_digests(request, name):
+    q = request.getfixturevalue(name)
+    t = hom_table(q)
+    reps = [realize(q, r) for r in t.roots]
+    matrices = [[v.dims, [[[str(x) for x in row] for row in v.maps[a].rows]
+                          for a in range(len(q.arrows))]] for v in reps]
+    assert (_sha256([t.coxeter, t.coxeter_inv]), _sha256(matrices)) == \
+        COXETER_REALIZE_DIGESTS[name]
