@@ -278,13 +278,20 @@ def _terminal_cleanup(state: ReflectionState) -> ReflectionState:
     blocks).  A surviving non-simple slot is walked down to a simple with
     sink reflections, which transform alpha and the live slots but contribute
     no brackets.
+
+    Each step of the walk reads only the orientation, alpha and the slots,
+    never the offsets, and a slot's death is irreversible.  So when that
+    state repeats, the walk is periodic with no death in the period, and it
+    raises TerminalRuleInapplicable at once.  The walk ends: on a Dynkin
+    quiver the Weyl group is finite, so alpha and each slot have finitely
+    many images, and there are finitely many orientations.
     """
     q = state.quiver
     alpha = list(state.alpha)
     betas = list(state.betas)
     offs = dict(state.offsets)
     r = len(betas)
-    guard = 0
+    seen = set()
     while any(b is not None for b in betas):
         for j in range(r):
             b = betas[j]
@@ -303,6 +310,10 @@ def _terminal_cleanup(state: ReflectionState) -> ReflectionState:
             betas[j] = None
         if not any(b is not None for b in betas):
             break
+        key = (q.arrows, tuple(alpha), tuple(betas))
+        if key in seen:
+            raise TerminalRuleInapplicable("terminal reflections did not converge")
+        seen.add(key)
         # legal reflection: the generic representation must have no simple
         # summand at the reflected vertex (the new coordinate stays >= 0)
         legal = [x for x in q.sinks() + q.sources()
@@ -324,9 +335,6 @@ def _terminal_cleanup(state: ReflectionState) -> ReflectionState:
                         "sink reflection made a surviving slot negative")
                 betas[j] = nb
         q = q.reflect(x)
-        guard += 1
-        if guard > 64 * q.n:
-            raise TerminalRuleInapplicable("terminal reflections did not converge")
     return ReflectionState(q, tuple(alpha), betas, offs, state.steps)
 
 
@@ -334,11 +342,13 @@ def compute_bfunction(q: Quiver, alpha, simples) -> BFunctionFamily:
     """Multi-variable b-function of the semi-invariants attached to the given
     perpendicular simples on Rep(Q, alpha).
 
-    Iterates reflection_step until every slot has died; termination is
-    guaranteed on Dynkin quivers because each Coxeter orbit of a positive
-    root leaves N^n within one Coxeter period.  If the chain blocks first
-    (a supported vertex would need a negative endpoint), surviving slots are
-    resolved by the terminal rule in ``_terminal_cleanup``.
+    Iterates reflection_step until every slot has died.  On a Dynkin quiver
+    the Coxeter transformation c has c^h = 1, h the Coxeter number, and no
+    eigenvalue 1, so c^1 + ... + c^h = 0; a nonzero slot therefore leaves
+    N^n within h steps, and the loop ends within h steps.  If the chain
+    blocks first (a supported vertex would need a negative endpoint),
+    surviving slots are resolved by the terminal rule in
+    ``_terminal_cleanup``.
     """
     require_dynkin(q)
     alpha = tuple(int(a) for a in alpha)
@@ -349,7 +359,6 @@ def compute_bfunction(q: Quiver, alpha, simples) -> BFunctionFamily:
         s if sum(a * b for a, b in zip(alpha, s)) else None
         for s in simples
     ]
-    bound = 8 * q.n * 32
     last_error = None
     for direction in (+1, -1):
         state = ReflectionState(q, alpha, list(betas), {})
@@ -360,9 +369,6 @@ def compute_bfunction(q: Quiver, alpha, simples) -> BFunctionFamily:
                 except _Blocked:
                     state = _terminal_cleanup(state)
                     break
-                if state.steps > bound:
-                    raise TerminalRuleInapplicable(
-                        "reflection recursion did not terminate")
             fam = BFunctionFamily(
                 len(simples), state.offsets,
                 {"quiver": q, "alpha": alpha, "simples": tuple(simples),

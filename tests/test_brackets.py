@@ -1,3 +1,7 @@
+import functools
+import hashlib
+import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 from qsing.brackets import (
     BracketTerm,
     ReflectionState,
+    TerminalRuleInapplicable,
     bracket_identity_check,
     compute_bfunction,
     evaluate,
@@ -19,6 +24,8 @@ from qsing.brackets import (
     specialize,
 )
 from qsing.decomp import generic_decomposition, perp_simples
+from qsing.quiver import Quiver
+from qsing.roots import hom_table
 
 
 def offsets_of(terms, r):
@@ -276,3 +283,101 @@ def test_specialize_commutes_with_expand(v):
                 key = ((t.gamma[0],), Fraction(i + j))
                 expected[key] = expected.get(key, 0) + t.mult
     assert subbed == expected
+
+
+def test_terminal_walk_stops_at_its_first_repeated_state(d5, monkeypatch):
+    # both directions block and leave slots that the terminal walk only
+    # reflects back and forth at one vertex; the walk must raise when its
+    # state first repeats, not after a long run of reflections
+    alpha = (0, 1, 1, 0, 0)
+    p = perp_simples(d5, generic_decomposition(d5, alpha))
+    assert p.r == 3
+    calls = []
+    reflect = Quiver.reflect
+
+    def counted(self, x):
+        calls.append(x)
+        return reflect(self, x)
+
+    monkeypatch.setattr(Quiver, "reflect", counted)
+    with pytest.raises(TerminalRuleInapplicable) as exc:
+        compute_bfunction(d5, alpha, p.simples)
+    assert str(exc.value) == "terminal reflections did not converge"
+    assert 0 < len(calls) <= 10
+
+
+@pytest.mark.parametrize("alpha", [(0, 2, 2, 0, 1, 1), (1, 0, 2, 2, 0, 1)])
+def test_terminal_walk_state_includes_the_orientation(e6, alpha):
+    # the backward walk meets the same alpha and slots under two
+    # orientations before its last slot dies, so a state without the
+    # orientation would stop it early; the family is the one recorded when
+    # the walk ran until a 64 n reflection guard
+    p = perp_simples(e6, generic_decomposition(e6, alpha))
+    fam = compute_bfunction(e6, alpha, p.simples)
+    assert fam.term_multiset() == [((0, 1, 0), 1, 2, 1)]
+
+
+# every dimension vector of total at most the bound with at least one
+# perpendicular simple, all of them selected
+BOX = (
+    ("d4", Quiver(4, ((1, 4), (2, 4), (3, 4))), 8),
+    ("d4-out", Quiver(4, ((4, 1), (4, 2), (4, 3))), 8),
+    ("d5", Quiver(5, ((1, 5), (2, 5), (5, 3), (3, 4))), 5),
+    ("d5-rev", Quiver(5, ((5, 1), (5, 2), (3, 5), (4, 3))), 5),
+    ("e6", Quiver(6, ((1, 2), (2, 3), (4, 3), (5, 4), (6, 3))), 4),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def box_outcomes():
+    """(name, quiver, alpha, family or the exception raised) per input."""
+    out = []
+    for name, q, bound in BOX:
+        for alpha in itertools.product(range(bound + 1), repeat=q.n):
+            if not 0 < sum(alpha) <= bound:
+                continue
+            p = perp_simples(q, generic_decomposition(q, alpha))
+            if not p.r:
+                continue
+            try:
+                got = compute_bfunction(q, alpha, p.simples)
+            except TerminalRuleInapplicable as exc:
+                got = exc
+            out.append((name, q, alpha, got))
+    return out
+
+
+# sha256 of json [name, alpha, term multiset or "raise:" + message] over the
+# box in order, as recorded when the terminal walk ran until a 64 n
+# reflection guard and the recursion had an 8 n 32 step bound
+BOX_DIGEST = "ffeaa379f38645fd70493bfb2a82f259898d6bf4ef19f8fec76b50562630864c"
+
+
+def test_box_outcomes_match_recorded_digest():
+    rows = [[name, list(alpha),
+             "raise:" + str(got) if isinstance(got, Exception)
+             else got.term_multiset()]
+            for name, _q, alpha, got in box_outcomes()]
+    text = json.dumps(rows, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == BOX_DIGEST
+
+
+def coxeter_order(q):
+    c = hom_table(q).coxeter
+    one = tuple(tuple(int(i == j) for j in range(q.n)) for i in range(q.n))
+    power, order = c, 1
+    while power != one:
+        power = tuple(tuple(sum(power[i][k] * c[k][j] for k in range(q.n))
+                            for j in range(q.n)) for i in range(q.n))
+        order += 1
+    return order
+
+
+def test_recursion_ends_within_the_coxeter_number():
+    # every slot leaves N^n within h steps, h the order of c
+    h = {name: coxeter_order(q) for name, q, _bound in BOX}
+    assert h == {"d4": 6, "d4-out": 6, "d5": 8, "d5-rev": 8, "e6": 12}
+    fams = [(name, got) for name, _q, _alpha, got in box_outcomes()
+            if not isinstance(got, Exception)]
+    assert fams
+    assert all(fam.meta["steps"] <= h[name] for name, fam in fams)
