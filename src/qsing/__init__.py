@@ -7,26 +7,14 @@ from .quiver import (
     Quiver,
     QuiverError,
     classify,
-    coxeter,
     coxeter_apply,
     euler_form,
     parse_quiver_file,
 )
-from .roots import (
-    HomTable,
-    Representation,
-    ext_dim,
-    hom_dim,
-    hom_matrix_dvw,
-    hom_table,
-    positive_roots,
-    realize,
-)
+from .roots import HomTable, hom_table, positive_roots
 from .decomp import (
-    NonSquareError,
     PerpData,
     RepClass,
-    evaluate_semiinvariant,
     generic_decomposition,
     make_class,
     perp_simples,
@@ -35,16 +23,12 @@ from .orbits import (
     ComponentReport,
     ZeroSetSpec,
     components,
-    degenerates_to,
     enumerate_classes,
-    gradient_condition_a,
     gradient_condition_b_witness,
-    h_nonempty,
     in_zero_set,
     is_set_theoretic_ci,
     make_spec,
     reducedness_report,
-    zprime_nonempty,
 )
 from .brackets import (
     BFunctionFamily,

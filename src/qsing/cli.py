@@ -28,7 +28,7 @@ from .decomp import generic_decomposition, perp_simples
 from .orbits import components, is_set_theoretic_ci, make_spec, reducedness_report
 from .presets import PRESET_NAMES, preset
 from .quiver import NonDynkinError, QuiverError, parse_quiver_file
-from .roots import hom_table, is_positive_root
+from .roots import hom_table
 
 EXIT_BAD_INPUT = 2
 EXIT_NON_DYNKIN = 3
@@ -54,13 +54,12 @@ def _parse_dim(text, n=None):
 
 
 def _parse_simples(text, q, alpha):
-    """--simples as 1-based indices into the perpendicular simples of alpha,
-    of which there are n minus the number of generic summands."""
+    """--simples as 1-based indices into the perpendicular simples of alpha."""
     try:
         selected = tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise CliError(f"cannot parse --simples {text!r}: {exc}")
-    r = q.n - len(generic_decomposition(q, alpha).parts)
+    r = perp_simples(q, generic_decomposition(q, alpha)).r
     for j in selected:
         if not 1 <= j <= r:
             raise CliError(f"--simples index {j} out of range 1..{r}")
@@ -243,7 +242,7 @@ def cmd_hom(args):
     a = _parse_dim(args.a, q.n)
     b = _parse_dim(args.b, q.n)
     table = hom_table(q)
-    if not (is_positive_root(q, a) and is_positive_root(q, b)):
+    if a not in table.index or b not in table.index:
         raise CliError("hom expects positive roots; use decompose for classes")
     h = table.hom_root(a, b)
     e = table.ext_root(a, b)

@@ -1,26 +1,20 @@
-"""Generic decomposition, perpendicular-category simples, and evaluation of
-the fundamental semi-invariants c_S = det d^V_S.
+"""Generic decomposition and perpendicular-category simples.
 
 The generic decomposition T of alpha comes from one walk of alpha along the
 admissible sink sequence, splitting off simples as the
-Bernstein-Gelfand-Ponomarev reflection functors allow.  The simples of
-T-perp, whose semi-invariants c_S cut out the zero sets, are read off the
-Hom table.  Neither needs a search; both read the per-quiver context
-``roots.hom_table``.
+Bernstein-Gelfand-Ponomarev reflection functors allow.  The simples S of
+T-perp, whose semi-invariants c_S = det d^V_S cut out the zero sets, are
+read off the Hom table: c_S vanishes at V exactly when Hom(V, S) != 0, so
+no determinant is evaluated.  Neither needs a search; both read the
+per-quiver context ``roots.hom_table``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactmat import det
-from .quiver import Quiver, euler_form
-from .roots import Representation, hom_matrix_dvw, hom_table
-
-
-class NonSquareError(ValueError):
-    pass
+from .quiver import Quiver
+from .roots import hom_table
 
 
 @dataclass(frozen=True)
@@ -151,12 +145,3 @@ def perp_simples(q: Quiver, t_class: RepClass) -> PerpData:
             "this indicates a bug, not a user error"
         )
     return PerpData(simples=simples, r=r)
-
-
-def evaluate_semiinvariant(v: Representation, s: Representation) -> Fraction:
-    """det d^V_S; defined when <dims V, dims S> = 0, zero iff Hom(V,S) != 0."""
-    if euler_form(v.quiver, v.dims, s.dims) != 0:
-        raise NonSquareError("Euler product nonzero: d^V_S is not square")
-    m = hom_matrix_dvw(v, s)
-    assert m.nrows == m.ncols
-    return det(m)

@@ -200,16 +200,6 @@ def hom_profile(table, x: RepClass):
     return tuple(out)
 
 
-def degenerates_to(q: Quiver, m_class: RepClass, n_class: RepClass) -> bool:
-    """True iff N lies in the orbit closure of M (Hom-order)."""
-    if m_class.total() != n_class.total():
-        raise ValueError("classes have different dimension vectors")
-    table = hom_table(q)
-    pm = hom_profile(table, m_class)
-    pn = hom_profile(table, n_class)
-    return all(a <= b for a, b in zip(pm, pn))
-
-
 @dataclass
 class ComponentReport:
     rep_class: RepClass
@@ -339,14 +329,6 @@ def is_set_theoretic_ci(spec: ZeroSetSpec, comps) -> bool:
     return all(c.codim == len(spec.selected) for c in comps)
 
 
-def gradient_condition_a(x: RepClass, spec: ZeroSetSpec) -> bool:
-    table = hom_table(spec.quiver)
-    homs = [class_hom(table, x, s) for s in spec.selected_simples]
-    if any(h == 0 for h in homs):
-        return False  # not in the zero set
-    return all(h == 1 for h in homs)
-
-
 class NotFound(Exception):
     pass
 
@@ -402,16 +384,6 @@ def gradient_condition_b_witness(x: RepClass, spec: ZeroSetSpec, k,
         if _is_cover(table, cand, pc, x, px):
             return cand
     raise NotFound(f"no condition-(b) witness found for k={k}")
-
-
-def zprime_nonempty(spec: ZeroSetSpec) -> bool:
-    """Existence of X in the zero set with Ext(T,X) = Ext(X,T) = 0."""
-    return survey(spec).zprime_witness is not None
-
-
-def h_nonempty(spec: ZeroSetSpec) -> bool:
-    """Existence of X with hom(X, S_j) = 1 for all selected j."""
-    return bool(survey(spec).h_points)
 
 
 @dataclass

@@ -147,13 +147,6 @@ def reflection_product(q: Quiver, seq):
     return tuple(zip(*cols))
 
 
-def coxeter(q: Quiver):
-    """Coxeter matrix c = s_{x_n} ... s_{x_1} for the admissible sink
-    sequence x_1, ..., x_n of q (Bernstein-Gelfand-Ponomarev); it equals
-    -E^{-1} E^t for the Euler matrix E."""
-    return reflection_product(q, q.admissible_sink_sequence())
-
-
 def coxeter_apply(cox, v):
     return tuple(sum(cox[i][j] * v[j] for j in range(len(v))) for i in range(len(v)))
 

@@ -1,20 +1,13 @@
-"""Positive roots of Dynkin quivers, explicit indecomposable representations,
-Hom/Ext dimensions, and the per-quiver context.
+"""Positive roots of Dynkin quivers and the per-quiver context.
 
-Two routes to Hom dimensions coexist on purpose:
-
-* ``hom_dim`` computes the nullity of the explicit matrix of
-  d^V_W : (+)_x Hom(V(x),W(x)) -> (+)_a Hom(V(ta),W(ha))
-  over Q, from concrete rational matrices.  This is the ground truth.
-* ``hom_table`` builds the per-quiver context once per quiver: the roots,
-  every pairwise Hom/Ext dimension, the root order of the class walk, the
-  steps of the sink walk that the generic decomposition follows, and the
-  Coxeter matrix with its inverse.  Its Hom table comes from one reflection
-  walk per root along an admissible sink sequence, and the two Coxeter
-  matrices are products of the simple reflections along that sequence and
-  its reverse, all in exact integer arithmetic.  ``realize`` reads each
-  root's walk from the table.  The two routes are cross-checked in the test
-  suite.
+``hom_table`` builds the context once per quiver: the roots, every pairwise
+Hom/Ext dimension, the root order of the class walk, the steps of the sink
+walk that the generic decomposition follows, and the Coxeter matrix with
+its inverse.  Its Hom table comes from one reflection walk per root along an
+admissible sink sequence, and the two Coxeter matrices are products of the
+simple reflections along that sequence and its reverse, all in exact
+integer arithmetic on dimension vectors.  No representation matrix is
+built; the tests check the table against explicit matrices.
 """
 
 from __future__ import annotations
@@ -22,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exactmat import Mat, left_nullspace, rank
 from .quiver import (
     Quiver,
     euler_form,
@@ -32,10 +24,6 @@ from .quiver import (
     simple_root,
     tits_form,
 )
-
-
-class NotARootError(ValueError):
-    pass
 
 
 def positive_roots(q: Quiver):
@@ -61,151 +49,6 @@ def positive_roots(q: Quiver):
                    key=lambda v: (sum(v), v))
     assert all(tits_form(q, r) == 1 for r in roots)
     return roots
-
-
-def is_positive_root(q: Quiver, v) -> bool:
-    return all(c >= 0 for c in v) and any(v) and tits_form(q, v) == 1
-
-
-@dataclass
-class Representation:
-    """Explicit rational matrices V(a) indexed by arrow position."""
-
-    quiver: Quiver
-    dims: tuple
-    maps: dict  # arrow index in quiver.arrows -> Mat of shape dims[ha] x dims[ta]
-
-
-def simple_rep(q: Quiver, x) -> Representation:
-    dims = simple_root(q.n, x)
-    maps = {i: Mat(dims[h - 1], dims[t - 1]) for i, (t, h) in enumerate(q.arrows)}
-    return Representation(q, dims, maps)
-
-
-def _coreflect(q_src: Quiver, x, rep: Representation) -> Representation:
-    """C^-_x at a source x of rep.quiver (= q_src); result lives over the
-    reflected quiver.  Callers pass the target quiver to avoid rebuilding."""
-    q = rep.quiver
-    out_arrows = [(i, a) for i, a in enumerate(q.arrows) if a[0] == x]
-    # stack V(x) -> (+)_{a: ta=x} V(ha)
-    tot = sum(rep.dims[a[1] - 1] for _, a in out_arrows)
-    dx = rep.dims[x - 1]
-    psi = Mat(tot, dx)
-    off = 0
-    for i, (t, h) in out_arrows:
-        m = rep.maps[i]
-        for r in range(m.nrows):
-            psi.rows[off + r] = list(m.rows[r])
-        off += m.nrows
-    proj_rows = left_nullspace(psi)  # rows spanning a cokernel projection
-    newdim = len(proj_rows)
-    proj = Mat(newdim, tot, proj_rows)
-
-    new_dims = list(rep.dims)
-    new_dims[x - 1] = newdim
-    new_dims = tuple(new_dims)
-    new_maps = {}
-    qr = q_src
-    off = 0
-    offsets = {}
-    for i, (t, h) in out_arrows:
-        offsets[i] = off
-        off += rep.dims[h - 1]
-    for i, (t, h) in enumerate(qr.arrows):
-        if h == x:
-            # reversed arrow: map V(t) -> coker, t was a head of an old arrow at x
-            old_i = i  # arrow positions are preserved by Quiver.reflect
-            o = offsets[old_i]
-            cols = rep.dims[t - 1]
-            m = Mat(newdim, cols)
-            for r in range(newdim):
-                m.rows[r] = proj.rows[r][o:o + cols]
-            new_maps[i] = m
-        else:
-            new_maps[i] = rep.maps[i].copy()
-    return Representation(qr, new_dims, new_maps)
-
-
-def realize(q: Quiver, root) -> Representation:
-    """Explicit indecomposable with dimension vector ``root``.
-
-    Built with Bernstein-Gelfand-Ponomarev reflection functors along the
-    admissible sink sequence: the root's walk ends at step t as the simple
-    at the vertex of steps[t] in ``hom_table``, so apply the inverse
-    reflections of steps t - 1, ..., 0 to that simple representation.
-    Raises NonDynkinError off Dynkin type and NotARootError for a vector
-    that is not a positive root.
-    """
-    table = hom_table(q)
-    root = tuple(root)
-    if root not in table.index:
-        raise NotARootError(f"{root} is not a positive root")
-    i = table.index[root]
-    t = next(t for t, (_, _, j) in enumerate(table.steps) if j == i)
-    xs = [x + 1 for x, _, _ in table.steps[:t + 1]]
-    quivers = [q]
-    for x in xs[:-1]:
-        quivers.append(quivers[-1].reflect(x))
-    rep = simple_rep(quivers[t], xs[t])
-    for s in range(t - 1, -1, -1):
-        # xs[s] is a source of quivers[s+1]; reflect back to quivers[s]
-        rep = _coreflect(quivers[s], xs[s], rep)
-    assert rep.dims == root
-    return rep
-
-
-def hom_matrix_dvw(v: Representation, w: Representation) -> Mat:
-    """Matrix of d^V_W, basis ordered vertices ascending then column-major
-    inside each Hom(V(x),W(x)) block."""
-    if v.quiver.arrows != w.quiver.arrows or v.quiver.n != w.quiver.n:
-        raise ValueError("representations over different quivers")
-    q = v.quiver
-    col_off = []
-    off = 0
-    for x in range(q.n):
-        col_off.append(off)
-        off += v.dims[x] * w.dims[x]
-    ncols = off
-    row_off = []
-    off = 0
-    for t, h in q.arrows:
-        row_off.append(off)
-        off += v.dims[t - 1] * w.dims[h - 1]
-    nrows = off
-    m = Mat(nrows, ncols)
-    for ai, (t, h) in enumerate(q.arrows):
-        va = v.maps[ai]
-        wa = w.maps[ai]
-        ro = row_off[ai]
-        dvt, dwh = v.dims[t - 1], w.dims[h - 1]
-        # output entry (jt, it) at row ro + jt*dwh + it equals
-        #   sum_k phi_h[it][k] * va[k][jt]  -  sum_k wa[it][k] * phi_t[k][jt]
-        co_h = col_off[h - 1]
-        dwhh = w.dims[h - 1]
-        for jt in range(dvt):
-            for it in range(dwh):
-                r = ro + jt * dwh + it
-                for k in range(va.nrows):  # va: dims[h'] rows? va maps V(t)->V(h): rows=dims V(h)
-                    if va.rows[k][jt]:
-                        # phi_h has shape w.dims[h] x v.dims[h]; column-major index
-                        m.rows[r][co_h + k * dwhh + it] += va.rows[k][jt]
-                co_t = col_off[t - 1]
-                dwt = w.dims[t - 1]
-                for k in range(dwt):
-                    if wa.rows[it][k]:
-                        m.rows[r][co_t + jt * dwt + k] -= wa.rows[it][k]
-    return m
-
-
-def hom_dim(v: Representation, w: Representation) -> int:
-    m = hom_matrix_dvw(v, w)
-    return m.ncols - rank(m)
-
-
-def ext_dim(v: Representation, w: Representation) -> int:
-    e = hom_dim(v, w) - euler_form(v.quiver, v.dims, w.dims)
-    assert e >= 0
-    return e
 
 
 @dataclass
@@ -236,7 +79,9 @@ class HomTable:
     end: list
     support: list
     steps: list
-    coxeter: tuple  # c = s_{x_n} ... s_{x_1} along the admissible sink sequence
+    # c = s_{x_n} ... s_{x_1} along the admissible sink sequence (BGP);
+    # it equals -E^{-1} E^t for the Euler matrix E
+    coxeter: tuple
     coxeter_inv: tuple  # c^{-1} = s_{x_1} ... s_{x_n}, the reversed product
 
     def hom_root(self, a, b):

@@ -1,0 +1,297 @@
+"""Representation-matrix oracles for the test suite.
+
+The package derives every Hom and Ext dimension from dimension vectors
+alone: ``qsing.roots.hom_table`` walks each root along an admissible sink
+sequence.  This module is the second, independent route, from explicit
+rational matrices:
+
+* ``realize`` builds an indecomposable with a given root as dimension
+  vector by Bernstein-Gelfand-Ponomarev reflection functors, reading the
+  root's walk from the table's ``steps``;
+* ``hom_dim`` is the nullity of the matrix of
+  d^V_W : (+)_x Hom(V(x),W(x)) -> (+)_a Hom(V(ta),W(ha)),
+  which is the ground truth the table is checked against;
+* ``evaluate_semiinvariant`` is c_S(V) = det d^V_S, the semi-invariant
+  whose zero sets the package describes through Hom dimensions.
+
+Everything is exact: matrices hold Fraction entries.  ``conftest.py``
+registers this module for pytest's assertion rewriting, so its checks
+still run under ``python -O``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from qsing.decomp import class_hom, generic_decomposition, make_class, perp_simples
+from qsing.orbits import hom_profile
+from qsing.quiver import Quiver, euler_form, simple_root
+from qsing.roots import hom_table, positive_roots
+
+
+# -- exact linear algebra over the rationals ---------------------------------
+
+class Mat:
+    """Dense rational matrix with explicit shape, so that 0 x n and n x 0
+    matrices behave."""
+
+    __slots__ = ("nrows", "ncols", "rows")
+
+    def __init__(self, nrows, ncols, rows=None):
+        self.nrows = nrows
+        self.ncols = ncols
+        if rows is None:
+            rows = [[Fraction(0)] * ncols for _ in range(nrows)]
+        else:
+            rows = [[Fraction(x) for x in r] for r in rows]
+            assert len(rows) == nrows and all(len(r) == ncols for r in rows)
+        self.rows = rows
+
+    def __repr__(self):
+        return f"Mat({self.nrows}x{self.ncols}, {self.rows})"
+
+
+def _echelon(rows, ncols):
+    """In-place reduced row echelon form; returns the pivot columns."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / Fraction(rows[r][c])
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def rank(m: Mat) -> int:
+    if m.nrows == 0 or m.ncols == 0:
+        return 0
+    return len(_echelon([r[:] for r in m.rows], m.ncols))
+
+
+def left_nullspace(m: Mat):
+    """Basis of the row vectors y with y*m = 0."""
+    if m.nrows == 0:
+        return []
+    rows = [list(col) for col in zip(*m.rows)] if m.ncols else []
+    pivots = _echelon(rows, m.nrows) if rows else []
+    basis = []
+    for fc in sorted(set(range(m.nrows)) - set(pivots)):
+        v = [Fraction(0)] * m.nrows
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(v)
+    return basis
+
+
+def det(m: Mat) -> Fraction:
+    assert m.nrows == m.ncols, "det of a non-square matrix"
+    n = m.nrows
+    rows = [r[:] for r in m.rows]
+    d = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            d = -d
+        d *= rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c]:
+                f = rows[i][c] / rows[c][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return d
+
+
+# -- explicit representations ------------------------------------------------
+
+class NotARootError(ValueError):
+    pass
+
+
+class NonSquareError(ValueError):
+    pass
+
+
+@dataclass
+class Representation:
+    """Explicit rational matrices V(a) indexed by arrow position."""
+
+    quiver: Quiver
+    dims: tuple
+    maps: dict  # arrow index in quiver.arrows -> Mat of shape dims[ha] x dims[ta]
+
+
+def rep(q: Quiver, dims, values) -> Representation:
+    """The representation whose coordinates (arrow index, row, column) take
+    ``values``, zero elsewhere."""
+    maps = {ai: Mat(dims[h - 1], dims[t - 1]) for ai, (t, h) in enumerate(q.arrows)}
+    for (ai, i, j), v in values.items():
+        maps[ai].rows[i][j] = Fraction(v)
+    return Representation(q, tuple(dims), maps)
+
+
+def direct_sum(q: Quiver, reps) -> Representation:
+    dims = tuple(sum(r.dims[x] for r in reps) for x in range(q.n))
+    out = rep(q, dims, {})
+    for ai, (t, h) in enumerate(q.arrows):
+        ro = co = 0
+        for r in reps:
+            blk = r.maps[ai]
+            for i in range(blk.nrows):
+                out.maps[ai].rows[ro + i][co:co + blk.ncols] = blk.rows[i]
+            ro += r.dims[h - 1]
+            co += r.dims[t - 1]
+    return out
+
+
+def _coreflect(q_src: Quiver, x, v: Representation) -> Representation:
+    """C^-_x at a source x of v.quiver; the result lives over q_src, the
+    quiver reflected at x.  Arrow positions are preserved by reflection."""
+    out_arrows = [(i, h) for i, (t, h) in enumerate(v.quiver.arrows) if t == x]
+    # stack V(x) -> (+)_{a: ta=x} V(ha) and project onto its cokernel
+    psi = Mat(sum(v.dims[h - 1] for _, h in out_arrows), v.dims[x - 1],
+              [row for i, _ in out_arrows for row in v.maps[i].rows])
+    proj = left_nullspace(psi)
+    dims = list(v.dims)
+    dims[x - 1] = len(proj)
+    maps = dict(v.maps)
+    off = 0
+    for i, h in out_arrows:
+        # the reversed arrow maps V(h) into the cokernel
+        cols = v.dims[h - 1]
+        maps[i] = Mat(len(proj), cols, [p[off:off + cols] for p in proj])
+        off += cols
+    return Representation(q_src, tuple(dims), maps)
+
+
+def realize(q: Quiver, root) -> Representation:
+    """Explicit indecomposable with dimension vector ``root``.
+
+    The root's walk ends at step t as the simple at the vertex of steps[t]
+    in ``hom_table``, so apply the inverse reflections of steps t - 1, ...,
+    0 to that simple representation.  Raises NonDynkinError off Dynkin type
+    and NotARootError for a vector that is not a positive root.
+    """
+    table = hom_table(q)
+    root = tuple(root)
+    if root not in table.index:
+        raise NotARootError(f"{root} is not a positive root")
+    i = table.index[root]
+    t = next(t for t, (_, _, j) in enumerate(table.steps) if j == i)
+    xs = [x + 1 for x, _, _ in table.steps[:t + 1]]
+    quivers = [q]
+    for x in xs[:-1]:
+        quivers.append(quivers[-1].reflect(x))
+    v = rep(quivers[t], simple_root(q.n, xs[t]), {})
+    for s in range(t - 1, -1, -1):
+        # xs[s] is a source of quivers[s+1]; reflect back to quivers[s]
+        v = _coreflect(quivers[s], xs[s], v)
+    assert v.dims == root, f"realize built {v.dims} for the root {root}"
+    return v
+
+
+# -- Hom dimensions and semi-invariants from matrices ------------------------
+
+def hom_matrix_dvw(v: Representation, w: Representation) -> Mat:
+    """Matrix of d^V_W: columns are the vertices ascending, column-major
+    inside each Hom(V(x),W(x)) block; rows are the arrows in order, each
+    block column-major in Hom(V(ta),W(ha))."""
+    if v.quiver.arrows != w.quiver.arrows or v.quiver.n != w.quiver.n:
+        raise ValueError("representations over different quivers")
+    q = v.quiver
+    col_off = [0]
+    for x in range(q.n):
+        col_off.append(col_off[-1] + v.dims[x] * w.dims[x])
+    nrows = sum(v.dims[t - 1] * w.dims[h - 1] for t, h in q.arrows)
+    m = Mat(nrows, col_off[-1])
+    ro = 0
+    for ai, (t, h) in enumerate(q.arrows):
+        va, wa = v.maps[ai], w.maps[ai]
+        dwh, dwt = w.dims[h - 1], w.dims[t - 1]
+        # entry (it, jt) of phi_h V(a) - W(a) phi_t, with phi_x column-major
+        for jt in range(v.dims[t - 1]):
+            for it in range(dwh):
+                row = m.rows[ro + jt * dwh + it]
+                for k in range(va.nrows):
+                    if va.rows[k][jt]:
+                        row[col_off[h - 1] + k * dwh + it] += va.rows[k][jt]
+                for k in range(dwt):
+                    if wa.rows[it][k]:
+                        row[col_off[t - 1] + jt * dwt + k] -= wa.rows[it][k]
+        ro += v.dims[t - 1] * dwh
+    return m
+
+
+def hom_dim(v: Representation, w: Representation) -> int:
+    m = hom_matrix_dvw(v, w)
+    return m.ncols - rank(m)
+
+
+def ext_dim(v: Representation, w: Representation) -> int:
+    e = hom_dim(v, w) - euler_form(v.quiver, v.dims, w.dims)
+    assert e >= 0, f"negative Ext dimension {e}"
+    return e
+
+
+def evaluate_semiinvariant(v: Representation, s: Representation) -> Fraction:
+    """det d^V_S; defined when <dims V, dims S> = 0, zero iff Hom(V,S) != 0."""
+    if euler_form(v.quiver, v.dims, s.dims) != 0:
+        raise NonSquareError("Euler product nonzero: d^V_S is not square")
+    m = hom_matrix_dvw(v, s)
+    assert m.nrows == m.ncols, f"d^V_S is {m.nrows} x {m.ncols}"
+    return det(m)
+
+
+def vanishing_mismatches(q: Quiver, rng, count):
+    """Classes X and perpendicular simples S where c_S on a representative
+    of X vanishes but hom(X, S) = 0, or the other way round.
+
+    Draws classes of one to three random roots with ``rng`` and evaluates
+    c_S for every perpendicular simple S with <dim X, S> = 0, until at
+    least ``count`` pairs are checked.
+    """
+    table = hom_table(q)
+    roots = positive_roots(q)
+    checked, bad = 0, []
+    while checked < count:
+        parts = {}
+        for _ in range(rng.randint(1, 3)):
+            r = rng.choice(roots)
+            parts[r] = parts.get(r, 0) + 1
+        cls = make_class(list(parts.items()))
+        alpha = cls.total()
+        perp = perp_simples(q, generic_decomposition(q, alpha))
+        usable = [s for s in perp.simples if euler_form(q, alpha, s) == 0]
+        if not usable:
+            continue
+        v = direct_sum(q, [realize(q, r) for r in cls.as_multiset()])
+        for s in usable:
+            hom = class_hom(table, cls, s)
+            if (evaluate_semiinvariant(v, realize(q, s)) == 0) != (hom > 0):
+                bad.append((cls, s))
+            checked += 1
+    return bad
+
+
+def degenerates_to(q: Quiver, m_class, n_class) -> bool:
+    """True iff N lies in the orbit closure of M (Hom-order)."""
+    if m_class.total() != n_class.total():
+        raise ValueError("classes have different dimension vectors")
+    table = hom_table(q)
+    pm = hom_profile(table, m_class)
+    pn = hom_profile(table, n_class)
+    return all(a <= b for a, b in zip(pm, pn))

@@ -28,24 +28,16 @@ from qsing.brackets import (
     family_from_terms,
 )
 from qsing.bsato import generator_bc
-from qsing.decomp import evaluate_semiinvariant, generic_decomposition, perp_simples
-from qsing.exactmat import Mat
+from qsing.decomp import generic_decomposition, perp_simples
 from qsing.orbits import make_spec
-from qsing.roots import Representation, hom_matrix_dvw, realize
+
+from oracles import evaluate_semiinvariant, hom_matrix_dvw, realize, rep
 
 
 def _coordinates(q, dims):
     """Coordinates of Rep(Q, dims): (arrow index, row, column)."""
     return [(ai, i, j) for ai, (t, h) in enumerate(q.arrows)
             for i in range(dims[h - 1]) for j in range(dims[t - 1])]
-
-
-def _rep(q, dims, values):
-    """The representation with the given coordinate values, zero elsewhere."""
-    maps = {ai: Mat(dims[h - 1], dims[t - 1]) for ai, (t, h) in enumerate(q.arrows)}
-    for (ai, i, j), v in values.items():
-        maps[ai].rows[i][j] = Fraction(v)
-    return Representation(q, tuple(dims), maps)
 
 
 def _symbolic_semiinvariants(sympy, q, alpha, simples):
@@ -60,11 +52,11 @@ def _symbolic_semiinvariants(sympy, q, alpha, simples):
     fs = []
     for root in simples:
         s = realize(q, root)
-        base = hom_matrix_dvw(_rep(q, alpha, {}), s)
+        base = hom_matrix_dvw(rep(q, alpha, {}), s)
         mat = sympy.Matrix(base.nrows, base.ncols,
                            lambda r, c: sympy.Rational(base.rows[r][c]))
         for x, coord in zip(gens, coords):
-            unit = hom_matrix_dvw(_rep(q, alpha, {coord: 1}), s)
+            unit = hom_matrix_dvw(rep(q, alpha, {coord: 1}), s)
             for r in range(base.nrows):
                 for c in range(base.ncols):
                     d = unit.rows[r][c] - base.rows[r][c]
@@ -187,8 +179,8 @@ def test_e8_pos_degree(e8, e8_alpha, n):
     fam = compute_bfunction(e8, alpha, spec.selected_simples)
     rng = random.Random(0)
     values = {x: rng.randint(-3, 3) for x in _coordinates(e8, alpha)}
-    v = _rep(e8, alpha, values)
-    v2 = _rep(e8, alpha, {x: 2 * a for x, a in values.items()})
+    v = rep(e8, alpha, values)
+    v2 = rep(e8, alpha, {x: 2 * a for x, a in values.items()})
     deg_f = [_degree(v, v2, realize(e8, root)) for root in spec.selected_simples]
     assert deg_f == [7 * n, 19 * n]
     for m in ((1, 0), (0, 1), (1, 1), (2, 3)):

@@ -145,6 +145,7 @@ DEEP_CERTIFICATE = (
     ["nullcone", "--quiver", "{a3}", "--dim", "1,2,1", "--simples", "9"],
     ["nullcone", "--preset", "e6-ex1", "--simples", "9"],
     ["hom", "--a", "1,0,0", "--b", "0,1,0"],
+    ["hom", "--quiver", "{a3}", "--a", "1,0,1", "--b", "0,1,0"],
     ["decompose", "--preset", "nope"],
     ["verify-certificate", "{cert}"],
     ["verify-certificate", "{reversed}"],
@@ -153,7 +154,8 @@ DEEP_CERTIFICATE = (
      "--certificate-out", "{missing}/c.json"],
 ], ids=["negative-dim", "negative-preset-n", "simples-not-int",
         "simples-range-file", "simples-range-preset", "hom-no-quiver",
-        "unknown-preset", "certificate-without-r", "certificate-term-a-above-b",
+        "hom-not-a-root", "unknown-preset", "certificate-without-r",
+        "certificate-term-a-above-b",
         "certificate-nested-past-json-recursion-limit",
         "certificate-out-missing-dir"])
 def test_bad_input_exits_2_without_traceback(tmp_path, args):

@@ -5,18 +5,19 @@ import time
 import pytest
 from fractions import Fraction
 
-from qsing.decomp import (
-    NonSquareError,
-    class_ext,
-    evaluate_semiinvariant,
-    generic_decomposition,
-    make_class,
-    perp_simples,
-)
+from qsing.decomp import class_ext, generic_decomposition, make_class, perp_simples
 from qsing.orbits import enumerate_classes
-from qsing.quiver import Quiver, euler_form
-from qsing.roots import Representation, hom_table, positive_roots, realize
-from qsing.exactmat import Mat
+from qsing.quiver import Quiver
+from qsing.roots import hom_table, positive_roots
+
+from oracles import (
+    Mat,
+    NonSquareError,
+    Representation,
+    evaluate_semiinvariant,
+    realize,
+    vanishing_mismatches,
+)
 
 
 def test_a2_decompositions(a2):
@@ -152,49 +153,11 @@ def test_evaluate_semiinvariant_a2(a2):
         evaluate_semiinvariant(v, realize(a2, (1, 0)))
 
 
-def _direct_sum(q, reps):
-    dims = tuple(sum(r.dims[x] for r in reps) for x in range(q.n))
-    maps = {}
-    for ai, (t, h) in enumerate(q.arrows):
-        m = Mat(dims[h - 1], dims[t - 1])
-        ro = co = 0
-        for r in reps:
-            blk = r.maps[ai]
-            for i in range(blk.nrows):
-                for j in range(blk.ncols):
-                    m.rows[ro + i][co + j] = blk.rows[i][j]
-            ro += r.dims[h - 1]
-            co += r.dims[t - 1]
-        maps[ai] = m
-    return Representation(q, dims, maps)
-
-
 def test_semiinvariant_vanishing_matches_hom(a3, d4):
     # zero of c_S on a representative of a class iff hom(class, S) > 0
     rng = random.Random(17)
     for q in (a3, d4):
-        table = hom_table(q)
-        roots = positive_roots(q)
-        count = 0
-        while count < 50:
-            parts = {}
-            for _ in range(rng.randint(1, 3)):
-                r = rng.choice(roots)
-                parts[r] = parts.get(r, 0) + 1
-            cls = make_class(list(parts.items()))
-            alpha = cls.total()
-            t = generic_decomposition(q, alpha)
-            perp = perp_simples(q, t)
-            if perp.r == 0:
-                continue
-            v = _direct_sum(q, [realize(q, r) for r in cls.as_multiset()])
-            for s in perp.simples:
-                if euler_form(q, alpha, s) != 0:
-                    continue
-                val = evaluate_semiinvariant(v, realize(q, s))
-                hom = sum(mult * table.hom_root(r, s) for r, mult in cls.parts)
-                assert (val == 0) == (hom > 0)
-                count += 1
+        assert vanishing_mismatches(q, rng, 50) == []
 
 
 def _search_generic_decomposition(q, alpha):

@@ -1,13 +1,16 @@
-"""No module of qsing imports a name it never uses (there is no linter in
-the toolchain, so the standard library's ast does the check)."""
+"""No module of qsing, nor the tests' oracle module, imports a name it never
+uses (there is no linter in the toolchain, so the standard library's ast
+does the check)."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "qsing"
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "qsing"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES.append(TESTS / "oracles.py")
 
 
 def unused_imports(source):
@@ -31,6 +34,6 @@ def test_checker_flags_unused_names():
     assert unused_imports(source) == ["os"]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
-    assert unused_imports((SRC / module).read_text()) == []
+    assert unused_imports(module.read_text()) == []

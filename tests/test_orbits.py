@@ -14,11 +14,8 @@ from qsing.decomp import (
 from qsing.orbits import (
     NotFound,
     components,
-    degenerates_to,
     enumerate_classes,
-    gradient_condition_a,
     gradient_condition_b_witness,
-    h_nonempty,
     hom_profile,
     in_zero_set,
     is_set_theoretic_ci,
@@ -26,10 +23,11 @@ from qsing.orbits import (
     reduced_bound,
     reducedness_report,
     survey,
-    zprime_nonempty,
 )
 from qsing.quiver import Quiver
 from qsing.roots import hom_table
+
+from oracles import degenerates_to
 
 
 def test_enumerate_a2(a2):
@@ -140,11 +138,12 @@ def test_non_ci_instance_d4(d4):
 
 
 def test_gradient_condition_a(a2):
+    # condition (a): hom(X, S_j) = 1 for every selected j; the generic class
+    # is not in the zero set, so it is neither an h-point nor a component
     spec = make_spec(a2, (1, 1))
     degenerate = make_class([((1, 0), 1), ((0, 1), 1)])
-    generic = make_class([((1, 1), 1)])
-    assert gradient_condition_a(degenerate, spec)
-    assert not gradient_condition_a(generic, spec)  # not in the zero set
+    assert survey(spec).h_points == [degenerate]
+    assert {c.rep_class: c.gradient_a for c in components(spec)} == {degenerate: True}
 
 
 def test_gradient_b_witness_a2(a2):
@@ -156,8 +155,9 @@ def test_gradient_b_witness_a2(a2):
 
 def test_zprime_h_a2(a2):
     spec = make_spec(a2, (1, 1))
-    assert zprime_nonempty(spec)
-    assert h_nonempty(spec)
+    sv = survey(spec)
+    assert sv.zprime_witness is not None
+    assert sv.h_points
 
 
 def test_reduced_a2(a2):
@@ -201,7 +201,8 @@ def test_e6_nullcone_reduced(e6, e6_alpha):
     assert rr.verdict == "reduced"
     ks = [k for k, _ in comps[0].gradient_b_witnesses]
     assert ks == [1, 2, 3, 4]
-    assert zprime_nonempty(spec) and h_nonempty(spec)
+    sv = survey(spec)
+    assert sv.zprime_witness is not None and sv.h_points
 
 
 def reference_survey(spec):

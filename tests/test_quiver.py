@@ -7,7 +7,6 @@ from qsing.quiver import (
     Quiver,
     QuiverError,
     classify,
-    coxeter,
     coxeter_apply,
     euler_form,
     format_quiver_file,
@@ -15,6 +14,9 @@ from qsing.quiver import (
     reflect_dim,
     simple_root,
 )
+from qsing.roots import hom_table
+
+from oracles import Mat, det
 
 
 def test_construction_validates():
@@ -49,12 +51,12 @@ def test_euler_form_perp_vanishing(e6, e6_alpha):
 
 
 def test_coxeter_a2(a2):
-    assert coxeter(a2) == ((0, -1), (1, -1))
+    assert hom_table(a2).coxeter == ((0, -1), (1, -1))
 
 
 def test_coxeter_order_is_coxeter_number(a2):
     # h = 3 for A2: c^3 = id
-    c = coxeter(a2)
+    c = hom_table(a2).coxeter
     v = (7, -3)
     w = v
     for _ in range(3):
@@ -74,7 +76,7 @@ def test_coxeter_adjoint_identity(a2, a3, a4, d4, d5, e6, e7, e8):
     # this is exactly c = -E^{-1} E^t
     quivers = [a2, a3, a4, d4, e7, e8, *orientations(d5), *orientations(e6)]
     for q in quivers:
-        c = coxeter(q)
+        c = hom_table(q).coxeter
         basis = [simple_root(q.n, x) for x in range(1, q.n + 1)]
         for a in basis:
             for b in basis:
@@ -83,8 +85,7 @@ def test_coxeter_adjoint_identity(a2, a3, a4, d4, d5, e6, e7, e8):
 
 
 def test_coxeter_determinant_unimodular(e8):
-    from qsing.exactmat import Mat, det
-    c = coxeter(e8)
+    c = hom_table(e8).coxeter
     d = det(Mat(e8.n, e8.n, [list(r) for r in c]))
     assert d in (1, -1)
 
@@ -104,7 +105,7 @@ def projective_dim(q, x):
 def test_coxeter_kills_projectives(a3, d4, e6, e8):
     # c(dim P_x) has a negative entry for every projective root
     for q in (a3, d4, e6, e8):
-        c = coxeter(q)
+        c = hom_table(q).coxeter
         for x in range(1, q.n + 1):
             image = coxeter_apply(c, projective_dim(q, x))
             assert any(v < 0 for v in image)

@@ -5,14 +5,9 @@ import random
 import pytest
 
 from qsing.quiver import NonDynkinError, Quiver, euler_form, tits_form
-from qsing.roots import (
-    NotARootError,
-    hom_dim,
-    hom_matrix_dvw,
-    hom_table,
-    positive_roots,
-    realize,
-)
+from qsing.roots import hom_table, positive_roots
+
+from oracles import NotARootError, ext_dim, hom_dim, hom_matrix_dvw, rank, realize
 
 ROOT_COUNTS = {"A2": 3, "A3": 6, "A4": 10, "D4": 12, "E6": 36, "E8": 120}
 
@@ -65,7 +60,6 @@ def test_dvw_matrix_shape_and_a2_kernel(a2):
     m = hom_matrix_dvw(v, v)
     # rows = sum over arrows dimV(ta) dimW(ha), cols = sum dimV(x) dimW(x)
     assert (m.nrows, m.ncols) == (1, 2)
-    from qsing.exactmat import rank
     assert rank(m) == 1
     assert sorted(x for row in m.rows for x in row) == [-1, 1]
 
@@ -110,6 +104,7 @@ def test_hom_table_agrees_with_matrix_kernels(a2, a3, d4, d5):
         for a in t.roots:
             for b in t.roots:
                 assert t.hom_root(a, b) == hom_dim(reps[a], reps[b])
+                assert t.ext_root(a, b) == ext_dim(reps[a], reps[b])
 
 
 def test_hom_recursion_agrees_on_e8_sample(e8):
