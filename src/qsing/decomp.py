@@ -88,6 +88,8 @@ def generic_decomposition(q: Quiver, alpha) -> RepClass:
     """
     table = hom_table(q)
     alpha = tuple(int(a) for a in alpha)
+    if len(alpha) != q.n:
+        raise ValueError(f"dimension vector has {len(alpha)} entries for {q.n} vertices")
     if any(a < 0 for a in alpha):
         raise ValueError("dimension vector must be nonnegative")
     rem = list(alpha)

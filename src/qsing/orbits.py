@@ -6,10 +6,13 @@ dim Hom(M,X) <= dim Hom(N,X) for every indecomposable X.  Semicontinuity
 gives one direction; the converse for Dynkin quivers (Bongartz) is adopted
 as an external fact and validated end-to-end on the worked examples.
 
-Scale notes.  Every pass over the classes of alpha is one walk, ``_walk``:
-a depth-first search carrying a tuple of integer sums that only grow as
-parts are added, which cuts a branch once its sums fail a test that every
-larger tuple fails too.  It has three callers.
+Scale notes.  Dimension vectors and Hom profiles are integers packed w
+bits per field with a spare guard bit on top (``_Packing``), so taking a
+root off a remainder, or comparing two profiles in every field, is one
+subtraction.  Every pass over the classes of alpha is one walk, ``_walk``:
+a depth-first search on the packed remainder, carrying an integer sum that
+only grows as parts are added, which cuts a branch once the sum fails a
+test that every larger sum fails too.  It has three callers.
 - ``enumerate_classes`` sums self-Ext.  Components of Z(f_1,...,f_k) have
   codimension at most k (Krull), so ``components`` enumerates with
   ``max_self_ext = k`` and tests the zero set at each class.
@@ -19,9 +22,8 @@ larger tuple fails too.  It has three callers.
   some Hom sum exceeds 1 and the branch can no longer give a new Z'
   witness.  On the E8 example it visits about 109k nodes instead of all
   1,543,628 classes.
-- A minimal-degeneration check with codimension gap >= 2 sums Hom
-  profiles and walks only the classes whose profile stays below the
-  target's.
+- A minimal-degeneration check with codimension gap >= 2 sums packed Hom
+  rows and walks only the classes whose profile stays below the target's.
 The exact class count is a separate memoized count, run only when
 ``Survey.total`` is read.
 """
@@ -29,7 +31,7 @@ The exact class count is a separate memoized count, run only when
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .decomp import (
     PerpData,
@@ -41,7 +43,7 @@ from .decomp import (
     perp_simples,
 )
 from .quiver import Quiver, require_dynkin
-from .roots import hom_table
+from .roots import HomTable, hom_table
 
 # multiplicity bound guaranteeing the nullcone is reduced (Dynkin only)
 REDUCED_BOUND = {"A": 1, "D": 2, "E": 2}
@@ -52,22 +54,58 @@ def reduced_bound(q: Quiver) -> int:
     return REDUCED_BOUND[cls.letter]
 
 
-def _children(table, rem, minpos):
-    """(walk position, root, largest multiplicity) of every root the class
-    walk may add next to a nonzero remainder ``rem``, in walk order: the
-    roots from walk position ``minpos`` on whose first support vertex is the
-    first nonzero vertex of ``rem``."""
-    x = next(v for v, a in enumerate(rem) if a)
-    for p in range(max(minpos, table.start[x]), table.end[x]):
-        maxmult = min([rem[v] // c for v, c in table.support[p]])
-        if maxmult:
-            yield p, table.roots[table.walk[p]], maxmult
+@dataclass
+class _Packing:
+    """``hom_table(q)`` packed w bits per field, each field's top bit a spare
+    guard: no borrow crosses a field, and one subtraction compares them all."""
+
+    table: HomTable
+    w: int
+    vguard: int  # the guard bits of a dimension vector, a field per vertex
+    guard: int  # the guard bits of a Hom profile, a field per root
+    roots: list  # the root at each walk position
+    rows: list  # rows[i] = dim Hom(X_i, -), the Hom profile of root i
+    rowsum: list  # the entry sum of rows[i]
 
 
-def _walk(table, alpha, gain, fits):
+@lru_cache(maxsize=None)
+def _packed(q: Quiver, w: int) -> _Packing:
+    t, top = hom_table(q), 1 << (w - 1)
+    return _Packing(t, w, _pack([top] * q.n, w), _pack([top] * len(t.roots), w),
+                    [_pack(t.roots[i], w) for i in t.walk],
+                    [_pack(row, w) for row in t.hom], [sum(row) for row in t.hom])
+
+
+def _packing(q: Quiver, alpha) -> _Packing:
+    """The packing wide enough for alpha, every root and every Hom profile of
+    a class of alpha: every positive root R lies below the highest root
+    theta, so dim Hom(X, R) <= alpha . R <= alpha . theta.  Alpha alone is
+    too narrow, since a root's coordinates can exceed alpha's."""
+    top = hom_table(q).roots[-1]
+    w = 1 + max(*top, sum(a * c for a, c in zip(alpha, top))).bit_length()
+    return _packed(q, w)
+
+
+def _geq(guard, a, b):
+    """Every field of packed a is >= the same field of packed b."""
+    return ((a | guard) - b) & guard == guard
+
+
+def _profile(pk, cls):
+    """The packed Hom profile of a class, and its entry sum."""
+    ims = [(pk.table.index[r], m) for r, m in cls.parts]
+    return sum(m * pk.rows[i] for i, m in ims), sum(m * pk.rowsum[i] for i, m in ims)
+
+
+def _walk(pk, alpha, gain, fits):
     """Stream (chosen, acc) for the classes of ``alpha`` in depth-first walk
     order, each class at most once; ``chosen`` lists its (walk position,
     multiplicity) pairs and is reused, so copy it to keep it.
+
+    The remainder's children are the roots from walk position ``minpos`` on
+    whose first support vertex is its first nonzero vertex.  A root fits when
+    d = (rem | guards) - root keeps every guard bit; d without them is the
+    new remainder, and d - root tests one more copy.
 
     ``acc`` is an integer accumulator that starts at 0, and
     ``gain(p, chosen)`` is what one more copy of the root at walk position
@@ -78,23 +116,29 @@ def _walk(table, alpha, gain, fits):
     packs them into one integer (``_pack``).
     """
     chosen = []
+    start, end, vguard, roots, w = pk.table.start, pk.table.end, pk.vguard, pk.roots, pk.w
 
     def dfs(rem, minpos, acc):
-        if not any(rem):
+        if not rem:
             yield chosen, acc
             return
-        for p, rt, maxmult in _children(table, rem, minpos):
-            g = gain(p, chosen)
-            for mult in range(1, maxmult + 1):
-                nacc = acc + mult * g
+        x = ((rem & -rem).bit_length() - 1) // w
+        for p in range(max(minpos, start[x]), end[x]):
+            rt = roots[p]
+            d = (rem | vguard) - rt
+            if d & vguard != vguard:
+                continue
+            g, mult, nacc = gain(p, chosen), 0, acc
+            while d & vguard == vguard:
+                mult, nacc = mult + 1, nacc + g
                 if not fits(nacc):
                     break  # the accumulator is nondecreasing in mult
                 chosen.append((p, mult))
-                yield from dfs(tuple([a - mult * c for a, c in zip(rem, rt)]),
-                               p + 1, nacc)
+                yield from dfs(d ^ vguard, p + 1, nacc)
                 chosen.pop()
+                d -= rt
 
-    return dfs(tuple(alpha), 0, 0)
+    return dfs(_pack(alpha, w), 0, 0)
 
 
 def _pack(values, w):
@@ -108,25 +152,28 @@ def _class_of(table, chosen):
     return make_class([(table.roots[table.walk[p]], m) for p, m in chosen])
 
 
-def _count_classes(table, alpha):
+def _count_classes(pk, alpha):
     """The exact number of classes of alpha, over the same children as
     ``_walk``, memoized on (remaining vector, first admissible position).
     On the E8 example that is 6,663 states for 1,543,628 classes."""
     counted = {}
+    start, end, vguard, roots = pk.table.start, pk.table.end, pk.vguard, pk.roots
 
     def count(rem, minpos):
-        if not any(rem):
+        if not rem:
             return 1
-        x = next(v for v, a in enumerate(rem) if a)
-        state = (rem, max(minpos, table.start[x]))  # the same count for every lower minpos
+        x = ((rem & -rem).bit_length() - 1) // pk.w
+        state = (rem, max(minpos, start[x]))  # the same count for every lower minpos
         if state not in counted:
-            counted[state] = sum(
-                count(tuple(a - mult * c for a, c in zip(rem, rt)), p + 1)
-                for p, rt, maxmult in _children(table, rem, minpos)
-                for mult in range(1, maxmult + 1))
+            counted[state] = 0
+            for p in range(state[1], end[x]):
+                d = (rem | vguard) - roots[p]
+                while d & vguard == vguard:
+                    counted[state] += count(d ^ vguard, p + 1)
+                    d -= roots[p]
         return counted[state]
 
-    return count(tuple(alpha), 0)
+    return count(_pack(alpha, pk.w), 0)
 
 
 def enumerate_classes(q: Quiver, alpha, max_self_ext=None):
@@ -138,6 +185,8 @@ def enumerate_classes(q: Quiver, alpha, max_self_ext=None):
     """
     table = hom_table(q)
     alpha = tuple(int(a) for a in alpha)
+    if len(alpha) != q.n:
+        raise ValueError(f"dimension vector has {len(alpha)} entries for {q.n} vertices")
     if any(a < 0 for a in alpha):
         raise ValueError("negative dimension vector")
     ext, walk = table.ext, table.walk
@@ -148,7 +197,7 @@ def enumerate_classes(q: Quiver, alpha, max_self_ext=None):
         return sum(m * (ext[i][walk[pj]] + ext[walk[pj]][i]) for pj, m in chosen)
 
     fits = lambda acc: max_self_ext is None or acc <= max_self_ext
-    for chosen, _ in _walk(table, alpha, gain, fits):
+    for chosen, _ in _walk(_packing(q, alpha), alpha, gain, fits):
         yield _class_of(table, chosen)
 
 
@@ -188,18 +237,6 @@ def in_zero_set(x: RepClass, spec: ZeroSetSpec) -> bool:
     return all(class_hom(table, x, s) > 0 for s in spec.selected_simples)
 
 
-def hom_profile(table, x: RepClass):
-    """dim Hom(X, R) against every positive root R, in root-list order."""
-    k = len(table.roots)
-    out = [0] * k
-    for r, m in x.parts:
-        row = table.hom[table.index[r]]
-        for j in range(k):
-            if row[j]:
-                out[j] += m * row[j]
-    return tuple(out)
-
-
 @dataclass
 class ComponentReport:
     rep_class: RepClass
@@ -224,7 +261,7 @@ class Survey:
 
     @cached_property
     def total(self) -> int:
-        return _count_classes(hom_table(self.spec.quiver), self.spec.alpha)
+        return _count_classes(_packing(self.spec.quiver, self.spec.alpha), self.spec.alpha)
 
 
 _survey_cache: dict = {}
@@ -261,11 +298,10 @@ def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
     t_idx = [(table.index[tr], m) for tr, m in spec.t_class.parts]
 
     # The sums packed into one integer: the Hom sum to the j-th selected
-    # simple in bits j*w .. j*w + w - 1 and the Ext sum with T above them.
-    # A Hom sum is at most sum_x alpha_x dim (S_j)_x < 2**w, so the packed
-    # gains add every sum in its own field.
-    w = max(1, max(sum(a * c for a, c in zip(spec.alpha, s))
-                   for s in spec.selected_simples).bit_length())
+    # simple in field j, w bits wide as in the packing of alpha (the sum is
+    # at most alpha . S_j, below the guard bit), and the Ext sum with T above.
+    pk = _packing(spec.quiver, spec.alpha)
+    w = pk.w
     text_at, field = w * r, (1 << w) - 1
     gains = [_pack([*(hom[i][j] for j in sel_idx),
                     sum(m * (ext[ti][i] + ext[i][ti]) for ti, m in t_idx)], w)
@@ -278,7 +314,7 @@ def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
     def fits(acc):  # the cut rule
         return not acc & over_one or not (acc >> text_at or res.zprime_witness is not None)
 
-    for chosen, acc in _walk(table, spec.alpha, lambda p, _: gains[p], fits):
+    for chosen, acc in _walk(pk, spec.alpha, lambda p, _: gains[p], fits):
         hsum = [(acc >> (w * j)) & field for j in range(r)]
         if all(h == 1 for h in hsum):
             if len(res.h_points) < h_cap:
@@ -304,20 +340,17 @@ def components(spec: ZeroSetSpec):
     only classes with self-Ext <= k can be components; among those, the
     Hom-order maxima coincide with the maxima over the whole zero set.
     """
-    table = hom_table(spec.quiver)
+    table, pk = hom_table(spec.quiver), _packing(spec.quiver, spec.alpha)
     k = len(spec.selected)
-    pool = []
-    for cls in enumerate_classes(spec.quiver, spec.alpha, max_self_ext=k):
-        if in_zero_set(cls, spec):
-            pool.append(cls)
-    profs = [(hom_profile(table, cls), cls) for cls in pool]
-    profs.sort(key=lambda t: (sum(t[0]), t[0]))
-    maximal = []
-    for p, cls in profs:
-        if not any(all(a <= b for a, b in zip(mp, p)) for mp, _ in maximal):
-            maximal.append((p, cls))
-    reports = []
-    for p, cls in maximal:
+    # equal profiles are equal classes, and one strictly below has a smaller sum
+    profs = sorted(((*_profile(pk, cls), cls)
+                    for cls in enumerate_classes(spec.quiver, spec.alpha, max_self_ext=k)
+                    if in_zero_set(cls, spec)), key=lambda t: t[1])
+    maximal, reports = [], []
+    for p, _, cls in profs:
+        if any(_geq(pk.guard, p, mp) for mp in maximal):
+            continue
+        maximal.append(p)
         codim = class_self_ext(table, cls)
         homs = tuple(class_hom(table, cls, s) for s in spec.selected_simples)
         reports.append(ComponentReport(cls, codim, homs, all(h == 1 for h in homs)))
@@ -333,31 +366,23 @@ class NotFound(Exception):
     pass
 
 
-def _is_cover(table, cand, cand_prof, x, x_prof):
-    """cand -> x is a minimal degeneration (cand's Hom profile is below x's).
+def _is_cover(pk, cand, pc, x, px):
+    """cand -> x is a minimal degeneration (packed Hom profiles pc <= px).
 
     A codimension gap of one is always minimal, since codimension strictly
     increases along proper degenerations.  A larger gap is minimal when no
-    class lies strictly between the two in the Hom order; the walk visits
-    only the classes whose Hom profile stays below x's.
+    class lies strictly between the two in the Hom order; the walk sums
+    packed Hom rows and visits only the classes whose profile stays below px.
     """
+    table, guard, rows = pk.table, pk.guard, pk.rows
     gap = class_self_ext(table, x) - class_self_ext(table, cand)
     if gap <= 0:
         return False
     if gap == 1:
         return True
-    # Hom profiles packed w bits per root, as in ``survey``, with a spare
-    # top bit per field: no entry reaches 2**(w-1), so (p | guard) - q
-    # keeps a field's top bit iff p >= q in that field
-    alpha = x.total()
-    w = 1 + max(sum(a * c for a, c in zip(alpha, root))
-                for root in table.roots).bit_length()
-    guard = _pack([1 << (w - 1)] * len(table.roots), w)
-    geq = lambda p, q: ((p | guard) - q) & guard == guard
-    rows = [_pack(table.hom[i], w) for i in table.walk]
-    pc, px = _pack(cand_prof, w), _pack(x_prof, w)
-    for _, pw in _walk(table, alpha, lambda p, _: rows[p], lambda acc: geq(px, acc)):
-        if pw != pc and pw != px and geq(pw, pc):
+    for _, pw in _walk(pk, x.total(), lambda p, _: rows[table.walk[p]],
+                       lambda acc: _geq(guard, px, acc)):
+        if pw != pc and pw != px and _geq(guard, pw, pc):
             return False
     return True
 
@@ -369,19 +394,20 @@ def gradient_condition_b_witness(x: RepClass, spec: ZeroSetSpec, k,
     degeneration of X'.  Then Y_k = X + X' has hom(Y_k, S_j) = 2 - delta_{jk}.
     Returns X' or raises NotFound; sufficient, never a proof of failure.
 
-    ``candidates`` are (class, Hom profile) pairs, by default the survey's
-    index-k patterns with their profiles.
+    ``candidates`` are (class, Hom profile) pairs, the profile packed by
+    ``_packing(spec.quiver, spec.alpha)``; by default the survey's index-k
+    patterns with their profiles.
     """
     if k not in spec.selected:
         raise ValueError("k must be a selected index")
-    table = hom_table(spec.quiver)
+    if x.total() != spec.alpha:
+        raise ValueError("x is not a class of the spec's dimension vector")
+    pk = _packing(spec.quiver, spec.alpha)
     if candidates is None:
-        candidates = [(c, hom_profile(table, c)) for c in survey(spec).patterns[k]]
-    px = hom_profile(table, x)
+        candidates = [(c, _profile(pk, c)[0]) for c in survey(spec).patterns[k]]
+    px = _profile(pk, x)[0]
     for cand, pc in candidates:
-        if pc == px or not all(a <= b for a, b in zip(pc, px)):
-            continue
-        if _is_cover(table, cand, pc, x, px):
+        if pc != px and _geq(pk.guard, px, pc) and _is_cover(pk, cand, pc, x, px):
             return cand
     raise NotFound(f"no condition-(b) witness found for k={k}")
 
@@ -413,7 +439,6 @@ def reducedness_report(spec: ZeroSetSpec, comps=None) -> ReducednessReport:
     the point (``_is_cover``): a codimension gap of one needs no search, a
     larger gap a walk over the classes between the two.
     """
-    table = hom_table(spec.quiver)
     if comps is None:
         comps = components(spec)
     rep = ReducednessReport(verdict="unverified", components=comps)
@@ -428,17 +453,17 @@ def reducedness_report(spec: ZeroSetSpec, comps=None) -> ReducednessReport:
         rep.reason = "not a set-theoretic complete intersection"
         return rep
     sv = survey(spec)
-    h_profiles = [(cls, hom_profile(table, cls)) for cls in sv.h_points]
-    pattern_profiles = {k: [(cls, hom_profile(table, cls)) for cls in sv.patterns[k]]
+    pk = _packing(spec.quiver, spec.alpha)
+    h_profiles = [(cls, *_profile(pk, cls)) for cls in sv.h_points]
+    pattern_profiles = {k: [(cls, _profile(pk, cls)[0]) for cls in sv.patterns[k]]
                         for k in spec.selected}
 
     # condition (a) first for every component: not-reduced short-circuits
     a_points = {}
     for comp in comps:
-        pc = hom_profile(table, comp.rep_class)
-        pts = [(cls, ph) for cls, ph in h_profiles
-               if all(a <= b for a, b in zip(pc, ph))]
-        pts.sort(key=lambda t: (sum(t[1]), t[0].parts))
+        pc = _profile(pk, comp.rep_class)[0]
+        pts = [(cls, total) for cls, ph, total in h_profiles if _geq(pk.guard, ph, pc)]
+        pts.sort(key=lambda t: (t[1], t[0].parts))
         if not pts:
             if sv.h_truncated:
                 rep.reason = (f"the survey kept only h_cap={len(sv.h_points)} "

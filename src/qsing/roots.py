@@ -59,8 +59,7 @@ class HomTable:
     Root indices refer to ``roots``.  The class walk of ``orbits`` visits
     roots in the order ``walk`` (grouped by first support vertex, decreasing
     lex inside a group); the roots whose first support vertex is x (0-based)
-    sit at walk positions start[x] .. end[x] - 1, and support[p] lists the
-    (vertex, coordinate) pairs of the root at walk position p.
+    sit at walk positions start[x] .. end[x] - 1.
     steps[t] = (x, neighbours, i) for the steps t = 0, 1, ... of the
     admissible sink sequence, with 0-based vertices: step t reflects at x,
     whose neighbours in the underlying graph are listed, and root i is the
@@ -77,7 +76,6 @@ class HomTable:
     walk: list
     start: list
     end: list
-    support: list
     steps: list
     # c = s_{x_n} ... s_{x_1} along the admissible sink sequence (BGP);
     # it equals -E^{-1} E^t for the Euler matrix E
@@ -132,7 +130,6 @@ def hom_table(q: Quiver) -> HomTable:
     walk_first = [first[i] for i in walk]
     start = [walk_first.index(x) for x in range(n)]
     end = [start[x] + walk_first.count(x) for x in range(n)]
-    support = [[(v, c) for v, c in enumerate(roots[i]) if c] for i in walk]
     ends = {len(p) - 1: i for i, p in enumerate(paths)}  # t_i -> i
     steps = []
     for t in range(max(ends) + 1):
@@ -140,6 +137,6 @@ def hom_table(q: Quiver) -> HomTable:
         steps.append((x - 1, tuple(y - 1 for y in q.neighbors(x)), ends.get(t)))
 
     return HomTable(q, roots, {r: i for i, r in enumerate(roots)}, hom, ext,
-                    walk, start, end, support, steps,
+                    walk, start, end, steps,
                     reflection_product(q, seq),
                     reflection_product(q, seq[::-1]))

@@ -14,6 +14,10 @@ rational matrices:
 * ``evaluate_semiinvariant`` is c_S(V) = det d^V_S, the semi-invariant
   whose zero sets the package describes through Hom dimensions.
 
+Two references for ``qsing.orbits``, which packs dimension vectors and Hom
+profiles into integers, work on plain tuples instead: ``hom_profile`` and
+the class walk ``tuple_walk``.
+
 Everything is exact: matrices hold Fraction entries.  ``conftest.py``
 registers this module for pytest's assertion rewriting, so its checks
 still run under ``python -O``.
@@ -25,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from qsing.decomp import class_hom, generic_decomposition, make_class, perp_simples
-from qsing.orbits import hom_profile
 from qsing.quiver import Quiver, euler_form, simple_root
 from qsing.roots import hom_table, positive_roots
 
@@ -295,3 +298,50 @@ def degenerates_to(q: Quiver, m_class, n_class) -> bool:
     pm = hom_profile(table, m_class)
     pn = hom_profile(table, n_class)
     return all(a <= b for a, b in zip(pm, pn))
+
+
+# -- the orbit geometry on tuples --------------------------------------------
+
+def hom_profile(table, x):
+    """dim Hom(X, R) against every positive root R, in root-list order."""
+    out = [0] * len(table.roots)
+    for r, m in x.parts:
+        for j, h in enumerate(table.hom[table.index[r]]):
+            out[j] += m * h
+    return tuple(out)
+
+
+def tuple_children(table, rem, minpos):
+    """(walk position, root, largest multiplicity) of every root the class
+    walk may add next to a nonzero remainder tuple ``rem``, in walk order:
+    the roots from walk position ``minpos`` on whose first support vertex is
+    the first nonzero vertex of ``rem``."""
+    x = next(v for v, a in enumerate(rem) if a)
+    for p in range(max(minpos, table.start[x]), table.end[x]):
+        rt = table.roots[table.walk[p]]
+        maxmult = min(rem[v] // c for v, c in enumerate(rt) if c)
+        if maxmult:
+            yield p, rt, maxmult
+
+
+def tuple_walk(table, alpha, gain, fits):
+    """``qsing.orbits._walk`` with the remainder of alpha held as a tuple:
+    the same (chosen, acc) stream in the same order."""
+    chosen = []
+
+    def dfs(rem, minpos, acc):
+        if not any(rem):
+            yield chosen, acc
+            return
+        for p, rt, maxmult in tuple_children(table, rem, minpos):
+            g = gain(p, chosen)
+            for mult in range(1, maxmult + 1):
+                nacc = acc + mult * g
+                if not fits(nacc):
+                    break
+                chosen.append((p, mult))
+                yield from dfs(tuple([a - mult * c for a, c in zip(rem, rt)]),
+                               p + 1, nacc)
+                chosen.pop()
+
+    return dfs(tuple(alpha), 0, 0)

@@ -16,7 +16,6 @@ from qsing.orbits import (
     components,
     enumerate_classes,
     gradient_condition_b_witness,
-    hom_profile,
     in_zero_set,
     is_set_theoretic_ci,
     make_spec,
@@ -27,7 +26,7 @@ from qsing.orbits import (
 from qsing.quiver import Quiver
 from qsing.roots import hom_table
 
-from oracles import degenerates_to
+from oracles import degenerates_to, hom_profile, tuple_walk
 
 
 def test_enumerate_a2(a2):
@@ -151,6 +150,12 @@ def test_gradient_b_witness_a2(a2):
     x = make_class([((1, 0), 1), ((0, 1), 1)])
     w = gradient_condition_b_witness(x, spec, 1)
     assert w.parts == (((1, 1), 1),)
+
+
+def test_gradient_b_witness_rejects_a_class_of_another_dimension_vector(a2):
+    spec = make_spec(a2, (1, 1))
+    with pytest.raises(ValueError, match="dimension vector"):
+        gradient_condition_b_witness(make_class([((1, 0), 2), ((0, 1), 1)]), spec, 1)
 
 
 def test_zprime_h_a2(a2):
@@ -281,15 +286,85 @@ def test_gap_two_covers_match_brute_force(request, name, alpha, counts):
     is (minimal, not minimal), so both outcomes are reached."""
     q = request.getfixturevalue(name)
     table = hom_table(q)
+    pk = orbits._packing(q, alpha)
     classes = [(c, hom_profile(table, c), class_self_ext(table, c))
                for c in enumerate_classes(q, alpha)]
     leq = lambda p, r: all(a <= b for a, b in zip(p, r))
+    packed = lambda p: orbits._pack(p, pk.w)
     seen = [0, 0]
     for (m, pm, em), (x, px, ex) in itertools.product(classes, repeat=2):
         if ex - em < 2 or not leq(pm, px):
             continue
         minimal = not any(pw not in (pm, px) and leq(pm, pw) and leq(pw, px)
                           for _, pw, _ in classes)
-        assert orbits._is_cover(table, m, pm, x, px) == minimal, (m, x)
+        assert orbits._is_cover(pk, m, packed(pm), x, packed(px)) == minimal, (m, x)
         seen[not minimal] += 1
     assert tuple(seen) == counts
+
+
+# E8 relabelled so that vertex 1 sits inside an arm; the root coordinates
+# outgrow alpha's there, so a packing width taken from alpha alone breaks
+E8_RELABELLED = Quiver(8, ((2, 1), (1, 7), (8, 7), (3, 8), (5, 3), (6, 5), (4, 7)))
+WALK_BOXES = [
+    ("a3", 6), ("d4", 5), (Quiver(4, ((4, 1), (4, 2), (4, 3))), 5), ("d5", 4),
+    ("e6", 3), ("e8", 2),
+]
+
+
+def walk_box(request):
+    """(quiver, alpha) for every nonzero alpha of the boxes, and the
+    relabelled E8 case."""
+    for q, bound in WALK_BOXES:
+        q = request.getfixturevalue(q) if isinstance(q, str) else q
+        for alpha in itertools.product(range(bound + 1), repeat=q.n):
+            if 0 < sum(alpha) <= bound:
+                yield q, alpha
+    yield E8_RELABELLED, (1, 0, 1, 0, 1, 0, 0, 0)
+
+
+def self_ext_gain(table):
+    ext, walk = table.ext, table.walk
+    return lambda p, chosen: sum(m * (ext[walk[p]][walk[pj]] + ext[walk[pj]][walk[p]])
+                                 for pj, m in chosen)
+
+
+def test_packed_walk_matches_tuple_walk(request):
+    """The packed walk streams the same (chosen, acc) pairs in the same
+    order as the tuple walk, with and without cuts, and the class count
+    equals the number of classes it streams."""
+    for q, alpha in walk_box(request):
+        table = hom_table(q)
+        pk = orbits._packing(q, alpha)
+        for fits in (lambda acc: True, lambda acc: acc <= 1):
+            stream = lambda walk, t: [(tuple(c), acc) for c, acc in
+                                      walk(t, alpha, self_ext_gain(table), fits)]
+            assert stream(orbits._walk, pk) == stream(tuple_walk, table), (q, alpha)
+        assert orbits._count_classes(pk, alpha) == len(list(enumerate_classes(q, alpha)))
+    assert len(list(enumerate_classes(E8_RELABELLED, (1, 0, 1, 0, 1, 0, 0, 0)))) == 2
+
+
+@pytest.mark.parametrize("name, alpha", [
+    ("a3", (2, 3, 2)), ("d4", (2, 2, 2, 3)), ("e6", (1, 2, 2, 2, 1, 1)),
+    ("e8", (0, 0, 1, 0, 0, 0, 0, 0)), (E8_RELABELLED, (1, 0, 1, 0, 1, 0, 0, 0)),
+])
+def test_packed_profiles_match_tuple_profiles(request, name, alpha):
+    q = request.getfixturevalue(name) if isinstance(name, str) else name
+    table = hom_table(q)
+    pk = orbits._packing(q, alpha)
+    classes = [(orbits._profile(pk, c), hom_profile(table, c))
+               for c in enumerate_classes(q, alpha)]
+    for (packed, total), prof in classes:
+        assert packed == orbits._pack(prof, pk.w) and total == sum(prof)
+    for ((pa, _), a), ((pb, _), b) in itertools.product(classes, repeat=2):
+        assert orbits._geq(pk.guard, pa, pb) == all(x >= y for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("alpha", [(1, 1, 1, 1), (1, 1)])
+@pytest.mark.parametrize("call", [
+    lambda q, alpha: list(enumerate_classes(q, alpha)),
+    generic_decomposition,
+    make_spec,
+], ids=["enumerate_classes", "generic_decomposition", "make_spec"])
+def test_dimension_vector_of_the_wrong_length_is_rejected(a3, call, alpha):
+    with pytest.raises(ValueError, match="entries for 3 vertices"):
+        call(a3, alpha)
