@@ -40,7 +40,6 @@ from .brackets import (
     expand,
     family_from_terms,
     render_family,
-    specialize,
 )
 from .bsato import (
     Membership,

@@ -48,9 +48,6 @@ class Affine:
     def __sub__(self, other):
         return self + (-Affine.of(other))
 
-    def __rsub__(self, other):
-        return Affine.of(other) + (-self)
-
     def __mul__(self, k):
         k = Fraction(k)
         if not k:
@@ -64,17 +61,6 @@ class Affine:
 
     def is_const(self):
         return not self.coeffs
-
-    def __str__(self):
-        parts = [] if not self.const and self.coeffs else [str(self.const)]
-        for s, c in self.coeffs:
-            if c == 1:
-                parts.append(s)
-            elif c == -1:
-                parts.append(f"-{s}")
-            else:
-                parts.append(f"{c}*{s}")
-        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,6 @@ class TerminalRuleInapplicable(Exception):
     """The recursion reached a state it cannot handle soundly."""
 
 
-class PreconditionFailed(Exception):
-    """A reflection step cannot be applied to the given state."""
-
-
 class _Blocked(Exception):
     """Internal: the Coxeter step would need a negative endpoint at a
     supported vertex; the driver switches to the terminal rule."""
@@ -155,35 +151,6 @@ def bracket_identity_check(d, a, b, mults=((1,), (2,), (3,))) -> bool:
     return True
 
 
-def specialize(family: BFunctionFamily, i, value):
-    """Evaluate s_i = value (integer).  Returns (family over r-1 variables,
-    scalar constraints).  A term with gamma_i > 0 keeps its other
-    coordinates and shifts its offsets by gamma_i * value; a term whose
-    gamma becomes zero turns into the scalar factors (gamma_i*value + o)
-    which are recorded, not discarded."""
-    if not 1 <= i <= family.r:
-        raise ValueError(f"variable index {i} outside 1..{family.r}")
-    offs = {}
-    scalars = []
-    for (g, o), cnt in family.offsets.items():
-        if cnt == 0:
-            continue
-        gi = g[i - 1]
-        g2 = g[: i - 1] + g[i:]
-        if gi == 0:
-            offs[(g2, o)] = offs.get((g2, o), 0) + cnt
-            continue
-        if any(g2):
-            key = (g2, o + gi * value)
-            offs[key] = offs.get(key, 0) + cnt
-        else:
-            scalars.append((gi * value + o, cnt))
-    meta = dict(family.meta)
-    meta.setdefault("specialized", []).append((i, value))
-    fam = BFunctionFamily(family.r - 1, offs, meta)
-    return fam, sorted(scalars)
-
-
 def render_term(t: BracketTerm) -> str:
     g = "".join(str(c) for c in t.gamma)
     rng = f"{t.b}" if t.a == 0 else f"{t.a},{t.b}"
@@ -222,12 +189,9 @@ def reflection_step(state: ReflectionState, direction=+1) -> ReflectionState:
     the emitted gammas use the advanced translates, and a slot dies before
     contributing when its inverse translate leaves N^n (injectives).
 
-    Raises PreconditionFailed when no slot is live, and _Blocked when a
-    supported vertex would need a negative bracket endpoint.
+    Raises _Blocked when a supported vertex would need a negative bracket
+    endpoint.
     """
-    live = state.live()
-    if not live:
-        raise PreconditionFailed("all slots are dead")
     q = state.quiver
     r = len(state.betas)
     table = hom_table(q)

@@ -101,34 +101,20 @@ def _cover_check(intervals, tail_from, start):
     return False, t
 
 
-def _interval_ge(a, b):
-    """The integers t with a*t + b >= 0, as ('ge', lo), ('le', hi), ('all',)
-    or ('none',)."""
-    if a == 0:
-        return ("all",) if b >= 0 else ("none",)
-    bound = Fraction(-b, a)
-    if a > 0:
-        return ("ge", math.ceil(bound))
-    return ("le", math.floor(bound))
-
-
-def _conj_to_interval(conds, floor):
-    """Intersect conditions of the forms ('ge', v) / ('le', v) / ('all',) /
-    ('none',) with {t >= floor} into an integer interval (lo, hi|None), or
-    None when empty."""
-    lo, hi = floor, None
-    for c in conds:
-        if c[0] == "none":
+def _t_interval(conds):
+    """The integers t >= 0 with a*t + b >= 0 for every integer pair (a, b)
+    in conds, as (lo, hi|None), or None when there are none."""
+    lo, hi = 0, None
+    for a, b in conds:
+        if a > 0:
+            lo = max(lo, -(b // a))
+        elif a < 0:
+            hi = b // -a if hi is None else min(hi, b // -a)
+        elif b < 0:
             return None
-        if c[0] == "all":
-            continue
-        if c[0] == "ge":
-            lo = max(lo, c[1])
-        else:
-            hi = c[1] if hi is None else min(hi, c[1])
     if hi is not None and lo > hi:
         return None
-    return (lo, hi)
+    return lo, hi
 
 
 def _half_line(offsets, z):
@@ -149,8 +135,7 @@ def _half_line(offsets, z):
         if w.denominator != 1:
             continue
         w = int(w)
-        iv = _conj_to_interval([_interval_ge(g[1], w),
-                                _interval_ge(g[0] - g[1], g[0] - 1 - w)], 0)
+        iv = _t_interval(((g[1], w), (g[0] - g[1], g[0] - 1 - w)))
         if iv:
             intervals.append(iv)
     tail = int(z[1]) + 1 if z[1].denominator == 1 and z[1] >= 0 else None
@@ -577,21 +562,25 @@ def _case_json(case: Case, scalars):
     return out
 
 
-def _close(state: SymState, node: CertNode, cases, depth, depth_bound, symbols):
+def _close(state: SymState, node: CertNode, cases, symbols):
     """Certify the branch of each case in turn into node.branches; False
     at the first branch that does not close."""
     for case in cases:
         sub, scalars = branch_state(state, case)
-        child = _certify(sub, depth + 1, depth_bound, symbols)
+        child = _certify(sub, symbols)
         if child is None:
             return False
         node.branches.append((_case_json(case, scalars), child))
     return True
 
 
-def _certify(state: SymState, depth, depth_bound, symbols):
-    if depth > depth_bound:
-        return None
+def _certify(state: SymState, symbols):
+    """A certificate tree for the state, or None when it does not close.
+
+    The recursion ends without a depth bound: every case of either lemma
+    fixes one active variable, and ``branch_state`` removes it from the
+    branch's state, so a root-to-leaf path fixes distinct variables and
+    is at most r long."""
     leaf = _leaf_node(state)
     if leaf is not None:
         return leaf
@@ -609,7 +598,7 @@ def _certify(state: SymState, depth, depth_bound, symbols):
                 "certs": [{"tuple": list(c.tuple_sigs),
                            "u": [str(x) for x in c.u]} for c in certs],
             })
-            if _close(state, node, cases, depth, depth_bound, symbols):
+            if _close(state, node, cases, symbols):
                 return node
 
     # reduc (b)
@@ -629,7 +618,7 @@ def _certify(state: SymState, depth, depth_bound, symbols):
             },
         })
         cases = sign_cases(node.data["Jplus"], node.data["Jminus"], symbols)
-        if _close(state, node, cases, depth, depth_bound, symbols):
+        if _close(state, node, cases, symbols):
             return node
     return None
 
@@ -667,8 +656,7 @@ def _refute(family: BFunctionFamily, bound):
     return None
 
 
-def certify_all_good(family: BFunctionFamily, depth_bound=16,
-                     refute_bound=30) -> CertifyOutcome:
+def certify_all_good(family: BFunctionFamily, refute_bound=30) -> CertifyOutcome:
     """Prove every element of Z(B~) is good, or exhibit a bad member.
 
     Alternates the reduction lemmas with integer case splits; a sound
@@ -678,7 +666,7 @@ def certify_all_good(family: BFunctionFamily, depth_bound=16,
     """
     state = sym_state_from_family(family)
     symbols = (f"k{i}" for i in itertools.count(1))
-    node = _certify(state, 0, depth_bound, symbols)
+    node = _certify(state, symbols)
     if node is not None:
         return CertifyOutcome("certificate", certificate=node)
     witness = _refute(family, refute_bound)
@@ -865,7 +853,7 @@ def single_variable_roots(family: BFunctionFamily):
     return sorted(roots.items(), reverse=True)
 
 
-def rational_singularities_verdict(q, alpha, selected=None, depth_bound=16,
+def rational_singularities_verdict(q, alpha, selected=None,
                                    refute_bound=30) -> Verdict:
     """Decision pipeline for rational singularities of the zero set of the
     selected fundamental semi-invariants.
@@ -914,8 +902,7 @@ def rational_singularities_verdict(q, alpha, selected=None, depth_bound=16,
         return Verdict("not_applicable", family=fam, reducedness=red,
                        reason=f"reducedness verdict: {red.verdict} ({red.reason})")
 
-    out = certify_all_good(fam, depth_bound=depth_bound,
-                           refute_bound=refute_bound)
+    out = certify_all_good(fam, refute_bound=refute_bound)
     if out.kind == "certificate":
         return Verdict("rational_singularities", family=fam, reducedness=red,
                        certificate=out.certificate)

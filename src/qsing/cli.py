@@ -201,7 +201,6 @@ def cmd_bfunction(args):
 def cmd_singularities(args):
     q, alpha, sel, branch = _load_request(args)
     v = rational_singularities_verdict(q, alpha, sel,
-                                       depth_bound=args.depth_bound,
                                        refute_bound=args.box_bound)
     text = [f"alpha = {_fmt_vec(alpha, branch)}", f"verdict: {v.kind}"]
     if v.reason:
@@ -304,8 +303,11 @@ def build_parser():
 
     sp = sub.add_parser("singularities", help="rational singularities verdict")
     common(sp)
-    sp.add_argument("--depth-bound", type=int, default=16)
-    sp.add_argument("--box-bound", type=int, default=30)
+    sp.add_argument("--box-bound", type=int, default=30,
+                    help="bound on |v1|, |v2| of the r = 2 refutation "
+                         "candidates, the points z with gamma.z = -v1 and "
+                         "gamma'.z = -v2 for two independent bracket or "
+                         "coordinate directions (default 30)")
     sp.add_argument("--certificate-out", help="write certificate JSON here")
     sp.set_defaults(func=cmd_singularities)
 

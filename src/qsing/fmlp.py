@@ -43,7 +43,8 @@ def _int_row(values):
 
 
 def solve(constraints, nvars) -> FMResult:
-    """Decide { x in Q^nvars : constraints }.
+    """Decide { x in Q^nvars : constraints }.  A row whose length is not
+    nvars, or whose relation is not "<=", "<" or "=", raises ValueError.
 
     Feasible: a point of Fractions, found by back-substitution through the
     elimination levels.  Infeasible: integer Farkas multipliers m over the
@@ -55,7 +56,11 @@ def solve(constraints, nvars) -> FMResult:
     rows = []  # (int coeffs, strict, int rhs, int provenance)
     ncons = len(constraints)
     for k, (coeffs, rel, rhs) in enumerate(constraints):
-        assert len(coeffs) == nvars and rel in ("<=", "<", "=")
+        if len(coeffs) != nvars:
+            raise ValueError(f"row {k} has {len(coeffs)} coefficients "
+                             f"for {nvars} variables")
+        if rel not in ("<=", "<", "="):
+            raise ValueError(f"row {k} has relation {rel!r}, not <=, < or =")
         row, scale = _int_row([*coeffs, rhs])
         coeffs, rhs = row[:-1], row[-1]
         prov = [0] * ncons

@@ -434,8 +434,8 @@ def reducedness_report(spec: ZeroSetSpec, comps=None) -> ReducednessReport:
     unverified: anything in between (the (b)-search is sufficient only), or
     the zero set is not a set-theoretic complete intersection.
 
-    Each component tries at most 50 condition-(a) points, smallest Hom
-    profile sum first.  A condition-(b) witness must be a minimal degeneration onto
+    Each component tries every condition-(a) point, smallest Hom profile
+    sum first.  A condition-(b) witness must be a minimal degeneration onto
     the point (``_is_cover``): a codimension gap of one needs no search, a
     larger gap a walk over the classes between the two.
     """
@@ -477,7 +477,7 @@ def reducedness_report(spec: ZeroSetSpec, comps=None) -> ReducednessReport:
         a_points[comp.rep_class] = pts
 
     for comp in comps:
-        for cand, _ in a_points[comp.rep_class][:50]:
+        for cand, _ in a_points[comp.rep_class]:
             try:
                 witnesses = tuple(
                     (k, gradient_condition_b_witness(

@@ -35,25 +35,8 @@ class Quiver:
                 raise QuiverError(f"arrow ({t},{h}) references invalid vertex")
             if t == h:
                 raise QuiverError(f"loop at vertex {t}")
-        if self._has_cycle():
+        if len(self.topological_order()) != self.n:
             raise QuiverError("quiver has an oriented cycle")
-
-    def _has_cycle(self):
-        indeg = [0] * (self.n + 1)
-        out = {x: [] for x in range(1, self.n + 1)}
-        for t, h in self.arrows:
-            out[t].append(h)
-            indeg[h] += 1
-        stack = [x for x in range(1, self.n + 1) if indeg[x] == 0]
-        seen = 0
-        while stack:
-            x = stack.pop()
-            seen += 1
-            for y in out[x]:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    stack.append(y)
-        return seen != self.n
 
     # -- basic structure ---------------------------------------------------
 

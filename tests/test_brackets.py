@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsing.affine import Affine
 from qsing.brackets import (
     BracketTerm,
     ReflectionState,
@@ -21,8 +22,8 @@ from qsing.brackets import (
     reflection_step,
     render_family,
     render_term,
-    specialize,
 )
+from qsing.bsato import sym_state_from_family
 from qsing.decomp import generic_decomposition, perp_simples
 from qsing.quiver import Quiver
 from qsing.roots import hom_table
@@ -205,14 +206,32 @@ def test_reflection_consistency_expand_level(e6, e6_alpha):
     assert state.offsets == full.offsets
 
 
+def specialize(state, var, value):
+    """The certifier's specialization s_var = value on a SymState.  Returns
+    the family of the state it leaves, over the other variables, that state,
+    and the scalar factors gamma_var*value + o as sorted (constant,
+    multiplicity) pairs, one per offset o of each bracket that loses its
+    last variable."""
+    sub, scalars = state.specialize(state.vars.index(var), Affine.of(value),
+                                    True)
+    assert all(t.a.is_const() and t.b.is_const() for t in sub.terms)
+    fam = family_from_terms(len(sub.vars), [
+        BracketTerm(t.gamma, int(t.a.const), int(t.b.const), t.mult)
+        for t in sub.terms])
+    factors = sorted((c, mult) for a, b, mult in scalars
+                     for c in range(int(a.const) + 1, int(b.const) + 1))
+    return fam, sub, factors
+
+
 def test_specialize_matches_printed_reduction(e6, e6_alpha):
     # the 4-variable family specialized at its third variable (the paper's
     # first), then at the fourth, must reproduce the printed 3- and 2-variable
-    # families; k1 = 1, k2 = 1, n = m = 2
+    # families; k1 = 1, k2 = 1, n = m = 2.  The specialization is the
+    # certifier's own, SymState.specialize
     n = m = 2
     fam = family_from_terms(4, E6_GOLDEN_NM(n, m))
     # our variable 3 is the paper's s_1
-    b1, scalars = specialize(fam, 3, -1)
+    b1, st1, scalars = specialize(sym_state_from_family(fam), 3, -1)
     expected_b1 = family_from_terms(3, [
         BracketTerm((1, 0, 0), 0, n + m),      # e^1 (paper s_2)
         BracketTerm((0, 1, 0), 0, n),          # paper s_3
@@ -227,11 +246,12 @@ def test_specialize_matches_printed_reduction(e6, e6_alpha):
     assert scalars == [(i - 1, 1) for i in range(1, n + m + 1)]
     # specializing away a variable absent from every gamma only drops the slot
     only_units = family_from_terms(2, [BracketTerm((1, 0), 0, 3)])
-    dropped, sc = specialize(only_units, 2, -5)
+    dropped, _, sc = specialize(sym_state_from_family(only_units), 2, -5)
     assert dropped.offsets == {((1,), i): 1 for i in (1, 2, 3)}
     assert sc == []
-    # double specialization: paper's b_2 at k_1 = k_2 = 1
-    b2, scalars2 = specialize(b1, 3, -1)
+    # double specialization: paper's b_2 at k_1 = k_2 = 1; the state's
+    # variable 4 is the family b1's third
+    b2, _, scalars2 = specialize(st1, 4, -1)
     expected_b2 = family_from_terms(2, [
         BracketTerm((1, 0), 0, n + m),
         BracketTerm((0, 1), 0, n),
@@ -245,7 +265,7 @@ def test_specialize_matches_printed_reduction(e6, e6_alpha):
 
 def test_specialize_scalar_recording():
     fam = family_from_terms(2, [BracketTerm((1, 0), 0, 2)])
-    sub, scalars = specialize(fam, 1, -1)
+    sub, _, scalars = specialize(sym_state_from_family(fam), 1, -1)
     assert sub.offsets == {}
     assert scalars == [(0, 1), (1, 1)]  # factors (i - 1) for i = 1, 2
 
@@ -269,7 +289,7 @@ def test_specialize_commutes_with_expand(v):
     # substitute then expand at the same total depths per term: the terms
     # with gamma_2 > 0 keep depth gamma . m by construction only if we keep
     # m fixed on the surviving coordinate; compare linear forms in s_1
-    sub, scalars = specialize(fam, 2, v)
+    sub, _, scalars = specialize(sym_state_from_family(fam), 2, v)
     subbed = {}
     for (g, c), cnt in expand(sub, (2,)).items():
         subbed[((g[0],), Fraction(c))] = subbed.get(((g[0],), Fraction(c)), 0) + cnt

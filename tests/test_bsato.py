@@ -16,15 +16,14 @@ from qsing.brackets import (
     compute_bfunction,
     expand,
     family_from_terms,
-    specialize,
 )
 from qsing.bsato import (
     CertNode,
     CertifyOutcome,
     _binom_value,
-    _conj_to_interval,
     _cover_check,
     _refutation_candidates,
+    _t_interval,
     cert_to_json,
     certify_all_good,
     check_form_assumption,
@@ -110,7 +109,6 @@ INPUT_CHECKS = [
     "family_from_terms(2, [BracketTerm((1, -1), 0, 1)])",
     "expand(E8_POS_FAMILY(1), (1, -1))",
     "bracket_identity_check(1, 2, 1)",
-    "specialize(E8_POS_FAMILY(1), 3, 0)",
 ]
 
 
@@ -124,7 +122,7 @@ def test_input_checks_survive_optimize():
     # python -O drops assert statements; input checks must not ride on them
     source = "\n".join([
         "from qsing.brackets import BracketTerm, bracket_identity_check, "
-        "expand, family_from_terms, specialize",
+        "expand, family_from_terms",
         "from qsing.bsato import generator_bc, single_variable_roots",
         "E8_POS_FAMILY = lambda n: family_from_terms(2, [",
         "    BracketTerm((0, 1), 0, 4 * n), BracketTerm((0, 1), n, 3 * n, 2),",
@@ -449,6 +447,42 @@ def test_certificate_json_pinned(n, m):
         True, "certificate verified")
 
 
+def _path_vars(node):
+    """The variables fixed along each root-to-leaf path of a certificate
+    in its JSON form, in order."""
+    if not node["branches"]:
+        yield []
+    for assume, child in node["branches"]:
+        for rest in _path_vars(child):
+            yield [assume["var"], *rest]
+
+
+def assert_paths_fix_distinct_variables(fam, cert):
+    """Every case fixes one active variable and removes it from its
+    branch, so no path fixes a variable twice and none is longer than r:
+    this, not a depth bound, ends the certifier's recursion.  Returns the
+    longest path's length."""
+    paths = list(_path_vars(cert_to_json(cert)))
+    for path in paths:
+        assert len(set(path)) == len(path) <= fam.r, path
+    return max(map(len, paths))
+
+
+def test_e6_certificate_paths_fix_distinct_variables():
+    depths = {}
+    for n, m in itertools.product((1, 2), repeat=2):
+        fam = _preset_family("e6-ex1", n, m)
+        out = certify_all_good(fam)
+        if out.kind == "certificate":
+            depths[(n, m)] = assert_paths_fix_distinct_variables(
+                fam, out.certificate)
+    # (1, 1) and (1, 2) are inconclusive (see E6_CERT_SHA256)
+    assert sorted(depths) == [(2, 1), (2, 2)]
+    # three of the r = 4 variables are fixed on the longest paths; the
+    # last closes at a leaf_last_var leaf
+    assert depths == {(2, 1): 3, (2, 2): 3}
+
+
 def test_e8_pos_outcome_pinned():
     out = certify_all_good(_preset_family("e8-pos", 1))
     assert out.kind == "refuted"
@@ -573,8 +607,8 @@ def test_rebound_symbol_rejected_by_cli(tmp_path, flags):
 def test_certifier_and_checker_agree_beyond_the_presets(d4, d5):
     """Every all-simples family with r >= 2 on D4 (totals <= 8), D5 (<= 5)
     and E6 (<= 4): each certificate passes the checker as returned and
-    after a JSON round trip, and each refutation witness is a bad member
-    of Z(B~)."""
+    after a JSON round trip, no path of it fixes a variable twice, and
+    each refutation witness is a bad member of Z(B~)."""
     kinds = []
     for q, bound in ((d4, 8), (d5, 5), (E6_QUIVER, 4)):
         for alpha in itertools.product(range(bound + 1), repeat=q.n):
@@ -590,6 +624,7 @@ def test_certifier_and_checker_agree_beyond_the_presets(d4, d5):
             kinds.append(out.kind)
             if out.kind == "certificate":
                 assert verify_certificate(fam, out.certificate)[0], alpha
+                assert_paths_fix_distinct_variables(fam, out.certificate)
                 blob = json.loads(json.dumps(cert_to_json(out.certificate)))
                 assert verify_certificate(fam, blob)[0], alpha
             elif out.kind == "refuted":
@@ -625,12 +660,19 @@ def test_cover_check_matches_brute_force():
         assert _cover_check(intervals, tail, start) == (gap is None, gap)
 
 
-def test_conj_to_interval_starts_at_floor():
-    assert _conj_to_interval([("all",)], 1) == (1, None)
-    assert _conj_to_interval([("ge", -5), ("le", 4)], 0) == (0, 4)
-    assert _conj_to_interval([("ge", 3), ("le", 9)], 1) == (3, 9)
-    assert _conj_to_interval([("le", -1)], 0) is None
-    assert _conj_to_interval([("ge", 0), ("none",)], 0) is None
+def test_t_interval_matches_brute_force():
+    """The integers t >= 0 with a*t + b >= 0 for both pairs: bounds stay
+    below 40, so a scan to 60 decides the interval and whether it is
+    bounded above."""
+    rng = random.Random(13)
+    for _ in range(3000):
+        conds = [(rng.randint(-4, 4), rng.randint(-20, 20)) for _ in range(2)]
+        ts = [t for t in range(61) if all(a * t + b >= 0 for a, b in conds)]
+        want = None
+        if ts:
+            want = (ts[0], None if ts[-1] == 60 else ts[-1])
+            assert ts == list(range(ts[0], ts[-1] + 1))
+        assert _t_interval(conds) == want, conds
 
 
 def test_single_variable_roots():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -210,3 +211,14 @@ def test_fractional_rows_scale_to_integers():
     res = solve([([Fraction(1, 2)], "<=", Fraction(1, 3)),
                  ([-1], "<", Fraction(-1, 3))], 1)
     assert res.feasible and res.point == [Fraction(1, 2)]
+
+
+def test_malformed_rows_raise_value_error():
+    # an unknown relation used to be read as "<=" under python -O, which
+    # made this system feasible at x = 0; a short row was truncated
+    with pytest.raises(ValueError, match="relation '>='"):
+        solve([([1], ">=", 1), ([1], "<=", 0)], 1)
+    with pytest.raises(ValueError, match="1 coefficients for 2 variables"):
+        solve([([1, 0], "<=", 1), ([1], "<=", 0)], 2)
+    with pytest.raises(ValueError, match="3 coefficients for 2 variables"):
+        solve([([1, 0, 5], "<", 1)], 2)
