@@ -4,39 +4,55 @@ The case-split driver tracks branch parameters (k1, k2, ...) symbolically:
 a value like n+m-k1 is an Affine; queries ("is this >= 1 on the whole
 box?") reduce to evaluating the affine minimum/maximum over the box, which
 is exact because each parameter appears independently.
+
+The constant and every coefficient are Python ints, and nothing divides:
+every value the certifier builds is an integer (bracket endpoints, case
+values -o, -k and k, box bounds).  A non-integer given to ``Affine.of``,
+``Affine.sym``, ``*`` or ``aff_from_json`` raises ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 INF = None  # upper bound marker for unbounded symbols
 
 
+def _int(x):
+    """x as an int: an int, a rational with denominator 1, or a decimal
+    integer string.  Anything else (1/2, "1/2", 0.5) raises ValueError."""
+    if type(x) is int:
+        return x
+    if isinstance(x, str):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    elif getattr(x, "denominator", None) == 1:
+        return int(x.numerator)
+    raise ValueError(f"{x!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class Affine:
-    const: Fraction
-    coeffs: tuple = ()  # sorted tuple of (symbol, Fraction coefficient)
+    const: int
+    coeffs: tuple = ()  # sorted tuple of (symbol, int coefficient)
 
     @staticmethod
     def of(x):
         if isinstance(x, Affine):
             return x
-        return Affine(Fraction(x))
+        return Affine(_int(x))
 
     @staticmethod
     def sym(name, coeff=1):
-        return Affine(Fraction(0), ((name, Fraction(coeff)),))
-
-    def _map(self):
-        return dict(self.coeffs)
+        return Affine(0, ((name, _int(coeff)),))
 
     def __add__(self, other):
         other = Affine.of(other)
-        m = self._map()
+        m = dict(self.coeffs)
         for s, c in other.coeffs:
-            m[s] = m.get(s, Fraction(0)) + c
+            m[s] = m.get(s, 0) + c
         return Affine(self.const + other.const,
                       tuple(sorted((s, c) for s, c in m.items() if c)))
 
@@ -49,15 +65,12 @@ class Affine:
         return self + (-Affine.of(other))
 
     def __mul__(self, k):
-        k = Fraction(k)
+        k = _int(k)
         if not k:
-            return Affine(Fraction(0))
+            return Affine(0)
         return Affine(self.const * k, tuple((s, c * k) for s, c in self.coeffs))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, k):
-        return self * (Fraction(1) / Fraction(k))
 
     def is_const(self):
         return not self.coeffs
@@ -71,7 +84,8 @@ class Box:
 
     def with_symbol(self, name, lo, hi=INF):
         d = dict((s, (l, h)) for s, l, h in self.domains)
-        assert name not in d
+        if name in d:
+            raise ValueError(f"symbol {name} is already bound")
         d[name] = (int(lo), None if hi is INF else int(hi))
         return Box(tuple(sorted((s, l, h) for s, (l, h) in d.items())))
 
@@ -113,5 +127,5 @@ def aff_to_json(a: Affine):
 
 
 def aff_from_json(d) -> Affine:
-    return Affine(Fraction(d["const"]),
-                  tuple(sorted((s, Fraction(c)) for s, c in d["coeffs"].items())))
+    return Affine(_int(d["const"]),
+                  tuple(sorted((s, _int(c)) for s, c in d["coeffs"].items())))

@@ -22,6 +22,7 @@ The certifier and the independent checker split the work three ways:
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -191,7 +192,6 @@ class SymTerm:
     mult: int = 1
 
     def signature(self):
-        import json
         return json.dumps([list(self.gamma), aff_to_json(self.a),
                            aff_to_json(self.b), self.mult], sort_keys=True)
 
@@ -307,7 +307,11 @@ def leaf_empty_generator(state: SymState, pos):
 def leaf_last_var(state: SymState):
     """r' = 1: every root of the single generator must be good.  Returns
     (bracket, lower bound of K + (a+1)/g) for each bracket, or None.  A
-    generator without brackets is an empty-generator leaf instead."""
+    generator without brackets is an empty-generator leaf instead.
+
+    The test runs on integers, scaled by g >= 1: the bound is gmu/g with
+    gmu the minimum of g*K + a + 1, so it is >= r iff gmu >= g*r, and the
+    clean branch's (a+1)/g >= 1 reads min(a+1) >= g."""
     if len(state.vars) != 1 or not state.terms:
         return None
     k_total = state.k_total()
@@ -315,14 +319,14 @@ def leaf_last_var(state: SymState):
     bounds = []
     for t in state.terms:
         g = t.gamma[0]
-        mu = state.box.min_of(k_total + (t.a + 1) / g)
-        if mu is None or mu < r:
+        gmu = state.box.min_of(k_total * g + t.a + 1)
+        if gmu is None or gmu < g * r:
             return None
-        if mu == r:
-            lo = state.box.min_of((t.a + 1) / g)
-            if not (state.clean and lo is not None and lo >= 1):
+        if gmu == g * r:
+            lo = state.box.min_of(t.a + 1)
+            if not (state.clean and lo is not None and lo >= g):
                 return None
-        bounds.append((t, mu))
+        bounds.append((t, Fraction(gmu, g)))
     return bounds
 
 
@@ -419,9 +423,10 @@ class ReducACert:
     u: tuple  # rational multipliers, same order
 
 
-def _reduc_a_tuple_cert(state: SymState, terms):
+def _reduc_a_tuple_cert(state: SymState, terms, solve=solve):
     """u >= 0 with sum u*gamma = e and (conservatively)
-    sum u*(a+1) - sum(fixed) > r_global; None if infeasible."""
+    sum u*(a+1) - sum(fixed) > r_global; None if infeasible.  ``solve``
+    decides the integer LP system; the certifier passes its run's memo."""
     rcur = len(state.vars)
     k = len(terms)
     mins = []
@@ -448,7 +453,7 @@ def _reduc_a_tuple_cert(state: SymState, terms):
     return ReducACert(tuple(t.signature() for t in terms), tuple(res.point))
 
 
-def reduc_a(state: SymState, positions):
+def reduc_a(state: SymState, positions, solve=solve):
     """Lemma (a) on the index set I of active positions: an LP certificate
     for every tuple of ``_lemma_a_tuples``, and the unit-root cases.
     Returns (certs, cases), or None when some tuple has no certificate or
@@ -458,7 +463,7 @@ def reduc_a(state: SymState, positions):
         return None
     certs = []
     for terms in _lemma_a_tuples(state, positions):
-        cert = _reduc_a_tuple_cert(state, terms)
+        cert = _reduc_a_tuple_cert(state, terms, solve)
         if cert is None:
             return None
         certs.append(cert)
@@ -562,19 +567,43 @@ def _case_json(case: Case, scalars):
     return out
 
 
-def _close(state: SymState, node: CertNode, cases, symbols):
+@dataclass
+class _Run:
+    """What one ``certify_all_good`` call shares across its branches: the
+    iterator of fresh symbols and two memos.  ``reduc_b`` reads the state
+    only through r' and the non-unit directions Gamma, and lemma (a)'s LP
+    is a function of its integer system, so branches that agree on those
+    reuse the answer.  Each call makes its own run; nothing outlives it."""
+    symbols: object
+    lemma_b: dict = field(default_factory=dict)  # (r', Gamma) -> ReducBData
+    lps: dict = field(default_factory=dict)  # (nvars, system) -> FMResult
+
+    def reduc_b(self, state: SymState):
+        key = (len(state.vars), tuple(_gammas(state)))
+        if key not in self.lemma_b:
+            self.lemma_b[key] = reduc_b(state)
+        return self.lemma_b[key]
+
+    def solve(self, cons, nvars):
+        key = (nvars, tuple((tuple(c), rel, rhs) for c, rel, rhs in cons))
+        if key not in self.lps:
+            self.lps[key] = solve(cons, nvars)
+        return self.lps[key]
+
+
+def _close(state: SymState, node: CertNode, cases, run: _Run):
     """Certify the branch of each case in turn into node.branches; False
     at the first branch that does not close."""
     for case in cases:
         sub, scalars = branch_state(state, case)
-        child = _certify(sub, symbols)
+        child = _certify(sub, run)
         if child is None:
             return False
         node.branches.append((_case_json(case, scalars), child))
     return True
 
 
-def _certify(state: SymState, symbols):
+def _certify(state: SymState, run: _Run):
     """A certificate tree for the state, or None when it does not close.
 
     The recursion ends without a depth bound: every case of either lemma
@@ -589,7 +618,7 @@ def _certify(state: SymState, symbols):
     # reduc (a): try index sets small-first; commit to the first that closes
     for size in range(1, rcur + 1):
         for positions in itertools.combinations(range(rcur), size):
-            got = reduc_a(state, positions)
+            got = reduc_a(state, positions, run.solve)
             if got is None or not (got[0] or got[1]):
                 continue  # not applicable, or nothing to say
             certs, cases = got
@@ -598,11 +627,11 @@ def _certify(state: SymState, symbols):
                 "certs": [{"tuple": list(c.tuple_sigs),
                            "u": [str(x) for x in c.u]} for c in certs],
             })
-            if _close(state, node, cases, symbols):
+            if _close(state, node, cases, run):
                 return node
 
     # reduc (b)
-    rb = reduc_b(state)
+    rb = run.reduc_b(state)
     if rb is not None:
         node = CertNode("reduc_b", {
             "J": [state.vars[i] for i in rb.j_set],
@@ -617,8 +646,8 @@ def _certify(state: SymState, symbols):
                 } for i, (lm, mu, sg) in rb.memberships.items()
             },
         })
-        cases = sign_cases(node.data["Jplus"], node.data["Jminus"], symbols)
-        if _close(state, node, cases, symbols):
+        cases = sign_cases(node.data["Jplus"], node.data["Jminus"], run.symbols)
+        if _close(state, node, cases, run):
             return node
     return None
 
@@ -665,8 +694,7 @@ def certify_all_good(family: BFunctionFamily, refute_bound=30) -> CertifyOutcome
     explicit bad element of Z(B~).
     """
     state = sym_state_from_family(family)
-    symbols = (f"k{i}" for i in itertools.count(1))
-    node = _certify(state, symbols)
+    node = _certify(state, _Run(f"k{i}" for i in itertools.count(1)))
     if node is not None:
         return CertifyOutcome("certificate", certificate=node)
     witness = _refute(family, refute_bound)

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from qsing.affine import Affine, Box, aff_to_json
+from qsing import bsato, fmlp
+from qsing.affine import Affine, Box, aff_from_json, aff_to_json
 from qsing.brackets import (
     BracketTerm,
     TerminalRuleInapplicable,
@@ -20,6 +21,8 @@ from qsing.brackets import (
 from qsing.bsato import (
     CertNode,
     CertifyOutcome,
+    SymState,
+    SymTerm,
     _binom_value,
     _cover_check,
     _refutation_candidates,
@@ -29,6 +32,7 @@ from qsing.bsato import (
     check_form_assumption,
     generator_bc,
     is_good,
+    leaf_last_var,
     membership_in_ztilde,
     rational_singularities_verdict,
     reduc_a,
@@ -109,6 +113,11 @@ INPUT_CHECKS = [
     "family_from_terms(2, [BracketTerm((1, -1), 0, 1)])",
     "expand(E8_POS_FAMILY(1), (1, -1))",
     "bracket_identity_check(1, 2, 1)",
+    "Box().with_symbol('k1', 1).with_symbol('k1', 0)",
+    # the certifier's Affine holds integers only
+    "Affine.of(Fraction(1, 2))",
+    "Affine.sym('k') * Fraction(1, 2)",
+    "aff_from_json({'const': '1/2', 'coeffs': {}})",
 ]
 
 
@@ -121,6 +130,8 @@ def test_input_checks_raise_value_error(call):
 def test_input_checks_survive_optimize():
     # python -O drops assert statements; input checks must not ride on them
     source = "\n".join([
+        "from fractions import Fraction",
+        "from qsing.affine import Affine, Box, aff_from_json",
         "from qsing.brackets import BracketTerm, bracket_identity_check, "
         "expand, family_from_terms",
         "from qsing.bsato import generator_bc, single_variable_roots",
@@ -490,6 +501,39 @@ def test_e8_pos_outcome_pinned():
     assert out.certificate is None
 
 
+def _count_solve_calls(monkeypatch):
+    """Count every fmlp.solve call, the LPs of both lemmas, from here on."""
+    calls = []
+    real = fmlp.solve
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fmlp, "solve", counting)
+    monkeypatch.setattr(bsato, "solve", counting)
+    return calls
+
+
+def test_certification_memoizes_its_lps(monkeypatch):
+    """One certification solves each distinct lemma (a) system and each
+    lemma (b) cone (r', Gamma) once: e6-ex1 n = m = 2 made 166 solve
+    calls before the memo and n = m = 4 made 326.  The memo belongs to one
+    call: (2, 2) certified again after (4, 4) makes the same calls and
+    gives the same certificate JSON."""
+    calls = _count_solve_calls(monkeypatch)
+    counts, blobs = [], []
+    for n in (2, 4, 2):
+        del calls[:]
+        out = certify_all_good(_preset_family("e6-ex1", n, n))
+        counts.append(len(calls))
+        blobs.append(json.dumps(cert_to_json(out.certificate), sort_keys=True))
+    assert counts[0] <= 59 and counts[1] <= 91
+    assert counts[2] == counts[0]
+    assert blobs[2] == blobs[0]
+    assert hashlib.sha256(blobs[0].encode()).hexdigest() == E6_CERT_SHA256[(2, 2)]
+
+
 def _first_branch(node, kind):
     for assume, child in node["branches"]:
         if assume["kind"] == kind:
@@ -535,6 +579,38 @@ def test_checker_rejects_malformed_node_data():
     for bad in malformed:
         ok, msg = verify_certificate(fam, bad)
         assert not ok and msg.startswith("malformed certificate: "), msg
+
+
+def _certificate_with_a_fractional_value():
+    """The e6-ex1 n = m = 2 certificate with the value of its first case
+    edited from an integer to 1/2."""
+    fam = _preset_family("e6-ex1", 2, 2)
+    blob = cert_to_json(certify_all_good(fam).certificate)
+    blob["branches"][0][0]["value"]["const"] = "1/2"
+    return fam, blob
+
+
+def test_checker_rejects_a_fractional_case_value():
+    fam, blob = _certificate_with_a_fractional_value()
+    assert verify_certificate(fam, blob) == (
+        False, "malformed certificate: ValueError: '1/2' is not an integer")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_fractional_case_value_rejected_by_cli(tmp_path, flags):
+    fam, blob = _certificate_with_a_fractional_value()
+    terms = [{"gamma": list(t.gamma), "a": t.a, "b": t.b, "mult": t.mult}
+             for t in fam.terms()]
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps({"terms": terms, "r": fam.r,
+                                "certificate": blob}))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "qsing.cli", "verify-certificate",
+         str(path)], capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ("REJECTED: malformed certificate: ValueError: "
+                           "'1/2' is not an integer\n")
+    assert "Traceback" not in proc.stderr
 
 
 def test_checker_rejects_a_certificate_deeper_than_the_recursion_limit():
@@ -591,8 +667,7 @@ def test_checker_rejects_a_rebound_symbol():
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
 def test_rebound_symbol_rejected_by_cli(tmp_path, flags):
-    # python -O drops the assert in Box.with_symbol, so the check must not
-    # ride on it
+    # python -O drops assert statements, so the check must not ride on one
     path = tmp_path / "nested.json"
     path.write_text(json.dumps({"terms": UNITS3_TERMS, "r": 3,
                                 "certificate": nested_certificate("k1")[1]}))
@@ -713,6 +788,111 @@ def test_verdict_expos(e8, e8_alpha):
     assert v.witness is not None
     assert not is_good(v.witness, 2)
     assert membership_in_ztilde(v.family, v.witness).kind == "member"
+
+
+def _box_min_fraction(box, const, coeffs):
+    """The minimum of const + sum c*s over the box in Fractions; None
+    for -infinity."""
+    val = Fraction(const)
+    for s, c in coeffs.items():
+        lo, hi = box.bounds(s)
+        if c > 0:
+            val += c * lo
+        elif c < 0:
+            if hi is None:
+                return None
+            val += c * hi
+    return val
+
+
+def leaf_last_var_fraction_oracle(state):
+    """leaf_last_var as written on Fractions: each bracket's bound is the
+    minimum of K + (a+1)/g, which must be >= r, and where it equals r the
+    branch must be clean with min (a+1)/g >= 1."""
+    if len(state.vars) != 1 or not state.terms:
+        return None
+    k_const, k_coeffs = Fraction(0), {}
+    for _, v, _ in state.fixed:
+        k_const -= v.const
+        for s, c in v.coeffs:
+            k_coeffs[s] = k_coeffs.get(s, 0) - c
+    bounds = []
+    for t in state.terms:
+        g = t.gamma[0]
+        a_const = Fraction(t.a.const + 1, g)
+        a_coeffs = {s: Fraction(c, g) for s, c in t.a.coeffs}
+        total = dict(k_coeffs)
+        for s, c in a_coeffs.items():
+            total[s] = total.get(s, 0) + c
+        mu = _box_min_fraction(state.box, k_const + a_const, total)
+        if mu is None or mu < state.r_global:
+            return None
+        if mu == state.r_global:
+            lo = _box_min_fraction(state.box, a_const, a_coeffs)
+            if not (state.clean and lo is not None and lo >= 1):
+                return None
+        bounds.append((t, mu))
+    return bounds
+
+
+def _random_last_var_state(rng):
+    """A state with one active variable: g in 1..4, integer or symbolic
+    bracket endpoints and fixed values, bounded and unbounded symbols."""
+    box = Box()
+    for s in ("k1", "k2"):
+        lo = rng.randint(0, 2)
+        box = box.with_symbol(s, lo, rng.choice([None, lo + rng.randint(0, 3)]))
+
+    def value(lo, hi):
+        v = Affine.of(rng.randint(lo, hi))
+        if rng.random() < 0.4:
+            v = v + Affine.sym(rng.choice(["k1", "k2"]), rng.choice([-2, -1, 1, 2]))
+        return v
+
+    fixed = tuple((var, value(-4, 1), rng.random() < 0.6)
+                  for var in range(2, 2 + rng.randint(0, 3)))
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        a = value(-2, 6)
+        terms.append(SymTerm((rng.randint(1, 4),), a, a + rng.randint(0, 3),
+                             rng.randint(1, 2)))
+    return SymState((1,), tuple(terms), fixed, box, {}, rng.randint(1, 4))
+
+
+def _tight_last_var_state(fixed_value, a):
+    """A clean state with g = 2 and r = 1 over k1 in 0..1."""
+    return SymState((1,), (SymTerm((2,), a, a + 1),),
+                    ((2, fixed_value, True),),
+                    Box().with_symbol("k1", 0, 1), {}, 1)
+
+
+def test_leaf_last_var_matches_the_fraction_formula():
+    """The integer rule accepts and rejects exactly where the Fraction
+    formula does, and writes the same bound strings."""
+    k1 = Affine.sym("k1")
+    # the bound K + (a+1)/2 equals r = 1 on both, at k1 = 1; (a+1)/2 is
+    # 1 at least on the first but 1/2 at k1 = 0 on the second
+    accepts = _tight_last_var_state(Affine.of(0), Affine.of(1))
+    rejects = _tight_last_var_state(k1 - 1, k1)
+    assert [str(mu) for _, mu in leaf_last_var(accepts)] == ["1"]
+    assert leaf_last_var(rejects) is None
+    rng = random.Random(20261018)
+    accepted = tight = fractional = 0
+    states = [accepts, rejects] + [_random_last_var_state(rng)
+                                   for _ in range(3000)]
+    for state in states:
+        got, want = leaf_last_var(state), leaf_last_var_fraction_oracle(state)
+        assert (got is None) == (want is None), state
+        if got is None:
+            continue
+        assert [(t.signature(), str(mu)) for t, mu in got] == \
+            [(t.signature(), str(mu)) for t, mu in want], state
+        accepted += 1
+        tight += any(mu == state.r_global for _, mu in want)
+        fractional += any(mu.denominator > 1 for _, mu in want)
+    # both outcomes, the bound equal to r, and bounds that are not integers
+    assert 100 < accepted < 2900 and tight > 20 and fractional > 20, \
+        (accepted, tight, fractional)
 
 
 def test_affine_box_arithmetic():
