@@ -10,18 +10,27 @@ Scale notes.  Dimension vectors and Hom profiles are integers packed w
 bits per field with a spare guard bit on top (``_Packing``), so taking a
 root off a remainder, or comparing two profiles in every field, is one
 subtraction.  Every pass over the classes of alpha is one walk, ``_walk``:
-a depth-first search on the packed remainder, carrying an integer sum that
-only grows as parts are added, which cuts a branch once the sum fails a
-test that every larger sum fails too.  It has three callers.
-- ``enumerate_classes`` sums self-Ext.  Components of Z(f_1,...,f_k) have
-  codimension at most k (Krull), so ``components`` enumerates with
-  ``max_self_ext = k`` and tests the zero set at each class.
-- The reducedness survey sums Ext with T and the Hom to each selected
-  simple.  It keeps only rare classes (the Hom-dimension-one points, the
-  per-index witness patterns and one Z' witness) and cuts a branch once
-  some Hom sum exceeds 1 and the branch can no longer give a new Z'
-  witness.  On the E8 example it visits about 109k nodes instead of all
-  1,543,628 classes.
+a depth-first search on the packed remainder, carrying a packed integer
+accumulator that only grows as parts are added, which cuts a branch once
+the accumulator fails a test that every larger one fails too.
+
+The accumulator of the two class walks (``_Bounds``) sums, over the partial
+class C, Hom and Ext against the generic representation T of alpha and the
+perpendicular simples S_j.  Each field is a lower bound on what every
+completion X of C reaches, by three facts proved in ``_Bounds``: X lies in
+the closure of the orbit of T, so (i) Ext(X,X) >= Ext(X,T), Ext(T,X);
+(ii) Ext(X,T) >= max(Ext(C,T), Hom(C,T) - Hom(T,T)) and the same swapped;
+and (iii) Hom(X,S_j) = Ext(X,S_j) >= Ext(C,S_j).
+- ``enumerate_classes`` with ``max_self_ext = k`` cuts once the self-Ext
+  of C or a bound (i)-(ii) exceeds k.  Components of Z(f_1,...,f_k) have
+  codimension at most k (Krull), so ``components`` runs that walk and
+  builds a class only at a leaf whose Hom(X,S_j) fields put it in the zero
+  set.  On e8-notred it visits 21,787 nodes (59,634 with self-Ext alone).
+- The reducedness survey keeps only rare classes (the Hom-dimension-one
+  points, the per-index witness patterns and one Z' witness) and cuts once
+  some Hom(X,S_j) must exceed 1 and the branch can no longer give a new Z'
+  witness.  On e8-notred it visits 5,953 nodes (108,717 with the Hom and
+  Ext sums of C alone) instead of all 1,543,628 classes.
 - A minimal-degeneration check with codimension gap >= 2 sums packed Hom
   rows and walks only the classes whose profile stays below the target's.
 The exact class count is a separate memoized count, run only when
@@ -39,7 +48,6 @@ from .decomp import (
     class_hom,
     class_self_ext,
     generic_decomposition,
-    make_class,
     perp_simples,
 )
 from .quiver import Quiver, require_dynkin
@@ -66,6 +74,7 @@ class _Packing:
     roots: list  # the root at each walk position
     rows: list  # rows[i] = dim Hom(X_i, -), the Hom profile of root i
     rowsum: list  # the entry sum of rows[i]
+    ext2: list  # ext2[p][p'] = Ext(R_p, R_p') + Ext(R_p', R_p), R_p the root at walk position p
 
 
 @lru_cache(maxsize=None)
@@ -73,7 +82,8 @@ def _packed(q: Quiver, w: int) -> _Packing:
     t, top = hom_table(q), 1 << (w - 1)
     return _Packing(t, w, _pack([top] * q.n, w), _pack([top] * len(t.roots), w),
                     [_pack(t.roots[i], w) for i in t.walk],
-                    [_pack(row, w) for row in t.hom], [sum(row) for row in t.hom])
+                    [_pack(row, w) for row in t.hom], [sum(row) for row in t.hom],
+                    [[t.ext[i][j] + t.ext[j][i] for j in t.walk] for i in t.walk])
 
 
 def _packing(q: Quiver, alpha) -> _Packing:
@@ -149,7 +159,8 @@ def _pack(values, w):
 
 
 def _class_of(table, chosen):
-    return make_class([(table.roots[table.walk[p]], m) for p, m in chosen])
+    # a walk chooses each position at most once, so there is nothing to merge
+    return RepClass(tuple(sorted((table.roots[table.walk[p]], m) for p, m in chosen)))
 
 
 def _count_classes(pk, alpha):
@@ -176,12 +187,137 @@ def _count_classes(pk, alpha):
     return count(_pack(alpha, pk.w), 0)
 
 
+def _acc_width(q: Quiver, alpha) -> int:
+    """The field width of a ``_Bounds`` accumulator for classes of alpha.
+
+    Each field sums, over the parts of a direct summand C of a class of
+    alpha, a Hom or Ext dimension between C and one of T, S_j or C itself.
+    With m = max(alpha, theta) in each vertex (theta the highest root, which
+    lies above every S_j), all of these have dimension vectors below m, and
+    dim Hom(X,Y) <= sum_v x_v y_v, so dim Ext(X,Y) = dim Hom(X,Y) - <x,y>
+    <= sum_{a: t->h} x_t y_h.
+    So every field is at most B = sum_v m_v^2 + sum_a m_t m_h, and every
+    limit at most 2B (``_Bounds.limit``).  A field that reached 2**(w-1)
+    would borrow from its neighbour without a sound; w - 1 bits hold 2B.
+    """
+    top = hom_table(q).roots[-1]
+    m = [max(a, c) for a, c in zip(alpha, top)]
+    bound = sum(v * v for v in m) + sum(m[t - 1] * m[h - 1] for t, h in q.arrows)
+    return 1 + (2 * bound).bit_length()
+
+
+@dataclass
+class _Bounds:
+    """Packed per-root gains for a walk over the classes X of alpha, against
+    the generic representation T of alpha and perpendicular simples S_j.
+
+    Fields, w bits each from the bottom, summed over the partial class C:
+    Ext(C,T), Hom(C,T), Ext(T,C), Hom(T,C), then Ext(C,C), which only
+    ``_bounded_walk`` fills, then Hom(C,S_j) and Ext(C,S_j) for each j.
+    Each field but Ext(C,C) is a constant gain per root.  Every X lies in
+    the closure of the dense orbit O_T, and for a completion X of C:
+
+    (i)   Ext(X,X) >= Ext(X,T) and Ext(X,X) >= Ext(T,X): Y -> dim Ext(X,Y)
+          is upper semicontinuous on Rep(Q,alpha), so the Y with
+          dim Ext(X,Y) >= dim Ext(X,T) form a closed set; it contains O_T,
+          hence X.  The same for Y -> dim Ext(Y,X);
+    (ii)  Ext(X,T) >= max(Ext(C,T), Hom(C,T) - Hom(T,T)), since C is a
+          summand of X and Ext(X,T) = Hom(X,T) - <alpha,alpha> with
+          <alpha,alpha> = Hom(T,T) - Ext(T,T) = Hom(T,T); and the same with
+          the arguments swapped;
+    (iii) Hom(X,S_j) = Ext(X,S_j) >= Ext(C,S_j), since Hom(T,S_j) =
+          Ext(T,S_j) = 0 gives <alpha,s_j> = 0.
+
+    Every field only grows as parts are added, so each bound below is
+    monotone and a walk may cut on it.  ``_acc_width`` gives w.
+    """
+
+    w: int
+    r: int  # the number of simples
+    htt: int  # dim Hom(T,T)
+    gains: list  # gains[p]: the fields one copy of the root at walk position p adds
+    guard: int  # the guard bit of every field
+
+    @property
+    def cap(self):
+        return (1 << (self.w - 1)) - 1
+
+    def limit(self, k):
+        """The packed limits of a class X with Ext(X,X) <= k, k >= 0: by (i)
+        and (ii), Ext(C,T), Ext(T,C) and Ext(C,C) <= k and Hom(C,T),
+        Hom(T,C) <= Hom(T,T) + k.  No field exceeds cap - Hom(T,T), so a
+        larger k cuts nothing more and is clamped to it."""
+        k = min(k, self.cap - self.htt)
+        return _pack([k, self.htt + k, k, self.htt + k, k] + [self.cap] * (2 * self.r),
+                     self.w)
+
+    def fields(self, acc):
+        """The field values of a packed accumulator, bottom first."""
+        mask = (1 << self.w) - 1
+        return [(acc >> (self.w * j)) & mask for j in range(5 + 2 * self.r)]
+
+    def homs(self, acc):
+        """The Hom(C,S_j) fields of a packed accumulator."""
+        mask = (1 << self.w) - 1
+        return [(acc >> (self.w * j)) & mask for j in range(5, 5 + 2 * self.r, 2)]
+
+
+@lru_cache(maxsize=None)
+def _gain_columns(q: Quiver, w: int, i: int):
+    """Two gain columns against root i of ``hom_table(q)``, w bits per
+    field, each a list over the walk positions p with R_p the root there:
+    against a part of T, the fields Ext(R_p,X_i), Hom(R_p,X_i),
+    Ext(X_i,R_p), Hom(X_i,R_p); against a simple, Hom(R_p,X_i) and
+    Ext(R_p,X_i)."""
+    t = hom_table(q)
+    hom, ext = t.hom, t.ext
+    return ([_pack([ext[p][i], hom[p][i], ext[i][p], hom[i][p]], w) for p in t.walk],
+            [hom[p][i] + (ext[p][i] << w) for p in t.walk])
+
+
+def _bounds(q: Quiver, alpha, t_class, simples) -> _Bounds:
+    """``_Bounds`` for classes of alpha against T = ``t_class``, whose
+    dimension vector is alpha (for alpha = 0, T has no parts)."""
+    table, w = hom_table(q), _acc_width(q, alpha)
+    ts = [(table.index[tr], m) for tr, m in t_class.parts]
+    gains = [0] * len(table.walk)
+    for t, m in ts:
+        gains = [g + m * c for g, c in zip(gains, _gain_columns(q, w, t)[0])]
+    for j, s in enumerate(simples):
+        shift = w * (5 + 2 * j)
+        gains = [g + (c << shift) for g, c in zip(gains, _gain_columns(q, w, table.index[s])[1])]
+    htt = sum(mi * mj * table.hom[i][j] for i, mi in ts for j, mj in ts)
+    return _Bounds(w, len(simples), htt, gains, _pack([1 << (w - 1)] * (5 + 2 * len(simples)), w))
+
+
+def _bounded_walk(q: Quiver, alpha, bd: _Bounds, k):
+    """``_walk`` over the classes X of alpha with Ext(X,X) <= k, k >= 0,
+    streaming (chosen, acc) with acc packed as ``bd`` lays it out.
+
+    The Ext(C,C) field sums self-Ext: one more copy of root i adds
+    Ext(i,Y) + Ext(Y,i) for each part Y already chosen (Ext(i,i) = 0, real
+    roots).  The walk cuts a branch once any field exceeds ``bd.limit(k)``,
+    one guarded subtraction per child.
+    """
+    pk = _packing(q, alpha)
+    ext2, gains, at = pk.ext2, bd.gains, bd.w * 4
+    guard, lim = bd.guard, bd.limit(k)
+
+    def gain(p, chosen):
+        row = ext2[p]
+        return gains[p] + (sum(m * row[pj] for pj, m in chosen) << at)
+
+    return _walk(pk, alpha, gain, lambda acc: _geq(guard, lim, acc))
+
+
 def enumerate_classes(q: Quiver, alpha, max_self_ext=None):
     """Stream every multiset of positive roots with total alpha, each exactly
     once, in a deterministic depth-first order.
 
-    ``max_self_ext`` prunes branches whose accumulated self-Ext already
-    exceeds the bound (self-Ext only grows when parts are added).
+    With ``max_self_ext`` = k, only the classes X with Ext(X,X) <= k, in
+    the same order: ``_bounded_walk`` cuts a branch once the self-Ext of
+    the partial class, or one of the bounds (i)-(ii) of ``_Bounds`` against
+    the generic representation T of alpha, exceeds its limit.
     """
     table = hom_table(q)
     alpha = tuple(int(a) for a in alpha)
@@ -189,15 +325,14 @@ def enumerate_classes(q: Quiver, alpha, max_self_ext=None):
         raise ValueError(f"dimension vector has {len(alpha)} entries for {q.n} vertices")
     if any(a < 0 for a in alpha):
         raise ValueError("negative dimension vector")
-    ext, walk = table.ext, table.walk
-
-    def gain(p, chosen):
-        # self-Ext added by each copy of the root at p (ext[i][i] == 0: real roots)
-        i = walk[p]
-        return sum(m * (ext[i][walk[pj]] + ext[walk[pj]][i]) for pj, m in chosen)
-
-    fits = lambda acc: max_self_ext is None or acc <= max_self_ext
-    for chosen, _ in _walk(_packing(q, alpha), alpha, gain, fits):
+    if max_self_ext is None:
+        walk = _walk(_packing(q, alpha), alpha, lambda p, _: 0, lambda acc: True)
+    elif max_self_ext < 0:
+        return
+    else:
+        bd = _bounds(q, alpha, generic_decomposition(q, alpha), ())
+        walk = _bounded_walk(q, alpha, bd, int(max_self_ext))  # self-Ext is an integer
+    for chosen, _ in walk:
         yield _class_of(table, chosen)
 
 
@@ -270,20 +405,23 @@ _survey_cache: dict = {}
 def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
     """Collect the reducedness bookkeeping over the classes of alpha.
 
-    One ``_walk`` over the classes carries the sum ``text`` of Ext(X,T) +
-    Ext(T,X) and the Hom sums ``hsum`` against the selected simples, packed
-    into one integer, so each node costs one addition and the cut test.
-    Each list keeps at most ``h_cap`` classes; ``h_truncated`` records
-    whether an h-point was dropped.
+    One ``_walk`` over the classes carries the fields of ``_Bounds`` for T =
+    ``spec.t_class`` and the selected simples, packed into one integer, so
+    each node costs one addition and the cut test.  Each list keeps at most
+    ``h_cap`` classes; ``h_truncated`` records whether an h-point was
+    dropped.
 
-    Cut rule: a child (root, mult) is not explored when some new hsum
-    entry exceeds 1 and either its new ``text`` is positive or a Z'
-    witness is already recorded; larger multiplicities of the same root
-    are cut with it.  This is safe because every Hom and Ext entry is >= 0,
-    so both sums only grow down a branch (and with mult): an h-point or a
-    pattern needs every hsum <= 1, and a Z' witness needs text == 0.  Every
-    text == 0 branch survives until the first witness is found, so the
-    witness is still the first one in enumeration order.
+    Cut rule: a child (root, mult) is not explored when Hom(X,S_j) >= 2 for
+    some j and every completion X, and either Ext(X,T) + Ext(T,X) > 0 for
+    every completion or a Z' witness is already recorded; larger
+    multiplicities of the same root are cut with it.  An h-point or a
+    pattern needs every Hom(X,S_j) <= 1, and a Z' witness needs Ext(X,T) =
+    Ext(T,X) = 0, so nothing kept is lost.  The lower bounds are those of
+    ``_Bounds``: Hom(X,S_j) >= max(Hom(C,S_j), Ext(C,S_j)) by (iii), and
+    Ext(X,T) > 0 once Ext(C,T) > 0 or Hom(C,T) > Hom(T,T) by (ii), the same
+    with the arguments swapped; that is ``limit(0)``.  Every branch that
+    can still give a Z' witness survives until the first one is found, so
+    the witness is still the first one in enumeration order.
 
     Results are cached on (spec, h_cap), so ``reducedness_report`` reuses a
     survey its caller has already run.
@@ -292,30 +430,21 @@ def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
     if key in _survey_cache:
         return _survey_cache[key]
     table = hom_table(spec.quiver)
-    hom, ext = table.hom, table.ext
-    sel_idx = [table.index[s] for s in spec.selected_simples]
-    r = len(sel_idx)
-    t_idx = [(table.index[tr], m) for tr, m in spec.t_class.parts]
-
-    # The sums packed into one integer: the Hom sum to the j-th selected
-    # simple in field j, w bits wide as in the packing of alpha (the sum is
-    # at most alpha . S_j, below the guard bit), and the Ext sum with T above.
-    pk = _packing(spec.quiver, spec.alpha)
-    w = pk.w
-    text_at, field = w * r, (1 << w) - 1
-    gains = [_pack([*(hom[i][j] for j in sel_idx),
-                    sum(m * (ext[ti][i] + ext[i][ti]) for ti, m in t_idx)], w)
-             for i in table.walk]
-    over_one = _pack([field - 1] * r, w)  # meets acc iff some Hom sum is >= 2
+    bd = _bounds(spec.quiver, spec.alpha, spec.t_class, spec.selected_simples)
+    r, guard = bd.r, bd.guard
+    # meets acc iff some Hom(C,S_j) or Ext(C,S_j) field is >= 2
+    over_one = _pack([0] * 5 + [(1 << bd.w) - 2] * (2 * r), bd.w)
+    zlim = bd.limit(0)
 
     res = Survey(spec, h_points=[], patterns={k: [] for k in spec.selected},
                  zprime_witness=None)
 
     def fits(acc):  # the cut rule
-        return not acc & over_one or not (acc >> text_at or res.zprime_witness is not None)
+        return not acc & over_one or (res.zprime_witness is None and _geq(guard, zlim, acc))
 
-    for chosen, acc in _walk(pk, spec.alpha, lambda p, _: gains[p], fits):
-        hsum = [(acc >> (w * j)) & field for j in range(r)]
+    for chosen, acc in _walk(_packing(spec.quiver, spec.alpha), spec.alpha,
+                             lambda p, _: bd.gains[p], fits):
+        hsum = bd.homs(acc)
         if all(h == 1 for h in hsum):
             if len(res.h_points) < h_cap:
                 res.h_points.append(_class_of(table, chosen))
@@ -325,7 +454,7 @@ def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
             k = spec.selected[hsum.index(0)]
             if len(res.patterns[k]) < h_cap:
                 res.patterns[k].append(_class_of(table, chosen))
-        if res.zprime_witness is None and not acc >> text_at and 0 not in hsum:
+        if res.zprime_witness is None and _geq(guard, zlim, acc) and 0 not in hsum:
             res.zprime_witness = _class_of(table, chosen)
     if len(_survey_cache) > 64:
         _survey_cache.clear()
@@ -338,22 +467,29 @@ def components(spec: ZeroSetSpec):
 
     Every component of a zero set of k polynomials has codimension <= k, so
     only classes with self-Ext <= k can be components; among those, the
-    Hom-order maxima coincide with the maxima over the whole zero set.
+    Hom-order maxima coincide with the maxima over the whole zero set.  The
+    walk is ``enumerate_classes``' bounded walk against T = ``spec.t_class``
+    and the selected simples, so the Hom(X,S_j) fields of a leaf say whether
+    X lies in the zero set, and only those leaves become classes.
     """
     table, pk = hom_table(spec.quiver), _packing(spec.quiver, spec.alpha)
     k = len(spec.selected)
+    bd = _bounds(spec.quiver, spec.alpha, spec.t_class, spec.selected_simples)
+    found = []
+    for chosen, acc in _bounded_walk(spec.quiver, spec.alpha, bd, k):
+        homs = bd.homs(acc)
+        if all(homs):
+            cls = _class_of(table, chosen)
+            found.append((*_profile(pk, cls), cls, acc))
     # equal profiles are equal classes, and one strictly below has a smaller sum
-    profs = sorted(((*_profile(pk, cls), cls)
-                    for cls in enumerate_classes(spec.quiver, spec.alpha, max_self_ext=k)
-                    if in_zero_set(cls, spec)), key=lambda t: t[1])
+    found.sort(key=lambda t: t[1])
     maximal, reports = [], []
-    for p, _, cls in profs:
+    for p, _, cls, acc in found:
         if any(_geq(pk.guard, p, mp) for mp in maximal):
             continue
         maximal.append(p)
-        codim = class_self_ext(table, cls)
-        homs = tuple(class_hom(table, cls, s) for s in spec.selected_simples)
-        reports.append(ComponentReport(cls, codim, homs, all(h == 1 for h in homs)))
+        homs = tuple(bd.homs(acc))
+        reports.append(ComponentReport(cls, bd.fields(acc)[4], homs, all(h == 1 for h in homs)))
     reports.sort(key=lambda rep: rep.rep_class.parts)
     return reports
 

@@ -78,6 +78,17 @@ def test_nullcone_a2(tmp_path):
     assert data["components"][0]["codim"] == 1
 
 
+@pytest.mark.parametrize("dim", ["0,0,0", "1,1,0"])
+def test_nullcone_with_no_nonconstant_semi_invariant(tmp_path, dim):
+    # alpha = 0 has the empty generic class; at (1,1,0) the selected simples
+    # give constant semi-invariants, so both zero sets come out empty
+    qf = tmp_path / "a3.quiver"
+    qf.write_text("vertices 3\narrow 1 2\narrow 2 3\n")
+    out = run_cli(["nullcone", "--quiver", str(qf), "--dim", dim]).stdout
+    assert "components: 0\n" in out
+    assert "verdict: reduced (empty zero set)" in out
+
+
 def test_bfunction_e6_preset():
     proc = run_cli(["bfunction", "--preset", "e6-ex1", "--n", "2", "--m", "2",
                     "--format", "json"])

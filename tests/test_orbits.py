@@ -5,11 +5,13 @@ import pytest
 
 from qsing import orbits
 from qsing.decomp import (
+    RepClass,
     class_ext,
     class_hom,
     class_self_ext,
     generic_decomposition,
     make_class,
+    perp_simples,
 )
 from qsing.orbits import (
     NotFound,
@@ -54,6 +56,7 @@ def test_enumerate_max_self_ext_filter(a3):
                    for c in enumerate_classes(a3, alpha)}
     bounded = {c.parts for c in enumerate_classes(a3, alpha, max_self_ext=2)}
     assert bounded == {p for p, e in all_classes.items() if e <= 2}
+    assert {c.parts for c in enumerate_classes(a3, alpha, max_self_ext=2.5)} == bounded
 
 
 def test_in_zero_set_a2(a2):
@@ -240,6 +243,13 @@ def reference_survey(spec):
     ("e6", (1, 3, 3, 3, 1, 2), None),
     ("e6", (1, 3, 3, 3, 1, 2), (1, 3)),
     ("e6", (1, 2, 3, 2, 1, 2), None),
+    # the survey also cuts on Hom(C,T) > Hom(T,T) here, with Ext(C,T) =
+    # Ext(T,C) = 0 and no Z' witness yet
+    ("e6", (0, 0, 2, 1, 0, 1), (2, 3)),
+    ("e6", (0, 1, 3, 2, 1, 2), None),
+    # and on Ext(C,S_j) >= 2 with every Hom(C,S_j) <= 1, beside patterns
+    ("d4", (1, 1, 1, 2), (2, 3)),
+    ("a3", (2, 2, 2), None),
 ])
 def test_survey_matches_brute_force(request, name, alpha, selected):
     q = request.getfixturevalue(name)
@@ -341,6 +351,121 @@ def test_packed_walk_matches_tuple_walk(request):
             assert stream(orbits._walk, pk) == stream(tuple_walk, table), (q, alpha)
         assert orbits._count_classes(pk, alpha) == len(list(enumerate_classes(q, alpha)))
     assert len(list(enumerate_classes(E8_RELABELLED, (1, 0, 1, 0, 1, 0, 0, 0)))) == 2
+
+
+def walked_class(table, chosen):
+    return make_class([(table.roots[table.walk[p]], m) for p, m in chosen])
+
+
+def test_bounded_enumeration_matches_the_filtered_tuple_walk(request):
+    """``enumerate_classes`` with ``max_self_ext`` = k streams the classes of
+    the unbounded tuple walk whose self-Ext is at most k, in the same order."""
+    for q, alpha in walk_box(request):
+        table = hom_table(q)
+        every = [walked_class(table, chosen)
+                 for chosen, _ in tuple_walk(table, alpha, lambda p, c: 0, lambda acc: True)]
+        codims = [class_self_ext(table, c) for c in every]
+        for k in range(4):
+            want = [c for c, e in zip(every, codims) if e <= k]
+            assert list(enumerate_classes(q, alpha, max_self_ext=k)) == want, (q, alpha, k)
+
+
+def test_bound_fields_decode_to_their_hom_and_ext(request):
+    """Every field of every leaf of the bounded walk, with a limit too large
+    to cut, decodes to the Hom or Ext dimension it sums, so no field
+    overflows into its neighbour; the leaves also satisfy facts (i)-(iii)."""
+    for q, alpha in walk_box(request):
+        table = hom_table(q)
+        t = generic_decomposition(q, alpha)
+        simples = perp_simples(q, t).simples
+        bd = orbits._bounds(q, alpha, t, simples)
+        leaves = 0
+        for chosen, acc in orbits._bounded_walk(q, alpha, bd, 10**9):
+            x = walked_class(table, chosen)
+            homs = [class_hom(table, x, s) for s in simples]
+            exts = [class_ext(table, x, s) for s in simples]
+            t_fields = [class_ext(table, x, t), class_hom(table, x, t),
+                        class_ext(table, t, x), class_hom(table, t, x)]
+            codim = class_self_ext(table, x)
+            pairs = [v for hom_ext in zip(homs, exts) for v in hom_ext]
+            assert bd.fields(acc) == [*t_fields, codim, *pairs], (q, alpha, x)
+            assert bd.homs(acc) == homs
+            assert homs == exts  # (iii)
+            assert codim >= max(t_fields[0], t_fields[2])  # (i)
+            assert t_fields[1] - bd.htt == t_fields[0]  # (ii) at a whole class
+            leaves += 1
+        assert leaves == orbits._count_classes(orbits._packing(q, alpha), alpha)
+
+
+def brute_force_components(table, every, spec):
+    """(parts, codim, Hom to the selected simples, condition (a)) of every
+    class in the zero set that no other class in it degenerates from."""
+    simples = spec.selected_simples
+    zero = [(c, hom_profile(table, c)) for c in every
+            if all(class_hom(table, c, s) > 0 for s in simples)]
+    out = []
+    for c, p in zero:
+        if not any(d != c and all(a <= b for a, b in zip(pd, p)) for d, pd in zero):
+            homs = tuple(class_hom(table, c, s) for s in simples)
+            out.append((c.parts, class_self_ext(table, c), homs, all(h == 1 for h in homs)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("a3", 6), ("d4", 5), (Quiver(4, ((4, 1), (4, 2), (4, 3))), 5), ("e6", 3),
+])
+def test_components_match_brute_force(request, name, bound):
+    """``components`` against a scan of every class of alpha, for every
+    nonempty selection of perpendicular simples: no codimension bound, so
+    this also checks the cut on self-Ext <= k and the bounds against T."""
+    q = request.getfixturevalue(name) if isinstance(name, str) else name
+    table = hom_table(q)
+    for alpha in itertools.product(range(bound + 1), repeat=q.n):
+        if not 0 < sum(alpha) <= bound:
+            continue
+        every = list(enumerate_classes(q, alpha))
+        r = perp_simples(q, generic_decomposition(q, alpha)).r
+        for size in range(1, r + 1):
+            for sel in itertools.combinations(range(1, r + 1), size):
+                spec = make_spec(q, alpha, sel)
+                got = [(c.rep_class.parts, c.codim, c.hom_to_simples, c.gradient_a)
+                       for c in components(spec)]
+                assert got == brute_force_components(table, every, spec), (q, alpha, sel)
+
+
+def test_components_and_bounded_enumeration_share_one_walk(a3, monkeypatch):
+    limits = []
+    real = orbits._bounded_walk
+    monkeypatch.setattr(orbits, "_bounded_walk",
+                        lambda q, alpha, bd, k: limits.append(k) or real(q, alpha, bd, k))
+    list(enumerate_classes(a3, (2, 3, 2), max_self_ext=2))
+    components(make_spec(a3, (2, 3, 2), (1,)))
+    assert limits == [2, 1]
+
+
+@pytest.mark.parametrize("alpha, patterns, total", [
+    ((0, 0, 0), {1: [], 2: [], 3: []}, 1),
+    # (1,1,0) selects a simple meeting vertex 3, whose semi-invariant is a
+    # nonzero constant, so the zero set comes out empty; working on the
+    # support of alpha would change this output
+    ((1, 1, 0), {1: [], 2: [make_class([((0, 1, 0), 1), ((1, 0, 0), 1)])]}, 2),
+])
+def test_nullcone_off_the_support(a3, alpha, patterns, total):
+    """T has no part at alpha = 0, and the walks read its dimension vector
+    from the spec, never from ``RepClass.total``."""
+    spec = make_spec(a3, alpha)
+    assert components(spec) == []
+    sv = survey(spec)
+    assert (sv.h_points, sv.patterns, sv.zprime_witness, sv.h_truncated, sv.total) == (
+        [], patterns, None, False, total)
+    rr = reducedness_report(spec)
+    assert (rr.verdict, rr.reason, rr.witness, rr.ci) == ("reduced", "empty zero set", None, True)
+
+
+def test_zero_alpha_has_the_empty_class(a3):
+    for k in (None, 0, 1, 5):
+        assert list(enumerate_classes(a3, (0, 0, 0), max_self_ext=k)) == [RepClass(())]
+    assert list(enumerate_classes(a3, (0, 0, 0), max_self_ext=-1)) == []
 
 
 @pytest.mark.parametrize("name, alpha", [
