@@ -11,21 +11,26 @@ bits per field with a spare guard bit on top (``_Packing``), so taking a
 root off a remainder, or comparing two profiles in every field, is one
 subtraction.  Every pass over the classes of alpha is one walk, ``_walk``:
 a depth-first search on the packed remainder, carrying a packed integer
-accumulator that only grows as parts are added, which cuts a branch once
-the accumulator fails a test that every larger one fails too.
+accumulator stepped once per copy of a root, which cuts a branch once the
+accumulator shows that no class with the partial class as a direct summand
+passes.
 
 The accumulator of the two class walks (``_Bounds``) sums, over the partial
-class C, Hom and Ext against the generic representation T of alpha and the
-perpendicular simples S_j.  Each field is a lower bound on what every
-completion X of C reaches, by three facts proved in ``_Bounds``: X lies in
-the closure of the orbit of T, so (i) Ext(X,X) >= Ext(X,T), Ext(T,X);
+class C of dimension c, Hom and Ext against the generic representation T of
+alpha and the perpendicular simples S_j.  The fields bound what every class
+X with C as a summand reaches, by four facts proved in ``_Bounds``: X lies
+in the closure of the orbit of T, so (i) Ext(X,X) >= Ext(X,T), Ext(T,X);
 (ii) Ext(X,T) >= max(Ext(C,T), Hom(C,T) - Hom(T,T)) and the same swapped;
-and (iii) Hom(X,S_j) = Ext(X,S_j) >= Ext(C,S_j).
-- ``enumerate_classes`` with ``max_self_ext = k`` cuts once the self-Ext
-  of C or a bound (i)-(ii) exceeds k.  Components of Z(f_1,...,f_k) have
-  codimension at most k (Krull), so ``components`` runs that walk and
-  builds a class only at a leaf whose Hom(X,S_j) fields put it in the zero
-  set.  On e8-notred it visits 21,787 nodes (59,634 with self-Ext alone).
+(iii) Hom(X,S_j) = Ext(X,S_j) >= Ext(C,S_j); and, on the remainder
+y = alpha - c, (iv) Ext(X,X) >= Ext(C,C) + max(0, -<c,y>) + max(0, -<y,c>).
+- ``enumerate_classes`` with ``max_self_ext = k`` cuts once a bound (i),
+  (ii) or (iv) exceeds k.  Its accumulator also carries, for every root
+  R_i, the sums of Ext and of Hom between C and R_i, so one more copy of a
+  root updates Ext(C,C) and the Euler forms of (iv) from two field reads.
+  Components of Z(f_1,...,f_k) have codimension at most k (Krull), so
+  ``components`` runs that walk and builds a class only at a leaf whose
+  Hom(X,S_j) fields put it in the zero set.  On e8-notred it visits 2,384
+  nodes (21,787 without (iv), 59,634 with self-Ext alone).
 - The reducedness survey keeps only rare classes (the Hom-dimension-one
   points, the per-index witness patterns and one Z' witness) and cuts once
   some Hom(X,S_j) must exceed 1 and the branch can no longer give a new Z'
@@ -74,7 +79,6 @@ class _Packing:
     roots: list  # the root at each walk position
     rows: list  # rows[i] = dim Hom(X_i, -), the Hom profile of root i
     rowsum: list  # the entry sum of rows[i]
-    ext2: list  # ext2[p][p'] = Ext(R_p, R_p') + Ext(R_p', R_p), R_p the root at walk position p
 
 
 @lru_cache(maxsize=None)
@@ -82,8 +86,7 @@ def _packed(q: Quiver, w: int) -> _Packing:
     t, top = hom_table(q), 1 << (w - 1)
     return _Packing(t, w, _pack([top] * q.n, w), _pack([top] * len(t.roots), w),
                     [_pack(t.roots[i], w) for i in t.walk],
-                    [_pack(row, w) for row in t.hom], [sum(row) for row in t.hom],
-                    [[t.ext[i][j] + t.ext[j][i] for j in t.walk] for i in t.walk])
+                    [_pack(row, w) for row in t.hom], [sum(row) for row in t.hom])
 
 
 def _packing(q: Quiver, alpha) -> _Packing:
@@ -107,7 +110,7 @@ def _profile(pk, cls):
     return sum(m * pk.rows[i] for i, m in ims), sum(m * pk.rowsum[i] for i, m in ims)
 
 
-def _walk(pk, alpha, gain, fits):
+def _walk(pk, alpha, step, fits, acc=0):
     """Stream (chosen, acc) for the classes of ``alpha`` in depth-first walk
     order, each class at most once; ``chosen`` lists its (walk position,
     multiplicity) pairs and is reused, so copy it to keep it.
@@ -117,13 +120,13 @@ def _walk(pk, alpha, gain, fits):
     d = (rem | guards) - root keeps every guard bit; d without them is the
     new remainder, and d - root tests one more copy.
 
-    ``acc`` is an integer accumulator that starts at 0, and
-    ``gain(p, chosen)`` is what one more copy of the root at walk position
-    ``p`` adds to it, never negative.  A child is
-    cut, with every larger multiplicity of its root, once ``fits`` fails on
-    its accumulator.  ``fits`` must then fail after any further gain too,
-    so a cut loses no class that passes it.  A caller with several sums
-    packs them into one integer (``_pack``).
+    The accumulator starts at ``acc`` for the empty class, and
+    ``step(acc, p)`` is the accumulator after one more copy of the root at
+    walk position ``p``.  A child, the partial class C, is cut, with every
+    larger multiplicity of its root, once ``fits`` fails on its
+    accumulator.  A false ``fits`` must mean that no class with C as a
+    direct summand passes, so a cut loses no class that passes.  A caller
+    with several sums packs them into one integer (``_pack``).
     """
     chosen = []
     start, end, vguard, roots, w = pk.table.start, pk.table.end, pk.vguard, pk.roots, pk.w
@@ -135,27 +138,31 @@ def _walk(pk, alpha, gain, fits):
         x = ((rem & -rem).bit_length() - 1) // w
         for p in range(max(minpos, start[x]), end[x]):
             rt = roots[p]
-            d = (rem | vguard) - rt
-            if d & vguard != vguard:
-                continue
-            g, mult, nacc = gain(p, chosen), 0, acc
+            d, mult, nacc = (rem | vguard) - rt, 0, acc
             while d & vguard == vguard:
-                mult, nacc = mult + 1, nacc + g
+                nacc = step(nacc, p)
                 if not fits(nacc):
-                    break  # the accumulator is nondecreasing in mult
+                    break  # a larger multiplicity has this child as a summand
+                mult += 1
                 chosen.append((p, mult))
                 yield from dfs(d ^ vguard, p + 1, nacc)
                 chosen.pop()
                 d -= rt
 
-    return dfs(_pack(alpha, w), 0, 0)
+    return dfs(_pack(alpha, w), 0, acc)
 
 
 def _pack(values, w):
-    """The nonnegative integers ``values`` as one integer, entry j in bits
-    j*w and up.  Adding packed integers adds them entry by entry while
-    every entry but the last stays below 2**w."""
+    """The integers ``values`` as one integer, entry j in bits j*w and up.
+    Adding packed integers adds them entry by entry while every entry of
+    the sum but the last stays in 0 .. 2**w - 1, so a gain may carry a
+    negative entry."""
     return sum(v << (w * j) for j, v in enumerate(values))
+
+
+def _fill(v, w, n):
+    """n fields of w bits, each holding v."""
+    return v * (((1 << (w * n)) - 1) // ((1 << w) - 1))
 
 
 def _class_of(table, chosen):
@@ -190,15 +197,26 @@ def _count_classes(pk, alpha):
 def _acc_width(q: Quiver, alpha) -> int:
     """The field width of a ``_Bounds`` accumulator for classes of alpha.
 
-    Each field sums, over the parts of a direct summand C of a class of
-    alpha, a Hom or Ext dimension between C and one of T, S_j or C itself.
+    A walk steps only to a C whose dimension vector c lies below alpha.
     With m = max(alpha, theta) in each vertex (theta the highest root, which
-    lies above every S_j), all of these have dimension vectors below m, and
+    lies above every root), the dimension vectors of C, the remainder
+    y = alpha - c, T, S_j and every root R_i lie below m, and
     dim Hom(X,Y) <= sum_v x_v y_v, so dim Ext(X,Y) = dim Hom(X,Y) - <x,y>
-    <= sum_{a: t->h} x_t y_h.
-    So every field is at most B = sum_v m_v^2 + sum_a m_t m_h, and every
-    limit at most 2B (``_Bounds.limit``).  A field that reached 2**(w-1)
-    would borrow from its neighbour without a sound; w - 1 bits hold 2B.
+    <= sum_{a: t->h} x_t y_h.  Let B = sum_v m_v^2 + sum_a m_t m_h.
+    - A field against T, S_j or C itself sums one such dimension: at most B.
+    - A remainder field is at least 0 and at most B.  Since
+      <c,y> = sum_v c_v y_v - sum_a c_t y_h and c_v + y_v = alpha_v,
+      -<c,y> >= -sum_v c_v y_v >= -off, with off = sum_v floor(alpha_v^2/4).
+      And -<c,y> = Ext(C,Y) - Hom(C,Y) <= sum_a c_t y_h for any Y of
+      dimension y, so off + Ext(C,C) - <c,y> <= sum_a c_t alpha_h + off
+      <= B.  The same holds with c and y swapped, and
+      2 off + Ext(C,C) - <c,y> - <y,c> lies in 0 .. sum_a alpha_t alpha_h
+      + 2 off <= B.
+    - A per-root field sums a Hom or an Ext between C and R_i both ways: at
+      most 2B.
+    A field that reached 2**(w-1) would borrow from its neighbour without a
+    sound; w - 1 bits hold 2B, and ``_Bounds.limit`` keeps every limit below
+    2**(w-1) too.
     """
     top = hom_table(q).roots[-1]
     m = [max(a, c) for a, c in zip(alpha, top)]
@@ -211,11 +229,22 @@ class _Bounds:
     """Packed per-root gains for a walk over the classes X of alpha, against
     the generic representation T of alpha and perpendicular simples S_j.
 
-    Fields, w bits each from the bottom, summed over the partial class C:
-    Ext(C,T), Hom(C,T), Ext(T,C), Hom(T,C), then Ext(C,C), which only
-    ``_bounded_walk`` fills, then Hom(C,S_j) and Ext(C,S_j) for each j.
-    Each field but Ext(C,C) is a constant gain per root.  Every X lies in
-    the closure of the dense orbit O_T, and for a completion X of C:
+    Fields, w bits each from the bottom, summed over the partial class C of
+    dimension c, with remainder y = alpha - c:
+    - 0-3: Ext(C,T), Hom(C,T), Ext(T,C), Hom(T,C);
+    - 4: Ext(C,C);
+    - 5-7: the remainder forms off + Ext(C,C) - <c,y>, off + Ext(C,C) -
+      <y,c> and 2 off + Ext(C,C) - <c,y> - <y,c>, whose offset ``off``
+      keeps them nonnegative (``_acc_width``);
+    - Hom(C,S_j) and Ext(C,S_j) for each j;
+    - E_i = Ext(C,R_i) + Ext(R_i,C) and H_i = Hom(C,R_i) + Hom(R_i,C) for
+      the root R_i at each walk position i.
+    Fields 4-7 and the per-root fields are those of ``_bounded_walk``; the
+    survey adds only the constant gains against T and S_j, and has no
+    per-root fields.
+
+    Every X lies in the closure of the dense orbit O_T.  For every class X
+    of alpha that has C as a direct summand:
 
     (i)   Ext(X,X) >= Ext(X,T) and Ext(X,X) >= Ext(T,X): Y -> dim Ext(X,Y)
           is upper semicontinuous on Rep(Q,alpha), so the Y with
@@ -226,88 +255,146 @@ class _Bounds:
           <alpha,alpha> = Hom(T,T) - Ext(T,T) = Hom(T,T); and the same with
           the arguments swapped;
     (iii) Hom(X,S_j) = Ext(X,S_j) >= Ext(C,S_j), since Hom(T,S_j) =
-          Ext(T,S_j) = 0 gives <alpha,s_j> = 0.
+          Ext(T,S_j) = 0 gives <alpha,s_j> = 0;
+    (iv)  Ext(X,X) >= Ext(C,C) + max(0, -<c,y>) + max(0, -<y,c>): X = C + Y
+          with Y of dimension y, so Ext(X,X) >= Ext(C,C) + Ext(C,Y) +
+          Ext(Y,C), and Ext(C,Y) = Hom(C,Y) - <c,y> is at least 0 and at
+          least -<c,y> (the Euler-form bound on general representations,
+          Schofield 1992); the same with the arguments swapped.  Here
+          -<c,y> = <c,c> - <c,alpha> = Hom(C,C) - Ext(C,C) - Hom(C,T) +
+          Ext(C,T).
 
-    Every field only grows as parts are added, so each bound below is
-    monotone and a walk may cut on it.  ``_acc_width`` gives w.
+    The bound (iv) is at most k exactly when the four linear forms Ext(C,C),
+    Ext(C,C) - <c,y>, Ext(C,C) - <y,c> and Ext(C,C) - <c,y> - <y,c> are,
+    which fields 4-7 hold.  Unlike the other fields, fields 5-7 are not
+    monotone along a walk.  A cut on them is sound all the same, since (iv)
+    holds for every X with C as a summand, and that includes every larger
+    multiplicity of C's last root.  ``_acc_width`` gives w.
     """
 
     w: int
     r: int  # the number of simples
+    n: int  # the number of fields
     htt: int  # dim Hom(T,T)
-    gains: list  # gains[p]: the fields one copy of the root at walk position p adds
+    off: int  # the offset of the remainder fields
+    gains: list  # gains[p]: the constant fields one copy of the root at walk position p adds
     guard: int  # the guard bit of every field
 
     @property
     def cap(self):
         return (1 << (self.w - 1)) - 1
 
+    @property
+    def start(self):
+        """The accumulator of the empty class: fields 5-7 at their offsets
+        off, off and 2 off, which is off times the Hom(C,C) column."""
+        return self.off * _self_columns(self.w)[1]
+
     def limit(self, k):
         """The packed limits of a class X with Ext(X,X) <= k, k >= 0: by (i)
-        and (ii), Ext(C,T), Ext(T,C) and Ext(C,C) <= k and Hom(C,T),
-        Hom(T,C) <= Hom(T,T) + k.  No field exceeds cap - Hom(T,T), so a
-        larger k cuts nothing more and is clamped to it."""
-        k = min(k, self.cap - self.htt)
-        return _pack([k, self.htt + k, k, self.htt + k, k] + [self.cap] * (2 * self.r),
-                     self.w)
+        and (ii), Ext(C,T), Ext(T,C) <= k and Hom(C,T), Hom(T,C) <= Hom(T,T)
+        + k; by (iv), each form of fields 4-7 <= k, plus its offset.  Fields
+        0-7 are at most B <= cap - B (``_acc_width``), and Hom(T,T) and
+        2 off are at most B, so a larger k than cap - max(Hom(T,T), 2 off)
+        cuts nothing more and is clamped to it; then no limit exceeds cap."""
+        k, o, w = min(k, self.cap - max(self.htt, 2 * self.off)), self.off, self.w
+        return (_pack([k, self.htt + k, k, self.htt + k, k, o + k, o + k, 2 * o + k], w)
+                + (_fill(self.cap, w, self.n - 8) << (8 * w)))
 
     def fields(self, acc):
         """The field values of a packed accumulator, bottom first."""
         mask = (1 << self.w) - 1
-        return [(acc >> (self.w * j)) & mask for j in range(5 + 2 * self.r)]
+        return [(acc >> (self.w * j)) & mask for j in range(self.n)]
 
     def homs(self, acc):
         """The Hom(C,S_j) fields of a packed accumulator."""
         mask = (1 << self.w) - 1
-        return [(acc >> (self.w * j)) & mask for j in range(5, 5 + 2 * self.r, 2)]
+        return [(acc >> (self.w * j)) & mask for j in range(8, 8 + 2 * self.r, 2)]
 
 
 @lru_cache(maxsize=None)
 def _gain_columns(q: Quiver, w: int, i: int):
-    """Two gain columns against root i of ``hom_table(q)``, w bits per
+    """Three gain columns against root i of ``hom_table(q)``, w bits per
     field, each a list over the walk positions p with R_p the root there:
     against a part of T, the fields Ext(R_p,X_i), Hom(R_p,X_i),
-    Ext(X_i,R_p), Hom(X_i,R_p); against a simple, Hom(R_p,X_i) and
-    Ext(R_p,X_i)."""
+    Ext(X_i,R_p), Hom(X_i,R_p); the same with the terms -<r_p,x_i>,
+    -<x_i,r_p> and their sum of fields 5-7; against a simple, Hom(R_p,X_i)
+    and Ext(R_p,X_i)."""
     t = hom_table(q)
     hom, ext = t.hom, t.ext
-    return ([_pack([ext[p][i], hom[p][i], ext[i][p], hom[i][p]], w) for p in t.walk],
+    against_t = [_pack([ext[p][i], hom[p][i], ext[i][p], hom[i][p]], w) for p in t.walk]
+    euler = [(ext[p][i] - hom[p][i], ext[i][p] - hom[i][p]) for p in t.walk]
+    return (against_t,
+            [g + _pack([0] * 5 + [a, b, a + b], w) for g, (a, b) in zip(against_t, euler)],
             [hom[p][i] + (ext[p][i] << w) for p in t.walk])
 
 
-def _bounds(q: Quiver, alpha, t_class, simples) -> _Bounds:
+@lru_cache(maxsize=None)
+def _root_columns(q: Quiver, w: int, r: int):
+    """The bounded walk's columns with r simples, w bits per field: for each
+    walk position p, what one more copy of R_p adds to the per-root fields
+    (Ext(R_i,R_p) + Ext(R_p,R_i) and Hom(R_i,R_p) + Hom(R_p,R_i) at each
+    walk position i) and the constants 1, 1, 2 of fields 5-7 (Hom(R_p,R_p)
+    = 1); and the bit offset of the per-root fields of each walk position."""
+    t = hom_table(q)
+    hom, ext, walk = t.hom, t.ext, t.walk
+    head = [0] * 5 + [1, 1, 2] + [0] * (2 * r)
+    cols = [_pack(head + [v for i in walk
+                          for v in (ext[i][p] + ext[p][i], hom[i][p] + hom[p][i])], w)
+            for p in walk]
+    return cols, [w * (len(head) + 2 * j) for j in range(len(walk))]
+
+
+@lru_cache(maxsize=None)
+def _self_columns(w: int):
+    """Where Ext(C,C) and Hom(C,C) enter fields 4-7, w bits per field."""
+    return _pack([0, 0, 0, 0, 1, 0, 0, -1], w), _pack([0, 0, 0, 0, 0, 1, 1, 2], w)
+
+
+def _bounds(q: Quiver, alpha, t_class, simples, bounded=True) -> _Bounds:
     """``_Bounds`` for classes of alpha against T = ``t_class``, whose
-    dimension vector is alpha (for alpha = 0, T has no parts)."""
-    table, w = hom_table(q), _acc_width(q, alpha)
+    dimension vector is alpha (for alpha = 0, T has no parts).  The gains
+    are those of ``_bounded_walk``, or with ``bounded`` false only the
+    constant fields against T and the S_j, which the survey adds."""
+    table, w, r = hom_table(q), _acc_width(q, alpha), len(simples)
     ts = [(table.index[tr], m) for tr, m in t_class.parts]
-    gains = [0] * len(table.walk)
+    n, gains = 8 + 2 * r, [0] * len(table.walk)
+    if bounded:
+        n, gains = n + 2 * len(table.walk), _root_columns(q, w, r)[0]
     for t, m in ts:
-        gains = [g + m * c for g, c in zip(gains, _gain_columns(q, w, t)[0])]
+        gains = [g + m * c for g, c in zip(gains, _gain_columns(q, w, t)[1 if bounded else 0])]
     for j, s in enumerate(simples):
-        shift = w * (5 + 2 * j)
-        gains = [g + (c << shift) for g, c in zip(gains, _gain_columns(q, w, table.index[s])[1])]
+        shift = w * (8 + 2 * j)
+        gains = [g + (c << shift) for g, c in zip(gains, _gain_columns(q, w, table.index[s])[2])]
     htt = sum(mi * mj * table.hom[i][j] for i, mi in ts for j, mj in ts)
-    return _Bounds(w, len(simples), htt, gains, _pack([1 << (w - 1)] * (5 + 2 * len(simples)), w))
+    off = sum(a * a // 4 for a in alpha)
+    return _Bounds(w, r, n, htt, off, gains, _fill(1 << (w - 1), w, n))
 
 
-def _bounded_walk(q: Quiver, alpha, bd: _Bounds, k):
+def _bounded_walk(pk, alpha, bd: _Bounds, k):
     """``_walk`` over the classes X of alpha with Ext(X,X) <= k, k >= 0,
     streaming (chosen, acc) with acc packed as ``bd`` lays it out.
 
-    The Ext(C,C) field sums self-Ext: one more copy of root i adds
-    Ext(i,Y) + Ext(Y,i) for each part Y already chosen (Ext(i,i) = 0, real
-    roots).  The walk cuts a branch once any field exceeds ``bd.limit(k)``,
-    one guarded subtraction per child.
+    One more copy of R_p adds the constant ``bd.gains[p]`` and the per-root
+    sums E_p and H_p, read from the accumulator: Ext(C + R_p, C + R_p) =
+    Ext(C,C) + E_p, since Ext(R_p,R_p) = 0, and Hom(C + R_p, C + R_p) =
+    Hom(C,C) + H_p + 1.  Earlier copies of R_p are counted in E_p and H_p.
+    Fields 5-7 take E_p and H_p with the coefficients of their forms.  The
+    walk cuts a branch once any field exceeds ``bd.limit(k)``, one guarded
+    subtraction per child.
     """
-    pk = _packing(q, alpha)
-    ext2, gains, at = pk.ext2, bd.gains, bd.w * 4
-    guard, lim = bd.guard, bd.limit(k)
+    w, mask = bd.w, (1 << bd.w) - 1
+    gains, at = bd.gains, _root_columns(pk.table.quiver, w, bd.r)[1]
+    ecol, hcol = _self_columns(w)
+    guard = bd.guard
+    top = bd.limit(k) | guard
 
-    def gain(p, chosen):
-        row = ext2[p]
-        return gains[p] + (sum(m * row[pj] for pj, m in chosen) << at)
+    def step(acc, p):
+        v = acc >> at[p]
+        return acc + gains[p] + (v & mask) * ecol + (v >> w & mask) * hcol
 
-    return _walk(pk, alpha, gain, lambda acc: _geq(guard, lim, acc))
+    # _geq(guard, bd.limit(k), acc), inlined
+    return _walk(pk, alpha, step, lambda acc: (top - acc) & guard == guard, bd.start)
 
 
 def enumerate_classes(q: Quiver, alpha, max_self_ext=None):
@@ -315,9 +402,9 @@ def enumerate_classes(q: Quiver, alpha, max_self_ext=None):
     once, in a deterministic depth-first order.
 
     With ``max_self_ext`` = k, only the classes X with Ext(X,X) <= k, in
-    the same order: ``_bounded_walk`` cuts a branch once the self-Ext of
-    the partial class, or one of the bounds (i)-(ii) of ``_Bounds`` against
-    the generic representation T of alpha, exceeds its limit.
+    the same order: ``_bounded_walk`` cuts a branch once one of the bounds
+    (i), (ii) and (iv) of ``_Bounds`` on Ext(X,X), against the generic
+    representation T of alpha and the remainder, exceeds k.
     """
     table = hom_table(q)
     alpha = tuple(int(a) for a in alpha)
@@ -325,13 +412,14 @@ def enumerate_classes(q: Quiver, alpha, max_self_ext=None):
         raise ValueError(f"dimension vector has {len(alpha)} entries for {q.n} vertices")
     if any(a < 0 for a in alpha):
         raise ValueError("negative dimension vector")
+    pk = _packing(q, alpha)
     if max_self_ext is None:
-        walk = _walk(_packing(q, alpha), alpha, lambda p, _: 0, lambda acc: True)
+        walk = _walk(pk, alpha, lambda acc, p: acc, lambda acc: True)
     elif max_self_ext < 0:
         return
     else:
         bd = _bounds(q, alpha, generic_decomposition(q, alpha), ())
-        walk = _bounded_walk(q, alpha, bd, int(max_self_ext))  # self-Ext is an integer
+        walk = _bounded_walk(pk, alpha, bd, int(max_self_ext))  # self-Ext is an integer
     for chosen, _ in walk:
         yield _class_of(table, chosen)
 
@@ -419,7 +507,8 @@ def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
     Ext(T,X) = 0, so nothing kept is lost.  The lower bounds are those of
     ``_Bounds``: Hom(X,S_j) >= max(Hom(C,S_j), Ext(C,S_j)) by (iii), and
     Ext(X,T) > 0 once Ext(C,T) > 0 or Hom(C,T) > Hom(T,T) by (ii), the same
-    with the arguments swapped; that is ``limit(0)``.  Every branch that
+    with the arguments swapped; that is ``limit(0)``, whose limits on fields
+    4-7 the survey's accumulator, 0 there, always meets.  Every branch that
     can still give a Z' witness survives until the first one is found, so
     the witness is still the first one in enumeration order.
 
@@ -430,20 +519,20 @@ def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
     if key in _survey_cache:
         return _survey_cache[key]
     table = hom_table(spec.quiver)
-    bd = _bounds(spec.quiver, spec.alpha, spec.t_class, spec.selected_simples)
-    r, guard = bd.r, bd.guard
+    bd = _bounds(spec.quiver, spec.alpha, spec.t_class, spec.selected_simples, bounded=False)
+    r, guard, gains = bd.r, bd.guard, bd.gains
     # meets acc iff some Hom(C,S_j) or Ext(C,S_j) field is >= 2
-    over_one = _pack([0] * 5 + [(1 << bd.w) - 2] * (2 * r), bd.w)
-    zlim = bd.limit(0)
+    over_one = _pack([0] * 8 + [(1 << bd.w) - 2] * (2 * r), bd.w)
+    ztop = bd.limit(0) | guard  # _geq(guard, bd.limit(0), acc) is (ztop - acc) & guard == guard
 
     res = Survey(spec, h_points=[], patterns={k: [] for k in spec.selected},
                  zprime_witness=None)
 
     def fits(acc):  # the cut rule
-        return not acc & over_one or (res.zprime_witness is None and _geq(guard, zlim, acc))
+        return not acc & over_one or (res.zprime_witness is None and (ztop - acc) & guard == guard)
 
     for chosen, acc in _walk(_packing(spec.quiver, spec.alpha), spec.alpha,
-                             lambda p, _: bd.gains[p], fits):
+                             lambda acc, p: acc + gains[p], fits):
         hsum = bd.homs(acc)
         if all(h == 1 for h in hsum):
             if len(res.h_points) < h_cap:
@@ -454,7 +543,7 @@ def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
             k = spec.selected[hsum.index(0)]
             if len(res.patterns[k]) < h_cap:
                 res.patterns[k].append(_class_of(table, chosen))
-        if res.zprime_witness is None and _geq(guard, zlim, acc) and 0 not in hsum:
+        if res.zprime_witness is None and (ztop - acc) & guard == guard and 0 not in hsum:
             res.zprime_witness = _class_of(table, chosen)
     if len(_survey_cache) > 64:
         _survey_cache.clear()
@@ -476,7 +565,7 @@ def components(spec: ZeroSetSpec):
     k = len(spec.selected)
     bd = _bounds(spec.quiver, spec.alpha, spec.t_class, spec.selected_simples)
     found = []
-    for chosen, acc in _bounded_walk(spec.quiver, spec.alpha, bd, k):
+    for chosen, acc in _bounded_walk(pk, spec.alpha, bd, k):
         homs = bd.homs(acc)
         if all(homs):
             cls = _class_of(table, chosen)
@@ -516,7 +605,7 @@ def _is_cover(pk, cand, pc, x, px):
         return False
     if gap == 1:
         return True
-    for _, pw in _walk(pk, x.total(), lambda p, _: rows[table.walk[p]],
+    for _, pw in _walk(pk, x.total(), lambda acc, p: acc + rows[table.walk[p]],
                        lambda acc: _geq(guard, px, acc)):
         if pw != pc and pw != px and _geq(guard, pw, pc):
             return False

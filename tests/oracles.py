@@ -324,7 +324,7 @@ def tuple_children(table, rem, minpos):
             yield p, rt, maxmult
 
 
-def tuple_walk(table, alpha, gain, fits):
+def tuple_walk(table, alpha, step, fits, acc=0):
     """``qsing.orbits._walk`` with the remainder of alpha held as a tuple:
     the same (chosen, acc) stream in the same order."""
     chosen = []
@@ -334,9 +334,9 @@ def tuple_walk(table, alpha, gain, fits):
             yield chosen, acc
             return
         for p, rt, maxmult in tuple_children(table, rem, minpos):
-            g = gain(p, chosen)
+            nacc = acc
             for mult in range(1, maxmult + 1):
-                nacc = acc + mult * g
+                nacc = step(nacc, p)
                 if not fits(nacc):
                     break
                 chosen.append((p, mult))
@@ -344,4 +344,4 @@ def tuple_walk(table, alpha, gain, fits):
                                p + 1, nacc)
                 chosen.pop()
 
-    return dfs(tuple(alpha), 0, 0)
+    return dfs(tuple(alpha), 0, acc)

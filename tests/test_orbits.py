@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -25,7 +26,7 @@ from qsing.orbits import (
     reducedness_report,
     survey,
 )
-from qsing.quiver import Quiver
+from qsing.quiver import Quiver, euler_form
 from qsing.roots import hom_table
 
 from oracles import degenerates_to, hom_profile, tuple_walk
@@ -332,29 +333,31 @@ def walk_box(request):
     yield E8_RELABELLED, (1, 0, 1, 0, 1, 0, 0, 0)
 
 
-def self_ext_gain(table):
-    ext, walk = table.ext, table.walk
-    return lambda p, chosen: sum(m * (ext[walk[p]][walk[pj]] + ext[walk[pj]][walk[p]])
-                                 for pj, m in chosen)
+def walked_class(table, chosen):
+    return make_class([(table.roots[table.walk[p]], m) for p, m in chosen])
+
+
+def node_class(table, seq):
+    """The class of a node given by the walk positions stepped to reach it."""
+    return walked_class(table, collections.Counter(seq).items())
 
 
 def test_packed_walk_matches_tuple_walk(request):
     """The packed walk streams the same (chosen, acc) pairs in the same
-    order as the tuple walk, with and without cuts, and the class count
-    equals the number of classes it streams."""
+    order as the tuple walk, with and without cuts.  The accumulator lists
+    every walk position stepped on the way, so both walks must step the
+    same roots in the same order; the cut is on its self-Ext.  The class
+    count equals the number of classes the walk streams."""
     for q, alpha in walk_box(request):
         table = hom_table(q)
         pk = orbits._packing(q, alpha)
-        for fits in (lambda acc: True, lambda acc: acc <= 1):
+        self_ext = lambda seq: class_self_ext(table, node_class(table, seq))
+        for fits in (lambda acc: True, lambda acc: self_ext(acc) <= 1):
             stream = lambda walk, t: [(tuple(c), acc) for c, acc in
-                                      walk(t, alpha, self_ext_gain(table), fits)]
+                                      walk(t, alpha, lambda acc, p: acc + (p,), fits, ())]
             assert stream(orbits._walk, pk) == stream(tuple_walk, table), (q, alpha)
         assert orbits._count_classes(pk, alpha) == len(list(enumerate_classes(q, alpha)))
     assert len(list(enumerate_classes(E8_RELABELLED, (1, 0, 1, 0, 1, 0, 0, 0)))) == 2
-
-
-def walked_class(table, chosen):
-    return make_class([(table.roots[table.walk[p]], m) for p, m in chosen])
 
 
 def test_bounded_enumeration_matches_the_filtered_tuple_walk(request):
@@ -363,38 +366,105 @@ def test_bounded_enumeration_matches_the_filtered_tuple_walk(request):
     for q, alpha in walk_box(request):
         table = hom_table(q)
         every = [walked_class(table, chosen)
-                 for chosen, _ in tuple_walk(table, alpha, lambda p, c: 0, lambda acc: True)]
+                 for chosen, _ in tuple_walk(table, alpha, lambda acc, p: acc, lambda acc: True)]
         codims = [class_self_ext(table, c) for c in every]
         for k in range(4):
             want = [c for c, e in zip(every, codims) if e <= k]
             assert list(enumerate_classes(q, alpha, max_self_ext=k)) == want, (q, alpha, k)
 
 
-def test_bound_fields_decode_to_their_hom_and_ext(request):
-    """Every field of every leaf of the bounded walk, with a limit too large
+def bounded_nodes(monkeypatch, q, alpha, bd):
+    """(walk positions stepped, accumulator) of every child the bounded walk
+    steps to with no cut, dead ends and leaves included, and the number of
+    leaves.  Each step's accumulator is the one of its parent node or of the
+    previous copy of its root, which sit on the stack of the path."""
+    nodes, real = [], orbits._walk
+
+    def walk(pk, alpha, step, fits, acc):
+        path = [((), acc)]
+
+        def traced(acc, p):
+            while path[-1][1] is not acc:
+                path.pop()
+            path.append((path[-1][0] + (p,), step(acc, p)))
+            nodes.append(path[-1])
+            return path[-1][1]
+
+        return real(pk, alpha, traced, fits, acc)
+
+    monkeypatch.setattr(orbits, "_walk", walk)
+    leaves = sum(1 for _ in orbits._bounded_walk(orbits._packing(q, alpha), alpha, bd, 10**9))
+    monkeypatch.undo()
+    return nodes, leaves
+
+
+def test_bound_fields_decode_to_their_hom_and_ext(request, monkeypatch):
+    """Every field of every node of the bounded walk, with a limit too large
     to cut, decodes to the Hom or Ext dimension it sums, so no field
-    overflows into its neighbour; the leaves also satisfy facts (i)-(iii)."""
+    overflows into its neighbour or goes negative; the nodes satisfy facts
+    (i)-(iv), and the cut at k = 0..3 passes a node exactly when none of the
+    bounds (i), (ii) and (iv) on Ext(X,X) exceeds k."""
     for q, alpha in walk_box(request):
         table = hom_table(q)
         t = generic_decomposition(q, alpha)
         simples = perp_simples(q, t).simples
         bd = orbits._bounds(q, alpha, t, simples)
-        leaves = 0
-        for chosen, acc in orbits._bounded_walk(q, alpha, bd, 10**9):
-            x = walked_class(table, chosen)
-            homs = [class_hom(table, x, s) for s in simples]
-            exts = [class_ext(table, x, s) for s in simples]
-            t_fields = [class_ext(table, x, t), class_hom(table, x, t),
-                        class_ext(table, t, x), class_hom(table, t, x)]
-            codim = class_self_ext(table, x)
+        single = [make_class([(table.roots[i], 1)]) for i in table.walk]
+        nodes, leaves = bounded_nodes(monkeypatch, q, alpha, bd)
+        for seq, acc in nodes:
+            c = node_class(table, seq)
+            y = generic_decomposition(q, tuple(a - b for a, b in zip(alpha, c.total())))
+            homs = [class_hom(table, c, s) for s in simples]
+            exts = [class_ext(table, c, s) for s in simples]
+            t_fields = [class_ext(table, c, t), class_hom(table, c, t),
+                        class_ext(table, t, c), class_hom(table, t, c)]
+            codim = class_self_ext(table, c)
+            cy = class_ext(table, c, y) - class_hom(table, c, y)  # -<c,y>
+            yc = class_ext(table, y, c) - class_hom(table, y, c)  # -<y,c>
+            rem = [bd.off + codim + cy, bd.off + codim + yc, 2 * bd.off + codim + cy + yc]
             pairs = [v for hom_ext in zip(homs, exts) for v in hom_ext]
-            assert bd.fields(acc) == [*t_fields, codim, *pairs], (q, alpha, x)
+            per_root = [v for r in single for v in (
+                class_ext(table, c, r) + class_ext(table, r, c),
+                class_hom(table, c, r) + class_hom(table, r, c))]
+            assert bd.fields(acc) == [*t_fields, codim, *rem, *pairs, *per_root], (q, alpha, c)
             assert bd.homs(acc) == homs
-            assert homs == exts  # (iii)
-            assert codim >= max(t_fields[0], t_fields[2])  # (i)
-            assert t_fields[1] - bd.htt == t_fields[0]  # (ii) at a whole class
-            leaves += 1
+            bound = max(t_fields[0], t_fields[2], t_fields[1] - bd.htt, t_fields[3] - bd.htt,
+                        codim + max(0, cy) + max(0, yc))  # (i), (ii) and (iv)
+            for k in range(4):
+                assert orbits._geq(bd.guard, bd.limit(k), acc) == (bound <= k), (q, alpha, c, k)
+            if c.total() == alpha:
+                assert homs == exts  # (iii)
+                assert codim >= max(t_fields[0], t_fields[2])  # (i)
+                assert t_fields[1] - bd.htt == t_fields[0]  # (ii) at a whole class
         assert leaves == orbits._count_classes(orbits._packing(q, alpha), alpha)
+
+
+def test_remainder_bound_is_at_most_the_self_ext_of_every_completion(request):
+    """At every interior node C of the unbounded tuple walk, the remainder
+    bound (iv) of ``_Bounds``, Ext(C,C) + max(0, -<c,y>) + max(0, -<y,c>)
+    with y = alpha - c and the Euler form read from dimension vectors, is
+    at most Ext(X,X) for every class X the walk gives below C or at a larger
+    multiplicity of C's last root: every class a cut at C would lose.  The
+    bound is tight at some nodes and exceeds Ext(C,C) at others."""
+    tight = above = 0
+    for q, alpha in walk_box(request):
+        table = hom_table(q)
+        least = {}  # node -> the least self-Ext of the classes a cut there loses
+        for chosen, _ in tuple_walk(table, alpha, lambda acc, p: acc, lambda acc: True):
+            e = class_self_ext(table, walked_class(table, chosen))
+            seq = tuple(p for p, m in chosen for _ in range(m))
+            for i in range(1, len(seq)):
+                least[seq[:i]] = min(least.get(seq[:i], e), e)
+        for seq, e in least.items():
+            c = node_class(table, seq)
+            cv = c.total()
+            y = tuple(a - b for a, b in zip(alpha, cv))
+            codim = class_self_ext(table, c)
+            bound = codim + max(0, -euler_form(q, cv, y)) + max(0, -euler_form(q, y, cv))
+            assert bound <= e, (q, alpha, c)
+            tight += bound == e
+            above += bound > codim
+    assert tight and above
 
 
 def brute_force_components(table, every, spec):
@@ -437,7 +507,7 @@ def test_components_and_bounded_enumeration_share_one_walk(a3, monkeypatch):
     limits = []
     real = orbits._bounded_walk
     monkeypatch.setattr(orbits, "_bounded_walk",
-                        lambda q, alpha, bd, k: limits.append(k) or real(q, alpha, bd, k))
+                        lambda pk, alpha, bd, k: limits.append(k) or real(pk, alpha, bd, k))
     list(enumerate_classes(a3, (2, 3, 2), max_self_ext=2))
     components(make_spec(a3, (2, 3, 2), (1,)))
     assert limits == [2, 1]
