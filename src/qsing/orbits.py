@@ -13,7 +13,9 @@ subtraction.  Every pass over the classes of alpha is one walk, ``_walk``:
 a depth-first search on the packed remainder, carrying a packed integer
 accumulator stepped once per copy of a root, which cuts a branch once the
 accumulator shows that no class with the partial class as a direct summand
-passes.
+passes.  The walk runs in one generator frame with an explicit stack of
+the open nodes, so a leaf is one ``yield`` however deep it lies, with no
+generator per node and no ``yield from`` chain to climb.
 
 The accumulator of the two class walks (``_Bounds``) sums, over the partial
 class C of dimension c, Hom and Ext against the generic representation T of
@@ -35,7 +37,10 @@ y = alpha - c, (iv) Ext(X,X) >= Ext(C,C) + max(0, -<c,y>) + max(0, -<y,c>).
   points, the per-index witness patterns and one Z' witness) and cuts once
   some Hom(X,S_j) must exceed 1 and the branch can no longer give a new Z'
   witness.  On e8-notred it visits 5,953 nodes (108,717 with the Hom and
-  Ext sums of C alone) instead of all 1,543,628 classes.
+  Ext sums of C alone) instead of all 1,543,628 classes.  Its accumulator
+  also carries the packed Hom profile of C and its entry sum, above the
+  fields it cuts on, so a kept class's profile is one shift and the
+  reducedness report reads it from the survey instead of rebuilding it.
 - A minimal-degeneration check with codimension gap >= 2 sums packed Hom
   rows and walks only the classes whose profile stays below the target's.
 The exact class count is a separate memoized count, run only when
@@ -80,6 +85,12 @@ class _Packing:
     rows: list  # rows[i] = dim Hom(X_i, -), the Hom profile of root i
     rowsum: list  # the entry sum of rows[i]
 
+    def split(self, v):
+        """The Hom profile and its entry sum from one integer that holds the
+        sum above the profile's fields, as ``survey`` stores them."""
+        span = self.w * len(self.rows)
+        return v & ((1 << span) - 1), v >> span
+
 
 @lru_cache(maxsize=None)
 def _packed(q: Quiver, w: int) -> _Packing:
@@ -115,10 +126,21 @@ def _walk(pk, alpha, step, fits, acc=0):
     order, each class at most once; ``chosen`` lists its (walk position,
     multiplicity) pairs and is reused, so copy it to keep it.
 
-    The remainder's children are the roots from walk position ``minpos`` on
-    whose first support vertex is its first nonzero vertex.  A root fits when
-    d = (rem | guards) - root keeps every guard bit; d without them is the
+    A node's children are the roots whose first support vertex is the first
+    nonzero vertex of its remainder, from the walk position after its
+    parent's root on.  A root fits when d = g - root keeps every guard bit,
+    g being the remainder with the guard bits set; d without them is the
     new remainder, and d - root tests one more copy.
+
+    The walk is one generator frame.  Its variables hold the node being
+    expanded: walk position p, the end e of its range, d, the node's
+    accumulator, the accumulator after ``mult`` copies of the root at p,
+    ``mult`` and g.  Descending to a child pushes those seven onto an
+    explicit stack; when a node's range is done, popping them restores the
+    parent, which tries one more copy of its root.  A leaf is yielded
+    directly from the frame.  The children, the order of the calls to
+    ``step`` and ``fits`` and the stream are those of a recursive search
+    with one generator per node (``tests/oracles.py``'s ``tuple_walk``).
 
     The accumulator starts at ``acc`` for the empty class, and
     ``step(acc, p)`` is the accumulator after one more copy of the root at
@@ -128,28 +150,38 @@ def _walk(pk, alpha, step, fits, acc=0):
     direct summand passes, so a cut loses no class that passes.  A caller
     with several sums packs them into one integer (``_pack``).
     """
-    chosen = []
+    chosen, stack = [], []
     start, end, vguard, roots, w = pk.table.start, pk.table.end, pk.vguard, pk.roots, pk.w
-
-    def dfs(rem, minpos, acc):
-        if not rem:
-            yield chosen, acc
-            return
-        x = ((rem & -rem).bit_length() - 1) // w
-        for p in range(max(minpos, start[x]), end[x]):
-            rt = roots[p]
-            d, mult, nacc = (rem | vguard) - rt, 0, acc
-            while d & vguard == vguard:
-                nacc = step(nacc, p)
-                if not fits(nacc):
-                    break  # a larger multiplicity has this child as a summand
-                mult += 1
-                chosen.append((p, mult))
-                yield from dfs(d ^ vguard, p + 1, nacc)
+    rem = _pack(alpha, w)
+    if not rem:
+        yield chosen, acc
+        return
+    x = ((rem & -rem).bit_length() - 1) // w
+    p, e, g = start[x], end[x], rem | vguard  # the simple root at x lies in the range
+    d, nacc, mult = g - roots[p], acc, 0
+    while True:
+        if d & vguard == vguard and fits(nxt := step(nacc, p)):
+            mult += 1
+            chosen.append((p, mult))
+            rem = d ^ vguard
+            if rem:  # descend: the child's range may be empty
+                stack.append((p, e, d, acc, nxt, mult, g))
+                x = ((rem & -rem).bit_length() - 1) // w
+                p, e, g, acc = max(p + 1, start[x]), end[x], rem | vguard, nxt
+            else:  # a leaf: no further copy of the root fits
+                yield chosen, nxt
                 chosen.pop()
-                d -= rt
-
-    return dfs(_pack(alpha, w), 0, acc)
+                p += 1
+        else:  # no further copy fits, or a cut: a larger multiplicity has C as a summand
+            p += 1
+        if p < e:
+            d, nacc, mult = g - roots[p], acc, 0
+        elif stack:  # back up and try one more copy of the parent's root
+            p, e, d, acc, nacc, mult, g = stack.pop()
+            chosen.pop()
+            d -= roots[p]
+        else:
+            return
 
 
 def _pack(values, w):
@@ -166,8 +198,19 @@ def _fill(v, w, n):
 
 
 def _class_of(table, chosen):
-    # a walk chooses each position at most once, so there is nothing to merge
-    return RepClass(tuple(sorted((table.roots[table.walk[p]], m) for p, m in chosen)))
+    """The class of a walk's ``chosen`` pairs, its parts in increasing lex
+    order of the roots as ``RepClass`` keeps them, with no sort.
+
+    ``table.walk`` lists the roots by first support vertex, then in
+    decreasing lex order, so it is strictly decreasing in lex order: a root
+    whose first support vertex is x is lex greater than every root whose
+    first support vertex is y > x, since it is nonzero at x and they are 0
+    there.  A walk chooses strictly increasing positions, each at most once,
+    so there is nothing to merge, and ``reversed(chosen)`` is in strictly
+    increasing lex order of the roots.
+    """
+    roots, walk = table.roots, table.walk
+    return RepClass(tuple((roots[walk[p]], m) for p, m in reversed(chosen)))
 
 
 def _count_classes(pk, alpha):
@@ -240,8 +283,8 @@ class _Bounds:
     - E_i = Ext(C,R_i) + Ext(R_i,C) and H_i = Hom(C,R_i) + Hom(R_i,C) for
       the root R_i at each walk position i.
     Fields 4-7 and the per-root fields are those of ``_bounded_walk``; the
-    survey adds only the constant gains against T and S_j, and has no
-    per-root fields.
+    survey adds only the constant gains against T and S_j, has no per-root
+    fields, and carries Hom profiles above its n fields (``survey``).
 
     Every X lies in the closure of the dense orbit O_T.  For every class X
     of alpha that has C as a direct summand:
@@ -481,6 +524,10 @@ class Survey:
     patterns: dict  # selected index k -> classes with hom == 1 - delta_{jk}
     zprime_witness: RepClass | None  # in zero set, Ext(T,X) = Ext(X,T) = 0
     h_truncated: bool = False  # an h-point was dropped because of h_cap
+    # the Hom profile of each kept class with its entry sum, as one integer
+    # (``_Packing.split``), in the order of h_points and of each pattern list
+    h_profiles: list = field(default_factory=list)
+    pattern_profiles: dict = field(default_factory=dict)
 
     @cached_property
     def total(self) -> int:
@@ -499,6 +546,18 @@ def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
     ``h_cap`` classes; ``h_truncated`` records whether an h-point was
     dropped.
 
+    Above the fields of ``_Bounds``, from bit w * n on, one more copy of the
+    root R_p also adds its packed Hom row ``pk.rows[i]`` (i the root index of
+    walk position p), with the row's entry sum above the row's fields.  So
+    the accumulator of a class X, shifted down by w * n bits, is its Hom
+    profile with its entry sum on top, the one integer that ``h_profiles``
+    and ``pattern_profiles`` store for each kept class (``_Packing.split``).
+    The cut test, ``limit(0)`` and ``homs`` read the same as without these
+    bits: the low bits of a sum or a difference depend only on the low bits
+    of its operands, every constant they compare against lies below bit
+    w * n, and no field there carries into the bits above, since each stays
+    in 0 .. 2**(w-1) - 1.
+
     Cut rule: a child (root, mult) is not explored when Hom(X,S_j) >= 2 for
     some j and every completion X, and either Ext(X,T) + Ext(T,X) > 0 for
     every completion or a Z' witness is already recorded; larger
@@ -512,41 +571,45 @@ def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
     can still give a Z' witness survives until the first one is found, so
     the witness is still the first one in enumeration order.
 
-    Results are cached on (spec, h_cap), so ``reducedness_report`` reuses a
-    survey its caller has already run.
+    The last survey is cached on (spec, h_cap), so ``reducedness_report``
+    reuses the survey its caller has just run.  The cache holds one entry,
+    since that is all the report reuses, and more would hold every kept
+    class and its profile of the earlier surveys in memory.
     """
     key = (spec, h_cap)
     if key in _survey_cache:
         return _survey_cache[key]
-    table = hom_table(spec.quiver)
+    table, pk = hom_table(spec.quiver), _packing(spec.quiver, spec.alpha)
     bd = _bounds(spec.quiver, spec.alpha, spec.t_class, spec.selected_simples, bounded=False)
-    r, guard, gains = bd.r, bd.guard, bd.gains
+    r, guard, shift, span = bd.r, bd.guard, bd.w * bd.n, pk.w * len(pk.rows)
+    gains = [g + ((pk.rows[i] + (pk.rowsum[i] << span)) << shift)
+             for g, i in zip(bd.gains, table.walk)]
     # meets acc iff some Hom(C,S_j) or Ext(C,S_j) field is >= 2
     over_one = _pack([0] * 8 + [(1 << bd.w) - 2] * (2 * r), bd.w)
     ztop = bd.limit(0) | guard  # _geq(guard, bd.limit(0), acc) is (ztop - acc) & guard == guard
 
     res = Survey(spec, h_points=[], patterns={k: [] for k in spec.selected},
-                 zprime_witness=None)
+                 zprime_witness=None, pattern_profiles={k: [] for k in spec.selected})
 
     def fits(acc):  # the cut rule
         return not acc & over_one or (res.zprime_witness is None and (ztop - acc) & guard == guard)
 
-    for chosen, acc in _walk(_packing(spec.quiver, spec.alpha), spec.alpha,
-                             lambda acc, p: acc + gains[p], fits):
+    for chosen, acc in _walk(pk, spec.alpha, lambda acc, p: acc + gains[p], fits):
         hsum = bd.homs(acc)
         if all(h == 1 for h in hsum):
             if len(res.h_points) < h_cap:
                 res.h_points.append(_class_of(table, chosen))
+                res.h_profiles.append(acc >> shift)
             else:
                 res.h_truncated = True
         elif hsum.count(0) == 1 and hsum.count(1) == r - 1:
             k = spec.selected[hsum.index(0)]
             if len(res.patterns[k]) < h_cap:
                 res.patterns[k].append(_class_of(table, chosen))
+                res.pattern_profiles[k].append(acc >> shift)
         if res.zprime_witness is None and (ztop - acc) & guard == guard and 0 not in hsum:
             res.zprime_witness = _class_of(table, chosen)
-    if len(_survey_cache) > 64:
-        _survey_cache.clear()
+    _survey_cache.clear()
     _survey_cache[key] = res
     return res
 
@@ -629,7 +692,8 @@ def gradient_condition_b_witness(x: RepClass, spec: ZeroSetSpec, k,
         raise ValueError("x is not a class of the spec's dimension vector")
     pk = _packing(spec.quiver, spec.alpha)
     if candidates is None:
-        candidates = [(c, _profile(pk, c)[0]) for c in survey(spec).patterns[k]]
+        sv = survey(spec)
+        candidates = [(c, pk.split(v)[0]) for c, v in zip(sv.patterns[k], sv.pattern_profiles[k])]
     px = _profile(pk, x)[0]
     for cand, pc in candidates:
         if pc != px and _geq(pk.guard, px, pc) and _is_cover(pk, cand, pc, x, px):
@@ -679,8 +743,9 @@ def reducedness_report(spec: ZeroSetSpec, comps=None) -> ReducednessReport:
         return rep
     sv = survey(spec)
     pk = _packing(spec.quiver, spec.alpha)
-    h_profiles = [(cls, *_profile(pk, cls)) for cls in sv.h_points]
-    pattern_profiles = {k: [(cls, _profile(pk, cls)[0]) for cls in sv.patterns[k]]
+    h_profiles = [(cls, *pk.split(v)) for cls, v in zip(sv.h_points, sv.h_profiles)]
+    pattern_profiles = {k: [(cls, pk.split(v)[0])
+                            for cls, v in zip(sv.patterns[k], sv.pattern_profiles[k])]
                         for k in spec.selected}
 
     # condition (a) first for every component: not-reduced short-circuits

@@ -309,13 +309,14 @@ def test_criterion_6_codim1_suite(a3, a4, d4):
                 continue
             t = generic_decomposition(q, alpha)
             perp = perp_simples(q, t)
+            if not perp.r:
+                continue
+            # the codimension-1 classes of alpha, shared by every simple
+            codim1 = [c for c in enumerate_classes(q, alpha, max_self_ext=1)
+                      if class_self_ext(table, c) == 1]
             for j in range(perp.r):
                 sj = perp.simples[j]
-                hits = [
-                    c for c in enumerate_classes(q, alpha, max_self_ext=1)
-                    if class_hom(table, c, sj) > 0
-                    and class_self_ext(table, c) == 1
-                ]
+                hits = [c for c in codim1 if class_hom(table, c, sj) > 0]
                 if len(hits) != 1:
                     continue
                 instances += 1

@@ -278,6 +278,33 @@ def test_survey_cache_keyed_on_h_cap(e6):
     assert reducedness_report(spec).verdict == "reduced"
 
 
+def test_survey_cache_keeps_the_last_survey(a3, d4):
+    a, b = make_spec(a3, (2, 3, 2)), make_spec(d4, (2, 2, 2, 3))
+    survey(a)
+    sb = survey(b)
+    assert list(orbits._survey_cache) == [(b, 5000)]
+    assert survey(b) is sb
+
+
+def test_survey_profiles_match_their_classes(request):
+    """Every Hom profile and entry sum the survey stores, carried in its
+    accumulator above the ``_Bounds`` fields, equals ``_profile`` of its
+    class, on every ``walk_box`` alpha with every nonempty selection."""
+    for q, alpha in walk_box(request):
+        pk = orbits._packing(q, alpha)
+        t = generic_decomposition(q, alpha)
+        perp = perp_simples(q, t)
+        for size in range(1, perp.r + 1):
+            for sel in itertools.combinations(range(1, perp.r + 1), size):
+                sv = survey(orbits.ZeroSetSpec(q, alpha, t, perp, sel))
+                kept = [(sv.h_points, sv.h_profiles)]
+                kept += [(sv.patterns[k], sv.pattern_profiles[k]) for k in sel]
+                for classes, profiles in kept:
+                    assert len(classes) == len(profiles)
+                    for cls, v in zip(classes, profiles):
+                        assert pk.split(v) == orbits._profile(pk, cls), (q, alpha, sel, cls)
+
+
 def test_capped_survey_gives_no_verdict(e6, monkeypatch):
     real = orbits.survey
     monkeypatch.setattr(orbits, "survey", lambda spec, h_cap=5000: real(spec, h_cap=1))

@@ -8,6 +8,7 @@ from qsing.quiver import NonDynkinError, Quiver, euler_form, tits_form
 from qsing.roots import hom_table, positive_roots
 
 from oracles import NotARootError, ext_dim, hom_dim, hom_matrix_dvw, rank, realize
+from test_orbits import E8_RELABELLED
 
 ROOT_COUNTS = {"A2": 3, "A3": 6, "A4": 10, "D4": 12, "E6": 36, "E8": 120}
 
@@ -115,6 +116,16 @@ def test_hom_recursion_agrees_on_e8_sample(e8):
     pairs.append(((0, 0, 1, 0, 0, 0, 0, 0), (0, 1, 2, 1, 1, 1, 0, 1)))
     for a, b in pairs:
         assert t.hom_root(a, b) == hom_dim(realize(e8, a), realize(e8, b))
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "a4", "d4", "d5", "e6", "e7", "e8", E8_RELABELLED],
+                         ids=["a2", "a3", "a4", "d4", "d5", "e6", "e7", "e8", "e8-relabelled"])
+def test_walk_order_is_strictly_decreasing_in_lex_order(request, name):
+    """``orbits._class_of`` reads a class's parts in increasing lex order,
+    with no sort, from the walk positions it chose in increasing order."""
+    t = hom_table(request.getfixturevalue(name) if isinstance(name, str) else name)
+    walked = [t.roots[i] for i in t.walk]
+    assert all(a > b for a, b in zip(walked, walked[1:]))
 
 
 def test_notred_hom_value_is_two(e8):
