@@ -7,7 +7,6 @@ from .quiver import (
     Quiver,
     QuiverError,
     classify,
-    coxeter_apply,
     euler_form,
     parse_quiver_file,
 )

@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .quiver import (Quiver, coxeter_apply, euler_form, reflect_dim,
-                     require_dynkin)
+from .quiver import Quiver, euler_form, reflect_dim, require_dynkin
 from .roots import hom_table
 
 
@@ -189,20 +188,22 @@ def reflection_step(state: ReflectionState, direction=+1) -> ReflectionState:
     the emitted gammas use the advanced translates, and a slot dies before
     contributing when its inverse translate leaves N^n (injectives).
 
+    c and c^{-1} are those of ``hom_table(q).coxeter_step``: the simple
+    reflections of the context's sink walk, applied forwards or backwards.
+
     Raises _Blocked when a supported vertex would need a negative bracket
     endpoint.
     """
     q = state.quiver
     r = len(state.betas)
     table = hom_table(q)
-    cox = table.coxeter if direction > 0 else table.coxeter_inv
-    alpha2 = coxeter_apply(cox, state.alpha)
+    alpha2 = table.coxeter_step(state.alpha, direction)
     betas2 = []
     for b in state.betas:
         if b is None:
             betas2.append(None)
             continue
-        nb = coxeter_apply(cox, b)
+        nb = table.coxeter_step(b, direction)
         betas2.append(nb if all(c >= 0 for c in nb) else None)
     # forward: gammas from the current translates; backward: from the next
     gamma_src = state.betas if direction > 0 else betas2

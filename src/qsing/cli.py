@@ -93,7 +93,7 @@ def _load_request(args):
             raise CliError("need --preset or both --quiver FILE and --dim VECTOR")
         q = _read_quiver(args.quiver)
         alpha, selected, branch = _parse_dim(args.dim, q.n), None, False
-    if getattr(args, "simples", None):
+    if getattr(args, "simples", None) is not None:  # an empty --simples is an error, not "all"
         selected = _parse_simples(args.simples, q, alpha)
     return q, alpha, selected, branch
 
@@ -199,6 +199,8 @@ def cmd_bfunction(args):
 
 
 def cmd_singularities(args):
+    if args.box_bound < 0:  # a negative bound would skip the refutation search
+        raise CliError(f"--box-bound must be >= 0, got {args.box_bound}")
     q, alpha, sel, branch = _load_request(args)
     v = rational_singularities_verdict(q, alpha, sel,
                                        refute_bound=args.box_bound)

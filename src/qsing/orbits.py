@@ -37,9 +37,8 @@ y = alpha - c, (iv) Ext(X,X) >= Ext(C,C) + max(0, -<c,y>) + max(0, -<y,c>).
   points, the per-index witness patterns and one Z' witness) and cuts once
   some Hom(X,S_j) must exceed 1 and the branch can no longer give a new Z'
   witness.  On e8-notred it visits 5,953 nodes (108,717 with the Hom and
-  Ext sums of C alone) instead of all 1,543,628 classes.  Its accumulator
-  also carries the packed Hom profile of C and its entry sum, above the
-  fields it cuts on, so a kept class's profile is one shift and the
+  Ext sums of C alone) instead of all 1,543,628 classes.  It sums the
+  packed Hom rows of a kept class's parts and stores the profile, so the
   reducedness report reads it from the survey instead of rebuilding it.
 - A minimal-degeneration check with codimension gap >= 2 sums packed Hom
   rows and walks only the classes whose profile stays below the target's.
@@ -84,12 +83,6 @@ class _Packing:
     roots: list  # the root at each walk position
     rows: list  # rows[i] = dim Hom(X_i, -), the Hom profile of root i
     rowsum: list  # the entry sum of rows[i]
-
-    def split(self, v):
-        """The Hom profile and its entry sum from one integer that holds the
-        sum above the profile's fields, as ``survey`` stores them."""
-        span = self.w * len(self.rows)
-        return v & ((1 << span) - 1), v >> span
 
 
 @lru_cache(maxsize=None)
@@ -283,8 +276,8 @@ class _Bounds:
     - E_i = Ext(C,R_i) + Ext(R_i,C) and H_i = Hom(C,R_i) + Hom(R_i,C) for
       the root R_i at each walk position i.
     Fields 4-7 and the per-root fields are those of ``_bounded_walk``; the
-    survey adds only the constant gains against T and S_j, has no per-root
-    fields, and carries Hom profiles above its n fields (``survey``).
+    survey adds only the constant gains against T and S_j and has no
+    per-root fields.
 
     Every X lies in the closure of the dense orbit O_T.  For every class X
     of alpha that has C as a direct summand:
@@ -524,8 +517,8 @@ class Survey:
     patterns: dict  # selected index k -> classes with hom == 1 - delta_{jk}
     zprime_witness: RepClass | None  # in zero set, Ext(T,X) = Ext(X,T) = 0
     h_truncated: bool = False  # an h-point was dropped because of h_cap
-    # the Hom profile of each kept class with its entry sum, as one integer
-    # (``_Packing.split``), in the order of h_points and of each pattern list
+    # (packed Hom profile, entry sum) of each kept class, as ``_profile``
+    # gives them, in the order of h_points and of each pattern list
     h_profiles: list = field(default_factory=list)
     pattern_profiles: dict = field(default_factory=dict)
 
@@ -544,19 +537,9 @@ def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
     ``spec.t_class`` and the selected simples, packed into one integer, so
     each node costs one addition and the cut test.  Each list keeps at most
     ``h_cap`` classes; ``h_truncated`` records whether an h-point was
-    dropped.
-
-    Above the fields of ``_Bounds``, from bit w * n on, one more copy of the
-    root R_p also adds its packed Hom row ``pk.rows[i]`` (i the root index of
-    walk position p), with the row's entry sum above the row's fields.  So
-    the accumulator of a class X, shifted down by w * n bits, is its Hom
-    profile with its entry sum on top, the one integer that ``h_profiles``
-    and ``pattern_profiles`` store for each kept class (``_Packing.split``).
-    The cut test, ``limit(0)`` and ``homs`` read the same as without these
-    bits: the low bits of a sum or a difference depend only on the low bits
-    of its operands, every constant they compare against lies below bit
-    w * n, and no field there carries into the bits above, since each stays
-    in 0 .. 2**(w-1) - 1.
+    dropped.  For each kept class, ``h_profiles`` and ``pattern_profiles``
+    store its packed Hom profile and entry sum, the sums of ``pk.rows`` and
+    ``pk.rowsum`` over its parts, computed at its leaf only.
 
     Cut rule: a child (root, mult) is not explored when Hom(X,S_j) >= 2 for
     some j and every completion X, and either Ext(X,T) + Ext(T,X) > 0 for
@@ -581,9 +564,8 @@ def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
         return _survey_cache[key]
     table, pk = hom_table(spec.quiver), _packing(spec.quiver, spec.alpha)
     bd = _bounds(spec.quiver, spec.alpha, spec.t_class, spec.selected_simples, bounded=False)
-    r, guard, shift, span = bd.r, bd.guard, bd.w * bd.n, pk.w * len(pk.rows)
-    gains = [g + ((pk.rows[i] + (pk.rowsum[i] << span)) << shift)
-             for g, i in zip(bd.gains, table.walk)]
+    r, guard, gains = bd.r, bd.guard, bd.gains
+    rows, sums = [pk.rows[i] for i in table.walk], [pk.rowsum[i] for i in table.walk]
     # meets acc iff some Hom(C,S_j) or Ext(C,S_j) field is >= 2
     over_one = _pack([0] * 8 + [(1 << bd.w) - 2] * (2 * r), bd.w)
     ztop = bd.limit(0) | guard  # _geq(guard, bd.limit(0), acc) is (ztop - acc) & guard == guard
@@ -594,19 +576,26 @@ def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
     def fits(acc):  # the cut rule
         return not acc & over_one or (res.zprime_witness is None and (ztop - acc) & guard == guard)
 
+    def profile(chosen):  # ``_profile`` of the class, summed over its walk positions
+        prof = total = 0
+        for p, m in chosen:
+            prof += m * rows[p]
+            total += m * sums[p]
+        return prof, total
+
     for chosen, acc in _walk(pk, spec.alpha, lambda acc, p: acc + gains[p], fits):
         hsum = bd.homs(acc)
         if all(h == 1 for h in hsum):
             if len(res.h_points) < h_cap:
                 res.h_points.append(_class_of(table, chosen))
-                res.h_profiles.append(acc >> shift)
+                res.h_profiles.append(profile(chosen))
             else:
                 res.h_truncated = True
         elif hsum.count(0) == 1 and hsum.count(1) == r - 1:
             k = spec.selected[hsum.index(0)]
             if len(res.patterns[k]) < h_cap:
                 res.patterns[k].append(_class_of(table, chosen))
-                res.pattern_profiles[k].append(acc >> shift)
+                res.pattern_profiles[k].append(profile(chosen))
         if res.zprime_witness is None and (ztop - acc) & guard == guard and 0 not in hsum:
             res.zprime_witness = _class_of(table, chosen)
     _survey_cache.clear()
@@ -675,27 +664,22 @@ def _is_cover(pk, cand, pc, x, px):
     return True
 
 
-def gradient_condition_b_witness(x: RepClass, spec: ZeroSetSpec, k,
-                                 candidates=None):
+def gradient_condition_b_witness(x: RepClass, spec: ZeroSetSpec, k):
     """Search X' with: X' in the zero set of the selection minus k,
     hom(X', S_j) = 1 - delta_{jk} over the selected simples, and X a minimal
     degeneration of X'.  Then Y_k = X + X' has hom(Y_k, S_j) = 2 - delta_{jk}.
     Returns X' or raises NotFound; sufficient, never a proof of failure.
 
-    ``candidates`` are (class, Hom profile) pairs, the profile packed by
-    ``_packing(spec.quiver, spec.alpha)``; by default the survey's index-k
-    patterns with their profiles.
+    The candidates X' are the index-k patterns of ``survey(spec)``, read
+    with their Hom profiles from the cached survey.
     """
     if k not in spec.selected:
         raise ValueError("k must be a selected index")
     if x.total() != spec.alpha:
         raise ValueError("x is not a class of the spec's dimension vector")
-    pk = _packing(spec.quiver, spec.alpha)
-    if candidates is None:
-        sv = survey(spec)
-        candidates = [(c, pk.split(v)[0]) for c, v in zip(sv.patterns[k], sv.pattern_profiles[k])]
+    pk, sv = _packing(spec.quiver, spec.alpha), survey(spec)
     px = _profile(pk, x)[0]
-    for cand, pc in candidates:
+    for cand, (pc, _) in zip(sv.patterns[k], sv.pattern_profiles[k]):
         if pc != px and _geq(pk.guard, px, pc) and _is_cover(pk, cand, pc, x, px):
             return cand
     raise NotFound(f"no condition-(b) witness found for k={k}")
@@ -743,16 +727,13 @@ def reducedness_report(spec: ZeroSetSpec, comps=None) -> ReducednessReport:
         return rep
     sv = survey(spec)
     pk = _packing(spec.quiver, spec.alpha)
-    h_profiles = [(cls, *pk.split(v)) for cls, v in zip(sv.h_points, sv.h_profiles)]
-    pattern_profiles = {k: [(cls, pk.split(v)[0])
-                            for cls, v in zip(sv.patterns[k], sv.pattern_profiles[k])]
-                        for k in spec.selected}
 
     # condition (a) first for every component: not-reduced short-circuits
     a_points = {}
     for comp in comps:
         pc = _profile(pk, comp.rep_class)[0]
-        pts = [(cls, total) for cls, ph, total in h_profiles if _geq(pk.guard, ph, pc)]
+        pts = [(cls, total) for cls, (ph, total) in zip(sv.h_points, sv.h_profiles)
+               if _geq(pk.guard, ph, pc)]
         pts.sort(key=lambda t: (t[1], t[0].parts))
         if not pts:
             if sv.h_truncated:
@@ -769,10 +750,8 @@ def reducedness_report(spec: ZeroSetSpec, comps=None) -> ReducednessReport:
     for comp in comps:
         for cand, _ in a_points[comp.rep_class]:
             try:
-                witnesses = tuple(
-                    (k, gradient_condition_b_witness(
-                        cand, spec, k, candidates=pattern_profiles[k]))
-                    for k in spec.selected)
+                witnesses = tuple((k, gradient_condition_b_witness(cand, spec, k))
+                                  for k in spec.selected)
             except NotFound:
                 continue
             comp.gradient_b = "verified"

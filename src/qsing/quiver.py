@@ -1,9 +1,10 @@
-"""Quivers, dimension vectors, Euler form, Coxeter transformation, type classification.
+"""Quivers, dimension vectors, simple reflections, Euler form, type classification.
 
 Vertices are 1..n. Dimension vectors are plain integer tuples of length n;
 negative entries are allowed at the type level so Coxeter images can be
-inspected for membership in N^n.  The Coxeter transformation is the product
-of the simple reflections along an admissible sink sequence, in integers.
+inspected for membership in N^n.  The Coxeter transformation is applied by
+``roots.HomTable.coxeter_step``, which reflects along the admissible sink
+sequence of the per-quiver context.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def reflect_dim(q: Quiver, x, v):
     return tuple(w)
 
 
-# -- Euler form and Coxeter transformation ----------------------------------
+# -- Euler form --------------------------------------------------------------
 
 def euler_form(q: Quiver, a, b) -> int:
     """<a,b> = sum a_x b_x - sum over arrows a_{ta} b_{ha}."""
@@ -117,21 +118,6 @@ def euler_form(q: Quiver, a, b) -> int:
 
 def tits_form(q: Quiver, a) -> int:
     return euler_form(q, a, a)
-
-
-def reflection_product(q: Quiver, seq):
-    """Integer matrix of s_{seq[-1]} ... s_{seq[0]}: seq[0] is applied first."""
-    cols = []
-    for j in range(1, q.n + 1):
-        v = simple_root(q.n, j)
-        for x in seq:
-            v = reflect_dim(q, x, v)
-        cols.append(v)
-    return tuple(zip(*cols))
-
-
-def coxeter_apply(cox, v):
-    return tuple(sum(cox[i][j] * v[j] for j in range(len(v))) for i in range(len(v)))
 
 
 # -- classification of the underlying graph ---------------------------------

@@ -1,13 +1,14 @@
 """Positive roots of Dynkin quivers and the per-quiver context.
 
 ``hom_table`` builds the context once per quiver: the roots, every pairwise
-Hom/Ext dimension, the root order of the class walk, the steps of the sink
-walk that the generic decomposition follows, and the Coxeter matrix with
-its inverse.  Its Hom table comes from one reflection walk per root along an
-admissible sink sequence, and the two Coxeter matrices are products of the
-simple reflections along that sequence and its reverse, all in exact
-integer arithmetic on dimension vectors.  No representation matrix is
-built; the tests check the table against explicit matrices.
+Hom/Ext dimension, the root order of the class walk and the steps of the
+sink walk that the generic decomposition follows.  Its Hom table comes from
+one reflection walk per root along an admissible sink sequence, in exact
+integer arithmetic on dimension vectors.  The Coxeter transformation c and
+its inverse are not stored: ``HomTable.coxeter_step`` reflects a vector at
+the first n steps of the same walk, forwards for c and backwards for c^-1.
+No representation matrix is built; the tests check the table against
+explicit matrices.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .quiver import (
     Quiver,
     euler_form,
     reflect_dim,
-    reflection_product,
     require_dynkin,
     simple_root,
     tits_form,
@@ -77,16 +77,29 @@ class HomTable:
     start: list
     end: list
     steps: list
-    # c = s_{x_n} ... s_{x_1} along the admissible sink sequence (BGP);
-    # it equals -E^{-1} E^t for the Euler matrix E
-    coxeter: tuple
-    coxeter_inv: tuple  # c^{-1} = s_{x_1} ... s_{x_n}, the reversed product
 
     def hom_root(self, a, b):
         return self.hom[self.index[tuple(a)]][self.index[tuple(b)]]
 
     def ext_root(self, a, b):
         return self.ext[self.index[tuple(a)]][self.index[tuple(b)]]
+
+    def coxeter_step(self, v, direction=+1):
+        """c(v) for direction +1 and c^{-1}(v) for -1, in integers.
+
+        c = s_{x_n} ... s_{x_1} is the product of the simple reflections
+        along the admissible sink sequence x_1, ..., x_n (BGP), and it
+        equals -E^{-1} E^t for the Euler matrix E.  The steps 0 .. n - 1 of
+        ``steps`` reflect at x_1, ..., x_n, so c reflects v at them in order
+        and c^{-1} = s_{x_1} ... s_{x_n} in reverse.  There are at least n
+        steps, since the walk of the simple root at x_n cannot end before
+        step n - 1: reflections at other vertices keep its coordinate x_n
+        at 1.
+        """
+        n, w = self.quiver.n, list(v)
+        for x, nbrs, _ in (self.steps[:n] if direction > 0 else self.steps[n - 1::-1]):
+            w[x] = sum(w[y] for y in nbrs) - w[x]
+        return tuple(w)
 
 
 @lru_cache(maxsize=None)
@@ -137,6 +150,4 @@ def hom_table(q: Quiver) -> HomTable:
         steps.append((x - 1, tuple(y - 1 for y in q.neighbors(x)), ends.get(t)))
 
     return HomTable(q, roots, {r: i for i, r in enumerate(roots)}, hom, ext,
-                    walk, start, end, steps,
-                    reflection_product(q, seq),
-                    reflection_product(q, seq[::-1]))
+                    walk, start, end, steps)

@@ -14,6 +14,10 @@ rational matrices:
 * ``evaluate_semiinvariant`` is c_S(V) = det d^V_S, the semi-invariant
   whose zero sets the package describes through Hom dimensions.
 
+``coxeter_matrix`` builds the integer matrix of c or c^-1 column by column
+from ``HomTable.coxeter_step`` on the basis vectors, for the tests that
+check c as a matrix.
+
 Two references for ``qsing.orbits``, which packs dimension vectors and Hom
 profiles into integers, work on plain tuples instead: ``hom_profile`` and
 the class walk ``tuple_walk``.
@@ -53,6 +57,13 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.nrows}x{self.ncols}, {self.rows})"
+
+
+def coxeter_matrix(q: Quiver, direction=+1):
+    """The matrix of c (direction +1) or c^-1 (-1) as a tuple of rows; its
+    column j is ``coxeter_step`` of the basis vector e_j."""
+    step = hom_table(q).coxeter_step
+    return tuple(zip(*(step(simple_root(q.n, j), direction) for j in range(1, q.n + 1))))
 
 
 def _echelon(rows, ncols):

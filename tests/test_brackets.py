@@ -26,7 +26,8 @@ from qsing.brackets import (
 from qsing.bsato import sym_state_from_family
 from qsing.decomp import generic_decomposition, perp_simples
 from qsing.quiver import Quiver
-from qsing.roots import hom_table
+
+from oracles import coxeter_matrix
 
 
 def offsets_of(terms, r):
@@ -383,7 +384,7 @@ def test_box_outcomes_match_recorded_digest():
 
 
 def coxeter_order(q):
-    c = hom_table(q).coxeter
+    c = coxeter_matrix(q)
     one = tuple(tuple(int(i == j) for j in range(q.n)) for i in range(q.n))
     power, order = c, 1
     while power != one:

@@ -155,6 +155,8 @@ DEEP_CERTIFICATE = (
     ["nullcone", "--quiver", "{a3}", "--dim", "1,2,1", "--simples", "x"],
     ["nullcone", "--quiver", "{a3}", "--dim", "1,2,1", "--simples", "9"],
     ["nullcone", "--preset", "e6-ex1", "--simples", "9"],
+    ["nullcone", "--quiver", "{a3}", "--dim", "1,2,1", "--simples", ""],
+    ["singularities", "--quiver", "{a3}", "--dim", "1,2,1", "--box-bound", "-1"],
     ["hom", "--a", "1,0,0", "--b", "0,1,0"],
     ["hom", "--quiver", "{a3}", "--a", "1,0,1", "--b", "0,1,0"],
     ["decompose", "--preset", "nope"],
@@ -164,7 +166,8 @@ DEEP_CERTIFICATE = (
     ["singularities", "--preset", "e6-ex1", "--n", "2", "--m", "1",
      "--certificate-out", "{missing}/c.json"],
 ], ids=["negative-dim", "negative-preset-n", "simples-not-int",
-        "simples-range-file", "simples-range-preset", "hom-no-quiver",
+        "simples-range-file", "simples-range-preset", "simples-empty",
+        "box-bound-negative", "hom-no-quiver",
         "hom-not-a-root", "unknown-preset", "certificate-without-r",
         "certificate-term-a-above-b",
         "certificate-nested-past-json-recursion-limit",

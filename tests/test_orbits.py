@@ -287,9 +287,9 @@ def test_survey_cache_keeps_the_last_survey(a3, d4):
 
 
 def test_survey_profiles_match_their_classes(request):
-    """Every Hom profile and entry sum the survey stores, carried in its
-    accumulator above the ``_Bounds`` fields, equals ``_profile`` of its
-    class, on every ``walk_box`` alpha with every nonempty selection."""
+    """Every Hom profile and entry sum the survey stores, summed over the
+    parts of a kept class at its leaf, equals ``_profile`` of its class, on
+    every ``walk_box`` alpha with every nonempty selection."""
     for q, alpha in walk_box(request):
         pk = orbits._packing(q, alpha)
         t = generic_decomposition(q, alpha)
@@ -301,8 +301,8 @@ def test_survey_profiles_match_their_classes(request):
                 kept += [(sv.patterns[k], sv.pattern_profiles[k]) for k in sel]
                 for classes, profiles in kept:
                     assert len(classes) == len(profiles)
-                    for cls, v in zip(classes, profiles):
-                        assert pk.split(v) == orbits._profile(pk, cls), (q, alpha, sel, cls)
+                    for cls, stored in zip(classes, profiles):
+                        assert stored == orbits._profile(pk, cls), (q, alpha, sel, cls)
 
 
 def test_capped_survey_gives_no_verdict(e6, monkeypatch):

@@ -7,7 +7,6 @@ from qsing.quiver import (
     Quiver,
     QuiverError,
     classify,
-    coxeter_apply,
     euler_form,
     format_quiver_file,
     parse_quiver_file,
@@ -16,7 +15,7 @@ from qsing.quiver import (
 )
 from qsing.roots import hom_table
 
-from oracles import Mat, det
+from oracles import Mat, coxeter_matrix, det
 
 
 def test_construction_validates():
@@ -51,16 +50,16 @@ def test_euler_form_perp_vanishing(e6, e6_alpha):
 
 
 def test_coxeter_a2(a2):
-    assert hom_table(a2).coxeter == ((0, -1), (1, -1))
+    assert coxeter_matrix(a2) == ((0, -1), (1, -1))
 
 
 def test_coxeter_order_is_coxeter_number(a2):
     # h = 3 for A2: c^3 = id
-    c = hom_table(a2).coxeter
+    step = hom_table(a2).coxeter_step
     v = (7, -3)
     w = v
     for _ in range(3):
-        w = coxeter_apply(c, w)
+        w = step(w)
     assert w == v
 
 
@@ -76,16 +75,15 @@ def test_coxeter_adjoint_identity(a2, a3, a4, d4, d5, e6, e7, e8):
     # this is exactly c = -E^{-1} E^t
     quivers = [a2, a3, a4, d4, e7, e8, *orientations(d5), *orientations(e6)]
     for q in quivers:
-        c = hom_table(q).coxeter
+        step = hom_table(q).coxeter_step
         basis = [simple_root(q.n, x) for x in range(1, q.n + 1)]
         for a in basis:
             for b in basis:
-                assert euler_form(q, a, coxeter_apply(c, b)) == \
-                    -euler_form(q, b, a), q
+                assert euler_form(q, a, step(b)) == -euler_form(q, b, a), q
 
 
 def test_coxeter_determinant_unimodular(e8):
-    c = hom_table(e8).coxeter
+    c = coxeter_matrix(e8)
     d = det(Mat(e8.n, e8.n, [list(r) for r in c]))
     assert d in (1, -1)
 
@@ -105,9 +103,9 @@ def projective_dim(q, x):
 def test_coxeter_kills_projectives(a3, d4, e6, e8):
     # c(dim P_x) has a negative entry for every projective root
     for q in (a3, d4, e6, e8):
-        c = hom_table(q).coxeter
+        step = hom_table(q).coxeter_step
         for x in range(1, q.n + 1):
-            image = coxeter_apply(c, projective_dim(q, x))
+            image = step(projective_dim(q, x))
             assert any(v < 0 for v in image)
 
 

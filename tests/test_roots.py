@@ -7,7 +7,8 @@ import pytest
 from qsing.quiver import NonDynkinError, Quiver, euler_form, tits_form
 from qsing.roots import hom_table, positive_roots
 
-from oracles import NotARootError, ext_dim, hom_dim, hom_matrix_dvw, rank, realize
+from oracles import (NotARootError, coxeter_matrix, ext_dim, hom_dim, hom_matrix_dvw, rank,
+                     realize)
 from test_orbits import E8_RELABELLED
 
 ROOT_COUNTS = {"A2": 3, "A3": 6, "A4": 10, "D4": 12, "E6": 36, "E8": 120}
@@ -170,8 +171,8 @@ def test_hom_table_matches_pairwise_recursion(request, name):
 @pytest.mark.parametrize("name", ["a2", "a3", "a4", "d4", "d5", "e6", "e7", "e8"])
 def test_coxeter_inverse(request, name):
     q = request.getfixturevalue(name)
-    t = hom_table(q)
-    product = [[sum(t.coxeter_inv[i][k] * t.coxeter[k][j] for k in range(q.n))
+    c, c_inv = coxeter_matrix(q), coxeter_matrix(q, -1)
+    product = [[sum(c_inv[i][k] * c[k][j] for k in range(q.n))
                 for j in range(q.n)] for i in range(q.n)]
     assert product == [[int(i == j) for j in range(q.n)] for i in range(q.n)]
 
@@ -180,9 +181,10 @@ def _sha256(obj):
     return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
 
 
-# sha256 of json [coxeter, coxeter_inv] and of realize's matrices for every
+# sha256 of json [c, c^-1] as matrices and of realize's matrices for every
 # root, as recorded when the Coxeter matrix was -E^{-1} E^t by exact matrix
-# inversion and realize walked each root down the sink sequence itself
+# inversion and realize walked each root down the sink sequence itself; the
+# matrices are now built from coxeter_step on the basis vectors
 COXETER_REALIZE_DIGESTS = {
     "d5": ("1b50358b4c5048d914c42c0c93afe3f147fc4abd335a4adfa4adc28265b85f75",
            "18a5131094168745eaa96416fd5fde3f3ca786ed3e7c49a407d0d7a0c4aaa31c"),
@@ -198,5 +200,5 @@ def test_coxeter_and_realize_match_recorded_digests(request, name):
     reps = [realize(q, r) for r in t.roots]
     matrices = [[v.dims, [[[str(x) for x in row] for row in v.maps[a].rows]
                           for a in range(len(q.arrows))]] for v in reps]
-    assert (_sha256([t.coxeter, t.coxeter_inv]), _sha256(matrices)) == \
+    assert (_sha256([coxeter_matrix(q), coxeter_matrix(q, -1)]), _sha256(matrices)) == \
         COXETER_REALIZE_DIGESTS[name]
