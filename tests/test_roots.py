@@ -12,6 +12,8 @@ from oracles import (NotARootError, coxeter_matrix, ext_dim, hom_dim, hom_matrix
 from test_orbits import E8_RELABELLED
 
 ROOT_COUNTS = {"A2": 3, "A3": 6, "A4": 10, "D4": 12, "E6": 36, "E8": 120}
+# a D4 orientation with a source, a sink and two other arms
+D4_MIXED = Quiver(4, ((4, 1), (2, 4), (4, 3)))
 
 
 def test_root_counts(a2, a3, a4, d4, e6, e8):
@@ -98,9 +100,8 @@ def test_hom_table_matches_euler_form(a2, a3, d4, e6, e8):
 
 def test_hom_table_agrees_with_matrix_kernels(a2, a3, d4, d5):
     # the fast dimension-vector recursion against the d^V_W nullity route,
-    # also on a D4 orientation with a source, a sink and two other arms
-    d4_mixed = Quiver(4, ((4, 1), (2, 4), (4, 3)))
-    for q in (a2, a3, d4, d4_mixed, d5):
+    # also on the mixed D4 orientation
+    for q in (a2, a3, d4, D4_MIXED, d5):
         t = hom_table(q)
         reps = {r: realize(q, r) for r in t.roots}
         for a in t.roots:
@@ -166,6 +167,32 @@ def test_hom_table_matches_pairwise_recursion(request, name):
     t = hom_table(request.getfixturevalue(name))
     text = json.dumps([t.roots, t.hom], separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == PAIRWISE_HOM_DIGESTS[name]
+
+
+# sha256 of json [roots, hom, ext, walk, start, end, steps], the whole
+# per-quiver context, as recorded when hom_table walked each root with
+# reflect_dim and took every Ext from euler_form
+CONTEXT_DIGESTS = {
+    "a2": "c229c6c1c9a9d70fb9566508b1b9b8ad0afcc40f5fb7c98f0a5f19467a34bcd0",
+    "a3": "3d25ab2a383dcc01d3c27f4f667ef15949d24c81919d90f629c219d91d3c3f6f",
+    "a4": "3aa57c913e55d63a97aa6276164dcb2b993fef30554b22f80a805a0ea9ee9993",
+    "d4": "b70cd0de5a8a840fd3eefea5531bba65ffd65e4cae313faa80ecf8e5495ee350",
+    "d4-mixed": "e83ff7bbab37bc48108ff7c9d50ec28a06d5fde5db4d355416a0e50b7fb06bab",
+    "d5": "160d16944d0994141814325b29c01e854ea2e67b8f7e12be45cd7c2e4b4f2e7a",
+    "e6": "c92a362f81577f7fbb6396f8c5a441200a4bf636b89bf96027848f5fa56d2fb6",
+    "e7": "5be27e027ce2e39ded6cc087773aa87ef70812ecbe6ac0579929f88289c6180d",
+    "e8": "cc09049439911bafbb209c7575ba78fa04f9495cdf0955d29a73adadbc430e32",
+    "e8-relabelled": "5126bcbba3d1b5b0c082d29d8009cb591199ea16b31d994ab0c7ef701968075e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXT_DIGESTS))
+def test_context_matches_recorded_digests(request, name):
+    q = {"d4-mixed": D4_MIXED, "e8-relabelled": E8_RELABELLED}.get(name)
+    t = hom_table(q or request.getfixturevalue(name))
+    text = json.dumps([t.roots, t.hom, t.ext, t.walk, t.start, t.end, t.steps],
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == CONTEXT_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", ["a2", "a3", "a4", "d4", "d5", "e6", "e7", "e8"])
