@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .quiver import Quiver, euler_form, reflect_dim, require_dynkin
+from .quiver import Quiver, euler_form, reflect_dim
 from .roots import hom_table
 
 
@@ -314,8 +314,11 @@ def compute_bfunction(q: Quiver, alpha, simples) -> BFunctionFamily:
     blocks first (a supported vertex would need a negative endpoint),
     surviving slots are resolved by the terminal rule in
     ``_terminal_cleanup``.
+
+    Raises NonDynkinError off Dynkin type, from the cached ``hom_table(q)``
+    that every reflection step reads.
     """
-    require_dynkin(q)
+    hom_table(q)
     alpha = tuple(int(a) for a in alpha)
     simples = [tuple(s) for s in simples]
     # a slot whose matrix d^V_S is 0 x 0 is the constant semi-invariant 1;

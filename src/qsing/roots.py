@@ -4,34 +4,42 @@
 Hom/Ext dimension, the root order of the class walk and the steps of the
 sink walk that the generic decomposition follows.  Its Hom table comes from
 one reflection walk per root along an admissible sink sequence, in exact
-integer arithmetic on dimension vectors.  The Coxeter transformation c and
-its inverse are not stored: ``HomTable.coxeter_step`` reflects a vector at
-the first n steps of the same walk, forwards for c and backwards for c^-1.
-No representation matrix is built; the tests check the table against
-explicit matrices.
+integer arithmetic on dimension vectors, and its Ext table from the Euler
+form, read as one dot product per pair against the root's Euler column.
+Every reflection reads one table of 0-based neighbour lists, built once
+from the arrows.  The Coxeter transformation c and its inverse are not
+stored: ``HomTable.coxeter_step`` reflects a vector at the first n steps of
+the same walk, forwards for c and backwards for c^-1.  No representation
+matrix is built; the tests check the table against explicit matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
-from .quiver import (
-    Quiver,
-    euler_form,
-    reflect_dim,
-    require_dynkin,
-    simple_root,
-    tits_form,
-)
+from .quiver import Quiver, require_dynkin, simple_root, tits_form
 
 
-def positive_roots(q: Quiver):
-    """All positive roots of the underlying Dynkin diagram.
+def _neighbours(q: Quiver):
+    """nbrs[x]: the neighbours of vertex x in the underlying graph, 0-based,
+    in the order of ``Quiver.neighbors``."""
+    nbrs = [[] for _ in range(q.n)]
+    for t, h in q.arrows:
+        nbrs[t - 1].append(h - 1)
+        nbrs[h - 1].append(t - 1)
+    return nbrs
 
-    Closure of the simple roots under simple reflections; sorted by height
-    then lexicographically, which fixes the root indexing used everywhere.
-    """
+
+def _reflect(nbrs, x, v):
+    """s_x(v) for a 0-based vertex x, as ``quiver.reflect_dim``."""
+    w = list(v)
+    w[x] = sum(v[y] for y in nbrs[x]) - v[x]
+    return tuple(w)
+
+
+def _roots(q: Quiver, nbrs):
     require_dynkin(q)
     simples = [simple_root(q.n, x) for x in range(1, q.n + 1)]
     seen = set(simples)
@@ -39,8 +47,8 @@ def positive_roots(q: Quiver):
     while frontier:
         nxt = []
         for v in frontier:
-            for x in range(1, q.n + 1):
-                w = reflect_dim(q, x, v)
+            for x in range(q.n):
+                w = _reflect(nbrs, x, v)
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
@@ -49,6 +57,15 @@ def positive_roots(q: Quiver):
                    key=lambda v: (sum(v), v))
     assert all(tits_form(q, r) == 1 for r in roots)
     return roots
+
+
+def positive_roots(q: Quiver):
+    """All positive roots of the underlying Dynkin diagram.
+
+    Closure of the simple roots under simple reflections; sorted by height
+    then lexicographically, which fixes the root indexing used everywhere.
+    """
+    return _roots(q, _neighbours(q))
 
 
 @dataclass
@@ -114,29 +131,41 @@ def hom_table(q: Quiver) -> HomTable:
     once, to the step t_i at which it is the simple at the vertex x_{t_i}
     reflected next.  Then hom(i, j) is coordinate x_{t_i} of root j walked
     t_i steps when t_j >= t_i, and 0 otherwise.
+
+    Ext comes from hom(i, j) - ext(i, j) = <r_i, r_j>, the Euler form.  For
+    each root b the Euler column E.b, with (E.b)_x = b_x - sum of b_h over
+    the arrows x -> h, is built once; then <a, b> = a . (E.b), so ext(i, j)
+    = hom(i, j) - r_i . (E.r_j) is one n-term dot product per pair.  The
+    walks, the root closure and ``steps`` read one table of neighbour lists.
     """
-    roots = positive_roots(q)
+    nbrs = _neighbours(q)
+    roots = _roots(q, nbrs)
     n, k = q.n, len(roots)
-    seq = q.admissible_sink_sequence()
+    seq = [x - 1 for x in q.admissible_sink_sequence()]
+    simples = [simple_root(n, x) for x in range(1, n + 1)]
     paths = []  # paths[i][t]: root i after t steps of the walk
     for r in roots:
-        path = [r]
-        while path[-1] != simple_root(n, seq[(len(path) - 1) % n]):
-            path.append(reflect_dim(q, seq[(len(path) - 1) % n], path[-1]))
+        path, x = [r], seq[0]
+        while path[-1] != simples[x]:
+            path.append(_reflect(nbrs, x, path[-1]))
             assert len(path) < 64 * n, "reflection walk failed to terminate"
+            x = seq[(len(path) - 1) % n]
         paths.append(path)
-    hom = [[0] * k for _ in range(k)]
-    ext = [[0] * k for _ in range(k)]
-    for i, pi in enumerate(paths):
+    heads = [[] for _ in range(n)]  # heads[x]: the heads of the arrows x -> h
+    for t, h in q.arrows:
+        heads[t - 1].append(h - 1)
+    columns = [tuple(b[x] - sum(b[h] for h in heads[x]) for x in range(n))
+               for b in roots]
+    hom, ext = [], []
+    for i, (r, pi) in enumerate(zip(roots, paths)):
         t = len(pi) - 1
-        x = seq[t % n] - 1
-        for j, pj in enumerate(paths):
-            h = pj[t][x] if len(pj) > t else 0
-            e = h - euler_form(q, roots[i], roots[j])
-            assert e >= 0
-            hom[i][j] = h
-            ext[i][j] = e
-        assert hom[i][i] == 1 and ext[i][i] == 0
+        x = seq[t % n]
+        h_row = [pj[t][x] if len(pj) > t else 0 for pj in paths]
+        e_row = [h - sum(map(mul, r, c)) for h, c in zip(h_row, columns)]
+        assert min(e_row) >= 0
+        assert h_row[i] == 1 and e_row[i] == 0
+        hom.append(h_row)
+        ext.append(e_row)
 
     first = [next(v for v, c in enumerate(r) if c) for r in roots]
     walk = sorted(range(k), key=lambda i: (first[i], [-c for c in roots[i]]))
@@ -144,10 +173,8 @@ def hom_table(q: Quiver) -> HomTable:
     start = [walk_first.index(x) for x in range(n)]
     end = [start[x] + walk_first.count(x) for x in range(n)]
     ends = {len(p) - 1: i for i, p in enumerate(paths)}  # t_i -> i
-    steps = []
-    for t in range(max(ends) + 1):
-        x = seq[t % n]
-        steps.append((x - 1, tuple(y - 1 for y in q.neighbors(x)), ends.get(t)))
+    steps = [(seq[t % n], tuple(nbrs[seq[t % n]]), ends.get(t))
+             for t in range(max(ends) + 1)]
 
     return HomTable(q, roots, {r: i for i, r in enumerate(roots)}, hom, ext,
                     walk, start, end, steps)

@@ -25,7 +25,7 @@ from qsing.brackets import (
 )
 from qsing.bsato import sym_state_from_family
 from qsing.decomp import generic_decomposition, perp_simples
-from qsing.quiver import Quiver
+from qsing.quiver import NonDynkinError, Quiver
 
 from oracles import coxeter_matrix
 
@@ -94,6 +94,14 @@ def test_render():
     assert render_term(t) == "[s]^{0110}_{4,6}"
     assert render_term(BracketTerm((1,), 0, 4)) == "[s]^{1}_{4}"
     assert render_term(BracketTerm((0, 1), 1, 3, 2)) == "([s]^{01}_{1,3})^2"
+
+
+@pytest.mark.parametrize("simples", [[(0, 1)], []], ids=["live-slot", "no-slot"])
+def test_non_dynkin_bfunction_raises(simples):
+    # with no live slot no reflection step runs, so only the check on entry
+    # can see that the Kronecker quiver is not Dynkin
+    with pytest.raises(NonDynkinError):
+        compute_bfunction(Quiver(2, ((1, 2), (1, 2))), (1, 1), simples)
 
 
 def test_a2_bfunction(a2):

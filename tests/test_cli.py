@@ -58,12 +58,19 @@ def test_malformed_quiver_exits_2(tmp_path):
     assert proc.returncode == 2
 
 
-def test_non_dynkin_exits_3(tmp_path):
+@pytest.mark.parametrize("args", [
+    ["decompose", "--dim", "1,1"],
+    ["nullcone", "--dim", "1,1"],
+    ["bfunction", "--dim", "1,1"],
+    ["singularities", "--dim", "1,1"],
+    ["hom", "--a", "1,0", "--b", "0,1"]], ids=lambda args: args[0])
+def test_non_dynkin_exits_3(tmp_path, args):
     qf = tmp_path / "kron.quiver"
     qf.write_text("vertices 2\narrow 1 2\narrow 1 2\n")
-    proc = run_cli(["decompose", "--quiver", str(qf), "--dim", "1,1"],
-                   check=False)
-    assert proc.returncode == 3
+    proc = run_cli([args[0], "--quiver", str(qf)] + args[1:], check=False)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_nullcone_a2(tmp_path):
