@@ -148,9 +148,6 @@ def main():
     ap.add_argument("--note", default="", help="what the change does")
     ap.add_argument("--claim", help="the metric and workload the change claims")
     ap.add_argument("--out", help="output file (default: BENCH_<label>.json)")
-    ap.add_argument("--append", action="store_true",
-                    help="add the runs to an existing record instead of "
-                         "starting a new one")
     args = ap.parse_args()
 
     parent, change = os.path.abspath(args.parent), os.path.abspath(args.change)
@@ -183,19 +180,9 @@ def main():
         "runs": [],
         "traced": [],
     }
-    if args.append:
-        with open(out) as fh:
-            old = json.load(fh)
-        record["runs"], record["traced"] = old["runs"], old["traced"]
-        record["protocol"] = old["protocol"] + "; then " + record["protocol"]
-    done = {(r["workload"], r["seed"], r["side"], t)
-            for t in ("runs", "traced") for r in record[t]}
     sides = {"parent": parent, "change": change}
 
     def record_run(kind, workload, seed, side):
-        if (workload, seed, side, kind) in done:
-            sys.exit(f"bench_pairs: {out} already has {workload} seed {seed} "
-                     f"{side} in {kind}")
         output = run_once(sides[side], workload, seed, seconds, int(kind == "traced"))
         record[kind].append({"workload": workload, "seed": seed, "side": side,
                              "output": output})

@@ -190,9 +190,8 @@ CONTEXT_DIGESTS = {
 def test_context_matches_recorded_digests(request, name):
     q = {"d4-mixed": D4_MIXED, "e8-relabelled": E8_RELABELLED}.get(name)
     t = hom_table(q or request.getfixturevalue(name))
-    text = json.dumps([t.roots, t.hom, t.ext, t.walk, t.start, t.end, t.steps],
-                      separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == CONTEXT_DIGESTS[name]
+    assert _sha256([t.roots, t.hom, t.ext, t.walk, t.start, t.end, t.steps]) == \
+        CONTEXT_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", ["a2", "a3", "a4", "d4", "d5", "e6", "e7", "e8"])
