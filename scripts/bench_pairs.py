@@ -10,11 +10,13 @@ and write the runs and their summary as BENCH_<label>.json.
 PARENT and CHANGE are two checkouts of the repository side by side (for
 example ``git archive <commit> | tar -x -C DIR``).  Each run is
 ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
-inside one checkout.  Before every run each ``__pycache__`` under that
-checkout is removed and the run gets ``PYTHONDONTWRITEBYTECODE=1``, so both
-sides compile the package from source in every pass; otherwise a side that
-ran earlier, or whose sources are older, reads cached bytecode and its
-``setup_s`` and ``peak_rss_mb`` are not comparable.
+inside one checkout, with T the ``run_seconds`` of the change's
+BENCHMARK.json, so both sides run equally long.  Before every run each
+``__pycache__`` under that checkout is removed and the run gets
+``PYTHONDONTWRITEBYTECODE=1``, so both sides compile the package from
+source in every pass; otherwise a side that ran earlier, or whose sources
+are older, reads cached bytecode and its ``setup_s`` and ``peak_rss_mb``
+are not comparable.
 
 Pair i of a workload runs both sides at seed first-seed + i; the parent
 runs first in the even pairs and the change first in the odd ones.  With
@@ -143,11 +145,8 @@ def main():
     ap.add_argument("--first-seed", type=int, required=True)
     ap.add_argument("--traced-seed", type=int,
                     help="also make one traced run per workload and side")
-    ap.add_argument("--seconds", type=float,
-                    help="run length (default: run_seconds of BENCHMARK.json)")
     ap.add_argument("--note", default="", help="what the change does")
     ap.add_argument("--claim", help="the metric and workload the change claims")
-    ap.add_argument("--out", help="output file (default: BENCH_<label>.json)")
     args = ap.parse_args()
 
     parent, change = os.path.abspath(args.parent), os.path.abspath(args.change)
@@ -158,8 +157,8 @@ def main():
         if workload not in names:
             ap.error(f"unknown workload {workload!r}")
     metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
-    seconds = args.seconds or bench["run_seconds"]
-    out = args.out or f"BENCH_{args.label}.json"
+    seconds = bench["run_seconds"]
+    out = f"BENCH_{args.label}.json"
 
     record = {
         "label": args.label,

@@ -10,6 +10,7 @@ sequence of the per-quiver context.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class QuiverError(ValueError):
@@ -49,15 +50,20 @@ class Quiver:
         ins = {h for _, h in self.arrows}
         return [x for x in range(1, self.n + 1) if x not in ins]
 
+    @cached_property
+    def adjacency(self):
+        """adjacency[x]: the neighbours of vertex x + 1 in the underlying
+        graph, 0-based, one entry per arrow in the order of ``arrows``.
+        Built once per quiver; every simple reflection reads it."""
+        nbrs = [[] for _ in range(self.n)]
+        for t, h in self.arrows:
+            nbrs[t - 1].append(h - 1)
+            nbrs[h - 1].append(t - 1)
+        return tuple(map(tuple, nbrs))
+
     def neighbors(self, x):
         """Neighbor multiset in the underlying graph."""
-        out = []
-        for t, h in self.arrows:
-            if t == x:
-                out.append(h)
-            elif h == x:
-                out.append(t)
-        return out
+        return [y + 1 for y in self.adjacency[x - 1]]
 
     def reflect(self, x):
         """Reverse all arrows at x (valid new quiver when x is a sink or source)."""
@@ -99,9 +105,8 @@ def simple_root(n, x):
 
 def reflect_dim(q: Quiver, x, v):
     """Simple reflection s_x on dimension vectors (underlying graph only)."""
-    s = sum(v[y - 1] for y in q.neighbors(x))
     w = list(v)
-    w[x - 1] = -v[x - 1] + s
+    w[x - 1] = sum(v[y] for y in q.adjacency[x - 1]) - v[x - 1]
     return tuple(w)
 
 

@@ -6,11 +6,12 @@ sink walk that the generic decomposition follows.  Its Hom table comes from
 one reflection walk per root along an admissible sink sequence, in exact
 integer arithmetic on dimension vectors, and its Ext table from the Euler
 form, read as one dot product per pair against the root's Euler column.
-Every reflection reads one table of 0-based neighbour lists, built once
-from the arrows.  The Coxeter transformation c and its inverse are not
-stored: ``HomTable.coxeter_step`` reflects a vector at the first n steps of
-the same walk, forwards for c and backwards for c^-1.  No representation
-matrix is built; the tests check the table against explicit matrices.
+Every reflection is ``quiver.reflect_dim``, which reads the neighbour lists
+that ``Quiver.adjacency`` builds once from the arrows.  The Coxeter
+transformation c and its inverse are not stored: ``HomTable.coxeter_step``
+reflects a vector at the first n steps of the same walk, forwards for c
+and backwards for c^-1.  No representation matrix is built; the tests
+check the table against explicit matrices.
 """
 
 from __future__ import annotations
@@ -19,44 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from .quiver import Quiver, require_dynkin, simple_root, tits_form
-
-
-def _neighbours(q: Quiver):
-    """nbrs[x]: the neighbours of vertex x in the underlying graph, 0-based,
-    in the order of ``Quiver.neighbors``."""
-    nbrs = [[] for _ in range(q.n)]
-    for t, h in q.arrows:
-        nbrs[t - 1].append(h - 1)
-        nbrs[h - 1].append(t - 1)
-    return nbrs
-
-
-def _reflect(nbrs, x, v):
-    """s_x(v) for a 0-based vertex x, as ``quiver.reflect_dim``."""
-    w = list(v)
-    w[x] = sum(v[y] for y in nbrs[x]) - v[x]
-    return tuple(w)
-
-
-def _roots(q: Quiver, nbrs):
-    require_dynkin(q)
-    simples = [simple_root(q.n, x) for x in range(1, q.n + 1)]
-    seen = set(simples)
-    frontier = list(simples)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for x in range(q.n):
-                w = _reflect(nbrs, x, v)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    roots = sorted((v for v in seen if all(c >= 0 for c in v) and any(v)),
-                   key=lambda v: (sum(v), v))
-    assert all(tits_form(q, r) == 1 for r in roots)
-    return roots
+from .quiver import Quiver, reflect_dim, require_dynkin, simple_root, tits_form
 
 
 def positive_roots(q: Quiver):
@@ -65,7 +29,23 @@ def positive_roots(q: Quiver):
     Closure of the simple roots under simple reflections; sorted by height
     then lexicographically, which fixes the root indexing used everywhere.
     """
-    return _roots(q, _neighbours(q))
+    require_dynkin(q)
+    simples = [simple_root(q.n, x) for x in range(1, q.n + 1)]
+    seen = set(simples)
+    frontier = list(simples)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for x in range(1, q.n + 1):
+                w = reflect_dim(q, x, v)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    roots = sorted((v for v in seen if all(c >= 0 for c in v) and any(v)),
+                   key=lambda v: (sum(v), v))
+    assert all(tits_form(q, r) == 1 for r in roots)
+    return roots
 
 
 @dataclass
@@ -113,10 +93,10 @@ class HomTable:
         step n - 1: reflections at other vertices keep its coordinate x_n
         at 1.
         """
-        n, w = self.quiver.n, list(v)
-        for x, nbrs, _ in (self.steps[:n] if direction > 0 else self.steps[n - 1::-1]):
-            w[x] = sum(w[y] for y in nbrs) - w[x]
-        return tuple(w)
+        q, w = self.quiver, tuple(v)
+        for x, _, _ in (self.steps[:q.n] if direction > 0 else self.steps[q.n - 1::-1]):
+            w = reflect_dim(q, x + 1, w)
+        return w
 
 
 @lru_cache(maxsize=None)
@@ -136,30 +116,31 @@ def hom_table(q: Quiver) -> HomTable:
     each root b the Euler column E.b, with (E.b)_x = b_x - sum of b_h over
     the arrows x -> h, is built once; then <a, b> = a . (E.b), so ext(i, j)
     = hom(i, j) - r_i . (E.r_j) is one n-term dot product per pair.  The
-    walks, the root closure and ``steps`` read one table of neighbour lists.
+    walks, the root closure and ``steps`` read one table of neighbour
+    lists, ``Quiver.adjacency``.
     """
-    nbrs = _neighbours(q)
-    roots = _roots(q, nbrs)
+    roots = positive_roots(q)
     n, k = q.n, len(roots)
-    seq = [x - 1 for x in q.admissible_sink_sequence()]
+    seq = q.admissible_sink_sequence()
     simples = [simple_root(n, x) for x in range(1, n + 1)]
     paths = []  # paths[i][t]: root i after t steps of the walk
     for r in roots:
         path, x = [r], seq[0]
-        while path[-1] != simples[x]:
-            path.append(_reflect(nbrs, x, path[-1]))
+        while path[-1] != simples[x - 1]:
+            path.append(reflect_dim(q, x, path[-1]))
             assert len(path) < 64 * n, "reflection walk failed to terminate"
             x = seq[(len(path) - 1) % n]
         paths.append(path)
-    heads = [[] for _ in range(n)]  # heads[x]: the heads of the arrows x -> h
-    for t, h in q.arrows:
-        heads[t - 1].append(h - 1)
-    columns = [tuple(b[x] - sum(b[h] for h in heads[x]) for x in range(n))
-               for b in roots]
+    columns = []  # columns[j]: the Euler column E.r_j
+    for b in roots:
+        c = list(b)
+        for t, h in q.arrows:
+            c[t - 1] -= b[h - 1]
+        columns.append(c)
     hom, ext = [], []
     for i, (r, pi) in enumerate(zip(roots, paths)):
         t = len(pi) - 1
-        x = seq[t % n]
+        x = seq[t % n] - 1
         h_row = [pj[t][x] if len(pj) > t else 0 for pj in paths]
         e_row = [h - sum(map(mul, r, c)) for h, c in zip(h_row, columns)]
         assert min(e_row) >= 0
@@ -173,7 +154,7 @@ def hom_table(q: Quiver) -> HomTable:
     start = [walk_first.index(x) for x in range(n)]
     end = [start[x] + walk_first.count(x) for x in range(n)]
     ends = {len(p) - 1: i for i, p in enumerate(paths)}  # t_i -> i
-    steps = [(seq[t % n], tuple(nbrs[seq[t % n]]), ends.get(t))
+    steps = [(seq[t % n] - 1, q.adjacency[seq[t % n] - 1], ends.get(t))
              for t in range(max(ends) + 1)]
 
     return HomTable(q, roots, {r: i for i, r in enumerate(roots)}, hom, ext,
