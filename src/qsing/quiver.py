@@ -61,10 +61,6 @@ class Quiver:
             nbrs[h - 1].append(t - 1)
         return tuple(map(tuple, nbrs))
 
-    def neighbors(self, x):
-        """Neighbor multiset in the underlying graph."""
-        return [y + 1 for y in self.adjacency[x - 1]]
-
     def reflect(self, x):
         """Reverse all arrows at x (valid new quiver when x is a sink or source)."""
         arr = tuple((h, t) if t == x or h == x else (t, h) for t, h in self.arrows)
