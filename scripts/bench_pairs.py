@@ -23,11 +23,12 @@ runs first in the even pairs and the change first in the odd ones.  With
 ``--traced-seed``, each workload then gets one traced run (``--trace 1``)
 per side at that seed, the parent first.  The record is rewritten after
 every run, so an interrupted session leaves the runs it made.  For each
-end-to-end metric the summary gives both sides' medians and quartiles and
-the number of pairs the change won; ties count for neither side.  The
-table printed at the end also says whether a gain could be claimed: a win
-in at least nine tenths of the pairs and a median gap wider than the
-parent's interquartile range.
+end-to-end metric the summary gives both sides' medians and quartiles, the
+number of pairs the change won (ties count for neither side) and
+``gain_rule_met``: whether a gain could be claimed, that is a win in at
+least nine tenths of the pairs and a change median better than the
+parent's by more than the parent's interquartile range.  The table printed
+at the end reads it.
 """
 
 import argparse
@@ -70,7 +71,8 @@ def quartiles(values):
 
 
 def summarize(runs, metrics):
-    """Per workload and end-to-end metric: medians, quartiles and wins."""
+    """Per workload and end-to-end metric: medians, quartiles, wins and
+    whether the gain rule holds.  A seed run on one side only is skipped."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by_seed = {}
@@ -85,13 +87,17 @@ def summarize(runs, metrics):
             par = [p["parent"]["metrics"][name]["value"] for p in pairs]
             chg = [p["change"]["metrics"][name]["value"] for p in pairs]
             sign = 1 if better == "lower" else -1
+            lo, hi = quartiles(par)
+            wins = sum(sign * (c - p) < 0 for p, c in zip(par, chg))
+            gap = sign * (statistics.median(par) - statistics.median(chg))
             entry[name] = {
                 "parent_median": statistics.median(par),
-                "parent_quartiles": quartiles(par),
+                "parent_quartiles": [lo, hi],
                 "change_median": statistics.median(chg),
                 "change_quartiles": quartiles(chg),
                 "pairs": len(pairs),
-                "change_better_in": sum(sign * (c - p) < 0 for p, c in zip(par, chg)),
+                "change_better_in": wins,
+                "gain_rule_met": wins >= 0.9 * len(pairs) and gap > hi - lo,
             }
         entry["all_correct"] = all(o["correct"] and o["failed"] == 0
                                    for p in pairs for o in p.values())
@@ -107,12 +113,10 @@ def print_table(summary):
             if name == "all_correct":
                 continue
             lo, hi = s["parent_quartiles"]
-            gap = abs(s["change_median"] - s["parent_median"])
-            rule = s["change_better_in"] >= 0.9 * s["pairs"] and gap > hi - lo
             print(f"{workload:<18}{name:<14}{s['parent_median']:>12.5g}"
                   f"{s['change_median']:>12.5g}{f'{lo:.5g}-{hi:.5g}':>24}"
                   f"{s['change_better_in']:>5}/{s['pairs']:<2}  "
-                  f"{'met' if rule else 'not met'}")
+                  f"{'met' if s['gain_rule_met'] else 'not met'}")
         print(f"{workload:<18}all runs correct: {entry['all_correct']}")
 
 

@@ -272,12 +272,14 @@ class _Bounds:
     - 5-7: the remainder forms off + Ext(C,C) - <c,y>, off + Ext(C,C) -
       <y,c> and 2 off + Ext(C,C) - <c,y> - <y,c>, whose offset ``off``
       keeps them nonnegative (``_acc_width``);
-    - Hom(C,S_j) and Ext(C,S_j) for each j;
-    - E_i = Ext(C,R_i) + Ext(R_i,C) and H_i = Hom(C,R_i) + Hom(R_i,C) for
-      the root R_i at each walk position i.
-    Fields 4-7 and the per-root fields are those of ``_bounded_walk``; the
-    survey adds only the constant gains against T and S_j and has no
-    per-root fields.
+    - fields 8 + 2i and 9 + 2i: E_i = Ext(C,R_i) + Ext(R_i,C) and H_i =
+      Hom(C,R_i) + Hom(R_i,C) for the root R_i at each walk position i;
+    - from field ``simple`` on, Hom(C,S_j) and Ext(C,S_j) for each j.
+    Fields 4-7 and the per-root fields are those of ``_bounded_walk``, where
+    ``simple`` is 8 + 2N for N roots; the survey adds only the constant gains
+    against T and S_j, has no per-root fields and ``simple`` is 8.  So the
+    per-root fields and their columns (``_root_columns``) depend on the
+    quiver and w alone, not on the simples.
 
     Every X lies in the closure of the dense orbit O_T.  For every class X
     of alpha that has C as a direct summand:
@@ -311,6 +313,7 @@ class _Bounds:
     w: int
     r: int  # the number of simples
     n: int  # the number of fields
+    simple: int  # the field of Hom(C,S_1), above the per-root fields if any
     htt: int  # dim Hom(T,T)
     off: int  # the offset of the remainder fields
     gains: list  # gains[p]: the constant fields one copy of the root at walk position p adds
@@ -345,40 +348,52 @@ class _Bounds:
     def homs(self, acc):
         """The Hom(C,S_j) fields of a packed accumulator."""
         mask = (1 << self.w) - 1
-        return [(acc >> (self.w * j)) & mask for j in range(8, 8 + 2 * self.r, 2)]
+        return [(acc >> (self.w * j)) & mask
+                for j in range(self.simple, self.simple + 2 * self.r, 2)]
 
 
 @lru_cache(maxsize=None)
 def _gain_columns(q: Quiver, w: int, i: int):
     """Three gain columns against root i of ``hom_table(q)``, w bits per
     field, each a list over the walk positions p with R_p the root there:
-    against a part of T, the fields Ext(R_p,X_i), Hom(R_p,X_i),
+    against a part of T, fields 0-3, Ext(R_p,X_i), Hom(R_p,X_i),
     Ext(X_i,R_p), Hom(X_i,R_p); the same with the terms -<r_p,x_i>,
-    -<x_i,r_p> and their sum of fields 5-7; against a simple, Hom(R_p,X_i)
-    and Ext(R_p,X_i)."""
+    -<x_i,r_p> and their sum of fields 5-7, which may be negative; against a
+    simple, Hom(R_p,X_i) and Ext(R_p,X_i) in the two lowest fields.  Each
+    value is written by shifts, as ``_pack`` would add its fields."""
     t = hom_table(q)
     hom, ext = t.hom, t.ext
-    against_t = [_pack([ext[p][i], hom[p][i], ext[i][p], hom[i][p]], w) for p in t.walk]
-    euler = [(ext[p][i] - hom[p][i], ext[i][p] - hom[i][p]) for p in t.walk]
-    return (against_t,
-            [g + _pack([0] * 5 + [a, b, a + b], w) for g, (a, b) in zip(against_t, euler)],
-            [hom[p][i] + (ext[p][i] << w) for p in t.walk])
+    against_t, against_t_y, against_s = [], [], []
+    for p in t.walk:
+        ep, hp, ei, hi = ext[p][i], hom[p][i], ext[i][p], hom[i][p]
+        g = ep + (hp << w) + (ei << 2 * w) + (hi << 3 * w)
+        a, b = ep - hp, ei - hi
+        against_t.append(g)
+        against_t_y.append(g + (a << 5 * w) + (b << 6 * w) + ((a + b) << 7 * w))
+        against_s.append(hp + (ep << w))
+    return against_t, against_t_y, against_s
 
 
 @lru_cache(maxsize=None)
-def _root_columns(q: Quiver, w: int, r: int):
-    """The bounded walk's columns with r simples, w bits per field: for each
-    walk position p, what one more copy of R_p adds to the per-root fields
+def _root_columns(q: Quiver, w: int):
+    """The bounded walk's columns, w bits per field: for each walk position
+    p, what one more copy of R_p adds to fields 5-7 (the constants 1, 1, 2,
+    as Hom(R_p,R_p) = 1) and to the per-root fields above them
     (Ext(R_i,R_p) + Ext(R_p,R_i) and Hom(R_i,R_p) + Hom(R_p,R_i) at each
-    walk position i) and the constants 1, 1, 2 of fields 5-7 (Hom(R_p,R_p)
-    = 1); and the bit offset of the per-root fields of each walk position."""
+    walk position i); and the bit offset of the per-root fields of each walk
+    position.  Neither depends on the simples, which sit above the per-root
+    fields.  Each column is packed in one pass from its top field down."""
     t = hom_table(q)
-    hom, ext, walk = t.hom, t.ext, t.walk
-    head = [0] * 5 + [1, 1, 2] + [0] * (2 * r)
-    cols = [_pack(head + [v for i in walk
-                          for v in (ext[i][p] + ext[p][i], hom[i][p] + hom[p][i])], w)
-            for p in walk]
-    return cols, [w * (len(head) + 2 * j) for j in range(len(walk))]
+    hom, ext, top, w2 = t.hom, t.ext, t.walk[::-1], 2 * w
+    cols = []
+    for p in t.walk:
+        hp, ep, x = hom[p], ext[p], 0
+        for i in top:  # H_i above E_i, from the top walk position down
+            x = (x << w2) + ((hom[i][p] + hp[i]) << w) + ext[i][p] + ep[i]
+        for v in (2, 1, 1):  # fields 7, 6 and 5
+            x = (x << w) + v
+        cols.append(x << 5 * w)
+    return cols, [w * (8 + 2 * j) for j in range(len(top))]
 
 
 @lru_cache(maxsize=None)
@@ -394,17 +409,18 @@ def _bounds(q: Quiver, alpha, t_class, simples, bounded=True) -> _Bounds:
     constant fields against T and the S_j, which the survey adds."""
     table, w, r = hom_table(q), _acc_width(q, alpha), len(simples)
     ts = [(table.index[tr], m) for tr, m in t_class.parts]
-    n, gains = 8 + 2 * r, [0] * len(table.walk)
+    simple, gains = 8, [0] * len(table.walk)
     if bounded:
-        n, gains = n + 2 * len(table.walk), _root_columns(q, w, r)[0]
+        simple, gains = 8 + 2 * len(table.walk), _root_columns(q, w)[0]
     for t, m in ts:
         gains = [g + m * c for g, c in zip(gains, _gain_columns(q, w, t)[1 if bounded else 0])]
     for j, s in enumerate(simples):
-        shift = w * (8 + 2 * j)
+        shift = w * (simple + 2 * j)
         gains = [g + (c << shift) for g, c in zip(gains, _gain_columns(q, w, table.index[s])[2])]
     htt = sum(mi * mj * table.hom[i][j] for i, mi in ts for j, mj in ts)
     off = sum(a * a // 4 for a in alpha)
-    return _Bounds(w, r, n, htt, off, gains, _fill(1 << (w - 1), w, n))
+    n = simple + 2 * r
+    return _Bounds(w, r, n, simple, htt, off, gains, _fill(1 << (w - 1), w, n))
 
 
 def _bounded_walk(pk, alpha, bd: _Bounds, k):
@@ -420,7 +436,7 @@ def _bounded_walk(pk, alpha, bd: _Bounds, k):
     subtraction per child.
     """
     w, mask = bd.w, (1 << bd.w) - 1
-    gains, at = bd.gains, _root_columns(pk.table.quiver, w, bd.r)[1]
+    gains, at = bd.gains, _root_columns(pk.table.quiver, w)[1]
     ecol, hcol = _self_columns(w)
     guard = bd.guard
     top = bd.limit(k) | guard
@@ -517,9 +533,10 @@ class Survey:
     patterns: dict  # selected index k -> classes with hom == 1 - delta_{jk}
     zprime_witness: RepClass | None  # in zero set, Ext(T,X) = Ext(X,T) = 0
     h_truncated: bool = False  # an h-point was dropped because of h_cap
-    # (packed Hom profile, entry sum) of each kept class, as ``_profile``
-    # gives them, in the order of h_points and of each pattern list
+    # (packed Hom profile, entry sum) of each h-point, as ``_profile`` gives
+    # them; the sums order the condition-(a) points
     h_profiles: list = field(default_factory=list)
+    # the packed Hom profile of each pattern class, in the order of its list
     pattern_profiles: dict = field(default_factory=dict)
 
     @cached_property
@@ -537,9 +554,10 @@ def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
     ``spec.t_class`` and the selected simples, packed into one integer, so
     each node costs one addition and the cut test.  Each list keeps at most
     ``h_cap`` classes; ``h_truncated`` records whether an h-point was
-    dropped.  For each kept class, ``h_profiles`` and ``pattern_profiles``
-    store its packed Hom profile and entry sum, the sums of ``pk.rows`` and
-    ``pk.rowsum`` over its parts, computed at its leaf only.
+    dropped.  For each h-point, ``h_profiles`` stores its packed Hom profile
+    and entry sum, the sums of ``pk.rows`` and ``pk.rowsum`` over its parts;
+    for each pattern class, ``pattern_profiles`` stores the profile alone.
+    Both are computed at the class's leaf only.
 
     Cut rule: a child (root, mult) is not explored when Hom(X,S_j) >= 2 for
     some j and every completion X, and either Ext(X,T) + Ext(T,X) > 0 for
@@ -576,19 +594,15 @@ def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
     def fits(acc):  # the cut rule
         return not acc & over_one or (res.zprime_witness is None and (ztop - acc) & guard == guard)
 
-    def profile(chosen):  # ``_profile`` of the class, summed over its walk positions
-        prof = total = 0
-        for p, m in chosen:
-            prof += m * rows[p]
-            total += m * sums[p]
-        return prof, total
+    def profile(chosen):  # the packed Hom profile, summed over the walk positions
+        return sum(m * rows[p] for p, m in chosen)
 
     for chosen, acc in _walk(pk, spec.alpha, lambda acc, p: acc + gains[p], fits):
         hsum = bd.homs(acc)
         if all(h == 1 for h in hsum):
             if len(res.h_points) < h_cap:
                 res.h_points.append(_class_of(table, chosen))
-                res.h_profiles.append(profile(chosen))
+                res.h_profiles.append((profile(chosen), sum(m * sums[p] for p, m in chosen)))
             else:
                 res.h_truncated = True
         elif hsum.count(0) == 1 and hsum.count(1) == r - 1:
@@ -679,7 +693,7 @@ def gradient_condition_b_witness(x: RepClass, spec: ZeroSetSpec, k):
         raise ValueError("x is not a class of the spec's dimension vector")
     pk, sv = _packing(spec.quiver, spec.alpha), survey(spec)
     px = _profile(pk, x)[0]
-    for cand, (pc, _) in zip(sv.patterns[k], sv.pattern_profiles[k]):
+    for cand, pc in zip(sv.patterns[k], sv.pattern_profiles[k]):
         if pc != px and _geq(pk.guard, px, pc) and _is_cover(pk, cand, pc, x, px):
             return cand
     raise NotFound(f"no condition-(b) witness found for k={k}")

@@ -1,0 +1,60 @@
+"""``scripts/bench_pairs.py``'s summary on synthetic runs: the gain rule it
+stores per metric."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+METRICS = [("wall_s", "lower"), ("decided_frac", "higher")]
+
+
+def run(seed, side, wall_s=1.0, decided_frac=1.0):
+    return {"workload": "w", "seed": seed, "side": side,
+            "output": {"correct": True, "failed": 0, "metrics": {
+                "wall_s": {"value": wall_s}, "decided_frac": {"value": decided_frac}}}}
+
+
+def pairs(parent, change, metric="wall_s"):
+    """One pair per seed, the parent's value then the change's."""
+    return [run(seed, side, **{metric: v})
+            for seed, (p, c) in enumerate(zip(parent, change))
+            for side, v in (("parent", p), ("change", c))]
+
+
+PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]  # IQR 0.045
+
+
+@pytest.mark.parametrize("change, wins, met", [
+    ([v - 0.2 for v in PARENT[:9]] + [1.5], 9, True),  # 9/10 wins, gap 0.2
+    ([v - 0.2 for v in PARENT[:8]] + [1.5, 1.5], 8, False),  # 8/10 wins
+    ([v - 0.01 for v in PARENT], 10, False),  # gap 0.01 inside the IQR
+])
+def test_gain_rule_on_a_lower_is_better_metric(change, wins, met):
+    s = bench_pairs.summarize(pairs(PARENT, change), METRICS)["w"]["wall_s"]
+    assert (s["pairs"], s["change_better_in"], s["gain_rule_met"]) == (10, wins, met)
+
+
+def test_gain_rule_on_a_higher_is_better_metric():
+    up = [v + 0.2 for v in PARENT]
+    s = bench_pairs.summarize(pairs(PARENT, up, "decided_frac"), METRICS)["w"]
+    assert (s["decided_frac"]["change_better_in"], s["decided_frac"]["gain_rule_met"]) == (10, True)
+    # the same values read as a lower-is-better metric are a loss
+    s = bench_pairs.summarize(pairs(PARENT, up), METRICS)["w"]
+    assert (s["wall_s"]["change_better_in"], s["wall_s"]["gain_rule_met"]) == (0, False)
+
+
+def test_unpaired_run_is_skipped():
+    runs = pairs(PARENT, [v - 0.2 for v in PARENT])
+    runs.append(run(99, "change", 5.0))  # its parent side never ran
+    s = bench_pairs.summarize(runs, METRICS)["w"]
+    assert s["wall_s"]["pairs"] == 10
+    assert s["wall_s"]["change_better_in"] == 10
+    assert s["wall_s"]["gain_rule_met"]
+    assert s["all_correct"]
+    assert bench_pairs.summarize([run(0, "parent", 1.0)], METRICS) == {}

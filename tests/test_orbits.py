@@ -287,8 +287,9 @@ def test_survey_cache_keeps_the_last_survey(a3, d4):
 
 
 def test_survey_profiles_match_their_classes(request):
-    """Every Hom profile and entry sum the survey stores, summed over the
-    parts of a kept class at its leaf, equals ``_profile`` of its class, on
+    """Every (Hom profile, entry sum) the survey stores for an h-point, and
+    every Hom profile it stores for a pattern class, summed over the parts
+    of the kept class at its leaf, equals ``_profile`` of its class, on
     every ``walk_box`` alpha with every nonempty selection."""
     for q, alpha in walk_box(request):
         pk = orbits._packing(q, alpha)
@@ -297,12 +298,13 @@ def test_survey_profiles_match_their_classes(request):
         for size in range(1, perp.r + 1):
             for sel in itertools.combinations(range(1, perp.r + 1), size):
                 sv = survey(orbits.ZeroSetSpec(q, alpha, t, perp, sel))
-                kept = [(sv.h_points, sv.h_profiles)]
-                kept += [(sv.patterns[k], sv.pattern_profiles[k]) for k in sel]
-                for classes, profiles in kept:
-                    assert len(classes) == len(profiles)
-                    for cls, stored in zip(classes, profiles):
-                        assert stored == orbits._profile(pk, cls), (q, alpha, sel, cls)
+                assert len(sv.h_points) == len(sv.h_profiles)
+                for cls, stored in zip(sv.h_points, sv.h_profiles):
+                    assert stored == orbits._profile(pk, cls), (q, alpha, sel, cls)
+                for k in sel:
+                    assert len(sv.patterns[k]) == len(sv.pattern_profiles[k])
+                    for cls, stored in zip(sv.patterns[k], sv.pattern_profiles[k]):
+                        assert stored == orbits._profile(pk, cls)[0], (q, alpha, sel, cls)
 
 
 def test_capped_survey_gives_no_verdict(e6, monkeypatch):
@@ -453,7 +455,7 @@ def test_bound_fields_decode_to_their_hom_and_ext(request, monkeypatch):
             per_root = [v for r in single for v in (
                 class_ext(table, c, r) + class_ext(table, r, c),
                 class_hom(table, c, r) + class_hom(table, r, c))]
-            assert bd.fields(acc) == [*t_fields, codim, *rem, *pairs, *per_root], (q, alpha, c)
+            assert bd.fields(acc) == [*t_fields, codim, *rem, *per_root, *pairs], (q, alpha, c)
             assert bd.homs(acc) == homs
             bound = max(t_fields[0], t_fields[2], t_fields[1] - bd.htt, t_fields[3] - bd.htt,
                         codim + max(0, cy) + max(0, yc))  # (i), (ii) and (iv)
@@ -464,6 +466,51 @@ def test_bound_fields_decode_to_their_hom_and_ext(request, monkeypatch):
                 assert codim >= max(t_fields[0], t_fields[2])  # (i)
                 assert t_fields[1] - bd.htt == t_fields[0]  # (ii) at a whole class
         assert leaves == orbits._count_classes(orbits._packing(q, alpha), alpha)
+
+
+# two nullcone-e8 inputs: the widest accumulator, w = 11 with two simples,
+# and the most simples, five at w = 10
+E8_NULLCONES = {(1, 3, 7, 2, 1, 2, 1, 3): (11, 2), (1, 2, 5, 2, 2, 2, 1, 3): (10, 5)}
+
+
+def test_bounds_gains_match_their_definition(request, e8, e8_alpha):
+    """Every gain of ``_bounds``, bounded and not, equals its fields as the
+    ``_Bounds`` docstring lists them, rebuilt from ``hom_table`` and the
+    Euler form and packed by ``_pack``; and ``_bounded_walk``'s offsets read
+    E_p and H_p.  Beside ``walk_box`` this reaches E8 at the widths of real
+    inputs: the two ``E8_NULLCONES`` and e8-notred."""
+    cases = [*walk_box(request), *((e8, a) for a in E8_NULLCONES), (e8, e8_alpha(1))]
+    per_root = {}  # quiver -> the per-root fields one copy of R_p adds, by walk position p
+    for q, alpha in cases:
+        table = hom_table(q)
+        hom, ext, walk = table.hom, table.ext, table.walk
+        if q not in per_root:
+            per_root[q] = [[v for i in walk for v in (ext[i][p] + ext[p][i], hom[i][p] + hom[p][i])]
+                           for p in walk]
+        t = generic_decomposition(q, alpha)
+        simples = perp_simples(q, t).simples
+        bd, sd = (orbits._bounds(q, alpha, t, simples, bounded) for bounded in (True, False))
+        assert (bd.simple, bd.n) == (8 + 2 * len(walk), 8 + 2 * len(walk) + 2 * len(simples))
+        assert (sd.simple, sd.n) == (8, 8 + 2 * len(simples))
+        if q == e8 and alpha in E8_NULLCONES:
+            assert (bd.w, bd.r) == E8_NULLCONES[alpha]
+        for pos, p in enumerate(walk):
+            x = make_class([(table.roots[p], 1)])
+            t_fields = [class_ext(table, x, t), class_hom(table, x, t),
+                        class_ext(table, t, x), class_hom(table, t, x)]
+            ra, ar = euler_form(q, table.roots[p], alpha), euler_form(q, alpha, table.roots[p])
+            rem = [1 - ra, 1 - ar, 2 - ra - ar]  # <r_p,r_p> = 1; E_p, H_p come from the walk
+            pairs = [v for s in simples for v in (class_hom(table, x, s), class_ext(table, x, s))]
+            want = [*t_fields, 0, *rem, *per_root[q][pos], *pairs]
+            assert bd.gains[pos] == orbits._pack(want, bd.w), (q, alpha, pos)
+            assert sd.gains[pos] == orbits._pack([*t_fields, 0, 0, 0, 0, *pairs], sd.w), (q, alpha, pos)
+        at, mask = orbits._root_columns(q, bd.w)[1], (1 << bd.w) - 1
+        rng = random.Random(sum(alpha))
+        vals = [rng.randrange(mask + 1) for _ in range(bd.n)]
+        acc = orbits._pack(vals, bd.w)
+        for pos in range(len(walk)):
+            assert (acc >> at[pos]) & mask == vals[8 + 2 * pos], (q, alpha, pos)  # E_p
+            assert (acc >> at[pos] + bd.w) & mask == vals[9 + 2 * pos], (q, alpha, pos)  # H_p
 
 
 def test_remainder_bound_is_at_most_the_self_ext_of_every_completion(request):
