@@ -585,7 +585,7 @@ def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
     r, guard, gains = bd.r, bd.guard, bd.gains
     rows, sums = [pk.rows[i] for i in table.walk], [pk.rowsum[i] for i in table.walk]
     # meets acc iff some Hom(C,S_j) or Ext(C,S_j) field is >= 2
-    over_one = _pack([0] * 8 + [(1 << bd.w) - 2] * (2 * r), bd.w)
+    over_one = _pack([0] * bd.simple + [(1 << bd.w) - 2] * (2 * r), bd.w)
     ztop = bd.limit(0) | guard  # _geq(guard, bd.limit(0), acc) is (ztop - acc) & guard == guard
 
     res = Survey(spec, h_points=[], patterns={k: [] for k in spec.selected},
