@@ -594,22 +594,25 @@ def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
     def fits(acc):  # the cut rule
         return not acc & over_one or (res.zprime_witness is None and (ztop - acc) & guard == guard)
 
-    def profile(chosen):  # the packed Hom profile, summed over the walk positions
-        return sum(m * rows[p] for p, m in chosen)
+    def summed(column, chosen):  # column[p] summed over the class's walk positions p
+        total = 0
+        for p, m in chosen:
+            total += m * column[p]
+        return total
 
     for chosen, acc in _walk(pk, spec.alpha, lambda acc, p: acc + gains[p], fits):
         hsum = bd.homs(acc)
         if all(h == 1 for h in hsum):
             if len(res.h_points) < h_cap:
                 res.h_points.append(_class_of(table, chosen))
-                res.h_profiles.append((profile(chosen), sum(m * sums[p] for p, m in chosen)))
+                res.h_profiles.append((summed(rows, chosen), summed(sums, chosen)))
             else:
                 res.h_truncated = True
         elif hsum.count(0) == 1 and hsum.count(1) == r - 1:
             k = spec.selected[hsum.index(0)]
             if len(res.patterns[k]) < h_cap:
                 res.patterns[k].append(_class_of(table, chosen))
-                res.pattern_profiles[k].append(profile(chosen))
+                res.pattern_profiles[k].append(summed(rows, chosen))
         if res.zprime_witness is None and (ztop - acc) & guard == guard and 0 not in hsum:
             res.zprime_witness = _class_of(table, chosen)
     _survey_cache.clear()
