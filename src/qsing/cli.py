@@ -141,11 +141,18 @@ def cmd_nullcone(args):
     text = [f"alpha = {_fmt_vec(alpha, branch)}",
             f"selected semi-invariants: {list(spec.selected)}",
             f"components: {len(comps)}"]
+    k = len(spec.selected)
     for c in comps:
         parts = " + ".join(f"{_fmt_vec(r, branch)}x{mult}" for r, mult in
                            c.rep_class.parts)
+        if not c.gradient_a:
+            rank = f"rule 1: rank < {k}"
+        elif c.jacobian_minor is not None:
+            rank = f"rule 2: rank {k}"
+        else:
+            rank = "rank: not decided"
         text.append(f"  codim {c.codim}  hom {list(c.hom_to_simples)}  "
-                    f"(a):{str(c.gradient_a).lower()}  (b):{c.gradient_b}  {parts}")
+                    f"(a):{str(c.gradient_a).lower()}  {rank}  {parts}")
     text.append(f"set-theoretic complete intersection: {str(ci).lower()}")
     text.append(f"verdict: {red.verdict}" + (f" ({red.reason})" if red.reason else ""))
     if red.witness is not None:
@@ -158,7 +165,8 @@ def cmd_nullcone(args):
                 "codim": c.codim,
                 "hom_profile": list(c.hom_to_simples),
                 "gradient_a": c.gradient_a,
-                "gradient_b": c.gradient_b,
+                "jacobian_minor": [list(x) for x in c.jacobian_minor]
+                if c.jacobian_minor is not None else None,
             }
             for c in comps
         ],

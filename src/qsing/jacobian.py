@@ -1,0 +1,223 @@
+"""Integer representations of the roots, and the Jacobian of semi-invariants
+at a representation, ranked mod a prime.
+
+``realize`` builds the indecomposable with a given root as dimension vector
+by Bernstein-Gelfand-Ponomarev coreflections along the root's walk in
+``hom_table``: the construction of the test oracle ``realize``, on Python
+integers instead of fractions.  Each coreflection projects onto a cokernel
+through a left kernel, found by elimination; every pivot must be 1 or -1,
+so dividing by it keeps the entries integral and the matrices equal the
+oracle's.  A pivot that is not a unit raises ``PivotError``, and no matrix
+is returned or cached.  Realized roots are cached lazily on ``hom_table(q)``
+and never built with it.
+
+``jacobian_rows`` and ``jacobian_minor`` work mod the prime ``P`` on the
+integer matrices of d^X_S, laid out as the test oracle ``hom_matrix_dvw``
+lays them out.  ``orbits.reducedness_report`` proves what a rank mod ``P``
+says over Q.
+"""
+
+from __future__ import annotations
+
+from .decomp import RepClass
+from .quiver import Quiver
+from .roots import hom_table
+
+P = (1 << 61) - 1  # a prime; the matrices of d^X_S are reduced mod P
+
+
+class PivotError(ArithmeticError):
+    """An elimination over the integers met a pivot other than 1 or -1."""
+
+
+def _echelon(rows, ncols, p=None):
+    """Bring ``rows`` to reduced row echelon form in place; return the pivot
+    columns.  The pivot of a column is its first nonzero entry from the
+    current row down, as in the test oracle.  Mod ``p`` every entry is
+    reduced mod p; with ``p`` None the entries are integers and every pivot
+    must be 1 or -1, so it is its own inverse, or ``PivotError`` is raised."""
+    pivots, r = [], 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        u = rows[r][c]
+        if p is None:
+            if u != 1 and u != -1:
+                raise PivotError(f"pivot {u} in column {c} is not a unit")
+            if u == -1:
+                rows[r] = [-x for x in rows[r]]
+        elif u != 1:
+            inv = pow(u, -1, p)
+            rows[r] = [x * inv % p for x in rows[r]]
+        top = rows[r]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                if p is None:
+                    rows[i] = [a - f * b for a, b in zip(rows[i], top)]
+                else:
+                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], top)]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def _kernel(rows, ncols, p=None):
+    """A basis of the column vectors x with M x = 0 for the matrix M whose
+    rows are ``rows``, of ``ncols`` columns: one vector per free column of
+    its reduced row echelon form, as the test oracle's ``left_nullspace``
+    builds it on the transpose.  Mod ``p`` if given, else over the integers
+    with unit pivots (``_echelon``)."""
+    rows = [[v % p for v in r] for r in rows] if p else [list(r) for r in rows]
+    pivots = _echelon(rows, ncols, p)
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc] % p if p else -rows[r][fc]
+        basis.append(v)
+    return basis
+
+
+def _transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def realize(q: Quiver, root):
+    """(dims, maps) of an indecomposable with dimension vector ``root``:
+    maps[a] is the dims[ha] x dims[ta] integer matrix of arrow a, a list of
+    rows, shared with the cache, so do not modify it.
+
+    The root's walk ends at step t as the simple at the vertex z of
+    steps[t] in ``hom_table``, a sink of the quiver reflected at steps 0 ..
+    t - 1, so over that quiver the simple at z has a 1 x 0 matrix on each
+    arrow at z and 0 x 0 elsewhere.  Undo the reflections from step t - 1
+    down: the vertex x of step s is a source of the quiver reflected at
+    steps 0 .. s, so every arrow at x leaves x, and the coreflection there
+    maps the new V(x) onto the cokernel of V(x) -> (+)_{a at x} V(ha), whose
+    basis is the left kernel of the stacked matrices.  Raises KeyError for a
+    vector that is not a positive root and ``PivotError`` as ``_echelon``
+    does.
+    """
+    table = hom_table(q)
+    root = tuple(root)
+    if root in table.realized:
+        return table.realized[root]
+    i = table.index[root]
+    t = next(t for t, (_, _, j) in enumerate(table.steps) if j == i)
+    z = table.steps[t][0] + 1
+    dims = [int(v == z) for v in range(1, q.n + 1)]
+    maps = [[[]] if z in arrow else [] for arrow in q.arrows]
+    for x, nbrs, _ in reversed(table.steps[:t]):
+        out = [a for a, arrow in enumerate(q.arrows) if x + 1 in arrow]  # towards nbrs, in order
+        stacked = [row for a in out for row in maps[a]]
+        proj = _kernel(_transpose(stacked), len(stacked)) if stacked else []
+        dims[x] = len(proj)
+        off = 0
+        for a, h in zip(out, nbrs):
+            maps[a] = [p[off:off + dims[h]] for p in proj]
+            off += dims[h]
+    assert tuple(dims) == root, f"realize built {tuple(dims)} for the root {root}"
+    table.realized[root] = rep = (root, maps)
+    return rep
+
+
+def representative(q: Quiver, cls: RepClass):
+    """(dims, maps) of the direct sum of ``realize`` of each root of
+    ``cls.as_multiset()``, in that order, block diagonal on every arrow:
+    the representation X whose coordinates ``jacobian_rows`` names."""
+    parts = [realize(q, r) for r in cls.as_multiset()]
+    dims = tuple(sum(d[x] for d, _ in parts) for x in range(q.n))
+    maps = []
+    for a, (t, h) in enumerate(q.arrows):
+        m = [[0] * dims[t - 1] for _ in range(dims[h - 1])]
+        ro = co = 0
+        for d, mp in parts:
+            for i, row in enumerate(mp[a]):
+                m[ro + i][co:co + len(row)] = row
+            ro += d[h - 1]
+            co += d[t - 1]
+        maps.append(m)
+    return dims, maps
+
+
+def _dvw(q: Quiver, v, w):
+    """The integer matrix of d^V_W : (+)_x Hom(V(x),W(x)) -> (+)_a
+    Hom(V(ta),W(ha)), phi -> phi_ha V(a) - W(a) phi_ta, laid out as the test
+    oracle's ``hom_matrix_dvw``: Hom(V(x),W(x)) is column-major at column
+    offset ``col_off[x]``, so its entry (i, k) is column col_off[x] + k
+    dim W(x) + i, and arrow a's block starts at row offset ``row_off[a]``,
+    with its entry (i, c) at row row_off[a] + c dim W(ha) + i.  Returns
+    (rows, col_off, row_off)."""
+    (vd, vm), (wd, wm) = v, w
+    col_off, row_off = [0], [0]
+    for x in range(q.n):
+        col_off.append(col_off[-1] + vd[x] * wd[x])
+    for t, h in q.arrows:
+        row_off.append(row_off[-1] + vd[t - 1] * wd[h - 1])
+    rows = [[0] * col_off[-1] for _ in range(row_off[-1])]
+    for a, (t, h) in enumerate(q.arrows):
+        va, wa, dwh, dwt = vm[a], wm[a], wd[h - 1], wd[t - 1]
+        for c in range(vd[t - 1]):
+            for i in range(dwh):
+                row = rows[row_off[a] + c * dwh + i]
+                for k in range(vd[h - 1]):
+                    if va[k][c]:
+                        row[col_off[h - 1] + k * dwh + i] += va[k][c]
+                for k in range(dwt):
+                    if wa[i][k]:
+                        row[col_off[t - 1] + c * dwt + k] -= wa[i][k]
+    return rows, col_off, row_off
+
+
+def jacobian_rows(q: Quiver, cls: RepClass, simples):
+    """The Jacobian of the semi-invariants f_j = det d^V_{S_j} at X =
+    ``representative(q, cls)``, mod ``P``, up to a nonzero factor per row.
+
+    Returns (coords, rows): ``coords`` lists the coordinates (a, k, t) of
+    X, entry (k, t) of the matrix X(a), arrow by arrow, row by row; rows[j]
+    is (corank of d^X_{S_j} mod P, row j or None).  Row j is given when
+    that corank is 1: with phi spanning the kernel and psi the left kernel
+    of the square matrix d^X_{S_j} mod P, in ``_dvw``'s layout, its entry at
+    (a, k, t) is sum_i psi[row_off[a] + t dim S(ha) + i] phi[col_off[ha] + k
+    dim S(ha) + i].
+    """
+    x = representative(q, cls)
+    coords = [(a, k, t) for a, (ta, ha) in enumerate(q.arrows)
+              for k in range(x[0][ha - 1]) for t in range(x[0][ta - 1])]
+    out = []
+    for s in simples:
+        m, col_off, row_off = _dvw(q, x, realize(q, s))
+        phi = _kernel(m, len(m), P)
+        if len(phi) != 1:
+            out.append((len(phi), None))
+            continue
+        phi, psi = phi[0], _kernel(_transpose(m), len(m), P)[0]
+        row = []
+        for a, k, t in coords:
+            h = q.arrows[a][1] - 1
+            sh = s[h]
+            pt, pk = row_off[a] + t * sh, col_off[h] + k * sh
+            row.append(sum(psi[pt + i] * phi[pk + i] for i in range(sh)) % P)
+        out.append((1, row))
+    return coords, out
+
+
+def jacobian_minor(q: Quiver, cls: RepClass, simples):
+    """(minor, note): the coordinates of X = ``representative(q, cls)``, one
+    per simple, at which the Jacobian of ``jacobian_rows`` has a nonzero
+    minor mod ``P``, and "" when every corank is 1 and the rank mod P is
+    the number of simples; otherwise None and what failed."""
+    coords, rows = jacobian_rows(q, cls, simples)
+    for s, (corank, _) in zip(simples, rows):
+        if corank != 1:
+            return None, f"d^X_S has corank {corank} mod p for S = {tuple(s)}"
+    pivots = _echelon([row[:] for _, row in rows], len(coords), P)
+    if len(pivots) < len(rows):
+        return None, f"the Jacobian has rank {len(pivots)} < {len(rows)} mod p"
+    return tuple(coords[c] for c in pivots), ""

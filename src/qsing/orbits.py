@@ -33,17 +33,21 @@ y = alpha - c, (iv) Ext(X,X) >= Ext(C,C) + max(0, -<c,y>) + max(0, -<y,c>).
   ``components`` runs that walk and builds a class only at a leaf whose
   Hom(X,S_j) fields put it in the zero set.  On e8-notred it visits 2,384
   nodes (21,787 without (iv), 59,634 with self-Ext alone).
-- The reducedness survey keeps only rare classes (the Hom-dimension-one
+- The survey (``survey``) keeps only rare classes (the Hom-dimension-one
   points, the per-index witness patterns and one Z' witness) and cuts once
   some Hom(X,S_j) must exceed 1 and the branch can no longer give a new Z'
   witness.  On e8-notred it visits 5,953 nodes (108,717 with the Hom and
-  Ext sums of C alone) instead of all 1,543,628 classes.  It sums the
-  packed Hom rows of a kept class's parts and stores the profile, so the
-  reducedness report reads it from the survey instead of rebuilding it.
-- A minimal-degeneration check with codimension gap >= 2 sums packed Hom
-  rows and walks only the classes whose profile stays below the target's.
+  Ext sums of C alone) instead of all 1,543,628 classes.  It stores the
+  packed Hom profile of each kept class, summed from its parts' rows.  No
+  verdict reads it: the test suite's reference for the paper's gradient
+  conditions (a) and (b) does.
 The exact class count is a separate memoized count, run only when
 ``Survey.total`` is read.
+
+``reducedness_report`` walks no class: it reads each component's Hom
+profile against the selected simples and, where every entry is 1, the rank
+of the Jacobian of the semi-invariants at the component's class, mod a
+prime on integer matrices (``jacobian``).
 """
 
 from __future__ import annotations
@@ -55,10 +59,10 @@ from .decomp import (
     PerpData,
     RepClass,
     class_hom,
-    class_self_ext,
     generic_decomposition,
     perp_simples,
 )
+from . import jacobian
 from .quiver import Quiver, require_dynkin
 from .roots import HomTable, hom_table
 
@@ -517,9 +521,10 @@ class ComponentReport:
     rep_class: RepClass
     codim: int
     hom_to_simples: tuple  # against the selected simples, in selection order
-    gradient_a: bool
-    gradient_b: str = "unverified"  # "verified" | "unverified"
-    gradient_b_witnesses: tuple = ()
+    gradient_a: bool  # every Hom(X,S_j) is 1; rule 1 of ``reducedness_report`` where not
+    # the coordinates (a, k, t), entry (k, t) of X(a) in ``jacobian.representative``,
+    # of a nonzero k x k minor of the Jacobian, set when rule 2 proves the rank k
+    jacobian_minor: tuple | None = None
 
 
 @dataclass
@@ -534,7 +539,7 @@ class Survey:
     zprime_witness: RepClass | None  # in zero set, Ext(T,X) = Ext(X,T) = 0
     h_truncated: bool = False  # an h-point was dropped because of h_cap
     # (packed Hom profile, entry sum) of each h-point, as ``_profile`` gives
-    # them; the sums order the condition-(a) points
+    # them; the sums order the condition-(a) points of the tests' reference
     h_profiles: list = field(default_factory=list)
     # the packed Hom profile of each pattern class, in the order of its list
     pattern_profiles: dict = field(default_factory=dict)
@@ -542,9 +547,6 @@ class Survey:
     @cached_property
     def total(self) -> int:
         return _count_classes(_packing(self.spec.quiver, self.spec.alpha), self.spec.alpha)
-
-
-_survey_cache: dict = {}
 
 
 def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
@@ -571,15 +573,7 @@ def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
     4-7 the survey's accumulator, 0 there, always meets.  Every branch that
     can still give a Z' witness survives until the first one is found, so
     the witness is still the first one in enumeration order.
-
-    The last survey is cached on (spec, h_cap), so ``reducedness_report``
-    reuses the survey its caller has just run.  The cache holds one entry,
-    since that is all the report reuses, and more would hold every kept
-    class and its profile of the earlier surveys in memory.
     """
-    key = (spec, h_cap)
-    if key in _survey_cache:
-        return _survey_cache[key]
     table, pk = hom_table(spec.quiver), _packing(spec.quiver, spec.alpha)
     bd = _bounds(spec.quiver, spec.alpha, spec.t_class, spec.selected_simples, bounded=False)
     r, guard, gains = bd.r, bd.guard, bd.gains
@@ -615,8 +609,6 @@ def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
                 res.pattern_profiles[k].append(summed(rows, chosen))
         if res.zprime_witness is None and (ztop - acc) & guard == guard and 0 not in hsum:
             res.zprime_witness = _class_of(table, chosen)
-    _survey_cache.clear()
-    _survey_cache[key] = res
     return res
 
 
@@ -656,52 +648,6 @@ def is_set_theoretic_ci(spec: ZeroSetSpec, comps) -> bool:
     return all(c.codim == len(spec.selected) for c in comps)
 
 
-class NotFound(Exception):
-    pass
-
-
-def _is_cover(pk, cand, pc, x, px):
-    """cand -> x is a minimal degeneration (packed Hom profiles pc <= px).
-
-    A codimension gap of one is always minimal, since codimension strictly
-    increases along proper degenerations.  A larger gap is minimal when no
-    class lies strictly between the two in the Hom order; the walk sums
-    packed Hom rows and visits only the classes whose profile stays below px.
-    """
-    table, guard, rows = pk.table, pk.guard, pk.rows
-    gap = class_self_ext(table, x) - class_self_ext(table, cand)
-    if gap <= 0:
-        return False
-    if gap == 1:
-        return True
-    for _, pw in _walk(pk, x.total(), lambda acc, p: acc + rows[table.walk[p]],
-                       lambda acc: _geq(guard, px, acc)):
-        if pw != pc and pw != px and _geq(guard, pw, pc):
-            return False
-    return True
-
-
-def gradient_condition_b_witness(x: RepClass, spec: ZeroSetSpec, k):
-    """Search X' with: X' in the zero set of the selection minus k,
-    hom(X', S_j) = 1 - delta_{jk} over the selected simples, and X a minimal
-    degeneration of X'.  Then Y_k = X + X' has hom(Y_k, S_j) = 2 - delta_{jk}.
-    Returns X' or raises NotFound; sufficient, never a proof of failure.
-
-    The candidates X' are the index-k patterns of ``survey(spec)``, read
-    with their Hom profiles from the cached survey.
-    """
-    if k not in spec.selected:
-        raise ValueError("k must be a selected index")
-    if x.total() != spec.alpha:
-        raise ValueError("x is not a class of the spec's dimension vector")
-    pk, sv = _packing(spec.quiver, spec.alpha), survey(spec)
-    px = _profile(pk, x)[0]
-    for cand, pc in zip(sv.patterns[k], sv.pattern_profiles[k]):
-        if pc != px and _geq(pk.guard, px, pc) and _is_cover(pk, cand, pc, x, px):
-            return cand
-    raise NotFound(f"no condition-(b) witness found for k={k}")
-
-
 @dataclass
 class ReducednessReport:
     verdict: str  # "reduced" | "not-reduced" | "unverified"
@@ -712,22 +658,49 @@ class ReducednessReport:
 
 
 def reducedness_report(spec: ZeroSetSpec, comps=None) -> ReducednessReport:
-    """Serre-criterion verdict for the zero set, read from ``survey(spec)``.
+    """Whether Z = Z(f_j : j selected) is reduced, f_j = c_{S_j} = det
+    d^V_{S_j}, from the Jacobian of the f_j at one point per component.
 
-    not-reduced: some component has no representation satisfying the
-    Hom-dimension-one condition (a) anywhere in its orbit closure.  This
-    needs the complete list of h-points; when the survey truncated it at
-    ``h_cap`` the verdict is unverified instead, with the cap in the reason.
-    reduced: every component has a representative passing (a) together with
-    a condition-(b) witness for every selected index.  A truncated pattern
-    list can only hide witnesses, which again gives unverified.
-    unverified: anything in between (the (b)-search is sufficient only), or
-    the zero set is not a set-theoretic complete intersection.
+    An empty Z is reduced.  Otherwise let k = |selected|.  Unless every
+    component has codimension k the verdict is unverified.  When each has,
+    Z is cut out of the affine space Rep(Q,alpha) by k equations with every
+    component of codimension k: a complete intersection, so Cohen-Macaulay
+    with no embedded component, and by Serre's criterion Z is reduced iff it
+    is reduced at the generic point eta of every component C.  The local
+    ring of Rep(Q,alpha) at eta is regular of dimension k, so O_{Z,eta} =
+    O/(f_1, ..., f_k), of dimension 0, is reduced iff it is a field, iff
+    the f_j generate the maximal ideal m, iff their classes in m/m^2 are
+    independent, iff (char 0) the Jacobian (df_j) has rank k at eta.  C is
+    the closure of the orbit O_X of its class X (``components``), O_X is
+    open in C, and the rank is constant on O_X, as f_j(gV) = chi_j(g) f_j(V)
+    for a character chi_j of GL(alpha).  So Z is reduced iff the Jacobian
+    has rank k at every component's X.
 
-    Each component tries every condition-(a) point, smallest Hom profile
-    sum first.  A condition-(b) witness must be a minimal degeneration onto
-    the point (``_is_cover``): a codimension gap of one needs no search, a
-    larger gap a walk over the classes between the two.
+    At X, M_j = d^X_{S_j} is square (<alpha, s_j> = 0) with kernel
+    Hom(X,S_j) != 0, and df_j(X)(E) = tr(adj(M_j) dM_j(E)).
+    - Rule 1, no matrices: if some Hom(X,S_j) >= 2, M_j has corank >= 2, so
+      adj(M_j) = 0, df_j(X) = 0, the rank is below k and Z is not reduced,
+      with X the witness.  This is ``gradient_a`` false, the paper's
+      condition (a) failing: every point of C then has Hom >= 2 against
+      S_j.  It is tested on every component, in order, before rule 2.
+    - Rule 2: if every Hom(X,S_j) = 1, adj(M_j) = c phi psi^T with c != 0,
+      phi spanning ker M_j and psi its left kernel.  The derivative of M_j
+      in the coordinate (a, k, t) of X(a) sends phi to the block phi_ha
+      E_kt of arrow a, whose entry (i, t) is phi_ha[i, k]; so row j of the
+      Jacobian at (a, k, t) is c sum_i psi[a, t, i] phi[ha, k, i]
+      (``jacobian.jacobian_rows``, in ``jacobian._dvw``'s layout).
+    - Rule 2 mod p: X (``jacobian.representative``) and S_j have integer
+      matrices, so M_j is an integer matrix of rational corank 1.  A
+      primitive integer vector spanning its kernel has an entry prime to p,
+      so its reduction is a nonzero vector of ker(M_j mod p); if that
+      kernel is a line, the phi found mod p is a nonzero multiple of the
+      reduction, and the same holds for psi.  Each row found mod p is then
+      a nonzero multiple of the reduction of an integer row, itself a
+      nonzero rational multiple of the true row, so a k x k minor nonzero
+      mod p reduces a nonzero integer minor, and the rank over Q is k.  Such
+      a component gets ``jacobian_minor``, the coordinates of the minor.
+      A corank above 1 mod p, or a rank below k mod p, proves nothing: the
+      verdict is unverified, and the reason names the component and p.
     """
     if comps is None:
         comps = components(spec)
@@ -739,44 +712,22 @@ def reducedness_report(spec: ZeroSetSpec, comps=None) -> ReducednessReport:
         rep.ci = True
         return rep
     if not rep.ci:
-        rep.verdict = "unverified"
         rep.reason = "not a set-theoretic complete intersection"
         return rep
-    sv = survey(spec)
-    pk = _packing(spec.quiver, spec.alpha)
-
-    # condition (a) first for every component: not-reduced short-circuits
-    a_points = {}
-    for comp in comps:
-        pc = _profile(pk, comp.rep_class)[0]
-        pts = [(cls, total) for cls, (ph, total) in zip(sv.h_points, sv.h_profiles)
-               if _geq(pk.guard, ph, pc)]
-        pts.sort(key=lambda t: (t[1], t[0].parts))
-        if not pts:
-            if sv.h_truncated:
-                rep.reason = (f"the survey kept only h_cap={len(sv.h_points)} "
-                              "h-points, so a component's condition-(a) point "
-                              "may have been dropped")
-                return rep
+    for comp in comps:  # rule 1
+        if not comp.gradient_a:
             rep.verdict = "not-reduced"
             rep.witness = comp.rep_class
-            rep.reason = "component has no point satisfying the gradient condition (a)"
+            rep.reason = ("rule 1: some Hom(X,S_j) >= 2 at a component, "
+                          "so df_j vanishes on it")
             return rep
-        a_points[comp.rep_class] = pts
-
-    for comp in comps:
-        for cand, _ in a_points[comp.rep_class]:
-            try:
-                witnesses = tuple((k, gradient_condition_b_witness(cand, spec, k))
-                                  for k in spec.selected)
-            except NotFound:
-                continue
-            comp.gradient_b = "verified"
-            comp.gradient_b_witnesses = witnesses
-            break
-        else:
-            rep.verdict = "unverified"
-            rep.reason = "condition (b) witness search failed for a component"
+    for comp in comps:  # rule 2
+        minor, note = jacobian.jacobian_minor(spec.quiver, comp.rep_class,
+                                              spec.selected_simples)
+        if minor is None:
+            rep.reason = (f"rule 2 is inconclusive mod p = {jacobian.P} at the "
+                          f"component {comp.rep_class.parts}: {note}")
             return rep
+        comp.jacobian_minor = minor
     rep.verdict = "reduced"
     return rep

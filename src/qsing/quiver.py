@@ -23,7 +23,12 @@ class NonDynkinError(QuiverError):
 
 @dataclass(frozen=True)
 class Quiver:
-    """Directed multigraph without loops or oriented cycles."""
+    """Directed multigraph without loops or oriented cycles.
+
+    Its hash is computed once, when it is built: every per-quiver cache
+    (``roots.hom_table`` and the packed columns of ``orbits``) looks the
+    quiver up by it, and a frozen dataclass would hash its fields anew on
+    each lookup.  Equal quivers hash equal, as the fields are hashed."""
 
     n: int
     arrows: tuple  # tuple of (tail, head), 1-indexed
@@ -39,6 +44,10 @@ class Quiver:
                 raise QuiverError(f"loop at vertex {t}")
         if len(self.topological_order()) != self.n:
             raise QuiverError("quiver has an oriented cycle")
+        object.__setattr__(self, "_hash", hash((self.n, self.arrows)))
+
+    def __hash__(self):
+        return self._hash
 
     # -- basic structure ---------------------------------------------------
 

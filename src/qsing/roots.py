@@ -10,13 +10,14 @@ Every reflection is ``quiver.reflect_dim``, which reads the neighbour lists
 that ``Quiver.adjacency`` builds once from the arrows.  The Coxeter
 transformation c and its inverse are not stored: ``HomTable.coxeter_step``
 reflects a vector at the first n steps of the same walk, forwards for c
-and backwards for c^-1.  No representation matrix is built; the tests
-check the table against explicit matrices.
+and backwards for c^-1.  No representation matrix is built here; the
+tests check the table against explicit matrices, and ``jacobian.realize``
+builds a root's integer matrices on demand and keeps them on the context.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
@@ -74,6 +75,9 @@ class HomTable:
     start: list
     end: list
     steps: list
+    # root -> its integer representation, filled by ``jacobian.realize`` on
+    # demand, never here
+    realized: dict = field(default_factory=dict, repr=False, compare=False)
 
     def hom_root(self, a, b):
         return self.hom[self.index[tuple(a)]][self.index[tuple(b)]]

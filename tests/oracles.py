@@ -22,6 +22,11 @@ Two references for ``qsing.orbits``, which packs dimension vectors and Hom
 profiles into integers, work on plain tuples instead: ``hom_profile`` and
 the class walk ``tuple_walk``.
 
+``condition_ab_report`` is the reference for ``orbits.reducedness_report``:
+the paper's gradient conditions (a) and (b), read from ``orbits.survey``.
+``jacobian_minor_det`` recomputes over Q, from explicit matrices, the
+Jacobian minor that the report names.
+
 Everything is exact: matrices hold Fraction entries.  ``conftest.py``
 registers this module for pytest's assertion rewriting, so its checks
 still run under ``python -O``.
@@ -32,7 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qsing.decomp import class_hom, generic_decomposition, make_class, perp_simples
+from qsing.decomp import (class_hom, class_self_ext, generic_decomposition, make_class,
+                          perp_simples)
+from qsing.orbits import _geq, _packing, _profile, _walk, is_set_theoretic_ci, survey
 from qsing.quiver import Quiver, euler_form, simple_root
 from qsing.roots import hom_table, positive_roots
 
@@ -356,3 +363,121 @@ def tuple_walk(table, alpha, step, fits, acc=0):
                 chosen.pop()
 
     return dfs(tuple(alpha), 0, acc)
+
+
+# -- the paper's gradient conditions (a) and (b) -------------------------------
+
+class NotFound(Exception):
+    pass
+
+
+def is_cover(pk, cand, pc, x, px):
+    """cand -> x is a minimal degeneration (packed Hom profiles pc <= px).
+
+    A codimension gap of one is always minimal, since codimension strictly
+    increases along proper degenerations.  A larger gap is minimal when no
+    class lies strictly between the two in the Hom order; the walk sums
+    packed Hom rows and visits only the classes whose profile stays below px.
+    """
+    table, guard, rows = pk.table, pk.guard, pk.rows
+    gap = class_self_ext(table, x) - class_self_ext(table, cand)
+    if gap <= 0:
+        return False
+    if gap == 1:
+        return True
+    for _, pw in _walk(pk, x.total(), lambda acc, p: acc + rows[table.walk[p]],
+                       lambda acc: _geq(guard, px, acc)):
+        if pw != pc and pw != px and _geq(guard, pw, pc):
+            return False
+    return True
+
+
+def gradient_condition_b_witness(x, spec, k, sv=None):
+    """Search X' with: X' in the zero set of the selection minus k,
+    hom(X', S_j) = 1 - delta_{jk} over the selected simples, and X a minimal
+    degeneration of X'.  Then Y_k = X + X' has hom(Y_k, S_j) = 2 - delta_{jk}.
+    Returns X' or raises NotFound; sufficient, never a proof of failure.
+
+    The candidates X' are the index-k patterns of the survey ``sv``, by
+    default ``survey(spec)``, read with their Hom profiles.
+    """
+    if k not in spec.selected:
+        raise ValueError("k must be a selected index")
+    if x.total() != spec.alpha:
+        raise ValueError("x is not a class of the spec's dimension vector")
+    pk, sv = _packing(spec.quiver, spec.alpha), sv or survey(spec)
+    px = _profile(pk, x)[0]
+    for cand, pc in zip(sv.patterns[k], sv.pattern_profiles[k]):
+        if pc != px and _geq(pk.guard, px, pc) and is_cover(pk, cand, pc, x, px):
+            return cand
+    raise NotFound(f"no condition-(b) witness found for k={k}")
+
+
+def condition_ab_report(spec, comps):
+    """(verdict, witness, (b)-witnesses per component) by the paper's
+    Serre-criterion conditions, read from ``survey(spec)``.
+
+    not-reduced, with the component as witness: some component has no
+    point satisfying the Hom-dimension-one condition (a) anywhere in its
+    orbit closure.  reduced: every component has a representative passing
+    (a) together with a condition-(b) witness for every selected index.
+    unverified: anything in between (the (b)-search is sufficient only), a
+    survey truncated at ``h_cap``, or a zero set that is not a set-theoretic
+    complete intersection.  Each component tries every condition-(a)
+    point, smallest Hom profile sum first; a (b)-witness must be a minimal
+    degeneration onto the point (``is_cover``).
+    """
+    if not comps:
+        return "reduced", None, {}
+    if not is_set_theoretic_ci(spec, comps):
+        return "unverified", None, {}
+    sv, pk = survey(spec), _packing(spec.quiver, spec.alpha)
+    a_points = {}
+    for comp in comps:
+        pc = _profile(pk, comp.rep_class)[0]
+        pts = [(cls, total) for cls, (ph, total) in zip(sv.h_points, sv.h_profiles)
+               if _geq(pk.guard, ph, pc)]
+        if not pts:
+            return ("unverified", None, {}) if sv.h_truncated else ("not-reduced", comp.rep_class, {})
+        a_points[comp.rep_class] = sorted(pts, key=lambda t: (t[1], t[0].parts))
+    found = {}
+    for comp in comps:
+        for cand, _ in a_points[comp.rep_class]:
+            try:
+                found[comp.rep_class] = tuple(
+                    (k, gradient_condition_b_witness(cand, spec, k, sv)) for k in spec.selected)
+            except NotFound:
+                continue
+            break
+        else:
+            return "unverified", None, found
+    return "reduced", None, found
+
+
+def _transpose(m: Mat) -> Mat:
+    return Mat(m.ncols, m.nrows, [list(c) for c in zip(*m.rows)])
+
+
+def jacobian_minor_det(q: Quiver, cls, simples, minor) -> Fraction:
+    """The k x k minor of the Jacobian of f_j = det d^V_{S_j} at the
+    coordinates ``minor`` (arrow, row, column) of X, the direct sum of
+    ``realize`` over ``cls.as_multiset()``, each row built over Q from a
+    vector phi spanning the kernel of d^X_{S_j} and psi its left kernel:
+    entry sum_i psi[a, t, i] phi[ha, k, i] in ``hom_matrix_dvw``'s layout.
+    Each d^X_{S_j} must have a kernel and a left kernel of dimension one."""
+    x = direct_sum(q, [realize(q, r) for r in cls.as_multiset()])
+    rows = []
+    for s in simples:
+        m = hom_matrix_dvw(x, realize(q, s))
+        phi, psi = left_nullspace(_transpose(m)), left_nullspace(m)
+        assert len(phi) == len(psi) == 1, (cls, s)
+        col_off = [0]
+        for v in range(q.n):
+            col_off.append(col_off[-1] + x.dims[v] * s[v])
+        row_off = [0]
+        for t, h in q.arrows:
+            row_off.append(row_off[-1] + x.dims[t - 1] * s[h - 1])
+        rows.append([sum(psi[0][row_off[a] + t * s[h - 1] + i]
+                         * phi[0][col_off[h - 1] + k * s[h - 1] + i] for i in range(s[h - 1]))
+                     for a, k, t in minor for h in [q.arrows[a][1]]])
+    return det(Mat(len(rows), len(minor), rows))

@@ -126,7 +126,7 @@ def test_criterion_1_e8_nullcone(e8, e8_alpha, capsys):
     second = (0, 1, 2, 1, 1, 1, 0, 1)
     ok &= table.hom_root((0, 0, 1, 0, 0, 0, 0, 0), second) == 2
     ok &= class_hom(table, red.witness, second) == 2
-    # the CLI report agrees (in process: the survey cache is warm)
+    # the CLI report agrees; neither it nor the report runs the survey
     data = run_cli_json(["nullcone", "--preset", "e8-notred"], capsys)
     ok &= len(data["components"]) == 9 and data["ci"] is True
     ok &= data["verdict"] == "not-reduced"

@@ -83,6 +83,12 @@ def test_nullcone_a2(tmp_path):
     assert data["ci"] is True
     assert len(data["components"]) == 1
     assert data["components"][0]["codim"] == 1
+    # X(a) = 0 at the component; the Jacobian minor is its one coordinate
+    assert data["components"][0]["jacobian_minor"] == [[0, 0, 0]]
+    assert "gradient_b" not in data["components"][0]
+    text = run_cli(["nullcone", "--quiver", str(qf), "--dim", "1,1"]).stdout
+    assert "(a):true  rule 2: rank 1  (0,1)x1 + (1,0)x1\n" in text
+    assert "(b):" not in text
 
 
 @pytest.mark.parametrize("dim", ["0,0,0", "1,1,0"])

@@ -153,3 +153,14 @@ def test_quiver_file_round_trip(e6):
         parse_quiver_file("vertices 2\nbogus 1 2\n")
     with pytest.raises(QuiverError):
         parse_quiver_file("arrow 1 2\n")
+
+
+def test_hash_is_stored_and_keys_the_context():
+    """Equal quivers, built apart, hash equal and share one ``hom_table``; a
+    relabelled quiver is equal to neither and gets its own context."""
+    q1, q2 = Quiver(3, ((1, 2), (2, 3))), Quiver(3, [(1, 2), (2, 3)])
+    relabelled = Quiver(3, ((3, 2), (2, 1)))  # vertices 1 and 3 swapped
+    assert q1 == q2 and hash(q1) == hash(q2) == hash((3, ((1, 2), (2, 3))))
+    assert hom_table(q1) is hom_table(q2)
+    assert relabelled != q1 and hom_table(relabelled) is not hom_table(q1)
+    assert {q1: 1, relabelled: 2}[q2] == 1
