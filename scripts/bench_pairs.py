@@ -27,8 +27,10 @@ end-to-end metric the summary gives both sides' medians and quartiles, the
 number of pairs the change won (ties count for neither side) and
 ``gain_rule_met``: whether a gain could be claimed, that is a win in at
 least nine tenths of the pairs and a change median better than the
-parent's by more than the parent's interquartile range.  The table printed
-at the end reads it.
+parent's by more than the parent's interquartile range.  It also gives
+``within_bound``: whether the change's median is worse than the parent's by
+no more than the metric's ``bound`` in BENCHMARK.json, a fraction of the
+parent's median.  The table printed at the end reads both.
 """
 
 import argparse
@@ -71,8 +73,9 @@ def quartiles(values):
 
 
 def summarize(runs, metrics):
-    """Per workload and end-to-end metric: medians, quartiles, wins and
-    whether the gain rule holds.  A seed run on one side only is skipped."""
+    """Per workload and end-to-end metric, given as (name, better, bound):
+    medians, quartiles, wins, whether the gain rule holds and whether the
+    change stays within the bound.  A seed run on one side only is skipped."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by_seed = {}
@@ -83,13 +86,14 @@ def summarize(runs, metrics):
         if not pairs:
             continue
         entry = {}
-        for name, better in metrics:
+        for name, better, bound in metrics:
             par = [p["parent"]["metrics"][name]["value"] for p in pairs]
             chg = [p["change"]["metrics"][name]["value"] for p in pairs]
             sign = 1 if better == "lower" else -1
             lo, hi = quartiles(par)
             wins = sum(sign * (c - p) < 0 for p, c in zip(par, chg))
             gap = sign * (statistics.median(par) - statistics.median(chg))
+            allowed = bound * abs(statistics.median(par))
             entry[name] = {
                 "parent_median": statistics.median(par),
                 "parent_quartiles": [lo, hi],
@@ -98,6 +102,7 @@ def summarize(runs, metrics):
                 "pairs": len(pairs),
                 "change_better_in": wins,
                 "gain_rule_met": wins >= 0.9 * len(pairs) and gap > hi - lo,
+                "within_bound": -gap <= allowed,
             }
         entry["all_correct"] = all(o["correct"] and o["failed"] == 0
                                    for p in pairs for o in p.values())
@@ -107,7 +112,7 @@ def summarize(runs, metrics):
 
 def print_table(summary):
     print(f"{'workload':<18}{'metric':<14}{'parent':>12}{'change':>12}"
-          f"{'parent IQR':>24}{'wins':>8}  gain rule")
+          f"{'parent IQR':>24}{'wins':>8}  {'gain rule':<11}bound")
     for workload, entry in summary.items():
         for name, s in entry.items():
             if name == "all_correct":
@@ -116,7 +121,8 @@ def print_table(summary):
             print(f"{workload:<18}{name:<14}{s['parent_median']:>12.5g}"
                   f"{s['change_median']:>12.5g}{f'{lo:.5g}-{hi:.5g}':>24}"
                   f"{s['change_better_in']:>5}/{s['pairs']:<2}  "
-                  f"{'met' if s['gain_rule_met'] else 'not met'}")
+                  f"{'met' if s['gain_rule_met'] else 'not met':<11}"
+                  f"{'within' if s['within_bound'] else 'OUTSIDE'}")
         print(f"{workload:<18}all runs correct: {entry['all_correct']}")
 
 
@@ -160,7 +166,7 @@ def main():
     for workload, _ in args.pairs:
         if workload not in names:
             ap.error(f"unknown workload {workload!r}")
-    metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
+    metrics = [(m["name"], m["better"], m["bound"]) for m in bench["end_to_end"]]
     seconds = bench["run_seconds"]
     out = f"BENCH_{args.label}.json"
 

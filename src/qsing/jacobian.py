@@ -1,20 +1,19 @@
 """Integer representations of the roots, and the Jacobian of semi-invariants
-at a representation, ranked mod a prime.
+at a direct sum of them, ranked mod a prime.
 
 ``realize`` builds the indecomposable with a given root as dimension vector
 by Bernstein-Gelfand-Ponomarev coreflections along the root's walk in
-``hom_table``: the construction of the test oracle ``realize``, on Python
-integers instead of fractions.  Each coreflection projects onto a cokernel
-through a left kernel, found by elimination; every pivot must be 1 or -1,
-so dividing by it keeps the entries integral and the matrices equal the
-oracle's.  A pivot that is not a unit raises ``PivotError``, and no matrix
-is returned or cached.  Realized roots are cached lazily on ``hom_table(q)``
-and never built with it.
+``hom_table``: the test oracle's ``realize``, on Python integers.  Each
+coreflection projects onto a cokernel through a left kernel, found by
+elimination; every pivot must be 1 or -1, so the entries stay integral and
+equal the oracle's.  Any other pivot raises ``PivotError``, and nothing is
+returned or cached.
 
-``jacobian_rows`` and ``jacobian_minor`` work mod the prime ``P`` on the
-integer matrices of d^X_S, laid out as the test oracle ``hom_matrix_dvw``
-lays them out.  ``orbits.reducedness_report`` proves what a rank mod ``P``
-says over Q.
+``jacobian_rows`` and ``jacobian_minor`` work mod the prime ``P`` from the
+kernels of d^{X_i}_S, laid out as the test oracle ``hom_matrix_dvw`` lays
+it out, for each summand X_i of X alone: d^X_S is block diagonal over them.
+Realized roots and those kernels are kept on ``hom_table(q)`` on demand.
+``orbits.reducedness_report`` proves what a rank mod ``P`` says over Q.
 """
 
 from __future__ import annotations
@@ -101,8 +100,8 @@ def realize(q: Quiver, root):
     steps 0 .. s, so every arrow at x leaves x, and the coreflection there
     maps the new V(x) onto the cokernel of V(x) -> (+)_{a at x} V(ha), whose
     basis is the left kernel of the stacked matrices.  Raises KeyError for a
-    vector that is not a positive root and ``PivotError`` as ``_echelon``
-    does.
+    vector that is not a positive root and ``PivotError``, naming the root,
+    as ``_echelon`` does.
     """
     table = hom_table(q)
     root = tuple(root)
@@ -116,7 +115,10 @@ def realize(q: Quiver, root):
     for x, nbrs, _ in reversed(table.steps[:t]):
         out = [a for a, arrow in enumerate(q.arrows) if x + 1 in arrow]  # towards nbrs, in order
         stacked = [row for a in out for row in maps[a]]
-        proj = _kernel(_transpose(stacked), len(stacked)) if stacked else []
+        try:
+            proj = _kernel(_transpose(stacked), len(stacked))
+        except PivotError as err:
+            raise PivotError(f"realizing the root {root}: {err}") from None
         dims[x] = len(proj)
         off = 0
         for a, h in zip(out, nbrs):
@@ -125,25 +127,6 @@ def realize(q: Quiver, root):
     assert tuple(dims) == root, f"realize built {tuple(dims)} for the root {root}"
     table.realized[root] = rep = (root, maps)
     return rep
-
-
-def representative(q: Quiver, cls: RepClass):
-    """(dims, maps) of the direct sum of ``realize`` of each root of
-    ``cls.as_multiset()``, in that order, block diagonal on every arrow:
-    the representation X whose coordinates ``jacobian_rows`` names."""
-    parts = [realize(q, r) for r in cls.as_multiset()]
-    dims = tuple(sum(d[x] for d, _ in parts) for x in range(q.n))
-    maps = []
-    for a, (t, h) in enumerate(q.arrows):
-        m = [[0] * dims[t - 1] for _ in range(dims[h - 1])]
-        ro = co = 0
-        for d, mp in parts:
-            for i, row in enumerate(mp[a]):
-                m[ro + i][co:co + len(row)] = row
-            ro += d[h - 1]
-            co += d[t - 1]
-        maps.append(m)
-    return dims, maps
 
 
 def _dvw(q: Quiver, v, w):
@@ -175,44 +158,61 @@ def _dvw(q: Quiver, v, w):
     return rows, col_off, row_off
 
 
-def jacobian_rows(q: Quiver, cls: RepClass, simples):
-    """The Jacobian of the semi-invariants f_j = det d^V_{S_j} at X =
-    ``representative(q, cls)``, mod ``P``, up to a nonzero factor per row.
+def _pair(q: Quiver, root, s):
+    """(kernel, left kernel, col_off, row_off) of d^V_S mod ``P``, V and S
+    realized, in ``_dvw``'s layout, kept per prime on the context."""
+    cache = hom_table(q).kernels.setdefault(P, {})
+    if (root, s) not in cache:
+        m, col_off, row_off = _dvw(q, realize(q, root), realize(q, s))
+        cache[root, s] = (_kernel(m, col_off[-1], P),
+                          _kernel(_transpose(m), row_off[-1], P), col_off, row_off)
+    return cache[root, s]
 
-    Returns (coords, rows): ``coords`` lists the coordinates (a, k, t) of
-    X, entry (k, t) of the matrix X(a), arrow by arrow, row by row; rows[j]
-    is (corank of d^X_{S_j} mod P, row j or None).  Row j is given when
-    that corank is 1: with phi spanning the kernel and psi the left kernel
-    of the square matrix d^X_{S_j} mod P, in ``_dvw``'s layout, its entry at
-    (a, k, t) is sum_i psi[row_off[a] + t dim S(ha) + i] phi[col_off[ha] + k
-    dim S(ha) + i].
+
+def jacobian_rows(q: Quiver, cls: RepClass, simples):
+    """The Jacobian of the semi-invariants f_j = det d^V_{S_j} mod ``P``, up
+    to a nonzero factor per row, at X, the direct sum of ``realize`` over
+    ``cls.as_multiset()``.  Returns (coords, rows): the coordinates (a, k,
+    t) of X, entry (k, t) of X(a), arrow by arrow, row by row, and per simple
+    (corank of d^X_{S_j} mod P, summed over the summands, and row j or
+    None).  Row j is given when that corank is 1: one summand X_u has a
+    kernel phi, one X_v a left kernel psi (``_pair``), and row j is 0 off
+    the block X_v(ta) -> X_u(ha) of each X(a), where its entry (k, t) is
+    sum_i psi[row_off[a] + t dim S(ha) + i] phi[col_off[ha] + k dim S(ha) + i].
     """
-    x = representative(q, cls)
+    parts = cls.as_multiset()
+    dims = [sum(r[x] for r in parts) for x in range(q.n)]
     coords = [(a, k, t) for a, (ta, ha) in enumerate(q.arrows)
-              for k in range(x[0][ha - 1]) for t in range(x[0][ta - 1])]
+              for k in range(dims[ha - 1]) for t in range(dims[ta - 1])]
+    where = {c: i for i, c in enumerate(coords)}
     out = []
     for s in simples:
-        m, col_off, row_off = _dvw(q, x, realize(q, s))
-        phi = _kernel(m, len(m), P)
-        if len(phi) != 1:
-            out.append((len(phi), None))
+        pairs = [_pair(q, r, tuple(s)) for r in parts]
+        corank = sum(len(pair[0]) for pair in pairs)
+        if corank != 1:
+            out.append((corank, None))
             continue
-        phi, psi = phi[0], _kernel(_transpose(m), len(m), P)[0]
-        row = []
-        for a, k, t in coords:
-            h = q.arrows[a][1] - 1
-            sh = s[h]
-            pt, pk = row_off[a] + t * sh, col_off[h] + k * sh
-            row.append(sum(psi[pt + i] * phi[pk + i] for i in range(sh)) % P)
+        u = next(i for i, pair in enumerate(pairs) if pair[0])
+        v = next(i for i, pair in enumerate(pairs) if pair[1])
+        ((phi,), _, col_off, _), (_, (psi,), _, row_off) = pairs[u], pairs[v]
+        row = [0] * len(coords)
+        for a, (ta, ha) in enumerate(q.arrows):
+            sh, k0 = s[ha - 1], sum(r[ha - 1] for r in parts[:u])
+            t0 = sum(r[ta - 1] for r in parts[:v])
+            for k in range(parts[u][ha - 1]):
+                for t in range(parts[v][ta - 1]):
+                    pk, pt = col_off[ha - 1] + k * sh, row_off[a] + t * sh
+                    row[where[a, k0 + k, t0 + t]] = sum(
+                        psi[pt + i] * phi[pk + i] for i in range(sh)) % P
         out.append((1, row))
     return coords, out
 
 
 def jacobian_minor(q: Quiver, cls: RepClass, simples):
-    """(minor, note): the coordinates of X = ``representative(q, cls)``, one
-    per simple, at which the Jacobian of ``jacobian_rows`` has a nonzero
-    minor mod ``P``, and "" when every corank is 1 and the rank mod P is
-    the number of simples; otherwise None and what failed."""
+    """(minor, note): the coordinates of X, named as in ``jacobian_rows``,
+    one per simple, at which its Jacobian has a nonzero minor mod ``P``,
+    and "" when every corank is 1 and the rank mod P is the number of
+    simples; otherwise None and what failed."""
     coords, rows = jacobian_rows(q, cls, simples)
     for s, (corank, _) in zip(simples, rows):
         if corank != 1:

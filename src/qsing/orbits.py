@@ -522,8 +522,9 @@ class ComponentReport:
     codim: int
     hom_to_simples: tuple  # against the selected simples, in selection order
     gradient_a: bool  # every Hom(X,S_j) is 1; rule 1 of ``reducedness_report`` where not
-    # the coordinates (a, k, t), entry (k, t) of X(a) in ``jacobian.representative``,
-    # of a nonzero k x k minor of the Jacobian, set when rule 2 proves the rank k
+    # the coordinates (a, k, t), entry (k, t) of X(a) for X the direct sum of the
+    # class's realized roots (``jacobian.jacobian_rows``), of a nonzero k x k
+    # minor of the Jacobian, set when rule 2 proves the rank k
     jacobian_minor: tuple | None = None
 
 
@@ -689,18 +690,42 @@ def reducedness_report(spec: ZeroSetSpec, comps=None) -> ReducednessReport:
       E_kt of arrow a, whose entry (i, t) is phi_ha[i, k]; so row j of the
       Jacobian at (a, k, t) is c sum_i psi[a, t, i] phi[ha, k, i]
       (``jacobian.jacobian_rows``, in ``jacobian._dvw``'s layout).
-    - Rule 2 mod p: X (``jacobian.representative``) and S_j have integer
-      matrices, so M_j is an integer matrix of rational corank 1.  A
-      primitive integer vector spanning its kernel has an entry prime to p,
-      so its reduction is a nonzero vector of ker(M_j mod p); if that
-      kernel is a line, the phi found mod p is a nonzero multiple of the
-      reduction, and the same holds for psi.  Each row found mod p is then
-      a nonzero multiple of the reduction of an integer row, itself a
-      nonzero rational multiple of the true row, so a k x k minor nonzero
-      mod p reduces a nonzero integer minor, and the rank over Q is k.  Such
-      a component gets ``jacobian_minor``, the coordinates of the minor.
-      A corank above 1 mod p, or a rank below k mod p, proves nothing: the
-      verdict is unverified, and the reason names the component and p.
+    - Rule 2 mod p: X, the direct sum of the realized roots X_1, ..., X_m
+      of its class, and S_j have integer matrices, so M_j is an integer
+      matrix of rational corank 1.  A primitive integer vector spanning its
+      kernel has an entry prime to p, so its reduction is a nonzero vector
+      of ker(M_j mod p); if that kernel is a line, the phi found mod p is a
+      nonzero multiple of the reduction, and the same holds for psi.  Each
+      row found mod p is then a nonzero multiple of the reduction of an
+      integer row, itself a nonzero rational multiple of the true row, so a
+      k x k minor nonzero mod p reduces a nonzero integer minor, and the
+      rank over Q is k.  Such a component gets ``jacobian_minor``, the
+      coordinates of the minor.  A corank above 1 mod p, or a rank below k
+      mod p, proves nothing: the verdict is unverified, and the reason
+      names the component and p.
+    - Rule 2 per summand: no matrix of X is built.  Hom(X_i(x),S(x)) and
+      Hom(X_i(ta),S(ha)) are blocks of the domain and the codomain of M_j,
+      and M_j maps the first into the second (phi_ha X_i(a) - S(a) phi_ta
+      stays in Hom(X_i(ta),S(ha)) when phi is 0 off X_i), so mod p too M_j
+      is block diagonal, with the block d^{X_i}_{S_j} once per copy of X_i.
+      Its kernel is the direct sum of the blocks' kernels, its left kernel
+      that of their left kernels, and its corank mod p the sum of the
+      blocks' coranks.  When that sum is 1, and so the left corank of the
+      square M_j too, exactly one block, of a summand X_u of multiplicity 1,
+      has a kernel, spanned by phi_u mod p, and exactly one, of a summand
+      X_v of multiplicity 1, has a left kernel, spanned by psi_v; phi_u
+      extended by 0 is then a nonzero vector of the line ker(M_j mod p), so
+      a nonzero multiple of the phi above, and psi_v extended by 0 one of
+      psi.  As phi and psi vanish off X_u and X_v, the whole-matrix row j
+      is 0 off the block X_v(ta) -> X_u(ha) of each X(a), and the row built
+      on that block from phi_u and psi_v is a nonzero multiple of it mod p,
+      so the argument above holds for it unchanged.  Scaling rows keeps
+      the pivot columns of their reduced echelon form, so ``jacobian_minor``
+      names the same coordinates either way.
+    - A root whose integer realization meets a pivot other than 1 or -1
+      (``jacobian.PivotError``) gives no matrices, so rule 2 is not run:
+      the verdict is unverified, and the reason names the component and
+      the root.
     """
     if comps is None:
         comps = components(spec)
@@ -722,8 +747,13 @@ def reducedness_report(spec: ZeroSetSpec, comps=None) -> ReducednessReport:
                           "so df_j vanishes on it")
             return rep
     for comp in comps:  # rule 2
-        minor, note = jacobian.jacobian_minor(spec.quiver, comp.rep_class,
-                                              spec.selected_simples)
+        try:
+            minor, note = jacobian.jacobian_minor(spec.quiver, comp.rep_class,
+                                                  spec.selected_simples)
+        except jacobian.PivotError as err:
+            rep.reason = (f"rule 2 was not run at the component "
+                          f"{comp.rep_class.parts}: {err}")
+            return rep
         if minor is None:
             rep.reason = (f"rule 2 is inconclusive mod p = {jacobian.P} at the "
                           f"component {comp.rep_class.parts}: {note}")

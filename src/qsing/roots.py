@@ -78,6 +78,9 @@ class HomTable:
     # root -> its integer representation, filled by ``jacobian.realize`` on
     # demand, never here
     realized: dict = field(default_factory=dict, repr=False, compare=False)
+    # prime -> (root, simple) -> kernels and offsets of d^X_S mod that prime,
+    # filled by ``jacobian`` on demand, never here
+    kernels: dict = field(default_factory=dict, repr=False, compare=False)
 
     def hom_root(self, a, b):
         return self.hom[self.index[tuple(a)]][self.index[tuple(b)]]

@@ -25,9 +25,14 @@ the class walk ``tuple_walk``.
 ``condition_ab_report`` is the reference for ``orbits.reducedness_report``:
 the paper's gradient conditions (a) and (b), read from ``orbits.survey``.
 ``jacobian_minor_det`` recomputes over Q, from explicit matrices, the
-Jacobian minor that the report names.
+Jacobian minor that the report names.  ``whole_jacobian_rows`` and
+``whole_jacobian_minor`` are the package's Jacobian mod p built the direct
+way: the integer matrices of the direct sum X (``representative``) and the
+whole matrix of d^X_S, eliminated mod ``qsing.jacobian.P``, where the
+package reads the kernels of each summand's block alone.
 
-Everything is exact: matrices hold Fraction entries.  ``conftest.py``
+Everything is exact: matrices hold Fraction entries, or integers mod the
+prime in the whole-matrix Jacobian.  ``conftest.py``
 registers this module for pytest's assertion rewriting, so its checks
 still run under ``python -O``.
 """
@@ -37,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from qsing import jacobian
 from qsing.decomp import (class_hom, class_self_ext, generic_decomposition, make_class,
                           perp_simples)
 from qsing.orbits import _geq, _packing, _profile, _walk, is_set_theoretic_ci, survey
@@ -481,3 +487,62 @@ def jacobian_minor_det(q: Quiver, cls, simples, minor) -> Fraction:
                          * phi[0][col_off[h - 1] + k * s[h - 1] + i] for i in range(s[h - 1]))
                      for a, k, t in minor for h in [q.arrows[a][1]]])
     return det(Mat(len(rows), len(minor), rows))
+
+
+# -- the Jacobian mod p on the whole matrix of the direct sum ----------------
+
+def representative(q: Quiver, cls):
+    """(dims, maps) of the direct sum of ``jacobian.realize`` of each root
+    of ``cls.as_multiset()``, in that order, block diagonal on every arrow:
+    the representation X whose coordinates ``jacobian.jacobian_rows`` names."""
+    parts = [jacobian.realize(q, r) for r in cls.as_multiset()]
+    dims = tuple(sum(d[x] for d, _ in parts) for x in range(q.n))
+    maps = []
+    for a, (t, h) in enumerate(q.arrows):
+        m = [[0] * dims[t - 1] for _ in range(dims[h - 1])]
+        ro = co = 0
+        for d, mp in parts:
+            for i, row in enumerate(mp[a]):
+                m[ro + i][co:co + len(row)] = row
+            ro += d[h - 1]
+            co += d[t - 1]
+        maps.append(m)
+    return dims, maps
+
+
+def whole_jacobian_rows(q: Quiver, cls, simples):
+    """``jacobian.jacobian_rows`` from the whole square matrix of d^X_{S_j}
+    at X = ``representative(q, cls)``: its corank mod P and, when that is
+    1, row j at (a, k, t) as sum_i psi[row_off[a] + t dim S(ha) + i]
+    phi[col_off[ha] + k dim S(ha) + i], phi spanning its kernel and psi its
+    left kernel mod P, in ``jacobian._dvw``'s layout."""
+    p, x = jacobian.P, representative(q, cls)
+    coords = [(a, k, t) for a, (ta, ha) in enumerate(q.arrows)
+              for k in range(x[0][ha - 1]) for t in range(x[0][ta - 1])]
+    out = []
+    for s in simples:
+        m, col_off, row_off = jacobian._dvw(q, x, jacobian.realize(q, s))
+        phi = jacobian._kernel(m, len(m), p)
+        if len(phi) != 1:
+            out.append((len(phi), None))
+            continue
+        phi, psi = phi[0], jacobian._kernel([list(c) for c in zip(*m)], len(m), p)[0]
+        row = []
+        for a, k, t in coords:
+            sh = s[q.arrows[a][1] - 1]
+            pt, pk = row_off[a] + t * sh, col_off[q.arrows[a][1] - 1] + k * sh
+            row.append(sum(psi[pt + i] * phi[pk + i] for i in range(sh)) % p)
+        out.append((1, row))
+    return coords, out
+
+
+def whole_jacobian_minor(q: Quiver, cls, simples):
+    """``jacobian.jacobian_minor`` on the rows of ``whole_jacobian_rows``."""
+    coords, rows = whole_jacobian_rows(q, cls, simples)
+    for s, (corank, _) in zip(simples, rows):
+        if corank != 1:
+            return None, f"d^X_S has corank {corank} mod p for S = {tuple(s)}"
+    pivots = jacobian._echelon([row[:] for _, row in rows], len(coords), jacobian.P)
+    if len(pivots) < len(rows):
+        return None, f"the Jacobian has rank {len(pivots)} < {len(rows)} mod p"
+    return tuple(coords[c] for c in pivots), ""

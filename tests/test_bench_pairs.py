@@ -1,5 +1,5 @@
-"""``scripts/bench_pairs.py``'s summary on synthetic runs: the gain rule it
-stores per metric."""
+"""``scripts/bench_pairs.py``'s summary on synthetic runs: the gain rule and
+the bound check it stores per metric."""
 
 import importlib.util
 from pathlib import Path
@@ -11,7 +11,7 @@ _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
-METRICS = [("wall_s", "lower"), ("decided_frac", "higher")]
+METRICS = [("wall_s", "lower", 0.2), ("decided_frac", "higher", 0.02)]
 
 
 def run(seed, side, wall_s=1.0, decided_frac=1.0):
@@ -58,3 +58,17 @@ def test_unpaired_run_is_skipped():
     assert s["wall_s"]["gain_rule_met"]
     assert s["all_correct"]
     assert bench_pairs.summarize([run(0, "parent", 1.0)], METRICS) == {}
+
+
+@pytest.mark.parametrize("metric, change, within", [
+    ("wall_s", [v * 1.19 for v in PARENT], True),  # 19% slower, bound 20%
+    ("wall_s", [v * 1.21 for v in PARENT], False),
+    ("decided_frac", [v * 0.99 for v in PARENT], True),  # 1% lower, bound 2%
+    ("decided_frac", [v * 0.97 for v in PARENT], False),
+])
+def test_within_bound_is_a_fraction_of_the_parent_median(metric, change, within):
+    s = bench_pairs.summarize(pairs(PARENT, change, metric), METRICS)["w"][metric]
+    assert (s["within_bound"], s["gain_rule_met"]) == (within, False)
+    # a gain is always within the bound
+    gain = [2 * p - c for p, c in zip(PARENT, change)]
+    assert bench_pairs.summarize(pairs(PARENT, gain, metric), METRICS)["w"][metric]["within_bound"]

@@ -91,6 +91,35 @@ def test_nullcone_a2(tmp_path):
     assert "(b):" not in text
 
 
+# the CLI with every elimination doubled, as in test_jacobian's pivot test
+DOUBLED_PIVOTS = """
+import sys
+from qsing import jacobian
+from qsing.cli import main
+real = jacobian._echelon
+def doubled(rows, ncols, p=None):
+    rows[:] = [[2 * x for x in row] for row in rows]
+    return real(rows, ncols, p)
+jacobian._echelon = doubled
+main(sys.argv[1:])
+"""
+
+
+def test_nullcone_pivot_error_is_unverified(tmp_path):
+    """A pivot other than 1 or -1 in rule 2's realization gives an
+    unverified verdict, with the exit code of any verdict and no
+    traceback."""
+    qf = tmp_path / "a2.quiver"
+    qf.write_text("vertices 2\narrow 1 2\n")
+    proc = subprocess.run([sys.executable, "-c", DOUBLED_PIVOTS, "nullcone", "--quiver",
+                           str(qf), "--dim", "1,1"], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert "(a):true  rank: not decided  (0,1)x1 + (1,0)x1\n" in proc.stdout
+    assert ("verdict: unverified (rule 2 was not run at the component (((0, 1), 1), "
+            "((1, 0), 1)): realizing the root (1, 0): pivot 2 in column 0 is not a unit)\n"
+            in proc.stdout)
+
+
 @pytest.mark.parametrize("dim", ["0,0,0", "1,1,0"])
 def test_nullcone_with_no_nonconstant_semi_invariant(tmp_path, dim):
     # alpha = 0 has the empty generic class; at (1,1,0) the selected simples

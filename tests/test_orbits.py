@@ -317,6 +317,18 @@ def agrees_with_condition_ab(spec):
     return rr.verdict if comps else "empty"
 
 
+def selections(q, bound):
+    """The spec of every nonempty selection of every alpha with 0 < |alpha|
+    <= bound."""
+    for alpha in itertools.product(range(bound + 1), repeat=q.n):
+        if not 0 < sum(alpha) <= bound:
+            continue
+        r = perp_simples(q, generic_decomposition(q, alpha)).r
+        for size in range(1, r + 1):
+            for sel in itertools.combinations(range(1, r + 1), size):
+                yield make_spec(q, alpha, sel)
+
+
 @pytest.mark.parametrize("name, bound, counts", [
     ("a3", 6, {"reduced": 23, "empty": 105}),
     (Quiver(3, ((1, 2), (3, 2))), 6, {"reduced": 23, "empty": 105}),
@@ -330,14 +342,7 @@ def test_reducedness_agrees_with_conditions_a_and_b(request, name, bound, counts
     the verdicts on nonempty zero sets, and the empty ones.  The one
     unverified zero set of D4 is (1,1,1,2), not a complete intersection."""
     q = request.getfixturevalue(name) if isinstance(name, str) else name
-    seen = collections.Counter()
-    for alpha in itertools.product(range(bound + 1), repeat=q.n):
-        if not 0 < sum(alpha) <= bound:
-            continue
-        r = perp_simples(q, generic_decomposition(q, alpha)).r
-        for size in range(1, r + 1):
-            for sel in itertools.combinations(range(1, r + 1), size):
-                seen[agrees_with_condition_ab(make_spec(q, alpha, sel))] += 1
+    seen = collections.Counter(map(agrees_with_condition_ab, selections(q, bound)))
     assert seen == counts
 
 
@@ -382,6 +387,30 @@ def test_inconclusive_rank_mod_p_gives_no_verdict(e6, monkeypatch):
     assert "mod p = 3" in rr.reason and "corank" in rr.reason
     assert str(rr.components[0].rep_class.parts) in rr.reason
     assert all(c.jacobian_minor is None for c in rr.components)
+
+
+def test_a_pivot_that_is_not_a_unit_gives_no_verdict(monkeypatch):
+    """Every elimination doubled, as in ``test_jacobian``'s pivot test: the
+    first root rule 2 realizes raises ``PivotError``, and the report gives
+    no verdict, naming the component and the root."""
+    q = Quiver(4, ((4, 1), (4, 2), (3, 4)))
+    table = hom_table(q)
+    monkeypatch.setattr(table, "realized", {})
+    monkeypatch.setattr(table, "kernels", {})
+    real = jacobian._echelon
+
+    def doubled(rows, ncols, p=None):
+        rows[:] = [[2 * x for x in row] for row in rows]
+        return real(rows, ncols, p)
+
+    monkeypatch.setattr(jacobian, "_echelon", doubled)
+    rr = reducedness_report(make_spec(q, (1, 1, 2, 2)))
+    assert rr.verdict == "unverified" and rr.witness is None
+    assert rr.reason == (
+        "rule 2 was not run at the component (((0, 0, 0, 1), 1), ((0, 0, 1, 0), 1), "
+        "((1, 1, 1, 1), 1)): realizing the root (0, 0, 0, 1): pivot 2 in column 0 is not a unit")
+    assert all(c.jacobian_minor is None for c in rr.components)
+    assert table.realized == {}
 
 
 @pytest.mark.parametrize("name, alpha, counts", [
