@@ -172,6 +172,7 @@ def cmd_nullcone(args):
         ],
         "ci": ci,
         "verdict": red.verdict,
+        "reason": red.reason,
         "witness": [[list(r), mult] for r, mult in red.witness.parts]
         if red.witness is not None else None,
         "_text": text,

@@ -1,19 +1,19 @@
-"""Integer representations of the roots, and the Jacobian of semi-invariants
-at a direct sum of them, ranked mod a prime.
+"""Representations of the roots mod a prime, and the Jacobian of
+semi-invariants at a direct sum of them, ranked mod that prime.
 
 ``realize`` builds the indecomposable with a given root as dimension vector
 by Bernstein-Gelfand-Ponomarev coreflections along the root's walk in
-``hom_table``: the test oracle's ``realize``, on Python integers.  Each
-coreflection projects onto a cokernel through a left kernel, found by
-elimination; every pivot must be 1 or -1, so the entries stay integral and
-equal the oracle's.  Any other pivot raises ``PivotError``, and nothing is
-returned or cached.
+``hom_table``, over F_P for the prime ``P``.  Each coreflection projects
+onto a cokernel through a left kernel, found by elimination mod P
+(``_kernel``); reflection functors work over any field, so the walk always
+ends at the root.
 
-``jacobian_rows`` and ``jacobian_minor`` work mod the prime ``P`` from the
-kernels of d^{X_i}_S, laid out as the test oracle ``hom_matrix_dvw`` lays
-it out, for each summand X_i of X alone: d^X_S is block diagonal over them.
-Realized roots and those kernels are kept on ``hom_table(q)`` on demand.
-``orbits.reducedness_report`` proves what a rank mod ``P`` says over Q.
+``jacobian_rows`` and ``jacobian_minor`` work from the kernels of
+d^{X_i}_S mod P, laid out as the test oracle ``hom_matrix_dvw`` lays it out,
+for each summand X_i of X alone: d^X_S is block diagonal over them.
+Realized roots and those kernels are kept on ``hom_table(q)`` on demand, for
+the P they were built at.  ``orbits.reducedness_report`` proves what a rank
+mod ``P`` says over Q.
 """
 
 from __future__ import annotations
@@ -22,19 +22,14 @@ from .decomp import RepClass
 from .quiver import Quiver
 from .roots import hom_table
 
-P = (1 << 61) - 1  # a prime; the matrices of d^X_S are reduced mod P
+P = (1 << 61) - 1  # a prime; every matrix here is reduced mod P
 
 
-class PivotError(ArithmeticError):
-    """An elimination over the integers met a pivot other than 1 or -1."""
-
-
-def _echelon(rows, ncols, p=None):
-    """Bring ``rows`` to reduced row echelon form in place; return the pivot
-    columns.  The pivot of a column is its first nonzero entry from the
-    current row down, as in the test oracle.  Mod ``p`` every entry is
-    reduced mod p; with ``p`` None the entries are integers and every pivot
-    must be 1 or -1, so it is its own inverse, or ``PivotError`` is raised."""
+def _echelon(rows, ncols, p):
+    """Bring ``rows``, reduced mod the prime ``p``, to reduced row echelon
+    form mod p in place; return the pivot columns.  The pivot of a column is
+    its first nonzero entry from the current row down, as in the test
+    oracle."""
     pivots, r = [], 0
     for c in range(ncols):
         piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
@@ -42,22 +37,14 @@ def _echelon(rows, ncols, p=None):
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         u = rows[r][c]
-        if p is None:
-            if u != 1 and u != -1:
-                raise PivotError(f"pivot {u} in column {c} is not a unit")
-            if u == -1:
-                rows[r] = [-x for x in rows[r]]
-        elif u != 1:
+        if u != 1:
             inv = pow(u, -1, p)
             rows[r] = [x * inv % p for x in rows[r]]
         top = rows[r]
         for i in range(len(rows)):
             f = rows[i][c]
             if i != r and f:
-                if p is None:
-                    rows[i] = [a - f * b for a, b in zip(rows[i], top)]
-                else:
-                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], top)]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], top)]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -65,20 +52,19 @@ def _echelon(rows, ncols, p=None):
     return pivots
 
 
-def _kernel(rows, ncols, p=None):
-    """A basis of the column vectors x with M x = 0 for the matrix M whose
-    rows are ``rows``, of ``ncols`` columns: one vector per free column of
-    its reduced row echelon form, as the test oracle's ``left_nullspace``
-    builds it on the transpose.  Mod ``p`` if given, else over the integers
-    with unit pivots (``_echelon``)."""
-    rows = [[v % p for v in r] for r in rows] if p else [list(r) for r in rows]
+def _kernel(rows, ncols, p):
+    """A basis mod the prime ``p`` of the column vectors x with M x = 0 for
+    the matrix M whose rows are ``rows``, of ``ncols`` columns: one vector
+    per free column of its reduced row echelon form, as the test oracle's
+    ``left_nullspace`` builds it on the transpose."""
+    rows = [[v % p for v in r] for r in rows]
     pivots = _echelon(rows, ncols, p)
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
         v = [0] * ncols
         v[fc] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc] % p if p else -rows[r][fc]
+            v[pc] = -rows[r][fc] % p
         basis.append(v)
     return basis
 
@@ -88,9 +74,9 @@ def _transpose(rows):
 
 
 def realize(q: Quiver, root):
-    """(dims, maps) of an indecomposable with dimension vector ``root``:
-    maps[a] is the dims[ha] x dims[ta] integer matrix of arrow a, a list of
-    rows, shared with the cache, so do not modify it.
+    """(dims, maps) of an indecomposable with dimension vector ``root``
+    over F_P: maps[a] is the dims[ha] x dims[ta] matrix of arrow a mod
+    ``P``, a list of rows, shared with the cache, so do not modify it.
 
     The root's walk ends at step t as the simple at the vertex z of
     steps[t] in ``hom_table``, a sink of the quiver reflected at steps 0 ..
@@ -99,9 +85,8 @@ def realize(q: Quiver, root):
     down: the vertex x of step s is a source of the quiver reflected at
     steps 0 .. s, so every arrow at x leaves x, and the coreflection there
     maps the new V(x) onto the cokernel of V(x) -> (+)_{a at x} V(ha), whose
-    basis is the left kernel of the stacked matrices.  Raises KeyError for a
-    vector that is not a positive root and ``PivotError``, naming the root,
-    as ``_echelon`` does.
+    basis is the left kernel of the stacked matrices mod P.  Raises
+    KeyError for a vector that is not a positive root.
     """
     table = hom_table(q)
     root = tuple(root)
@@ -115,10 +100,7 @@ def realize(q: Quiver, root):
     for x, nbrs, _ in reversed(table.steps[:t]):
         out = [a for a, arrow in enumerate(q.arrows) if x + 1 in arrow]  # towards nbrs, in order
         stacked = [row for a in out for row in maps[a]]
-        try:
-            proj = _kernel(_transpose(stacked), len(stacked))
-        except PivotError as err:
-            raise PivotError(f"realizing the root {root}: {err}") from None
+        proj = _kernel(_transpose(stacked), len(stacked), P)
         dims[x] = len(proj)
         off = 0
         for a, h in zip(out, nbrs):
@@ -130,7 +112,7 @@ def realize(q: Quiver, root):
 
 
 def _dvw(q: Quiver, v, w):
-    """The integer matrix of d^V_W : (+)_x Hom(V(x),W(x)) -> (+)_a
+    """The matrix of d^V_W : (+)_x Hom(V(x),W(x)) -> (+)_a
     Hom(V(ta),W(ha)), phi -> phi_ha V(a) - W(a) phi_ta, laid out as the test
     oracle's ``hom_matrix_dvw``: Hom(V(x),W(x)) is column-major at column
     offset ``col_off[x]``, so its entry (i, k) is column col_off[x] + k
@@ -160,8 +142,8 @@ def _dvw(q: Quiver, v, w):
 
 def _pair(q: Quiver, root, s):
     """(kernel, left kernel, col_off, row_off) of d^V_S mod ``P``, V and S
-    realized, in ``_dvw``'s layout, kept per prime on the context."""
-    cache = hom_table(q).kernels.setdefault(P, {})
+    realized, in ``_dvw``'s layout, kept on the context."""
+    cache = hom_table(q).kernels
     if (root, s) not in cache:
         m, col_off, row_off = _dvw(q, realize(q, root), realize(q, s))
         cache[root, s] = (_kernel(m, col_off[-1], P),

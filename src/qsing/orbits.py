@@ -47,7 +47,7 @@ The exact class count is a separate memoized count, run only when
 ``reducedness_report`` walks no class: it reads each component's Hom
 profile against the selected simples and, where every entry is 1, the rank
 of the Jacobian of the semi-invariants at the component's class, mod a
-prime on integer matrices (``jacobian``).
+prime, on the roots realized mod that prime (``jacobian``).
 """
 
 from __future__ import annotations
@@ -523,8 +523,8 @@ class ComponentReport:
     hom_to_simples: tuple  # against the selected simples, in selection order
     gradient_a: bool  # every Hom(X,S_j) is 1; rule 1 of ``reducedness_report`` where not
     # the coordinates (a, k, t), entry (k, t) of X(a) for X the direct sum of the
-    # class's realized roots (``jacobian.jacobian_rows``), of a nonzero k x k
-    # minor of the Jacobian, set when rule 2 proves the rank k
+    # class's roots realized mod p (``jacobian.jacobian_rows``), of a k x k minor
+    # of the Jacobian nonzero mod p, set when rule 2 proves the rank k over Q
     jacobian_minor: tuple | None = None
 
 
@@ -690,19 +690,31 @@ def reducedness_report(spec: ZeroSetSpec, comps=None) -> ReducednessReport:
       E_kt of arrow a, whose entry (i, t) is phi_ha[i, k]; so row j of the
       Jacobian at (a, k, t) is c sum_i psi[a, t, i] phi[ha, k, i]
       (``jacobian.jacobian_rows``, in ``jacobian._dvw``'s layout).
-    - Rule 2 mod p: X, the direct sum of the realized roots X_1, ..., X_m
-      of its class, and S_j have integer matrices, so M_j is an integer
-      matrix of rational corank 1.  A primitive integer vector spanning its
-      kernel has an entry prime to p, so its reduction is a nonzero vector
-      of ker(M_j mod p); if that kernel is a line, the phi found mod p is a
-      nonzero multiple of the reduction, and the same holds for psi.  Each
-      row found mod p is then a nonzero multiple of the reduction of an
-      integer row, itself a nonzero rational multiple of the true row, so a
-      k x k minor nonzero mod p reduces a nonzero integer minor, and the
-      rank over Q is k.  Such a component gets ``jacobian_minor``, the
-      coordinates of the minor.  A corank above 1 mod p, or a rank below k
-      mod p, proves nothing: the verdict is unverified, and the reason
-      names the component and p.
+    - Rule 2 mod p: ``jacobian.realize`` builds each root over F_p, and each
+      pivot its elimination picks is a unit of Z_(p), the rationals whose
+      denominators are prime to p.  Let W, with matrices over Z_(p), reduce
+      to a representation built on the way, which by BGP over F_p is
+      indecomposable, and let W over Q be indecomposable too, as at the
+      simple where the walk starts.  At a source step x, neither W over Q
+      nor W mod p is the simple at x, so by BGP over each field the stacked
+      matrix A of W(x) -> (+)_a W(ha) has rank dim W(x) over Q and F_p.  The
+      pivot columns C found for A^T mod p give a square block B of A^T with
+      det B a unit of Z_(p), and B^-1 A^T, over Z_(p), lifts the reduced
+      echelon form mod p with the identity in C.  So the vectors read off
+      it, one per free column, lift those found mod p and are a basis of the
+      left kernel of A over Q: the coreflection over Q, with matrices over
+      Z_(p).  So X and S_j have matrices over Z_(p) whose reductions
+      ``realize`` returns, and M_j is a matrix over Z_(p) of rational corank
+      1.  A vector over Z_(p) spanning its kernel, scaled to have a unit
+      entry, reduces to a nonzero vector of ker(M_j mod p); if that kernel
+      is a line, the phi found mod p is a nonzero multiple of the reduction,
+      and the same holds for psi.  Each row found mod p is then a nonzero
+      multiple of the reduction of a row over Z_(p), itself a nonzero
+      rational multiple of the true row, so a k x k minor nonzero mod p
+      reduces a nonzero minor over Z_(p), and the rank over Q is k.  Such a
+      component gets ``jacobian_minor``, the coordinates of the minor.  A
+      corank above 1 mod p, or a rank below k mod p, proves nothing: the
+      verdict is unverified, and the reason names the component and p.
     - Rule 2 per summand: no matrix of X is built.  Hom(X_i(x),S(x)) and
       Hom(X_i(ta),S(ha)) are blocks of the domain and the codomain of M_j,
       and M_j maps the first into the second (phi_ha X_i(a) - S(a) phi_ta
@@ -722,10 +734,6 @@ def reducedness_report(spec: ZeroSetSpec, comps=None) -> ReducednessReport:
       so the argument above holds for it unchanged.  Scaling rows keeps
       the pivot columns of their reduced echelon form, so ``jacobian_minor``
       names the same coordinates either way.
-    - A root whose integer realization meets a pivot other than 1 or -1
-      (``jacobian.PivotError``) gives no matrices, so rule 2 is not run:
-      the verdict is unverified, and the reason names the component and
-      the root.
     """
     if comps is None:
         comps = components(spec)
@@ -747,13 +755,8 @@ def reducedness_report(spec: ZeroSetSpec, comps=None) -> ReducednessReport:
                           "so df_j vanishes on it")
             return rep
     for comp in comps:  # rule 2
-        try:
-            minor, note = jacobian.jacobian_minor(spec.quiver, comp.rep_class,
-                                                  spec.selected_simples)
-        except jacobian.PivotError as err:
-            rep.reason = (f"rule 2 was not run at the component "
-                          f"{comp.rep_class.parts}: {err}")
-            return rep
+        minor, note = jacobian.jacobian_minor(spec.quiver, comp.rep_class,
+                                              spec.selected_simples)
         if minor is None:
             rep.reason = (f"rule 2 is inconclusive mod p = {jacobian.P} at the "
                           f"component {comp.rep_class.parts}: {note}")

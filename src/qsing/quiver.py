@@ -218,16 +218,21 @@ def parse_quiver_file(text: str) -> Quiver:
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "vertices" and len(parts) == 2:
+        if (parts[0], len(parts)) not in (("vertices", 2), ("arrow", 3)):
+            raise QuiverError(f"line {lineno}: cannot parse {raw!r}")
+        try:
+            nums = [int(x) for x in parts[1:]]
+        except ValueError:
+            raise QuiverError(
+                f"line {lineno}: {parts[0]} needs integers, got {raw!r}") from None
+        if parts[0] == "vertices":
             if n is not None:
                 raise QuiverError(f"line {lineno}: duplicate vertices line")
-            n = int(parts[1])
-        elif parts[0] == "arrow" and len(parts) == 3:
-            if n is None:
-                raise QuiverError(f"line {lineno}: arrow before vertices line")
-            arrows.append((int(parts[1]), int(parts[2])))
+            n = nums[0]
+        elif n is None:
+            raise QuiverError(f"line {lineno}: arrow before vertices line")
         else:
-            raise QuiverError(f"line {lineno}: cannot parse {raw!r}")
+            arrows.append(tuple(nums))
     if n is None:
         raise QuiverError("missing 'vertices n' line")
     return Quiver(n, tuple(arrows))

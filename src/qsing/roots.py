@@ -12,7 +12,8 @@ transformation c and its inverse are not stored: ``HomTable.coxeter_step``
 reflects a vector at the first n steps of the same walk, forwards for c
 and backwards for c^-1.  No representation matrix is built here; the
 tests check the table against explicit matrices, and ``jacobian.realize``
-builds a root's integer matrices on demand and keeps them on the context.
+builds a root's matrices mod a prime on demand and keeps them on the
+context.
 """
 
 from __future__ import annotations
@@ -75,10 +76,10 @@ class HomTable:
     start: list
     end: list
     steps: list
-    # root -> its integer representation, filled by ``jacobian.realize`` on
-    # demand, never here
+    # root -> its representation mod ``jacobian.P``, filled by
+    # ``jacobian.realize`` on demand, never here
     realized: dict = field(default_factory=dict, repr=False, compare=False)
-    # prime -> (root, simple) -> kernels and offsets of d^X_S mod that prime,
+    # (root, simple) -> kernels and offsets of d^X_S mod ``jacobian.P``,
     # filled by ``jacobian`` on demand, never here
     kernels: dict = field(default_factory=dict, repr=False, compare=False)
 

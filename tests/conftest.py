@@ -1,5 +1,6 @@
 import pytest
 
+from qsing import jacobian
 from qsing.quiver import Quiver
 
 # the oracles check their own results with assert; rewritten by pytest, these
@@ -50,6 +51,30 @@ def e7():
 def e8():
     # row 1..7 with the branch vertex 8 attached to vertex 3
     return Quiver(8, ((1, 2), (2, 3), (4, 3), (5, 4), (6, 5), (7, 6), (8, 3)))
+
+
+def fresh_jacobian_caches(mp):
+    """Give every context that ``jacobian`` reads fresh ``realized`` and
+    ``kernels`` dicts through the MonkeyPatch ``mp``, which puts the kept
+    ones back when it is undone.  Both caches hold matrices mod
+    ``jacobian.P`` built from ``jacobian.realize``, so a test that changes
+    either must leave nothing behind."""
+    real, seen = jacobian.hom_table, set()
+
+    def fresh(q):
+        table = real(q)
+        if id(table) not in seen:
+            seen.add(id(table))
+            mp.setattr(table, "realized", {})
+            mp.setattr(table, "kernels", {})
+        return table
+
+    mp.setattr(jacobian, "hom_table", fresh)
+
+
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    fresh_jacobian_caches(monkeypatch)
 
 
 # dimension vectors for the two E-type worked examples

@@ -79,7 +79,7 @@ def test_nullcone_a2(tmp_path):
     proc = run_cli(["nullcone", "--quiver", str(qf), "--dim", "1,1",
                     "--format", "json"])
     data = json.loads(proc.stdout)
-    assert data["verdict"] == "reduced"
+    assert data["verdict"] == "reduced" and data["reason"] == ""
     assert data["ci"] is True
     assert len(data["components"]) == 1
     assert data["components"][0]["codim"] == 1
@@ -91,33 +91,33 @@ def test_nullcone_a2(tmp_path):
     assert "(b):" not in text
 
 
-# the CLI with every elimination doubled, as in test_jacobian's pivot test
-DOUBLED_PIVOTS = """
+# the CLI mod 3 on representatives scaled by 3, as in test_orbits'
+# inconclusive-rank test
+SCALED_BY_3 = """
 import sys
 from qsing import jacobian
 from qsing.cli import main
-real = jacobian._echelon
-def doubled(rows, ncols, p=None):
-    rows[:] = [[2 * x for x in row] for row in rows]
-    return real(rows, ncols, p)
-jacobian._echelon = doubled
+real = jacobian.realize
+jacobian.P = 3
+jacobian.realize = lambda q, root: (
+    real(q, root)[0], [[[3 * x for x in row] for row in m] for m in real(q, root)[1]])
 main(sys.argv[1:])
 """
 
 
-def test_nullcone_pivot_error_is_unverified(tmp_path):
-    """A pivot other than 1 or -1 in rule 2's realization gives an
-    unverified verdict, with the exit code of any verdict and no
-    traceback."""
-    qf = tmp_path / "a2.quiver"
-    qf.write_text("vertices 2\narrow 1 2\n")
-    proc = subprocess.run([sys.executable, "-c", DOUBLED_PIVOTS, "nullcone", "--quiver",
-                           str(qf), "--dim", "1,1"], capture_output=True, text=True)
+def test_nullcone_json_gives_the_reason():
+    """The verdict's reason comes out in JSON as in the text: empty for a
+    reduced verdict from rule 2, and naming the component and the prime
+    where rule 2 is inconclusive."""
+    args = ["nullcone", "--preset", "e6-ex1", "--format", "json"]
+    assert json.loads(run_cli(args).stdout)["reason"] == ""
+    proc = subprocess.run([sys.executable, "-c", SCALED_BY_3] + args,
+                          capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-    assert "(a):true  rank: not decided  (0,1)x1 + (1,0)x1\n" in proc.stdout
-    assert ("verdict: unverified (rule 2 was not run at the component (((0, 1), 1), "
-            "((1, 0), 1)): realizing the root (1, 0): pivot 2 in column 0 is not a unit)\n"
-            in proc.stdout)
+    data = json.loads(proc.stdout)
+    assert data["verdict"] == "unverified"
+    assert data["reason"].startswith(
+        "rule 2 is inconclusive mod p = 3 at the component (((0, 0, 0, 0, 0, 1), 1), ")
 
 
 @pytest.mark.parametrize("dim", ["0,0,0", "1,1,0"])
@@ -129,6 +129,9 @@ def test_nullcone_with_no_nonconstant_semi_invariant(tmp_path, dim):
     out = run_cli(["nullcone", "--quiver", str(qf), "--dim", dim]).stdout
     assert "components: 0\n" in out
     assert "verdict: reduced (empty zero set)" in out
+    data = json.loads(run_cli(["nullcone", "--quiver", str(qf), "--dim", dim,
+                               "--format", "json"]).stdout)
+    assert (data["verdict"], data["reason"]) == ("reduced", "empty zero set")
 
 
 def test_bfunction_e6_preset():
@@ -171,6 +174,9 @@ def test_hom_subcommand():
 
 
 A3_FILE = "vertices 3\narrow 1 2\narrow 2 3\n"
+# quiver files with a token that is not an integer
+VERTICES_IN_WORDS = "vertices three\n"
+ARROW_TO_A_LETTER = "vertices 2\narrow 1 x\n"
 
 # a bracket [s]_{a,b} with a > b is not a term of any b-function family
 REVERSED_TERM = {
@@ -207,22 +213,29 @@ DEEP_CERTIFICATE = (
     ["verify-certificate", "{deep}"],
     ["singularities", "--preset", "e6-ex1", "--n", "2", "--m", "1",
      "--certificate-out", "{missing}/c.json"],
+    ["nullcone", "--quiver", "{words}", "--dim", "1,1"],
+    ["nullcone", "--quiver", "{letter}", "--dim", "1,1"],
 ], ids=["negative-dim", "negative-preset-n", "simples-not-int",
         "simples-range-file", "simples-range-preset", "simples-empty",
         "box-bound-negative", "hom-no-quiver",
         "hom-not-a-root", "unknown-preset", "certificate-without-r",
         "certificate-term-a-above-b",
         "certificate-nested-past-json-recursion-limit",
-        "certificate-out-missing-dir"])
+        "certificate-out-missing-dir", "quiver-vertices-not-int",
+        "quiver-arrow-not-int"])
 def test_bad_input_exits_2_without_traceback(tmp_path, args):
     (tmp_path / "a3.quiver").write_text(A3_FILE)
     (tmp_path / "cert.json").write_text(json.dumps({"terms": []}))
     (tmp_path / "reversed.json").write_text(json.dumps(REVERSED_TERM))
     (tmp_path / "deep.json").write_text(DEEP_CERTIFICATE)
+    (tmp_path / "words.quiver").write_text(VERTICES_IN_WORDS)
+    (tmp_path / "letter.quiver").write_text(ARROW_TO_A_LETTER)
     args = [a.format(a3=tmp_path / "a3.quiver", cert=tmp_path / "cert.json",
                      reversed=tmp_path / "reversed.json",
                      deep=tmp_path / "deep.json",
-                     missing=tmp_path / "missing")
+                     missing=tmp_path / "missing",
+                     words=tmp_path / "words.quiver",
+                     letter=tmp_path / "letter.quiver")
             for a in args]
     proc = run_cli(args, check=False)
     assert proc.returncode == 2, proc.stderr

@@ -2,8 +2,7 @@ import pytest
 import sympy
 
 from qsing import jacobian
-from qsing.decomp import make_class
-from qsing.jacobian import P, PivotError, jacobian_minor, jacobian_rows
+from qsing.jacobian import P, jacobian_minor, jacobian_rows
 from qsing.orbits import components, make_spec, reducedness_report
 from qsing.quiver import Quiver
 from qsing.roots import hom_table
@@ -11,7 +10,8 @@ from qsing.roots import hom_table
 from oracles import (direct_sum, hom_matrix_dvw, realize, rep, whole_jacobian_minor,
                      whole_jacobian_rows)
 from test_roots import CONTEXT_DIGESTS, D4_MIXED
-from test_orbits import E6_SMALL, E8_RELABELLED, NULLCONE_E8, selections
+from conftest import fresh_jacobian_caches
+from test_orbits import E6_SMALL, E8_RELABELLED, NULLCONE_E8, scaled_by_3, selections
 
 
 def context_quiver(request, name):
@@ -19,39 +19,25 @@ def context_quiver(request, name):
     return q or request.getfixturevalue(name)
 
 
+def mod_p(x):
+    """The rational ``x`` reduced mod P."""
+    return x.numerator * pow(x.denominator, -1, P) % P
+
+
 @pytest.mark.parametrize("name", sorted(CONTEXT_DIGESTS))
 def test_integer_realize_matches_the_oracle(request, name):
-    """On every root, the integer matrices equal the oracle's rational ones,
-    and a second call returns the cached representation."""
+    """On every root, the matrices mod P, entries being integers 0 .. P - 1,
+    equal the oracle's rational ones reduced mod P, and a second call
+    returns the cached representation."""
     q = context_quiver(request, name)
     for r in hom_table(q).roots:
         v = realize(q, r)
         dims, maps = jacobian.realize(q, r)
         assert dims == v.dims == r
-        assert [v.maps[a].rows for a in range(len(q.arrows))] == maps, (q, r)
-        assert all(type(x) is int for m in maps for row in m for x in row)
+        assert [[[mod_p(x) for x in row] for row in v.maps[a].rows]
+                for a in range(len(q.arrows))] == maps, (q, r)
+        assert all(type(x) is int and 0 <= x < P for m in maps for row in m for x in row)
         assert jacobian.realize(q, r) is hom_table(q).realized[r]
-
-
-def test_a_pivot_that_is_not_a_unit_raises(monkeypatch):
-    with pytest.raises(PivotError):
-        jacobian._kernel([[2, 1]], 2)
-    with pytest.raises(PivotError):  # the second pivot is -2
-        jacobian._kernel([[1, 1], [1, -1]], 2)
-    assert jacobian._kernel([[1, 1], [1, -1]], 2, 3) == []  # a unit mod 3
-    # every elimination of realize sees its matrix doubled: the highest root
-    # of D4 needs a nonzero pivot, so it raises and nothing is cached
-    q = Quiver(4, ((4, 1), (4, 2), (3, 4)))  # this orientation only here
-    real = jacobian._echelon
-
-    def doubled(rows, ncols, p=None):
-        rows[:] = [[2 * x for x in row] for row in rows]
-        return real(rows, ncols, p)
-
-    monkeypatch.setattr(jacobian, "_echelon", doubled)
-    with pytest.raises(PivotError):
-        jacobian.realize(q, (1, 1, 1, 2))
-    assert (1, 1, 1, 2) not in hom_table(q).realized
 
 
 def sympy_gradient(q, x, s, coords):
@@ -148,9 +134,8 @@ def counted_kernels(monkeypatch):
     return calls
 
 
-def test_a_second_report_builds_no_kernel(e6, monkeypatch):
+def test_a_second_report_builds_no_kernel(e6, monkeypatch, fresh_caches):
     table = hom_table(e6)
-    monkeypatch.setattr(table, "kernels", {})
     calls = counted_kernels(monkeypatch)
     spec = make_spec(e6, E6_SMALL)
     comps = components(spec)
@@ -161,25 +146,52 @@ def test_a_second_report_builds_no_kernel(e6, monkeypatch):
     second = reducedness_report(spec, comps)
     assert len(calls) == built
     assert second.verdict == "reduced" and [c.jacobian_minor for c in comps] == minors
-    assert set(table.kernels) == {P}
+    # one kernel per coreflection of realize, two per pair of _pair
+    steps = sum(next(t for t, (_, _, j) in enumerate(table.steps) if j == table.index[r])
+                for r in table.realized)
+    assert built == steps + 2 * len(table.kernels)
 
 
-def test_kernels_are_kept_per_prime(a3, monkeypatch):
-    """The kernels kept mod P are not read mod 3: at A3 (1,2,1), whose row
-    holds -1 mod P, every kernel is built again mod 3, and the rows equal
-    the whole matrix's mod 3; once P is back, those kept mod P are read
-    again and give the same rows."""
-    table = hom_table(a3)
-    monkeypatch.setattr(table, "kernels", {})
-    spec = make_spec(a3, (1, 2, 1))
-    args = a3, make_class([((0, 1, 1), 1), ((1, 1, 0), 1)]), spec.selected_simples
-    at_p = jacobian_rows(*args)
-    assert P - 1 in at_p[1][0][1]
-    monkeypatch.setattr(jacobian, "P", 3)
-    want = whole_jacobian_rows(*args)
-    calls = counted_kernels(monkeypatch)
-    at_3 = jacobian_rows(*args)
-    assert len(calls) == 2 * len(table.kernels[P]) and set(table.kernels) == {P, 3}
-    assert at_3 == want and 2 in at_3[1][0][1]
-    monkeypatch.setattr(jacobian, "P", P)
-    assert jacobian_rows(*args) == at_p and len(calls) == 2 * len(table.kernels[P])
+def test_a_report_mod_3_leaves_no_kernel_behind(e6):
+    """Kernels and roots are kept for the P they were built at, so the
+    fixture's fresh caches must be put back: after the report on e6-ex1
+    (1,1) mod 3 on representatives scaled by 3, unverified, the same report
+    mod P is reduced again, with the same minors as before."""
+    spec = make_spec(e6, E6_SMALL)
+    before = reducedness_report(spec)
+    assert before.verdict == "reduced"
+    with pytest.MonkeyPatch.context() as mp:
+        fresh_jacobian_caches(mp)
+        scaled_by_3(mp)
+        assert reducedness_report(make_spec(e6, E6_SMALL)).verdict == "unverified"
+    after = reducedness_report(make_spec(e6, E6_SMALL))
+    assert after.verdict == "reduced"
+    assert [c.jacobian_minor for c in after.components] == \
+        [c.jacobian_minor for c in before.components]
+    with pytest.MonkeyPatch.context() as mp:  # unscaled, mod 3 decides too
+        fresh_jacobian_caches(mp)
+        mp.setattr(jacobian, "P", 3)
+        assert reducedness_report(make_spec(e6, E6_SMALL)).verdict == "reduced"
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("a3", 6), (Quiver(3, ((1, 2), (3, 2))), 6),
+    ("d4", 5), (Quiver(4, ((4, 1), (4, 2), (4, 3))), 5),
+])
+def test_small_primes_give_the_verdicts_of_p(request, name, bound):
+    """Mod 2 and mod 3 the roots are realized over F_2 and F_3, and every
+    report of the box, over every nonempty selection, gives the verdict
+    and witness it gives mod P."""
+    q = request.getfixturevalue(name) if isinstance(name, str) else name
+    specs = list(selections(q, bound))
+
+    def verdicts():
+        return [(rr.verdict, rr.witness) for rr in map(reducedness_report, specs)]
+
+    at_p = verdicts()
+    assert ("reduced", None) in at_p
+    for p in (2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            fresh_jacobian_caches(mp)
+            mp.setattr(jacobian, "P", p)
+            assert verdicts() == at_p, p

@@ -153,6 +153,10 @@ def test_quiver_file_round_trip(e6):
         parse_quiver_file("vertices 2\nbogus 1 2\n")
     with pytest.raises(QuiverError):
         parse_quiver_file("arrow 1 2\n")
+    with pytest.raises(QuiverError, match="line 1: vertices needs integers"):
+        parse_quiver_file("vertices three\n")
+    with pytest.raises(QuiverError, match="line 2: arrow needs integers"):
+        parse_quiver_file("vertices 2\narrow 1 x\n")
 
 
 def test_hash_is_stored_and_keys_the_context():
