@@ -14,10 +14,9 @@ those outputs.  The groups:
 - the 18 inputs of the ``nullcone-e8`` benchmark workload, ``e8-notred``
   and ``e6-ex1`` for n, m <= 3, with every simple selected.
 
-Usage: python scripts/replay_reports.py [--group NAME ...]
+Usage: python scripts/replay_reports.py
 """
 
-import argparse
 import hashlib
 import itertools
 import json
@@ -93,13 +92,9 @@ def digest(specs):
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--group", choices=list(GROUPS), action="append",
-                    help="replay only this group (repeatable); default all")
-    args = ap.parse_args()
     total, h = 0, hashlib.sha256()
-    for name in args.group or GROUPS:
-        count, hexdigest = digest(GROUPS[name]())
+    for name, group in GROUPS.items():
+        count, hexdigest = digest(group())
         print(f"{name:10} {count:5} zero sets  {hexdigest}")
         total += count
         h.update(hexdigest.encode())

@@ -344,7 +344,7 @@ def test_reducedness_agrees_with_conditions_a_and_b(request, name, bound, counts
     assert seen == counts
 
 
-# (zero sets, digest) of ``scripts/replay_reports.py``'s small groups, recorded
+# (zero sets, digest) of every group of ``scripts/replay_reports.py``, recorded
 # when ``jacobian.realize`` still worked over the integers: verdicts, reasons,
 # witnesses, components and minors have not changed since
 REPLAY_DIGESTS = {
@@ -354,6 +354,8 @@ REPLAY_DIGESTS = {
     "d4-source": (467, "f0f49723c970352c610e5d47016b073846abe568f60faed3b2d34fbb96759903"),
     "d5": (1087, "d5d10eea86ac754c04ef49fdf20cb4260bf88ea6505520924b23b4150ba7d90c"),
     "e6": (1653, "b4049e7debae74d919ea96d8d8bbc25b7096cb606a666b5ceaa19915c1c365e5"),
+    "e8": (4244, "32f9fd75ef101f3877a97c6b34b6b9a217a7d41f6f8b64991ad7c40f22a6c206"),
+    "examples": (28, "9e83557e92b750e6933c95beb2ea66efe18101833ed7173d7c343ef90cc7aa50"),
 }
 
 
