@@ -9,6 +9,12 @@ The constant and every coefficient are Python ints, and nothing divides:
 every value the certifier builds is an integer (bracket endpoints, case
 values -o, -k and k, box bounds).  A non-integer given to ``Affine.of``,
 ``Affine.sym``, ``*`` or ``aff_from_json`` raises ValueError.
+
+Every Affine is canonical: its coefficients are sorted by symbol, one per
+symbol, none zero.  ``of``, ``sym``, ``aff_from_json`` and the arithmetic
+build only canonical values, and callers of ``Affine(const, coeffs)`` pass
+canonical coefficients; so equal expressions are equal objects, and
+``x + c`` and ``x * 1`` keep x's coefficients as they are.
 """
 
 from __future__ import annotations
@@ -46,10 +52,16 @@ class Affine:
 
     @staticmethod
     def sym(name, coeff=1):
-        return Affine(0, ((name, _int(coeff)),))
+        coeff = _int(coeff)
+        return Affine(0, ((name, coeff),) if coeff else ())
 
     def __add__(self, other):
-        other = Affine.of(other)
+        if type(other) is not Affine:
+            other = Affine(_int(other))
+        if not other.coeffs:
+            return Affine(self.const + other.const, self.coeffs) if other.const else self
+        if not self.coeffs:
+            return Affine(self.const + other.const, other.coeffs)
         m = dict(self.coeffs)
         for s, c in other.coeffs:
             m[s] = m.get(s, 0) + c
@@ -62,10 +74,12 @@ class Affine:
         return Affine(-self.const, tuple((s, -c) for s, c in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-Affine.of(other))
+        return self + (-other if type(other) is int else -Affine.of(other))
 
     def __mul__(self, k):
         k = _int(k)
+        if k == 1:
+            return self
         if not k:
             return Affine(0)
         return Affine(self.const * k, tuple((s, c * k) for s, c in self.coeffs))
@@ -83,11 +97,10 @@ class Box:
     domains: tuple = ()  # sorted tuple of (symbol, lo, hi)
 
     def with_symbol(self, name, lo, hi=INF):
-        d = dict((s, (l, h)) for s, l, h in self.domains)
-        if name in d:
+        if any(s == name for s, _, _ in self.domains):
             raise ValueError(f"symbol {name} is already bound")
-        d[name] = (int(lo), None if hi is INF else int(hi))
-        return Box(tuple(sorted((s, l, h) for s, (l, h) in d.items())))
+        new = (name, int(lo), None if hi is INF else int(hi))
+        return Box(tuple(sorted(self.domains + (new,))))
 
     def bounds(self, name):
         for s, l, h in self.domains:
@@ -100,26 +113,15 @@ class Box:
         val = expr.const
         for s, c in expr.coeffs:
             lo, hi = self.bounds(s)
-            if c > 0:
-                val += c * lo
-            elif c < 0:
-                if hi is None:
-                    return None
-                val += c * hi
+            if c < 0 and hi is None:
+                return None
+            val += c * (lo if c > 0 else hi)
         return val
 
     def max_of(self, expr: Affine):
         """Exact maximum over the box; None means +infinity."""
-        val = expr.const
-        for s, c in expr.coeffs:
-            lo, hi = self.bounds(s)
-            if c > 0:
-                if hi is None:
-                    return None
-                val += c * hi
-            elif c < 0:
-                val += c * lo
-        return val
+        mn = self.min_of(-expr)
+        return None if mn is None else -mn
 
 
 def aff_to_json(a: Affine):
@@ -127,5 +129,5 @@ def aff_to_json(a: Affine):
 
 
 def aff_from_json(d) -> Affine:
-    return Affine(_int(d["const"]),
-                  tuple(sorted((s, _int(c)) for s, c in d["coeffs"].items())))
+    coeffs = ((s, _int(c)) for s, c in d["coeffs"].items())
+    return Affine(_int(d["const"]), tuple(sorted((s, c) for s, c in coeffs if c)))

@@ -24,12 +24,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .affine import Affine, Box, aff_from_json, aff_to_json
 from .brackets import BFunctionFamily, expand
-from .fmlp import cone_membership, separating_functional, solve
+from .fmlp import cone_membership, int_row, separating_functional, solve
 
 
 def _binom_value(z, m):
@@ -197,7 +197,7 @@ class SymTerm:
 
 
 def _is_unit(gamma):
-    return sum(1 for c in gamma if c) == 1 and max(gamma) == 1
+    return gamma.count(0) == len(gamma) - 1 and sum(gamma) == 1
 
 
 @dataclass
@@ -208,17 +208,14 @@ class SymState:
     box: Box
     flags: dict  # orig var -> frozenset of {"not_neg_int", "not_nat"}
     r_global: int
+    k_total: Affine = field(init=False)  # K = -(sum of fixed values)
+
+    def __post_init__(self):
+        self.k_total = -sum((v for _, v, _ in self.fixed), Affine(0))
 
     @property
     def clean(self):
         return all(cl for _, _, cl in self.fixed)
-
-    def k_total(self):
-        """K = -(sum of fixed values)."""
-        s = Affine.of(0)
-        for _, v, _ in self.fixed:
-            s = s + v
-        return -s
 
     def specialize(self, pos, value: Affine, clean_flag):
         var = self.vars[pos]
@@ -229,11 +226,13 @@ class SymState:
             g2 = t.gamma[:pos] + t.gamma[pos + 1:]
             if gi == 0:
                 new_terms.append(SymTerm(g2, t.a, t.b, t.mult))
-            elif any(g2):
-                new_terms.append(SymTerm(g2, t.a + value * gi, t.b + value * gi,
-                                         t.mult))
+                continue
+            shift = value * gi
+            a, b = t.a + shift, t.b + shift
+            if any(g2):
+                new_terms.append(SymTerm(g2, a, b, t.mult))
             else:
-                scalars.append((t.a + value * gi, t.b + value * gi, t.mult))
+                scalars.append((a, b, t.mult))
         flags = {v: f for v, f in self.flags.items() if v != var}
         st = SymState(self.vars[:pos] + self.vars[pos + 1:], tuple(new_terms),
                       self.fixed + ((var, value, clean_flag),), self.box,
@@ -253,11 +252,7 @@ def sym_state_from_family(family: BFunctionFamily) -> SymState:
 def check_form_assumption(family: BFunctionFamily) -> bool:
     """Every non-unit-vector bracket satisfies e.gamma <= a (required by the
     multiplicity-one-at-minus-e argument)."""
-    for t in family.terms():
-        if not _is_unit(t.gamma):
-            if sum(t.gamma) > t.a:
-                return False
-    return True
+    return all(_is_unit(t.gamma) or sum(t.gamma) <= t.a for t in family.terms())
 
 
 # -- the rules: one definition each, called by the certifier and the checker --
@@ -276,9 +271,9 @@ def leaf_all_fixed(state: SymState):
         return None
     if state.clean:
         return "clean", None
-    mx = state.box.max_of(-state.k_total())
-    if mx is not None and mx < -state.r_global:
-        return "strict", mx
+    mn = state.box.min_of(state.k_total)  # e.z = -K
+    if mn is not None and mn > state.r_global:
+        return "strict", -mn
     return None
 
 
@@ -314,7 +309,7 @@ def leaf_last_var(state: SymState):
     clean branch's (a+1)/g >= 1 reads min(a+1) >= g."""
     if len(state.vars) != 1 or not state.terms:
         return None
-    k_total = state.k_total()
+    k_total = state.k_total
     r = state.r_global
     bounds = []
     for t in state.terms:
@@ -349,16 +344,17 @@ def unit_root_cases(state: SymState, positions):
     I and then by o.  None when an endpoint is symbolic or a root is not a
     negative integer."""
     cases = []
+    units = [t for t in state.terms if _is_unit(t.gamma)]
     for i in positions:
         offsets = set()
-        for t in state.terms:
-            if _is_unit(t.gamma) and t.gamma[i] == 1:
-                if not (t.a.is_const() and t.b.is_const()):
+        for t in units:
+            if t.gamma[i] == 1:
+                if t.a.coeffs or t.b.coeffs:
                     return None
-                offsets.update(range(int(t.a.const) + 1, int(t.b.const) + 1))
+                offsets.update(range(t.a.const + 1, t.b.const + 1))
         if offsets and min(offsets) < 1:
             return None
-        cases += [Case(state.vars[i], "neg_int", Affine.of(-o))
+        cases += [Case(state.vars[i], "neg_int", Affine(-o))
                   for o in sorted(offsets)]
     return cases
 
@@ -381,17 +377,17 @@ def branch_state(state: SymState, case: Case):
     """The state on the branch of ``case``, with the scalar brackets its
     specialization leaves: the negation flags are set, the symbol is bound
     to its domain, and the variable is fixed to the value."""
-    flags = dict(state.flags)
-    for var, flag in case.negations:
-        flags[var] = flags.get(var, frozenset()) | {flag}
     box = state.box
     if case.symbol is not None:
         if any(s == case.symbol for s, _, _ in box.domains):
             raise CertificateError(f"symbol {case.symbol} is already bound")
         box = box.with_symbol(case.symbol, 1 if case.kind == "neg_int_sym" else 0)
-    st = replace(state, flags=flags, box=box)
-    return st.specialize(st.vars.index(case.var), case.value,
-                         case.kind != "nat_sym")
+    st, scalars = state.specialize(state.vars.index(case.var), case.value,
+                                   case.kind != "nat_sym")
+    st.box = box
+    for var, flag in case.negations:  # the case's own var is never negated
+        st.flags[var] = st.flags.get(var, frozenset()) | {flag}
+    return st, scalars
 
 
 def _gammas(state: SymState):
@@ -403,8 +399,8 @@ def _lemma_a_tuples(state: SymState, positions):
     """The tuples lemma (a) needs a certificate for: the distinct terms of
     each element of the product of the Gamma_i, i in I.  There are none
     when some Gamma_i is empty."""
-    pools = [[t for t in state.terms if not _is_unit(t.gamma) and t.gamma[i] > 0]
-             for i in positions]
+    nonunit = [t for t in state.terms if not _is_unit(t.gamma)]
+    pools = [[t for t in nonunit if t.gamma[i] > 0] for i in positions]
     if not all(pools):
         return
     for combo in itertools.product(*pools):
@@ -435,7 +431,7 @@ def _reduc_a_tuple_cert(state: SymState, terms, solve=solve):
         if mn is None:
             return None
         mins.append(mn + 1)
-    min_k = state.box.min_of(state.k_total())
+    min_k = state.box.min_of(state.k_total)
     if min_k is None:
         return None
     rhs = state.r_global - min_k
@@ -752,8 +748,8 @@ def _check_node(state: SymState, node) -> None:
         stored = {}
         for c in data["certs"]:
             key = tuple(sorted(c["tuple"]))
-            stored[key] = (list(c["tuple"]), [Fraction(x) for x in c["u"]])
-        min_k = state.box.min_of(state.k_total())
+            stored[key] = (list(c["tuple"]), *int_row(c["u"]))  # u = ints/scale
+        min_k = state.box.min_of(state.k_total)
         if min_k is None:
             raise CertificateError("unbounded K in reduc_a")
         for distinct in _lemma_a_tuples(state, positions):
@@ -761,20 +757,20 @@ def _check_node(state: SymState, node) -> None:
             key = tuple(sorted(by_sig))
             if key not in stored:
                 raise CertificateError("missing LP certificate for a tuple")
-            sig_order, u = stored[key]
+            sig_order, u, scale = stored[key]
             distinct = [by_sig[s] for s in sig_order]
             if len(u) != len(distinct) or any(x < 0 for x in u):
                 raise CertificateError("bad multipliers")
             for d in range(rcur):
-                if sum(ux * t.gamma[d] for ux, t in zip(u, distinct)) != 1:
+                if sum(ux * t.gamma[d] for ux, t in zip(u, distinct)) != scale:
                     raise CertificateError("multipliers do not combine to e")
-            total = Fraction(0)
+            total = 0
             for ux, t in zip(u, distinct):
                 mn = state.box.min_of(t.a)
                 if mn is None:
                     raise CertificateError("unbounded bracket endpoint")
                 total += ux * (mn + 1)
-            if not total + min_k > state.r_global:
+            if not total + min_k * scale > state.r_global * scale:
                 raise CertificateError("certificate bound not above r")
         cases = unit_root_cases(state, positions)
         if cases is None:
@@ -786,7 +782,7 @@ def _check_node(state: SymState, node) -> None:
         gammas = _gammas(state)
         jvars = data["J"]
         jpos = [_position(state, v, rule) for v in jvars]
-        y = [Fraction(x) for x in data["farkas"]]
+        y = int_row(data["farkas"])[0]  # a positive multiple
         if len(y) != rcur:
             raise CertificateError("farkas length mismatch")
         for g in gammas:
@@ -803,9 +799,9 @@ def _check_node(state: SymState, node) -> None:
             raise CertificateError("J_plus/J_minus is not a partition")
         for v in comp:
             ms = data["memberships"][str(v)]
-            lambdas = [Fraction(x) for x in ms["lambdas"]]
-            mus = [Fraction(x) for x in ms["mus"]]
-            sign = ms["sign"]
+            nl = len(ms["lambdas"])  # lambdas, mus = ints/scale
+            row, scale = int_row([*ms["lambdas"], *ms["mus"]])
+            lambdas, mus, sign = row[:nl], row[nl:], ms["sign"]
             if (sign > 0) != (v in jplus):
                 raise CertificateError("membership sign inconsistent")
             if any(x < 0 for x in lambdas):
@@ -818,7 +814,7 @@ def _check_node(state: SymState, node) -> None:
             for d in range(rcur):
                 total = sum(l * g[d] for l, g in zip(lambdas, gens))
                 total += sum(m for m, jp in zip(mus, jpos) if jp == d)
-                if total != 1:
+                if total != scale:
                     raise CertificateError("membership does not combine to e")
         symbols = iter([assume.get("symbol") for assume, _ in branches])
         _check_cases(state, rule, list(sign_cases(jplus, jminus, symbols)),

@@ -105,8 +105,9 @@ def _fmt_vec(v, branch_last):
 
 
 def _emit(report, args):
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+    if args.format == "json":  # the text lines are the text format's alone
+        print(json.dumps({k: v for k, v in report.items() if k != "_text"},
+                         indent=2, sort_keys=True))
     else:
         for line in report["_text"]:
             print(line)

@@ -9,9 +9,9 @@ b*upper + a*lower is divided by the gcd of its coefficients, right-hand
 side and provenance.  Both factors are positive, so by induction every row
 is a positive multiple of the row that elimination on Fractions builds: the
 same inequality, in the same order, giving the same bound rest/c on its
-variable.  Feasibility and the back-substituted point (the one place that
-divides, in Fractions) are therefore exactly those of the Fraction
-computation.
+variable.  Back-substitution compares those bounds as integer pairs and
+divides, in Fractions, only for the bounds it picks.  Feasibility and the
+point are therefore exactly those of the Fraction computation.
 
 Every row carries its provenance, integer multipliers over the input rows,
 so infeasibility yields an explicit Farkas certificate (a positive multiple
@@ -33,8 +33,9 @@ class FMResult:
     farkas: list | None = None  # int multipliers over input rows when infeasible
 
 
-def _int_row(values):
-    """values times the lcm of their denominators, as ints, with the lcm."""
+def int_row(values):
+    """values (anything Fraction takes) times the lcm of their denominators,
+    as ints, with the lcm."""
     if all(type(x) is int for x in values):
         return list(values), 1
     values = [Fraction(x) for x in values]
@@ -53,7 +54,9 @@ def solve(constraints, nvars) -> FMResult:
     a strict row has positive weight).  The multipliers are a positive
     multiple of those elimination on Fractions gives.
     """
-    rows = []  # (int coeffs, strict, int rhs, int provenance)
+    # a row is one int list, coefficients, then rhs, then provenance, with
+    # its strictness beside it: each combination below is one list
+    rows = []
     ncons = len(constraints)
     for k, (coeffs, rel, rhs) in enumerate(constraints):
         if len(coeffs) != nvars:
@@ -61,13 +64,12 @@ def solve(constraints, nvars) -> FMResult:
                              f"for {nvars} variables")
         if rel not in ("<=", "<", "="):
             raise ValueError(f"row {k} has relation {rel!r}, not <=, < or =")
-        row, scale = _int_row([*coeffs, rhs])
-        coeffs, rhs = row[:-1], row[-1]
-        prov = [0] * ncons
-        prov[k] = scale
-        rows.append((coeffs, rel == "<", rhs, prov))
+        row, scale = int_row([*coeffs, rhs])
+        row += [0] * ncons
+        row[nvars + 1 + k] = scale
+        rows.append((row, rel == "<"))
         if rel == "=":
-            rows.append(([-c for c in coeffs], False, -rhs, [-p for p in prov]))
+            rows.append(([-x for x in row], False))
 
     levels = []  # per eliminated variable: rows at that level
     cur = rows
@@ -77,45 +79,45 @@ def solve(constraints, nvars) -> FMResult:
         for row in cur:
             c = row[0][v]
             (upper if c > 0 else lower if c < 0 else new).append(row)
-        for lc, lstrict, lrhs, lprov in lower:
-            b = -lc[v]
-            for uc, ustrict, urhs, uprov in upper:
-                a = uc[v]
+        for low, lstrict in lower:
+            b = -low[v]
+            for up, ustrict in upper:
+                a = up[v]
                 # b*upper + a*lower eliminates v
-                coeffs = [b * u + a * l for u, l in zip(uc, lc)]
-                rhs = b * urhs + a * lrhs
-                prov = [b * u + a * l for u, l in zip(uprov, lprov)]
-                g = math.gcd(*coeffs, rhs, *prov)
+                row = [b * u + a * l for u, l in zip(up, low)]
+                g = math.gcd(*row)
                 if g > 1:
-                    coeffs = [x // g for x in coeffs]
-                    rhs //= g
-                    prov = [x // g for x in prov]
-                new.append((coeffs, lstrict or ustrict, rhs, prov))
+                    row = [x // g for x in row]
+                new.append((row, lstrict or ustrict))
         cur = new
 
     # ground facts: all coefficients zero
-    for coeffs, strict, rhs, prov in cur:
-        assert not any(coeffs)
+    for row, strict in cur:
+        assert not any(row[:nvars])
+        rhs = row[nvars]
         if rhs < 0 or (strict and rhs == 0):
-            return FMResult(False, farkas=prov)
+            return FMResult(False, farkas=row[nvars + 1:])
 
-    # back-substitute a feasible point
+    # back-substitute a feasible point.  At each level the later
+    # coordinates are nums/den, and a row's bound rest/c on its variable is
+    # kept as (n, m, strict), meaning n/(m*den) with m > 0: bounds compare
+    # by cross-multiplying, and only the two kept become Fractions
     point = [Fraction(0)] * nvars
     for v in range(nvars - 1, -1, -1):
-        lo, hi, lo_strict, hi_strict = None, None, False, False
-        for coeffs, strict, rhs, _ in levels[v]:
-            c = coeffs[v]
-            if c == 0:
-                continue
-            rest = rhs - sum(coeffs[i] * point[i]
-                             for i in range(v + 1, nvars))
-            bound = Fraction(rest, c)
-            if c > 0:
-                if hi is None or bound < hi or (bound == hi and strict):
-                    hi, hi_strict = bound, strict
-            else:
-                if lo is None or bound > lo or (bound == lo and strict):
-                    lo, lo_strict = bound, strict
+        nums, den = int_row(point[v + 1:])
+        best = {}  # side 1: the least upper bound, -1: the greatest lower one
+        for row, strict in levels[v]:
+            if row[v]:
+                side = 1 if row[v] > 0 else -1
+                n = side * (row[nvars] * den - sum(
+                    a * x for a, x in zip(row[v + 1:nvars], nums)))
+                m, old = side * row[v], best.get(side)
+                cmp = -1 if old is None else side * (n * old[1] - old[0] * m)
+                if cmp < 0 or (cmp == 0 and strict):
+                    best[side] = (n, m, strict)
+        (lo, lo_strict), (hi, hi_strict) = [
+            (Fraction(b[0], b[1] * den), b[2]) if b else (None, False)
+            for b in (best.get(-1), best.get(1))]
         if lo is None and hi is None:
             point[v] = Fraction(0)
         elif lo is None:

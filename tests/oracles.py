@@ -31,6 +31,9 @@ way: the integer matrices of the direct sum X (``representative``) and the
 whole matrix of d^X_S, eliminated mod ``qsing.jacobian.P``, where the
 package reads the kernels of each summand's block alone.
 
+``affine_add`` is the reference for ``qsing.affine.Affine``'s arithmetic:
+addition as one dict merge with zeros dropped and a sort, with no fast path.
+
 Everything is exact: matrices hold Fraction entries, or integers mod the
 prime in the whole-matrix Jacobian.  ``conftest.py``
 registers this module for pytest's assertion rewriting, so its checks
@@ -43,11 +46,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from qsing import jacobian
+from qsing.affine import Affine
 from qsing.decomp import (class_hom, class_self_ext, generic_decomposition, make_class,
                           perp_simples)
 from qsing.orbits import _geq, _packing, _profile, _walk, is_set_theoretic_ci, survey
 from qsing.quiver import Quiver, euler_form, simple_root
 from qsing.roots import hom_table, positive_roots
+
+
+# -- affine expressions ------------------------------------------------------
+
+def affine_add(x: Affine, y: Affine) -> Affine:
+    """x + y by merging the coefficients in a dict, dropping the zeros and
+    sorting, whatever either side holds."""
+    m = dict(x.coeffs)
+    for s, c in y.coeffs:
+        m[s] = m.get(s, 0) + c
+    return Affine(x.const + y.const,
+                  tuple(sorted((s, c) for s, c in m.items() if c)))
 
 
 # -- exact linear algebra over the rationals ---------------------------------

@@ -427,25 +427,49 @@ def _preset_family(name, n, m=1):
     return compute_bfunction(q, spec.alpha, spec.selected_simples)
 
 
-# sha256 of json.dumps(cert_to_json(certificate), sort_keys=True), recorded
-# with the Fraction-row Fourier-Motzkin solver; None marks an inconclusive
-# outcome, which has no certificate
+# sha256 of json.dumps(cert_to_json(certificate), sort_keys=True) on the
+# whole certify grid, e6-ex1 with n, m in 1..4: (1, 1), (1, 2), (2, 1),
+# (2, 2) and (3, 1) recorded with the Fraction-row Fourier-Motzkin solver,
+# the rest with the integer-row solver and the integer Affine, before
+# Affine's constant fast paths and the integer back-substitution; None
+# marks an inconclusive outcome, which has no certificate
 E6_CERT_SHA256 = {
     (1, 1): None,
-    (2, 1): "c2800da1cd1439c2bbc80401414aa40265f9fdb72d73a9dc26bd5b448b51c3d8",
     (1, 2): None,
+    (1, 3): None,
+    (1, 4): None,
+    (2, 1): "c2800da1cd1439c2bbc80401414aa40265f9fdb72d73a9dc26bd5b448b51c3d8",
     (2, 2): "73bc2d387dbc23295679f1d9013aed8f8f2440ade5e6309d398abaf9cb7633e9",
+    (2, 3): "3a56f5093054136ba513d1956bc7d86bd7d4e9d1e809b3acfd253631286f4dd2",
+    (2, 4): "d63bbbd07357c09a2e9e5557555a41cc3dfc990a70eedfa340801aadee45a439",
     (3, 1): "e9ac36c2526f8c7b8db876da96ef6ed622bacb6231bd1a08537b7cdc7ff59d5f",
+    (3, 2): "16863a0b6cf5f75fa56d6eac10f377d1b7c700f4ebd308c2afa26384790bf6d0",
+    (3, 3): "e55af9f1cfe136b279eaccc78f5900f42d7eaf0c12e84c21ec549232420bcfb8",
+    (3, 4): "7e54a28f84b629e4bd93414b9127bc0d41a00b4d12aac018ab011a8ac742e302",
+    (4, 1): "577b4dbba1fcccd57a01a42e24ff360d5dc121ffa9358cfceeeb19a04d977c03",
+    (4, 2): "b6aceb5a1e4c7283fdb950a9c1570dc97f9c397ccac0ae612da22349f5c73075",
+    (4, 3): "36a3aac9579098be06884198c346e1dd2c904b082fcb06d8224cea2f0400843d",
+    (4, 4): "881c7dd676b7580f143f8334cbf57337e697191f8f0995d31231824670dca05e",
 }
 
 
+@pytest.fixture(scope="module")
+def e6_grid():
+    """(family, outcome) of certify_all_good for each e6-ex1 (n, m) of
+    E6_CERT_SHA256, computed once for the tests that read the grid."""
+    grid = {}
+    for n, m in E6_CERT_SHA256:
+        fam = _preset_family("e6-ex1", n, m)
+        grid[(n, m)] = fam, certify_all_good(fam)
+    return grid
+
+
 @pytest.mark.parametrize("n,m", sorted(E6_CERT_SHA256))
-def test_certificate_json_pinned(n, m):
+def test_certificate_json_pinned(e6_grid, n, m):
     """certify_all_good on the e6-ex1 preset gives byte-identical
     certificate JSON (LP multipliers, Farkas functionals, cone memberships)
     to the recorded one, and the same outcome where it cannot close."""
-    fam = _preset_family("e6-ex1", n, m)
-    out = certify_all_good(fam)
+    fam, out = e6_grid[(n, m)]
     want = E6_CERT_SHA256[(n, m)]
     if want is None:
         assert out.kind == "inconclusive" and out.certificate is None
@@ -456,6 +480,18 @@ def test_certificate_json_pinned(n, m):
     assert hashlib.sha256(blob.encode()).hexdigest() == want
     assert verify_certificate(fam, out.certificate) == (
         True, "certificate verified")
+
+
+def _cert_nodes(node):
+    return 1 + sum(_cert_nodes(child) for _, child in node.branches)
+
+
+def test_certify_grid_node_total(e6_grid):
+    """The 12 certificates of the grid hold 1,984 nodes between them, the
+    certify-grid workload's cert_nodes counter."""
+    certs = [out.certificate for _, out in e6_grid.values() if out.certificate]
+    assert len(certs) == 12
+    assert sum(map(_cert_nodes, certs)) == 1984
 
 
 def _path_vars(node):

@@ -43,6 +43,19 @@ def test_json_round_trip_matches_text(tmp_path):
     assert as_json["terms"] == [{"gamma": [1], "a": 0, "b": 1, "mult": 1}]
 
 
+@pytest.mark.parametrize("command", [
+    ["decompose"], ["nullcone"], ["bfunction"], ["singularities"],
+    ["hom", "--a", "1,0", "--b", "1,1"]])
+def test_json_output_carries_no_text_lines(tmp_path, capsys, command):
+    """The text lines a report keeps for the text format stay out of its
+    JSON."""
+    qf = tmp_path / "a2.quiver"
+    qf.write_text("vertices 2\narrow 1 2\n")
+    main(command + ["--quiver", str(qf), "--dim", "1,1", "--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    assert data and "_text" not in data
+
+
 def test_malformed_quiver_exits_2(tmp_path):
     qf = tmp_path / "bad.quiver"
     qf.write_text("vertices 2\nnonsense\n")
