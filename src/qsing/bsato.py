@@ -301,8 +301,9 @@ def leaf_empty_generator(state: SymState, pos):
 
 def leaf_last_var(state: SymState):
     """r' = 1: every root of the single generator must be good.  Returns
-    (bracket, lower bound of K + (a+1)/g) for each bracket, or None.  A
-    generator without brackets is an empty-generator leaf instead.
+    (bracket, gmu, g) for each bracket, with gmu/g the lower bound of
+    K + (a+1)/g, or None.  A generator without brackets is an
+    empty-generator leaf instead.
 
     The test runs on integers, scaled by g >= 1: the bound is gmu/g with
     gmu the minimum of g*K + a + 1, so it is >= r iff gmu >= g*r, and the
@@ -321,7 +322,7 @@ def leaf_last_var(state: SymState):
             lo = state.box.min_of(t.a + 1)
             if not (state.clean and lo is not None and lo >= g):
                 return None
-        bounds.append((t, Fraction(gmu, g)))
+        bounds.append((t, gmu, g))
     return bounds
 
 
@@ -550,7 +551,7 @@ def _leaf_node(state: SymState):
     bounds = leaf_last_var(state)
     if bounds is not None:
         return CertNode("leaf_last_var", {
-            "bounds": [(t.signature(), str(mu)) for t, mu in bounds]})
+            "bounds": [(t.signature(), str(Fraction(gmu, g))) for t, gmu, g in bounds]})
     return None
 
 

@@ -53,13 +53,12 @@ def _parse_dim(text, n=None):
     return vec
 
 
-def _parse_simples(text, q, alpha):
-    """--simples as 1-based indices into the perpendicular simples of alpha."""
+def _parse_simples(text, r):
+    """--simples as 1-based indices into the r perpendicular simples of alpha."""
     try:
         selected = tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise CliError(f"cannot parse --simples {text!r}: {exc}")
-    r = perp_simples(q, generic_decomposition(q, alpha)).r
     for j in selected:
         if not 1 <= j <= r:
             raise CliError(f"--simples index {j} out of range 1..{r}")
@@ -93,8 +92,13 @@ def _load_request(args):
             raise CliError("need --preset or both --quiver FILE and --dim VECTOR")
         q = _read_quiver(args.quiver)
         alpha, selected, branch = _parse_dim(args.dim, q.n), None, False
-    if getattr(args, "simples", None) is not None:  # an empty --simples is an error, not "all"
-        selected = _parse_simples(args.simples, q, alpha)
+    if hasattr(args, "simples"):  # nullcone, bfunction and singularities select simples
+        r = perp_simples(q, generic_decomposition(q, alpha)).r
+        if not r:
+            raise CliError(f"dimension vector {alpha} has no perpendicular simple, "
+                           f"so there is no semi-invariant to select")
+        if args.simples is not None:  # an empty --simples is an error, not "all"
+            selected = _parse_simples(args.simples, r)
     return q, alpha, selected, branch
 
 

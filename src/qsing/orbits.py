@@ -6,16 +6,20 @@ dim Hom(M,X) <= dim Hom(N,X) for every indecomposable X.  Semicontinuity
 gives one direction; the converse for Dynkin quivers (Bongartz) is adopted
 as an external fact and validated end-to-end on the worked examples.
 
-Scale notes.  Dimension vectors and Hom profiles are integers packed w
-bits per field with a spare guard bit on top (``_Packing``), so taking a
-root off a remainder, or comparing two profiles in every field, is one
-subtraction.  Every pass over the classes of alpha is one walk, ``_walk``:
-a depth-first search on the packed remainder, carrying a packed integer
-accumulator stepped once per copy of a root, which cuts a branch once the
-accumulator shows that no class with the partial class as a direct summand
-passes.  The walk runs in one generator frame with an explicit stack of
-the open nodes, so a leaf is one ``yield`` however deep it lies, with no
-generator per node and no ``yield from`` chain to climb.
+Scale notes.  Dimension vectors, Hom profiles and the walk's accumulator
+are integers packed w bits per field with a spare guard bit on top, so
+taking a root off a remainder, or comparing two profiles in every field, is
+one subtraction.  The classes of alpha are packed at one width, that of
+their accumulator (``_acc_width``); ``_packing`` keeps one ``_Packing`` per
+width on the per-quiver context ``hom_table(q)``, with the columns the
+accumulator's gains are summed from.  Every pass over the classes of alpha
+is one walk, ``_walk``: a depth-first search on the packed remainder,
+carrying a packed integer accumulator stepped once per copy of a root,
+which cuts a branch once the accumulator shows that no class with the
+partial class as a direct summand passes.  The walk runs in one generator
+frame with an explicit stack of the open nodes, so a leaf is one ``yield``
+however deep it lies, with no generator per node and no ``yield from``
+chain to climb.
 
 The accumulator of the two class walks (``_Bounds``) sums, over the partial
 class C of dimension c, Hom and Ext against the generic representation T of
@@ -53,7 +57,7 @@ prime, on the roots realized mod that prime (``jacobian``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .decomp import (
     PerpData,
@@ -78,7 +82,9 @@ def reduced_bound(q: Quiver) -> int:
 @dataclass
 class _Packing:
     """``hom_table(q)`` packed w bits per field, each field's top bit a spare
-    guard: no borrow crosses a field, and one subtraction compares them all."""
+    guard: no borrow crosses a field, and one subtraction compares them all.
+    It builds the columns of ``_bounds`` and ``_bounded_walk`` on first use
+    and keeps them, as they depend on the quiver and w alone."""
 
     table: HomTable
     w: int
@@ -87,24 +93,80 @@ class _Packing:
     roots: list  # the root at each walk position
     rows: list  # rows[i] = dim Hom(X_i, -), the Hom profile of root i
     rowsum: list  # the entry sum of rows[i]
+    # root index -> its ``gain_columns``, filled on demand
+    gain_cols: dict = field(default_factory=dict, repr=False)
 
+    def gain_columns(self, i):
+        """Three gain columns against root i of the table, each a list over
+        the walk positions p with R_p the root there: against a part of T,
+        fields 0-3, Ext(R_p,X_i), Hom(R_p,X_i), Ext(X_i,R_p), Hom(X_i,R_p);
+        the same with the terms -<r_p,x_i>, -<x_i,r_p> and their sum of
+        fields 5-7, which may be negative; against a simple, Hom(R_p,X_i)
+        and Ext(R_p,X_i) in the two lowest fields.  Each value is written by
+        shifts, as ``_pack`` would add its fields."""
+        if i in self.gain_cols:
+            return self.gain_cols[i]
+        w, hom, ext = self.w, self.table.hom, self.table.ext
+        against_t, against_t_y, against_s = [], [], []
+        for p in self.table.walk:
+            ep, hp, ei, hi = ext[p][i], hom[p][i], ext[i][p], hom[i][p]
+            g = ep + (hp << w) + (ei << 2 * w) + (hi << 3 * w)
+            a, b = ep - hp, ei - hi
+            against_t.append(g)
+            against_t_y.append(g + (a << 5 * w) + (b << 6 * w) + ((a + b) << 7 * w))
+            against_s.append(hp + (ep << w))
+        self.gain_cols[i] = cols = (against_t, against_t_y, against_s)
+        return cols
 
-@lru_cache(maxsize=None)
-def _packed(q: Quiver, w: int) -> _Packing:
-    t, top = hom_table(q), 1 << (w - 1)
-    return _Packing(t, w, _pack([top] * q.n, w), _pack([top] * len(t.roots), w),
-                    [_pack(t.roots[i], w) for i in t.walk],
-                    [_pack(row, w) for row in t.hom], [sum(row) for row in t.hom])
+    @cached_property
+    def root_columns(self):
+        """The bounded walk's columns: for each walk position p, what one
+        more copy of R_p adds to fields 5-7 (the constants 1, 1, 2, as
+        Hom(R_p,R_p) = 1) and to the per-root fields above them
+        (Ext(R_i,R_p) + Ext(R_p,R_i) and Hom(R_i,R_p) + Hom(R_p,R_i) at each
+        walk position i); and the bit offset of the per-root fields of each
+        walk position.  Neither depends on the simples, which sit above the
+        per-root fields.  Each column is packed in one pass from its top
+        field down."""
+        w, hom, ext, walk = self.w, self.table.hom, self.table.ext, self.table.walk
+        top, w2, cols = walk[::-1], 2 * w, []
+        for p in walk:
+            hp, ep, x = hom[p], ext[p], 0
+            for i in top:  # H_i above E_i, from the top walk position down
+                x = (x << w2) + ((hom[i][p] + hp[i]) << w) + ext[i][p] + ep[i]
+            for v in (2, 1, 1):  # fields 7, 6 and 5
+                x = (x << w) + v
+            cols.append(x << 5 * w)
+        return cols, [w * (8 + 2 * j) for j in range(len(top))]
+
+    @cached_property
+    def self_columns(self):
+        """Where Ext(C,C) and Hom(C,C) enter fields 4-7."""
+        return (_pack([0, 0, 0, 0, 1, 0, 0, -1], self.w),
+                _pack([0, 0, 0, 0, 0, 1, 1, 2], self.w))
 
 
 def _packing(q: Quiver, alpha) -> _Packing:
-    """The packing wide enough for alpha, every root and every Hom profile of
-    a class of alpha: every positive root R lies below the highest root
-    theta, so dim Hom(X, R) <= alpha . R <= alpha . theta.  Alpha alone is
-    too narrow, since a root's coordinates can exceed alpha's."""
-    top = hom_table(q).roots[-1]
-    w = 1 + max(*top, sum(a * c for a, c in zip(alpha, top))).bit_length()
-    return _packed(q, w)
+    """The packing for the classes of alpha at the width w = ``_acc_width``
+    of their ``_Bounds`` accumulator, built once per width and kept on
+    ``hom_table(q).packed``.
+
+    w also holds alpha, every root and every Hom profile of a class of
+    alpha, which alpha alone would not, as a root's coordinates can exceed
+    alpha's.  Every positive root R lies below the highest root theta, so
+    dim Hom(X, R) <= alpha . R <= alpha . theta; with m = max(alpha, theta)
+    in each vertex, alpha . theta and each coordinate of alpha or a root are
+    at most sum_v m_v^2 <= B, the bound of ``_acc_width``, and w - 1 bits
+    hold 2B."""
+    table, w = hom_table(q), _acc_width(q, alpha)
+    pk = table.packed.get(w)
+    if pk is None:
+        top = 1 << (w - 1)
+        pk = table.packed[w] = _Packing(
+            table, w, _pack([top] * q.n, w), _pack([top] * len(table.roots), w),
+            [_pack(table.roots[i], w) for i in table.walk],
+            [_pack(row, w) for row in table.hom], [sum(row) for row in table.hom])
+    return pk
 
 
 def _geq(guard, a, b):
@@ -282,8 +344,8 @@ class _Bounds:
     Fields 4-7 and the per-root fields are those of ``_bounded_walk``, where
     ``simple`` is 8 + 2N for N roots; the survey adds only the constant gains
     against T and S_j, has no per-root fields and ``simple`` is 8.  So the
-    per-root fields and their columns (``_root_columns``) depend on the
-    quiver and w alone, not on the simples.
+    per-root fields and their columns (``_Packing.root_columns``) depend on
+    the quiver and w alone, not on the simples.
 
     Every X lies in the closure of the dense orbit O_T.  For every class X
     of alpha that has C as a direct summand:
@@ -311,10 +373,11 @@ class _Bounds:
     which fields 4-7 hold.  Unlike the other fields, fields 5-7 are not
     monotone along a walk.  A cut on them is sound all the same, since (iv)
     holds for every X with C as a summand, and that includes every larger
-    multiplicity of C's last root.  ``_acc_width`` gives w.
+    multiplicity of C's last root.  ``_acc_width`` gives w, the width of
+    the packing ``pk``.
     """
 
-    w: int
+    pk: _Packing  # ``_packing(q, alpha)``, whose columns the gains are built from
     r: int  # the number of simples
     n: int  # the number of fields
     simple: int  # the field of Hom(C,S_1), above the per-root fields if any
@@ -324,6 +387,10 @@ class _Bounds:
     guard: int  # the guard bit of every field
 
     @property
+    def w(self):
+        return self.pk.w
+
+    @property
     def cap(self):
         return (1 << (self.w - 1)) - 1
 
@@ -331,7 +398,7 @@ class _Bounds:
     def start(self):
         """The accumulator of the empty class: fields 5-7 at their offsets
         off, off and 2 off, which is off times the Hom(C,C) column."""
-        return self.off * _self_columns(self.w)[1]
+        return self.off * self.pk.self_columns[1]
 
     def limit(self, k):
         """The packed limits of a class X with Ext(X,X) <= k, k >= 0: by (i)
@@ -346,88 +413,41 @@ class _Bounds:
 
     def fields(self, acc):
         """The field values of a packed accumulator, bottom first."""
-        mask = (1 << self.w) - 1
-        return [(acc >> (self.w * j)) & mask for j in range(self.n)]
+        w = self.w
+        mask = (1 << w) - 1
+        return [(acc >> (w * j)) & mask for j in range(self.n)]
 
     def homs(self, acc):
         """The Hom(C,S_j) fields of a packed accumulator."""
-        mask = (1 << self.w) - 1
-        return [(acc >> (self.w * j)) & mask
+        w = self.w
+        mask = (1 << w) - 1
+        return [(acc >> (w * j)) & mask
                 for j in range(self.simple, self.simple + 2 * self.r, 2)]
 
 
-@lru_cache(maxsize=None)
-def _gain_columns(q: Quiver, w: int, i: int):
-    """Three gain columns against root i of ``hom_table(q)``, w bits per
-    field, each a list over the walk positions p with R_p the root there:
-    against a part of T, fields 0-3, Ext(R_p,X_i), Hom(R_p,X_i),
-    Ext(X_i,R_p), Hom(X_i,R_p); the same with the terms -<r_p,x_i>,
-    -<x_i,r_p> and their sum of fields 5-7, which may be negative; against a
-    simple, Hom(R_p,X_i) and Ext(R_p,X_i) in the two lowest fields.  Each
-    value is written by shifts, as ``_pack`` would add its fields."""
-    t = hom_table(q)
-    hom, ext = t.hom, t.ext
-    against_t, against_t_y, against_s = [], [], []
-    for p in t.walk:
-        ep, hp, ei, hi = ext[p][i], hom[p][i], ext[i][p], hom[i][p]
-        g = ep + (hp << w) + (ei << 2 * w) + (hi << 3 * w)
-        a, b = ep - hp, ei - hi
-        against_t.append(g)
-        against_t_y.append(g + (a << 5 * w) + (b << 6 * w) + ((a + b) << 7 * w))
-        against_s.append(hp + (ep << w))
-    return against_t, against_t_y, against_s
-
-
-@lru_cache(maxsize=None)
-def _root_columns(q: Quiver, w: int):
-    """The bounded walk's columns, w bits per field: for each walk position
-    p, what one more copy of R_p adds to fields 5-7 (the constants 1, 1, 2,
-    as Hom(R_p,R_p) = 1) and to the per-root fields above them
-    (Ext(R_i,R_p) + Ext(R_p,R_i) and Hom(R_i,R_p) + Hom(R_p,R_i) at each
-    walk position i); and the bit offset of the per-root fields of each walk
-    position.  Neither depends on the simples, which sit above the per-root
-    fields.  Each column is packed in one pass from its top field down."""
-    t = hom_table(q)
-    hom, ext, top, w2 = t.hom, t.ext, t.walk[::-1], 2 * w
-    cols = []
-    for p in t.walk:
-        hp, ep, x = hom[p], ext[p], 0
-        for i in top:  # H_i above E_i, from the top walk position down
-            x = (x << w2) + ((hom[i][p] + hp[i]) << w) + ext[i][p] + ep[i]
-        for v in (2, 1, 1):  # fields 7, 6 and 5
-            x = (x << w) + v
-        cols.append(x << 5 * w)
-    return cols, [w * (8 + 2 * j) for j in range(len(top))]
-
-
-@lru_cache(maxsize=None)
-def _self_columns(w: int):
-    """Where Ext(C,C) and Hom(C,C) enter fields 4-7, w bits per field."""
-    return _pack([0, 0, 0, 0, 1, 0, 0, -1], w), _pack([0, 0, 0, 0, 0, 1, 1, 2], w)
-
-
-def _bounds(q: Quiver, alpha, t_class, simples, bounded=True) -> _Bounds:
+def _bounds(pk: _Packing, alpha, t_class, simples, bounded=True) -> _Bounds:
     """``_Bounds`` for classes of alpha against T = ``t_class``, whose
-    dimension vector is alpha (for alpha = 0, T has no parts).  The gains
-    are those of ``_bounded_walk``, or with ``bounded`` false only the
-    constant fields against T and the S_j, which the survey adds."""
-    table, w, r = hom_table(q), _acc_width(q, alpha), len(simples)
+    dimension vector is alpha (for alpha = 0, T has no parts), on the
+    packing ``pk = _packing(q, alpha)``.  The gains are those of
+    ``_bounded_walk``, or with ``bounded`` false only the constant fields
+    against T and the S_j, which the survey adds."""
+    table, w, r = pk.table, pk.w, len(simples)
     ts = [(table.index[tr], m) for tr, m in t_class.parts]
     simple, gains = 8, [0] * len(table.walk)
     if bounded:
-        simple, gains = 8 + 2 * len(table.walk), _root_columns(q, w)[0]
+        simple, gains = 8 + 2 * len(table.walk), pk.root_columns[0]
     for t, m in ts:
-        gains = [g + m * c for g, c in zip(gains, _gain_columns(q, w, t)[1 if bounded else 0])]
+        gains = [g + m * c for g, c in zip(gains, pk.gain_columns(t)[1 if bounded else 0])]
     for j, s in enumerate(simples):
         shift = w * (simple + 2 * j)
-        gains = [g + (c << shift) for g, c in zip(gains, _gain_columns(q, w, table.index[s])[2])]
+        gains = [g + (c << shift) for g, c in zip(gains, pk.gain_columns(table.index[s])[2])]
     htt = sum(mi * mj * table.hom[i][j] for i, mi in ts for j, mj in ts)
     off = sum(a * a // 4 for a in alpha)
     n = simple + 2 * r
-    return _Bounds(w, r, n, simple, htt, off, gains, _fill(1 << (w - 1), w, n))
+    return _Bounds(pk, r, n, simple, htt, off, gains, _fill(1 << (w - 1), w, n))
 
 
-def _bounded_walk(pk, alpha, bd: _Bounds, k):
+def _bounded_walk(alpha, bd: _Bounds, k):
     """``_walk`` over the classes X of alpha with Ext(X,X) <= k, k >= 0,
     streaming (chosen, acc) with acc packed as ``bd`` lays it out.
 
@@ -439,9 +459,10 @@ def _bounded_walk(pk, alpha, bd: _Bounds, k):
     walk cuts a branch once any field exceeds ``bd.limit(k)``, one guarded
     subtraction per child.
     """
-    w, mask = bd.w, (1 << bd.w) - 1
-    gains, at = bd.gains, _root_columns(pk.table.quiver, w)[1]
-    ecol, hcol = _self_columns(w)
+    pk = bd.pk
+    w, mask = pk.w, (1 << pk.w) - 1
+    gains, at = bd.gains, pk.root_columns[1]
+    ecol, hcol = pk.self_columns
     guard = bd.guard
     top = bd.limit(k) | guard
 
@@ -474,8 +495,8 @@ def enumerate_classes(q: Quiver, alpha, max_self_ext=None):
     elif max_self_ext < 0:
         return
     else:
-        bd = _bounds(q, alpha, generic_decomposition(q, alpha), ())
-        walk = _bounded_walk(pk, alpha, bd, int(max_self_ext))  # self-Ext is an integer
+        bd = _bounds(pk, alpha, generic_decomposition(q, alpha), ())
+        walk = _bounded_walk(alpha, bd, int(max_self_ext))  # self-Ext is an integer
     for chosen, _ in walk:
         yield _class_of(table, chosen)
 
@@ -576,7 +597,7 @@ def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
     the witness is still the first one in enumeration order.
     """
     table, pk = hom_table(spec.quiver), _packing(spec.quiver, spec.alpha)
-    bd = _bounds(spec.quiver, spec.alpha, spec.t_class, spec.selected_simples, bounded=False)
+    bd = _bounds(pk, spec.alpha, spec.t_class, spec.selected_simples, bounded=False)
     r, guard, gains = bd.r, bd.guard, bd.gains
     rows, sums = [pk.rows[i] for i in table.walk], [pk.rowsum[i] for i in table.walk]
     # meets acc iff some Hom(C,S_j) or Ext(C,S_j) field is >= 2
@@ -625,9 +646,9 @@ def components(spec: ZeroSetSpec):
     """
     table, pk = hom_table(spec.quiver), _packing(spec.quiver, spec.alpha)
     k = len(spec.selected)
-    bd = _bounds(spec.quiver, spec.alpha, spec.t_class, spec.selected_simples)
+    bd = _bounds(pk, spec.alpha, spec.t_class, spec.selected_simples)
     found = []
-    for chosen, acc in _bounded_walk(pk, spec.alpha, bd, k):
+    for chosen, acc in _bounded_walk(spec.alpha, bd, k):
         homs = bd.homs(acc)
         if all(homs):
             cls = _class_of(table, chosen)

@@ -25,8 +25,8 @@ class NonDynkinError(QuiverError):
 class Quiver:
     """Directed multigraph without loops or oriented cycles.
 
-    Its hash is computed once, when it is built: every per-quiver cache
-    (``roots.hom_table`` and the packed columns of ``orbits``) looks the
+    Its hash is computed once, when it is built: ``roots.hom_table``, the
+    cache of the per-quiver context that every layer reads, looks the
     quiver up by it, and a frozen dataclass would hash its fields anew on
     each lookup.  Equal quivers hash equal, as the fields are hashed."""
 

@@ -13,6 +13,9 @@ reflects a vector at the first n steps of the same walk, forwards for c
 and backwards for c^-1.  No representation matrix is built here; the
 tests check the table against explicit matrices, and ``jacobian.realize``
 builds a root's matrices mod a prime on demand and keeps them on the
+context.  The class walk's packed integers are kept there on demand too,
+one ``orbits._Packing`` per field width.  ``hom_table`` is the only cache
+of the package: everything else derived from a quiver alone hangs off its
 context.
 """
 
@@ -65,6 +68,10 @@ class HomTable:
     one whose walk ends there as the simple at x (t_i = t in ``hom_table``),
     or None when no root's walk does.  ``generic_decomposition`` walks a
     dimension vector along these steps.
+
+    What later layers derive from the quiver alone is kept here too, filled
+    on demand: ``jacobian``'s realized roots and kernels, and the packed
+    integers of ``orbits``' class walk.
     """
 
     quiver: Quiver
@@ -82,6 +89,9 @@ class HomTable:
     # (root, simple) -> kernels and offsets of d^X_S mod ``jacobian.P``,
     # filled by ``jacobian`` on demand, never here
     kernels: dict = field(default_factory=dict, repr=False, compare=False)
+    # field width -> the table packed at that width with the class walk's
+    # columns (``orbits._Packing``), filled by ``orbits._packing`` on demand
+    packed: dict = field(default_factory=dict, repr=False, compare=False)
 
     def hom_root(self, a, b):
         return self.hom[self.index[tuple(a)]][self.index[tuple(b)]]

@@ -910,7 +910,7 @@ def test_leaf_last_var_matches_the_fraction_formula():
     # 1 at least on the first but 1/2 at k1 = 0 on the second
     accepts = _tight_last_var_state(Affine.of(0), Affine.of(1))
     rejects = _tight_last_var_state(k1 - 1, k1)
-    assert [str(mu) for _, mu in leaf_last_var(accepts)] == ["1"]
+    assert [str(Fraction(gmu, g)) for _, gmu, g in leaf_last_var(accepts)] == ["1"]
     assert leaf_last_var(rejects) is None
     rng = random.Random(20261018)
     accepted = tight = fractional = 0
@@ -921,7 +921,7 @@ def test_leaf_last_var_matches_the_fraction_formula():
         assert (got is None) == (want is None), state
         if got is None:
             continue
-        assert [(t.signature(), str(mu)) for t, mu in got] == \
+        assert [(t.signature(), str(Fraction(gmu, g))) for t, gmu, g in got] == \
             [(t.signature(), str(mu)) for t, mu in want], state
         accepted += 1
         tight += any(mu == state.r_global for _, mu in want)

@@ -33,6 +33,16 @@ def test_decompose_file_json(tmp_path):
     assert data["simples"] == [[0, 1]]
 
 
+def test_decompose_with_no_perpendicular_simple(tmp_path):
+    """An alpha with no perpendicular simple still decomposes; the
+    subcommands that select simples exit 2 on it
+    (``test_bad_input_exits_2_without_traceback``)."""
+    qf = tmp_path / "a3.quiver"
+    qf.write_text(A3_FILE)
+    proc = run_cli(["decompose", "--quiver", str(qf), "--dim", "1,2,3"])
+    assert "perpendicular simples (r = 0):" in proc.stdout
+
+
 def test_json_round_trip_matches_text(tmp_path):
     qf = tmp_path / "a2.quiver"
     qf.write_text("vertices 2\narrow 1 2\n")
@@ -228,6 +238,9 @@ DEEP_CERTIFICATE = (
      "--certificate-out", "{missing}/c.json"],
     ["nullcone", "--quiver", "{words}", "--dim", "1,1"],
     ["nullcone", "--quiver", "{letter}", "--dim", "1,1"],
+    ["nullcone", "--quiver", "{a3}", "--dim", "1,2,3"],
+    ["bfunction", "--quiver", "{a3}", "--dim", "1,2,3"],
+    ["singularities", "--quiver", "{a3}", "--dim", "1,2,3"],
 ], ids=["negative-dim", "negative-preset-n", "simples-not-int",
         "simples-range-file", "simples-range-preset", "simples-empty",
         "box-bound-negative", "hom-no-quiver",
@@ -235,7 +248,8 @@ DEEP_CERTIFICATE = (
         "certificate-term-a-above-b",
         "certificate-nested-past-json-recursion-limit",
         "certificate-out-missing-dir", "quiver-vertices-not-int",
-        "quiver-arrow-not-int"])
+        "quiver-arrow-not-int", "nullcone-no-simple", "bfunction-no-simple",
+        "singularities-no-simple"])
 def test_bad_input_exits_2_without_traceback(tmp_path, args):
     (tmp_path / "a3.quiver").write_text(A3_FILE)
     (tmp_path / "cert.json").write_text(json.dumps({"terms": []}))

@@ -119,7 +119,7 @@ def test_per_summand_jacobian_matches_the_whole_matrix_on_e8(e8):
 
 def test_hom_table_leaves_the_kernel_cache_empty(e6):
     table = hom_table.__wrapped__(e6)
-    assert table.kernels == {} and table.realized == {}
+    assert table.kernels == {} and table.realized == {} and table.packed == {}
 
 
 def counted_kernels(monkeypatch):

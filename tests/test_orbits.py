@@ -513,7 +513,7 @@ def bounded_nodes(monkeypatch, q, alpha, bd):
         return real(pk, alpha, traced, fits, acc)
 
     monkeypatch.setattr(orbits, "_walk", walk)
-    leaves = sum(1 for _ in orbits._bounded_walk(orbits._packing(q, alpha), alpha, bd, 10**9))
+    leaves = sum(1 for _ in orbits._bounded_walk(alpha, bd, 10**9))
     monkeypatch.undo()
     return nodes, leaves
 
@@ -528,7 +528,7 @@ def test_bound_fields_decode_to_their_hom_and_ext(request, monkeypatch):
         table = hom_table(q)
         t = generic_decomposition(q, alpha)
         simples = perp_simples(q, t).simples
-        bd = orbits._bounds(q, alpha, t, simples)
+        bd = orbits._bounds(orbits._packing(q, alpha), alpha, t, simples)
         single = [make_class([(table.roots[i], 1)]) for i in table.walk]
         nodes, leaves = bounded_nodes(monkeypatch, q, alpha, bd)
         for seq, acc in nodes:
@@ -580,7 +580,8 @@ def test_bounds_gains_match_their_definition(request, e8, e8_alpha):
                            for p in walk]
         t = generic_decomposition(q, alpha)
         simples = perp_simples(q, t).simples
-        bd, sd = (orbits._bounds(q, alpha, t, simples, bounded) for bounded in (True, False))
+        pk = orbits._packing(q, alpha)
+        bd, sd = (orbits._bounds(pk, alpha, t, simples, bounded) for bounded in (True, False))
         assert (bd.simple, bd.n) == (8 + 2 * len(walk), 8 + 2 * len(walk) + 2 * len(simples))
         assert (sd.simple, sd.n) == (8, 8 + 2 * len(simples))
         if q == e8 and alpha in E8_NULLCONES:
@@ -595,7 +596,7 @@ def test_bounds_gains_match_their_definition(request, e8, e8_alpha):
             want = [*t_fields, 0, *rem, *per_root[q][pos], *pairs]
             assert bd.gains[pos] == orbits._pack(want, bd.w), (q, alpha, pos)
             assert sd.gains[pos] == orbits._pack([*t_fields, 0, 0, 0, 0, *pairs], sd.w), (q, alpha, pos)
-        at, mask = orbits._root_columns(q, bd.w)[1], (1 << bd.w) - 1
+        at, mask = pk.root_columns[1], (1 << bd.w) - 1
         rng = random.Random(sum(alpha))
         vals = [rng.randrange(mask + 1) for _ in range(bd.n)]
         acc = orbits._pack(vals, bd.w)
@@ -668,11 +669,31 @@ def test_components_match_brute_force(request, name, bound):
                 assert got == brute_force_components(table, every, spec), (q, alpha, sel)
 
 
+@pytest.mark.parametrize("name, alpha", [("a3", (2, 3, 2)), ("e8", (1, 3, 7, 2, 1, 2, 1, 3))])
+def test_each_alpha_is_packed_once_at_its_accumulator_width(request, name, alpha, monkeypatch):
+    """``components`` packs alpha's classes at one width, ``_acc_width``,
+    kept on the context; the survey reads the same packing, and a second
+    ``components`` adds no width and no gain column."""
+    q = request.getfixturevalue(name)
+    table = hom_table(q)
+    monkeypatch.setattr(table, "packed", {})
+    spec = make_spec(q, alpha)
+    first = components(spec)
+    w = orbits._acc_width(q, alpha)
+    assert list(table.packed) == [w]
+    pk = table.packed[w]
+    built = dict(pk.gain_cols)
+    assert built
+    survey(spec)
+    assert components(spec) == first
+    assert list(table.packed) == [w] and table.packed[w] is pk and pk.gain_cols == built
+
+
 def test_components_and_bounded_enumeration_share_one_walk(a3, monkeypatch):
     limits = []
     real = orbits._bounded_walk
     monkeypatch.setattr(orbits, "_bounded_walk",
-                        lambda pk, alpha, bd, k: limits.append(k) or real(pk, alpha, bd, k))
+                        lambda alpha, bd, k: limits.append(k) or real(alpha, bd, k))
     list(enumerate_classes(a3, (2, 3, 2), max_self_ext=2))
     components(make_spec(a3, (2, 3, 2), (1,)))
     assert limits == [2, 1]
