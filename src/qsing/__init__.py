@@ -23,7 +23,6 @@ from .orbits import (
     ZeroSetSpec,
     components,
     enumerate_classes,
-    in_zero_set,
     is_set_theoretic_ci,
     make_spec,
     reducedness_report,

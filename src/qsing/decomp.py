@@ -6,7 +6,10 @@ Bernstein-Gelfand-Ponomarev reflection functors allow.  The simples S of
 T-perp, whose semi-invariants c_S = det d^V_S cut out the zero sets, are
 read off the Hom table: c_S vanishes at V exactly when Hom(V, S) != 0, so
 no determinant is evaluated.  Neither needs a search; both read the
-per-quiver context ``roots.hom_table``.
+per-quiver context ``roots.hom_table``.  The walk is a few integer
+operations per sink step, and the simples come from the context's per-root
+bitmasks ``orth`` and ``below`` with one AND per part and one per
+collected root, not from a scan of every pair of roots.
 """
 
 from __future__ import annotations
@@ -22,14 +25,6 @@ class RepClass:
     """Isomorphism class of representations: multiset of roots with multiplicities."""
 
     parts: tuple  # tuple of (root tuple, multiplicity), roots pairwise distinct
-
-    def total(self):
-        n = len(self.parts[0][0])
-        out = [0] * n
-        for r, m in self.parts:
-            for i, c in enumerate(r):
-                out[i] += m * c
-        return tuple(out)
 
     def as_multiset(self):
         out = []
@@ -84,7 +79,11 @@ def generic_decomposition(q: Quiver, alpha) -> RepClass:
     representations without an S_x summand and preserves Ext, so the rest
     stays rigid, hence generic, with dimension vector s_x(alpha - k e_x).
     The part split off at step t is the root the table walk reaches as the
-    simple at x_t after t steps.
+    simple at x_t after t steps.  A root's walk ends at one step, so the
+    parts split off at different steps are different roots and the class
+    is the sorted list of parts, with nothing to merge.  The walk stops
+    once ``left``, the total of the remainder, is 0; the remainder's
+    coordinates stay nonnegative, so the remainder is then 0.
     """
     table = hom_table(q)
     alpha = tuple(int(a) for a in alpha)
@@ -92,21 +91,25 @@ def generic_decomposition(q: Quiver, alpha) -> RepClass:
         raise ValueError(f"dimension vector has {len(alpha)} entries for {q.n} vertices")
     if any(a < 0 for a in alpha):
         raise ValueError("dimension vector must be nonnegative")
-    rem = list(alpha)
+    roots, rem, left = table.roots, list(alpha), sum(alpha)
     parts = []
     for x, nbrs, i in table.steps:
-        if not any(rem):
+        if not left:
             break
-        excess = rem[x] - sum(rem[y] for y in nbrs)
+        excess = a = rem[x]
+        for y in nbrs:
+            excess -= rem[y]
         if excess > 0:
-            parts.append((table.roots[i], excess))
-        rem[x] = max(0, -excess)  # coordinate x of s_x(alpha - k e_x)
-    if any(rem):
+            parts.append((roots[i], excess))
+            excess = 0
+        rem[x] = -excess  # coordinate x of s_x(alpha - k e_x)
+        left -= a + excess
+    if left:
         raise AssertionError(
             f"sink walk left {tuple(rem)} of {alpha}; "
             "this indicates a bug, not a user error"
         )
-    return make_class(parts)
+    return RepClass(tuple(sorted(parts)))
 
 
 @dataclass(frozen=True)
@@ -127,18 +130,21 @@ def perp_simples(q: Quiver, t_class: RepClass) -> PerpData:
     T-perp to a simple one there is onto, and an onto map beta' -> beta
     needs beta' >= beta.  A beta that is not simple contains a simple beta'
     of T-perp, which is a root with beta' <= beta and hom(beta', beta) > 0.
+    Both steps read bitmasks of the context: the collected roots are the
+    AND of ``orth`` over the parts, and a collected beta has such a beta'
+    exactly when the collected set meets ``below[beta]``.
     """
     table = hom_table(q)
-    roots, hom = table.roots, table.hom
-    ts = [table.index[r] for r, _ in t_class.parts]
-    perp = [j for j in range(len(roots))
-            if all(hom[i][j] == 0 and table.ext[i][j] == 0 for i in ts)]
-    simples = tuple(sorted(
-        roots[j] for j in perp
-        if not any(i != j and hom[i][j]
-                   and all(a <= b for a, b in zip(roots[i], roots[j]))
-                   for i in perp)
-    ))
+    perp = (1 << len(table.roots)) - 1
+    for r, _ in t_class.parts:
+        perp &= table.orth[table.index[r]]
+    simples, rest = [], perp
+    while rest:
+        j = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        if not perp & table.below[j]:
+            simples.append(table.roots[j])
+    simples = tuple(sorted(simples))
     m = len(t_class.parts)
     r = q.n - m
     if len(simples) != r:

@@ -62,7 +62,6 @@ from functools import cached_property
 from .decomp import (
     PerpData,
     RepClass,
-    class_hom,
     generic_decomposition,
     perp_simples,
 )
@@ -530,11 +529,6 @@ def make_spec(q: Quiver, alpha, selected=None) -> ZeroSetSpec:
     if selected is None:
         selected = tuple(range(1, perp.r + 1))
     return ZeroSetSpec(q, tuple(int(a) for a in alpha), t, perp, tuple(selected))
-
-
-def in_zero_set(x: RepClass, spec: ZeroSetSpec) -> bool:
-    table = hom_table(spec.quiver)
-    return all(class_hom(table, x, s) > 0 for s in spec.selected_simples)
 
 
 @dataclass

@@ -14,15 +14,17 @@ and backwards for c^-1.  No representation matrix is built here; the
 tests check the table against explicit matrices, and ``jacobian.realize``
 builds a root's matrices mod a prime on demand and keeps them on the
 context.  The class walk's packed integers are kept there on demand too,
-one ``orbits._Packing`` per field width.  ``hom_table`` is the only cache
-of the package: everything else derived from a quiver alone hangs off its
-context.
+one ``orbits._Packing`` per field width, and so are the two per-root
+bitmasks ``orth`` and ``below`` from which ``decomp.perp_simples`` reads the
+perpendicular simples, built on first use rather than by ``hom_table``.
+``hom_table`` is the only cache of the package: everything else derived
+from a quiver alone hangs off its context.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 
 from .quiver import Quiver, reflect_dim, require_dynkin, simple_root, tits_form
@@ -70,8 +72,10 @@ class HomTable:
     dimension vector along these steps.
 
     What later layers derive from the quiver alone is kept here too, filled
-    on demand: ``jacobian``'s realized roots and kernels, and the packed
-    integers of ``orbits``' class walk.
+    on demand: ``jacobian``'s realized roots and kernels, the packed
+    integers of ``orbits``' class walk, and the bitmasks ``orth`` and
+    ``below`` of ``decomp.perp_simples`` (bit j of a mask stands for root
+    j), each built once, on first use.
     """
 
     quiver: Quiver
@@ -98,6 +102,27 @@ class HomTable:
 
     def ext_root(self, a, b):
         return self.ext[self.index[tuple(a)]][self.index[tuple(b)]]
+
+    @cached_property
+    def orth(self):
+        """orth[i]: bitmask of the roots j with Hom(X_i,X_j) = Ext(X_i,X_j) = 0."""
+        return [sum(1 << j for j, (h, e) in enumerate(zip(h_row, e_row)) if h == e == 0)
+                for h_row, e_row in zip(self.hom, self.ext)]
+
+    @cached_property
+    def below(self):
+        """below[j]: bitmask of the roots i != j with Hom(X_i,X_j) > 0 and
+        r_i <= r_j.  The roots are packed w bits per coordinate with a guard
+        bit on top of each field, so r_i <= r_j is one subtraction."""
+        w = max(max(r) for r in self.roots).bit_length() + 1
+        guard = sum(1 << (w * v + w - 1) for v in range(self.quiver.n))
+        packed = [sum(c << (w * v) for v, c in enumerate(r)) for r in self.roots]
+        out = [0] * len(self.roots)
+        for i, (h_row, p) in enumerate(zip(self.hom, packed)):
+            for j, h in enumerate(h_row):
+                if h and i != j and ((packed[j] | guard) - p) & guard == guard:
+                    out[j] |= 1 << i
+        return out
 
     def coxeter_step(self, v, direction=+1):
         """c(v) for direction +1 and c^{-1}(v) for -1, in integers.

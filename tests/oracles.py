@@ -31,6 +31,13 @@ way: the integer matrices of the direct sum X (``representative``) and the
 whole matrix of d^X_S, eliminated mod ``qsing.jacobian.P``, where the
 package reads the kernels of each summand's block alone.
 
+``merged_walk_decomposition`` and ``scan_perp_simples`` are the
+references for ``qsing.decomp``: the sink walk that merges its parts in a
+dict, and the perpendicular simples found by scanning every pair of roots
+of the Hom table, where the package reads per-root bitmasks.
+``class_total`` is the dimension vector of a class, and ``in_zero_set``
+tests a class against a zero set's selected simples by bilinearity.
+
 ``affine_add`` is the reference for ``qsing.affine.Affine``'s arithmetic:
 addition as one dict merge with zeros dropped and a sort, with no fast path.
 
@@ -47,8 +54,8 @@ from fractions import Fraction
 
 from qsing import jacobian
 from qsing.affine import Affine
-from qsing.decomp import (class_hom, class_self_ext, generic_decomposition, make_class,
-                          perp_simples)
+from qsing.decomp import (PerpData, RepClass, class_hom, class_self_ext,
+                          generic_decomposition, make_class, perp_simples)
 from qsing.orbits import _geq, _packing, _profile, _walk, is_set_theoretic_ci, survey
 from qsing.quiver import Quiver, euler_form, simple_root
 from qsing.roots import hom_table, positive_roots
@@ -316,7 +323,7 @@ def vanishing_mismatches(q: Quiver, rng, count):
             r = rng.choice(roots)
             parts[r] = parts.get(r, 0) + 1
         cls = make_class(list(parts.items()))
-        alpha = cls.total()
+        alpha = class_total(cls, q.n)
         perp = perp_simples(q, generic_decomposition(q, alpha))
         usable = [s for s in perp.simples if euler_form(q, alpha, s) == 0]
         if not usable:
@@ -332,12 +339,68 @@ def vanishing_mismatches(q: Quiver, rng, count):
 
 def degenerates_to(q: Quiver, m_class, n_class) -> bool:
     """True iff N lies in the orbit closure of M (Hom-order)."""
-    if m_class.total() != n_class.total():
+    if class_total(m_class, q.n) != class_total(n_class, q.n):
         raise ValueError("classes have different dimension vectors")
     table = hom_table(q)
     pm = hom_profile(table, m_class)
     pn = hom_profile(table, n_class)
     return all(a <= b for a, b in zip(pm, pn))
+
+
+# -- the decomposition layer -------------------------------------------------
+
+def class_total(cls: RepClass, n):
+    """The dimension vector of ``cls``, a class of representations of a
+    quiver with n vertices; the zero vector for the class with no part."""
+    out = [0] * n
+    for r, m in cls.parts:
+        for i, c in enumerate(r):
+            out[i] += m * c
+    return tuple(out)
+
+
+def in_zero_set(x: RepClass, spec) -> bool:
+    """Whether every selected semi-invariant of ``spec`` vanishes on X,
+    that is Hom(X, S_j) > 0 for every selected simple S_j."""
+    table = hom_table(spec.quiver)
+    return all(class_hom(table, x, s) > 0 for s in spec.selected_simples)
+
+
+def merged_walk_decomposition(q: Quiver, alpha) -> RepClass:
+    """Reference for ``decomp.generic_decomposition``: the same sink walk,
+    testing the whole remainder at every step and merging the parts in a
+    dict through ``make_class``."""
+    table = hom_table(q)
+    rem = list(alpha)
+    parts = []
+    for x, nbrs, i in table.steps:
+        if not any(rem):
+            break
+        excess = rem[x] - sum(rem[y] for y in nbrs)
+        if excess > 0:
+            parts.append((table.roots[i], excess))
+        rem[x] = max(0, -excess)
+    assert not any(rem)
+    return make_class(parts)
+
+
+def scan_perp_simples(q: Quiver, t_class: RepClass) -> PerpData:
+    """Reference for ``decomp.perp_simples``: the roots Hom- and
+    Ext-orthogonal to every part of T, then those with no other such root
+    beta' <= beta with hom(beta', beta) > 0, by scanning every pair of roots
+    of the Hom table."""
+    table = hom_table(q)
+    roots, hom = table.roots, table.hom
+    ts = [table.index[r] for r, _ in t_class.parts]
+    perp = [j for j in range(len(roots))
+            if all(hom[i][j] == 0 and table.ext[i][j] == 0 for i in ts)]
+    simples = tuple(sorted(
+        roots[j] for j in perp
+        if not any(i != j and hom[i][j]
+                   and all(a <= b for a, b in zip(roots[i], roots[j]))
+                   for i in perp)
+    ))
+    return PerpData(simples=simples, r=q.n - len(t_class.parts))
 
 
 # -- the orbit geometry on tuples --------------------------------------------
@@ -407,7 +470,7 @@ def is_cover(pk, cand, pc, x, px):
         return False
     if gap == 1:
         return True
-    for _, pw in _walk(pk, x.total(), lambda acc, p: acc + rows[table.walk[p]],
+    for _, pw in _walk(pk, class_total(x, table.quiver.n), lambda acc, p: acc + rows[table.walk[p]],
                        lambda acc: _geq(guard, px, acc)):
         if pw != pc and pw != px and _geq(guard, pw, pc):
             return False
@@ -425,7 +488,7 @@ def gradient_condition_b_witness(x, spec, k, sv=None):
     """
     if k not in spec.selected:
         raise ValueError("k must be a selected index")
-    if x.total() != spec.alpha:
+    if class_total(x, spec.quiver.n) != spec.alpha:
         raise ValueError("x is not a class of the spec's dimension vector")
     pk, sv = _packing(spec.quiver, spec.alpha), sv or survey(spec)
     px = _profile(pk, x)[0]

@@ -1,11 +1,14 @@
+import importlib.util
 import itertools
 import random
 import time
+from pathlib import Path
 
 import pytest
 from fractions import Fraction
 
-from qsing.decomp import class_ext, generic_decomposition, make_class, perp_simples
+from qsing import decomp, presets, quiver
+from qsing.decomp import RepClass, class_ext, generic_decomposition, make_class, perp_simples
 from qsing.orbits import enumerate_classes
 from qsing.quiver import Quiver
 from qsing.roots import hom_table, positive_roots
@@ -14,10 +17,18 @@ from oracles import (
     Mat,
     NonSquareError,
     Representation,
+    class_total,
     evaluate_semiinvariant,
+    merged_walk_decomposition,
     realize,
+    scan_perp_simples,
     vanishing_mismatches,
 )
+
+_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+_SPEC = importlib.util.spec_from_file_location("workloads", _PATH)
+workloads = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(workloads)
 
 
 def test_a2_decompositions(a2):
@@ -57,7 +68,7 @@ def test_decomposition_has_no_extensions(a3, d4, e6):
         for _ in range(10):
             alpha = tuple(rng.randint(0, 5) for _ in range(q.n))
             cls = generic_decomposition(q, alpha)
-            assert cls.total() == alpha or not any(alpha)
+            assert class_total(cls, q.n) == alpha
             assert class_ext(t, cls, cls) == 0
 
 
@@ -229,6 +240,8 @@ BOX_QUIVERS = [
     pytest.param(Quiver(5, ((1, 5), (2, 5), (5, 3), (3, 4))), 2, id="D5"),
     pytest.param(Quiver(6, ((1, 2), (2, 3), (4, 3), (5, 4), (6, 3))), 2,
                  id="E6"),
+    pytest.param(Quiver(7, ((1, 2), (2, 3), (4, 3), (5, 4), (6, 5), (7, 3))), 1,
+                 id="E7"),
 ]
 
 
@@ -249,3 +262,65 @@ def test_e8_scaled_decomposition_without_search(e8, e8_alpha):
     t = generic_decomposition(e8, e8_alpha(5))
     assert time.perf_counter() - start < 1.0
     assert t.parts == tuple((r, 5 * m) for r, m in base.parts)
+
+
+def test_e8_sample_matches_search(e8):
+    # the whole {0,1}^8 box takes the search about 20 s; a seeded sample of
+    # full-support vectors covers the largest table
+    rng = random.Random(8)
+    for _ in range(60):
+        alpha = tuple(rng.randint(1, 3) for _ in range(8))
+        t = generic_decomposition(e8, alpha)
+        assert _search_generic_decomposition(e8, alpha) == t
+        assert perp_simples(e8, t).simples == _sum_free_perp_simples(e8, t)
+
+
+def benchmark_inputs():
+    """(quiver, alpha) for every input of the benchmark's orbit and census
+    workloads at full size, read from ``perfbench/workloads.py``."""
+    qs = workloads.quivers({"quiver": quiver, "presets": presets})
+    sizes = workloads.SIZES["full"]
+    inputs = dict.fromkeys(sizes["nullcone-e8"])
+    for name in ("reduced-sweep", "bfunction-census"):
+        inputs.update(dict.fromkeys(workloads.box(sizes[name])))
+    return [(qs[name], alpha) for name, alpha in inputs]
+
+
+def test_decomposition_matches_the_references_on_the_benchmark_inputs():
+    inputs = benchmark_inputs()
+    assert len(inputs) == 1329 + 7314 + 251 + 461 + 18  # A3, D4 <= 18; D5, E6 <= 5; E8
+    for q, alpha in inputs:
+        t = generic_decomposition(q, alpha)
+        assert t == merged_walk_decomposition(q, alpha), (q, alpha)
+        assert perp_simples(q, t) == scan_perp_simples(q, t), (q, alpha)
+
+
+def test_zero_alpha_has_the_empty_decomposition(a3):
+    t = generic_decomposition(a3, (0, 0, 0))
+    assert t == RepClass(()) and class_total(t, 3) == (0, 0, 0)
+    assert perp_simples(a3, t).simples == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+
+
+@pytest.mark.parametrize("q", [p.values[0] for p in BOX_QUIVERS] + [presets.E8_QUIVER],
+                         ids=[p.id for p in BOX_QUIVERS] + ["E8"])
+def test_masks_decode_to_their_definitions_and_are_built_once(q, monkeypatch):
+    """``orth`` and ``below`` hold, bit by bit, the Hom/Ext conditions they
+    stand for.  ``hom_table`` leaves them unbuilt, and the decomposition
+    layer builds them on a fresh context once, on first use."""
+    table = hom_table.__wrapped__(q)
+    assert "orth" not in vars(table) and "below" not in vars(table)
+    monkeypatch.setattr(decomp, "hom_table", lambda _q: table)
+    rng = random.Random(3)
+    perp_simples(q, generic_decomposition(q, (1,) * q.n))
+    assert "orth" in vars(table) and "below" in vars(table)
+    orth, below = table.orth, table.below
+    for _ in range(3):
+        perp_simples(q, generic_decomposition(q, tuple(rng.randint(0, 3) for _ in range(q.n))))
+        assert table.orth is orth and table.below is below
+    roots, hom, ext = table.roots, table.hom, table.ext
+    for i in range(len(roots)):
+        for j in range(len(roots)):
+            assert bool(table.orth[i] >> j & 1) == (hom[i][j] == ext[i][j] == 0)
+            assert bool(table.below[j] >> i & 1) == (
+                i != j and hom[i][j] > 0 and all(a <= b for a, b in zip(roots[i], roots[j])))
+        assert table.orth[i] < 1 << len(roots) and table.below[i] < 1 << len(roots)

@@ -19,7 +19,6 @@ from qsing.decomp import (
 from qsing.orbits import (
     components,
     enumerate_classes,
-    in_zero_set,
     is_set_theoretic_ci,
     make_spec,
     reduced_bound,
@@ -29,8 +28,9 @@ from qsing.orbits import (
 from qsing.quiver import Quiver, euler_form
 from qsing.roots import hom_table
 
-from oracles import (condition_ab_report, degenerates_to, gradient_condition_b_witness,
-                     hom_profile, is_cover, jacobian_minor_det, tuple_walk)
+from oracles import (class_total, condition_ab_report, degenerates_to,
+                     gradient_condition_b_witness, hom_profile, in_zero_set, is_cover,
+                     jacobian_minor_det, tuple_walk)
 
 
 def test_enumerate_a2(a2):
@@ -46,7 +46,7 @@ def test_enumerate_total_and_uniqueness(a3, d4):
     for q, alpha in ((a3, (2, 3, 2)), (d4, (2, 2, 2, 3))):
         seen = set()
         for cls in enumerate_classes(q, alpha):
-            assert cls.total() == alpha
+            assert class_total(cls, q.n) == alpha
             assert cls.parts not in seen
             seen.add(cls.parts)
 
@@ -197,7 +197,7 @@ def test_thm_dynk_regime_a3(a3, alpha):
 def test_thm_dynk_regime_d4(d4):
     # all multiplicities >= N(D) = 2
     t = make_class([((1, 1, 1, 2), 2)])
-    alpha = t.total()
+    alpha = class_total(t, 4)
     spec = make_spec(d4, alpha)
     assert all(mult >= 2 for _, mult in spec.t_class.parts)
     rr = reducedness_report(spec)
@@ -533,7 +533,7 @@ def test_bound_fields_decode_to_their_hom_and_ext(request, monkeypatch):
         nodes, leaves = bounded_nodes(monkeypatch, q, alpha, bd)
         for seq, acc in nodes:
             c = node_class(table, seq)
-            y = generic_decomposition(q, tuple(a - b for a, b in zip(alpha, c.total())))
+            y = generic_decomposition(q, tuple(a - b for a, b in zip(alpha, class_total(c, q.n))))
             homs = [class_hom(table, c, s) for s in simples]
             exts = [class_ext(table, c, s) for s in simples]
             t_fields = [class_ext(table, c, t), class_hom(table, c, t),
@@ -552,7 +552,7 @@ def test_bound_fields_decode_to_their_hom_and_ext(request, monkeypatch):
                         codim + max(0, cy) + max(0, yc))  # (i), (ii) and (iv)
             for k in range(4):
                 assert orbits._geq(bd.guard, bd.limit(k), acc) == (bound <= k), (q, alpha, c, k)
-            if c.total() == alpha:
+            if class_total(c, q.n) == alpha:
                 assert homs == exts  # (iii)
                 assert codim >= max(t_fields[0], t_fields[2])  # (i)
                 assert t_fields[1] - bd.htt == t_fields[0]  # (ii) at a whole class
@@ -623,7 +623,7 @@ def test_remainder_bound_is_at_most_the_self_ext_of_every_completion(request):
                 least[seq[:i]] = min(least.get(seq[:i], e), e)
         for seq, e in least.items():
             c = node_class(table, seq)
-            cv = c.total()
+            cv = class_total(c, q.n)
             y = tuple(a - b for a, b in zip(alpha, cv))
             codim = class_self_ext(table, c)
             bound = codim + max(0, -euler_form(q, cv, y)) + max(0, -euler_form(q, y, cv))
@@ -708,7 +708,7 @@ def test_components_and_bounded_enumeration_share_one_walk(a3, monkeypatch):
 ])
 def test_nullcone_off_the_support(a3, alpha, patterns, total):
     """T has no part at alpha = 0, and the walks read its dimension vector
-    from the spec, never from ``RepClass.total``."""
+    from the spec."""
     spec = make_spec(a3, alpha)
     assert components(spec) == []
     sv = survey(spec)
