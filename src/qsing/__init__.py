@@ -31,7 +31,6 @@ from .brackets import (
     BFunctionFamily,
     BracketTerm,
     TerminalRuleInapplicable,
-    bracket_identity_check,
     compute_bfunction,
     evaluate,
     expand,

@@ -16,6 +16,11 @@ of live beta-coordinates at x, then replaces alpha by c(alpha) and each
 live beta^j by c(beta^j).  A slot whose translate leaves N^n (its object
 became projective) contributes its classical determinantal factors in its
 final step and then drops out; the run ends when every slot is dead.
+alpha is reflected through ``HomTable.coxeter_step``; a live slot is always
+a positive root, so it advances by one lookup in ``HomTable.translates``.
+When the chain blocks, ``_terminal_cleanup`` walks the surviving slots down
+to simples by sink and source reflections, carrying the orientation as a
+tuple of arrows.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .quiver import Quiver, euler_form, reflect_dim
+from .quiver import Quiver, reflect_arrows, reflect_dim
 from .roots import hom_table
 
 
@@ -133,23 +138,6 @@ def evaluate(family: BFunctionFamily, m, z):
     return val
 
 
-def bracket_identity_check(d, a, b, mults=((1,), (2,), (3,))) -> bool:
-    """[s]^d_{a,b} * [s]^d_{0,a} == [s]^d_{0,b} as multisets of linear forms,
-    checked by expansion at several multiplicity tuples."""
-    if isinstance(d, int):
-        d = (d,)
-    r = len(d)
-    if not 0 <= a <= b:
-        raise ValueError(f"need 0 <= a <= b, got a = {a}, b = {b}")
-    left = family_from_terms(r, [BracketTerm(tuple(d), a, b), BracketTerm(tuple(d), 0, a)])
-    right = family_from_terms(r, [BracketTerm(tuple(d), 0, b)])
-    for m in mults:
-        mm = tuple(m) if len(m) == r else tuple(list(m) * r)[:r]
-        if expand(left, mm) != expand(right, mm):
-            return False
-    return True
-
-
 def render_term(t: BracketTerm) -> str:
     g = "".join(str(c) for c in t.gamma)
     rng = f"{t.b}" if t.a == 0 else f"{t.a},{t.b}"
@@ -190,33 +178,29 @@ def reflection_step(state: ReflectionState, direction=+1) -> ReflectionState:
 
     c and c^{-1} are those of ``hom_table(q).coxeter_step``: the simple
     reflections of the context's sink walk, applied forwards or backwards.
+    alpha takes that walk; a live slot is a positive root, so it advances by
+    one lookup in the context's ``translates``, which also says when it
+    dies.
 
     Raises _Blocked when a supported vertex would need a negative bracket
     endpoint.
     """
     q = state.quiver
-    r = len(state.betas)
     table = hom_table(q)
-    alpha2 = table.coxeter_step(state.alpha, direction)
-    betas2 = []
-    for b in state.betas:
-        if b is None:
-            betas2.append(None)
-            continue
-        nb = table.coxeter_step(b, direction)
-        betas2.append(nb if all(c >= 0 for c in nb) else None)
-    # forward: gammas from the current translates; backward: from the next
-    gamma_src = state.betas if direction > 0 else betas2
+    alpha, alpha2 = state.alpha, table.coxeter_step(state.alpha, direction)
+    step = table.translates[direction]
+    betas2 = [None if b is None else step[b] for b in state.betas]
+    # forward: gammas from the current translates; backward: from the next.
+    # A dead slot reads as the zero vector, so gamma_x is the column x of
+    # the live slots
+    zero = (0,) * q.n
+    gamma_src = [zero if b is None else b
+                 for b in (state.betas if direction > 0 else betas2)]
     offs = dict(state.offsets)
-    for x in range(q.n):
-        gamma = tuple(
-            (gamma_src[j][x] if gamma_src[j] is not None and
-             state.betas[j] is not None else 0)
-            for j in range(r)
-        )
+    for x, gamma in enumerate(zip(*gamma_src)):
         if not any(gamma):
             continue
-        lo, hi = alpha2[x], state.alpha[x]
+        lo, hi = alpha2[x], alpha[x]
         sign = 1
         if lo > hi:
             lo, hi = hi, lo
@@ -224,7 +208,7 @@ def reflection_step(state: ReflectionState, direction=+1) -> ReflectionState:
         if lo < 0:
             raise _Blocked(
                 f"negative bracket endpoint at vertex {x + 1}: "
-                f"alpha={state.alpha}, next alpha={alpha2}"
+                f"alpha={alpha}, next alpha={alpha2}"
             )
         for i in range(lo + 1, hi + 1):
             key = (gamma, i)
@@ -241,8 +225,16 @@ def _terminal_cleanup(state: ReflectionState) -> ReflectionState:
     classical determinantal factor [s]^{e^j}_{0, alpha_x} (its semi-invariant
     is the determinant of a generic alpha_x by alpha_x concatenation of arrow
     blocks).  A surviving non-simple slot is walked down to a simple with
-    sink reflections, which transform alpha and the live slots but contribute
+    sink and source reflections, which transform alpha and the live slots but contribute
     no brackets.
+
+    The walk carries the orientation as its arrows tuple and reads the sinks
+    and sources, and the Euler form <alpha, e_x>, from it.  A reflection at
+    x changes coordinate x alone, and the neighbours that give it depend on
+    the underlying graph only, so a candidate's legality and the height it
+    leaves are read from that one coordinate of each vector; the chosen
+    reflection is ``reflect_dim``.  The quiver of the orientation reached is
+    built once, on return.
 
     Each step of the walk reads only the orientation, alpha and the slots,
     never the offsets, and a slot's death is irreversible.  So when that
@@ -252,7 +244,9 @@ def _terminal_cleanup(state: ReflectionState) -> ReflectionState:
     many images, and there are finitely many orientations.
     """
     q = state.quiver
-    alpha = list(state.alpha)
+    n, nbrs = q.n, q.adjacency
+    arrows = q.arrows
+    alpha = state.alpha
     betas = list(state.betas)
     offs = dict(state.offsets)
     r = len(betas)
@@ -266,41 +260,53 @@ def _terminal_cleanup(state: ReflectionState) -> ReflectionState:
             if alpha[x] < 0:
                 raise TerminalRuleInapplicable(
                     f"classical factor with negative size at vertex {x + 1}")
-            if euler_form(q, tuple(alpha), b) != 0:
+            # <alpha, e_x> on the current orientation
+            if alpha[x] != sum(alpha[t - 1] for t, h in arrows if h == x + 1):
                 raise TerminalRuleInapplicable(
                     "classical factor is not a square determinant")
             gamma = tuple(1 if t == j else 0 for t in range(r))
             for i in range(1, alpha[x] + 1):
                 offs[(gamma, i)] = offs.get((gamma, i), 0) + 1
             betas[j] = None
-        if not any(b is not None for b in betas):
+        live = [b for b in betas if b is not None]
+        if not live:
             break
-        key = (q.arrows, tuple(alpha), tuple(betas))
+        key = (arrows, alpha, tuple(betas))
         if key in seen:
             raise TerminalRuleInapplicable("terminal reflections did not converge")
         seen.add(key)
-        # legal reflection: the generic representation must have no simple
-        # summand at the reflected vertex (the new coordinate stays >= 0)
-        legal = [x for x in q.sinks() + q.sources()
-                 if reflect_dim(q, x, tuple(alpha))[x - 1] >= 0
-                 and all(b is None or reflect_dim(q, x, b)[x - 1] >= 0
-                         for b in betas)]
-        if not legal:
+        # legal reflection at a sink or source x: the generic representation
+        # must have no simple summand at x (the new coordinate x stays >= 0).
+        # Among the legal ones, prefer the reflection that shrinks the
+        # surviving slots fastest
+        tails = {t for t, _ in arrows}
+        heads = {h for _, h in arrows}
+        best = None
+        for x in ([v for v in range(1, n + 1) if v not in tails]
+                  + [v for v in range(1, n + 1) if v not in heads]):
+            around = nbrs[x - 1]
+            if sum(alpha[y] for y in around) < alpha[x - 1]:
+                continue
+            height = 0
+            for b in live:
+                new = sum(b[y] for y in around) - b[x - 1]
+                if new < 0:
+                    break
+                height += sum(b) - b[x - 1] + new
+            else:
+                if best is None or (height, x) < best:
+                    best = (height, x)
+        if best is None:
             raise TerminalRuleInapplicable("no legal reflection available")
-        # prefer the reflection that shrinks the surviving slots fastest
-        def live_height(x):
-            return sum(sum(reflect_dim(q, x, b)) for b in betas if b is not None)
-        x = min(legal, key=lambda v: (live_height(v), v))
-        alpha = list(reflect_dim(q, x, tuple(alpha)))
-        for j in range(r):
-            if betas[j] is not None:
-                nb = reflect_dim(q, x, betas[j])
-                if any(c < 0 for c in nb):
-                    raise TerminalRuleInapplicable(
-                        "sink reflection made a surviving slot negative")
-                betas[j] = nb
-        q = q.reflect(x)
-    return ReflectionState(q, tuple(alpha), betas, offs, state.steps)
+        x = best[1]
+        # legality kept coordinate x of every live slot >= 0, and no other
+        # coordinate changes, so the slots stay positive roots
+        alpha = reflect_dim(q, x, alpha)
+        betas = [None if b is None else reflect_dim(q, x, b) for b in betas]
+        arrows = reflect_arrows(arrows, x)
+    if arrows != q.arrows:
+        q = Quiver(n, arrows)
+    return ReflectionState(q, alpha, betas, offs, state.steps)
 
 
 def compute_bfunction(q: Quiver, alpha, simples) -> BFunctionFamily:
@@ -316,11 +322,17 @@ def compute_bfunction(q: Quiver, alpha, simples) -> BFunctionFamily:
     ``_terminal_cleanup``.
 
     Raises NonDynkinError off Dynkin type, from the cached ``hom_table(q)``
-    that every reflection step reads.
+    that every reflection step reads, and then ValueError when alpha is not
+    a nonnegative n-vector or a simple is not a positive root of q.
     """
-    hom_table(q)
+    table = hom_table(q)
     alpha = tuple(int(a) for a in alpha)
+    if len(alpha) != q.n or min(alpha) < 0:
+        raise ValueError(f"alpha = {alpha} is not a nonnegative {q.n}-vector")
     simples = [tuple(s) for s in simples]
+    for s in simples:
+        if s not in table.index:
+            raise ValueError(f"simple {s} is not a positive root of the quiver")
     # a slot whose matrix d^V_S is 0 x 0 is the constant semi-invariant 1;
     # it contributes no factors and drops out immediately
     betas = [

@@ -51,14 +51,6 @@ class Quiver:
 
     # -- basic structure ---------------------------------------------------
 
-    def sinks(self):
-        outs = {t for t, _ in self.arrows}
-        return [x for x in range(1, self.n + 1) if x not in outs]
-
-    def sources(self):
-        ins = {h for _, h in self.arrows}
-        return [x for x in range(1, self.n + 1) if x not in ins]
-
     @cached_property
     def adjacency(self):
         """adjacency[x]: the neighbours of vertex x + 1 in the underlying
@@ -72,8 +64,7 @@ class Quiver:
 
     def reflect(self, x):
         """Reverse all arrows at x (valid new quiver when x is a sink or source)."""
-        arr = tuple((h, t) if t == x or h == x else (t, h) for t, h in self.arrows)
-        return Quiver(self.n, arr)
+        return Quiver(self.n, reflect_arrows(self.arrows, x))
 
     def topological_order(self):
         indeg = [0] * (self.n + 1)
@@ -100,6 +91,11 @@ class Quiver:
         pattern (every vertex reflected once returns the orientation).
         """
         return list(reversed(self.topological_order()))
+
+
+def reflect_arrows(arrows, x):
+    """The arrows tuple with every arrow at vertex x reversed, in place."""
+    return tuple((h, t) if t == x or h == x else (t, h) for t, h in arrows)
 
 
 # -- dimension vector helpers ----------------------------------------------

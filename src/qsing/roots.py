@@ -10,13 +10,16 @@ Every reflection is ``quiver.reflect_dim``, which reads the neighbour lists
 that ``Quiver.adjacency`` builds once from the arrows.  The Coxeter
 transformation c and its inverse are not stored: ``HomTable.coxeter_step``
 reflects a vector at the first n steps of the same walk, forwards for c
-and backwards for c^-1.  No representation matrix is built here; the
-tests check the table against explicit matrices, and ``jacobian.realize``
-builds a root's matrices mod a prime on demand and keeps them on the
-context.  The class walk's packed integers are kept there on demand too,
-one ``orbits._Packing`` per field width, and so are the two per-root
-bitmasks ``orth`` and ``below`` from which ``decomp.perp_simples`` reads the
-perpendicular simples, built on first use rather than by ``hom_table``.
+and backwards for c^-1, and ``HomTable.translates`` keeps, built on first
+use, the image under c and under c^-1 of every positive root, from which
+the b-function recursion advances its slots.  No representation matrix is
+built here; the tests check the table against explicit matrices, and
+``jacobian.realize`` builds a root's matrices mod a prime on demand and
+keeps them on the context.  The class walk's packed integers are kept there
+on demand too, one ``orbits._Packing`` per field width, and so are the two
+per-root bitmasks ``orth`` and ``below`` from which ``decomp.perp_simples``
+reads the perpendicular simples, built on first use rather than by
+``hom_table``.
 ``hom_table`` is the only cache of the package: everything else derived
 from a quiver alone hangs off its context.
 """
@@ -73,9 +76,10 @@ class HomTable:
 
     What later layers derive from the quiver alone is kept here too, filled
     on demand: ``jacobian``'s realized roots and kernels, the packed
-    integers of ``orbits``' class walk, and the bitmasks ``orth`` and
-    ``below`` of ``decomp.perp_simples`` (bit j of a mask stands for root
-    j), each built once, on first use.
+    integers of ``orbits``' class walk, the bitmasks ``orth`` and ``below``
+    of ``decomp.perp_simples`` (bit j of a mask stands for root j), and the
+    Coxeter images ``translates`` of the roots, which the b-function
+    recursion of ``brackets`` reads, each built once, on first use.
     """
 
     quiver: Quiver
@@ -122,6 +126,21 @@ class HomTable:
             for j, h in enumerate(h_row):
                 if h and i != j and ((packed[j] | guard) - p) & guard == guard:
                     out[j] |= 1 << i
+        return out
+
+    @cached_property
+    def translates(self):
+        """translates[d][r]: c^d(r) for d = +1 and d = -1 and each positive
+        root r, or None when that image is not positive.  c maps roots to
+        roots, so the image is then a negative root: the object of r is
+        projective (d = +1) or injective (d = -1).  Built from
+        ``coxeter_step``; the b-function recursion advances its slots, which
+        are positive roots, by one lookup here."""
+        out = {}
+        for d in (+1, -1):
+            images = (self.coxeter_step(r, d) for r in self.roots)
+            out[d] = {r: w if min(w) >= 0 else None
+                      for r, w in zip(self.roots, images)}
         return out
 
     def coxeter_step(self, v, direction=+1):

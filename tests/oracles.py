@@ -41,6 +41,10 @@ tests a class against a zero set's selected simples by bilinearity.
 ``affine_add`` is the reference for ``qsing.affine.Affine``'s arithmetic:
 addition as one dict merge with zeros dropped and a sort, with no fast path.
 
+``bracket_identity_check`` tests the telescoping identity of brackets,
+[s]^d_{a,b} [s]^d_{0,a} = [s]^d_{0,b}, on which the b-function recursion
+of ``qsing.brackets`` rests, by expanding both sides.
+
 Everything is exact: matrices hold Fraction entries, or integers mod the
 prime in the whole-matrix Jacobian.  ``conftest.py``
 registers this module for pytest's assertion rewriting, so its checks
@@ -54,6 +58,7 @@ from fractions import Fraction
 
 from qsing import jacobian
 from qsing.affine import Affine
+from qsing.brackets import BracketTerm, expand, family_from_terms
 from qsing.decomp import (PerpData, RepClass, class_hom, class_self_ext,
                           generic_decomposition, make_class, perp_simples)
 from qsing.orbits import _geq, _packing, _profile, _walk, is_set_theoretic_ci, survey
@@ -71,6 +76,25 @@ def affine_add(x: Affine, y: Affine) -> Affine:
         m[s] = m.get(s, 0) + c
     return Affine(x.const + y.const,
                   tuple(sorted((s, c) for s, c in m.items() if c)))
+
+
+# -- brackets ----------------------------------------------------------------
+
+def bracket_identity_check(d, a, b, mults=((1,), (2,), (3,))) -> bool:
+    """[s]^d_{a,b} * [s]^d_{0,a} == [s]^d_{0,b} as multisets of linear forms,
+    checked by expansion at several multiplicity tuples."""
+    if isinstance(d, int):
+        d = (d,)
+    r = len(d)
+    if not 0 <= a <= b:
+        raise ValueError(f"need 0 <= a <= b, got a = {a}, b = {b}")
+    left = family_from_terms(r, [BracketTerm(tuple(d), a, b), BracketTerm(tuple(d), 0, a)])
+    right = family_from_terms(r, [BracketTerm(tuple(d), 0, b)])
+    for m in mults:
+        mm = tuple(m) if len(m) == r else tuple(list(m) * r)[:r]
+        if expand(left, mm) != expand(right, mm):
+            return False
+    return True
 
 
 # -- exact linear algebra over the rationals ---------------------------------

@@ -12,7 +12,6 @@ import pytest
 
 from qsing.brackets import (
     BracketTerm,
-    bracket_identity_check,
     compute_bfunction,
     family_from_terms,
 )
@@ -44,7 +43,7 @@ from qsing.quiver import Quiver, euler_form
 from qsing.roots import hom_table, positive_roots
 
 from conftest import E6_ALPHA, E8_ALPHA
-from oracles import vanishing_mismatches
+from oracles import bracket_identity_check, vanishing_mismatches
 
 
 def report(criterion, ok, note=""):

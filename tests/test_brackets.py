@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsing import brackets
 from qsing.affine import Affine
 from qsing.brackets import (
     BracketTerm,
     ReflectionState,
     TerminalRuleInapplicable,
-    bracket_identity_check,
     compute_bfunction,
     evaluate,
     expand,
@@ -25,9 +25,10 @@ from qsing.brackets import (
 )
 from qsing.bsato import sym_state_from_family
 from qsing.decomp import generic_decomposition, perp_simples
-from qsing.quiver import NonDynkinError, Quiver
+from qsing.quiver import NonDynkinError, Quiver, reflect_dim
+from qsing.roots import hom_table
 
-from oracles import coxeter_matrix
+from oracles import bracket_identity_check, coxeter_matrix
 
 
 def offsets_of(terms, r):
@@ -321,14 +322,15 @@ def test_terminal_walk_stops_at_its_first_repeated_state(d5, monkeypatch):
     alpha = (0, 1, 1, 0, 0)
     p = perp_simples(d5, generic_decomposition(d5, alpha))
     assert p.r == 3
+    # the walk reverses its arrows tuple once per reflection
     calls = []
-    reflect = Quiver.reflect
+    reflect = brackets.reflect_arrows
 
-    def counted(self, x):
+    def counted(arrows, x):
         calls.append(x)
-        return reflect(self, x)
+        return reflect(arrows, x)
 
-    monkeypatch.setattr(Quiver, "reflect", counted)
+    monkeypatch.setattr(brackets, "reflect_arrows", counted)
     with pytest.raises(TerminalRuleInapplicable) as exc:
         compute_bfunction(d5, alpha, p.simples)
     assert str(exc.value) == "terminal reflections did not converge"
@@ -389,6 +391,69 @@ def test_box_outcomes_match_recorded_digest():
             for name, _q, alpha, got in box_outcomes()]
     text = json.dumps(rows, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == BOX_DIGEST
+
+
+# sha256 of json [name, alpha, selection, term multiset or "raise:" +
+# message] over every single and every pair of perpendicular simples on the
+# box, in order, the selection given by the simples' positions; recorded
+# while the slots were advanced by ``coxeter_step`` and the terminal walk
+# built a quiver per reflection
+SELECTION_DIGEST = "bc29d3b13543dab00390c2accce12e638b807fa9c960bb8d6ef1314ac71c9f6d"
+
+
+def test_single_and_pair_selections_match_recorded_digest():
+    rows = []
+    for name, q, alpha, _got in box_outcomes():
+        simples = perp_simples(q, generic_decomposition(q, alpha)).simples
+        for k in (1, 2):
+            for sel in itertools.combinations(range(len(simples)), k):
+                try:
+                    got = compute_bfunction(
+                        q, alpha, [simples[i] for i in sel]).term_multiset()
+                except TerminalRuleInapplicable as exc:
+                    got = "raise:" + str(exc)
+                rows.append([name, list(alpha), list(sel), got])
+    assert len(rows) == 7666
+    assert sum(isinstance(got, str) for *_, got in rows) == 106
+    text = json.dumps(rows, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == SELECTION_DIGEST
+
+
+def coxeter_by_sink_sequence(q, v, direction):
+    """c(v), or c^-1(v) for direction -1, as ``reflect_dim`` composed along
+    the admissible sink sequence x_1, ..., x_n: c = s_{x_n} ... s_{x_1}."""
+    seq = q.admissible_sink_sequence()
+    for x in (seq if direction > 0 else reversed(seq)):
+        v = reflect_dim(q, x, v)
+    return v
+
+
+@pytest.mark.parametrize("name", [name for name, _q, _b in BOX] + ["e7", "e8"])
+def test_translates_match_the_sink_sequence(name, e7, e8, monkeypatch):
+    """``translates`` maps each positive root to its Coxeter image, or to
+    None when that image is a negative root, in both directions, and c^-1
+    undoes c.  ``hom_table`` leaves it unbuilt; the recursion builds it on
+    a fresh context once, on first use."""
+    q = {"e7": e7, "e8": e8, **{n: q for n, q, _b in BOX}}[name]
+    table = hom_table.__wrapped__(q)
+    assert "translates" not in vars(table)
+    monkeypatch.setattr(brackets, "hom_table", lambda _q: table)
+    alpha = (1,) * q.n
+    simples = perp_simples(q, generic_decomposition(q, alpha)).simples
+    compute_bfunction(q, alpha, simples[:2])
+    built = vars(table)["translates"]
+    compute_bfunction(q, alpha, simples[-2:])
+    assert vars(table)["translates"] is built
+    assert sorted(built) == [-1, 1]
+    for d in (1, -1):
+        assert set(built[d]) == set(table.roots)
+        for r in table.roots:
+            w = coxeter_by_sink_sequence(q, r, d)
+            assert w in table.index or tuple(-c for c in w) in table.index
+            assert built[d][r] == (w if w in table.index else None)
+    for r, w in built[1].items():
+        if w is not None:
+            assert built[-1][w] == r
 
 
 def coxeter_order(q):

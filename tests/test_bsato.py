@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -13,7 +14,6 @@ from qsing.affine import Affine, Box, aff_from_json, aff_to_json
 from qsing.brackets import (
     BracketTerm,
     TerminalRuleInapplicable,
-    bracket_identity_check,
     compute_bfunction,
     expand,
     family_from_terms,
@@ -44,6 +44,11 @@ from qsing.bsato import (
 from qsing.decomp import generic_decomposition, perp_simples
 from qsing.orbits import make_spec
 from qsing.presets import E6_QUIVER, preset
+from qsing.quiver import Quiver
+
+from oracles import bracket_identity_check
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 E6_FAMILY_PAPER_ORDER = lambda n, m: family_from_terms(4, [
     # paper's own variable order (s_1..s_4) for readability in these tests
@@ -118,6 +123,11 @@ INPUT_CHECKS = [
     "Affine.of(Fraction(1, 2))",
     "Affine.sym('k') * Fraction(1, 2)",
     "aff_from_json({'const': '1/2', 'coeffs': {}})",
+    # the b-function's alpha is a nonnegative n-vector and its simples are
+    # positive roots of the quiver
+    "compute_bfunction(Quiver(2, ((1, 2),)), (1, 1, 1), [(0, 1)])",
+    "compute_bfunction(Quiver(2, ((1, 2),)), (1, -1), [(0, 1)])",
+    "compute_bfunction(Quiver(2, ((1, 2),)), (1, 1), [(0, 2)])",
 ]
 
 
@@ -132,9 +142,13 @@ def test_input_checks_survive_optimize():
     source = "\n".join([
         "from fractions import Fraction",
         "from qsing.affine import Affine, Box, aff_from_json",
-        "from qsing.brackets import BracketTerm, bracket_identity_check, "
-        "expand, family_from_terms",
+        "import sys",
+        "sys.path.insert(0, %r)" % TESTS,
+        "from qsing.brackets import BracketTerm, compute_bfunction, expand, "
+        "family_from_terms",
         "from qsing.bsato import generator_bc, single_variable_roots",
+        "from qsing.quiver import Quiver",
+        "from oracles import bracket_identity_check",
         "E8_POS_FAMILY = lambda n: family_from_terms(2, [",
         "    BracketTerm((0, 1), 0, 4 * n), BracketTerm((0, 1), n, 3 * n, 2),",
         "    BracketTerm((0, 1), 2 * n, 4 * n), BracketTerm((1, 0), 0, n),",
