@@ -31,9 +31,16 @@ parent's by more than the parent's interquartile range.  It also gives
 ``within_bound``: whether the change's median is worse than the parent's by
 no more than the metric's ``bound`` in BENCHMARK.json, a fraction of the
 parent's median.  The table printed at the end reads both.
+
+The record names the code each side measured: ``sources`` holds, per side,
+the sha256 of the package sources ``src/qsing/*.py`` (``source_digest``),
+read from the files alone, so a ``git archive`` checkout with no history
+gets one too.
 """
 
 import argparse
+import glob
+import hashlib
 import json
 import os
 import platform
@@ -50,6 +57,18 @@ def clear_bytecode(root):
         if "__pycache__" in dirnames:
             shutil.rmtree(os.path.join(dirpath, "__pycache__"))
             dirnames.remove("__pycache__")
+
+
+def source_digest(root):
+    """The sha256 of the package sources ``src/qsing/*.py`` under ``root``:
+    each file's name and byte length, then its bytes, in file-name order."""
+    digest = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(root, "src", "qsing", "*.py"))):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        digest.update(f"{os.path.basename(path)}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def run_once(root, workload, seed, seconds, trace):
@@ -184,6 +203,7 @@ def main():
                        f"{args.traced_seed}, parent first"
                        if args.traced_seed is not None else ""),
         "host": host(),
+        "sources": {"parent": source_digest(parent), "change": source_digest(change)},
         "claim": args.claim,
         "summary": {},
         "runs": [],

@@ -24,19 +24,24 @@ chain to climb.
 The accumulator of the two class walks (``_Bounds``) sums, over the partial
 class C of dimension c, Hom and Ext against the generic representation T of
 alpha and the perpendicular simples S_j.  The fields bound what every class
-X with C as a summand reaches, by four facts proved in ``_Bounds``: X lies
+X with C as a summand reaches, by five facts proved in ``_Bounds``: X lies
 in the closure of the orbit of T, so (i) Ext(X,X) >= Ext(X,T), Ext(T,X);
 (ii) Ext(X,T) >= max(Ext(C,T), Hom(C,T) - Hom(T,T)) and the same swapped;
-(iii) Hom(X,S_j) = Ext(X,S_j) >= Ext(C,S_j); and, on the remainder
-y = alpha - c, (iv) Ext(X,X) >= Ext(C,C) + max(0, -<c,y>) + max(0, -<y,c>).
+(iii) Hom(X,S_j) = Ext(X,S_j) >= Ext(C,S_j); on the remainder
+y = alpha - c, (iv) Ext(X,X) >= Ext(C,C) + max(0, -<c,y>) + max(0, -<y,c>);
+and, as every representation of dimension y degenerates to the semisimple
+E_y, (v) Hom(X,S_j) <= Hom(C,S_j) + Hom(E_y,S_j).
 - ``enumerate_classes`` with ``max_self_ext = k`` cuts once a bound (i),
   (ii) or (iv) exceeds k.  Its accumulator also carries, for every root
   R_i, the sums of Ext and of Hom between C and R_i, so one more copy of a
   root updates Ext(C,C) and the Euler forms of (iv) from two field reads.
   Components of Z(f_1,...,f_k) have codimension at most k (Krull), so
-  ``components`` runs that walk and builds a class only at a leaf whose
-  Hom(X,S_j) fields put it in the zero set.  On e8-notred it visits 2,384
-  nodes (21,787 without (iv), 59,634 with self-Ext alone).
+  ``components`` runs that walk with the simples' fields of (v) added,
+  which cut once some Hom(X,S_j) can no longer reach 1: every leaf is then
+  a class of the zero set.  On e8-notred it visits 1,651 nodes and yields
+  9 leaves (2,384 nodes and 536 leaves without (v), 21,787 nodes without
+  (iv) or (v), 59,634 with self-Ext alone).  Where some Hom(E_alpha,S_j)
+  is 0 the zero set is empty and it walks nothing.
 - The survey (``survey``) keeps only rare classes (the Hom-dimension-one
   points, the per-index witness patterns and one Z' witness) and cuts once
   some Hom(X,S_j) must exceed 1 and the branch can no longer give a new Z'
@@ -58,6 +63,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
+from operator import mul
 
 from .decomp import (
     PerpData,
@@ -94,6 +101,8 @@ class _Packing:
     rowsum: list  # the entry sum of rows[i]
     # root index -> its ``gain_columns``, filled on demand
     gain_cols: dict = field(default_factory=dict, repr=False)
+    # root index -> its ``zero_column``, filled on demand
+    zero_cols: dict = field(default_factory=dict, repr=False)
 
     def gain_columns(self, i):
         """Three gain columns against root i of the table, each a list over
@@ -116,6 +125,18 @@ class _Packing:
             against_s.append(hp + (ep << w))
         self.gain_cols[i] = cols = (against_t, against_t_y, against_s)
         return cols
+
+    def zero_column(self, i):
+        """The gain column of bound (v) of ``_Bounds`` against root i, a list
+        over the walk positions p with R_p the root there: Hom(E_p,X_i) -
+        Hom(R_p,X_i) >= 0, with E_p the semisimple of dimension r_p."""
+        col = self.zero_cols.get(i)
+        if col is None:
+            roots, hom = self.table.roots, self.table.hom
+            sx = [row[i] for row in _simple_rows(self.table)]
+            col = self.zero_cols[i] = [sum(map(mul, roots[p], sx)) - hom[p][i]
+                                       for p in self.table.walk]
+        return col
 
     @cached_property
     def root_columns(self):
@@ -166,6 +187,20 @@ def _packing(q: Quiver, alpha) -> _Packing:
             [_pack(table.roots[i], w) for i in table.walk],
             [_pack(row, w) for row in table.hom], [sum(row) for row in table.hom])
     return pk
+
+
+def _simple_rows(table):
+    """dim Hom(S_x, -) for each vertex x: the Hom rows of the simple roots.
+    Sorted by height, then lexicographically, the roots start with the
+    simple roots at vertices n, n - 1, ..., 1."""
+    return table.hom[table.quiver.n - 1::-1]
+
+
+def _semisimple_homs(table, alpha, simples):
+    """dim Hom(E_alpha, S_j) for each simple S_j, E_alpha the semisimple
+    (+)_x S_x^{alpha_x}, the zero point of Rep(Q,alpha)."""
+    rows = _simple_rows(table)
+    return [sum(a * row[table.index[s]] for a, row in zip(alpha, rows)) for s in simples]
 
 
 def _geq(guard, a, b):
@@ -305,6 +340,8 @@ def _acc_width(q: Quiver, alpha) -> int:
     dim Hom(X,Y) <= sum_v x_v y_v, so dim Ext(X,Y) = dim Hom(X,Y) - <x,y>
     <= sum_{a: t->h} x_t y_h.  Let B = sum_v m_v^2 + sum_a m_t m_h.
     - A field against T, S_j or C itself sums one such dimension: at most B.
+      So does V_j = Hom(E_c,S_j) - Hom(C,S_j) <= Hom(E_alpha,S_j) <=
+      sum_v alpha_v s_v, as dim Hom(S_x,S) <= dim S(x).
     - A remainder field is at least 0 and at most B.  Since
       <c,y> = sum_v c_v y_v - sum_a c_t y_h and c_v + y_v = alpha_v,
       -<c,y> >= -sum_v c_v y_v >= -off, with off = sum_v floor(alpha_v^2/4).
@@ -339,12 +376,15 @@ class _Bounds:
       keeps them nonnegative (``_acc_width``);
     - fields 8 + 2i and 9 + 2i: E_i = Ext(C,R_i) + Ext(R_i,C) and H_i =
       Hom(C,R_i) + Hom(R_i,C) for the root R_i at each walk position i;
-    - from field ``simple`` on, Hom(C,S_j) and Ext(C,S_j) for each j.
-    Fields 4-7 and the per-root fields are those of ``_bounded_walk``, where
-    ``simple`` is 8 + 2N for N roots; the survey adds only the constant gains
-    against T and S_j, has no per-root fields and ``simple`` is 8.  So the
-    per-root fields and their columns (``_Packing.root_columns``) depend on
-    the quiver and w alone, not on the simples.
+    - from field ``simple`` on, Hom(C,S_j) and Ext(C,S_j) for each j;
+    - from field ``simple`` + 2r on, for r simples, V_j = Hom(E_c,S_j) -
+      Hom(C,S_j) for each j, E_c the semisimple (+)_x S_x^{c_x}.
+    Fields 4-7, the per-root fields and the V_j are those of
+    ``_bounded_walk``, where ``simple`` is 8 + 2N for N roots; the survey
+    adds only the constant gains against T and S_j, has no per-root fields
+    and no V_j, and ``simple`` is 8.  So the per-root fields and their
+    columns (``_Packing.root_columns``) depend on the quiver and w alone,
+    not on the simples.
 
     Every X lies in the closure of the dense orbit O_T.  For every class X
     of alpha that has C as a direct summand:
@@ -365,15 +405,33 @@ class _Bounds:
           least -<c,y> (the Euler-form bound on general representations,
           Schofield 1992); the same with the arguments swapped.  Here
           -<c,y> = <c,c> - <c,alpha> = Hom(C,C) - Ext(C,C) - Hom(C,T) +
-          Ext(C,T).
+          Ext(C,T);
+    (v)   Hom(X,S_j) <= Hom(C,S_j) + Hom(E_y,S_j) = Hom(E_alpha,S_j) - V_j,
+          E_y the semisimple of dimension y: X = C + Y with Y of dimension
+          y, and Y degenerates to E_y.  The underlying graph of Q is a
+          tree, so Q has a height h with h(ha) = h(ta) + 1 on every arrow
+          a; g(t)_x = t^h(x) multiplies every arrow by t, so g(t).Y -> 0 =
+          E_y as t -> 0, and V -> dim Hom(V,S_j), the nullity of d^V_{S_j},
+          is upper semicontinuous.  Hom(E_-,S_j) is additive in the
+          dimension vector, and V_j >= 0 as C degenerates to E_c.  X lies
+          in Z only if every Hom(X,S_j) >= 1 (c_S(V) = 0 iff Hom(V,S) != 0,
+          Derksen-Weyman, JAMS 2000), so only if every V_j <=
+          Hom(E_alpha,S_j) - 1; at a whole class, c = alpha, that is X in Z.
+          The zero point of Rep(Q,alpha) is E_alpha, so c_{S_j}(0) = 0 iff
+          Hom(E_alpha,S_j) >= 1.  A semi-invariant takes a character's
+          factor under g(t), so c_{S_j}(tV) = t^d c_{S_j}(V) for some d.
+          If Hom(E_alpha,S_j) = 0, then c_{S_j}(0) != 0 forces d = 0, and
+          c_{S_j}(V) = c_{S_j}(tV) -> c_{S_j}(0) as t -> 0: c_{S_j} is a
+          nonzero constant and Z is empty.  If it is at least 1, c_{S_j}
+          vanishes at 0 and is not a nonzero constant.
 
     The bound (iv) is at most k exactly when the four linear forms Ext(C,C),
     Ext(C,C) - <c,y>, Ext(C,C) - <y,c> and Ext(C,C) - <c,y> - <y,c> are,
     which fields 4-7 hold.  Unlike the other fields, fields 5-7 are not
     monotone along a walk.  A cut on them is sound all the same, since (iv)
     holds for every X with C as a summand, and that includes every larger
-    multiplicity of C's last root.  ``_acc_width`` gives w, the width of
-    the packing ``pk``.
+    multiplicity of C's last root.  The same holds for (v).  ``_acc_width``
+    gives w, the width of the packing ``pk``.
     """
 
     pk: _Packing  # ``_packing(q, alpha)``, whose columns the gains are built from
@@ -384,6 +442,7 @@ class _Bounds:
     off: int  # the offset of the remainder fields
     gains: list  # gains[p]: the constant fields one copy of the root at walk position p adds
     guard: int  # the guard bit of every field
+    ehom: list  # Hom(E_alpha,S_j) for each j with a V_j field; empty in the survey
 
     @property
     def w(self):
@@ -400,15 +459,19 @@ class _Bounds:
         return self.off * self.pk.self_columns[1]
 
     def limit(self, k):
-        """The packed limits of a class X with Ext(X,X) <= k, k >= 0: by (i)
-        and (ii), Ext(C,T), Ext(T,C) <= k and Hom(C,T), Hom(T,C) <= Hom(T,T)
-        + k; by (iv), each form of fields 4-7 <= k, plus its offset.  Fields
-        0-7 are at most B <= cap - B (``_acc_width``), and Hom(T,T) and
-        2 off are at most B, so a larger k than cap - max(Hom(T,T), 2 off)
-        cuts nothing more and is clamped to it; then no limit exceeds cap."""
+        """The packed limits of a class X in Z with Ext(X,X) <= k, k >= 0: by
+        (i) and (ii), Ext(C,T), Ext(T,C) <= k and Hom(C,T), Hom(T,C) <=
+        Hom(T,T) + k; by (iv), each form of fields 4-7 <= k, plus its
+        offset; by (v), each V_j <= Hom(E_alpha,S_j) - 1, which needs every
+        Hom(E_alpha,S_j) >= 1.  Fields 0-7 are at most B <= cap - B
+        (``_acc_width``), and Hom(T,T), 2 off and Hom(E_alpha,S_j) are at
+        most B, so a larger k than cap - max(Hom(T,T), 2 off) cuts nothing
+        more and is clamped to it; then no limit exceeds cap."""
         k, o, w = min(k, self.cap - max(self.htt, 2 * self.off)), self.off, self.w
+        top = self.n - len(self.ehom)
         return (_pack([k, self.htt + k, k, self.htt + k, k, o + k, o + k, 2 * o + k], w)
-                + (_fill(self.cap, w, self.n - 8) << (8 * w)))
+                + (_fill(self.cap, w, top - 8) << (8 * w))
+                + (_pack([e - 1 for e in self.ehom], w) << (top * w)))
 
     def fields(self, acc):
         """The field values of a packed accumulator, bottom first."""
@@ -432,18 +495,22 @@ def _bounds(pk: _Packing, alpha, t_class, simples, bounded=True) -> _Bounds:
     against T and the S_j, which the survey adds."""
     table, w, r = pk.table, pk.w, len(simples)
     ts = [(table.index[tr], m) for tr, m in t_class.parts]
-    simple, gains = 8, [0] * len(table.walk)
+    simple, gains, ehom = 8, [0] * len(table.walk), []
     if bounded:
         simple, gains = 8 + 2 * len(table.walk), pk.root_columns[0]
+        ehom = _semisimple_homs(table, alpha, simples)
     for t, m in ts:
         gains = [g + m * c for g, c in zip(gains, pk.gain_columns(t)[1 if bounded else 0])]
     for j, s in enumerate(simples):
-        shift = w * (simple + 2 * j)
-        gains = [g + (c << shift) for g, c in zip(gains, pk.gain_columns(table.index[s])[2])]
+        i = table.index[s]
+        zero = pk.zero_column(i) if bounded else repeat(0)
+        shift, up = w * (simple + 2 * j), w * (2 * r - j)  # V_j is 2r - j fields above Hom(C,S_j)
+        gains = [g + ((c + (v << up)) << shift)
+                 for g, c, v in zip(gains, pk.gain_columns(i)[2], zero)]
     htt = sum(mi * mj * table.hom[i][j] for i, mi in ts for j, mj in ts)
     off = sum(a * a // 4 for a in alpha)
-    n = simple + 2 * r
-    return _Bounds(pk, r, n, simple, htt, off, gains, _fill(1 << (w - 1), w, n))
+    n = simple + 2 * r + len(ehom)
+    return _Bounds(pk, r, n, simple, htt, off, gains, _fill(1 << (w - 1), w, n), ehom)
 
 
 def _bounded_walk(alpha, bd: _Bounds, k):
@@ -456,8 +523,12 @@ def _bounded_walk(alpha, bd: _Bounds, k):
     Hom(C,C) + H_p + 1.  Earlier copies of R_p are counted in E_p and H_p.
     Fields 5-7 take E_p and H_p with the coefficients of their forms.  The
     walk cuts a branch once any field exceeds ``bd.limit(k)``, one guarded
-    subtraction per child.
+    subtraction per child: once a bound (i), (ii) or (iv) on Ext(X,X)
+    exceeds k, or, with simples, once (v) leaves some Hom(X,S_j) no room
+    to reach 1.  So with simples every class streamed lies in their zero
+    set, and every Hom(E_alpha,S_j) must be at least 1.
     """
+    assert all(bd.ehom), "a constant semi-invariant leaves (v) no limit"
     pk = bd.pk
     w, mask = pk.w, (1 << pk.w) - 1
     gains, at = bd.gains, pk.root_columns[1]
@@ -633,20 +704,22 @@ def components(spec: ZeroSetSpec):
 
     Every component of a zero set of k polynomials has codimension <= k, so
     only classes with self-Ext <= k can be components; among those, the
-    Hom-order maxima coincide with the maxima over the whole zero set.  The
-    walk is ``enumerate_classes``' bounded walk against T = ``spec.t_class``
-    and the selected simples, so the Hom(X,S_j) fields of a leaf say whether
-    X lies in the zero set, and only those leaves become classes.
+    Hom-order maxima coincide with the maxima over the whole zero set.  When
+    some Hom(E_alpha,S_j) = 0 the zero set is empty, by (v) of ``_Bounds``,
+    and nothing is packed or walked.  Otherwise the walk is
+    ``enumerate_classes``' bounded walk against T = ``spec.t_class`` and
+    the selected simples, which also cuts on (v), so every leaf it streams
+    lies in the zero set and becomes a class.
     """
-    table, pk = hom_table(spec.quiver), _packing(spec.quiver, spec.alpha)
-    k = len(spec.selected)
-    bd = _bounds(pk, spec.alpha, spec.t_class, spec.selected_simples)
+    table, simples = hom_table(spec.quiver), spec.selected_simples
+    if not all(_semisimple_homs(table, spec.alpha, simples)):
+        return []
+    pk = _packing(spec.quiver, spec.alpha)
+    bd = _bounds(pk, spec.alpha, spec.t_class, simples)
     found = []
-    for chosen, acc in _bounded_walk(spec.alpha, bd, k):
-        homs = bd.homs(acc)
-        if all(homs):
-            cls = _class_of(table, chosen)
-            found.append((*_profile(pk, cls), cls, acc))
+    for chosen, acc in _bounded_walk(spec.alpha, bd, len(spec.selected)):
+        cls = _class_of(table, chosen)
+        found.append((*_profile(pk, cls), cls, acc))
     # equal profiles are equal classes, and one strictly below has a smaller sum
     found.sort(key=lambda t: t[1])
     maximal, reports = [], []

@@ -62,10 +62,6 @@ class Quiver:
             nbrs[h - 1].append(t - 1)
         return tuple(map(tuple, nbrs))
 
-    def reflect(self, x):
-        """Reverse all arrows at x (valid new quiver when x is a sink or source)."""
-        return Quiver(self.n, reflect_arrows(self.arrows, x))
-
     def topological_order(self):
         indeg = [0] * (self.n + 1)
         out = {v: [] for v in range(1, self.n + 1)}

@@ -7,7 +7,8 @@ rational matrices:
 
 * ``realize`` builds an indecomposable with a given root as dimension
   vector by Bernstein-Gelfand-Ponomarev reflection functors, reading the
-  root's walk from the table's ``steps``;
+  root's walk from the table's ``steps`` and reversing arrows with
+  ``reflect``;
 * ``hom_dim`` is the nullity of the matrix of
   d^V_W : (+)_x Hom(V(x),W(x)) -> (+)_a Hom(V(ta),W(ha)),
   which is the ground truth the table is checked against;
@@ -62,7 +63,7 @@ from qsing.brackets import BracketTerm, expand, family_from_terms
 from qsing.decomp import (PerpData, RepClass, class_hom, class_self_ext,
                           generic_decomposition, make_class, perp_simples)
 from qsing.orbits import _geq, _packing, _profile, _walk, is_set_theoretic_ci, survey
-from qsing.quiver import Quiver, euler_form, simple_root
+from qsing.quiver import Quiver, euler_form, reflect_arrows, simple_root
 from qsing.roots import hom_table, positive_roots
 
 
@@ -252,6 +253,11 @@ def _coreflect(q_src: Quiver, x, v: Representation) -> Representation:
     return Representation(q_src, tuple(dims), maps)
 
 
+def reflect(q: Quiver, x) -> Quiver:
+    """q with every arrow at x reversed, a quiver when x is a sink or source."""
+    return Quiver(q.n, reflect_arrows(q.arrows, x))
+
+
 def realize(q: Quiver, root) -> Representation:
     """Explicit indecomposable with dimension vector ``root``.
 
@@ -269,7 +275,7 @@ def realize(q: Quiver, root) -> Representation:
     xs = [x + 1 for x, _, _ in table.steps[:t + 1]]
     quivers = [q]
     for x in xs[:-1]:
-        quivers.append(quivers[-1].reflect(x))
+        quivers.append(reflect(quivers[-1], x))
     v = rep(quivers[t], simple_root(q.n, xs[t]), {})
     for s in range(t - 1, -1, -1):
         # xs[s] is a source of quivers[s+1]; reflect back to quivers[s]

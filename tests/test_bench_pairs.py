@@ -1,5 +1,6 @@
 """``scripts/bench_pairs.py``'s summary on synthetic runs: the gain rule and
-the bound check it stores per metric."""
+the bound check it stores per metric; and the digest of the package
+sources that names the code each side measured."""
 
 import importlib.util
 from pathlib import Path
@@ -72,3 +73,35 @@ def test_within_bound_is_a_fraction_of_the_parent_median(metric, change, within)
     # a gain is always within the bound
     gain = [2 * p - c for p, c in zip(PARENT, change)]
     assert bench_pairs.summarize(pairs(PARENT, gain, metric), METRICS)["w"][metric]["within_bound"]
+
+
+def write_package(root, files):
+    pkg = root / "src" / "qsing"
+    pkg.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (pkg / name).write_text(text)
+    return str(root)
+
+
+def test_source_digest_reads_the_package_sources_alone(tmp_path):
+    """The digest needs no git: it reads ``src/qsing/*.py`` and nothing else,
+    and it changes with any of their names or bytes."""
+    files = {"a.py": "x = 1\n", "b.py": "y = 2\n"}
+    root = write_package(tmp_path / "one", files)
+    digest = bench_pairs.source_digest(root)
+    assert len(digest) == 64 and not (tmp_path / "one" / ".git").exists()
+    # the same sources elsewhere, with other files and bytecode beside them
+    other = write_package(tmp_path / "two", files)
+    (tmp_path / "two" / "src" / "qsing" / "__pycache__").mkdir()
+    (tmp_path / "two" / "src" / "qsing" / "__pycache__" / "a.cpython-311.pyc").write_bytes(b"\0")
+    (tmp_path / "two" / "src" / "qsing" / "notes.txt").write_text("not a source")
+    (tmp_path / "two" / "README.md").write_text("outside the package")
+    assert bench_pairs.source_digest(other) == digest
+    changed = [
+        {"a.py": "x = 2\n", "b.py": "y = 2\n"},  # one byte edited
+        {"a.py": "x = 1\n", "c.py": "y = 2\n"},  # a file renamed
+        {"a.py": "x = 1\ny = 2\n", "b.py": ""},  # a line moved across files
+        {"a.py": "x = 1\n"},  # a file deleted
+    ]
+    for i, variant in enumerate(changed):
+        assert bench_pairs.source_digest(write_package(tmp_path / f"v{i}", variant)) != digest

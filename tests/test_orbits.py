@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import importlib.util
 import itertools
 import random
@@ -25,12 +26,12 @@ from qsing.orbits import (
     reducedness_report,
     survey,
 )
-from qsing.quiver import Quiver, euler_form
+from qsing.quiver import Quiver, euler_form, simple_root
 from qsing.roots import hom_table
 
-from oracles import (class_total, condition_ab_report, degenerates_to,
+from oracles import (class_total, condition_ab_report, degenerates_to, evaluate_semiinvariant,
                      gradient_condition_b_witness, hom_profile, in_zero_set, is_cover,
-                     jacobian_minor_det, tuple_walk)
+                     jacobian_minor_det, realize, rep, tuple_walk)
 
 
 def test_enumerate_a2(a2):
@@ -493,11 +494,17 @@ def test_bounded_enumeration_matches_the_filtered_tuple_walk(request):
             assert list(enumerate_classes(q, alpha, max_self_ext=k)) == want, (q, alpha, k)
 
 
+def semisimple(n, v):
+    """The class of the semisimple (+)_x S_x^{v_x}."""
+    return make_class([(simple_root(n, x + 1), c) for x, c in enumerate(v) if c])
+
+
 def bounded_nodes(monkeypatch, q, alpha, bd):
     """(walk positions stepped, accumulator) of every child the bounded walk
     steps to with no cut, dead ends and leaves included, and the number of
-    leaves.  Each step's accumulator is the one of its parent node or of the
-    previous copy of its root, which sit on the stack of the path."""
+    leaves.  The limits of (v) are lifted to the field cap, and k is too
+    large to cut.  Each step's accumulator is the one of its parent node or
+    of the previous copy of its root, which sit on the stack of the path."""
     nodes, real = [], orbits._walk
 
     def walk(pk, alpha, step, fits, acc):
@@ -513,27 +520,35 @@ def bounded_nodes(monkeypatch, q, alpha, bd):
         return real(pk, alpha, traced, fits, acc)
 
     monkeypatch.setattr(orbits, "_walk", walk)
-    leaves = sum(1 for _ in orbits._bounded_walk(alpha, bd, 10**9))
+    uncut = dataclasses.replace(bd, ehom=[bd.cap + 1] * len(bd.ehom))
+    leaves = sum(1 for _ in orbits._bounded_walk(alpha, uncut, 10**9))
     monkeypatch.undo()
     return nodes, leaves
 
 
 def test_bound_fields_decode_to_their_hom_and_ext(request, monkeypatch):
-    """Every field of every node of the bounded walk, with a limit too large
+    """Every field of every node of the bounded walk, with limits too large
     to cut, decodes to the Hom or Ext dimension it sums, so no field
     overflows into its neighbour or goes negative; the nodes satisfy facts
-    (i)-(iv), and the cut at k = 0..3 passes a node exactly when none of the
-    bounds (i), (ii) and (iv) on Ext(X,X) exceeds k."""
+    (i)-(v), and the cut at k = 0..3 passes a node exactly when none of the
+    bounds (i), (ii) and (iv) on Ext(X,X) exceeds k and, by (v), every
+    Hom(E_alpha,S_j) - V_j is at least 1.  Where some Hom(E_alpha,S_j) is
+    0, no limit is defined and ``components`` walks nothing."""
     for q, alpha in walk_box(request):
         table = hom_table(q)
         t = generic_decomposition(q, alpha)
         simples = perp_simples(q, t).simples
         bd = orbits._bounds(orbits._packing(q, alpha), alpha, t, simples)
+        ehom = [class_hom(table, semisimple(q.n, alpha), s) for s in simples]
+        assert bd.ehom == ehom
+        if not all(ehom):
+            assert components(make_spec(q, alpha)) == [], (q, alpha)
         single = [make_class([(table.roots[i], 1)]) for i in table.walk]
         nodes, leaves = bounded_nodes(monkeypatch, q, alpha, bd)
         for seq, acc in nodes:
             c = node_class(table, seq)
-            y = generic_decomposition(q, tuple(a - b for a, b in zip(alpha, class_total(c, q.n))))
+            cv = class_total(c, q.n)
+            y = generic_decomposition(q, tuple(a - b for a, b in zip(alpha, cv)))
             homs = [class_hom(table, c, s) for s in simples]
             exts = [class_ext(table, c, s) for s in simples]
             t_fields = [class_ext(table, c, t), class_hom(table, c, t),
@@ -546,16 +561,23 @@ def test_bound_fields_decode_to_their_hom_and_ext(request, monkeypatch):
             per_root = [v for r in single for v in (
                 class_ext(table, c, r) + class_ext(table, r, c),
                 class_hom(table, c, r) + class_hom(table, r, c))]
-            assert bd.fields(acc) == [*t_fields, codim, *rem, *per_root, *pairs], (q, alpha, c)
+            zero = [class_hom(table, semisimple(q.n, cv), s) - h for s, h in zip(simples, homs)]
+            assert bd.fields(acc) == [*t_fields, codim, *rem, *per_root, *pairs, *zero], (
+                q, alpha, c)
             assert bd.homs(acc) == homs
             bound = max(t_fields[0], t_fields[2], t_fields[1] - bd.htt, t_fields[3] - bd.htt,
                         codim + max(0, cy) + max(0, yc))  # (i), (ii) and (iv)
-            for k in range(4):
-                assert orbits._geq(bd.guard, bd.limit(k), acc) == (bound <= k), (q, alpha, c, k)
-            if class_total(c, q.n) == alpha:
+            room = all(e - v >= 1 for e, v in zip(ehom, zero))  # (v)
+            if all(ehom):
+                for k in range(4):
+                    assert orbits._geq(bd.guard, bd.limit(k), acc) == (bound <= k and room), (
+                        q, alpha, c, k)
+            assert all(0 <= v <= e for v, e in zip(zero, ehom))
+            if cv == alpha:
                 assert homs == exts  # (iii)
                 assert codim >= max(t_fields[0], t_fields[2])  # (i)
                 assert t_fields[1] - bd.htt == t_fields[0]  # (ii) at a whole class
+                assert room == all(homs)  # (v) at a whole class is membership in Z
         assert leaves == orbits._count_classes(orbits._packing(q, alpha), alpha)
 
 
@@ -568,8 +590,11 @@ def test_bounds_gains_match_their_definition(request, e8, e8_alpha):
     """Every gain of ``_bounds``, bounded and not, equals its fields as the
     ``_Bounds`` docstring lists them, rebuilt from ``hom_table`` and the
     Euler form and packed by ``_pack``; and ``_bounded_walk``'s offsets read
-    E_p and H_p.  Beside ``walk_box`` this reaches E8 at the widths of real
-    inputs: the two ``E8_NULLCONES`` and e8-notred."""
+    E_p and H_p.  The gain of V_j is Hom(E_{r_p},S_j) - Hom(R_p,S_j),
+    E_{r_p} the semisimple of dimension r_p, and its limit is set by
+    Hom(E_alpha,S_j).
+    Beside ``walk_box`` this reaches E8 at the widths of real inputs: the
+    two ``E8_NULLCONES`` and e8-notred."""
     cases = [*walk_box(request), *((e8, a) for a in E8_NULLCONES), (e8, e8_alpha(1))]
     per_root = {}  # quiver -> the per-root fields one copy of R_p adds, by walk position p
     for q, alpha in cases:
@@ -582,8 +607,10 @@ def test_bounds_gains_match_their_definition(request, e8, e8_alpha):
         simples = perp_simples(q, t).simples
         pk = orbits._packing(q, alpha)
         bd, sd = (orbits._bounds(pk, alpha, t, simples, bounded) for bounded in (True, False))
-        assert (bd.simple, bd.n) == (8 + 2 * len(walk), 8 + 2 * len(walk) + 2 * len(simples))
+        assert (bd.simple, bd.n) == (8 + 2 * len(walk), 8 + 2 * len(walk) + 3 * len(simples))
         assert (sd.simple, sd.n) == (8, 8 + 2 * len(simples))
+        assert bd.ehom == [class_hom(table, semisimple(q.n, alpha), s) for s in simples]
+        assert sd.ehom == []
         if q == e8 and alpha in E8_NULLCONES:
             assert (bd.w, bd.r) == E8_NULLCONES[alpha]
         for pos, p in enumerate(walk):
@@ -593,7 +620,9 @@ def test_bounds_gains_match_their_definition(request, e8, e8_alpha):
             ra, ar = euler_form(q, table.roots[p], alpha), euler_form(q, alpha, table.roots[p])
             rem = [1 - ra, 1 - ar, 2 - ra - ar]  # <r_p,r_p> = 1; E_p, H_p come from the walk
             pairs = [v for s in simples for v in (class_hom(table, x, s), class_ext(table, x, s))]
-            want = [*t_fields, 0, *rem, *per_root[q][pos], *pairs]
+            e_p = semisimple(q.n, table.roots[p])
+            zero = [class_hom(table, e_p, s) - class_hom(table, x, s) for s in simples]
+            want = [*t_fields, 0, *rem, *per_root[q][pos], *pairs, *zero]
             assert bd.gains[pos] == orbits._pack(want, bd.w), (q, alpha, pos)
             assert sd.gains[pos] == orbits._pack([*t_fields, 0, 0, 0, 0, *pairs], sd.w), (q, alpha, pos)
         at, mask = pk.root_columns[1], (1 << bd.w) - 1
@@ -687,6 +716,64 @@ def test_each_alpha_is_packed_once_at_its_accumulator_width(request, name, alpha
     survey(spec)
     assert components(spec) == first
     assert list(table.packed) == [w] and table.packed[w] is pk and pk.gain_cols == built
+
+
+@pytest.mark.parametrize("q, bound", [
+    (Quiver(3, ((1, 2), (2, 3))), 4), (Quiver(3, ((1, 2), (3, 2))), 4),
+    (Quiver(4, ((1, 4), (2, 4), (3, 4))), 3),
+])
+def test_semisimple_hom_is_zero_exactly_for_a_constant_semi_invariant(q, bound):
+    """Hom(E_alpha,S_j) = 0 exactly when c_{S_j} is a nonzero constant, on
+    explicit matrices: where it is at least 1, f = c_{S_j} vanishes at the
+    zero point but not at a random V, so f is not constant; where it is 0,
+    f(2V) = f(V) != 0 at a random V, and ``components`` finds no class."""
+    table, rng = hom_table(q), random.Random(7)
+    seen = collections.Counter()
+    for alpha in itertools.product(range(bound + 1), repeat=q.n):
+        if sum(alpha) > bound:
+            continue
+        coords = [(ai, i, j) for ai, (t, h) in enumerate(q.arrows)
+                  for i in range(alpha[h - 1]) for j in range(alpha[t - 1])]
+        values = {c: rng.randint(-9, 9) for c in coords}
+        v, v2 = rep(q, alpha, values), rep(q, alpha, {c: 2 * x for c, x in values.items()})
+        zero_point = rep(q, alpha, {})
+        for j, s in enumerate(perp_simples(q, generic_decomposition(q, alpha)).simples, 1):
+            e = orbits._semisimple_homs(table, alpha, [s])[0]
+            f = lambda point: evaluate_semiinvariant(point, realize(q, s))
+            if e:
+                assert f(zero_point) == 0 != f(v), (alpha, s)
+            else:
+                assert f(v2) == f(v) != 0, (alpha, s)
+                assert components(make_spec(q, alpha, (j,))) == [], (alpha, s)
+            seen[bool(e)] += 1
+    assert seen[True] and seen[False]
+
+
+def count_walks(monkeypatch):
+    """Wrap ``orbits._walk``: the list of the leaf counts of its walks."""
+    walks, real = [], orbits._walk
+
+    def walk(*args):
+        walks.append(0)
+        for leaf in real(*args):
+            walks[-1] += 1
+            yield leaf
+
+    monkeypatch.setattr(orbits, "_walk", walk)
+    return walks
+
+
+def test_components_walk_only_to_the_zero_set(a3, e8, e8_alpha, monkeypatch):
+    """The work the cut on (v) leaves: on e8-notred the walk yields only the
+    9 classes of the zero set with Ext(X,X) <= k, its 9 components, and on
+    A3 1 -> 2 -> 3 at alpha = (1,1,0), whose selection holds a constant
+    semi-invariant, no walk starts."""
+    walks = count_walks(monkeypatch)
+    assert len(components(make_spec(e8, e8_alpha(1)))) == 9
+    assert walks == [9]
+    walks.clear()
+    assert components(make_spec(a3, (1, 1, 0))) == []
+    assert walks == []
 
 
 def test_components_and_bounded_enumeration_share_one_walk(a3, monkeypatch):
