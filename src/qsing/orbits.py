@@ -64,7 +64,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from operator import mul
 
 from .decomp import (
     PerpData,
@@ -132,10 +131,9 @@ class _Packing:
         Hom(R_p,X_i) >= 0, with E_p the semisimple of dimension r_p."""
         col = self.zero_cols.get(i)
         if col is None:
-            roots, hom = self.table.roots, self.table.hom
-            sx = [row[i] for row in _simple_rows(self.table)]
-            col = self.zero_cols[i] = [sum(map(mul, roots[p], sx)) - hom[p][i]
-                                       for p in self.table.walk]
+            table = self.table
+            col = self.zero_cols[i] = [_semisimple_hom(table, table.roots[p], i) - table.hom[p][i]
+                                       for p in table.walk]
         return col
 
     @cached_property
@@ -189,18 +187,16 @@ def _packing(q: Quiver, alpha) -> _Packing:
     return pk
 
 
-def _simple_rows(table):
-    """dim Hom(S_x, -) for each vertex x: the Hom rows of the simple roots.
-    Sorted by height, then lexicographically, the roots start with the
-    simple roots at vertices n, n - 1, ..., 1."""
-    return table.hom[table.quiver.n - 1::-1]
+def _semisimple_hom(table, v, i):
+    """dim Hom(E_v, X_i) = sum_x v_x dim Hom(S_x, X_i), E_v the semisimple
+    (+)_x S_x^{v_x} of dimension v and X_i root i of the table."""
+    return sum(a * row[i] for a, row in zip(v, table.simple_hom) if a)
 
 
 def _semisimple_homs(table, alpha, simples):
     """dim Hom(E_alpha, S_j) for each simple S_j, E_alpha the semisimple
     (+)_x S_x^{alpha_x}, the zero point of Rep(Q,alpha)."""
-    rows = _simple_rows(table)
-    return [sum(a * row[table.index[s]] for a, row in zip(alpha, rows)) for s in simples]
+    return [_semisimple_hom(table, alpha, table.index[s]) for s in simples]
 
 
 def _geq(guard, a, b):

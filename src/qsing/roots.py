@@ -76,7 +76,9 @@ class HomTable:
 
     What later layers derive from the quiver alone is kept here too, filled
     on demand: ``jacobian``'s realized roots and kernels, the packed
-    integers of ``orbits``' class walk, the bitmasks ``orth`` and ``below``
+    integers of ``orbits``' class walk and the Hom rows ``simple_hom`` of
+    the simple roots, from which it reads Hom(E,X) at a semisimple E, the
+    bitmasks ``orth`` and ``below``
     of ``decomp.perp_simples`` (bit j of a mask stands for root j), and the
     Coxeter images ``translates`` of the roots, which the b-function
     recursion of ``brackets`` reads, each built once, on first use.
@@ -106,6 +108,13 @@ class HomTable:
 
     def ext_root(self, a, b):
         return self.ext[self.index[tuple(a)]][self.index[tuple(b)]]
+
+    @cached_property
+    def simple_hom(self):
+        """simple_hom[x]: the row dim Hom(S_x, -) of the simple root at
+        vertex x (0-based)."""
+        n = self.quiver.n
+        return [self.hom[self.index[simple_root(n, x)]] for x in range(1, n + 1)]
 
     @cached_property
     def orth(self):

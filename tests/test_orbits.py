@@ -533,7 +533,9 @@ def test_bound_fields_decode_to_their_hom_and_ext(request, monkeypatch):
     (i)-(v), and the cut at k = 0..3 passes a node exactly when none of the
     bounds (i), (ii) and (iv) on Ext(X,X) exceeds k and, by (v), every
     Hom(E_alpha,S_j) - V_j is at least 1.  Where some Hom(E_alpha,S_j) is
-    0, no limit is defined and ``components`` walks nothing."""
+    0, ``components`` walks nothing, (v) has no limit, and the cut with the
+    limits of (v) lifted to the field cap passes a node exactly when none
+    of (i), (ii) and (iv) exceeds k."""
     for q, alpha in walk_box(request):
         table = hom_table(q)
         t = generic_decomposition(q, alpha)
@@ -543,6 +545,7 @@ def test_bound_fields_decode_to_their_hom_and_ext(request, monkeypatch):
         assert bd.ehom == ehom
         if not all(ehom):
             assert components(make_spec(q, alpha)) == [], (q, alpha)
+        lifted = dataclasses.replace(bd, ehom=[bd.cap + 1] * len(bd.ehom))
         single = [make_class([(table.roots[i], 1)]) for i in table.walk]
         nodes, leaves = bounded_nodes(monkeypatch, q, alpha, bd)
         for seq, acc in nodes:
@@ -568,9 +571,12 @@ def test_bound_fields_decode_to_their_hom_and_ext(request, monkeypatch):
             bound = max(t_fields[0], t_fields[2], t_fields[1] - bd.htt, t_fields[3] - bd.htt,
                         codim + max(0, cy) + max(0, yc))  # (i), (ii) and (iv)
             room = all(e - v >= 1 for e, v in zip(ehom, zero))  # (v)
-            if all(ehom):
-                for k in range(4):
+            for k in range(4):
+                if all(ehom):
                     assert orbits._geq(bd.guard, bd.limit(k), acc) == (bound <= k and room), (
+                        q, alpha, c, k)
+                else:  # no limit for (v): the cut on (i), (ii) and (iv) alone
+                    assert orbits._geq(bd.guard, lifted.limit(k), acc) == (bound <= k), (
                         q, alpha, c, k)
             assert all(0 <= v <= e for v, e in zip(zero, ehom))
             if cv == alpha:
