@@ -17,6 +17,11 @@ The certifier and the independent checker split the work three ways:
 * Re-verification, checker only: the arithmetic of those multipliers,
   functionals and memberships.  The checker runs each rule on the state
   it rebuilds, and a node's branches must be exactly the rule's cases.
+
+Both sides carry K = -(sum of the fixed values) from a state to its child
+(``SymState.specialize``) rather than summing it again, and name a bracket
+in a certificate by its signature, JSON text that ``SymTerm.signature``
+writes directly.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .affine import Affine, Box, aff_from_json, aff_to_json
 from .brackets import BFunctionFamily, expand
@@ -184,16 +190,43 @@ def membership_in_ztilde(family: BFunctionFamily, z, box_bound=8) -> Membership:
 
 # -- symbolic branch state ----------------------------------------------------
 
+def _json_number(x):
+    """x as json.dumps writes it: str for an int, json.dumps for anything
+    else a family read from a file may hold (a bool or a float)."""
+    return str(x) if type(x) is int else json.dumps(x)
+
+
+def _affine_signature(a: Affine):
+    """aff_to_json(a) as json.dumps(..., sort_keys=True) writes it.  The
+    keys "coeffs" < "const" are in sorted order, and so are the symbols of
+    a canonical Affine; each symbol (a str) is encoded by the encoder
+    json.dumps itself uses, and the values are decimal strings that need
+    no escaping."""
+    if not a.coeffs:
+        return '{"coeffs": {}, "const": "%s"}' % a.const
+    coeffs = ", ".join(['%s: "%s"' % (encode_basestring_ascii(s), c)
+                        for s, c in a.coeffs])
+    return '{"coeffs": {%s}, "const": "%s"}' % (coeffs, a.const)
+
+
 @dataclass(frozen=True)
 class SymTerm:
+    """A bracket [s]^gamma_{a,b} of a branch state, with multiplicity.
+
+    Its signature names it in a certificate: the text of
+    ``json.dumps([list(gamma), aff_to_json(a), aff_to_json(b), mult],
+    sort_keys=True)``, written directly by ``_affine_signature`` and
+    ``_json_number``, with no encoder built per call."""
     gamma: tuple  # over active variables
     a: Affine
     b: Affine  # b - a concrete
     mult: int = 1
 
     def signature(self):
-        return json.dumps([list(self.gamma), aff_to_json(self.a),
-                           aff_to_json(self.b), self.mult], sort_keys=True)
+        return "[[%s], %s, %s, %s]" % (
+            ", ".join(map(_json_number, self.gamma)),
+            _affine_signature(self.a), _affine_signature(self.b),
+            _json_number(self.mult))
 
 
 def _is_unit(gamma):
@@ -202,16 +235,19 @@ def _is_unit(gamma):
 
 @dataclass
 class SymState:
+    """A branch: the active variables and their brackets, the values fixed
+    so far, the box of the symbols and the negation flags.
+
+    K = -(sum of the fixed values) is carried, not recomputed: the root
+    state has K = 0, and ``specialize`` hands its child K - value, so each
+    state costs one Affine subtraction however many values are fixed."""
     vars: tuple  # original 1-based variable indices still active
     terms: tuple  # SymTerm over the active variables
     fixed: tuple  # ((orig var, Affine value, clean_flag), ...) in fixing order
     box: Box
     flags: dict  # orig var -> frozenset of {"not_neg_int", "not_nat"}
     r_global: int
-    k_total: Affine = field(init=False)  # K = -(sum of fixed values)
-
-    def __post_init__(self):
-        self.k_total = -sum((v for _, v, _ in self.fixed), Affine(0))
+    k_total: Affine  # K = -(sum of fixed values)
 
     @property
     def clean(self):
@@ -236,7 +272,7 @@ class SymState:
         flags = {v: f for v, f in self.flags.items() if v != var}
         st = SymState(self.vars[:pos] + self.vars[pos + 1:], tuple(new_terms),
                       self.fixed + ((var, value, clean_flag),), self.box,
-                      flags, self.r_global)
+                      flags, self.r_global, self.k_total - value)
         return st, scalars
 
 
@@ -246,7 +282,7 @@ def sym_state_from_family(family: BFunctionFamily) -> SymState:
         for t in family.terms()
     )
     return SymState(tuple(range(1, family.r + 1)), terms, (), Box(), {},
-                    family.r)
+                    family.r, Affine(0))
 
 
 def check_form_assumption(family: BFunctionFamily) -> bool:
@@ -307,21 +343,30 @@ def leaf_last_var(state: SymState):
 
     The test runs on integers, scaled by g >= 1: the bound is gmu/g with
     gmu the minimum of g*K + a + 1, so it is >= r iff gmu >= g*r, and the
-    clean branch's (a+1)/g >= 1 reads min(a+1) >= g."""
+    clean branch's (a+1)/g >= 1 reads min(a+1) >= g.  The box's symbols
+    range independently, so where K or a is a constant the minimum is
+    g*min(K) + min(a) + 1, and g*K + a is built only when both hold a
+    symbol, which may cancel between them."""
     if len(state.vars) != 1 or not state.terms:
         return None
-    k_total = state.k_total
-    r = state.r_global
+    box, k_total, r = state.box, state.k_total, state.r_global
+    min_k = box.min_of(k_total)
     bounds = []
     for t in state.terms:
         g = t.gamma[0]
-        gmu = state.box.min_of(k_total * g + t.a + 1)
-        if gmu is None or gmu < g * r:
+        min_a = box.min_of(t.a)
+        if k_total.coeffs and t.a.coeffs:
+            gmu = box.min_of(k_total * g + t.a)
+        elif min_k is None or min_a is None:
+            gmu = None
+        else:
+            gmu = g * min_k + min_a
+        if gmu is None or gmu + 1 < g * r:
             return None
-        if gmu == g * r:
-            lo = state.box.min_of(t.a + 1)
-            if not (state.clean and lo is not None and lo >= g):
-                return None
+        gmu += 1
+        if gmu == g * r and not (state.clean and min_a is not None
+                                 and min_a + 1 >= g):
+            return None
         bounds.append((t, gmu, g))
     return bounds
 
@@ -423,8 +468,14 @@ class ReducACert:
 def _reduc_a_tuple_cert(state: SymState, terms, solve=solve):
     """u >= 0 with sum u*gamma = e and (conservatively)
     sum u*(a+1) - sum(fixed) > r_global; None if infeasible.  ``solve``
-    decides the integer LP system; the certifier passes its run's memo."""
+    decides the integer LP system; the certifier passes its run's memo.
+
+    When some coordinate d of e lies outside the support of every gamma,
+    the row sum u*gamma_d = 1 reads 0 = 1, so the system is infeasible and
+    None is returned before it is built."""
     rcur = len(state.vars)
+    if not all(any(t.gamma[d] for t in terms) for d in range(rcur)):
+        return None
     k = len(terms)
     mins = []
     for t in terms:
@@ -454,16 +505,17 @@ def reduc_a(state: SymState, positions, solve=solve):
     """Lemma (a) on the index set I of active positions: an LP certificate
     for every tuple of ``_lemma_a_tuples``, and the unit-root cases.
     Returns (certs, cases), or None when some tuple has no certificate or
-    ``unit_root_cases`` does not apply."""
-    cases = unit_root_cases(state, positions)
-    if cases is None:
-        return None
+    ``unit_root_cases`` does not apply.  The tuples go first: most index
+    sets fail at one of them, and then no case is built."""
     certs = []
     for terms in _lemma_a_tuples(state, positions):
         cert = _reduc_a_tuple_cert(state, terms, solve)
         if cert is None:
             return None
         certs.append(cert)
+    cases = unit_root_cases(state, positions)
+    if cases is None:
+        return None
     return certs, cases
 
 

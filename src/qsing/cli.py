@@ -274,9 +274,12 @@ def cmd_verify_certificate(args):
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"cannot read certificate: {exc}")
     try:
+        r = payload["r"]
+        if type(r) is not int or r < 1:
+            raise ValueError(f"r = {r!r} is not an integer >= 1")
         terms = [BracketTerm(tuple(t["gamma"]), t["a"], t["b"], t["mult"])
                  for t in payload["terms"]]
-        fam = family_from_terms(payload["r"], terms)
+        fam = family_from_terms(r, terms)
         cert = payload["certificate"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed certificate file: {exc!r}")

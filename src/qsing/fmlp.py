@@ -33,12 +33,25 @@ class FMResult:
     farkas: list | None = None  # int multipliers over input rows when infeasible
 
 
+def _rational(x):
+    """x as an exact rational: itself when an int, an int when a string of
+    an optional minus sign and ASCII digits (the strings a certificate
+    holds most), else Fraction(x), which parses or rejects the rest."""
+    if type(x) is int:
+        return x
+    if type(x) is str:
+        digits = x[1:] if x[:1] == "-" else x
+        if digits.isdigit() and digits.isascii():
+            return int(x)
+    return Fraction(x)
+
+
 def int_row(values):
     """values (anything Fraction takes) times the lcm of their denominators,
     as ints, with the lcm."""
     if all(type(x) is int for x in values):
         return list(values), 1
-    values = [Fraction(x) for x in values]
+    values = [_rational(x) for x in values]
     scale = math.lcm(*(x.denominator for x in values))
     return [x.numerator * (scale // x.denominator) for x in values], scale
 

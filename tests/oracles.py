@@ -41,6 +41,9 @@ tests a class against a zero set's selected simples by bilinearity.
 
 ``affine_add`` is the reference for ``qsing.affine.Affine``'s arithmetic:
 addition as one dict merge with zeros dropped and a sort, with no fast path.
+``signature_json`` and ``summed_k`` are the references for what a
+``qsing.bsato`` branch state carries: a bracket's signature as
+``json.dumps`` writes it, and K as the negated sum of every fixed value.
 
 ``bracket_identity_check`` tests the telescoping identity of brackets,
 [s]^d_{a,b} [s]^d_{0,a} = [s]^d_{0,b}, on which the b-function recursion
@@ -54,11 +57,12 @@ still run under ``python -O``.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from qsing import jacobian
-from qsing.affine import Affine
+from qsing.affine import Affine, aff_to_json
 from qsing.brackets import BracketTerm, expand, family_from_terms
 from qsing.decomp import (PerpData, RepClass, class_hom, class_self_ext,
                           generic_decomposition, make_class, perp_simples)
@@ -77,6 +81,21 @@ def affine_add(x: Affine, y: Affine) -> Affine:
         m[s] = m.get(s, 0) + c
     return Affine(x.const + y.const,
                   tuple(sorted((s, c) for s, c in m.items() if c)))
+
+
+# -- certification branch states --------------------------------------------
+
+def signature_json(term) -> str:
+    """The signature of a ``qsing.bsato.SymTerm`` as ``json.dumps`` writes
+    it, from the term's fields."""
+    return json.dumps([list(term.gamma), aff_to_json(term.a),
+                       aff_to_json(term.b), term.mult], sort_keys=True)
+
+
+def summed_k(fixed) -> Affine:
+    """K = -(sum of the fixed values) of a branch state, summed afresh from
+    its ((var, value, clean flag), ...) list."""
+    return -sum((v for _, v, _ in fixed), Affine(0))
 
 
 # -- brackets ----------------------------------------------------------------

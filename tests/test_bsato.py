@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsing import bsato, fmlp
 from qsing.affine import Affine, Box, aff_from_json, aff_to_json
@@ -24,7 +26,9 @@ from qsing.bsato import (
     SymState,
     SymTerm,
     _binom_value,
+    _check_node,
     _cover_check,
+    _reduc_a_tuple_cert,
     _refutation_candidates,
     _t_interval,
     cert_to_json,
@@ -46,7 +50,7 @@ from qsing.orbits import make_spec
 from qsing.presets import E6_QUIVER, preset
 from qsing.quiver import Quiver
 
-from oracles import bracket_identity_check
+from oracles import bracket_identity_check, signature_json, summed_k
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 
@@ -584,6 +588,185 @@ def test_certification_memoizes_its_lps(monkeypatch):
     assert hashlib.sha256(blobs[0].encode()).hexdigest() == E6_CERT_SHA256[(2, 2)]
 
 
+# the inputs of the certify-grid benchmark workload
+GRID_INPUTS = [("e6-ex1", n, m) for n in range(1, 5) for m in range(1, 5)] \
+    + [("e8-pos", 1, 1)]
+
+
+@pytest.fixture(scope="module")
+def grid_trace():
+    """One pass over the 17 certify-grid inputs, certifier then checker on
+    each: every state either side builds (the root state and each state
+    ``branch_state`` returns), by side, the lemma (a) LP systems the
+    certifier solves (``bsato.solve``, called through the run's memo) and
+    the outcome kinds."""
+    states = {"certifier": [], "checker": []}
+    side = ["certifier"]
+    solves, kinds = [], []
+    real_branch, real_solve = bsato.branch_state, bsato.solve
+
+    def branch(state, case):
+        got = real_branch(state, case)
+        states[side[0]].append(got[0])
+        return got
+
+    def counting(*args):
+        solves.append(args)
+        return real_solve(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bsato, "branch_state", branch)
+        mp.setattr(bsato, "solve", counting)
+        for inp in GRID_INPUTS:
+            fam = _preset_family(*inp)
+            side[0] = "certifier"
+            states["certifier"].append(sym_state_from_family(fam))
+            out = certify_all_good(fam)
+            kinds.append(out.kind)
+            if out.kind == "certificate":
+                side[0] = "checker"
+                states["checker"].append(sym_state_from_family(fam))
+                assert verify_certificate(fam, out.certificate) == (
+                    True, "certificate verified")
+    return states, solves, kinds
+
+
+def test_signatures_are_the_json_text_on_the_grid(grid_trace):
+    """Every bracket of every state the certifier and the checker build on
+    the grid signs as json.dumps writes it."""
+    states, _, _ = grid_trace
+    terms = [t for side in states.values() for st_ in side for t in st_.terms]
+    assert len(terms) > 14000
+    for t in terms:
+        assert t.signature() == signature_json(t), t
+
+
+def test_k_total_is_the_summed_k_on_the_grid(grid_trace):
+    """K is handed from state to child, never re-summed; on both sides it
+    equals the negated sum of the fixed values after every branch_state.
+    The checker rebuilds one state per branch: 1,984 nodes in 12 trees."""
+    states, _, _ = grid_trace
+    assert len(states["checker"]) == 1984
+    assert len(states["certifier"]) > len(states["checker"])
+    for side in states.values():
+        for state in side:
+            assert state.k_total == summed_k(state.fixed), state.fixed
+
+
+def test_lemma_a_solves_on_the_grid_pinned(grid_trace):
+    """Work pin: one pass over the 17 grid inputs solves 301 lemma (a)
+    systems (641 while a tuple with a coordinate of e outside every
+    gamma's support still went to the solver), and the outcomes stay 12
+    certificates, 1 refutation, 4 inconclusive."""
+    _, solves, kinds = grid_trace
+    assert len(solves) == 301
+    assert (kinds.count("certificate"), kinds.count("refuted"),
+            kinds.count("inconclusive")) == (12, 1, 4)
+
+
+# symbol names that json.dumps escapes: a quote, a backslash, a non-ASCII
+# letter and a control character
+ESCAPED = ['"q', '"\\', '"\u00e9', '"\x01']
+
+
+def test_signatures_escape_symbols_as_json_does():
+    a = Affine(4)
+    for i, s in enumerate(ESCAPED):
+        a = a + Affine.sym(s, i - 2 or 3)
+    terms = [SymTerm((1, 0, 2), a, a + 2, 3), SymTerm((2,), -a, -a + 1),
+             SymTerm((1, 1), Affine.sym(ESCAPED[3]), Affine.sym(ESCAPED[3]) + 1),
+             SymTerm((0, 1), Affine(-3), Affine(0)),
+             # a family read from a file may hold bools and floats
+             SymTerm((True, 0), Affine(0), Affine(1), 1.5)]
+    for t in terms:
+        assert t.signature() == signature_json(t), t
+    assert all(ord(c) < 128 for t in terms for c in t.signature())
+
+
+def _escaped_reduc_a():
+    """A state over symbols that need escaping, bounded below, with two
+    non-unit brackets [s]^(2,0) and [s]^(0,2) whose endpoints are symbolic,
+    and the certifier's lemma (a) on both positions: one tuple, u = (1/2,
+    1/2), and no unit root, so no case."""
+    k = [Affine.sym(s) for s in ESCAPED]
+    box = Box()
+    for s in ESCAPED:
+        box = box.with_symbol(s, 0)
+    a1, a2 = k[0] + k[1] * 2 + 4, k[2] + k[3] * 3 + 6
+    state = SymState((1, 2), (SymTerm((2, 0), a1, a1 + 1),
+                              SymTerm((0, 2), a2, a2 + 2)),
+                     (), box, {}, 2, Affine(0))
+    return state, reduc_a(state, (0, 1))
+
+
+def test_checker_matches_escaped_symbols_through_their_signatures():
+    """The checker finds a tuple's certificate by the signatures of its
+    brackets: a certificate naming them as json.dumps writes them
+    (escapes included) passes, and one that spells a symbol differently
+    has no certificate for the tuple."""
+    state, (certs, cases) = _escaped_reduc_a()
+    assert cases == [] and len(certs) == 1
+    terms = state.terms
+    assert certs[0].tuple_sigs == tuple(signature_json(t) for t in terms)
+    assert certs[0].u == (Fraction(1, 2), Fraction(1, 2))
+
+    def node(sigs):
+        return {"rule": "reduc_a", "branches": [], "data": {
+            "I": [1, 2], "certs": [{"tuple": sigs, "u": ["1/2", "1/2"]}]}}
+
+    _check_node(state, node([signature_json(t) for t in terms]))
+    unescaped = [json.dumps([list(t.gamma), aff_to_json(t.a),
+                             aff_to_json(t.b), t.mult],
+                            sort_keys=True, ensure_ascii=False)
+                 for t in terms]
+    assert unescaped != [signature_json(t) for t in terms]
+    with pytest.raises(bsato.CertificateError,
+                       match="missing LP certificate for a tuple"):
+        _check_node(state, node(unescaped))
+
+
+def _lemma_a_system(state, terms):
+    """Lemma (a)'s LP for a tuple, written out in full: u >= 0,
+    sum u*gamma = e, and sum u*(min a + 1) > r - min K."""
+    k = len(terms)
+    cons = [([t.gamma[d] for t in terms], "=", 1)
+            for d in range(len(state.vars))]
+    cons += [([-int(i == j) for j in range(k)], "<=", 0) for i in range(k)]
+    cons.append(([-(state.box.min_of(t.a) + 1) for t in terms], "<",
+                 state.box.min_of(state.k_total) - state.r_global))
+    return cons, k
+
+
+@given(st.integers(1, 4).flatmap(lambda r: st.tuples(
+    st.just(r),
+    st.lists(st.tuples(st.lists(st.integers(0, 2), min_size=r, max_size=r),
+                       st.integers(-3, 6)),
+             min_size=1, max_size=4),
+    st.integers(-4, 4), st.integers(1, 5))))
+@settings(max_examples=300, deadline=None)
+def test_support_cut_declines_only_infeasible_tuples(args):
+    """Where some coordinate of e lies outside every gamma's support,
+    _reduc_a_tuple_cert declines without calling its solver, and the full
+    system is infeasible; otherwise the solver decides it."""
+    r, raw, k_const, r_global = args
+    terms = [SymTerm(tuple(g), Affine(a), Affine(a + 1)) for g, a in raw]
+    state = SymState(tuple(range(1, r + 1)), tuple(terms), (), Box(), {},
+                     r_global, Affine(k_const))
+    calls = []
+
+    def spy(cons, nvars):
+        calls.append(cons)
+        return fmlp.solve(cons, nvars)
+
+    got = _reduc_a_tuple_cert(state, terms, spy)
+    if any(not any(t.gamma[d] for t in terms) for d in range(r)):
+        assert got is None and not calls
+        assert not fmlp.solve(*_lemma_a_system(state, terms)).feasible
+    else:
+        assert len(calls) == 1
+        assert (got is not None) == fmlp.solve(*_lemma_a_system(state, terms)).feasible
+
+
 def _first_branch(node, kind):
     for assume, child in node["branches"]:
         if assume["kind"] == kind:
@@ -906,14 +1089,15 @@ def _random_last_var_state(rng):
         a = value(-2, 6)
         terms.append(SymTerm((rng.randint(1, 4),), a, a + rng.randint(0, 3),
                              rng.randint(1, 2)))
-    return SymState((1,), tuple(terms), fixed, box, {}, rng.randint(1, 4))
+    return SymState((1,), tuple(terms), fixed, box, {}, rng.randint(1, 4),
+                    summed_k(fixed))
 
 
 def _tight_last_var_state(fixed_value, a):
     """A clean state with g = 2 and r = 1 over k1 in 0..1."""
-    return SymState((1,), (SymTerm((2,), a, a + 1),),
-                    ((2, fixed_value, True),),
-                    Box().with_symbol("k1", 0, 1), {}, 1)
+    fixed = ((2, fixed_value, True),)
+    return SymState((1,), (SymTerm((2,), a, a + 1),), fixed,
+                    Box().with_symbol("k1", 0, 1), {}, 1, summed_k(fixed))
 
 
 def test_leaf_last_var_matches_the_fraction_formula():

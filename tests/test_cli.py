@@ -220,6 +220,17 @@ DEEP_CERTIFICATE = (
     + ']]}' * 600 + '}')
 
 
+# a certificate that closes on a family with no variables; r is checked
+# before the family is built, so each r below is an input error
+def certificate_with_r(r):
+    return {"terms": [], "r": r, "certificate": {
+        "rule": "leaf_all_fixed", "data": {"mode": "clean"}, "branches": []}}
+
+
+BAD_R = {"r-zero": 0, "r-true": True, "r-false": False, "r-negative": -1,
+         "r-float": 1.0, "r-string": "1", "r-null": None}
+
+
 @pytest.mark.parametrize("args", [
     ["decompose", "--quiver", "{a3}", "--dim=-1,2,3"],
     ["decompose", "--preset", "e6-ex1", "--n", "-1"],
@@ -234,6 +245,7 @@ DEEP_CERTIFICATE = (
     ["verify-certificate", "{cert}"],
     ["verify-certificate", "{reversed}"],
     ["verify-certificate", "{deep}"],
+    *[["verify-certificate", "{%s}" % name] for name in BAD_R],
     ["singularities", "--preset", "e6-ex1", "--n", "2", "--m", "1",
      "--certificate-out", "{missing}/c.json"],
     ["nullcone", "--quiver", "{words}", "--dim", "1,1"],
@@ -247,6 +259,7 @@ DEEP_CERTIFICATE = (
         "hom-not-a-root", "unknown-preset", "certificate-without-r",
         "certificate-term-a-above-b",
         "certificate-nested-past-json-recursion-limit",
+        *("certificate-" + name for name in BAD_R),
         "certificate-out-missing-dir", "quiver-vertices-not-int",
         "quiver-arrow-not-int", "nullcone-no-simple", "bfunction-no-simple",
         "singularities-no-simple"])
@@ -257,12 +270,16 @@ def test_bad_input_exits_2_without_traceback(tmp_path, args):
     (tmp_path / "deep.json").write_text(DEEP_CERTIFICATE)
     (tmp_path / "words.quiver").write_text(VERTICES_IN_WORDS)
     (tmp_path / "letter.quiver").write_text(ARROW_TO_A_LETTER)
+    bad_r = {}
+    for name, r in BAD_R.items():
+        bad_r[name] = tmp_path / f"{name}.json"
+        bad_r[name].write_text(json.dumps(certificate_with_r(r)))
     args = [a.format(a3=tmp_path / "a3.quiver", cert=tmp_path / "cert.json",
                      reversed=tmp_path / "reversed.json",
                      deep=tmp_path / "deep.json",
                      missing=tmp_path / "missing",
                      words=tmp_path / "words.quiver",
-                     letter=tmp_path / "letter.quiver")
+                     letter=tmp_path / "letter.quiver", **bad_r)
             for a in args]
     proc = run_cli(args, check=False)
     assert proc.returncode == 2, proc.stderr

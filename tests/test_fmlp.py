@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsing.fmlp import cone_membership, separating_functional, solve
+from qsing.fmlp import cone_membership, int_row, separating_functional, solve
 
 
 def reference_solve(constraints, nvars):
@@ -222,3 +223,41 @@ def test_malformed_rows_raise_value_error():
         solve([([1, 0], "<=", 1), ([1], "<=", 0)], 2)
     with pytest.raises(ValueError, match="3 coefficients for 2 variables"):
         solve([([1, 0, 5], "<", 1)], 2)
+
+
+def fraction_int_row(values):
+    """int_row as written on Fractions alone: every value through
+    Fraction, then scaled by the lcm of the denominators."""
+    values = [Fraction(x) for x in values]
+    scale = 1
+    for x in values:
+        scale = scale * x.denominator // math.gcd(scale, x.denominator)
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
+def _outcome(f, values):
+    try:
+        return f(values)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+# strings a certificate may hold, well-formed or not: int() reads some
+# that Fraction does not, and the reverse
+ODD_STRINGS = ["0", "-0", "007", "-12", "+3", " 4", "5 ", "1_000", "\u0663",
+               "\u00b2", "1.5", "1e2", "-", "--1", "", "x", "1/0", "3/-4",
+               "-6/4", " -1/2 "]
+
+
+@given(st.lists(st.one_of(
+    st.integers(-50, 50),
+    st.fractions(max_denominator=12).filter(lambda f: abs(f) < 50),
+    st.integers(-50, 50).map(str),
+    st.fractions(max_denominator=12).map(str),
+    st.sampled_from(ODD_STRINGS)), max_size=5))
+@settings(max_examples=400, deadline=None)
+def test_int_row_matches_the_fraction_parse(values):
+    """int_row reads integer strings as ints, and everything else through
+    Fraction, so every row gives the Fraction parse's ints and scale, or
+    its error, exactly."""
+    assert _outcome(int_row, values) == _outcome(fraction_int_row, values)
