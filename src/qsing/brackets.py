@@ -8,19 +8,23 @@ on single offsets (gamma, i), i in a+1..b, which makes the telescoping
 cancellations of the reflection recursion exact multiset arithmetic; the
 (gamma, a, b, mult) bracket form is recovered by maximal-run grouping.
 
-The recursion driver: state (alpha, beta^1..beta^r) with beta^j the
-dimension vectors of the Auslander-Reiten translates of the selected
-perpendicular simples.  One step emits, at every vertex x supported by a
-live slot, the offsets between c(alpha)_x and alpha_x keyed by the vector
-of live beta-coordinates at x, then replaces alpha by c(alpha) and each
-live beta^j by c(beta^j).  A slot whose translate leaves N^n (its object
-became projective) contributes its classical determinantal factors in its
-final step and then drops out; the run ends when every slot is dead.
-alpha is reflected through ``HomTable.coxeter_step``; a live slot is always
-a positive root, so it advances by one lookup in ``HomTable.translates``.
-When the chain blocks, ``_terminal_cleanup`` walks the surviving slots down
-to simples by sink and source reflections, carrying the orientation as a
-tuple of arrows.
+The recursion: a pass holds alpha, one slot per selected perpendicular
+simple and one offsets dict as plain values.  Slot j holds the dimension
+vector beta^j of the current Auslander-Reiten translate of its simple.  One
+Coxeter step emits, at every vertex x supported by a live slot, the offsets
+between c(alpha)_x and alpha_x keyed by the vector of live
+beta-coordinates at x, then replaces alpha by c(alpha) and each live
+beta^j by c(beta^j).  A slot whose translate leaves N^n (its object became
+projective) contributes its classical determinantal factors in its final
+step and then drops out; the pass ends when every slot is dead.  alpha is
+reflected through ``HomTable.coxeter_step``; a live slot is always a
+positive root, so it advances by one lookup in ``HomTable.translates``.
+When a step would need a negative bracket endpoint, the pass drops that
+step's staged brackets and ``_terminal_walk`` walks the surviving slots
+down to simples by sink and source reflections, carrying the orientation
+as a tuple of arrows and adding the classical factors to the same dict.
+``compute_bfunction`` runs the pass forward, then backward (with c^{-1})
+when the forward pass fails.
 """
 
 from __future__ import annotations
@@ -34,11 +38,6 @@ from .roots import hom_table
 
 class TerminalRuleInapplicable(Exception):
     """The recursion reached a state it cannot handle soundly."""
-
-
-class _Blocked(Exception):
-    """Internal: the Coxeter step would need a negative endpoint at a
-    supported vertex; the driver switches to the terminal rule."""
 
 
 @dataclass(frozen=True)
@@ -99,10 +98,18 @@ class BFunctionFamily:
         return sorted((t.gamma, t.a, t.b, t.mult) for t in self.terms())
 
 
-def family_from_terms(r, terms, meta=None) -> BFunctionFamily:
+def family_from_terms(r, terms) -> BFunctionFamily:
+    """The family of the given bracket terms over r variables.  Raises
+    ValueError unless every gamma entry, a, b and mult of each term is an
+    int (a bool is not), mult >= 1, gamma is a nonnegative r-vector and
+    a <= b."""
     offs = {}
     for t in terms:
         g = tuple(t.gamma)
+        if any(type(v) is not int for v in (*g, t.a, t.b, t.mult)):
+            raise ValueError(f"term {t} has a field that is not an integer")
+        if t.mult < 1:
+            raise ValueError(f"term multiplicity {t.mult} is below 1")
         if len(g) != r or any(c < 0 for c in g):
             raise ValueError(f"term gamma {g} is not a nonnegative {r}-vector")
         if t.a > t.b:
@@ -111,7 +118,7 @@ def family_from_terms(r, terms, meta=None) -> BFunctionFamily:
             continue
         for i in range(t.a + 1, t.b + 1):
             offs[(g, i)] = offs.get((g, i), 0) + t.mult
-    return BFunctionFamily(r, offs, meta or {})
+    return BFunctionFamily(r, offs)
 
 
 def expand(family: BFunctionFamily, m):
@@ -151,90 +158,81 @@ def render_family(family: BFunctionFamily) -> str:
 
 # -- the reflection recursion -------------------------------------------------
 
-@dataclass
-class ReflectionState:
-    quiver: Quiver
-    alpha: tuple
-    betas: list  # per slot: dimension vector, or None once the slot is dead
-    offsets: dict
-    steps: int = 0
+def _pass(q, table, alpha, betas, direction):
+    """One run of the Coxeter reflection formula from alpha and the slots
+    betas: the offsets it emits and the number of Coxeter steps it takes.
 
-    def live(self):
-        return [j for j, b in enumerate(self.betas) if b is not None]
-
-
-def reflection_step(state: ReflectionState, direction=+1) -> ReflectionState:
-    """One application of the Coxeter reflection formula.
-
-    Forward (direction +1): emits, at each vertex x supported by a live
-    slot, the bracket offsets between c(alpha)_x and alpha_x keyed by the
-    vector of live beta-coordinates at x (negative-direction ranges subtract
-    and cancel by telescoping); then advances alpha and the live translates,
-    dropping slots whose translate leaves N^n (projectives).
+    Forward (direction +1): each step emits, at each vertex x supported by a
+    live slot, the bracket offsets between c(alpha)_x and alpha_x keyed by
+    the vector of live beta-coordinates at x (negative-direction ranges
+    subtract and cancel by telescoping); then advances alpha and the live
+    translates, dropping slots whose translate leaves N^n (projectives).
 
     Backward (direction -1): the same identity read toward c^{-1}(alpha);
     the emitted gammas use the advanced translates, and a slot dies before
     contributing when its inverse translate leaves N^n (injectives).
 
-    c and c^{-1} are those of ``hom_table(q).coxeter_step``: the simple
-    reflections of the context's sink walk, applied forwards or backwards.
-    alpha takes that walk; a live slot is a positive root, so it advances by
-    one lookup in the context's ``translates``, which also says when it
-    dies.
+    c and c^{-1} are those of ``table.coxeter_step``: the simple reflections
+    of the context's sink walk, applied forwards or backwards.  alpha takes
+    that walk; a live slot is a positive root, so it advances by one lookup
+    in the context's ``translates``, which also says when it dies.
 
-    Raises _Blocked when a supported vertex would need a negative bracket
-    endpoint.
+    A step blocks when a supported vertex would need a negative bracket
+    endpoint.  Its brackets are staged until every vertex has been checked,
+    so a blocked step adds none; ``_terminal_walk`` then resolves the
+    surviving slots from the state before that step.
     """
-    q = state.quiver
-    table = hom_table(q)
-    alpha, alpha2 = state.alpha, table.coxeter_step(state.alpha, direction)
-    step = table.translates[direction]
-    betas2 = [None if b is None else step[b] for b in state.betas]
-    # forward: gammas from the current translates; backward: from the next.
-    # A dead slot reads as the zero vector, so gamma_x is the column x of
-    # the live slots
+    offs = {}
+    steps = 0
+    advance = table.translates[direction]
     zero = (0,) * q.n
-    gamma_src = [zero if b is None else b
-                 for b in (state.betas if direction > 0 else betas2)]
-    offs = dict(state.offsets)
-    for x, gamma in enumerate(zip(*gamma_src)):
-        if not any(gamma):
-            continue
-        lo, hi = alpha2[x], alpha[x]
-        sign = 1
-        if lo > hi:
-            lo, hi = hi, lo
-            sign = -1
-        if lo < 0:
-            raise _Blocked(
-                f"negative bracket endpoint at vertex {x + 1}: "
-                f"alpha={alpha}, next alpha={alpha2}"
-            )
-        for i in range(lo + 1, hi + 1):
-            key = (gamma, i)
-            offs[key] = offs.get(key, 0) + sign
-            if not offs[key]:
-                del offs[key]
-    return ReflectionState(q, alpha2, betas2, offs, state.steps + 1)
+    while any(b is not None for b in betas):
+        alpha2 = table.coxeter_step(alpha, direction)
+        betas2 = [None if b is None else advance[b] for b in betas]
+        # forward: gammas from the current translates; backward: from the
+        # next.  A dead slot reads as the zero vector, so gamma_x is the
+        # column x of the live slots
+        columns = zip(*[zero if b is None else b
+                        for b in (betas if direction > 0 else betas2)])
+        staged = []
+        for x, gamma in enumerate(columns):
+            if not any(gamma):
+                continue
+            lo, hi, sign = alpha2[x], alpha[x], 1
+            if lo > hi:
+                lo, hi, sign = hi, lo, -1
+            if lo < 0:
+                _terminal_walk(q, alpha, betas, offs)
+                return offs, steps
+            staged.append((gamma, lo, hi, sign))
+        for gamma, lo, hi, sign in staged:
+            for i in range(lo + 1, hi + 1):
+                key = (gamma, i)
+                offs[key] = offs.get(key, 0) + sign
+                if not offs[key]:
+                    del offs[key]
+        alpha, betas = alpha2, betas2
+        steps += 1
+    return offs, steps
 
 
-def _terminal_cleanup(state: ReflectionState) -> ReflectionState:
-    """The Coxeter chain is blocked but slots survive.
+def _terminal_walk(q, alpha, betas, offs):
+    """Resolve the slots that survive a blocked Coxeter chain, adding their
+    classical factors to offs.
 
     A surviving slot whose object is the simple at a vertex x contributes the
     classical determinantal factor [s]^{e^j}_{0, alpha_x} (its semi-invariant
     is the determinant of a generic alpha_x by alpha_x concatenation of arrow
     blocks).  A surviving non-simple slot is walked down to a simple with
-    sink and source reflections, which transform alpha and the live slots but contribute
-    no brackets.
+    sink and source reflections, which transform alpha and the live slots
+    but contribute no brackets.
 
     The walk carries the orientation as its arrows tuple and reads the sinks
     and sources, and the Euler form <alpha, e_x>, from it.  A reflection at
     x changes coordinate x alone, and the neighbours that give it depend on
     the underlying graph only, so a candidate's legality and the height it
     leaves are read from that one coordinate of each vector; the chosen
-    reflection is ``reflect_dim``.  The quiver of the orientation reached is
-    built once, on return.
+    reflection is ``reflect_dim`` on q.
 
     Each step of the walk reads only the orientation, alpha and the slots,
     never the offsets, and a slot's death is irreversible.  So when that
@@ -243,15 +241,12 @@ def _terminal_cleanup(state: ReflectionState) -> ReflectionState:
     quiver the Weyl group is finite, so alpha and each slot have finitely
     many images, and there are finitely many orientations.
     """
-    q = state.quiver
     n, nbrs = q.n, q.adjacency
     arrows = q.arrows
-    alpha = state.alpha
-    betas = list(state.betas)
-    offs = dict(state.offsets)
+    betas = list(betas)
     r = len(betas)
     seen = set()
-    while any(b is not None for b in betas):
+    while True:
         for j in range(r):
             b = betas[j]
             if b is None or sum(b) != 1:
@@ -270,7 +265,7 @@ def _terminal_cleanup(state: ReflectionState) -> ReflectionState:
             betas[j] = None
         live = [b for b in betas if b is not None]
         if not live:
-            break
+            return
         key = (arrows, alpha, tuple(betas))
         if key in seen:
             raise TerminalRuleInapplicable("terminal reflections did not converge")
@@ -304,26 +299,27 @@ def _terminal_cleanup(state: ReflectionState) -> ReflectionState:
         alpha = reflect_dim(q, x, alpha)
         betas = [None if b is None else reflect_dim(q, x, b) for b in betas]
         arrows = reflect_arrows(arrows, x)
-    if arrows != q.arrows:
-        q = Quiver(n, arrows)
-    return ReflectionState(q, alpha, betas, offs, state.steps)
 
 
 def compute_bfunction(q: Quiver, alpha, simples) -> BFunctionFamily:
     """Multi-variable b-function of the semi-invariants attached to the given
     perpendicular simples on Rep(Q, alpha).
 
-    Iterates reflection_step until every slot has died.  On a Dynkin quiver
-    the Coxeter transformation c has c^h = 1, h the Coxeter number, and no
-    eigenvalue 1, so c^1 + ... + c^h = 0; a nonzero slot therefore leaves
-    N^n within h steps, and the loop ends within h steps.  If the chain
-    blocks first (a supported vertex would need a negative endpoint),
-    surviving slots are resolved by the terminal rule in
-    ``_terminal_cleanup``.
+    Runs ``_pass`` forward, and backward when the forward run raises
+    TerminalRuleInapplicable; the first run that ends with no negative
+    multiplicity and no nonpositive bracket constant gives the family, and
+    ``meta["steps"]`` and ``meta["direction"]`` say how many Coxeter steps
+    it took and which way.  On a Dynkin quiver the Coxeter transformation c
+    has c^h = 1, h the Coxeter number, and no eigenvalue 1, so c^1 + ... +
+    c^h = 0; a nonzero slot therefore leaves N^n within h steps, and a run
+    ends within h steps.  If the chain blocks first (a supported vertex
+    would need a negative endpoint), the surviving slots are resolved by
+    ``_terminal_walk``.
 
     Raises NonDynkinError off Dynkin type, from the cached ``hom_table(q)``
     that every reflection step reads, and then ValueError when alpha is not
-    a nonnegative n-vector or a simple is not a positive root of q.
+    a nonnegative n-vector or a simple is not a positive root of q.  When
+    both runs fail, the backward run's TerminalRuleInapplicable is raised.
     """
     table = hom_table(q)
     alpha = tuple(int(a) for a in alpha)
@@ -341,26 +337,20 @@ def compute_bfunction(q: Quiver, alpha, simples) -> BFunctionFamily:
     ]
     last_error = None
     for direction in (+1, -1):
-        state = ReflectionState(q, alpha, list(betas), {})
         try:
-            while state.live():
-                try:
-                    state = reflection_step(state, direction)
-                except _Blocked:
-                    state = _terminal_cleanup(state)
-                    break
-            fam = BFunctionFamily(
-                len(simples), state.offsets,
-                {"quiver": q, "alpha": alpha, "simples": tuple(simples),
-                 "steps": state.steps, "direction": direction})
-            for (g, i), m in fam.offsets.items():
+            offs, steps = _pass(q, table, alpha, betas, direction)
+            for (g, i), m in offs.items():
                 if m < 0:
                     raise TerminalRuleInapplicable(
                         f"negative multiplicity survives at {(g, i)}")
                 if i < 1:
                     raise TerminalRuleInapplicable(
                         f"nonpositive bracket constant at {(g, i)}")
-            return fam
         except TerminalRuleInapplicable as exc:
             last_error = exc
+            continue
+        return BFunctionFamily(
+            len(simples), offs,
+            {"quiver": q, "alpha": alpha, "simples": tuple(simples),
+             "steps": steps, "direction": direction})
     raise last_error

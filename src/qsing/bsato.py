@@ -27,7 +27,6 @@ writes directly.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -190,12 +189,6 @@ def membership_in_ztilde(family: BFunctionFamily, z, box_bound=8) -> Membership:
 
 # -- symbolic branch state ----------------------------------------------------
 
-def _json_number(x):
-    """x as json.dumps writes it: str for an int, json.dumps for anything
-    else a family read from a file may hold (a bool or a float)."""
-    return str(x) if type(x) is int else json.dumps(x)
-
-
 def _affine_signature(a: Affine):
     """aff_to_json(a) as json.dumps(..., sort_keys=True) writes it.  The
     keys "coeffs" < "const" are in sorted order, and so are the symbols of
@@ -215,8 +208,9 @@ class SymTerm:
 
     Its signature names it in a certificate: the text of
     ``json.dumps([list(gamma), aff_to_json(a), aff_to_json(b), mult],
-    sort_keys=True)``, written directly by ``_affine_signature`` and
-    ``_json_number``, with no encoder built per call."""
+    sort_keys=True)``, written directly by ``_affine_signature``, with no
+    encoder built per call.  gamma and mult are ints (``family_from_terms``
+    admits nothing else), which json.dumps writes as ``str`` does."""
     gamma: tuple  # over active variables
     a: Affine
     b: Affine  # b - a concrete
@@ -224,9 +218,8 @@ class SymTerm:
 
     def signature(self):
         return "[[%s], %s, %s, %s]" % (
-            ", ".join(map(_json_number, self.gamma)),
-            _affine_signature(self.a), _affine_signature(self.b),
-            _json_number(self.mult))
+            ", ".join(map(str, self.gamma)),
+            _affine_signature(self.a), _affine_signature(self.b), self.mult)
 
 
 def _is_unit(gamma):

@@ -13,13 +13,11 @@ from qsing import brackets
 from qsing.affine import Affine
 from qsing.brackets import (
     BracketTerm,
-    ReflectionState,
     TerminalRuleInapplicable,
     compute_bfunction,
     evaluate,
     expand,
     family_from_terms,
-    reflection_step,
     render_family,
     render_term,
 )
@@ -183,37 +181,55 @@ def test_form_assumption_at_large_multiplicity(a3, d4):
             checked += 1
 
 
-def test_reflection_step_a2(a2):
+def test_a2_slot_dies_after_one_step(a2):
     # c(alpha) = (-1, 0) is negative only at the unsupported vertex 1, so the
-    # step emits the classical factor at vertex 2 and the slot then dies
-    # (its translate leaves N^2: the simple at the sink is projective)
-    state = ReflectionState(a2, (1, 1), [(0, 1)], {})
-    nxt = reflection_step(state)
-    assert nxt.offsets == {((1,), 1): 1}
-    assert nxt.betas == [None]
-    assert nxt.live() == []
+    # first forward step emits the classical factor at vertex 2 and the slot
+    # then dies (its translate leaves N^2: the simple at the sink is
+    # projective)
+    table = hom_table(a2)
+    assert table.coxeter_step((1, 1)) == (-1, 0)
+    assert table.translates[1][(0, 1)] is None
+    fam = compute_bfunction(a2, (1, 1), [(0, 1)])
+    assert fam.offsets == {((1,), 1): 1}
+    assert (fam.meta["steps"], fam.meta["direction"]) == (1, 1)
 
 
-def test_reflection_step_emits_and_advances(e6, e6_alpha):
-    t = generic_decomposition(e6, e6_alpha(2, 2))
-    p = perp_simples(e6, t)
-    state = ReflectionState(e6, e6_alpha(2, 2), list(p.simples), {})
-    nxt = reflection_step(state)
-    assert nxt.steps == 1
-    assert nxt.alpha == (4, 6, 10, 6, 4, 6)  # c(alpha) at n=m=2
-    assert all(b is not None for b in nxt.betas)
+def test_e6_forward_step_advances_alpha_and_every_slot(e6, e6_alpha):
+    alpha = e6_alpha(2, 2)
+    p = perp_simples(e6, generic_decomposition(e6, alpha))
+    table = hom_table(e6)
+    assert table.coxeter_step(alpha) == (4, 6, 10, 6, 4, 6)  # c(alpha) at n=m=2
+    assert all(table.translates[1][s] is not None for s in p.simples)
+    fam = compute_bfunction(e6, alpha, p.simples)
+    assert fam.meta["direction"] == 1 and fam.meta["steps"] > 1
 
 
-def test_reflection_consistency_expand_level(e6, e6_alpha):
-    # total expansion of the accumulated family is conserved step by step:
-    # finishing the run from any intermediate state gives the same family
-    t = generic_decomposition(e6, e6_alpha(2, 2))
-    p = perp_simples(e6, t)
-    full = compute_bfunction(e6, e6_alpha(2, 2), p.simples)
-    state = ReflectionState(e6, e6_alpha(2, 2), list(p.simples), {})
-    while state.live():
-        state = reflection_step(state)
-    assert state.offsets == full.offsets
+def test_forward_chain_sums_to_the_family(e6, e6_alpha):
+    # on E6 at n = m = 2 the forward chain never blocks, so the family is
+    # the sum over its Coxeter steps of the signed ranges between c(alpha)_x
+    # and alpha_x, keyed by the column x of the live translates, and the
+    # pass takes one step per Coxeter image until every slot has died
+    alpha = e6_alpha(2, 2)
+    p = perp_simples(e6, generic_decomposition(e6, alpha))
+    table = hom_table(e6)
+    offs, betas, steps = {}, list(p.simples), 0
+    while any(b is not None for b in betas):
+        nxt = table.coxeter_step(alpha)
+        for x in range(e6.n):
+            gamma = tuple(0 if b is None else b[x] for b in betas)
+            if not any(gamma):
+                continue
+            lo, hi = sorted((nxt[x], alpha[x]))
+            assert lo >= 0
+            for i in range(lo + 1, hi + 1):
+                offs[(gamma, i)] = (offs.get((gamma, i), 0)
+                                    + (1 if alpha[x] > nxt[x] else -1))
+        alpha = nxt
+        betas = [None if b is None else table.translates[1][b] for b in betas]
+        steps += 1
+    fam = compute_bfunction(e6, e6_alpha(2, 2), p.simples)
+    assert fam.offsets == {k: m for k, m in offs.items() if m}
+    assert (fam.meta["steps"], fam.meta["direction"]) == (steps, 1)
 
 
 def specialize(state, var, value):
@@ -391,6 +407,28 @@ def test_box_outcomes_match_recorded_digest():
             for name, _q, alpha, got in box_outcomes()]
     text = json.dumps(rows, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == BOX_DIGEST
+
+
+# which pass answers on the box, as (forward, backward, raise) counts per
+# quiver; the digests above cannot see it.  Recorded while the recursion
+# ran through a state object and a step function taking the direction
+BOX_PASSES = {
+    "d4": (488, 0, 0),
+    "d4-out": (461, 27, 0),
+    "d5": (129, 79, 43),
+    "d5-rev": (123, 96, 32),
+    "e6": (168, 34, 7),
+}
+
+
+def test_box_answers_come_from_the_recorded_passes():
+    counts = {name: [0, 0, 0] for name, _q, _bound in BOX}
+    for name, _q, _alpha, got in box_outcomes():
+        if isinstance(got, Exception):
+            counts[name][2] += 1
+        else:
+            counts[name][0 if got.meta["direction"] == 1 else 1] += 1
+    assert {name: tuple(c) for name, c in counts.items()} == BOX_PASSES
 
 
 # sha256 of json [name, alpha, selection, term multiset or "raise:" +

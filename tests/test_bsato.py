@@ -120,6 +120,10 @@ INPUT_CHECKS = [
     "single_variable_roots(E8_POS_FAMILY(1))",
     "family_from_terms(2, [BracketTerm((1, 0), 3, 1)])",
     "family_from_terms(2, [BracketTerm((1, -1), 0, 1)])",
+    # term fields are ints, not bools or floats, and mult >= 1
+    "family_from_terms(1, [BracketTerm((True,), 0, 1, 1.5)])",
+    "family_from_terms(1, [BracketTerm((1,), False, True)])",
+    "family_from_terms(1, [BracketTerm((1,), 0, 1, 0)])",
     "expand(E8_POS_FAMILY(1), (1, -1))",
     "bracket_identity_check(1, 2, 1)",
     "Box().with_symbol('k1', 1).with_symbol('k1', 0)",
@@ -675,9 +679,7 @@ def test_signatures_escape_symbols_as_json_does():
         a = a + Affine.sym(s, i - 2 or 3)
     terms = [SymTerm((1, 0, 2), a, a + 2, 3), SymTerm((2,), -a, -a + 1),
              SymTerm((1, 1), Affine.sym(ESCAPED[3]), Affine.sym(ESCAPED[3]) + 1),
-             SymTerm((0, 1), Affine(-3), Affine(0)),
-             # a family read from a file may hold bools and floats
-             SymTerm((True, 0), Affine(0), Affine(1), 1.5)]
+             SymTerm((0, 1), Affine(-3), Affine(0))]
     for t in terms:
         assert t.signature() == signature_json(t), t
     assert all(ord(c) < 128 for t in terms for c in t.signature())

@@ -210,6 +210,19 @@ REVERSED_TERM = {
 }
 
 
+# term fields that are not integers: a bool gamma entry and a float
+# multiplicity, and bools for a and b
+NON_INT_TERMS = {
+    "bool-gamma-float-mult": {"gamma": [True], "a": 0, "b": 1, "mult": 1.5},
+    "bool-endpoints": {"gamma": [1], "a": False, "b": True, "mult": 1},
+}
+
+
+def certificate_with_term(term):
+    return {"terms": [term], "r": 1, "certificate": {
+        "rule": "leaf_last_var", "data": {}, "branches": []}}
+
+
 # 600 nested reduc_a nodes, 1,800 levels of JSON nesting: more than json.load
 # can read under the default recursion limit; written as text, because
 # json.dumps cannot write it either
@@ -246,6 +259,7 @@ BAD_R = {"r-zero": 0, "r-true": True, "r-false": False, "r-negative": -1,
     ["verify-certificate", "{reversed}"],
     ["verify-certificate", "{deep}"],
     *[["verify-certificate", "{%s}" % name] for name in BAD_R],
+    *[["verify-certificate", "{%s}" % name] for name in NON_INT_TERMS],
     ["singularities", "--preset", "e6-ex1", "--n", "2", "--m", "1",
      "--certificate-out", "{missing}/c.json"],
     ["nullcone", "--quiver", "{words}", "--dim", "1,1"],
@@ -260,6 +274,7 @@ BAD_R = {"r-zero": 0, "r-true": True, "r-false": False, "r-negative": -1,
         "certificate-term-a-above-b",
         "certificate-nested-past-json-recursion-limit",
         *("certificate-" + name for name in BAD_R),
+        *("certificate-" + name for name in NON_INT_TERMS),
         "certificate-out-missing-dir", "quiver-vertices-not-int",
         "quiver-arrow-not-int", "nullcone-no-simple", "bfunction-no-simple",
         "singularities-no-simple"])
@@ -270,16 +285,19 @@ def test_bad_input_exits_2_without_traceback(tmp_path, args):
     (tmp_path / "deep.json").write_text(DEEP_CERTIFICATE)
     (tmp_path / "words.quiver").write_text(VERTICES_IN_WORDS)
     (tmp_path / "letter.quiver").write_text(ARROW_TO_A_LETTER)
-    bad_r = {}
+    certs = {}
     for name, r in BAD_R.items():
-        bad_r[name] = tmp_path / f"{name}.json"
-        bad_r[name].write_text(json.dumps(certificate_with_r(r)))
+        certs[name] = tmp_path / f"{name}.json"
+        certs[name].write_text(json.dumps(certificate_with_r(r)))
+    for name, term in NON_INT_TERMS.items():
+        certs[name] = tmp_path / f"{name}.json"
+        certs[name].write_text(json.dumps(certificate_with_term(term)))
     args = [a.format(a3=tmp_path / "a3.quiver", cert=tmp_path / "cert.json",
                      reversed=tmp_path / "reversed.json",
                      deep=tmp_path / "deep.json",
                      missing=tmp_path / "missing",
                      words=tmp_path / "words.quiver",
-                     letter=tmp_path / "letter.quiver", **bad_r)
+                     letter=tmp_path / "letter.quiver", **certs)
             for a in args]
     proc = run_cli(args, check=False)
     assert proc.returncode == 2, proc.stderr

@@ -1,6 +1,6 @@
-"""No module of qsing, nor the tests' oracle module, imports a name it never
-uses (there is no linter in the toolchain, so the standard library's ast
-does the check)."""
+"""No module of qsing, nor the tests' oracle module, nor a script under
+scripts/, imports a name it never uses (there is no linter in the
+toolchain, so the standard library's ast does the check)."""
 
 import ast
 import pathlib
@@ -11,6 +11,7 @@ TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "qsing"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 MODULES.append(TESTS / "oracles.py")
+MODULES += sorted((TESTS.parent / "scripts").glob("*.py"))
 
 
 def unused_imports(source):
