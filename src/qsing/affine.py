@@ -1,32 +1,35 @@
 """Affine expressions over named integer parameters with box domains.
 
 The case-split driver tracks branch parameters (k1, k2, ...) symbolically:
-a value like n+m-k1 is an Affine; queries ("is this >= 1 on the whole
-box?") reduce to evaluating the affine minimum/maximum over the box, which
-is exact because each parameter appears independently.
+a value like n+m-k1 is an affine value; queries ("is this >= 1 on the
+whole box?") reduce to evaluating the affine minimum/maximum over the box,
+which is exact because each parameter appears independently.
 
-The constant and every coefficient are Python ints, and nothing divides:
-every value the certifier builds is an integer (bracket endpoints, case
-values -o, -k and k, box bounds).  A non-integer given to ``Affine.of``,
-``Affine.sym``, ``*`` or ``aff_from_json`` raises ValueError.
+An affine value is a plain tuple (const, coeffs): const is an int and
+coeffs a tuple of (symbol, int coefficient) pairs, sorted by symbol, one
+per symbol, none zero.  ``aff_of``, ``aff_sym``, ``aff_from_json`` and the
+arithmetic build only this canonical form, so equal expressions are equal
+tuples, and adding a constant or multiplying by 1 keeps the coefficients
+as they are.  Nothing divides: every value the certifier builds is an
+integer (bracket endpoints, case values -o, -k and k, box bounds).  A
+non-integer given to ``aff_of``, ``aff_sym``, ``aff_mul`` or
+``aff_from_json`` raises ValueError, and so does a bool.
 
-Every Affine is canonical: its coefficients are sorted by symbol, one per
-symbol, none zero.  ``of``, ``sym``, ``aff_from_json`` and the arithmetic
-build only canonical values, and callers of ``Affine(const, coeffs)`` pass
-canonical coefficients; so equal expressions are equal objects, and
-``x + c`` and ``x * 1`` keep x's coefficients as they are.
+A box is a dict from each symbol to its domain (lo, hi), lo <= k <= hi, hi
+None for infinity.  ``with_symbol`` returns a new dict; nothing changes a
+box once built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 INF = None  # upper bound marker for unbounded symbols
+ZERO = (0, ())
 
 
 def _int(x):
     """x as an int: an int, a rational with denominator 1, or a decimal
-    integer string.  Anything else (1/2, "1/2", 0.5) raises ValueError."""
+    integer string.  Anything else (1/2, "1/2", 0.5, True) raises
+    ValueError; a bool has denominator 1 but is not taken for 0 or 1."""
     if type(x) is int:
         return x
     if isinstance(x, str):
@@ -34,100 +37,86 @@ def _int(x):
             return int(x)
         except ValueError:
             pass
-    elif getattr(x, "denominator", None) == 1:
+    elif type(x) is not bool and getattr(x, "denominator", None) == 1:
         return int(x.numerator)
     raise ValueError(f"{x!r} is not an integer")
 
 
-@dataclass(frozen=True)
-class Affine:
-    const: int
-    coeffs: tuple = ()  # sorted tuple of (symbol, int coefficient)
+def aff_of(x):
+    return (_int(x), ())
 
-    @staticmethod
-    def of(x):
-        if isinstance(x, Affine):
-            return x
-        return Affine(_int(x))
 
-    @staticmethod
-    def sym(name, coeff=1):
-        coeff = _int(coeff)
-        return Affine(0, ((name, coeff),) if coeff else ())
+def aff_sym(name, coeff=1):
+    coeff = _int(coeff)
+    return (0, ((name, coeff),) if coeff else ())
 
-    def __add__(self, other):
-        if type(other) is not Affine:
-            other = Affine(_int(other))
-        if not other.coeffs:
-            return Affine(self.const + other.const, self.coeffs) if other.const else self
-        if not self.coeffs:
-            return Affine(self.const + other.const, other.coeffs)
-        m = dict(self.coeffs)
-        for s, c in other.coeffs:
-            m[s] = m.get(s, 0) + c
-        return Affine(self.const + other.const,
-                      tuple(sorted((s, c) for s, c in m.items() if c)))
 
-    __radd__ = __add__
+def aff_add(x, y):
+    c, xs = x
+    d, ys = y
+    if not ys:
+        return (c + d, xs) if d else x
+    if not xs:
+        return (c + d, ys)
+    m = dict(xs)
+    for s, k in ys:
+        m[s] = m.get(s, 0) + k
+    return (c + d, tuple(sorted([(s, k) for s, k in m.items() if k])))
 
-    def __neg__(self):
-        return Affine(-self.const, tuple((s, -c) for s, c in self.coeffs))
 
-    def __sub__(self, other):
-        return self + (-other if type(other) is int else -Affine.of(other))
+def aff_neg(x):
+    c, xs = x
+    return (-c, tuple([(s, -k) for s, k in xs]) if xs else xs)
 
-    def __mul__(self, k):
+
+def aff_sub(x, y):
+    d, ys = y
+    if not ys:
+        return (x[0] - d, x[1]) if d else x
+    return aff_add(x, aff_neg(y))
+
+
+def aff_mul(x, k):
+    if type(k) is not int:
         k = _int(k)
-        if k == 1:
-            return self
-        if not k:
-            return Affine(0)
-        return Affine(self.const * k, tuple((s, c * k) for s, c in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def is_const(self):
-        return not self.coeffs
+    if k == 1:
+        return x
+    if not k:
+        return ZERO
+    c, xs = x
+    return (c * k, tuple([(s, v * k) for s, v in xs]) if xs else xs)
 
 
-@dataclass(frozen=True)
-class Box:
-    """Independent integer domains lo <= k <= hi (hi may be None = infinity)."""
-
-    domains: tuple = ()  # sorted tuple of (symbol, lo, hi)
-
-    def with_symbol(self, name, lo, hi=INF):
-        if any(s == name for s, _, _ in self.domains):
-            raise ValueError(f"symbol {name} is already bound")
-        new = (name, int(lo), None if hi is INF else int(hi))
-        return Box(tuple(sorted(self.domains + (new,))))
-
-    def bounds(self, name):
-        for s, l, h in self.domains:
-            if s == name:
-                return l, h
-        raise KeyError(name)
-
-    def min_of(self, expr: Affine):
-        """Exact minimum of expr over the box; None means -infinity."""
-        val = expr.const
-        for s, c in expr.coeffs:
-            lo, hi = self.bounds(s)
-            if c < 0 and hi is None:
-                return None
-            val += c * (lo if c > 0 else hi)
-        return val
-
-    def max_of(self, expr: Affine):
-        """Exact maximum over the box; None means +infinity."""
-        mn = self.min_of(-expr)
-        return None if mn is None else -mn
+def with_symbol(box, name, lo, hi=INF):
+    if name in box:
+        raise ValueError(f"symbol {name} is already bound")
+    return {**box, name: (int(lo), None if hi is INF else int(hi))}
 
 
-def aff_to_json(a: Affine):
-    return {"const": str(a.const), "coeffs": {s: str(c) for s, c in a.coeffs}}
+def min_of(box, x):
+    """Exact minimum of x over the box; None means -infinity."""
+    val, coeffs = x
+    for s, c in coeffs:
+        lo, hi = box[s]
+        if c > 0:
+            val += c * lo
+        elif hi is None:
+            return None
+        else:
+            val += c * hi
+    return val
 
 
-def aff_from_json(d) -> Affine:
+def max_of(box, x):
+    """Exact maximum over the box; None means +infinity."""
+    mn = min_of(box, aff_neg(x))
+    return None if mn is None else -mn
+
+
+def aff_to_json(a):
+    return {"const": str(a[0]), "coeffs": {s: str(c) for s, c in a[1]}}
+
+
+def aff_from_json(d):
     coeffs = ((s, _int(c)) for s, c in d["coeffs"].items())
-    return Affine(_int(d["const"]), tuple(sorted((s, c) for s, c in coeffs if c)))
+    return (_int(d["const"]), tuple(sorted((s, c) for s, c in coeffs if c)))

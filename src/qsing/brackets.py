@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .quiver import Quiver, reflect_arrows, reflect_dim
 from .roots import hom_table
@@ -40,8 +41,7 @@ class TerminalRuleInapplicable(Exception):
     """The recursion reached a state it cannot handle soundly."""
 
 
-@dataclass(frozen=True)
-class BracketTerm:
+class BracketTerm(NamedTuple):
     gamma: tuple  # length-r nonnegative integers
     a: int
     b: int  # a <= b; empty product when a == b or gamma == 0

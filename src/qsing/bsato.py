@@ -18,9 +18,12 @@ The certifier and the independent checker split the work three ways:
   functionals and memberships.  The checker runs each rule on the state
   it rebuilds, and a node's branches must be exactly the rule's cases.
 
-Both sides carry K = -(sum of the fixed values) from a state to its child
-(``SymState.specialize``) rather than summing it again, and name a bracket
-in a certificate by its signature, JSON text that ``SymTerm.signature``
+The values a node builds are plain: affine values, bracket terms and cases
+are tuples and a box is a dict (``qsing.affine``, ``sym_term``,
+``branch_state``).  Both sides carry K = -(sum of the fixed values) from a
+state to its child (``SymState.specialize``) rather than summing it again,
+hand the child every bracket the fixed variable does not touch, and name a
+bracket in a certificate by its signature, JSON text that ``signature``
 writes directly.
 """
 
@@ -32,7 +35,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .affine import Affine, Box, aff_from_json, aff_to_json
+from .affine import (ZERO, aff_add, aff_from_json, aff_mul, aff_of, aff_sub,
+                     aff_sym, aff_to_json, min_of, with_symbol)
 from .brackets import BFunctionFamily, expand
 from .fmlp import cone_membership, int_row, separating_functional, solve
 
@@ -189,99 +193,100 @@ def membership_in_ztilde(family: BFunctionFamily, z, box_bound=8) -> Membership:
 
 # -- symbolic branch state ----------------------------------------------------
 
-def _affine_signature(a: Affine):
+def sym_term(gamma, a, b, mult=1):
+    """The bracket [s]^gamma_{a,b} with multiplicity mult, a and b affine
+    (b - a concrete), as a state's term: the plain tuple (gamma, a, b, mult,
+    deg).  gamma stays over the family's variables, indexed by variable
+    number (entry 0 is an unused 0), so specializing a variable the term
+    does not touch keeps the term as it is, and the state's active
+    variables select the entries that count.  deg is e.gamma over the
+    active variables: 1 exactly for a unit bracket, as gamma >= 0."""
+    return (0, *gamma), a, b, mult, sum(gamma)
+
+
+def _affine_signature(a):
     """aff_to_json(a) as json.dumps(..., sort_keys=True) writes it.  The
     keys "coeffs" < "const" are in sorted order, and so are the symbols of
-    a canonical Affine; each symbol (a str) is encoded by the encoder
+    a canonical affine value; each symbol (a str) is encoded by the encoder
     json.dumps itself uses, and the values are decimal strings that need
     no escaping."""
-    if not a.coeffs:
-        return '{"coeffs": {}, "const": "%s"}' % a.const
+    const, coeffs = a
+    if not coeffs:
+        return '{"coeffs": {}, "const": "%s"}' % const
     coeffs = ", ".join(['%s: "%s"' % (encode_basestring_ascii(s), c)
-                        for s, c in a.coeffs])
-    return '{"coeffs": {%s}, "const": "%s"}' % (coeffs, a.const)
+                        for s, c in coeffs])
+    return '{"coeffs": {%s}, "const": "%s"}' % (coeffs, const)
 
 
-@dataclass(frozen=True)
-class SymTerm:
-    """A bracket [s]^gamma_{a,b} of a branch state, with multiplicity.
-
-    Its signature names it in a certificate: the text of
-    ``json.dumps([list(gamma), aff_to_json(a), aff_to_json(b), mult],
-    sort_keys=True)``, written directly by ``_affine_signature``, with no
-    encoder built per call.  gamma and mult are ints (``family_from_terms``
-    admits nothing else), which json.dumps writes as ``str`` does."""
-    gamma: tuple  # over active variables
-    a: Affine
-    b: Affine  # b - a concrete
-    mult: int = 1
-
-    def signature(self):
-        return "[[%s], %s, %s, %s]" % (
-            ", ".join(map(str, self.gamma)),
-            _affine_signature(self.a), _affine_signature(self.b), self.mult)
-
-
-def _is_unit(gamma):
-    return gamma.count(0) == len(gamma) - 1 and sum(gamma) == 1
+def signature(term, vars):
+    """The name of a term in a certificate, on the active variables vars:
+    the text of ``json.dumps([list(gamma over vars), aff_to_json(a),
+    aff_to_json(b), mult], sort_keys=True)``, written directly by
+    ``_affine_signature``, with no encoder built per call.  gamma and mult
+    are ints (``family_from_terms`` admits nothing else), which json.dumps
+    writes as ``str`` does."""
+    g, a, b, mult, _ = term
+    return "[[%s], %s, %s, %s]" % (
+        ", ".join([str(g[v]) for v in vars]),
+        _affine_signature(a), _affine_signature(b), mult)
 
 
 @dataclass
 class SymState:
-    """A branch: the active variables and their brackets, the values fixed
-    so far, the box of the symbols and the negation flags.
+    """A branch: the active variables and their bracket terms, the values
+    fixed so far, the box of the symbols and the negation flags.
 
     K = -(sum of the fixed values) is carried, not recomputed: the root
     state has K = 0, and ``specialize`` hands its child K - value, so each
-    state costs one Affine subtraction however many values are fixed."""
+    state costs one affine subtraction however many values are fixed.  The
+    values are plain tuples and dicts that no child changes, so a child
+    shares every term its fixed variable does not touch."""
     vars: tuple  # original 1-based variable indices still active
-    terms: tuple  # SymTerm over the active variables
-    fixed: tuple  # ((orig var, Affine value, clean_flag), ...) in fixing order
-    box: Box
+    terms: tuple  # bracket terms (see sym_term) with deg >= 1
+    fixed: tuple  # ((orig var, affine value, clean_flag), ...) in fixing order
+    box: dict  # symbol -> (lo, hi), see qsing.affine
     flags: dict  # orig var -> frozenset of {"not_neg_int", "not_nat"}
     r_global: int
-    k_total: Affine  # K = -(sum of fixed values)
+    k_total: tuple  # K = -(sum of fixed values), affine
 
     @property
     def clean(self):
         return all(cl for _, _, cl in self.fixed)
 
-    def specialize(self, pos, value: Affine, clean_flag):
+    def specialize(self, pos, value, clean_flag):
         var = self.vars[pos]
-        new_terms = []
-        scalars = []
+        new_terms, scalars = [], []
         for t in self.terms:
-            gi = t.gamma[pos]
-            g2 = t.gamma[:pos] + t.gamma[pos + 1:]
-            if gi == 0:
-                new_terms.append(SymTerm(g2, t.a, t.b, t.mult))
+            gi = t[0][var]
+            if not gi:
+                new_terms.append(t)
                 continue
-            shift = value * gi
-            a, b = t.a + shift, t.b + shift
-            if any(g2):
-                new_terms.append(SymTerm(g2, a, b, t.mult))
+            g, a, b, mult, deg = t
+            shift = aff_mul(value, gi)
+            a, b = aff_add(a, shift), aff_add(b, shift)
+            if deg > gi:
+                new_terms.append((g, a, b, mult, deg - gi))
             else:
-                scalars.append((a, b, t.mult))
+                scalars.append((a, b, mult))
         flags = {v: f for v, f in self.flags.items() if v != var}
         st = SymState(self.vars[:pos] + self.vars[pos + 1:], tuple(new_terms),
                       self.fixed + ((var, value, clean_flag),), self.box,
-                      flags, self.r_global, self.k_total - value)
+                      flags, self.r_global, aff_sub(self.k_total, value))
         return st, scalars
 
 
 def sym_state_from_family(family: BFunctionFamily) -> SymState:
-    terms = tuple(
-        SymTerm(t.gamma, Affine.of(t.a), Affine.of(t.b), t.mult)
-        for t in family.terms()
-    )
-    return SymState(tuple(range(1, family.r + 1)), terms, (), Box(), {},
-                    family.r, Affine(0))
+    terms = tuple(sym_term(t.gamma, aff_of(t.a), aff_of(t.b), t.mult)
+                  for t in family.terms())
+    return SymState(tuple(range(1, family.r + 1)), terms, (), {}, {},
+                    family.r, ZERO)
 
 
 def check_form_assumption(family: BFunctionFamily) -> bool:
     """Every non-unit-vector bracket satisfies e.gamma <= a (required by the
     multiplicity-one-at-minus-e argument)."""
-    return all(_is_unit(t.gamma) or sum(t.gamma) <= t.a for t in family.terms())
+    degs = ((sum(t.gamma), t.a) for t in family.terms())
+    return all(d == 1 or d <= a for d, a in degs)
 
 
 # -- the rules: one definition each, called by the certifier and the checker --
@@ -300,7 +305,7 @@ def leaf_all_fixed(state: SymState):
         return None
     if state.clean:
         return "clean", None
-    mn = state.box.min_of(state.k_total)  # e.z = -K
+    mn = min_of(state.box, state.k_total)  # e.z = -K
     if mn is not None and mn > state.r_global:
         return "strict", -mn
     return None
@@ -313,16 +318,16 @@ def leaf_empty_generator(state: SymState, pos):
     plain unit bracket with nonnegative lower endpoint while z_i is known
     not to be a negative integer (mode "units-positive").  Returns (mode,
     the brackets involving s_i) or None."""
-    touching = [t for t in state.terms if t.gamma[pos] > 0]
+    var = state.vars[pos]
+    touching = [t for t in state.terms if t[0][var] > 0]
     if not touching:
         return "no-terms", touching
-    if "not_neg_int" not in state.flags.get(state.vars[pos], frozenset()):
+    if "not_neg_int" not in state.flags.get(var, frozenset()):
         return None
-    unit = tuple(1 if d == pos else 0 for d in range(len(state.vars)))
     for t in touching:
-        if t.gamma != unit:
+        if t[0][var] != 1 or t[4] != 1:  # not the unit bracket of s_i
             return None
-        mn = state.box.min_of(t.a)
+        mn = min_of(state.box, t[1])
         if mn is None or mn < 0:
             return None
     return "units-positive", touching
@@ -343,13 +348,14 @@ def leaf_last_var(state: SymState):
     if len(state.vars) != 1 or not state.terms:
         return None
     box, k_total, r = state.box, state.k_total, state.r_global
-    min_k = box.min_of(k_total)
+    var = state.vars[0]
+    min_k = min_of(box, k_total)
     bounds = []
     for t in state.terms:
-        g = t.gamma[0]
-        min_a = box.min_of(t.a)
-        if k_total.coeffs and t.a.coeffs:
-            gmu = box.min_of(k_total * g + t.a)
+        g, a = t[0][var], t[1]
+        min_a = min_of(box, a)
+        if k_total[1] and a[1]:
+            gmu = min_of(box, aff_add(aff_mul(k_total, g), a))
         elif min_k is None or min_a is None:
             gmu = None
         else:
@@ -364,37 +370,24 @@ def leaf_last_var(state: SymState):
     return bounds
 
 
-@dataclass(frozen=True)
-class Case:
-    """One branch of a case split: z_var = value.  The kinds are "neg_int"
-    (value -o for an integer o >= 1), "neg_int_sym" (value -k for a new
-    symbol k >= 1) and "nat_sym" (value k for a new symbol k >= 0).
-    negations holds the (var, flag) pairs the branch assumes besides."""
-    var: int
-    kind: str
-    value: Affine
-    symbol: str | None = None
-    negations: tuple = ()
-
-
 def unit_root_cases(state: SymState, positions):
     """Lemma (a)'s cases on the index set I of active positions: z_i = -o
     for each root -o of a unit bracket [s_i]_{a,b}, o = a+1 .. b, by i in
     I and then by o.  None when an endpoint is symbolic or a root is not a
     negative integer."""
     cases = []
-    units = [t for t in state.terms if _is_unit(t.gamma)]
+    units = [t for t in state.terms if t[4] == 1]
     for i in positions:
+        var = state.vars[i]
         offsets = set()
-        for t in units:
-            if t.gamma[i] == 1:
-                if t.a.coeffs or t.b.coeffs:
+        for g, a, b, _, _ in units:
+            if g[var] == 1:
+                if a[1] or b[1]:
                     return None
-                offsets.update(range(t.a.const + 1, t.b.const + 1))
+                offsets.update(range(a[0] + 1, b[0] + 1))
         if offsets and min(offsets) < 1:
             return None
-        cases += [Case(state.vars[i], "neg_int", Affine(-o))
-                  for o in sorted(offsets)]
+        cases += [(var, "neg_int", (-o, ()), None, ()) for o in sorted(offsets)]
     return cases
 
 
@@ -408,44 +401,56 @@ def sign_cases(j_plus, j_minus, symbols):
     negations = ()
     for var, kind, sign, flag in kinds:
         sym = next(symbols, None)
-        yield Case(var, kind, Affine.sym(sym, sign), sym, negations)
+        yield var, kind, aff_sym(sym, sign), sym, negations
         negations += ((var, flag),)
 
 
-def branch_state(state: SymState, case: Case):
+def branch_state(state: SymState, case):
     """The state on the branch of ``case``, with the scalar brackets its
     specialization leaves: the negation flags are set, the symbol is bound
-    to its domain, and the variable is fixed to the value."""
+    to its domain, and the variable is fixed to the value.
+
+    A case is the plain tuple (var, kind, value, symbol, negations): the
+    branch z_var = value, of kind "neg_int" (value -o for an integer
+    o >= 1, symbol None), "neg_int_sym" (value -k for a new symbol k >= 1)
+    or "nat_sym" (value k for a new symbol k >= 0), under the (var, flag)
+    pairs of negations."""
+    var, kind, value, symbol, negations = case
     box = state.box
-    if case.symbol is not None:
-        if any(s == case.symbol for s, _, _ in box.domains):
-            raise CertificateError(f"symbol {case.symbol} is already bound")
-        box = box.with_symbol(case.symbol, 1 if case.kind == "neg_int_sym" else 0)
-    st, scalars = state.specialize(state.vars.index(case.var), case.value,
-                                   case.kind != "nat_sym")
+    if symbol is not None:
+        if symbol in box:
+            raise CertificateError(f"symbol {symbol} is already bound")
+        box = with_symbol(box, symbol, 1 if kind == "neg_int_sym" else 0)
+    st, scalars = state.specialize(state.vars.index(var), value,
+                                   kind != "nat_sym")
     st.box = box
-    for var, flag in case.negations:  # the case's own var is never negated
-        st.flags[var] = st.flags.get(var, frozenset()) | {flag}
+    for v, flag in negations:  # the case's own var is never negated
+        st.flags[v] = st.flags.get(v, frozenset()) | {flag}
     return st, scalars
 
 
 def _gammas(state: SymState):
     """The distinct directions gamma of the non-unit brackets, sorted."""
-    return sorted({t.gamma for t in state.terms if not _is_unit(t.gamma)})
+    vars = state.vars
+    return sorted({tuple([t[0][v] for v in vars])
+                   for t in state.terms if t[4] != 1})
 
 
 def _lemma_a_tuples(state: SymState, positions):
     """The tuples lemma (a) needs a certificate for: the distinct terms of
     each element of the product of the Gamma_i, i in I.  There are none
-    when some Gamma_i is empty."""
-    nonunit = [t for t in state.terms if not _is_unit(t.gamma)]
-    pools = [[t for t in nonunit if t.gamma[i] > 0] for i in positions]
+    when some Gamma_i is empty.  Two terms are the same bracket when they
+    agree on the active variables, endpoints and multiplicity."""
+    vars = state.vars
+    nonunit = [t for t in state.terms if t[4] != 1]
+    pools = [[t for t in nonunit if t[0][vars[i]] > 0] for i in positions]
     if not all(pools):
         return
     for combo in itertools.product(*pools):
         distinct = []
         for t in combo:
-            if t not in distinct:
+            if not any(u is t or (u[1:4] == t[1:4] and all(
+                    u[0][v] == t[0][v] for v in vars)) for u in distinct):
                 distinct.append(t)
         yield distinct
 
@@ -466,32 +471,22 @@ def _reduc_a_tuple_cert(state: SymState, terms, solve=solve):
     When some coordinate d of e lies outside the support of every gamma,
     the row sum u*gamma_d = 1 reads 0 = 1, so the system is infeasible and
     None is returned before it is built."""
-    rcur = len(state.vars)
-    if not all(any(t.gamma[d] for t in terms) for d in range(rcur)):
+    rows = [[t[0][v] for t in terms] for v in state.vars]
+    if not all(any(row) for row in rows):
         return None
     k = len(terms)
-    mins = []
-    for t in terms:
-        mn = state.box.min_of(t.a)
-        if mn is None:
-            return None
-        mins.append(mn + 1)
-    min_k = state.box.min_of(state.k_total)
-    if min_k is None:
+    mins = [min_of(state.box, t[1]) for t in terms]
+    min_k = min_of(state.box, state.k_total)
+    if min_k is None or None in mins:
         return None
-    rhs = state.r_global - min_k
-    cons = []
-    for d in range(rcur):
-        cons.append(([t.gamma[d] for t in terms], "=", 1))
-    for i in range(k):
-        coeffs = [0] * k
-        coeffs[i] = -1
-        cons.append((coeffs, "<=", 0))
-    cons.append(([-w for w in mins], "<", -rhs))
+    cons = [(row, "=", 1) for row in rows]
+    cons += [([-int(i == j) for j in range(k)], "<=", 0) for i in range(k)]
+    cons.append(([-w - 1 for w in mins], "<", min_k - state.r_global))
     res = solve(cons, k)
     if not res.feasible:
         return None
-    return ReducACert(tuple(t.signature() for t in terms), tuple(res.point))
+    return ReducACert(tuple(signature(t, state.vars) for t in terms),
+                      tuple(res.point))
 
 
 def reduc_a(state: SymState, positions, solve=solve):
@@ -591,20 +586,22 @@ def _leaf_node(state: SymState):
             mode, touching = got
             data = {"var": var, "mode": mode}
             if touching:
-                data["terms"] = [t.signature() for t in touching]
+                data["terms"] = [signature(t, state.vars) for t in touching]
             return CertNode("leaf_empty_generator", data)
     bounds = leaf_last_var(state)
     if bounds is not None:
         return CertNode("leaf_last_var", {
-            "bounds": [(t.signature(), str(Fraction(gmu, g))) for t, gmu, g in bounds]})
+            "bounds": [(signature(t, state.vars), str(Fraction(gmu, g)))
+                       for t, gmu, g in bounds]})
     return None
 
 
-def _case_json(case: Case, scalars):
-    out = {"var": case.var, "kind": case.kind, "value": aff_to_json(case.value)}
-    if case.symbol is not None:
-        out["symbol"] = case.symbol
-        out["negations"] = [{"var": v, "flag": f} for v, f in case.negations]
+def _case_json(case, scalars):
+    var, kind, value, symbol, negations = case
+    out = {"var": var, "kind": kind, "value": aff_to_json(value)}
+    if symbol is not None:
+        out["symbol"] = symbol
+        out["negations"] = [{"var": v, "flag": f} for v, f in negations]
     out["scalars"] = [(aff_to_json(a), aff_to_json(b), m) for a, b, m in scalars]
     return out
 
@@ -754,15 +751,11 @@ def _position(state: SymState, var, rule):
     return state.vars.index(var)
 
 
-def _case_from_json(assume) -> Case:
-    return Case(assume["var"], assume["kind"], aff_from_json(assume["value"]),
-                assume.get("symbol"),
-                tuple((n["var"], n["flag"]) for n in assume.get("negations", ())))
-
-
 def _check_cases(state: SymState, rule, cases, branches) -> None:
     """The branches must be the rule's cases, in order, and each close."""
-    if [_case_from_json(assume) for assume, _ in branches] != cases:
+    if [(a["var"], a["kind"], aff_from_json(a["value"]), a.get("symbol"),
+         tuple((n["var"], n["flag"]) for n in a.get("negations", ())))
+            for a, _ in branches] != cases:
         raise CertificateError(f"{rule} branches are not the rule's cases")
     for case, (_, child) in zip(cases, branches):
         _check_node(branch_state(state, case)[0], child)
@@ -795,11 +788,11 @@ def _check_node(state: SymState, node) -> None:
         for c in data["certs"]:
             key = tuple(sorted(c["tuple"]))
             stored[key] = (list(c["tuple"]), *int_row(c["u"]))  # u = ints/scale
-        min_k = state.box.min_of(state.k_total)
+        min_k = min_of(state.box, state.k_total)
         if min_k is None:
             raise CertificateError("unbounded K in reduc_a")
         for distinct in _lemma_a_tuples(state, positions):
-            by_sig = {t.signature(): t for t in distinct}
+            by_sig = {signature(t, state.vars): t for t in distinct}
             key = tuple(sorted(by_sig))
             if key not in stored:
                 raise CertificateError("missing LP certificate for a tuple")
@@ -807,12 +800,12 @@ def _check_node(state: SymState, node) -> None:
             distinct = [by_sig[s] for s in sig_order]
             if len(u) != len(distinct) or any(x < 0 for x in u):
                 raise CertificateError("bad multipliers")
-            for d in range(rcur):
-                if sum(ux * t.gamma[d] for ux, t in zip(u, distinct)) != scale:
+            for v in state.vars:
+                if sum(ux * t[0][v] for ux, t in zip(u, distinct)) != scale:
                     raise CertificateError("multipliers do not combine to e")
             total = 0
             for ux, t in zip(u, distinct):
-                mn = state.box.min_of(t.a)
+                mn = min_of(state.box, t[1])
                 if mn is None:
                     raise CertificateError("unbounded bracket endpoint")
                 total += ux * (mn + 1)

@@ -39,11 +39,12 @@ of the Hom table, where the package reads per-root bitmasks.
 ``class_total`` is the dimension vector of a class, and ``in_zero_set``
 tests a class against a zero set's selected simples by bilinearity.
 
-``affine_add`` is the reference for ``qsing.affine.Affine``'s arithmetic:
-addition as one dict merge with zeros dropped and a sort, with no fast path.
-``signature_json`` and ``summed_k`` are the references for what a
-``qsing.bsato`` branch state carries: a bracket's signature as
-``json.dumps`` writes it, and K as the negated sum of every fixed value.
+``affine_add`` is the reference for ``qsing.affine.aff_add``: addition of
+two affine tuples (const, coeffs) as one dict merge with zeros dropped and
+a sort, with no fast path.  ``signature_json`` and ``summed_k`` are the
+references for what a ``qsing.bsato`` branch state carries: a bracket's
+signature as ``json.dumps`` writes it, and K as the negated sum of every
+fixed value.
 
 ``bracket_identity_check`` tests the telescoping identity of brackets,
 [s]^d_{a,b} [s]^d_{0,a} = [s]^d_{0,b}, on which the b-function recursion
@@ -62,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from qsing import jacobian
-from qsing.affine import Affine, aff_to_json
+from qsing.affine import aff_to_json
 from qsing.brackets import BracketTerm, expand, family_from_terms
 from qsing.decomp import (PerpData, RepClass, class_hom, class_self_ext,
                           generic_decomposition, make_class, perp_simples)
@@ -73,29 +74,33 @@ from qsing.roots import hom_table, positive_roots
 
 # -- affine expressions ------------------------------------------------------
 
-def affine_add(x: Affine, y: Affine) -> Affine:
+def affine_add(x, y):
     """x + y by merging the coefficients in a dict, dropping the zeros and
     sorting, whatever either side holds."""
-    m = dict(x.coeffs)
-    for s, c in y.coeffs:
+    m = dict(x[1])
+    for s, c in y[1]:
         m[s] = m.get(s, 0) + c
-    return Affine(x.const + y.const,
-                  tuple(sorted((s, c) for s, c in m.items() if c)))
+    return (x[0] + y[0], tuple(sorted((s, c) for s, c in m.items() if c)))
 
 
 # -- certification branch states --------------------------------------------
 
-def signature_json(term) -> str:
-    """The signature of a ``qsing.bsato.SymTerm`` as ``json.dumps`` writes
-    it, from the term's fields."""
-    return json.dumps([list(term.gamma), aff_to_json(term.a),
-                       aff_to_json(term.b), term.mult], sort_keys=True)
+def signature_json(term, vars) -> str:
+    """The signature of a ``qsing.bsato`` bracket term (gamma, a, b, mult,
+    deg) on the active variables vars as ``json.dumps`` writes it, from the
+    term's fields."""
+    gamma, a, b, mult, _ = term
+    return json.dumps([[gamma[v] for v in vars], aff_to_json(a),
+                       aff_to_json(b), mult], sort_keys=True)
 
 
-def summed_k(fixed) -> Affine:
+def summed_k(fixed):
     """K = -(sum of the fixed values) of a branch state, summed afresh from
-    its ((var, value, clean flag), ...) list."""
-    return -sum((v for _, v, _ in fixed), Affine(0))
+    its ((var, value, clean flag), ...) list by ``affine_add``."""
+    total = (0, ())
+    for _, v, _ in fixed:
+        total = affine_add(total, v)
+    return (-total[0], tuple((s, -c) for s, c in total[1]))
 
 
 # -- brackets ----------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsing import brackets
-from qsing.affine import Affine
+from qsing.affine import aff_of
 from qsing.brackets import (
     BracketTerm,
     TerminalRuleInapplicable,
@@ -238,14 +238,14 @@ def specialize(state, var, value):
     and the scalar factors gamma_var*value + o as sorted (constant,
     multiplicity) pairs, one per offset o of each bracket that loses its
     last variable."""
-    sub, scalars = state.specialize(state.vars.index(var), Affine.of(value),
+    sub, scalars = state.specialize(state.vars.index(var), aff_of(value),
                                     True)
-    assert all(t.a.is_const() and t.b.is_const() for t in sub.terms)
+    assert all(not a[1] and not b[1] for _, a, b, _, _ in sub.terms)
     fam = family_from_terms(len(sub.vars), [
-        BracketTerm(t.gamma, int(t.a.const), int(t.b.const), t.mult)
-        for t in sub.terms])
+        BracketTerm(tuple(g[v] for v in sub.vars), a[0], b[0], mult)
+        for g, a, b, mult, _ in sub.terms])
     factors = sorted((c, mult) for a, b, mult in scalars
-                     for c in range(int(a.const) + 1, int(b.const) + 1))
+                     for c in range(a[0] + 1, b[0] + 1))
     return fam, sub, factors
 
 

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsing import bsato, fmlp
-from qsing.affine import Affine, Box, aff_from_json, aff_to_json
+from qsing.affine import (ZERO, aff_add, aff_from_json, aff_mul, aff_neg,
+                          aff_of, aff_sub, aff_sym, aff_to_json, max_of,
+                          min_of, with_symbol)
 from qsing.brackets import (
     BracketTerm,
     TerminalRuleInapplicable,
@@ -24,10 +26,10 @@ from qsing.bsato import (
     CertNode,
     CertifyOutcome,
     SymState,
-    SymTerm,
     _binom_value,
     _check_node,
     _cover_check,
+    _leaf_node,
     _reduc_a_tuple_cert,
     _refutation_candidates,
     _t_interval,
@@ -36,13 +38,17 @@ from qsing.bsato import (
     check_form_assumption,
     generator_bc,
     is_good,
+    leaf_all_fixed,
+    leaf_empty_generator,
     leaf_last_var,
     membership_in_ztilde,
     rational_singularities_verdict,
     reduc_a,
     reduc_b,
+    signature,
     single_variable_roots,
     sym_state_from_family,
+    sym_term,
     verify_certificate,
 )
 from qsing.decomp import generic_decomposition, perp_simples
@@ -126,11 +132,12 @@ INPUT_CHECKS = [
     "family_from_terms(1, [BracketTerm((1,), 0, 1, 0)])",
     "expand(E8_POS_FAMILY(1), (1, -1))",
     "bracket_identity_check(1, 2, 1)",
-    "Box().with_symbol('k1', 1).with_symbol('k1', 0)",
-    # the certifier's Affine holds integers only
-    "Affine.of(Fraction(1, 2))",
-    "Affine.sym('k') * Fraction(1, 2)",
+    "with_symbol(with_symbol({}, 'k1', 1), 'k1', 0)",
+    # the certifier's affine values hold integers only, and no bool
+    "aff_of(Fraction(1, 2))",
+    "aff_mul(aff_sym('k'), Fraction(1, 2))",
     "aff_from_json({'const': '1/2', 'coeffs': {}})",
+    "aff_from_json({'const': False, 'coeffs': {}})",
     # the b-function's alpha is a nonnegative n-vector and its simples are
     # positive roots of the quiver
     "compute_bfunction(Quiver(2, ((1, 2),)), (1, 1, 1), [(0, 1)])",
@@ -149,7 +156,8 @@ def test_input_checks_survive_optimize():
     # python -O drops assert statements; input checks must not ride on them
     source = "\n".join([
         "from fractions import Fraction",
-        "from qsing.affine import Affine, Box, aff_from_json",
+        "from qsing.affine import aff_from_json, aff_mul, aff_of, aff_sym, "
+        "with_symbol",
         "import sys",
         "sys.path.insert(0, %r)" % TESTS,
         "from qsing.brackets import BracketTerm, compute_bfunction, expand, "
@@ -351,7 +359,7 @@ def test_reduc_a_examples():
     certs, cases = got
     assert len(certs) == 1
     assert [Fraction(x) for x in certs[0].u] == [1, 1]
-    assert [(c.var, c.value.const) for c in cases] == \
+    assert [(var, value[0]) for var, _, value, _, _ in cases] == \
         [(v, -o) for v in (1, 2) for o in (1, 2, 3, 4)]
     # ex:pos: I = {1} fails with the (1,1) bracket tuple
     state2 = sym_state_from_family(E8_POS_FAMILY(1))
@@ -363,7 +371,7 @@ def test_reduc_a_vacuous_when_gamma_empty():
                                 BracketTerm((0, 1), 0, 2)])
     state = sym_state_from_family(fam)
     certs, cases = reduc_a(state, (0,))
-    assert certs == [] and [c.value.const for c in cases] == [-1, -2]
+    assert certs == [] and [value[0] for _, _, value, _, _ in cases] == [-1, -2]
 
 
 def test_reduc_b_b1_family():
@@ -639,10 +647,11 @@ def test_signatures_are_the_json_text_on_the_grid(grid_trace):
     """Every bracket of every state the certifier and the checker build on
     the grid signs as json.dumps writes it."""
     states, _, _ = grid_trace
-    terms = [t for side in states.values() for st_ in side for t in st_.terms]
+    terms = [(t, st_.vars) for side in states.values() for st_ in side
+             for t in st_.terms]
     assert len(terms) > 14000
-    for t in terms:
-        assert t.signature() == signature_json(t), t
+    for t, vars in terms:
+        assert signature(t, vars) == signature_json(t, vars), t
 
 
 def test_k_total_is_the_summed_k_on_the_grid(grid_trace):
@@ -655,6 +664,42 @@ def test_k_total_is_the_summed_k_on_the_grid(grid_trace):
     for side in states.values():
         for state in side:
             assert state.k_total == summed_k(state.fixed), state.fixed
+
+
+def test_term_degrees_on_the_grid(grid_trace):
+    """Every bracket of every state either side builds on the grid carries
+    deg = e.gamma over the state's active variables, at least 1: a term
+    whose active gamma is 0 is a scalar, not a term."""
+    states, _, _ = grid_trace
+    for side in states.values():
+        for state in side:
+            for t in state.terms:
+                assert t[4] == sum(t[0][v] for v in state.vars) >= 1, t
+
+
+def test_specialize_keeps_the_terms_it_does_not_touch():
+    """Specializing s_v hands each bracket with gamma_v = 0 to the child
+    as the same object, in the same order; it rebuilds every other one
+    with shifted endpoints and a smaller deg, or turns it into scalars."""
+    state = sym_state_from_family(E6_FAMILY_PAPER_ORDER(2, 2))
+    value = aff_sym("k1", -1)
+    for pos, var in enumerate(state.vars):
+        child, scalars = state.specialize(pos, value, True)
+        untouched = [t for t in state.terms if not t[0][var]]
+        kept = [t for t in child.terms if not t[0][var]]
+        assert len(kept) == len(untouched)
+        assert all(u is t for u, t in zip(untouched, kept))
+        touched = [t for t in state.terms if t[0][var]]
+        rebuilt = [t for t in child.terms if t[0][var]]
+        assert len(rebuilt) + len(scalars) == len(touched) >= 1
+        for old in touched:
+            g = old[0][var]
+            shifted = aff_add(old[1], aff_mul(value, g)), \
+                aff_add(old[2], aff_mul(value, g))
+            if old[4] > g:
+                assert (old[0], *shifted, old[3], old[4] - g) in rebuilt
+            else:
+                assert (*shifted, old[3]) in scalars
 
 
 def test_lemma_a_solves_on_the_grid_pinned(grid_trace):
@@ -674,15 +719,19 @@ ESCAPED = ['"q', '"\\', '"\u00e9', '"\x01']
 
 
 def test_signatures_escape_symbols_as_json_does():
-    a = Affine(4)
+    a = aff_of(4)
     for i, s in enumerate(ESCAPED):
-        a = a + Affine.sym(s, i - 2 or 3)
-    terms = [SymTerm((1, 0, 2), a, a + 2, 3), SymTerm((2,), -a, -a + 1),
-             SymTerm((1, 1), Affine.sym(ESCAPED[3]), Affine.sym(ESCAPED[3]) + 1),
-             SymTerm((0, 1), Affine(-3), Affine(0))]
+        a = aff_add(a, aff_sym(s, i - 2 or 3))
+    k3 = aff_sym(ESCAPED[3])
+    terms = [sym_term((1, 0, 2), a, aff_add(a, aff_of(2)), 3),
+             sym_term((2,), aff_neg(a), aff_add(aff_neg(a), aff_of(1))),
+             sym_term((1, 1), k3, aff_add(k3, aff_of(1))),
+             sym_term((0, 1), aff_of(-3), aff_of(0))]
     for t in terms:
-        assert t.signature() == signature_json(t), t
-    assert all(ord(c) < 128 for t in terms for c in t.signature())
+        vars = tuple(range(1, len(t[0])))
+        assert signature(t, vars) == signature_json(t, vars), t
+    assert all(ord(c) < 128 for t in terms
+               for c in signature(t, tuple(range(1, len(t[0])))))
 
 
 def _escaped_reduc_a():
@@ -690,14 +739,15 @@ def _escaped_reduc_a():
     non-unit brackets [s]^(2,0) and [s]^(0,2) whose endpoints are symbolic,
     and the certifier's lemma (a) on both positions: one tuple, u = (1/2,
     1/2), and no unit root, so no case."""
-    k = [Affine.sym(s) for s in ESCAPED]
-    box = Box()
+    k = [aff_sym(s) for s in ESCAPED]
+    box = {}
     for s in ESCAPED:
-        box = box.with_symbol(s, 0)
-    a1, a2 = k[0] + k[1] * 2 + 4, k[2] + k[3] * 3 + 6
-    state = SymState((1, 2), (SymTerm((2, 0), a1, a1 + 1),
-                              SymTerm((0, 2), a2, a2 + 2)),
-                     (), box, {}, 2, Affine(0))
+        box = with_symbol(box, s, 0)
+    a1 = aff_add(aff_add(k[0], aff_mul(k[1], 2)), aff_of(4))
+    a2 = aff_add(aff_add(k[2], aff_mul(k[3], 3)), aff_of(6))
+    state = SymState((1, 2), (sym_term((2, 0), a1, aff_add(a1, aff_of(1))),
+                              sym_term((0, 2), a2, aff_add(a2, aff_of(2)))),
+                     (), box, {}, 2, ZERO)
     return state, reduc_a(state, (0, 1))
 
 
@@ -709,19 +759,19 @@ def test_checker_matches_escaped_symbols_through_their_signatures():
     state, (certs, cases) = _escaped_reduc_a()
     assert cases == [] and len(certs) == 1
     terms = state.terms
-    assert certs[0].tuple_sigs == tuple(signature_json(t) for t in terms)
+    assert certs[0].tuple_sigs == tuple(signature_json(t, (1, 2))
+                                        for t in terms)
     assert certs[0].u == (Fraction(1, 2), Fraction(1, 2))
 
     def node(sigs):
         return {"rule": "reduc_a", "branches": [], "data": {
             "I": [1, 2], "certs": [{"tuple": sigs, "u": ["1/2", "1/2"]}]}}
 
-    _check_node(state, node([signature_json(t) for t in terms]))
-    unescaped = [json.dumps([list(t.gamma), aff_to_json(t.a),
-                             aff_to_json(t.b), t.mult],
+    _check_node(state, node([signature_json(t, (1, 2)) for t in terms]))
+    unescaped = [json.dumps([[g[1], g[2]], aff_to_json(a), aff_to_json(b), mult],
                             sort_keys=True, ensure_ascii=False)
-                 for t in terms]
-    assert unescaped != [signature_json(t) for t in terms]
+                 for g, a, b, mult, _ in terms]
+    assert unescaped != [signature_json(t, (1, 2)) for t in terms]
     with pytest.raises(bsato.CertificateError,
                        match="missing LP certificate for a tuple"):
         _check_node(state, node(unescaped))
@@ -731,11 +781,10 @@ def _lemma_a_system(state, terms):
     """Lemma (a)'s LP for a tuple, written out in full: u >= 0,
     sum u*gamma = e, and sum u*(min a + 1) > r - min K."""
     k = len(terms)
-    cons = [([t.gamma[d] for t in terms], "=", 1)
-            for d in range(len(state.vars))]
+    cons = [([t[0][v] for t in terms], "=", 1) for v in state.vars]
     cons += [([-int(i == j) for j in range(k)], "<=", 0) for i in range(k)]
-    cons.append(([-(state.box.min_of(t.a) + 1) for t in terms], "<",
-                 state.box.min_of(state.k_total) - state.r_global))
+    cons.append(([-(min_of(state.box, t[1]) + 1) for t in terms], "<",
+                 min_of(state.box, state.k_total) - state.r_global))
     return cons, k
 
 
@@ -751,9 +800,9 @@ def test_support_cut_declines_only_infeasible_tuples(args):
     _reduc_a_tuple_cert declines without calling its solver, and the full
     system is infeasible; otherwise the solver decides it."""
     r, raw, k_const, r_global = args
-    terms = [SymTerm(tuple(g), Affine(a), Affine(a + 1)) for g, a in raw]
-    state = SymState(tuple(range(1, r + 1)), tuple(terms), (), Box(), {},
-                     r_global, Affine(k_const))
+    terms = [sym_term(tuple(g), aff_of(a), aff_of(a + 1)) for g, a in raw]
+    state = SymState(tuple(range(1, r + 1)), tuple(terms), (), {}, {},
+                     r_global, aff_of(k_const))
     calls = []
 
     def spy(cons, nvars):
@@ -761,7 +810,7 @@ def test_support_cut_declines_only_infeasible_tuples(args):
         return fmlp.solve(cons, nvars)
 
     got = _reduc_a_tuple_cert(state, terms, spy)
-    if any(not any(t.gamma[d] for t in terms) for d in range(r)):
+    if any(not any(t[0][v] for t in terms) for v in state.vars):
         assert got is None and not calls
         assert not fmlp.solve(*_lemma_a_system(state, terms)).feasible
     else:
@@ -831,6 +880,26 @@ def test_checker_rejects_a_fractional_case_value():
         False, "malformed certificate: ValueError: '1/2' is not an integer")
 
 
+def _assumptions(node):
+    for assume, child in node["branches"]:
+        yield assume
+        yield from _assumptions(child)
+
+
+def test_checker_rejects_bool_case_values():
+    """A JSON false is not the integer 0: the e6-ex1 n = m = 2 certificate
+    with every case value constant "0" written as false is malformed."""
+    fam = _preset_family("e6-ex1", 2, 2)
+    blob = json.loads(json.dumps(cert_to_json(certify_all_good(fam).certificate)))
+    zeros = [assume["value"] for assume in _assumptions(blob)
+             if assume["value"]["const"] == "0"]
+    assert len(zeros) == 24
+    for value in zeros:
+        value["const"] = False
+    assert verify_certificate(fam, blob) == (
+        False, "malformed certificate: ValueError: False is not an integer")
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
 def test_fractional_case_value_rejected_by_cli(tmp_path, flags):
     fam, blob = _certificate_with_a_fractional_value()
@@ -875,7 +944,7 @@ def _one_branch_reduc_b(state, symbol, child):
                                              "sign": sg}
                         for i, (lm, mu, sg) in rb.memberships.items()}},
         "branches": [[{"var": var, "kind": "neg_int_sym",
-                       "value": aff_to_json(-Affine.sym(symbol)),
+                       "value": aff_to_json(aff_sym(symbol, -1)),
                        "symbol": symbol, "negations": []}, child]]}
 
 
@@ -886,7 +955,8 @@ def nested_certificate(inner_symbol):
     fam = family_from_terms(3, [BracketTerm(tuple(t["gamma"]), 0, 2)
                                 for t in UNITS3_TERMS])
     outer = sym_state_from_family(fam)
-    inner, _ = outer.specialize(reduc_b(outer).j_plus[0], -Affine.sym("k1"), True)
+    inner, _ = outer.specialize(reduc_b(outer).j_plus[0], aff_sym("k1", -1),
+                                True)
     leaf = {"rule": "leaf_last_var", "data": {}, "branches": []}
     return fam, _one_branch_reduc_b(
         outer, "k1", _one_branch_reduc_b(inner, inner_symbol, leaf))
@@ -912,6 +982,65 @@ def test_rebound_symbol_rejected_by_cli(tmp_path, flags):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == "REJECTED: symbol k1 is already bound\n"
     assert "Traceback" not in proc.stderr
+
+
+# full-support dimension vectors of total at most the bound; on each, every
+# pair of perpendicular simples, and all of them where there are three or more
+CERT_BOX = (("d4", 9), ("d5", 8), ("e6", 9))
+
+# sha256 of json [name, alpha, selection, sha256 of the certificate JSON
+# (sort_keys) or "refuted:" + witness or "inconclusive"] over CERT_BOX in
+# order, recorded while bracket terms, cases and affine values were frozen
+# dataclasses
+CERT_BOX_DIGEST = "ada2dfec09da66bf4e927dbdb21a36501b424168842f641f2360fbc64c8bd13b"
+
+
+def _cert_box_rows(quivers):
+    """The CERT_BOX rows, and per certificate its r and how many
+    no-terms leaves it holds; each certificate passes the checker."""
+    rows, certs = [], []
+    for name, bound in CERT_BOX:
+        q = quivers[name]
+        for alpha in itertools.product(range(1, bound + 1), repeat=q.n):
+            if sum(alpha) > bound:
+                continue
+            simples = perp_simples(q, generic_decomposition(q, alpha)).simples
+            sels = list(itertools.combinations(range(len(simples)), 2))
+            if len(simples) >= 3:
+                sels.append(tuple(range(len(simples))))
+            for sel in sels:
+                try:
+                    fam = compute_bfunction(q, alpha, [simples[i] for i in sel])
+                except TerminalRuleInapplicable:
+                    continue
+                out = certify_all_good(fam)
+                got = out.kind
+                if out.kind == "certificate":
+                    blob = cert_to_json(out.certificate)
+                    assert verify_certificate(fam, blob) == (
+                        True, "certificate verified"), (name, alpha, sel)
+                    text = json.dumps(blob, sort_keys=True)
+                    got = hashlib.sha256(text.encode()).hexdigest()
+                    certs.append((fam.r, text.count('"mode": "no-terms"')))
+                elif out.kind == "refuted":
+                    got = "refuted:" + ",".join(map(str, out.witness))
+                rows.append([name, list(alpha), list(sel), got])
+    return rows, certs
+
+
+def test_certificates_beyond_the_grid_pinned(d4, d5):
+    """Certificates on D4, D5 and E6 boxes reach rules the grid does not
+    (r = 3..5, the no-terms leaf), byte for byte as recorded, and the
+    checker accepts each."""
+    rows, certs = _cert_box_rows({"d4": d4, "d5": d5, "e6": E6_QUIVER})
+    kinds = [got.split(":")[0] for *_, got in rows]
+    assert (len(certs), kinds.count("refuted"), kinds.count("inconclusive")) \
+        == (510, 91, 22)
+    assert {r: sum(cr == r for cr, _ in certs) for r in (2, 3, 4, 5)} == \
+        {2: 429, 3: 58, 4: 22, 5: 1}
+    assert sum(nt for _, nt in certs) == 4
+    text = json.dumps(rows, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == CERT_BOX_DIGEST
 
 
 def test_certifier_and_checker_agree_beyond_the_presets(d4, d5):
@@ -1030,7 +1159,7 @@ def _box_min_fraction(box, const, coeffs):
     for -infinity."""
     val = Fraction(const)
     for s, c in coeffs.items():
-        lo, hi = box.bounds(s)
+        lo, hi = box[s]
         if c > 0:
             val += c * lo
         elif c < 0:
@@ -1047,15 +1176,15 @@ def leaf_last_var_fraction_oracle(state):
     if len(state.vars) != 1 or not state.terms:
         return None
     k_const, k_coeffs = Fraction(0), {}
-    for _, v, _ in state.fixed:
-        k_const -= v.const
-        for s, c in v.coeffs:
+    for _, (v_const, v_coeffs), _ in state.fixed:
+        k_const -= v_const
+        for s, c in v_coeffs:
             k_coeffs[s] = k_coeffs.get(s, 0) - c
     bounds = []
     for t in state.terms:
-        g = t.gamma[0]
-        a_const = Fraction(t.a.const + 1, g)
-        a_coeffs = {s: Fraction(c, g) for s, c in t.a.coeffs}
+        g, (t_const, t_coeffs) = t[0][state.vars[0]], t[1]
+        a_const = Fraction(t_const + 1, g)
+        a_coeffs = {s: Fraction(c, g) for s, c in t_coeffs}
         total = dict(k_coeffs)
         for s, c in a_coeffs.items():
             total[s] = total.get(s, 0) + c
@@ -1073,15 +1202,16 @@ def leaf_last_var_fraction_oracle(state):
 def _random_last_var_state(rng):
     """A state with one active variable: g in 1..4, integer or symbolic
     bracket endpoints and fixed values, bounded and unbounded symbols."""
-    box = Box()
+    box = {}
     for s in ("k1", "k2"):
         lo = rng.randint(0, 2)
-        box = box.with_symbol(s, lo, rng.choice([None, lo + rng.randint(0, 3)]))
+        box = with_symbol(box, s, lo, rng.choice([None, lo + rng.randint(0, 3)]))
 
     def value(lo, hi):
-        v = Affine.of(rng.randint(lo, hi))
+        v = aff_of(rng.randint(lo, hi))
         if rng.random() < 0.4:
-            v = v + Affine.sym(rng.choice(["k1", "k2"]), rng.choice([-2, -1, 1, 2]))
+            v = aff_add(v, aff_sym(rng.choice(["k1", "k2"]),
+                                   rng.choice([-2, -1, 1, 2])))
         return v
 
     fixed = tuple((var, value(-4, 1), rng.random() < 0.6)
@@ -1089,8 +1219,9 @@ def _random_last_var_state(rng):
     terms = []
     for _ in range(rng.randint(1, 3)):
         a = value(-2, 6)
-        terms.append(SymTerm((rng.randint(1, 4),), a, a + rng.randint(0, 3),
-                             rng.randint(1, 2)))
+        terms.append(sym_term((rng.randint(1, 4),), a,
+                              aff_add(a, aff_of(rng.randint(0, 3))),
+                              rng.randint(1, 2)))
     return SymState((1,), tuple(terms), fixed, box, {}, rng.randint(1, 4),
                     summed_k(fixed))
 
@@ -1098,18 +1229,18 @@ def _random_last_var_state(rng):
 def _tight_last_var_state(fixed_value, a):
     """A clean state with g = 2 and r = 1 over k1 in 0..1."""
     fixed = ((2, fixed_value, True),)
-    return SymState((1,), (SymTerm((2,), a, a + 1),), fixed,
-                    Box().with_symbol("k1", 0, 1), {}, 1, summed_k(fixed))
+    return SymState((1,), (sym_term((2,), a, aff_add(a, aff_of(1))),), fixed,
+                    with_symbol({}, "k1", 0, 1), {}, 1, summed_k(fixed))
 
 
 def test_leaf_last_var_matches_the_fraction_formula():
     """The integer rule accepts and rejects exactly where the Fraction
     formula does, and writes the same bound strings."""
-    k1 = Affine.sym("k1")
+    k1 = aff_sym("k1")
     # the bound K + (a+1)/2 equals r = 1 on both, at k1 = 1; (a+1)/2 is
     # 1 at least on the first but 1/2 at k1 = 0 on the second
-    accepts = _tight_last_var_state(Affine.of(0), Affine.of(1))
-    rejects = _tight_last_var_state(k1 - 1, k1)
+    accepts = _tight_last_var_state(aff_of(0), aff_of(1))
+    rejects = _tight_last_var_state(aff_sub(k1, aff_of(1)), k1)
     assert [str(Fraction(gmu, g)) for _, gmu, g in leaf_last_var(accepts)] == ["1"]
     assert leaf_last_var(rejects) is None
     rng = random.Random(20261018)
@@ -1121,8 +1252,9 @@ def test_leaf_last_var_matches_the_fraction_formula():
         assert (got is None) == (want is None), state
         if got is None:
             continue
-        assert [(t.signature(), str(Fraction(gmu, g))) for t, gmu, g in got] == \
-            [(t.signature(), str(mu)) for t, mu in want], state
+        assert [(signature(t, (1,)), str(Fraction(gmu, g)))
+                for t, gmu, g in got] == \
+            [(signature(t, (1,)), str(mu)) for t, mu in want], state
         accepted += 1
         tight += any(mu == state.r_global for _, mu in want)
         fractional += any(mu.denominator > 1 for _, mu in want)
@@ -1131,12 +1263,94 @@ def test_leaf_last_var_matches_the_fraction_formula():
         (accepted, tight, fractional)
 
 
+def test_lemma_a_tuples_merge_brackets_equal_on_the_active_variables():
+    """[s]^(1,1,1)_{0,1} and [s]^(2,1,1)_{1,2} at z_1 = -1 are two terms that
+    keep different entries for s_1 but are one bracket [s]^(1,1)_{-1,0}:
+    each tuple of lemma (a) on both positions holds it once."""
+    fam = family_from_terms(3, [BracketTerm((1, 1, 1), 0, 1),
+                                BracketTerm((2, 1, 1), 1, 2)])
+    child, _ = sym_state_from_family(fam).specialize(0, aff_of(-1), True)
+    t1, t2 = child.terms
+    assert t1 != t2 and signature(t1, child.vars) == signature(t2, child.vars)
+    assert [len(d) for d in bsato._lemma_a_tuples(child, (0, 1))] == [1] * 4
+
+
+def _fixed_state(fixed, box, r):
+    """A state with no active variable left."""
+    return SymState((), (), fixed, box, {}, r, summed_k(fixed))
+
+
+def test_leaf_all_fixed_modes():
+    """clean when every fixed value came from a negative case; strict, with
+    the maximum of e.z, when a dirty branch keeps e.z below -r on the whole
+    box; otherwise None, and None while a variable is active."""
+    clean = ((1, aff_of(-1), True), (2, aff_sym("k1", -1), True))
+    assert leaf_all_fixed(_fixed_state(clean, with_symbol({}, "k1", 1), 2)) \
+        == ("clean", None)
+    dirty = ((1, aff_of(-5), True), (2, aff_sym("k1"), False))  # z_2 = k1
+    strict = _fixed_state(dirty, with_symbol({}, "k1", 0, 2), 2)
+    assert leaf_all_fixed(strict) == ("strict", -3)  # e.z = k1 - 5 <= -3
+    node = _leaf_node(strict)
+    assert (node.rule, node.data) == ("leaf_all_fixed",
+                                      {"mode": "strict", "max": "-3"})
+    _check_node(strict, cert_to_json(node))
+    with pytest.raises(bsato.CertificateError,
+                       match="leaf_all_fixed does not hold"):
+        _check_node(strict, {"rule": "leaf_all_fixed",
+                             "data": {"mode": "clean"}, "branches": []})
+    # e.z reaches -r at k1 = 3, and has no bound when k1 has none
+    for box in (with_symbol({}, "k1", 0, 3), with_symbol({}, "k1", 0)):
+        assert leaf_all_fixed(_fixed_state(dirty, box, 2)) is None
+    active = SymState((3,), (), dirty, with_symbol({}, "k1", 0, 2), {}, 3,
+                      summed_k(dirty))
+    assert leaf_all_fixed(active) is None
+
+
+def _branch_at_s1(terms, kind, value, negations):
+    """The state on the branch z_1 = value, bound to symbol k1, of the
+    family of the given 3-variable brackets."""
+    root = sym_state_from_family(family_from_terms(3, terms))
+    return bsato.branch_state(root, (1, kind, value, "k1", negations))[0]
+
+
+def test_leaf_empty_generator_modes():
+    """no-terms when no bracket holds s_i on the active variables;
+    units-positive when each one is the unit bracket of s_i with a >= 0 on
+    the box and z_i is not a negative integer; None otherwise.  The states
+    come from fixing s_1, so their brackets keep an entry for s_1."""
+    units = [BracketTerm((1, 1, 0), 0, 1), BracketTerm((0, 1, 0), 0, 2),
+             BracketTerm((1, 0, 0), 0, 1)]
+    not_neg = ((2, "not_neg_int"),)
+    flagged = _branch_at_s1(units, "nat_sym", aff_sym("k1"), not_neg)
+    assert flagged.vars == (2, 3)
+    assert leaf_empty_generator(flagged, 1) == ("no-terms", [])
+    mode, touching = leaf_empty_generator(flagged, 0)
+    k1 = '{"coeffs": {"k1": "1"}, "const": "%d"}'
+    assert mode == "units-positive"
+    assert [signature(t, flagged.vars) for t in touching] == [
+        '[[1, 0], {"coeffs": {}, "const": "0"}, {"coeffs": {}, "const": "2"}, 1]',
+        '[[1, 0], %s, %s, 1]' % (k1 % 0, k1 % 1)]
+    node = _leaf_node(flagged)
+    assert node.data == {"var": 2, "mode": "units-positive",
+                         "terms": [signature(t, flagged.vars) for t in touching]}
+    _check_node(flagged, cert_to_json(node))
+    # z_2 may be a negative integer; a = -k1 has no lower bound; a bracket
+    # of s_2 is not a unit bracket on the active variables
+    assert leaf_empty_generator(
+        _branch_at_s1(units, "nat_sym", aff_sym("k1"), ()), 0) is None
+    assert leaf_empty_generator(
+        _branch_at_s1(units, "neg_int_sym", aff_sym("k1", -1), not_neg), 0) is None
+    wide = [BracketTerm((1, 1, 1), 0, 1), BracketTerm((0, 1, 0), 0, 2)]
+    assert leaf_empty_generator(
+        _branch_at_s1(wide, "nat_sym", aff_sym("k1"), not_neg), 0) is None
+
+
 def test_affine_box_arithmetic():
-    k = Affine.sym("k")
-    box = Box().with_symbol("k", 1)
-    e = k * 2 + 3
-    assert box.min_of(e) == 5 and box.max_of(e) is None
-    assert box.min_of(-k) is None
-    bounded = Box().with_symbol("k", 1, 4)
-    assert bounded.max_of(e) == 11
-    assert (k - k).is_const()
+    k = aff_sym("k")
+    box = with_symbol({}, "k", 1)
+    e = aff_add(aff_mul(k, 2), aff_of(3))
+    assert min_of(box, e) == 5 and max_of(box, e) is None
+    assert min_of(box, aff_neg(k)) is None
+    bounded = with_symbol({}, "k", 1, 4)
+    assert max_of(bounded, e) == 11
+    assert not aff_sub(k, k)[1]

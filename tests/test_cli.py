@@ -313,19 +313,38 @@ MALFORMED_NODE = {
 }
 
 
-def _reduc_a_cert_without_u(tmp_path):
+def _e6_certificate(tmp_path):
     cert = tmp_path / "full.json"
     run_cli(["singularities", "--preset", "e6-ex1", "--n", "2", "--m", "2",
              "--certificate-out", str(cert)])
-    payload = json.loads(cert.read_text())
+    return json.loads(cert.read_text())
+
+
+def _reduc_a_cert_without_u(tmp_path):
+    payload = _e6_certificate(tmp_path)
     assert payload["certificate"]["rule"] == "reduc_a"
     del payload["certificate"]["data"]["certs"][0]["u"]
     return payload
 
 
+def _cert_with_bool_case_values(tmp_path):
+    """The certificate with each case value whose constant is "0" written
+    with false, which is not an integer."""
+    payload = _e6_certificate(tmp_path)
+    stack = [payload["certificate"]]
+    while stack:
+        for assume, child in stack.pop()["branches"]:
+            if assume["value"]["const"] == "0":
+                assume["value"]["const"] = False
+            stack.append(child)
+    return payload
+
+
 @pytest.mark.parametrize("payload", [lambda _: MALFORMED_NODE,
-                                     _reduc_a_cert_without_u],
-                         ids=["reduc_a-empty-data", "reduc_a-missing-u"])
+                                     _reduc_a_cert_without_u,
+                                     _cert_with_bool_case_values],
+                         ids=["reduc_a-empty-data", "reduc_a-missing-u",
+                              "case-value-false"])
 def test_malformed_node_data_is_rejected_without_traceback(tmp_path, payload):
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps(payload(tmp_path)))
