@@ -482,11 +482,11 @@ def _reduc_a_tuple_cert(state: SymState, terms, solve=solve):
     cons = [(row, "=", 1) for row in rows]
     cons += [([-int(i == j) for j in range(k)], "<=", 0) for i in range(k)]
     cons.append(([-w - 1 for w in mins], "<", min_k - state.r_global))
-    res = solve(cons, k)
-    if not res.feasible:
+    point = solve(cons, k)
+    if point is None:
         return None
     return ReducACert(tuple(signature(t, state.vars) for t in terms),
-                      tuple(res.point))
+                      tuple(point))
 
 
 def reduc_a(state: SymState, positions, solve=solve):
@@ -615,7 +615,7 @@ class _Run:
     reuse the answer.  Each call makes its own run; nothing outlives it."""
     symbols: object
     lemma_b: dict = field(default_factory=dict)  # (r', Gamma) -> ReducBData
-    lps: dict = field(default_factory=dict)  # (nvars, system) -> FMResult
+    lps: dict = field(default_factory=dict)  # (nvars, system) -> point or None
 
     def reduc_b(self, state: SymState):
         key = (len(state.vars), tuple(_gammas(state)))
@@ -745,16 +745,24 @@ def certify_all_good(family: BFunctionFamily, refute_bound=30) -> CertifyOutcome
 
 # -- the re-verification: checker only ----------------------------------------
 
+def _var(var):
+    """A variable the certificate names: an int, not a bool or a float,
+    which would compare equal to one (a JSON true is not variable 1)."""
+    if type(var) is not int:
+        raise ValueError(f"{var!r} is not a variable")
+    return var
+
+
 def _position(state: SymState, var, rule):
-    if var not in state.vars:
+    if _var(var) not in state.vars:
         raise CertificateError(f"{rule} on inactive variable {var}")
     return state.vars.index(var)
 
 
 def _check_cases(state: SymState, rule, cases, branches) -> None:
     """The branches must be the rule's cases, in order, and each close."""
-    if [(a["var"], a["kind"], aff_from_json(a["value"]), a.get("symbol"),
-         tuple((n["var"], n["flag"]) for n in a.get("negations", ())))
+    if [(_var(a["var"]), a["kind"], aff_from_json(a["value"]), a.get("symbol"),
+         tuple((_var(n["var"]), n["flag"]) for n in a.get("negations", ())))
             for a, _ in branches] != cases:
         raise CertificateError(f"{rule} branches are not the rule's cases")
     for case, (_, child) in zip(cases, branches):
@@ -832,7 +840,8 @@ def _check_node(state: SymState, node) -> None:
                 raise CertificateError("farkas not orthogonal to J")
         if sum(y) <= 0:
             raise CertificateError("farkas does not separate e")
-        jplus, jminus = data["Jplus"], data["Jminus"]
+        jplus = [_var(v) for v in data["Jplus"]]
+        jminus = [_var(v) for v in data["Jminus"]]
         comp = [v for v in state.vars if v not in jvars]
         if sorted(jplus + jminus) != sorted(comp) or set(jplus) & set(jminus):
             raise CertificateError("J_plus/J_minus is not a partition")
@@ -841,6 +850,8 @@ def _check_node(state: SymState, node) -> None:
             nl = len(ms["lambdas"])  # lambdas, mus = ints/scale
             row, scale = int_row([*ms["lambdas"], *ms["mus"]])
             lambdas, mus, sign = row[:nl], row[nl:], ms["sign"]
+            if type(sign) is not int:
+                raise ValueError(f"membership sign {sign!r} is not an integer")
             if (sign > 0) != (v in jplus):
                 raise CertificateError("membership sign inconsistent")
             if any(x < 0 for x in lambdas):

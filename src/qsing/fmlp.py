@@ -1,48 +1,36 @@
-"""Exact rational linear feasibility by Fourier-Motzkin elimination, with
-certificate extraction.
+"""Exact rational linear feasibility by Fourier-Motzkin elimination.
 
 Systems are lists of constraints  sum c_i x_i  (rel)  rhs  with rel in
 {"<=", "<", "="} and int or Fraction (any exact rational) data.
 Elimination runs on plain Python integers: each input row is multiplied
 once by the lcm of its denominators, and each derived row
-b*upper + a*lower is divided by the gcd of its coefficients, right-hand
-side and provenance.  Both factors are positive, so by induction every row
+b*upper + a*lower is divided by the gcd of its coefficients and
+right-hand side.  Both factors are positive, so by induction every row
 is a positive multiple of the row that elimination on Fractions builds: the
 same inequality, in the same order, giving the same bound rest/c on its
 variable.  Back-substitution compares those bounds as integer pairs and
 divides, in Fractions, only for the bounds it picks.  Feasibility and the
 point are therefore exactly those of the Fraction computation.
-
-Every row carries its provenance, integer multipliers over the input rows,
-so infeasibility yields an explicit Farkas certificate (a positive multiple
-of the Fraction one) and feasibility yields a point.  Dimensions here are
-tiny (r <= 5), where FM is exact and fast.
+Dimensions here are tiny (r <= 5), where FM is exact and fast.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-
-
-@dataclass
-class FMResult:
-    feasible: bool
-    point: list | None = None  # Fraction point when feasible
-    farkas: list | None = None  # int multipliers over input rows when infeasible
 
 
 def _rational(x):
     """x as an exact rational: itself when an int, an int when a string of
     an optional minus sign and ASCII digits (the strings a certificate
-    holds most), else Fraction(x), which parses or rejects the rest."""
+    holds most), else Fraction(x), which parses or rejects the rest.  A
+    bool raises ValueError: a JSON true is not the number 1."""
     if type(x) is int:
         return x
     if type(x) is str:
         digits = x[1:] if x[:1] == "-" else x
         if digits.isdigit() and digits.isascii():
             return int(x)
+    elif type(x) is bool:
+        raise ValueError(f"{x!r} is not a rational")
     return Fraction(x)
 
 
@@ -56,30 +44,22 @@ def int_row(values):
     return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
-def solve(constraints, nvars) -> FMResult:
-    """Decide { x in Q^nvars : constraints }.  A row whose length is not
-    nvars, or whose relation is not "<=", "<" or "=", raises ValueError.
-
-    Feasible: a point of Fractions, found by back-substitution through the
-    elimination levels.  Infeasible: integer Farkas multipliers m over the
-    input rows, m_i >= 0 on inequality rows, with sum m_i * row_i equal to
-    (0 rel c) for a constant c violating the relation (c < 0, or c <= 0 if
-    a strict row has positive weight).  The multipliers are a positive
-    multiple of those elimination on Fractions gives.
+def solve(constraints, nvars):
+    """A point of { x in Q^nvars : constraints } as a list of Fractions,
+    found by back-substitution through the elimination levels, or None
+    when the system is infeasible.  A row whose length is not nvars, or
+    whose relation is not "<=", "<" or "=", raises ValueError.
     """
-    # a row is one int list, coefficients, then rhs, then provenance, with
-    # its strictness beside it: each combination below is one list
+    # a row is one int list, coefficients then rhs, with its strictness
+    # beside it: each combination below is one list
     rows = []
-    ncons = len(constraints)
     for k, (coeffs, rel, rhs) in enumerate(constraints):
         if len(coeffs) != nvars:
             raise ValueError(f"row {k} has {len(coeffs)} coefficients "
                              f"for {nvars} variables")
         if rel not in ("<=", "<", "="):
             raise ValueError(f"row {k} has relation {rel!r}, not <=, < or =")
-        row, scale = int_row([*coeffs, rhs])
-        row += [0] * ncons
-        row[nvars + 1 + k] = scale
+        row = int_row([*coeffs, rhs])[0]
         rows.append((row, rel == "<"))
         if rel == "=":
             rows.append(([-x for x in row], False))
@@ -109,7 +89,7 @@ def solve(constraints, nvars) -> FMResult:
         assert not any(row[:nvars])
         rhs = row[nvars]
         if rhs < 0 or (strict and rhs == 0):
-            return FMResult(False, farkas=row[nvars + 1:])
+            return None
 
     # back-substitute a feasible point.  At each level the later
     # coordinates are nums/den, and a row's bound rest/c on its variable is
@@ -139,7 +119,7 @@ def solve(constraints, nvars) -> FMResult:
             point[v] = lo + 1 if lo_strict else lo
         else:
             point[v] = (lo + hi) / 2 if (lo_strict or hi_strict) else lo
-    return FMResult(True, point=point)
+    return point
 
 
 def cone_membership(target, generators, lines=()):
@@ -158,11 +138,11 @@ def cone_membership(target, generators, lines=()):
         coeffs = [0] * nvars
         coeffs[i] = -1
         cons.append((coeffs, "<=", 0))
-    res = solve(cons, nvars)
-    if not res.feasible:
+    point = solve(cons, nvars)
+    if point is None:
         return None
-    lambdas = res.point[:k]
-    mus = [res.point[k + 2 * j] - res.point[k + 2 * j + 1] for j in range(l)]
+    lambdas = point[:k]
+    mus = [point[k + 2 * j] - point[k + 2 * j + 1] for j in range(l)]
     return lambdas, mus
 
 
@@ -173,5 +153,4 @@ def separating_functional(target, generators, orthogonal_to=()):
     cons = [(list(g), "<=", 0) for g in generators]
     cons += [(list(o), "=", 0) for o in orthogonal_to]
     cons.append(([-t for t in target], "<", 0))
-    res = solve(cons, len(target))
-    return res.point if res.feasible else None
+    return solve(cons, len(target))

@@ -57,6 +57,7 @@ from qsing.presets import E6_QUIVER, preset
 from qsing.quiver import Quiver
 
 from oracles import bracket_identity_check, signature_json, summed_k
+from test_fmlp import reference_solve
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 
@@ -713,6 +714,30 @@ def test_lemma_a_solves_on_the_grid_pinned(grid_trace):
             kinds.count("inconclusive")) == (12, 1, 4)
 
 
+def test_grid_systems_match_the_fraction_oracle():
+    """Every LP one certifier pass over the 17 grid inputs solves, lemma
+    (a)'s through ``bsato.solve`` and lemma (b)'s cones through
+    ``fmlp.solve``, gets the Fraction oracle's verdict and point.  Most
+    have more rows than the hypothesis systems of tests/test_fmlp.py."""
+    systems = []
+    real_solve = fmlp.solve
+
+    def recording(*args):
+        got = real_solve(*args)
+        systems.append((args, got))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bsato, "solve", recording)
+        mp.setattr(fmlp, "solve", recording)
+        for inp in GRID_INPUTS:
+            certify_all_good(_preset_family(*inp))
+    assert len(systems) == 638
+    assert sum(len(args[0]) > 5 for args, _ in systems) == 416
+    for args, got in systems:
+        assert got == reference_solve(*args), args
+
+
 # symbol names that json.dumps escapes: a quote, a backslash, a non-ASCII
 # letter and a control character
 ESCAPED = ['"q', '"\\', '"\u00e9', '"\x01']
@@ -812,10 +837,11 @@ def test_support_cut_declines_only_infeasible_tuples(args):
     got = _reduc_a_tuple_cert(state, terms, spy)
     if any(not any(t[0][v] for t in terms) for v in state.vars):
         assert got is None and not calls
-        assert not fmlp.solve(*_lemma_a_system(state, terms)).feasible
+        assert fmlp.solve(*_lemma_a_system(state, terms)) is None
     else:
         assert len(calls) == 1
-        assert (got is not None) == fmlp.solve(*_lemma_a_system(state, terms)).feasible
+        assert (got is not None) == (
+            fmlp.solve(*_lemma_a_system(state, terms)) is not None)
 
 
 def _first_branch(node, kind):
@@ -845,8 +871,62 @@ def test_checker_rejects_branches_other_than_the_rules_cases():
         False, "reduc_a branches are not the rule's cases")
 
 
+def _nodes(node):
+    yield node
+    for _, child in node["branches"]:
+        yield from _nodes(child)
+
+
+def _root_var_1_true(blob):
+    """The root's index set with variable 1 written as true."""
+    index_set = blob["data"]["I"]
+    index_set[index_set.index(1)] = True
+
+
+def _case_vars_true(blob):
+    """Variable 1 written as true in every case and negation naming it."""
+    named = [x for assume in _assumptions(blob)
+             for x in [assume, *assume.get("negations", ())] if x["var"] == 1]
+    assert named
+    for x in named:
+        x["var"] = True
+
+
+def _sides_true(blob):
+    """Variable 1 written as true in every lemma (b) J+ and J- naming it."""
+    sides = [node["data"][key] for node in _nodes(blob)
+             for key in ("Jplus", "Jminus") if 1 in node["data"].get(key, ())]
+    assert sides
+    for side in sides:
+        side[side.index(1)] = True
+
+
+def _signs_true(blob):
+    """Every lemma (b) membership sign 1 written as true."""
+    signs = [ms for node in _nodes(blob)
+             for ms in node["data"].get("memberships", {}).values()
+             if ms["sign"] == 1]
+    assert signs
+    for ms in signs:
+        ms["sign"] = True
+
+
+def _multipliers_bool(blob):
+    """Every "1" and "0" among lemma (a)'s u and lemma (b)'s lambdas written
+    as true and false."""
+    lists = [values for node in _nodes(blob)
+             for values in [*(c["u"] for c in node["data"].get("certs", ())),
+                            *(ms["lambdas"] for ms in
+                              node["data"].get("memberships", {}).values())]]
+    assert any("1" in values for values in lists)
+    for values in lists:
+        values[:] = [{"1": True, "0": False}.get(x, x) for x in values]
+
+
 def test_checker_rejects_malformed_node_data():
-    """Missing or ill-typed node data is a rejection, not an exception."""
+    """Missing or ill-typed node data is a rejection, not an exception: a
+    JSON true or false is neither a variable, nor a sign, nor a
+    multiplier."""
     fam = E6_FAMILY_PAPER_ORDER(2, 2)
     blob = cert_to_json(certify_all_good(fam).certificate)
     malformed = []
@@ -855,7 +935,9 @@ def test_checker_rejects_malformed_node_data():
                  lambda b: b["data"]["certs"][0].update(u=["x", "1"]),
                  lambda b: b["data"].update(I=5),
                  lambda b: b["branches"][0][0].pop("value"),
-                 lambda b: b.pop("data")):
+                 lambda b: b.pop("data"),
+                 _root_var_1_true, _case_vars_true, _sides_true, _signs_true,
+                 _multipliers_bool):
         bad = json.loads(json.dumps(blob))
         edit(bad)
         malformed.append(bad)

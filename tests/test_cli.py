@@ -340,11 +340,21 @@ def _cert_with_bool_case_values(tmp_path):
     return payload
 
 
+def _cert_with_a_bool_variable(tmp_path):
+    """The certificate with variable 1 of its root's index set written as
+    true, which is not a variable."""
+    payload = _e6_certificate(tmp_path)
+    index_set = payload["certificate"]["data"]["I"]
+    index_set[index_set.index(1)] = True
+    return payload
+
+
 @pytest.mark.parametrize("payload", [lambda _: MALFORMED_NODE,
                                      _reduc_a_cert_without_u,
-                                     _cert_with_bool_case_values],
+                                     _cert_with_bool_case_values,
+                                     _cert_with_a_bool_variable],
                          ids=["reduc_a-empty-data", "reduc_a-missing-u",
-                              "case-value-false"])
+                              "case-value-false", "variable-true"])
 def test_malformed_node_data_is_rejected_without_traceback(tmp_path, payload):
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps(payload(tmp_path)))

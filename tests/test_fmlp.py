@@ -10,37 +10,35 @@ from qsing.fmlp import cone_membership, int_row, separating_functional, solve
 
 def reference_solve(constraints, nvars):
     """Fourier-Motzkin elimination on Fraction rows, without any scaling:
-    the oracle for `solve`.  Returns (feasible, point or Farkas vector)."""
+    the oracle for `solve`.  Returns the point, or None when infeasible."""
     rows = []
-    for k, (coeffs, rel, rhs) in enumerate(constraints):
+    for coeffs, rel, rhs in constraints:
         coeffs, rhs = [Fraction(c) for c in coeffs], Fraction(rhs)
-        prov = [Fraction(int(i == k)) for i in range(len(constraints))]
         if rel == "=":
-            rows.append((coeffs, "<=", rhs, prov))
-            rows.append(([-c for c in coeffs], "<=", -rhs, [-p for p in prov]))
+            rows.append((coeffs, "<=", rhs))
+            rows.append(([-c for c in coeffs], "<=", -rhs))
         else:
-            rows.append((coeffs, rel, rhs, prov))
+            rows.append((coeffs, rel, rhs))
     levels, cur = [], rows
     for v in range(nvars):
         levels.append(cur)
         lower = [r for r in cur if r[0][v] < 0]
         upper = [r for r in cur if r[0][v] > 0]
         new = [r for r in cur if r[0][v] == 0]
-        for lc, lrel, lrhs, lprov in lower:
-            for uc, urel, urhs, uprov in upper:
+        for lc, lrel, lrhs in lower:
+            for uc, urel, urhs in upper:
                 a, b = uc[v], -lc[v]
                 new.append(([b * u + a * l for u, l in zip(uc, lc)],
                             "<" if "<" in (lrel, urel) else "<=",
-                            b * urhs + a * lrhs,
-                            [b * u + a * l for u, l in zip(uprov, lprov)]))
+                            b * urhs + a * lrhs))
         cur = new
-    for _, rel, rhs, prov in cur:
+    for _, rel, rhs in cur:
         if (rhs < 0) if rel == "<=" else (rhs <= 0):
-            return False, prov
+            return None
     point = [Fraction(0)] * nvars
     for v in range(nvars - 1, -1, -1):
         lo, hi, lo_strict, hi_strict = None, None, False, False
-        for coeffs, rel, rhs, _ in levels[v]:
+        for coeffs, rel, rhs in levels[v]:
             c = coeffs[v]
             if c == 0:
                 continue
@@ -59,51 +57,26 @@ def reference_solve(constraints, nvars):
             point[v] = lo + 1 if lo_strict else lo
         else:
             point[v] = (lo + hi) / 2 if (lo_strict or hi_strict) else lo
-    return True, point
-
-
-def assert_farkas(constraints, m):
-    """m certifies infeasibility: nonnegative on inequality rows, zero
-    combined coefficients, and a combined constant violating the relation
-    (c < 0, or c <= 0 when a strict row carries weight)."""
-    assert len(m) == len(constraints)
-    for (_, rel, _), mi in zip(constraints, m):
-        assert rel == "=" or mi >= 0
-    nvars = len(constraints[0][0])
-    for j in range(nvars):
-        assert sum(mi * Fraction(con[0][j])
-                   for mi, con in zip(m, constraints)) == 0
-    c = sum(mi * Fraction(con[2]) for mi, con in zip(m, constraints))
-    strict = any(mi > 0 for (_, rel, _), mi in zip(constraints, m)
-                 if rel == "<")
-    assert c < 0 or (strict and c == 0)
+    return point
 
 
 def test_feasible_point_satisfies_system():
     cons = [([1, 1], "<=", 4), ([-1, 0], "<=", 0), ([0, -1], "<=", 0),
             ([1, -1], "<", 2)]
-    res = solve(cons, 2)
-    assert res.feasible
-    x = res.point
+    x = solve(cons, 2)
+    assert x is not None
     assert x[0] + x[1] <= 4 and x[0] >= 0 and x[1] >= 0 and x[0] - x[1] < 2
 
 
-def test_infeasible_gives_farkas():
+def test_infeasible_gives_none():
     cons = [([1], "<=", 0), ([-1], "<", -1)]  # x <= 0 and x > 1
-    res = solve(cons, 1)
-    assert not res.feasible
-    y = res.farkas
-    assert all(v >= 0 for v in y)
-    # the combination has zero coefficients and a violated constant
-    total_coeff = y[0] * 1 + y[1] * (-1)
-    total_rhs = y[0] * 0 + y[1] * (-1)
-    assert total_coeff == 0 and total_rhs < 0
+    assert solve(cons, 1) is None
 
 
 def test_equality_handling():
-    res = solve([([2, 1], "=", 5), ([-1, 0], "<=", 0), ([0, -1], "<=", 0)], 2)
-    assert res.feasible
-    assert 2 * res.point[0] + res.point[1] == 5
+    x = solve([([2, 1], "=", 5), ([-1, 0], "<=", 0), ([0, -1], "<=", 0)], 2)
+    assert x is not None
+    assert 2 * x[0] + x[1] == 5
 
 
 def test_cone_membership_basic():
@@ -167,22 +140,12 @@ def systems(draw):
 @given(systems())
 @settings(max_examples=400, deadline=None)
 def test_solve_matches_fraction_oracle(system):
-    """Integer rows give the oracle's verdict and point exactly; on
-    infeasible systems the integer Farkas vector is a valid certificate and
-    a positive multiple of the oracle's."""
-    constraints, nvars = system
-    feasible, ref = reference_solve(constraints, nvars)
-    res = solve(constraints, nvars)
-    assert res.feasible == feasible
-    if feasible:
-        assert res.point == ref
-        assert all(type(x) is Fraction for x in res.point)
-        return
-    assert all(type(x) is int for x in res.farkas)
-    assert_farkas(constraints, res.farkas)
-    ratios = {Fraction(a) / b for a, b in zip(res.farkas, ref) if b}
-    assert len(ratios) == 1 and ratios.pop() > 0
-    assert [a == 0 for a in res.farkas] == [b == 0 for b in ref]
+    """Integer rows give the oracle's verdict and point exactly: None on
+    infeasible systems, the same Fractions on feasible ones."""
+    point = solve(*system)
+    assert point == reference_solve(*system)
+    if point is not None:
+        assert all(type(x) is Fraction for x in point)
 
 
 def test_oracle_differential_sees_both_verdicts():
@@ -193,25 +156,20 @@ def test_oracle_differential_sees_both_verdicts():
     @given(systems())
     @settings(max_examples=200, deadline=None, derandomize=True)
     def collect(system):
-        verdicts.add(reference_solve(*system)[0])
+        verdicts.add(reference_solve(*system) is not None)
 
     collect()
     assert verdicts == {True, False}
 
 
 def test_fractional_rows_scale_to_integers():
-    # 1/2 x <= 1/3 and -x < -2/3 (x > 2/3): infeasible; the row scales are
-    # 6 and 3, so the Farkas vector is integral
-    cons = [([Fraction(1, 2)], "<=", Fraction(1, 3)),
-            ([-1], "<", Fraction(-2, 3))]
-    res = solve(cons, 1)
-    assert not res.feasible
-    assert all(type(x) is int for x in res.farkas)
-    assert_farkas(cons, res.farkas)
+    # 1/2 x <= 1/3 and -x < -2/3 (x > 2/3): infeasible, with row scales
+    # 6 and 3
+    assert solve([([Fraction(1, 2)], "<=", Fraction(1, 3)),
+                  ([-1], "<", Fraction(-2, 3))], 1) is None
     # 1/3 < x <= 2/3: the midpoint, since the lower bound is strict
-    res = solve([([Fraction(1, 2)], "<=", Fraction(1, 3)),
-                 ([-1], "<", Fraction(-1, 3))], 1)
-    assert res.feasible and res.point == [Fraction(1, 2)]
+    assert solve([([Fraction(1, 2)], "<=", Fraction(1, 3)),
+                  ([-1], "<", Fraction(-1, 3))], 1) == [Fraction(1, 2)]
 
 
 def test_malformed_rows_raise_value_error():
@@ -261,3 +219,11 @@ def test_int_row_matches_the_fraction_parse(values):
     Fraction, so every row gives the Fraction parse's ints and scale, or
     its error, exactly."""
     assert _outcome(int_row, values) == _outcome(fraction_int_row, values)
+
+
+@pytest.mark.parametrize("values", [[True], [False], ["1", True], [Fraction(1, 2), False]])
+def test_int_row_rejects_bools(values):
+    """A JSON true or false is not the number 1 or 0, though Fraction takes
+    it for one."""
+    with pytest.raises(ValueError, match="is not a rational"):
+        int_row(values)
