@@ -22,14 +22,15 @@ def _rational(x):
     """x as an exact rational: itself when an int, an int when a string of
     an optional minus sign and ASCII digits (the strings a certificate
     holds most), else Fraction(x), which parses or rejects the rest.  A
-    bool raises ValueError: a JSON true is not the number 1."""
+    bool or a float raises ValueError: a JSON true is not the number 1, and
+    a JSON 0.1 is a binary float, not the rational 1/10 it was written as."""
     if type(x) is int:
         return x
     if type(x) is str:
         digits = x[1:] if x[:1] == "-" else x
         if digits.isdigit() and digits.isascii():
             return int(x)
-    elif type(x) is bool:
+    elif type(x) is bool or type(x) is float:
         raise ValueError(f"{x!r} is not a rational")
     return Fraction(x)
 

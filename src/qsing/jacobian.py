@@ -8,12 +8,16 @@ onto a cokernel through a left kernel, found by elimination mod P
 (``_kernel``); reflection functors work over any field, so the walk always
 ends at the root.
 
-``jacobian_rows`` and ``jacobian_minor`` work from the kernels of
-d^{X_i}_S mod P, laid out as the test oracle ``hom_matrix_dvw`` lays it out,
-for each summand X_i of X alone: d^X_S is block diagonal over them.
-Realized roots and those kernels are kept on ``hom_table(q)`` on demand, for
-the P they were built at.  ``orbits.reducedness_report`` proves what a rank
-mod ``P`` says over Q.
+``jacobian_rows`` and ``jacobian_minor`` work from two blocks of d^X_S per
+simple S, laid out as the test oracle ``hom_matrix_dvw`` lays them out:
+d^X_S is block diagonal over the summands X_i of X, block i has kernel
+Hom(X_i,S) and cokernel Ext(X_i,S) over Q, and when Hom(X,S) = 1 the
+Hom table names the one summand X_u whose block has a kernel and the one
+X_v whose block has a cokernel.  Only the kernel of block u and the left
+kernel of block v are computed mod P (``_block``).  Realized roots and
+those kernels are kept on ``hom_table(q)`` on demand, for the P they were
+built at.  ``orbits.reducedness_report`` proves what a rank mod ``P`` says
+over Q.
 """
 
 from __future__ import annotations
@@ -30,24 +34,27 @@ def _echelon(rows, ncols, p):
     form mod p in place; return the pivot columns.  The pivot of a column is
     its first nonzero entry from the current row down, as in the test
     oracle."""
-    pivots, r = [], 0
+    pivots, r, nrows = [], 0, len(rows)
     for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
+        for piv in range(r, nrows):
+            if rows[piv][c]:
+                break
+        else:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        u = rows[r][c]
+        top = rows[piv]
+        rows[piv] = rows[r]
+        u = top[c]
         if u != 1:
             inv = pow(u, -1, p)
-            rows[r] = [x * inv % p for x in rows[r]]
-        top = rows[r]
-        for i in range(len(rows)):
+            top = [x * inv % p for x in top]
+        rows[r] = top
+        for i in range(nrows):
             f = rows[i][c]
-            if i != r and f:
+            if f and i != r:
                 rows[i] = [(a - f * b) % p for a, b in zip(rows[i], top)]
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
     return pivots
 
@@ -57,10 +64,15 @@ def _kernel(rows, ncols, p):
     the matrix M whose rows are ``rows``, of ``ncols`` columns: one vector
     per free column of its reduced row echelon form, as the test oracle's
     ``left_nullspace`` builds it on the transpose."""
+    if not rows:
+        return [[int(c == fc) for c in range(ncols)] for fc in range(ncols)]
     rows = [[v % p for v in r] for r in rows]
     pivots = _echelon(rows, ncols, p)
-    basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
+    basis, k = [], 0
+    for fc in range(ncols):
+        if k < len(pivots) and pivots[k] == fc:
+            k += 1
+            continue
         v = [0] * ncols
         v[fc] = 1
         for r, pc in enumerate(pivots):
@@ -69,38 +81,40 @@ def _kernel(rows, ncols, p):
     return basis
 
 
-def _transpose(rows):
-    return [list(col) for col in zip(*rows)]
-
-
 def realize(q: Quiver, root):
     """(dims, maps) of an indecomposable with dimension vector ``root``
     over F_P: maps[a] is the dims[ha] x dims[ta] matrix of arrow a mod
     ``P``, a list of rows, shared with the cache, so do not modify it.
 
-    The root's walk ends at step t as the simple at the vertex z of
-    steps[t] in ``hom_table``, a sink of the quiver reflected at steps 0 ..
-    t - 1, so over that quiver the simple at z has a 1 x 0 matrix on each
-    arrow at z and 0 x 0 elsewhere.  Undo the reflections from step t - 1
-    down: the vertex x of step s is a source of the quiver reflected at
-    steps 0 .. s, so every arrow at x leaves x, and the coreflection there
-    maps the new V(x) onto the cokernel of V(x) -> (+)_{a at x} V(ha), whose
-    basis is the left kernel of the stacked matrices mod P.  Raises
-    KeyError for a vector that is not a positive root.
+    The root's walk ends at the step t = ``end_step`` of ``hom_table`` as
+    the simple at the vertex z of steps[t], a sink of the quiver reflected
+    at steps 0 .. t - 1, so over that quiver the simple at z has a 1 x 0
+    matrix on each arrow at z and 0 x 0 elsewhere.  Undo the reflections
+    from step t - 1 down: the vertex x of step s is a source of the quiver
+    reflected at steps 0 .. s, so every arrow at x leaves x, and the
+    coreflection there maps the new V(x) onto the cokernel of V(x) ->
+    (+)_{a at x} V(ha), whose basis is the left kernel of the stacked
+    matrices mod P.  Raises KeyError for a vector that is not a positive
+    root.
     """
     table = hom_table(q)
     root = tuple(root)
     if root in table.realized:
         return table.realized[root]
-    i = table.index[root]
-    t = next(t for t, (_, _, j) in enumerate(table.steps) if j == i)
-    z = table.steps[t][0] + 1
-    dims = [int(v == z) for v in range(1, q.n + 1)]
-    maps = [[[]] if z in arrow else [] for arrow in q.arrows]
-    for x, nbrs, _ in reversed(table.steps[:t]):
-        out = [a for a, arrow in enumerate(q.arrows) if x + 1 in arrow]  # towards nbrs, in order
+    t = table.end_step[table.index[root]]
+    z = table.steps[t][0]
+    dims = [0] * q.n
+    dims[z] = 1
+    maps = [[[]] if z + 1 in arrow else [] for arrow in q.arrows]
+    incident, steps = q.incident, table.steps
+    for s in range(t - 1, -1, -1):
+        x, nbrs, _ = steps[s]
+        out = incident[x]  # towards nbrs, in order
         stacked = [row for a in out for row in maps[a]]
-        proj = _kernel(_transpose(stacked), len(stacked), P)
+        if not stacked:  # every V(ha) is 0, so the cokernel is 0 too
+            dims[x] = 0
+            continue
+        proj = _kernel(list(zip(*stacked)), len(stacked), P)
         dims[x] = len(proj)
         off = 0
         for a, h in zip(out, nbrs):
@@ -140,43 +154,60 @@ def _dvw(q: Quiver, v, w):
     return rows, col_off, row_off
 
 
-def _pair(q: Quiver, root, s):
-    """(kernel, left kernel, col_off, row_off) of d^V_S mod ``P``, V and S
-    realized, in ``_dvw``'s layout, kept on the context."""
+def _block(q: Quiver, root, s, side):
+    """The kernel (``side`` 0) or the left kernel (``side`` 1) of d^V_S
+    mod ``P``, V and S realized, as a list of basis vectors, with the column
+    offsets (side 0) or the row offsets (side 1) of ``_dvw``'s layout; kept
+    on the context per block and side."""
     cache = hom_table(q).kernels
-    if (root, s) not in cache:
+    key = root, s, side
+    if key not in cache:
         m, col_off, row_off = _dvw(q, realize(q, root), realize(q, s))
-        cache[root, s] = (_kernel(m, col_off[-1], P),
-                          _kernel(_transpose(m), row_off[-1], P), col_off, row_off)
-    return cache[root, s]
+        cache[key] = ((_kernel(m, col_off[-1], P), col_off) if side == 0 else
+                      (_kernel(list(zip(*m)), row_off[-1], P), row_off))
+    return cache[key]
 
 
 def jacobian_rows(q: Quiver, cls: RepClass, simples):
     """The Jacobian of the semi-invariants f_j = det d^V_{S_j} mod ``P``, up
     to a nonzero factor per row, at X, the direct sum of ``realize`` over
-    ``cls.as_multiset()``.  Returns (coords, rows): the coordinates (a, k,
-    t) of X, entry (k, t) of X(a), arrow by arrow, row by row, and per simple
-    (corank of d^X_{S_j} mod P, summed over the summands, and row j or
-    None).  Row j is given when that corank is 1: one summand X_u has a
-    kernel phi, one X_v a left kernel psi (``_pair``), and row j is 0 off
-    the block X_v(ta) -> X_u(ha) of each X(a), where its entry (k, t) is
-    sum_i psi[row_off[a] + t dim S(ha) + i] phi[col_off[ha] + k dim S(ha) + i].
+    ``cls.as_multiset()``, for simples S_j with <dim X, S_j> = 0, so that
+    d^X_{S_j} is square.  Returns (coords, rows): the coordinates (a, k, t)
+    of X, entry (k, t) of X(a), arrow by arrow, row by row, and per simple
+    (c, row j or None).
+
+    When Hom(X,S_j) != 1, c is Hom(X,S_j), the corank of d^X_{S_j} over Q,
+    read from the Hom table with no block built, and there is no row.
+    Otherwise exactly one summand X_u has Hom(X_u,S_j) = 1 and exactly one
+    X_v has Ext(X_v,S_j) = 1, and only the kernel of d^{X_u}_{S_j} and the
+    left kernel of d^{X_v}_{S_j} are computed mod P (``_block``).  When
+    both are lines, spanned by phi and psi, c is 1 and row j is 0 off the
+    block X_v(ta) -> X_u(ha) of each X(a), where its entry (k, t) is sum_i
+    psi[row_off[a] + t dim S(ha) + i] phi[col_off[ha] + k dim S(ha) + i].
+    Otherwise c is the larger of their dimensions, a lower bound on the
+    corank of d^X_{S_j} mod P, and there is no row.
     """
+    table = hom_table(q)
     parts = cls.as_multiset()
+    ids = [table.index[r] for r in parts]
     dims = [sum(r[x] for r in parts) for x in range(q.n)]
     coords = [(a, k, t) for a, (ta, ha) in enumerate(q.arrows)
               for k in range(dims[ha - 1]) for t in range(dims[ta - 1])]
     where = {c: i for i, c in enumerate(coords)}
     out = []
     for s in simples:
-        pairs = [_pair(q, r, tuple(s)) for r in parts]
-        corank = sum(len(pair[0]) for pair in pairs)
-        if corank != 1:
-            out.append((corank, None))
+        s = tuple(s)
+        j = table.index[s]
+        homs = [table.hom[i][j] for i in ids]
+        if sum(homs) != 1:
+            out.append((sum(homs), None))
             continue
-        u = next(i for i, pair in enumerate(pairs) if pair[0])
-        v = next(i for i, pair in enumerate(pairs) if pair[1])
-        ((phi,), _, col_off, _), (_, (psi,), _, row_off) = pairs[u], pairs[v]
+        u, v = homs.index(1), [table.ext[i][j] for i in ids].index(1)
+        (phis, col_off), (psis, row_off) = _block(q, parts[u], s, 0), _block(q, parts[v], s, 1)
+        if len(phis) != 1 or len(psis) != 1:
+            out.append((max(len(phis), len(psis)), None))
+            continue
+        (phi,), (psi,) = phis, psis
         row = [0] * len(coords)
         for a, (ta, ha) in enumerate(q.arrows):
             sh, k0 = s[ha - 1], sum(r[ha - 1] for r in parts[:u])
@@ -193,7 +224,7 @@ def jacobian_rows(q: Quiver, cls: RepClass, simples):
 def jacobian_minor(q: Quiver, cls: RepClass, simples):
     """(minor, note): the coordinates of X, named as in ``jacobian_rows``,
     one per simple, at which its Jacobian has a nonzero minor mod ``P``,
-    and "" when every corank is 1 and the rank mod P is the number of
+    and "" when every simple has a row and the rank mod P is the number of
     simples; otherwise None and what failed."""
     coords, rows = jacobian_rows(q, cls, simples)
     for s, (corank, _) in zip(simples, rows):

@@ -789,35 +789,38 @@ def reducedness_report(spec: ZeroSetSpec, comps=None) -> ReducednessReport:
       left kernel of A over Q: the coreflection over Q, with matrices over
       Z_(p).  So X and S_j have matrices over Z_(p) whose reductions
       ``realize`` returns, and M_j is a matrix over Z_(p) of rational corank
-      1.  A vector over Z_(p) spanning its kernel, scaled to have a unit
-      entry, reduces to a nonzero vector of ker(M_j mod p); if that kernel
-      is a line, the phi found mod p is a nonzero multiple of the reduction,
-      and the same holds for psi.  Each row found mod p is then a nonzero
-      multiple of the reduction of a row over Z_(p), itself a nonzero
-      rational multiple of the true row, so a k x k minor nonzero mod p
-      reduces a nonzero minor over Z_(p), and the rank over Q is k.  Such a
-      component gets ``jacobian_minor``, the coordinates of the minor.  A
-      corank above 1 mod p, or a rank below k mod p, proves nothing: the
-      verdict is unverified, and the reason names the component and p.
-    - Rule 2 per summand: no matrix of X is built.  Hom(X_i(x),S(x)) and
+      1.
+    - Rule 2 per block: no matrix of X is built.  Hom(X_i(x),S(x)) and
       Hom(X_i(ta),S(ha)) are blocks of the domain and the codomain of M_j,
       and M_j maps the first into the second (phi_ha X_i(a) - S(a) phi_ta
-      stays in Hom(X_i(ta),S(ha)) when phi is 0 off X_i), so mod p too M_j
-      is block diagonal, with the block d^{X_i}_{S_j} once per copy of X_i.
-      Its kernel is the direct sum of the blocks' kernels, its left kernel
-      that of their left kernels, and its corank mod p the sum of the
-      blocks' coranks.  When that sum is 1, and so the left corank of the
-      square M_j too, exactly one block, of a summand X_u of multiplicity 1,
-      has a kernel, spanned by phi_u mod p, and exactly one, of a summand
-      X_v of multiplicity 1, has a left kernel, spanned by psi_v; phi_u
-      extended by 0 is then a nonzero vector of the line ker(M_j mod p), so
-      a nonzero multiple of the phi above, and psi_v extended by 0 one of
-      psi.  As phi and psi vanish off X_u and X_v, the whole-matrix row j
-      is 0 off the block X_v(ta) -> X_u(ha) of each X(a), and the row built
-      on that block from phi_u and psi_v is a nonzero multiple of it mod p,
-      so the argument above holds for it unchanged.  Scaling rows keeps
-      the pivot columns of their reduced echelon form, so ``jacobian_minor``
-      names the same coordinates either way.
+      stays in Hom(X_i(ta),S(ha)) when phi is 0 off X_i), so over Q and
+      mod p alike M_j is block diagonal, with the block B_i = d^{X_i}_{S_j}
+      once per copy of X_i.  Over Q, B_i has kernel Hom(X_i,S_j) and
+      cokernel Ext(X_i,S_j), whose dimensions the Hom table holds.  As
+      Hom(X,S_j) = 1, exactly one summand X_u, of multiplicity 1, has
+      Hom(X_u,S_j) = 1, and as Ext(X,S_j) = Hom(X,S_j) - <alpha,s_j> = 1,
+      exactly one X_v, of multiplicity 1, has Ext(X_v,S_j) = 1.  So phi
+      vanishes off block u and psi off block v, and row j is 0 off the
+      block X_v(ta) -> X_u(ha) of each X(a).  Only the kernel of B_u mod p
+      and the left kernel of B_v mod p are computed.  phi on block u, over
+      Z_(p) and scaled to have a unit entry, reduces to a nonzero vector of
+      ker(B_u mod p); if that kernel is a line, the phi_u found mod p is a
+      nonzero multiple of the reduction of phi.  The same holds for psi_v
+      when the left kernel of B_v mod p is a line.  The row built on that
+      block from phi_u and psi_v is then a nonzero multiple of the
+      reduction of a row over Z_(p), itself a nonzero rational multiple of
+      the true row, so a k x k minor nonzero mod p reduces a nonzero minor
+      over Z_(p), and the rank over Q is k.  Such a component gets
+      ``jacobian_minor``, the coordinates of the minor.  No other block is
+      read, so one singular mod p does not touch the argument.  A kernel
+      of B_u or a left kernel of B_v that is not a line mod p, or a rank
+      below k mod p, proves nothing: the verdict is unverified, and the
+      reason names the component, the corank and p.  When M_j mod p has
+      corank 1, its kernel and left kernel are spanned by phi_u and psi_v
+      extended by 0, so the rows are those of the whole matrix up to a
+      nonzero factor each, and as scaling rows keeps the pivot columns of
+      their reduced echelon form, ``jacobian_minor`` names the same
+      coordinates either way.
     """
     if comps is None:
         comps = components(spec)

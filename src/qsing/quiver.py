@@ -62,6 +62,18 @@ class Quiver:
             nbrs[h - 1].append(t - 1)
         return tuple(map(tuple, nbrs))
 
+    @cached_property
+    def incident(self):
+        """incident[x]: the indices in ``arrows`` of the arrows at vertex
+        x + 1, in order, so entry for entry those of ``adjacency[x]``.
+        Built once per quiver; ``jacobian.realize`` reads it at each
+        coreflection."""
+        at = [[] for _ in range(self.n)]
+        for a, (t, h) in enumerate(self.arrows):
+            at[t - 1].append(a)
+            at[h - 1].append(a)
+        return tuple(map(tuple, at))
+
     def topological_order(self):
         indeg = [0] * (self.n + 1)
         out = {v: [] for v in range(1, self.n + 1)}

@@ -75,7 +75,8 @@ class HomTable:
     dimension vector along these steps.
 
     What later layers derive from the quiver alone is kept here too, filled
-    on demand: ``jacobian``'s realized roots and kernels, the packed
+    on demand: ``jacobian``'s realized roots, the steps ``end_step`` at
+    which it starts them, and its kernels of one block per side, the packed
     integers of ``orbits``' class walk and the Hom rows ``simple_hom`` of
     the simple roots, from which it reads Hom(E,X) at a semisimple E, the
     bitmasks ``orth`` and ``below``
@@ -96,8 +97,9 @@ class HomTable:
     # root -> its representation mod ``jacobian.P``, filled by
     # ``jacobian.realize`` on demand, never here
     realized: dict = field(default_factory=dict, repr=False, compare=False)
-    # (root, simple) -> kernels and offsets of d^X_S mod ``jacobian.P``,
-    # filled by ``jacobian`` on demand, never here
+    # (root, simple, side) -> the kernel (side 0) or left kernel (side 1)
+    # of d^X_S mod ``jacobian.P`` with its offsets, filled by ``jacobian``
+    # on demand, never here
     kernels: dict = field(default_factory=dict, repr=False, compare=False)
     # field width -> the table packed at that width with the class walk's
     # columns (``orbits._Packing``), filled by ``orbits._packing`` on demand
@@ -115,6 +117,17 @@ class HomTable:
         vertex x (0-based)."""
         n = self.quiver.n
         return [self.hom[self.index[simple_root(n, x)]] for x in range(1, n + 1)]
+
+    @cached_property
+    def end_step(self):
+        """end_step[i]: the step t_i of ``steps`` at which the walk of root
+        i ends, read off ``steps`` on first use; ``jacobian.realize``
+        starts there."""
+        out = [0] * len(self.roots)
+        for t, (_, _, i) in enumerate(self.steps):
+            if i is not None:
+                out[i] = t
+        return out
 
     @cached_property
     def orth(self):

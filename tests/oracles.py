@@ -30,7 +30,8 @@ Jacobian minor that the report names.  ``whole_jacobian_rows`` and
 ``whole_jacobian_minor`` are the package's Jacobian mod p built the direct
 way: the integer matrices of the direct sum X (``representative``) and the
 whole matrix of d^X_S, eliminated mod ``qsing.jacobian.P``, where the
-package reads the kernels of each summand's block alone.
+package reads, per simple, the kernel of one summand's block and the left
+kernel of another's, named by the Hom table.
 
 ``merged_walk_decomposition`` and ``scan_perp_simples`` are the
 references for ``qsing.decomp``: the sink walk that merges its parts in a

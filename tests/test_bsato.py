@@ -923,10 +923,22 @@ def _multipliers_bool(blob):
         values[:] = [{"1": True, "0": False}.get(x, x) for x in values]
 
 
+def _multipliers_float(blob):
+    """Every entry of lemma (a)'s u and lemma (b)'s lambdas written as a
+    JSON number with a point, 0.5 for "1/2"."""
+    lists = [values for node in _nodes(blob)
+             for values in [*(c["u"] for c in node["data"].get("certs", ())),
+                            *(ms["lambdas"] for ms in
+                              node["data"].get("memberships", {}).values())]]
+    assert any(lists)
+    for values in lists:
+        values[:] = [float(Fraction(x)) for x in values]
+
+
 def test_checker_rejects_malformed_node_data():
     """Missing or ill-typed node data is a rejection, not an exception: a
     JSON true or false is neither a variable, nor a sign, nor a
-    multiplier."""
+    multiplier, and a JSON float is not a multiplier either."""
     fam = E6_FAMILY_PAPER_ORDER(2, 2)
     blob = cert_to_json(certify_all_good(fam).certificate)
     malformed = []
@@ -937,7 +949,7 @@ def test_checker_rejects_malformed_node_data():
                  lambda b: b["branches"][0][0].pop("value"),
                  lambda b: b.pop("data"),
                  _root_var_1_true, _case_vars_true, _sides_true, _signs_true,
-                 _multipliers_bool):
+                 _multipliers_bool, _multipliers_float):
         bad = json.loads(json.dumps(blob))
         edit(bad)
         malformed.append(bad)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -349,12 +350,23 @@ def _cert_with_a_bool_variable(tmp_path):
     return payload
 
 
+def _cert_with_float_multipliers(tmp_path):
+    """The certificate with the multipliers u of its root's first lemma (a)
+    system written as JSON floats, which are not rationals."""
+    payload = _e6_certificate(tmp_path)
+    u = payload["certificate"]["data"]["certs"][0]["u"]
+    u[:] = [float(Fraction(x)) for x in u]
+    return payload
+
+
 @pytest.mark.parametrize("payload", [lambda _: MALFORMED_NODE,
                                      _reduc_a_cert_without_u,
                                      _cert_with_bool_case_values,
-                                     _cert_with_a_bool_variable],
+                                     _cert_with_a_bool_variable,
+                                     _cert_with_float_multipliers],
                          ids=["reduc_a-empty-data", "reduc_a-missing-u",
-                              "case-value-false", "variable-true"])
+                              "case-value-false", "variable-true",
+                              "multiplier-float"])
 def test_malformed_node_data_is_rejected_without_traceback(tmp_path, payload):
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps(payload(tmp_path)))

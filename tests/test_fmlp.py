@@ -227,3 +227,12 @@ def test_int_row_rejects_bools(values):
     it for one."""
     with pytest.raises(ValueError, match="is not a rational"):
         int_row(values)
+
+
+@pytest.mark.parametrize("values", [[0.5], [1.0], ["1", 2.0], [Fraction(1, 2), -0.25]])
+def test_int_row_rejects_floats(values):
+    """A JSON number with a point is a binary float, which Fraction takes
+    exactly, so 0.1 would be read as a number other than the one written;
+    a certificate writes its rationals as strings."""
+    with pytest.raises(ValueError, match="is not a rational"):
+        int_row(values)

@@ -4,13 +4,13 @@ import sympy
 from qsing import jacobian
 from qsing.jacobian import P, jacobian_minor, jacobian_rows
 from qsing.orbits import components, make_spec, reducedness_report
-from qsing.quiver import Quiver
+from qsing.quiver import Quiver, reflect_dim
 from qsing.roots import hom_table
 
 from oracles import (direct_sum, hom_matrix_dvw, realize, rep, whole_jacobian_minor,
                      whole_jacobian_rows)
 from test_roots import CONTEXT_DIGESTS, D4_MIXED
-from conftest import fresh_jacobian_caches
+from conftest import E6_ALPHA, fresh_jacobian_caches
 from test_orbits import E6_SMALL, E8_RELABELLED, NULLCONE_E8, scaled_by_3, selections
 
 
@@ -146,10 +146,18 @@ def test_a_second_report_builds_no_kernel(e6, monkeypatch, fresh_caches):
     second = reducedness_report(spec, comps)
     assert len(calls) == built
     assert second.verdict == "reduced" and [c.jacobian_minor for c in comps] == minors
-    # one kernel per coreflection of realize, two per pair of _pair
-    steps = sum(next(t for t, (_, _, j) in enumerate(table.steps) if j == table.index[r])
-                for r in table.realized)
-    assert built == steps + 2 * len(table.kernels)
+    # one kernel per cached block and side, and one per coreflection of
+    # realize at a vertex with a nonzero neighbour: walked forwards, the
+    # root has at step t the dimension vector that realize undoes step t at
+    steps = 0
+    for r in table.realized:
+        v = r
+        for x, nbrs, j in table.steps:
+            if j == table.index[r]:
+                break
+            steps += any(v[h] for h in nbrs)
+            v = reflect_dim(e6, x + 1, v)
+    assert built == steps + len(table.kernels)
 
 
 def test_a_report_mod_3_leaves_no_kernel_behind(e6):
@@ -195,3 +203,50 @@ def test_small_primes_give_the_verdicts_of_p(request, name, bound):
             fresh_jacobian_caches(mp)
             mp.setattr(jacobian, "P", p)
             assert verdicts() == at_p, p
+
+
+@pytest.mark.parametrize("name, alpha, selected, summand", [
+    ("d4", (0, 0, 2, 2), (1,), (0, 0, 1, 1)),
+    ("e6", E6_ALPHA(1, 2), None, (0, 1, 1, 1, 0, 1)),
+])
+def test_a_block_no_row_reads_may_be_singular_mod_p(request, name, alpha, selected, summand):
+    """Rule 2 reads one block per side and simple: the kernel of the
+    summand with Hom(X_u,S_j) = 1 and the left kernel of the one with
+    Ext(X_v,S_j) = 1.  A summand that is neither for any selected simple,
+    its representative scaled by 3, so 0 mod 3 but still isomorphic over Q
+    to the root's indecomposable, makes its own block singular mod 3 and
+    so the whole d^X_{S_j}, but not the verdict: the report is reduced, with the minors
+    of the unscaled report mod 3."""
+    q = request.getfixturevalue(name)
+    table = hom_table(q)
+
+    def report():
+        return reducedness_report(make_spec(q, alpha, selected))
+
+    with pytest.MonkeyPatch.context() as mp:
+        fresh_jacobian_caches(mp)
+        mp.setattr(jacobian, "P", 3)
+        plain = report()
+    simples = make_spec(q, alpha, selected).selected_simples
+    assert any(summand in c.rep_class.as_multiset() for c in plain.components)
+    assert all(table.hom_root(summand, s) == table.ext_root(summand, s) == 0 for s in simples)
+    with pytest.MonkeyPatch.context() as mp:
+        fresh_jacobian_caches(mp)
+        scaled_by_3(mp, only=summand)
+        scaled = report()
+    assert plain.verdict == scaled.verdict == "reduced"
+    assert [c.jacobian_minor for c in scaled.components] == \
+        [c.jacobian_minor for c in plain.components]
+
+
+def test_only_the_blocks_rows_read_are_built(e8, fresh_caches):
+    """Over the 18 nullcone-e8 inputs, every cached kernel is of a block
+    with Hom(X_i,S) = 1 and every cached left kernel of one with
+    Ext(X_i,S) = 1, each a line mod P; 139 blocks are built in all."""
+    for alpha in NULLCONE_E8:
+        assert reducedness_report(make_spec(e8, alpha)).verdict == "reduced"
+    table = hom_table(e8)
+    for (root, s, side), (basis, _) in table.kernels.items():
+        dim = (table.hom_root, table.ext_root)[side](root, s)
+        assert dim == 1 and len(basis) == 1, (root, s, side)
+    assert len(table.kernels) == 139

@@ -383,13 +383,19 @@ def test_e8_reducedness_agrees_with_conditions_a_and_b(e8, e8_alpha):
     assert all(c.jacobian_minor is None for c in rr.components)  # rule 1 builds no matrix
 
 
-def scaled_by_3(mp):
+def scaled_by_3(mp, only=None):
     """Through the MonkeyPatch ``mp``, work mod 3 on ``realize``'s
-    representatives scaled by 3."""
+    representatives scaled by 3, or on that of the root ``only`` alone."""
     real = jacobian.realize
     mp.setattr(jacobian, "P", 3)
-    mp.setattr(jacobian, "realize", lambda q, root: (
-        real(q, root)[0], [[[3 * x for x in row] for row in m] for m in real(q, root)[1]]))
+
+    def scaled(q, root):
+        dims, maps = real(q, root)
+        if only is not None and tuple(root) != only:
+            return dims, maps
+        return dims, [[[3 * x for x in row] for row in m] for m in maps]
+
+    mp.setattr(jacobian, "realize", scaled)
 
 
 def test_inconclusive_rank_mod_p_gives_no_verdict(e6, monkeypatch, fresh_caches):
