@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .quiver import Quiver, reflect_arrows, reflect_dim
+from .quiver import Quiver, dimension_vector, reflect_arrows, reflect_dim
 from .roots import hom_table
 
 
@@ -318,13 +318,12 @@ def compute_bfunction(q: Quiver, alpha, simples) -> BFunctionFamily:
 
     Raises NonDynkinError off Dynkin type, from the cached ``hom_table(q)``
     that every reflection step reads, and then ValueError when alpha is not
-    a nonnegative n-vector or a simple is not a positive root of q.  When
-    both runs fail, the backward run's TerminalRuleInapplicable is raised.
+    a nonnegative n-vector of ints or a simple is not a positive root of q.
+    When both runs fail, the backward run's TerminalRuleInapplicable is
+    raised.
     """
     table = hom_table(q)
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != q.n or min(alpha) < 0:
-        raise ValueError(f"alpha = {alpha} is not a nonnegative {q.n}-vector")
+    alpha = dimension_vector(q, alpha)
     simples = [tuple(s) for s in simples]
     for s in simples:
         if s not in table.index:

@@ -66,9 +66,9 @@ class GeneratorBc:
 
 def generator_bc(family: BFunctionFamily, c) -> GeneratorBc:
     """b_c = b_{c+}(s + c-) * prod_{c_i<0} binom(s_i, -c_i), e.c = 1."""
-    c = tuple(int(x) for x in c)
-    if len(c) != family.r or sum(c) != 1:
-        raise ValueError(f"c = {c} is not a {family.r}-vector with e.c = 1")
+    c = tuple(c)
+    if len(c) != family.r or set(map(type, c)) != {int} or sum(c) != 1:
+        raise ValueError(f"c = {c} is not an integer {family.r}-vector with e.c = 1")
     cplus = tuple(max(x, 0) for x in c)
     cminus = tuple(x - p for x, p in zip(c, cplus))
     factors = {}
@@ -296,19 +296,13 @@ class CertificateError(Exception):
 
 
 def leaf_all_fixed(state: SymState):
-    """Every variable specialized.  A clean branch (all values negative
-    integers) is automatically good: the r fixed values are each <= -1, so
-    e.z <= -r with equality only at z = -e.  A dirty branch needs the
-    strict total bound.  Returns ("clean", None), ("strict", max of e.z)
-    or None."""
-    if state.vars:
-        return None
-    if state.clean:
-        return "clean", None
-    mn = min_of(state.box, state.k_total)  # e.z = -K
-    if mn is not None and mn > state.r_global:
-        return "strict", -mn
-    return None
+    """Every variable specialized on a clean branch (all values negative
+    integers), which is automatically good: the r fixed values are each
+    <= -1, so e.z <= -r with equality only at z = -e.  Returns "clean" or
+    None.  A dirty branch is no leaf: it fixed some z_v = k to a symbol
+    k >= 0 that ``branch_state`` bounds from below only, and no other
+    fixed value holds k, so e.z = -K has no upper bound on the box."""
+    return "clean" if not state.vars and state.clean else None
 
 
 def leaf_empty_generator(state: SymState, pos):
@@ -575,11 +569,9 @@ class CertifyOutcome:
 
 def _leaf_node(state: SymState):
     """The node of the first leaf rule that holds on the state, or None."""
-    got = leaf_all_fixed(state)
-    if got is not None:
-        mode, mx = got
-        data = {"mode": mode} if mx is None else {"mode": mode, "max": str(mx)}
-        return CertNode("leaf_all_fixed", data)
+    mode = leaf_all_fixed(state)
+    if mode is not None:
+        return CertNode("leaf_all_fixed", {"mode": mode})
     for pos, var in enumerate(state.vars):
         got = leaf_empty_generator(state, pos)
         if got is not None:
@@ -774,8 +766,7 @@ def _check_node(state: SymState, node) -> None:
     rcur = len(state.vars)
 
     if rule == "leaf_all_fixed":
-        got = leaf_all_fixed(state)
-        if got is None or got[0] != data["mode"]:
+        if leaf_all_fixed(state) != "clean" or data["mode"] != "clean":
             raise CertificateError("leaf_all_fixed does not hold")
         return
 

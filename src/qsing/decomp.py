@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quiver import Quiver
+from .quiver import Quiver, dimension_vector
 from .roots import hom_table
 
 
@@ -86,11 +86,7 @@ def generic_decomposition(q: Quiver, alpha) -> RepClass:
     coordinates stay nonnegative, so the remainder is then 0.
     """
     table = hom_table(q)
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != q.n:
-        raise ValueError(f"dimension vector has {len(alpha)} entries for {q.n} vertices")
-    if any(a < 0 for a in alpha):
-        raise ValueError("dimension vector must be nonnegative")
+    alpha = dimension_vector(q, alpha)
     roots, rem, left = table.roots, list(alpha), sum(alpha)
     parts = []
     for x, nbrs, i in table.steps:

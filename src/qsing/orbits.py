@@ -21,8 +21,9 @@ frame with an explicit stack of the open nodes, so a leaf is one ``yield``
 however deep it lies, with no generator per node and no ``yield from``
 chain to climb.
 
-The accumulator of the two class walks (``_Bounds``) sums, over the partial
-class C of dimension c, Hom and Ext against the generic representation T of
+The accumulator of the bounded walk (``_Bounds``), which
+``enumerate_classes`` and ``components`` run, sums, over the partial class
+C of dimension c, Hom and Ext against the generic representation T of
 alpha and the perpendicular simples S_j.  The fields bound what every class
 X with C as a summand reaches, by five facts proved in ``_Bounds``: X lies
 in the closure of the orbit of T, so (i) Ext(X,X) >= Ext(X,T), Ext(T,X);
@@ -31,27 +32,23 @@ in the closure of the orbit of T, so (i) Ext(X,X) >= Ext(X,T), Ext(T,X);
 y = alpha - c, (iv) Ext(X,X) >= Ext(C,C) + max(0, -<c,y>) + max(0, -<y,c>);
 and, as every representation of dimension y degenerates to the semisimple
 E_y, (v) Hom(X,S_j) <= Hom(C,S_j) + Hom(E_y,S_j).
-- ``enumerate_classes`` with ``max_self_ext = k`` cuts once a bound (i),
-  (ii) or (iv) exceeds k.  Its accumulator also carries, for every root
-  R_i, the sums of Ext and of Hom between C and R_i, so one more copy of a
-  root updates Ext(C,C) and the Euler forms of (iv) from two field reads.
-  Components of Z(f_1,...,f_k) have codimension at most k (Krull), so
-  ``components`` runs that walk with the simples' fields of (v) added,
-  which cut once some Hom(X,S_j) can no longer reach 1: every leaf is then
-  a class of the zero set.  On e8-notred it visits 1,651 nodes and yields
-  9 leaves (2,384 nodes and 536 leaves without (v), 21,787 nodes without
-  (iv) or (v), 59,634 with self-Ext alone).  Where some Hom(E_alpha,S_j)
-  is 0 the zero set is empty and it walks nothing.
-- The survey (``survey``) keeps only rare classes (the Hom-dimension-one
-  points, the per-index witness patterns and one Z' witness) and cuts once
-  some Hom(X,S_j) must exceed 1 and the branch can no longer give a new Z'
-  witness.  On e8-notred it visits 5,953 nodes (108,717 with the Hom and
-  Ext sums of C alone) instead of all 1,543,628 classes.  It stores the
-  packed Hom profile of each kept class, summed from its parts' rows.  No
-  verdict reads it: the test suite's reference for the paper's gradient
-  conditions (a) and (b) does.
-The exact class count is a separate memoized count, run only when
-``Survey.total`` is read.
+``enumerate_classes`` with ``max_self_ext = k`` cuts once a bound (i), (ii)
+or (iv) exceeds k.  Its accumulator also carries, for every root R_i, the
+sums of Ext and of Hom between C and R_i, so one more copy of a root
+updates Ext(C,C) and the Euler forms of (iv) from two field reads.
+Components of Z(f_1,...,f_k) have codimension at most k (Krull), so
+``components`` runs that walk with the simples' fields of (v) added, which
+cut once some Hom(X,S_j) can no longer reach 1: every leaf is then a class
+of the zero set.  On e8-notred it visits 1,651 nodes and yields 9 leaves
+(2,384 nodes and 536 leaves without (v), 21,787 nodes without (iv) or (v),
+59,634 with self-Ext alone).  Where some Hom(E_alpha,S_j) is 0 the zero set
+is empty and it walks nothing.
+
+``survey`` carries its own fields, those of (ii) and (iii), keeps only rare
+classes and no Hom profile, and cuts by (ii) and (iii) alone; no verdict
+reads it.  On e8-notred it visits 5,953 nodes instead of all 1,543,628
+classes, which a separate memoized count gives when ``Survey.total`` is
+read.
 
 ``reducedness_report`` walks no class: it reads each component's Hom
 profile against the selected simples and, where every entry is 1, the rank
@@ -63,7 +60,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 
 from .decomp import (
     PerpData,
@@ -72,7 +68,7 @@ from .decomp import (
     perp_simples,
 )
 from . import jacobian
-from .quiver import Quiver, require_dynkin
+from .quiver import Quiver, dimension_vector, euler_form, require_dynkin
 from .roots import HomTable, hom_table
 
 # multiplicity bound guaranteeing the nullcone is reduced (Dynkin only)
@@ -89,7 +85,8 @@ class _Packing:
     """``hom_table(q)`` packed w bits per field, each field's top bit a spare
     guard: no borrow crosses a field, and one subtraction compares them all.
     It builds the columns of ``_bounds`` and ``_bounded_walk`` on first use
-    and keeps them, as they depend on the quiver and w alone."""
+    and keeps them, as they depend on the quiver and w alone; ``survey``
+    reads the gain columns too."""
 
     table: HomTable
     w: int
@@ -104,25 +101,24 @@ class _Packing:
     zero_cols: dict = field(default_factory=dict, repr=False)
 
     def gain_columns(self, i):
-        """Three gain columns against root i of the table, each a list over
+        """Two gain columns against root i of the table, each a list over
         the walk positions p with R_p the root there: against a part of T,
-        fields 0-3, Ext(R_p,X_i), Hom(R_p,X_i), Ext(X_i,R_p), Hom(X_i,R_p);
-        the same with the terms -<r_p,x_i>, -<x_i,r_p> and their sum of
-        fields 5-7, which may be negative; against a simple, Hom(R_p,X_i)
-        and Ext(R_p,X_i) in the two lowest fields.  Each value is written by
+        Ext(R_p,X_i), Hom(R_p,X_i), Ext(X_i,R_p), Hom(X_i,R_p) in fields
+        0-3 and the terms -<r_p,x_i>, -<x_i,r_p> and their sum, which may
+        be negative, in fields 5-7; against a simple, Hom(R_p,X_i) and
+        Ext(R_p,X_i) in the two lowest fields.  Each value is written by
         shifts, as ``_pack`` would add its fields."""
         if i in self.gain_cols:
             return self.gain_cols[i]
         w, hom, ext = self.w, self.table.hom, self.table.ext
-        against_t, against_t_y, against_s = [], [], []
+        against_t, against_s = [], []
         for p in self.table.walk:
             ep, hp, ei, hi = ext[p][i], hom[p][i], ext[i][p], hom[i][p]
-            g = ep + (hp << w) + (ei << 2 * w) + (hi << 3 * w)
             a, b = ep - hp, ei - hi
-            against_t.append(g)
-            against_t_y.append(g + (a << 5 * w) + (b << 6 * w) + ((a + b) << 7 * w))
+            against_t.append(ep + (hp << w) + (ei << 2 * w) + (hi << 3 * w)
+                             + (a << 5 * w) + (b << 6 * w) + ((a + b) << 7 * w))
             against_s.append(hp + (ep << w))
-        self.gain_cols[i] = cols = (against_t, against_t_y, against_s)
+        self.gain_cols[i] = cols = (against_t, against_s)
         return cols
 
     def zero_column(self, i):
@@ -375,10 +371,7 @@ class _Bounds:
     - from field ``simple`` on, Hom(C,S_j) and Ext(C,S_j) for each j;
     - from field ``simple`` + 2r on, for r simples, V_j = Hom(E_c,S_j) -
       Hom(C,S_j) for each j, E_c the semisimple (+)_x S_x^{c_x}.
-    Fields 4-7, the per-root fields and the V_j are those of
-    ``_bounded_walk``, where ``simple`` is 8 + 2N for N roots; the survey
-    adds only the constant gains against T and S_j, has no per-root fields
-    and no V_j, and ``simple`` is 8.  So the per-root fields and their
+    ``simple`` is 8 + 2N for N roots, so the per-root fields and their
     columns (``_Packing.root_columns``) depend on the quiver and w alone,
     not on the simples.
 
@@ -438,7 +431,7 @@ class _Bounds:
     off: int  # the offset of the remainder fields
     gains: list  # gains[p]: the constant fields one copy of the root at walk position p adds
     guard: int  # the guard bit of every field
-    ehom: list  # Hom(E_alpha,S_j) for each j with a V_j field; empty in the survey
+    ehom: list  # Hom(E_alpha,S_j) for each j, the limits of the V_j fields
 
     @property
     def w(self):
@@ -464,7 +457,7 @@ class _Bounds:
         most B, so a larger k than cap - max(Hom(T,T), 2 off) cuts nothing
         more and is clamped to it; then no limit exceeds cap."""
         k, o, w = min(k, self.cap - max(self.htt, 2 * self.off)), self.off, self.w
-        top = self.n - len(self.ehom)
+        top = self.simple + 2 * self.r
         return (_pack([k, self.htt + k, k, self.htt + k, k, o + k, o + k, 2 * o + k], w)
                 + (_fill(self.cap, w, top - 8) << (8 * w))
                 + (_pack([e - 1 for e in self.ehom], w) << (top * w)))
@@ -483,30 +476,24 @@ class _Bounds:
                 for j in range(self.simple, self.simple + 2 * self.r, 2)]
 
 
-def _bounds(pk: _Packing, alpha, t_class, simples, bounded=True) -> _Bounds:
+def _bounds(pk: _Packing, alpha, t_class, simples) -> _Bounds:
     """``_Bounds`` for classes of alpha against T = ``t_class``, whose
     dimension vector is alpha (for alpha = 0, T has no parts), on the
-    packing ``pk = _packing(q, alpha)``.  The gains are those of
-    ``_bounded_walk``, or with ``bounded`` false only the constant fields
-    against T and the S_j, which the survey adds."""
+    packing ``pk = _packing(q, alpha)``."""
     table, w, r = pk.table, pk.w, len(simples)
-    ts = [(table.index[tr], m) for tr, m in t_class.parts]
-    simple, gains, ehom = 8, [0] * len(table.walk), []
-    if bounded:
-        simple, gains = 8 + 2 * len(table.walk), pk.root_columns[0]
-        ehom = _semisimple_homs(table, alpha, simples)
-    for t, m in ts:
-        gains = [g + m * c for g, c in zip(gains, pk.gain_columns(t)[1 if bounded else 0])]
+    simple, gains = 8 + 2 * len(table.walk), pk.root_columns[0]
+    for tr, m in t_class.parts:
+        gains = [g + m * c for g, c in zip(gains, pk.gain_columns(table.index[tr])[0])]
     for j, s in enumerate(simples):
         i = table.index[s]
-        zero = pk.zero_column(i) if bounded else repeat(0)
         shift, up = w * (simple + 2 * j), w * (2 * r - j)  # V_j is 2r - j fields above Hom(C,S_j)
         gains = [g + ((c + (v << up)) << shift)
-                 for g, c, v in zip(gains, pk.gain_columns(i)[2], zero)]
-    htt = sum(mi * mj * table.hom[i][j] for i, mi in ts for j, mj in ts)
+                 for g, c, v in zip(gains, pk.gain_columns(i)[1], pk.zero_column(i))]
+    htt = euler_form(table.quiver, alpha, alpha)  # Hom(T,T), as Ext(T,T) = 0
     off = sum(a * a // 4 for a in alpha)
-    n = simple + 2 * r + len(ehom)
-    return _Bounds(pk, r, n, simple, htt, off, gains, _fill(1 << (w - 1), w, n), ehom)
+    n = simple + 3 * r
+    return _Bounds(pk, r, n, simple, htt, off, gains, _fill(1 << (w - 1), w, n),
+                   _semisimple_homs(table, alpha, simples))
 
 
 def _bounded_walk(alpha, bd: _Bounds, k):
@@ -550,11 +537,7 @@ def enumerate_classes(q: Quiver, alpha, max_self_ext=None):
     representation T of alpha and the remainder, exceeds k.
     """
     table = hom_table(q)
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != q.n:
-        raise ValueError(f"dimension vector has {len(alpha)} entries for {q.n} vertices")
-    if any(a < 0 for a in alpha):
-        raise ValueError("negative dimension vector")
+    alpha = dimension_vector(q, alpha)
     pk = _packing(q, alpha)
     if max_self_ext is None:
         walk = _walk(pk, alpha, lambda acc, p: acc, lambda acc: True)
@@ -591,11 +574,12 @@ class ZeroSetSpec:
 
 
 def make_spec(q: Quiver, alpha, selected=None) -> ZeroSetSpec:
+    alpha = dimension_vector(q, alpha)
     t = generic_decomposition(q, alpha)
     perp = perp_simples(q, t)
     if selected is None:
         selected = tuple(range(1, perp.r + 1))
-    return ZeroSetSpec(q, tuple(int(a) for a in alpha), t, perp, tuple(selected))
+    return ZeroSetSpec(q, alpha, t, perp, tuple(selected))
 
 
 @dataclass
@@ -621,11 +605,6 @@ class Survey:
     patterns: dict  # selected index k -> classes with hom == 1 - delta_{jk}
     zprime_witness: RepClass | None  # in zero set, Ext(T,X) = Ext(X,T) = 0
     h_truncated: bool = False  # an h-point was dropped because of h_cap
-    # (packed Hom profile, entry sum) of each h-point, as ``_profile`` gives
-    # them; the sums order the condition-(a) points of the tests' reference
-    h_profiles: list = field(default_factory=list)
-    # the packed Hom profile of each pattern class, in the order of its list
-    pattern_profiles: dict = field(default_factory=dict)
 
     @cached_property
     def total(self) -> int:
@@ -635,61 +614,63 @@ class Survey:
 def survey(spec: ZeroSetSpec, h_cap=5000) -> Survey:
     """Collect the reducedness bookkeeping over the classes of alpha.
 
-    One ``_walk`` over the classes carries the fields of ``_Bounds`` for T =
-    ``spec.t_class`` and the selected simples, packed into one integer, so
-    each node costs one addition and the cut test.  Each list keeps at most
-    ``h_cap`` classes; ``h_truncated`` records whether an h-point was
-    dropped.  For each h-point, ``h_profiles`` stores its packed Hom profile
-    and entry sum, the sums of ``pk.rows`` and ``pk.rowsum`` over its parts;
-    for each pattern class, ``pattern_profiles`` stores the profile alone.
-    Both are computed at the class's leaf only.
+    One ``_walk`` over the classes carries 4 + 2r fields for T =
+    ``spec.t_class`` and the r selected simples S_j, w bits each from the
+    bottom of one integer, summed over the partial class C: Ext(C,T),
+    Hom(C,T), Ext(T,C), Hom(T,C), then Hom(C,S_j) and Ext(C,S_j) for each
+    j.  So each node costs one addition and the cut test.  The gains are
+    fields 0-3 of the bounded walk's columns against T, whose terms above
+    field 3 are multiples of 2**(5w) even when negative, and its columns
+    against the S_j.  Each list keeps at most ``h_cap`` classes;
+    ``h_truncated`` records whether an h-point was dropped.  No Hom profile
+    is kept.
 
     Cut rule: a child (root, mult) is not explored when Hom(X,S_j) >= 2 for
     some j and every completion X, and either Ext(X,T) + Ext(T,X) > 0 for
     every completion or a Z' witness is already recorded; larger
     multiplicities of the same root are cut with it.  An h-point or a
     pattern needs every Hom(X,S_j) <= 1, and a Z' witness needs Ext(X,T) =
-    Ext(T,X) = 0, so nothing kept is lost.  The lower bounds are those of
-    ``_Bounds``: Hom(X,S_j) >= max(Hom(C,S_j), Ext(C,S_j)) by (iii), and
-    Ext(X,T) > 0 once Ext(C,T) > 0 or Hom(C,T) > Hom(T,T) by (ii), the same
-    with the arguments swapped; that is ``limit(0)``, whose limits on fields
-    4-7 the survey's accumulator, 0 there, always meets.  Every branch that
-    can still give a Z' witness survives until the first one is found, so
-    the witness is still the first one in enumeration order.
+    Ext(T,X) = 0, so nothing kept is lost.  The lower bounds are (ii) and
+    (iii) of ``_Bounds``: Hom(X,S_j) >= max(Hom(C,S_j), Ext(C,S_j)), and
+    Ext(X,T) > 0 once Ext(C,T) > 0 or Hom(C,T) > Hom(T,T), the same with
+    the arguments swapped; Hom(T,T) = <alpha,alpha> as Ext(T,T) = 0.  Every
+    branch that can still give a Z' witness survives until the first one is
+    found, so the witness is still the first one in enumeration order.
     """
-    table, pk = hom_table(spec.quiver), _packing(spec.quiver, spec.alpha)
-    bd = _bounds(pk, spec.alpha, spec.t_class, spec.selected_simples, bounded=False)
-    r, guard, gains = bd.r, bd.guard, bd.gains
-    rows, sums = [pk.rows[i] for i in table.walk], [pk.rowsum[i] for i in table.walk]
+    q, alpha, simples = spec.quiver, spec.alpha, spec.selected_simples
+    table, pk = hom_table(q), _packing(q, alpha)
+    w, r, index = pk.w, len(simples), table.index
+    low, gains = (1 << 4 * w) - 1, [0] * len(table.walk)
+    for tr, m in spec.t_class.parts:
+        gains = [g + m * (c & low) for g, c in zip(gains, pk.gain_columns(index[tr])[0])]
+    for j, s in enumerate(simples):
+        gains = [g + (c << w * (4 + 2 * j)) for g, c in zip(gains, pk.gain_columns(index[s])[1])]
+    mask, shifts = (1 << w) - 1, range(4 * w, (4 + 2 * r) * w, 2 * w)
+    guard = _fill(1 << (w - 1), w, 4 + 2 * r)
     # meets acc iff some Hom(C,S_j) or Ext(C,S_j) field is >= 2
-    over_one = _pack([0] * bd.simple + [(1 << bd.w) - 2] * (2 * r), bd.w)
-    ztop = bd.limit(0) | guard  # _geq(guard, bd.limit(0), acc) is (ztop - acc) & guard == guard
+    over_one = _fill(mask - 1, w, 2 * r) << 4 * w
+    # the limits of (ii) with Ext(X,T) = Ext(T,X) = 0, none on the simples'
+    # fields, and the guard bits set: a Z' witness may lie below acc iff
+    # (ztop - acc) & guard == guard
+    htt = euler_form(q, alpha, alpha)
+    ztop = _pack([0, htt, 0, htt], w) | guard | (_fill(mask, w, 2 * r) << 4 * w)
 
-    res = Survey(spec, h_points=[], patterns={k: [] for k in spec.selected},
-                 zprime_witness=None, pattern_profiles={k: [] for k in spec.selected})
+    res = Survey(spec, h_points=[], patterns={k: [] for k in spec.selected}, zprime_witness=None)
 
     def fits(acc):  # the cut rule
         return not acc & over_one or (res.zprime_witness is None and (ztop - acc) & guard == guard)
 
-    def summed(column, chosen):  # column[p] summed over the class's walk positions p
-        total = 0
-        for p, m in chosen:
-            total += m * column[p]
-        return total
-
-    for chosen, acc in _walk(pk, spec.alpha, lambda acc, p: acc + gains[p], fits):
-        hsum = bd.homs(acc)
+    for chosen, acc in _walk(pk, alpha, lambda acc, p: acc + gains[p], fits):
+        hsum = [(acc >> s) & mask for s in shifts]
         if all(h == 1 for h in hsum):
             if len(res.h_points) < h_cap:
                 res.h_points.append(_class_of(table, chosen))
-                res.h_profiles.append((summed(rows, chosen), summed(sums, chosen)))
             else:
                 res.h_truncated = True
         elif hsum.count(0) == 1 and hsum.count(1) == r - 1:
             k = spec.selected[hsum.index(0)]
             if len(res.patterns[k]) < h_cap:
                 res.patterns[k].append(_class_of(table, chosen))
-                res.pattern_profiles[k].append(summed(rows, chosen))
         if res.zprime_witness is None and (ztop - acc) & guard == guard and 0 not in hsum:
             res.zprime_witness = _class_of(table, chosen)
     return res

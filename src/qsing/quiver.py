@@ -108,6 +108,20 @@ def reflect_arrows(arrows, x):
 
 # -- dimension vector helpers ----------------------------------------------
 
+def dimension_vector(q: Quiver, alpha) -> tuple:
+    """alpha as a tuple of q.n nonnegative ints.  Raises ValueError on a
+    wrong length, a negative entry or an entry that is not an int, so a
+    bool, a float or a str is rejected rather than read as an integer."""
+    alpha = tuple(alpha)
+    if len(alpha) != q.n:
+        raise ValueError(f"dimension vector has {len(alpha)} entries for {q.n} vertices")
+    if set(map(type, alpha)) != {int}:
+        raise ValueError(f"dimension vector {alpha} has an entry that is not an int")
+    if min(alpha) < 0:
+        raise ValueError(f"dimension vector {alpha} has a negative entry")
+    return alpha
+
+
 def simple_root(n, x):
     return tuple(1 if i == x else 0 for i in range(1, n + 1))
 

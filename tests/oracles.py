@@ -24,7 +24,8 @@ profiles into integers, work on plain tuples instead: ``hom_profile`` and
 the class walk ``tuple_walk``.
 
 ``condition_ab_report`` is the reference for ``orbits.reducedness_report``:
-the paper's gradient conditions (a) and (b), read from ``orbits.survey``.
+the paper's gradient conditions (a) and (b), read from the classes
+``orbits.survey`` keeps, each with its Hom profile from ``orbits._profile``.
 ``jacobian_minor_det`` recomputes over Q, from explicit matrices, the
 Jacobian minor that the report names.  ``whole_jacobian_rows`` and
 ``whole_jacobian_minor`` are the package's Jacobian mod p built the direct
@@ -539,7 +540,7 @@ def gradient_condition_b_witness(x, spec, k, sv=None):
     Returns X' or raises NotFound; sufficient, never a proof of failure.
 
     The candidates X' are the index-k patterns of the survey ``sv``, by
-    default ``survey(spec)``, read with their Hom profiles.
+    default ``survey(spec)``, each with its Hom profile from ``_profile``.
     """
     if k not in spec.selected:
         raise ValueError("k must be a selected index")
@@ -547,7 +548,8 @@ def gradient_condition_b_witness(x, spec, k, sv=None):
         raise ValueError("x is not a class of the spec's dimension vector")
     pk, sv = _packing(spec.quiver, spec.alpha), sv or survey(spec)
     px = _profile(pk, x)[0]
-    for cand, pc in zip(sv.patterns[k], sv.pattern_profiles[k]):
+    for cand in sv.patterns[k]:
+        pc = _profile(pk, cand)[0]
         if pc != px and _geq(pk.guard, px, pc) and is_cover(pk, cand, pc, x, px):
             return cand
     raise NotFound(f"no condition-(b) witness found for k={k}")
@@ -572,10 +574,10 @@ def condition_ab_report(spec, comps):
     if not is_set_theoretic_ci(spec, comps):
         return "unverified", None, {}
     sv, pk = survey(spec), _packing(spec.quiver, spec.alpha)
-    a_points = {}
+    a_points, h_profiles = {}, [_profile(pk, cls) for cls in sv.h_points]
     for comp in comps:
         pc = _profile(pk, comp.rep_class)[0]
-        pts = [(cls, total) for cls, (ph, total) in zip(sv.h_points, sv.h_profiles)
+        pts = [(cls, total) for cls, (ph, total) in zip(sv.h_points, h_profiles)
                if _geq(pk.guard, ph, pc)]
         if not pts:
             return ("unverified", None, {}) if sv.h_truncated else ("not-reduced", comp.rep_class, {})

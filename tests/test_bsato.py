@@ -52,7 +52,7 @@ from qsing.bsato import (
     verify_certificate,
 )
 from qsing.decomp import generic_decomposition, perp_simples
-from qsing.orbits import make_spec
+from qsing.orbits import enumerate_classes, make_spec
 from qsing.presets import E6_QUIVER, preset
 from qsing.quiver import Quiver
 
@@ -124,6 +124,9 @@ def test_generator_a2():
 INPUT_CHECKS = [
     "generator_bc(E8_POS_FAMILY(1), (2, 2))",
     "generator_bc(E8_POS_FAMILY(1), (1, 0, 0))",
+    # c is a vector of ints: no float or bool is truncated to one
+    "generator_bc(E8_POS_FAMILY(1), (2.5, -1))",
+    "generator_bc(E8_POS_FAMILY(1), (True, False))",
     "single_variable_roots(E8_POS_FAMILY(1))",
     "family_from_terms(2, [BracketTerm((1, 0), 3, 1)])",
     "family_from_terms(2, [BracketTerm((1, -1), 0, 1)])",
@@ -144,6 +147,14 @@ INPUT_CHECKS = [
     "compute_bfunction(Quiver(2, ((1, 2),)), (1, 1, 1), [(0, 1)])",
     "compute_bfunction(Quiver(2, ((1, 2),)), (1, -1), [(0, 1)])",
     "compute_bfunction(Quiver(2, ((1, 2),)), (1, 1), [(0, 2)])",
+    # a dimension vector holds ints: a float, a bool or a str is rejected,
+    # not truncated or read as an integer
+    "generic_decomposition(Quiver(2, ((1, 2),)), (1.5, 1))",
+    "generic_decomposition(Quiver(2, ((1, 2),)), (True, 1))",
+    "generic_decomposition(Quiver(2, ((1, 2),)), ('1', 1))",
+    "next(enumerate_classes(Quiver(2, ((1, 2),)), ('1', 1)))",
+    "make_spec(Quiver(2, ((1, 2),)), (1, 1.9))",
+    "compute_bfunction(Quiver(2, ((1, 2),)), (True, 1), [(0, 1)])",
 ]
 
 
@@ -164,6 +175,8 @@ def test_input_checks_survive_optimize():
         "from qsing.brackets import BracketTerm, compute_bfunction, expand, "
         "family_from_terms",
         "from qsing.bsato import generator_bc, single_variable_roots",
+        "from qsing.decomp import generic_decomposition",
+        "from qsing.orbits import enumerate_classes, make_spec",
         "from qsing.quiver import Quiver",
         "from oracles import bracket_identity_check",
         "E8_POS_FAMILY = lambda n: family_from_terms(2, [",
@@ -1375,28 +1388,29 @@ def _fixed_state(fixed, box, r):
 
 
 def test_leaf_all_fixed_modes():
-    """clean when every fixed value came from a negative case; strict, with
-    the maximum of e.z, when a dirty branch keeps e.z below -r on the whole
-    box; otherwise None, and None while a variable is active."""
+    """clean when every fixed value came from a negative case; otherwise
+    None, and None while a variable is active.  A dirty branch fixed some
+    z_v = k to a symbol k >= 0 that ``branch_state`` bounds from below only,
+    so e.z = -K has no upper bound and no other mode can hold: the checker
+    rejects a leaf on it, and any mode but clean."""
     clean = ((1, aff_of(-1), True), (2, aff_sym("k1", -1), True))
-    assert leaf_all_fixed(_fixed_state(clean, with_symbol({}, "k1", 1), 2)) \
-        == ("clean", None)
-    dirty = ((1, aff_of(-5), True), (2, aff_sym("k1"), False))  # z_2 = k1
-    strict = _fixed_state(dirty, with_symbol({}, "k1", 0, 2), 2)
-    assert leaf_all_fixed(strict) == ("strict", -3)  # e.z = k1 - 5 <= -3
-    node = _leaf_node(strict)
-    assert (node.rule, node.data) == ("leaf_all_fixed",
-                                      {"mode": "strict", "max": "-3"})
-    _check_node(strict, cert_to_json(node))
-    with pytest.raises(bsato.CertificateError,
-                       match="leaf_all_fixed does not hold"):
-        _check_node(strict, {"rule": "leaf_all_fixed",
-                             "data": {"mode": "clean"}, "branches": []})
-    # e.z reaches -r at k1 = 3, and has no bound when k1 has none
-    for box in (with_symbol({}, "k1", 0, 3), with_symbol({}, "k1", 0)):
-        assert leaf_all_fixed(_fixed_state(dirty, box, 2)) is None
-    active = SymState((3,), (), dirty, with_symbol({}, "k1", 0, 2), {}, 3,
-                      summed_k(dirty))
+    state = _fixed_state(clean, with_symbol({}, "k1", 1), 2)
+    assert leaf_all_fixed(state) == "clean"
+    node = _leaf_node(state)
+    assert (node.rule, node.data) == ("leaf_all_fixed", {"mode": "clean"})
+    _check_node(state, cert_to_json(node))
+    root = sym_state_from_family(family_from_terms(1, [BracketTerm((1,), 0, 1)]))
+    dirty = bsato.branch_state(root, (1, "nat_sym", aff_sym("k1"), "k1", ()))[0]
+    assert dirty.vars == () and not dirty.clean and dirty.box == {"k1": (0, None)}
+    assert min_of(dirty.box, dirty.k_total) is None
+    assert leaf_all_fixed(dirty) is None and _leaf_node(dirty) is None
+    for st, mode in ((dirty, "clean"), (state, "strict")):
+        with pytest.raises(bsato.CertificateError,
+                           match="leaf_all_fixed does not hold"):
+            _check_node(st, {"rule": "leaf_all_fixed", "data": {"mode": mode},
+                             "branches": []})
+    active = SymState((3,), (), clean, with_symbol({}, "k1", 1), {}, 3,
+                      summed_k(clean))
     assert leaf_all_fixed(active) is None
 
 
