@@ -3,15 +3,26 @@
 Systems are lists of constraints  sum c_i x_i  (rel)  rhs  with rel in
 {"<=", "<", "="} and int or Fraction (any exact rational) data.
 Elimination runs on plain Python integers: each input row is multiplied
-once by the lcm of its denominators, and each derived row
-b*upper + a*lower is divided by the gcd of its coefficients and
-right-hand side.  Both factors are positive, so by induction every row
-is a positive multiple of the row that elimination on Fractions builds: the
-same inequality, in the same order, giving the same bound rest/c on its
-variable.  Back-substitution compares those bounds as integer pairs and
-divides, in Fractions, only for the bounds it picks.  Feasibility and the
-point are therefore exactly those of the Fraction computation.
-Dimensions here are tiny (r <= 5), where FM is exact and fast.
+once by the lcm of its denominators, and each derived row is divided by
+the gcd of its coefficients and right-hand side.  A row keeps its
+relation, so an equality stays one row.  At x_v, when some "=" row has a
+nonzero coefficient there, the first such row is solved for x_v and
+substituted into every other row with one (Dantzig-Eaves; Schrijver,
+Theory of Linear and Integer Programming, 12.2); otherwise each row
+bounding x_v from below is paired with each bounding it from above.
+
+Both steps are exact projections: the rows at level v cut out the
+projection of the solution set onto x_v..x_{n-1}, whichever step built
+them, and so the same set as elimination with each equality doubled into
+two "<=" rows, as in the Fraction oracle of the tests.  Back-substitution
+fixes x_{n-1}, then x_{n-2}, and so on; once the later coordinates are
+fixed, the rows at level v leave x_v an interval of that projection, and
+the point picks from the interval's endpoints and their openness alone.
+So the point, and feasibility, are those of the doubled Fraction
+elimination, whatever rows realize the interval.  Back-substitution runs
+on ints over one common denominator, and only the returned coordinates
+become Fractions.  Dimensions here are tiny (r <= 5), where FM is exact
+and fast.
 """
 
 import math
@@ -45,13 +56,27 @@ def int_row(values):
     return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
+def _combine(p, x, q, y):
+    """The int row p*x + q*y divided by the gcd of its entries."""
+    row = [p * a + q * b for a, b in zip(x, y)]
+    g = math.gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
 def solve(constraints, nvars):
     """A point of { x in Q^nvars : constraints } as a list of Fractions,
     found by back-substitution through the elimination levels, or None
     when the system is infeasible.  A row whose length is not nvars, or
     whose relation is not "<=", "<" or "=", raises ValueError.
+
+    A row keeps its relation through elimination.  At x_v, the first "="
+    row with a nonzero coefficient there is substituted into every other
+    row with one; only when no "=" row has x_v are the "<=" and "<" rows
+    bounding x_v from below paired with those bounding it from above.  A
+    ground fact rhs (rel) 0 must hold, so a "=" one needs rhs = 0.  In
+    back-substitution a "=" row bounds x_v from both sides.
     """
-    # a row is one int list, coefficients then rhs, with its strictness
+    # a row is one int list, coefficients then rhs, with its relation
     # beside it: each combination below is one list
     rows = []
     for k, (coeffs, rel, rhs) in enumerate(constraints):
@@ -60,67 +85,79 @@ def solve(constraints, nvars):
                              f"for {nvars} variables")
         if rel not in ("<=", "<", "="):
             raise ValueError(f"row {k} has relation {rel!r}, not <=, < or =")
-        row = int_row([*coeffs, rhs])[0]
-        rows.append((row, rel == "<"))
-        if rel == "=":
-            rows.append(([-x for x in row], False))
+        rows.append((int_row([*coeffs, rhs])[0], rel))
 
     levels = []  # per eliminated variable: rows at that level
     cur = rows
     for v in range(nvars):
         levels.append(cur)
-        lower, upper, new = [], [], []
-        for row in cur:
-            c = row[0][v]
-            (upper if c > 0 else lower if c < 0 else new).append(row)
-        for low, lstrict in lower:
-            b = -low[v]
-            for up, ustrict in upper:
-                a = up[v]
-                # b*upper + a*lower eliminates v
-                row = [b * u + a * l for u, l in zip(up, low)]
-                g = math.gcd(*row)
-                if g > 1:
-                    row = [x // g for x in row]
-                new.append((row, lstrict or ustrict))
+        new = [r for r in cur if not r[0][v]]
+        eq = next((r for r in cur if r[1] == "=" and r[0][v]), None)
+        if eq is not None:
+            e, a = eq[0], eq[0][v]
+            for r in cur:
+                if r[0][v] and r is not eq:
+                    # |a|*row - sign(a)*row[v]*e: x_v solved from e
+                    b = r[0][v]
+                    new.append((_combine(abs(a), r[0], -b if a > 0 else b, e),
+                                r[1]))
+        else:
+            upper = [r for r in cur if r[0][v] > 0]
+            for low, lrel in cur:
+                if low[v] < 0:
+                    for up, urel in upper:
+                        # b*upper + a*lower eliminates v
+                        new.append((_combine(-low[v], up, up[v], low),
+                                    "<" if "<" in (lrel, urel) else "<="))
         cur = new
 
     # ground facts: all coefficients zero
-    for row, strict in cur:
+    for row, rel in cur:
         assert not any(row[:nvars])
         rhs = row[nvars]
-        if rhs < 0 or (strict and rhs == 0):
+        if rhs < 0 or (rhs == 0 and rel == "<") or (rhs and rel == "="):
             return None
 
-    # back-substitute a feasible point.  At each level the later
-    # coordinates are nums/den, and a row's bound rest/c on its variable is
-    # kept as (n, m, strict), meaning n/(m*den) with m > 0: bounds compare
-    # by cross-multiplying, and only the two kept become Fractions
-    point = [Fraction(0)] * nvars
+    # back-substitute a feasible point.  The coordinates found so far are
+    # nums/den, den the lcm of their denominators.  A row's bound rest/c on
+    # x_v is kept as (n, m, strict), meaning n/(m*den) with m > 0: bounds
+    # compare by cross-multiplying, and only the returned point becomes
+    # Fractions
+    nums, den = [0] * nvars, 1
     for v in range(nvars - 1, -1, -1):
-        nums, den = int_row(point[v + 1:])
         best = {}  # side 1: the least upper bound, -1: the greatest lower one
-        for row, strict in levels[v]:
-            if row[v]:
-                side = 1 if row[v] > 0 else -1
-                n = side * (row[nvars] * den - sum(
-                    a * x for a, x in zip(row[v + 1:nvars], nums)))
-                m, old = side * row[v], best.get(side)
-                cmp = -1 if old is None else side * (n * old[1] - old[0] * m)
-                if cmp < 0 or (cmp == 0 and strict):
-                    best[side] = (n, m, strict)
-        (lo, lo_strict), (hi, hi_strict) = [
-            (Fraction(b[0], b[1] * den), b[2]) if b else (None, False)
-            for b in (best.get(-1), best.get(1))]
+        later = nums[v + 1:]
+        for row, rel in levels[v]:
+            c = row[v]
+            if c:
+                s = 1 if c > 0 else -1
+                n = s * (row[nvars] * den - sum(
+                    a * x for a, x in zip(row[v + 1:nvars], later)))
+                m, strict = s * c, rel == "<"
+                for side in (1, -1) if rel == "=" else (s,):
+                    old = best.get(side)
+                    cmp = -1 if old is None else side * (n * old[1] - old[0] * m)
+                    if cmp < 0 or (cmp == 0 and strict):
+                        best[side] = (n, m, strict)
+        lo, hi = best.get(-1), best.get(1)
         if lo is None and hi is None:
-            point[v] = Fraction(0)
-        elif lo is None:
-            point[v] = hi - 1 if hi_strict else hi
-        elif hi is None:
-            point[v] = lo + 1 if lo_strict else lo
-        else:
-            point[v] = (lo + hi) / 2 if (lo_strict or hi_strict) else lo
-    return point
+            continue
+        if lo is None:  # hi, or hi - 1 when strict
+            num, d = hi[0] - (hi[1] * den if hi[2] else 0), hi[1] * den
+        elif hi is None:  # lo, or lo + 1 when strict
+            num, d = lo[0] + (lo[1] * den if lo[2] else 0), lo[1] * den
+        elif lo[2] or hi[2]:  # the midpoint
+            num, d = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1] * den
+        else:  # lo
+            num, d = lo[0], lo[1] * den
+        g = math.gcd(num, d)
+        num, d = num // g, d // g
+        scale = d // math.gcd(den, d)
+        if scale > 1:
+            nums = [x * scale for x in nums]
+            den *= scale
+        nums[v] = num * (den // d)
+    return [Fraction(x, den) for x in nums]
 
 
 def cone_membership(target, generators, lines=()):

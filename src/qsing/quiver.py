@@ -34,10 +34,15 @@ class Quiver:
     arrows: tuple  # tuple of (tail, head), 1-indexed
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise QuiverError(f"vertex count {self.n!r} is not an int")
         if self.n < 1:
             raise QuiverError("need at least one vertex")
-        object.__setattr__(self, "arrows", tuple((int(t), int(h)) for t, h in self.arrows))
+        object.__setattr__(self, "arrows", tuple((t, h) for t, h in self.arrows))
         for t, h in self.arrows:
+            if type(t) is not int or type(h) is not int:
+                raise QuiverError(
+                    f"arrow ({t!r},{h!r}) has an endpoint that is not an int")
             if not (1 <= t <= self.n and 1 <= h <= self.n):
                 raise QuiverError(f"arrow ({t},{h}) references invalid vertex")
             if t == h:
@@ -136,11 +141,16 @@ def reflect_dim(q: Quiver, x, v):
 # -- Euler form --------------------------------------------------------------
 
 def euler_form(q: Quiver, a, b) -> int:
-    """<a,b> = sum a_x b_x - sum over arrows a_{ta} b_{ha}."""
+    """<a,b> = sum a_x b_x - sum over arrows a_{ta} b_{ha}.  Entries may be
+    negative; one whose type is not int (a bool, a float, a str) raises
+    QuiverError rather than being truncated."""
     if len(a) != q.n or len(b) != q.n:
         raise QuiverError("dimension vector length mismatch")
-    val = sum(int(a[i]) * int(b[i]) for i in range(q.n))
-    val -= sum(int(a[t - 1]) * int(b[h - 1]) for t, h in q.arrows)
+    if set(map(type, a)) | set(map(type, b)) != {int}:
+        raise QuiverError(
+            f"vectors {tuple(a)}, {tuple(b)} have an entry that is not an int")
+    val = sum(x * y for x, y in zip(a, b))
+    val -= sum(a[t - 1] * b[h - 1] for t, h in q.arrows)
     return val
 
 

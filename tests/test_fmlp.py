@@ -2,15 +2,22 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from qsing.fmlp import cone_membership, int_row, separating_functional, solve
 
 
-def reference_solve(constraints, nvars):
+class OracleTooLarge(Exception):
+    """reference_solve would build a level of more than max_rows rows."""
+
+
+def reference_solve(constraints, nvars, max_rows=math.inf):
     """Fourier-Motzkin elimination on Fraction rows, without any scaling:
-    the oracle for `solve`.  Returns the point, or None when infeasible."""
+    the oracle for `solve`.  Returns the point, or None when infeasible.
+    Raises OracleTooLarge rather than build a level of more than max_rows
+    rows: with every equality doubled, a dense system of six equalities in
+    four variables pairs millions of rows at the last level."""
     rows = []
     for coeffs, rel, rhs in constraints:
         coeffs, rhs = [Fraction(c) for c in coeffs], Fraction(rhs)
@@ -25,6 +32,8 @@ def reference_solve(constraints, nvars):
         lower = [r for r in cur if r[0][v] < 0]
         upper = [r for r in cur if r[0][v] > 0]
         new = [r for r in cur if r[0][v] == 0]
+        if len(new) + len(lower) * len(upper) > max_rows:
+            raise OracleTooLarge
         for lc, lrel, lrhs in lower:
             for uc, urel, urhs in upper:
                 a, b = uc[v], -lc[v]
@@ -77,6 +86,33 @@ def test_equality_handling():
     x = solve([([2, 1], "=", 5), ([-1, 0], "<=", 0), ([0, -1], "<=", 0)], 2)
     assert x is not None
     assert 2 * x[0] + x[1] == 5
+
+
+@pytest.mark.parametrize("system, nvars, expected", [
+    # two equalities sharing x1: x0 + x1 = 3 and x0 - x1 = 1
+    ([([1, 1], "=", 3), ([1, -1], "=", 1)], 2, [2, 1]),
+    # an equality whose first nonzero coefficient is at x1, with x0 <= x1
+    # and x2 >= 0 bounding the rest
+    ([([0, 2, 1], "=", 4), ([1, -1, 0], "<=", 0), ([0, 0, -1], "<=", 0)], 3,
+     [2, 2, 0]),
+    # substituting x0 + x1 = 1 into 2 x0 + 2 x1 = 3 leaves 0 = 1
+    ([([1, 1], "=", 1), ([2, 2], "=", 3)], 2, None),
+    # x0 = x1 turns x0 + x1 < 2 into a strict row in x1 alone: 0 < x1 < 1
+    ([([1, -1], "=", 0), ([1, 1], "<", 2), ([-1, 0], "<", 0)], 2,
+     [Fraction(1, 2), Fraction(1, 2)]),
+    # x0 = x1 turns x0 - x1 < 0 into the ground fact 0 < 0
+    ([([1, -1], "=", 0), ([1, -1], "<", 0)], 2, None),
+    # a duplicate equality substitutes to 0 = 0, which holds
+    ([([1, 2], "=", 4), ([1, 2], "=", 4), ([0, -1], "<=", 0)], 2, [4, 0]),
+    # equalities alone, with one solution
+    ([([1, 1, 1], "=", 1), ([1, -1, 0], "=", Fraction(1, 2)),
+      ([0, 3, -1], "=", 0)], 3, [Fraction(3, 5), Fraction(1, 10),
+                                 Fraction(3, 10)]),
+])
+def test_equality_systems(system, nvars, expected):
+    """Systems whose equalities `solve` substitutes, each against the
+    Fraction oracle, which doubles every equality into two inequalities."""
+    assert solve(system, nvars) == reference_solve(system, nvars) == expected
 
 
 def test_cone_membership_basic():
@@ -137,6 +173,43 @@ def systems(draw):
     return draw(st.lists(row, min_size=1, max_size=5)), nvars
 
 
+@st.composite
+def equality_systems(draw):
+    """Systems of at most 6 rows over at most 4 variables, at least half
+    of them equalities.  The oracle's work grows doubly exponentially in
+    these sizes, equalities doubled, so it is run through
+    `bounded_oracle`."""
+    nvars, size = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    rels = ["="] * ((size + 1) // 2) + draw(st.lists(
+        st.sampled_from(("<=", "<", "=")), min_size=size // 2,
+        max_size=size // 2))
+    coeffs = st.lists(RATIONALS, min_size=nvars, max_size=nvars)
+    return [(draw(coeffs), rel, draw(RATIONALS))
+            for rel in draw(st.permutations(rels))], nvars
+
+
+# the most rows the oracle may build at one level for an equality system:
+# a few percent of the draws exceed it, and those are drawn again
+ORACLE_MAX_ROWS = 2000
+
+
+def bounded_oracle(constraints, nvars):
+    """reference_solve on a drawn system, or the draw rejected when the
+    oracle would build a level of more than ORACLE_MAX_ROWS rows."""
+    try:
+        return reference_solve(constraints, nvars, max_rows=ORACLE_MAX_ROWS)
+    except OracleTooLarge:
+        reject()
+
+
+@given(equality_systems())
+@settings(max_examples=400, deadline=None)
+def test_solve_matches_fraction_oracle_on_equalities(system):
+    """Equalities are substituted, the oracle's are doubled: the same
+    verdict and the same point."""
+    assert solve(*system) == bounded_oracle(*system)
+
+
 @given(systems())
 @settings(max_examples=400, deadline=None)
 def test_solve_matches_fraction_oracle(system):
@@ -149,17 +222,19 @@ def test_solve_matches_fraction_oracle(system):
 
 
 def test_oracle_differential_sees_both_verdicts():
-    """The system strategy is not one-sided: a fixed draw of it holds both
-    feasible and infeasible systems."""
-    verdicts = set()
+    """Neither system strategy is one-sided: a fixed draw of each holds
+    both feasible and infeasible systems."""
+    for strategy, oracle in ((systems(), reference_solve),
+                             (equality_systems(), bounded_oracle)):
+        verdicts = set()
 
-    @given(systems())
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    def collect(system):
-        verdicts.add(reference_solve(*system) is not None)
+        @given(strategy)
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        def collect(system):
+            verdicts.add(oracle(*system) is not None)
 
-    collect()
-    assert verdicts == {True, False}
+        collect()
+        assert verdicts == {True, False}, strategy
 
 
 def test_fractional_rows_scale_to_integers():

@@ -27,6 +27,30 @@ def test_construction_validates():
         Quiver(2, ((1, 3),))  # bad vertex
 
 
+@pytest.mark.parametrize("n, arrows", [
+    (2, ((1.7, 2),)), (2, ((True, 2),)), (2, ((1, 2.0),)), (2, (("1", 2),)),
+    (True, ()), (2.0, ((1, 2),)), ("2", ((1, 2),))])
+def test_construction_rejects_non_int_input(n, arrows):
+    """The vertex count and every arrow endpoint is an int: a float, a bool
+    or a str raises rather than being truncated or read as one."""
+    with pytest.raises(QuiverError, match="not an int"):
+        Quiver(n, arrows)
+
+
+@pytest.mark.parametrize("a, b", [
+    ((1.5, 1), (1, 1.9)), ((True, 1), (1, 1)), ((1, 1), (1, False)),
+    (("1", 1), (1, 1)), ((1, 1), (1.0, 1))])
+def test_euler_form_rejects_non_int_entries(a2, a, b):
+    with pytest.raises(QuiverError, match="not an int"):
+        euler_form(a2, a, b)
+
+
+def test_euler_form_takes_negative_entries(a2):
+    # <a,b> = a1 b1 + a2 b2 - a1 b2 on 1 -> 2
+    assert euler_form(a2, (-1, 2), (1, -3)) == -1 - 6 - 3
+    assert euler_form(a2, (1, -1), (1, -1)) == 1 + 1 + 1
+
+
 def test_euler_form_direct_sum(a2):
     # direct evaluation of the defining double sum
     assert euler_form(a2, (1, 1), (0, 1)) == 0
