@@ -30,7 +30,11 @@ least nine tenths of the pairs and a change median better than the
 parent's by more than the parent's interquartile range.  It also gives
 ``within_bound``: whether the change's median is worse than the parent's by
 no more than the metric's ``bound`` in BENCHMARK.json, a fraction of the
-parent's median.  The table printed at the end reads both.
+parent's median.  For a workload traced on both sides it gives
+``traced_counters_equal``: whether every per-layer metric whose unit is not
+``s`` (work counters and ratios; ``trace.*`` aside) is equal in the two
+traced runs, and ``traced_counters_differ``, the names of those that are
+not.  The table printed at the end reads all three.
 
 The record names the code each side measured: ``sources`` holds, per side,
 the sha256 of the package sources ``src/qsing/*.py`` (``source_digest``),
@@ -91,10 +95,33 @@ def quartiles(values):
     return [q[0], q[2]]
 
 
-def summarize(runs, metrics):
+def compare_traced(traced):
+    """Per workload traced on both sides, the names of the per-layer
+    metrics whose unit is not "s", ``trace.*`` aside, that differ between
+    the two traced runs (the last run of each side counts)."""
+    by_workload = {}
+    for r in traced:
+        by_workload.setdefault(r["workload"], {})[r["side"]] = r["output"]["metrics"]
+    out = {}
+    for workload, sides in by_workload.items():
+        if len(sides) < 2:
+            continue
+        par, chg = sides["parent"], sides["change"]
+        names = [k for k, m in {**par, **chg}.items()
+                 if m["unit"] != "s" and not k.startswith("trace.")]
+        out[workload] = [k for k in names
+                         if k not in par or k not in chg
+                         or par[k]["value"] != chg[k]["value"]]
+    return out
+
+
+def summarize(runs, metrics, traced=()):
     """Per workload and end-to-end metric, given as (name, better, bound):
     medians, quartiles, wins, whether the gain rule holds and whether the
-    change stays within the bound.  A seed run on one side only is skipped."""
+    change stays within the bound.  A seed run on one side only is skipped.
+    A workload with a traced run on each side also gets whether their work
+    counters are equal, and the names of those that differ."""
+    differ = compare_traced(traced)
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by_seed = {}
@@ -125,6 +152,9 @@ def summarize(runs, metrics):
             }
         entry["all_correct"] = all(o["correct"] and o["failed"] == 0
                                    for p in pairs for o in p.values())
+        if workload in differ:
+            entry["traced_counters_equal"] = not differ[workload]
+            entry["traced_counters_differ"] = differ[workload]
         summary[workload] = entry
     return summary
 
@@ -134,7 +164,7 @@ def print_table(summary):
           f"{'parent IQR':>24}{'wins':>8}  {'gain rule':<11}bound")
     for workload, entry in summary.items():
         for name, s in entry.items():
-            if name == "all_correct":
+            if not isinstance(s, dict):  # all_correct, traced_counters_*
                 continue
             lo, hi = s["parent_quartiles"]
             print(f"{workload:<18}{name:<14}{s['parent_median']:>12.5g}"
@@ -143,6 +173,11 @@ def print_table(summary):
                   f"{'met' if s['gain_rule_met'] else 'not met':<11}"
                   f"{'within' if s['within_bound'] else 'OUTSIDE'}")
         print(f"{workload:<18}all runs correct: {entry['all_correct']}")
+        if "traced_counters_equal" in entry:
+            differ = entry["traced_counters_differ"]
+            print(f"{workload:<18}traced counters equal: "
+                  f"{entry['traced_counters_equal']}"
+                  + (f" (differ: {', '.join(differ)})" if differ else ""))
 
 
 def host():
@@ -215,7 +250,7 @@ def main():
         output = run_once(sides[side], workload, seed, seconds, int(kind == "traced"))
         record[kind].append({"workload": workload, "seed": seed, "side": side,
                              "output": output})
-        record["summary"] = summarize(record["runs"], metrics)
+        record["summary"] = summarize(record["runs"], metrics, record["traced"])
         with open(out, "w") as fh:
             json.dump(record, fh, indent=1)
         print(f"{kind} {workload} seed {seed} {side}: "

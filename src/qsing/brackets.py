@@ -17,12 +17,14 @@ beta-coordinates at x, then replaces alpha by c(alpha) and each live
 beta^j by c(beta^j).  A slot whose translate leaves N^n (its object became
 projective) contributes its classical determinantal factors in its final
 step and then drops out; the pass ends when every slot is dead.  alpha is
-reflected through ``HomTable.coxeter_step``; a live slot is always a
-positive root, so it advances by one lookup in ``HomTable.translates``.
-When a step would need a negative bracket endpoint, the pass drops that
-step's staged brackets and ``_terminal_walk`` walks the surviving slots
-down to simples by sink and source reflections, carrying the orientation
-as a tuple of arrows and adding the classical factors to the same dict.
+reflected through ``HomTable.coxeter_step``, one list reflected in place; a
+live slot is always a positive root, so it advances by one lookup in
+``HomTable.translates``.  When a step would need a negative bracket
+endpoint, the pass drops that step's staged brackets and ``_terminal_walk``
+walks the surviving slots down to simples by sink and source reflections,
+carrying the orientation as a tuple of arrows and adding the classical
+factors to the same dict.  A reflection there changes one coordinate, and
+the walk sets that coordinate from the value its candidate scan computed.
 ``compute_bfunction`` runs the pass forward, then backward (with c^{-1})
 when the forward pass fails.
 """
@@ -31,9 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
-from .quiver import Quiver, dimension_vector, reflect_arrows, reflect_dim
+from .quiver import Quiver, dimension_vector, reflect_arrows
 from .roots import hom_table
 
 
@@ -186,9 +189,11 @@ def _pass(q, table, alpha, betas, direction):
     steps = 0
     advance = table.translates[direction]
     zero = (0,) * q.n
-    while any(b is not None for b in betas):
+    live = len(betas) - betas.count(None)
+    while live:
         alpha2 = table.coxeter_step(alpha, direction)
         betas2 = [None if b is None else advance[b] for b in betas]
+        live = len(betas2) - betas2.count(None)
         # forward: gammas from the current translates; backward: from the
         # next.  A dead slot reads as the zero vector, so gamma_x is the
         # column x of the live slots
@@ -208,8 +213,10 @@ def _pass(q, table, alpha, betas, direction):
         for gamma, lo, hi, sign in staged:
             for i in range(lo + 1, hi + 1):
                 key = (gamma, i)
-                offs[key] = offs.get(key, 0) + sign
-                if not offs[key]:
+                m = offs.get(key, 0) + sign
+                if m:
+                    offs[key] = m
+                else:
                     del offs[key]
         alpha, betas = alpha2, betas2
         steps += 1
@@ -231,8 +238,9 @@ def _terminal_walk(q, alpha, betas, offs):
     and sources, and the Euler form <alpha, e_x>, from it.  A reflection at
     x changes coordinate x alone, and the neighbours that give it depend on
     the underlying graph only, so a candidate's legality and the height it
-    leaves are read from that one coordinate of each vector; the chosen
-    reflection is ``reflect_dim`` on q.
+    leaves are read from that one coordinate of each vector.  The scan keeps
+    the new coordinate of alpha and of each live slot for the best
+    candidate, and the chosen reflection replaces coordinate x by it.
 
     Each step of the walk reads only the orientation, alpha and the slots,
     never the offsets, and a slot's death is irreversible.  So when that
@@ -280,25 +288,35 @@ def _terminal_walk(q, alpha, betas, offs):
         for x in ([v for v in range(1, n + 1) if v not in tails]
                   + [v for v in range(1, n + 1) if v not in heads]):
             around = nbrs[x - 1]
-            if sum(alpha[y] for y in around) < alpha[x - 1]:
+            new_alpha = sum(map(alpha.__getitem__, around)) - alpha[x - 1]
+            if new_alpha < 0:
                 continue
             height = 0
+            news = []
             for b in live:
-                new = sum(b[y] for y in around) - b[x - 1]
+                new = sum(map(b.__getitem__, around)) - b[x - 1]
                 if new < 0:
                     break
                 height += sum(b) - b[x - 1] + new
+                news.append(new)
             else:
-                if best is None or (height, x) < best:
-                    best = (height, x)
+                if best is None or (height, x) < best[:2]:
+                    best = (height, x, new_alpha, news)
         if best is None:
             raise TerminalRuleInapplicable("no legal reflection available")
-        x = best[1]
+        _, x, new_alpha, news = best
         # legality kept coordinate x of every live slot >= 0, and no other
         # coordinate changes, so the slots stay positive roots
-        alpha = reflect_dim(q, x, alpha)
-        betas = [None if b is None else reflect_dim(q, x, b) for b in betas]
+        alpha = _replaced(alpha, x - 1, new_alpha)
+        news = iter(news)
+        betas = [None if b is None else _replaced(b, x - 1, next(news))
+                 for b in betas]
         arrows = reflect_arrows(arrows, x)
+
+
+def _replaced(v, i, value):
+    """The tuple v with coordinate i set to value."""
+    return v[:i] + (value,) + v[i + 1:]
 
 
 def compute_bfunction(q: Quiver, alpha, simples) -> BFunctionFamily:
@@ -318,7 +336,9 @@ def compute_bfunction(q: Quiver, alpha, simples) -> BFunctionFamily:
 
     Raises NonDynkinError off Dynkin type, from the cached ``hom_table(q)``
     that every reflection step reads, and then ValueError when alpha is not
-    a nonnegative n-vector of ints or a simple is not a positive root of q.
+    a nonnegative n-vector of ints, or a simple is not a positive root of q
+    or has an entry that is not an int (a float or a bool equal to a root
+    is rejected, not kept in ``meta["simples"]``).
     When both runs fail, the backward run's TerminalRuleInapplicable is
     raised.
     """
@@ -326,14 +346,17 @@ def compute_bfunction(q: Quiver, alpha, simples) -> BFunctionFamily:
     alpha = dimension_vector(q, alpha)
     simples = [tuple(s) for s in simples]
     for s in simples:
-        if s not in table.index:
+        i = table.index.get(s)
+        if i is None:
             raise ValueError(f"simple {s} is not a positive root of the quiver")
+        # a float or bool entry compares and hashes equal to an int, so the
+        # lookup alone would let it through; the context's own root tuples
+        # (what ``perp_simples`` returns) hold ints and skip the scan
+        if s is not table.roots[i] and set(map(type, s)) != {int}:
+            raise ValueError(f"simple {s} has an entry that is not an int")
     # a slot whose matrix d^V_S is 0 x 0 is the constant semi-invariant 1;
     # it contributes no factors and drops out immediately
-    betas = [
-        s if sum(a * b for a, b in zip(alpha, s)) else None
-        for s in simples
-    ]
+    betas = [s if sum(map(mul, alpha, s)) else None for s in simples]
     last_error = None
     for direction in (+1, -1):
         try:

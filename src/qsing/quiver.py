@@ -3,8 +3,9 @@
 Vertices are 1..n. Dimension vectors are plain integer tuples of length n;
 negative entries are allowed at the type level so Coxeter images can be
 inspected for membership in N^n.  The Coxeter transformation is applied by
-``roots.HomTable.coxeter_step``, which reflects along the admissible sink
-sequence of the per-quiver context.
+``roots.HomTable.coxeter_step``, which reflects one list in place along the
+admissible sink sequence of the per-quiver context, with the formula of
+``reflect_dim``.
 """
 
 from __future__ import annotations

@@ -6,20 +6,21 @@ sink walk that the generic decomposition follows.  Its Hom table comes from
 one reflection walk per root along an admissible sink sequence, in exact
 integer arithmetic on dimension vectors, and its Ext table from the Euler
 form, read as one dot product per pair against the root's Euler column.
-Every reflection is ``quiver.reflect_dim``, which reads the neighbour lists
-that ``Quiver.adjacency`` builds once from the arrows.  The Coxeter
-transformation c and its inverse are not stored: ``HomTable.coxeter_step``
-reflects a vector at the first n steps of the same walk, forwards for c
-and backwards for c^-1, and ``HomTable.translates`` keeps, built on first
-use, the image under c and under c^-1 of every positive root, from which
-the b-function recursion advances its slots.  No representation matrix is
-built here; the tests check the table against explicit matrices, and
-``jacobian.realize`` builds a root's matrices mod a prime on demand and
-keeps them on the context.  The class walk's packed integers are kept there
-on demand too, one ``orbits._Packing`` per field width, and so are the two
-per-root bitmasks ``orth`` and ``below`` from which ``decomp.perp_simples``
-reads the perpendicular simples, built on first use rather than by
-``hom_table``.
+The root closure and the walks reflect through ``quiver.reflect_dim``,
+which reads the neighbour lists that ``Quiver.adjacency`` builds once from
+the arrows.  The Coxeter transformation c and its inverse are not stored:
+``HomTable.coxeter_step`` reflects one list in place at the first n steps
+of the same walk, forwards for c and backwards for c^-1, reading the
+neighbours each step already holds, and ``HomTable.translates`` keeps,
+built on first use, the image under c and under c^-1 of every positive
+root, from which the b-function recursion advances its slots.  No
+representation matrix is built here; the tests check the table against
+explicit matrices, and ``jacobian.realize`` builds a root's matrices mod a
+prime on demand and keeps them on the context.  The class walk's packed
+integers are kept there on demand too, one ``orbits._Packing`` per field
+width, and so are the two per-root bitmasks ``orth`` and ``below`` from
+which ``decomp.perp_simples`` reads the perpendicular simples, built on
+first use rather than by ``hom_table``.
 ``hom_table`` is the only cache of the package: everything else derived
 from a quiver alone hangs off its context.
 """
@@ -176,11 +177,17 @@ class HomTable:
         steps, since the walk of the simple root at x_n cannot end before
         step n - 1: reflections at other vertices keep its coordinate x_n
         at 1.
+
+        The n reflections act on one list in place: each sets coordinate x
+        to the sum of its neighbours' coordinates, read from ``steps``,
+        minus itself, as ``quiver.reflect_dim`` does, and one tuple is
+        built at the end.  v may have negative entries.
         """
-        q, w = self.quiver, tuple(v)
-        for x, _, _ in (self.steps[:q.n] if direction > 0 else self.steps[q.n - 1::-1]):
-            w = reflect_dim(q, x + 1, w)
-        return w
+        n, w = self.quiver.n, list(v)
+        get = w.__getitem__
+        for x, nbrs, _ in (self.steps[:n] if direction > 0 else self.steps[n - 1::-1]):
+            w[x] = sum(map(get, nbrs)) - w[x]
+        return tuple(w)
 
 
 @lru_cache(maxsize=None)

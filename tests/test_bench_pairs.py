@@ -1,6 +1,7 @@
 """``scripts/bench_pairs.py``'s summary on synthetic runs: the gain rule and
-the bound check it stores per metric; and the digest of the package
-sources that names the code each side measured."""
+the bound check it stores per metric, and the comparison of the two traced
+runs' work counters; and the digest of the package sources that names the
+code each side measured."""
 
 import importlib.util
 from pathlib import Path
@@ -73,6 +74,37 @@ def test_within_bound_is_a_fraction_of_the_parent_median(metric, change, within)
     # a gain is always within the bound
     gain = [2 * p - c for p, c in zip(PARENT, change)]
     assert bench_pairs.summarize(pairs(PARENT, gain, metric), METRICS)["w"][metric]["within_bound"]
+
+
+def traced(side, **values):
+    units = {"layer.s": "s", "layer.calls": "count", "layer.kept": "ratio",
+             "trace.events": "count"}
+    base = {"layer.s": 0.5, "layer.calls": 17, "layer.kept": 0.25,
+            "trace.events": 3, **values}
+    return {"workload": "w", "seed": 31, "side": side, "output": {
+        "metrics": {k: {"value": v, "unit": units[k]} for k, v in base.items()}}}
+
+
+@pytest.mark.parametrize("change, differ", [
+    ({}, []),
+    # a time and a trace.* figure may differ; work counters and ratios not
+    ({"layer.s": 0.4, "trace.events": 4}, []),
+    ({"layer.calls": 18}, ["layer.calls"]),
+    ({"layer.kept": 0.5, "layer.calls": 16}, ["layer.calls", "layer.kept"]),
+])
+def test_traced_counters_are_compared(change, differ, capsys):
+    runs = pairs(PARENT, PARENT)
+    both = [traced("parent"), traced("change", **change)]
+    s = bench_pairs.summarize(runs, METRICS, both)["w"]
+    assert s["traced_counters_equal"] == (not differ)
+    assert s["traced_counters_differ"] == differ
+    bench_pairs.print_table({"w": s})
+    line = [l for l in capsys.readouterr().out.splitlines() if "traced counters" in l]
+    assert line == [f"w                 traced counters equal: {not differ}"
+                    + (f" (differ: {', '.join(differ)})" if differ else "")]
+    # untraced, or traced on one side only: nothing to compare
+    for partial in ([], [traced("parent")]):
+        assert "traced_counters_equal" not in bench_pairs.summarize(runs, METRICS, partial)["w"]
 
 
 def write_package(root, files):

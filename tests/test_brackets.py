@@ -194,6 +194,21 @@ def test_a2_slot_dies_after_one_step(a2):
     assert (fam.meta["steps"], fam.meta["direction"]) == (1, 1)
 
 
+def test_simples_outside_the_context_are_type_checked(e6, e6_alpha):
+    # the context's own root tuples skip the entry scan; equal int vectors
+    # built elsewhere pass it, and equal float or bool ones do not
+    alpha = e6_alpha(2, 2)
+    simples = perp_simples(e6, generic_decomposition(e6, alpha)).simples
+    fam = compute_bfunction(e6, alpha, simples)
+    again = compute_bfunction(e6, alpha, [list(s) for s in simples])
+    assert again.offsets == fam.offsets
+    assert again.meta["simples"] == simples
+    for cast in (float, bool):
+        with pytest.raises(ValueError, match="not an int"):
+            compute_bfunction(e6, alpha,
+                              [tuple(map(cast, simples[0])), *simples[1:]])
+
+
 def test_e6_forward_step_advances_alpha_and_every_slot(e6, e6_alpha):
     alpha = e6_alpha(2, 2)
     p = perp_simples(e6, generic_decomposition(e6, alpha))
@@ -492,6 +507,51 @@ def test_translates_match_the_sink_sequence(name, e7, e8, monkeypatch):
     for r, w in built[1].items():
         if w is not None:
             assert built[-1][w] == r
+
+
+def orientations(q):
+    """Every orientation of the underlying graph of q."""
+    for flips in itertools.product((False, True), repeat=len(q.arrows)):
+        yield Quiver(q.n, tuple((h, t) if f else (t, h)
+                                for (t, h), f in zip(q.arrows, flips)))
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "a4", "d4", "d5", "e6", "e7", "e8"])
+def test_coxeter_step_matches_the_sink_sequence(name, request):
+    """``coxeter_step`` reflects one list in place; on integer vectors with
+    negative entries, which the pass reads at blocked steps, it agrees with
+    ``reflect_dim`` composed along the admissible sink sequence, forwards
+    and backwards, on every orientation of D5 and E6."""
+    q = request.getfixturevalue(name)
+    quivers = list(orientations(q)) if name in ("d5", "e6") else [q]
+    assert len(quivers) == {"d5": 16, "e6": 32}.get(name, 1)
+    rng = random.Random(1509)
+    for quiver in quivers:
+        table = hom_table(quiver)
+        for _ in range(40):
+            v = [rng.randint(-5, 5) for _ in range(q.n)]
+            v[rng.randrange(q.n)] = -rng.randint(1, 5)
+            v = tuple(v)
+            for d in (1, -1):
+                got = table.coxeter_step(v, d)
+                assert type(got) is tuple
+                assert got == coxeter_by_sink_sequence(quiver, v, d)
+                assert table.coxeter_step(got, -d) == v
+
+
+def test_box_reaches_the_terminal_walk(monkeypatch):
+    """The box digests above cover the terminal walk: 582 of the passes
+    over its 1,687 inputs block and end in it."""
+    calls = []
+    walk = brackets._terminal_walk
+
+    def counted(*args):
+        calls.append(args[1])
+        return walk(*args)
+
+    monkeypatch.setattr(brackets, "_terminal_walk", counted)
+    assert len(box_outcomes.__wrapped__()) == 1687
+    assert len(calls) == 582
 
 
 def coxeter_order(q):

@@ -155,6 +155,13 @@ INPUT_CHECKS = [
     "next(enumerate_classes(Quiver(2, ((1, 2),)), ('1', 1)))",
     "make_spec(Quiver(2, ((1, 2),)), (1, 1.9))",
     "compute_bfunction(Quiver(2, ((1, 2),)), (True, 1), [(0, 1)])",
+    # a simple holds ints too: one written with floats or bools equals a
+    # root and hashes like it, yet is rejected rather than kept in meta
+    "compute_bfunction(E6_QUIVER, (2, 6, 6, 6, 2, 4), [(0.0, 0.0, 1.0, 1.0, 1.0, 1.0),"
+    " (0, 1, 1, 1, 1, 0), (1, 1, 1, 0, 0, 1), (1, 1, 1, 1, 0, 0)])",
+    "compute_bfunction(E6_QUIVER, (2, 6, 6, 6, 2, 4), [(False, False, True, True, True, True),"
+    " (0, 1, 1, 1, 1, 0), (1, 1, 1, 0, 0, 1), (1, 1, 1, 1, 0, 0)])",
+    "compute_bfunction(Quiver(2, ((1, 2),)), (1, 1), [[0, 1.0]])",
     # a quiver's vertex count and arrow endpoints, and the Euler form's
     # entries, are ints: none is truncated to one
     "Quiver(2, ((1.7, 2),))",
@@ -187,6 +194,7 @@ def test_input_checks_survive_optimize():
         "from qsing.bsato import generator_bc, single_variable_roots",
         "from qsing.decomp import generic_decomposition",
         "from qsing.orbits import enumerate_classes, make_spec",
+        "from qsing.presets import E6_QUIVER",
         "from qsing.quiver import Quiver, euler_form",
         "from oracles import bracket_identity_check",
         "E8_POS_FAMILY = lambda n: family_from_terms(2, [",
