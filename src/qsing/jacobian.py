@@ -6,7 +6,9 @@ by Bernstein-Gelfand-Ponomarev coreflections along the root's walk in
 ``hom_table``, over F_P for the prime ``P``.  Each coreflection projects
 onto a cokernel through a left kernel, found by elimination mod P
 (``_kernel``); reflection functors work over any field, so the walk always
-ends at the root.
+ends at the root.  A walk that passes the root's Coxeter translate c(root)
+at step n starts from c(root), realized first and kept, so each root runs
+at most n coreflections of its own, with the matrices of the whole walk.
 
 ``jacobian_rows`` and ``jacobian_minor`` work from two blocks of d^X_S per
 simple S, laid out as the test oracle ``hom_matrix_dvw`` lays them out:
@@ -85,6 +87,7 @@ def realize(q: Quiver, root):
     """(dims, maps) of an indecomposable with dimension vector ``root``
     over F_P: maps[a] is the dims[ha] x dims[ta] matrix of arrow a mod
     ``P``, a list of rows, shared with the cache, so do not modify it.
+    Raises KeyError for a vector that is not a positive root.
 
     The root's walk ends at the step t = ``end_step`` of ``hom_table`` as
     the simple at the vertex z of steps[t], a sink of the quiver reflected
@@ -94,19 +97,38 @@ def realize(q: Quiver, root):
     reflected at steps 0 .. s, so every arrow at x leaves x, and the
     coreflection there maps the new V(x) onto the cokernel of V(x) ->
     (+)_{a at x} V(ha), whose basis is the left kernel of the stacked
-    matrices mod P.  Raises KeyError for a vector that is not a positive
-    root.
+    matrices mod P.
+
+    When t >= n, the walk passes the Coxeter translate c(root) at step n,
+    the steps repeat with period n, and reflecting at the n steps 0 .. n -
+    1 gives the quiver back, so undoing steps t - 1 .. n builds, by the
+    same operations, the representation of c(root) that its own walk
+    builds.  So ``_realize`` realizes c(root) first, kept like every
+    realized root, and undoes only steps n - 1 .. 0: each root runs at
+    most n coreflections of its own, and the matrices are those of the
+    whole walk, bit for bit.
     """
-    table = hom_table(q)
-    root = tuple(root)
-    if root in table.realized:
-        return table.realized[root]
+    return _realize(q, hom_table(q), tuple(root))
+
+
+def _realize(q: Quiver, table, root):
+    """``realize`` on the context ``table``, through c(root) when its walk
+    passes it; called directly, not through ``realize``, so a wrapper of
+    ``realize`` sees only the roots its callers ask for."""
+    rep = table.realized.get(root)
+    if rep is not None:
+        return rep
+    n, steps = q.n, table.steps
     t = table.end_step[table.index[root]]
-    z = table.steps[t][0]
-    dims = [0] * q.n
-    dims[z] = 1
-    maps = [[[]] if z + 1 in arrow else [] for arrow in q.arrows]
-    incident, steps = q.incident, table.steps
+    if t >= n:
+        image = table.coxeter_step(root, +1)
+        dims, maps, t = list(image), list(_realize(q, table, image)[1]), n
+    else:
+        z = steps[t][0]
+        dims = [0] * n
+        dims[z] = 1
+        maps = [[[]] if z + 1 in arrow else [] for arrow in q.arrows]
+    incident = q.incident
     for s in range(t - 1, -1, -1):
         x, nbrs, _ = steps[s]
         out = incident[x]  # towards nbrs, in order

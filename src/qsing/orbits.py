@@ -12,7 +12,10 @@ taking a root off a remainder, or comparing two profiles in every field, is
 one subtraction.  The classes of alpha are packed at one width, that of
 their accumulator (``_acc_width``); ``_packing`` keeps one ``_Packing`` per
 width on the per-quiver context ``hom_table(q)``, with the columns the
-accumulator's gains are summed from.  Every pass over the classes of alpha
+accumulator's gains are summed from, built on first use.  A root's Hom row
+is packed when a profile first reads it, and the zero columns of bound (v),
+which hold no packed field, are kept once per root on the context for every
+width (``_zero_column``).  Every pass over the classes of alpha
 is one walk, ``_walk``: a depth-first search on the packed remainder,
 carrying a packed integer accumulator stepped once per copy of a root,
 which cuts a branch once the accumulator shows that no class with the
@@ -86,51 +89,61 @@ class _Packing:
     guard: no borrow crosses a field, and one subtraction compares them all.
     It builds the columns of ``_bounds`` and ``_bounded_walk`` on first use
     and keeps them, as they depend on the quiver and w alone; ``survey``
-    reads the gain columns too."""
+    reads the gain columns too.  A root's Hom row is packed when ``_profile``
+    first reads it, so only the roots of the classes ``components`` compares
+    are packed.  The zero columns of bound (v) hold no packed field, and
+    ``_zero_column`` keeps them on the context, once for every width."""
 
     table: HomTable
     w: int
     vguard: int  # the guard bits of a dimension vector, a field per vertex
     guard: int  # the guard bits of a Hom profile, a field per root
     roots: list  # the root at each walk position
-    rows: list  # rows[i] = dim Hom(X_i, -), the Hom profile of root i
-    rowsum: list  # the entry sum of rows[i]
+    # root index i -> (dim Hom(X_i, -) packed, its entry sum), filled by ``row``
+    rows: dict = field(default_factory=dict, repr=False)
     # root index -> its ``gain_columns``, filled on demand
     gain_cols: dict = field(default_factory=dict, repr=False)
-    # root index -> its ``zero_column``, filled on demand
-    zero_cols: dict = field(default_factory=dict, repr=False)
+
+    def row(self, i):
+        """The Hom profile dim Hom(X_i, -) of root i, packed, and its entry
+        sum; packed on first read."""
+        got = self.rows.get(i)
+        if got is None:
+            h_row = self.table.hom[i]
+            got = self.rows[i] = (_pack(h_row, self.w), sum(h_row))
+        return got
+
+    @cached_property
+    def gain_units(self):
+        """What one unit of Ext(R_p,X_i), Hom(R_p,X_i), Ext(X_i,R_p) and
+        Hom(X_i,R_p) adds to a gain column against T: its own field among
+        0-3, and +1 or -1 in those of fields 5-7, -<r_p,x_i>, -<x_i,r_p> and
+        their sum, whose terms it enters."""
+        w = self.w
+        return (_pack([1, 0, 0, 0, 0, 1, 0, 1], w), _pack([0, 1, 0, 0, 0, -1, 0, -1], w),
+                _pack([0, 0, 1, 0, 0, 0, 1, 1], w), _pack([0, 0, 0, 1, 0, 0, -1, -1], w))
 
     def gain_columns(self, i):
         """Two gain columns against root i of the table, each a list over
         the walk positions p with R_p the root there: against a part of T,
         Ext(R_p,X_i), Hom(R_p,X_i), Ext(X_i,R_p), Hom(X_i,R_p) in fields
         0-3 and the terms -<r_p,x_i>, -<x_i,r_p> and their sum, which may
-        be negative, in fields 5-7; against a simple, Hom(R_p,X_i) and
-        Ext(R_p,X_i) in the two lowest fields.  Each value is written by
-        shifts, as ``_pack`` would add its fields."""
+        be negative, in fields 5-7, each entry summed from ``gain_units``
+        by four multiply-adds; against a simple, Hom(R_p,X_i) and
+        Ext(R_p,X_i) in the two lowest fields.  Each value is the integer
+        ``_pack`` would give for its fields."""
         if i in self.gain_cols:
             return self.gain_cols[i]
         w, hom, ext = self.w, self.table.hom, self.table.ext
+        k0, k1, k2, k3 = self.gain_units
+        ext_i, hom_i = ext[i], hom[i]
         against_t, against_s = [], []
         for p in self.table.walk:
-            ep, hp, ei, hi = ext[p][i], hom[p][i], ext[i][p], hom[i][p]
-            a, b = ep - hp, ei - hi
-            against_t.append(ep + (hp << w) + (ei << 2 * w) + (hi << 3 * w)
-                             + (a << 5 * w) + (b << 6 * w) + ((a + b) << 7 * w))
+            ep, hp = ext[p][i], hom[p][i]
+            against_t.append(ep * k0 + hp * k1 + ext_i[p] * k2 + hom_i[p] * k3)
             against_s.append(hp + (ep << w))
         self.gain_cols[i] = cols = (against_t, against_s)
         return cols
-
-    def zero_column(self, i):
-        """The gain column of bound (v) of ``_Bounds`` against root i, a list
-        over the walk positions p with R_p the root there: Hom(E_p,X_i) -
-        Hom(R_p,X_i) >= 0, with E_p the semisimple of dimension r_p."""
-        col = self.zero_cols.get(i)
-        if col is None:
-            table = self.table
-            col = self.zero_cols[i] = [_semisimple_hom(table, table.roots[p], i) - table.hom[p][i]
-                                       for p in table.walk]
-        return col
 
     @cached_property
     def root_columns(self):
@@ -177,10 +190,25 @@ def _packing(q: Quiver, alpha) -> _Packing:
     if pk is None:
         top = 1 << (w - 1)
         pk = table.packed[w] = _Packing(
-            table, w, _pack([top] * q.n, w), _pack([top] * len(table.roots), w),
-            [_pack(table.roots[i], w) for i in table.walk],
-            [_pack(row, w) for row in table.hom], [sum(row) for row in table.hom])
+            table, w, _fill(top, w, q.n), _fill(top, w, len(table.roots)),
+            [_pack(table.roots[i], w) for i in table.walk])
     return pk
+
+
+def _zero_column(table, i):
+    """The gain column of bound (v) of ``_Bounds`` against root i, a list
+    over the walk positions p with R_p the root there: Hom(E_p,X_i) -
+    Hom(R_p,X_i) >= 0, with E_p the semisimple of dimension r_p.  No field
+    width enters it, so it is kept on the context, ``table.zero_cols``.
+    Hom(E_p,X_i) = sum_x r_p[x] Hom(S_x,X_i) is read from the simples S_x
+    in the socle of X_i, those with Hom(S_x,X_i) != 0."""
+    col = table.zero_cols.get(i)
+    if col is None:
+        socle = [(x, h) for x, h_row in enumerate(table.simple_hom) if (h := h_row[i])]
+        roots, hom = table.roots, table.hom
+        col = table.zero_cols[i] = [sum(roots[p][x] * h for x, h in socle) - hom[p][i]
+                                    for p in table.walk]
+    return col
 
 
 def _semisimple_hom(table, v, i):
@@ -202,8 +230,8 @@ def _geq(guard, a, b):
 
 def _profile(pk, cls):
     """The packed Hom profile of a class, and its entry sum."""
-    ims = [(pk.table.index[r], m) for r, m in cls.parts]
-    return sum(m * pk.rows[i] for i, m in ims), sum(m * pk.rowsum[i] for i, m in ims)
+    rows = [(pk.row(pk.table.index[r]), m) for r, m in cls.parts]
+    return sum(m * row for (row, _), m in rows), sum(m * total for (_, total), m in rows)
 
 
 def _walk(pk, alpha, step, fits, acc=0):
@@ -488,7 +516,7 @@ def _bounds(pk: _Packing, alpha, t_class, simples) -> _Bounds:
         i = table.index[s]
         shift, up = w * (simple + 2 * j), w * (2 * r - j)  # V_j is 2r - j fields above Hom(C,S_j)
         gains = [g + ((c + (v << up)) << shift)
-                 for g, c, v in zip(gains, pk.gain_columns(i)[1], pk.zero_column(i))]
+                 for g, c, v in zip(gains, pk.gain_columns(i)[1], _zero_column(table, i))]
     htt = euler_form(table.quiver, alpha, alpha)  # Hom(T,T), as Ext(T,T) = 0
     off = sum(a * a // 4 for a in alpha)
     n = simple + 3 * r
@@ -563,6 +591,8 @@ class ZeroSetSpec:
     def __post_init__(self):
         if not self.selected:
             raise ValueError("selected must be nonempty")
+        if set(map(type, self.selected)) != {int}:
+            raise ValueError(f"selected {self.selected} has an index that is not an int")
         object.__setattr__(self, "selected", tuple(sorted(set(self.selected))))
         for j in self.selected:
             if not (1 <= j <= self.perp.r):

@@ -16,11 +16,13 @@ built on first use, the image under c and under c^-1 of every positive
 root, from which the b-function recursion advances its slots.  No
 representation matrix is built here; the tests check the table against
 explicit matrices, and ``jacobian.realize`` builds a root's matrices mod a
-prime on demand and keeps them on the context.  The class walk's packed
-integers are kept there on demand too, one ``orbits._Packing`` per field
-width, and so are the two per-root bitmasks ``orth`` and ``below`` from
-which ``decomp.perp_simples`` reads the perpendicular simples, built on
-first use rather than by ``hom_table``.
+prime on demand, through its Coxeter translate once the root's walk passes
+it, and keeps them on the context.  The class walk's packed integers are
+kept there on demand too, one ``orbits._Packing`` per field width, beside
+the zero columns of its bound (v), which no width enters and which are
+kept once per root, and so are the two per-root bitmasks ``orth`` and
+``below`` from which ``decomp.perp_simples`` reads the perpendicular
+simples, built on first use rather than by ``hom_table``.
 ``hom_table`` is the only cache of the package: everything else derived
 from a quiver alone hangs off its context.
 """
@@ -77,11 +79,12 @@ class HomTable:
 
     What later layers derive from the quiver alone is kept here too, filled
     on demand: ``jacobian``'s realized roots, the steps ``end_step`` at
-    which it starts them, and its kernels of one block per side, the packed
-    integers of ``orbits``' class walk and the Hom rows ``simple_hom`` of
-    the simple roots, from which it reads Hom(E,X) at a semisimple E, the
-    bitmasks ``orth`` and ``below``
-    of ``decomp.perp_simples`` (bit j of a mask stands for root j), and the
+    which their walks end, and its kernels of one block per side, the
+    packed integers of ``orbits``' class walk, one packing per field width,
+    its width-free zero columns ``zero_cols``, one per root, and the Hom
+    rows ``simple_hom`` of the simple roots, from which it reads Hom(E,X) at
+    a semisimple E, the bitmasks ``orth`` and ``below`` of
+    ``decomp.perp_simples`` (bit j of a mask stands for root j), and the
     Coxeter images ``translates`` of the roots, which the b-function
     recursion of ``brackets`` reads, each built once, on first use.
     """
@@ -105,6 +108,10 @@ class HomTable:
     # field width -> the table packed at that width with the class walk's
     # columns (``orbits._Packing``), filled by ``orbits._packing`` on demand
     packed: dict = field(default_factory=dict, repr=False, compare=False)
+    # root index i -> the zero column of bound (v) of ``orbits._Bounds``
+    # against root i, which no field width enters, filled by
+    # ``orbits._zero_column`` on demand, never here
+    zero_cols: dict = field(default_factory=dict, repr=False, compare=False)
 
     def hom_root(self, a, b):
         return self.hom[self.index[tuple(a)]][self.index[tuple(b)]]
@@ -123,7 +130,8 @@ class HomTable:
     def end_step(self):
         """end_step[i]: the step t_i of ``steps`` at which the walk of root
         i ends, read off ``steps`` on first use; ``jacobian.realize``
-        starts there."""
+        starts there, or at step n from the root's Coxeter translate when
+        t_i >= n."""
         out = [0] * len(self.roots)
         for t, (_, _, i) in enumerate(self.steps):
             if i is not None:
@@ -140,14 +148,16 @@ class HomTable:
     def below(self):
         """below[j]: bitmask of the roots i != j with Hom(X_i,X_j) > 0 and
         r_i <= r_j.  The roots are packed w bits per coordinate with a guard
-        bit on top of each field, so r_i <= r_j is one subtraction."""
+        bit on top of each field, so r_i <= r_j is one subtraction.  Such an
+        r_i has a lower height than r_j, and the roots are sorted by height,
+        so only the pairs i < j are tested."""
         w = max(max(r) for r in self.roots).bit_length() + 1
         guard = sum(1 << (w * v + w - 1) for v in range(self.quiver.n))
         packed = [sum(c << (w * v) for v, c in enumerate(r)) for r in self.roots]
         out = [0] * len(self.roots)
         for i, (h_row, p) in enumerate(zip(self.hom, packed)):
-            for j, h in enumerate(h_row):
-                if h and i != j and ((packed[j] | guard) - p) & guard == guard:
+            for j in range(i + 1, len(h_row)):
+                if h_row[j] and ((packed[j] | guard) - p) & guard == guard:
                     out[j] |= 1 << i
         return out
 

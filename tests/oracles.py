@@ -32,7 +32,10 @@ Jacobian minor that the report names.  ``whole_jacobian_rows`` and
 way: the integer matrices of the direct sum X (``representative``) and the
 whole matrix of d^X_S, eliminated mod ``qsing.jacobian.P``, where the
 package reads, per simple, the kernel of one summand's block and the left
-kernel of another's, named by the Hom table.
+kernel of another's, named by the Hom table.  ``walked_realize`` is the
+reference for ``qsing.jacobian.realize`` mod p: every step of the root's
+walk undone from the simple, where the package starts from the root's
+Coxeter translate.
 
 ``merged_walk_decomposition`` and ``scan_perp_simples`` are the
 references for ``qsing.decomp``: the sink walk that merges its parts in a
@@ -520,13 +523,14 @@ def is_cover(pk, cand, pc, x, px):
     class lies strictly between the two in the Hom order; the walk sums
     packed Hom rows and visits only the classes whose profile stays below px.
     """
-    table, guard, rows = pk.table, pk.guard, pk.rows
+    table, guard = pk.table, pk.guard
     gap = class_self_ext(table, x) - class_self_ext(table, cand)
     if gap <= 0:
         return False
     if gap == 1:
         return True
-    for _, pw in _walk(pk, class_total(x, table.quiver.n), lambda acc, p: acc + rows[table.walk[p]],
+    for _, pw in _walk(pk, class_total(x, table.quiver.n),
+                       lambda acc, p: acc + pk.row(table.walk[p])[0],
                        lambda acc: _geq(guard, px, acc)):
         if pw != pc and pw != px and _geq(guard, pw, pc):
             return False
@@ -626,6 +630,33 @@ def jacobian_minor_det(q: Quiver, cls, simples, minor) -> Fraction:
 
 
 # -- the Jacobian mod p on the whole matrix of the direct sum ----------------
+
+def walked_realize(q: Quiver, root):
+    """(dims, maps) mod ``jacobian.P`` of the root, built from the simple at
+    its end step t by undoing every step t - 1, ..., 0 of its walk, with
+    no Coxeter translate and nothing kept.  Each coreflection at a source x
+    maps the new V(x) onto the left kernel of the stacked matrices of the
+    arrows at x."""
+    table, root = hom_table(q), tuple(root)
+    t = table.end_step[table.index[root]]
+    z = table.steps[t][0]
+    dims = [0] * q.n
+    dims[z] = 1
+    maps = [[[]] if z + 1 in arrow else [] for arrow in q.arrows]
+    for x, nbrs, _ in table.steps[t - 1::-1] if t else ():
+        out = q.incident[x]
+        stacked = [row for a in out for row in maps[a]]
+        if not stacked:
+            dims[x] = 0
+            continue
+        proj = jacobian._kernel(list(zip(*stacked)), len(stacked), jacobian.P)
+        dims[x], off = len(proj), 0
+        for a, h in zip(out, nbrs):
+            maps[a] = [p[off:off + dims[h]] for p in proj]
+            off += dims[h]
+    assert tuple(dims) == root, f"walked_realize built {tuple(dims)} for the root {root}"
+    return root, maps
+
 
 def representative(q: Quiver, cls):
     """(dims, maps) of the direct sum of ``jacobian.realize`` of each root

@@ -154,6 +154,12 @@ INPUT_CHECKS = [
     "generic_decomposition(Quiver(2, ((1, 2),)), ('1', 1))",
     "next(enumerate_classes(Quiver(2, ((1, 2),)), ('1', 1)))",
     "make_spec(Quiver(2, ((1, 2),)), (1, 1.9))",
+    # a selection holds int indices: a bool, a float or a str is rejected,
+    # not kept as an index or left to fail in selected_simples
+    "make_spec(E6_QUIVER, (2, 6, 6, 6, 2, 4), (True,))",
+    "make_spec(E6_QUIVER, (2, 6, 6, 6, 2, 4), (1.0,))",
+    "make_spec(E6_QUIVER, (2, 6, 6, 6, 2, 4), ('1',))",
+    "make_spec(E6_QUIVER, (2, 6, 6, 6, 2, 4), (1, 2.0))",
     "compute_bfunction(Quiver(2, ((1, 2),)), (True, 1), [(0, 1)])",
     # a simple holds ints too: one written with floats or bools equals a
     # root and hashes like it, yet is rejected rather than kept in meta

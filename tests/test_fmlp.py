@@ -211,24 +211,71 @@ def satisfies(constraints, point):
     return True
 
 
+def motzkin_system(constraints, nvars):
+    """The alternative system of Motzkin's transposition theorem, over one
+    multiplier y_k per row k = (a_k, rel, b_k): y_k >= 0 for a "<=" or "<"
+    row, sum_k y_k a_k = 0, sum_k y_k b_k <= 0 and sum_k y_k b_k - sum of
+    the strict rows' y_k <= -1.  The last two hold, up to scaling, exactly
+    when sum_k y_k b_k < 0, or = 0 with some strict row's y_k > 0.  By the
+    theorem, the alternative system is feasible iff the rows are not."""
+    m = len(constraints)
+    unit = lambda k, c: [c if j == k else 0 for j in range(m)]
+    rows = [(unit(k, -1), "<=", 0) for k, (_, rel, _) in enumerate(constraints) if rel != "="]
+    rows += [([a[v] for a, _, _ in constraints], "=", 0) for v in range(nvars)]
+    rhs = [b for _, _, b in constraints]
+    rows.append((rhs, "<=", 0))
+    rows.append(([b - (rel == "<") for _, rel, b in constraints], "<=", -1))
+    return rows, m
+
+
+def certifies_infeasible(constraints, nvars, y):
+    """Whether the multipliers y, checked in Fractions, prove the rows
+    infeasible: a feasible x would give 0 = sum_k y_k (a_k . x) <= sum_k
+    y_k b_k, with < when some strict row's y_k > 0."""
+    y = [Fraction(v) for v in y]
+    if any(v < 0 for v, (_, rel, _) in zip(y, constraints) if rel != "="):
+        return False
+    if any(sum(v * Fraction(a[i]) for v, (a, _, _) in zip(y, constraints))
+           for i in range(nvars)):
+        return False
+    value = sum(v * Fraction(b) for v, (_, _, b) in zip(y, constraints))
+    strict = any(v > 0 for v, (_, rel, _) in zip(y, constraints) if rel == "<")
+    return value < 0 or (value == 0 and strict)
+
+
 @given(equality_systems())
 @settings(max_examples=400, deadline=None)
 def test_solve_matches_fraction_oracle_on_equalities(system):
     """Equalities are substituted, the oracle's are doubled: the same
     verdict and the same point.  Where the oracle is too large to run, a
-    point from ``solve`` is checked against every row instead; only a
-    draw there that ``solve`` calls infeasible is drawn again."""
+    point from ``solve`` is checked against every row instead, and a None
+    needs a certificate: multipliers of Motzkin's alternative system, found
+    by ``solve`` and checked in Fractions.  No draw is rejected."""
     point = solve(*system)
     try:
         expected = reference_solve(*system, max_rows=ORACLE_MAX_ROWS)
     except OracleTooLarge:
-        if point is None:
-            reject()
-        event("oracle too large: point checked against the rows")
         constraints, nvars = system
-        assert len(point) == nvars and satisfies(constraints, point)
+        if point is None:
+            event("oracle too large: infeasibility certified")
+            y = solve(*motzkin_system(constraints, nvars))
+            assert y is not None and certifies_infeasible(constraints, nvars, y)
+        else:
+            event("oracle too large: point checked against the rows")
+            assert len(point) == nvars and satisfies(constraints, point)
         return
     assert point == expected
+
+
+@given(systems())
+@settings(max_examples=200, deadline=None)
+def test_motzkin_alternative_decides_exactly_one(system):
+    """On systems the oracle runs, the alternative system is feasible
+    exactly when the rows are not, and its point certifies that."""
+    constraints, nvars = system
+    y = solve(*motzkin_system(constraints, nvars))
+    assert (y is None) == (reference_solve(constraints, nvars) is not None)
+    assert y is None or certifies_infeasible(constraints, nvars, y)
 
 
 @given(systems())

@@ -7,16 +7,11 @@ from qsing.orbits import components, make_spec, reducedness_report
 from qsing.quiver import Quiver, reflect_dim
 from qsing.roots import hom_table
 
-from oracles import (direct_sum, hom_matrix_dvw, realize, rep, whole_jacobian_minor,
-                     whole_jacobian_rows)
-from test_roots import CONTEXT_DIGESTS, D4_MIXED
+from oracles import (direct_sum, hom_matrix_dvw, realize, rep, walked_realize,
+                     whole_jacobian_minor, whole_jacobian_rows)
+from test_roots import CONTEXT_DIGESTS, context_quiver
 from conftest import E6_ALPHA, fresh_jacobian_caches
-from test_orbits import E6_SMALL, E8_RELABELLED, NULLCONE_E8, scaled_by_3, selections
-
-
-def context_quiver(request, name):
-    q = {"d4-mixed": D4_MIXED, "e8-relabelled": E8_RELABELLED}.get(name)
-    return q or request.getfixturevalue(name)
+from test_orbits import E6_SMALL, NULLCONE_E8, scaled_by_3, selections
 
 
 def mod_p(x):
@@ -38,6 +33,33 @@ def test_integer_realize_matches_the_oracle(request, name):
                 for a in range(len(q.arrows))] == maps, (q, r)
         assert all(type(x) is int and 0 <= x < P for m in maps for row in m for x in row)
         assert jacobian.realize(q, r) is hom_table(q).realized[r]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["by-height", "reverse"])
+@pytest.mark.parametrize("name", sorted(CONTEXT_DIGESTS))
+def test_realize_through_the_translate_matches_the_whole_walk(request, monkeypatch, name,
+                                                              order):
+    """On fresh caches, every root realized in height order or in reverse
+    gets the matrices of the oracle that undoes its whole walk, bit for
+    bit, whichever translates are kept already.  No root runs more than n
+    coreflections of its own: a call runs at most n kernels per root it
+    adds to the cache, and the whole pass runs those of
+    ``own_coreflections``."""
+    q = context_quiver(request, name)
+    fresh_jacobian_caches(monkeypatch)
+    table = jacobian.hom_table(q)
+    calls = counted_kernels(monkeypatch)
+    for r in table.roots[::order]:
+        ran, kept = len(calls), len(table.realized)
+        got = jacobian.realize(q, r)
+        assert len(calls) - ran <= q.n * (len(table.realized) - kept), r
+        assert got is table.realized[r]
+        ran = len(calls)
+        assert got == walked_realize(q, r), r
+        del calls[ran:]  # the oracle's own kernels
+    assert len(table.realized) == len(table.roots)
+    assert len(calls) == own_coreflections(table)
+    assert any(end >= q.n for end in table.end_step)  # some root goes through c(r)
 
 
 def sympy_gradient(q, x, s, coords):
@@ -120,6 +142,7 @@ def test_per_summand_jacobian_matches_the_whole_matrix_on_e8(e8):
 def test_hom_table_leaves_the_kernel_cache_empty(e6):
     table = hom_table.__wrapped__(e6)
     assert table.kernels == {} and table.realized == {} and table.packed == {}
+    assert table.zero_cols == {}
 
 
 def counted_kernels(monkeypatch):
@@ -148,16 +171,22 @@ def test_a_second_report_builds_no_kernel(e6, monkeypatch, fresh_caches):
     assert second.verdict == "reduced" and [c.jacobian_minor for c in comps] == minors
     # one kernel per cached block and side, and one per coreflection of
     # realize at a vertex with a nonzero neighbour: walked forwards, the
-    # root has at step t the dimension vector that realize undoes step t at
-    steps = 0
+    # root has at step t the dimension vector that realize undoes step t
+    # at, and it undoes only the steps before its end step t_r and before
+    # step n, where its walk passes its Coxeter translate, realized too
+    assert built == own_coreflections(table) + len(table.kernels)
+
+
+def own_coreflections(table):
+    """The coreflections ``realize`` runs with a kernel for the roots it
+    has kept, each for its own steps: 0 .. min(t_r, n) - 1."""
+    q, count = table.quiver, 0
     for r in table.realized:
         v = r
-        for x, nbrs, j in table.steps:
-            if j == table.index[r]:
-                break
-            steps += any(v[h] for h in nbrs)
-            v = reflect_dim(e6, x + 1, v)
-    assert built == steps + len(table.kernels)
+        for x, nbrs, _ in table.steps[:min(table.end_step[table.index[r]], q.n)]:
+            count += any(v[h] for h in nbrs)
+            v = reflect_dim(q, x + 1, v)
+    return count
 
 
 def test_a_report_mod_3_leaves_no_kernel_behind(e6):

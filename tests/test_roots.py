@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from qsing import orbits
+from qsing.orbits import components, make_spec
 from qsing.quiver import NonDynkinError, Quiver, euler_form, tits_form
 from qsing.roots import hom_table, positive_roots
 
 from oracles import (NotARootError, coxeter_matrix, ext_dim, hom_dim, hom_matrix_dvw, rank,
                      realize)
-from test_orbits import E8_RELABELLED
+from test_orbits import E8_RELABELLED, NULLCONE_E8
 
 ROOT_COUNTS = {"A2": 3, "A3": 6, "A4": 10, "D4": 12, "E6": 36, "E8": 120}
 # a D4 orientation with a source, a sink and two other arms
@@ -186,12 +188,50 @@ CONTEXT_DIGESTS = {
 }
 
 
+def context_quiver(request, name):
+    """The quiver of a ``CONTEXT_DIGESTS`` name."""
+    q = {"d4-mixed": D4_MIXED, "e8-relabelled": E8_RELABELLED}.get(name)
+    return q or request.getfixturevalue(name)
+
+
 @pytest.mark.parametrize("name", sorted(CONTEXT_DIGESTS))
 def test_context_matches_recorded_digests(request, name):
-    q = {"d4-mixed": D4_MIXED, "e8-relabelled": E8_RELABELLED}.get(name)
-    t = hom_table(q or request.getfixturevalue(name))
+    t = hom_table(context_quiver(request, name))
     assert _sha256([t.roots, t.hom, t.ext, t.walk, t.start, t.end, t.steps]) == \
         CONTEXT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXT_DIGESTS))
+def test_zero_columns_match_the_semisimple_hom(request, monkeypatch, name):
+    """The zero column of bound (v) against every root, read from its
+    socle, equals Hom(E_{r_p},X_i) - Hom(R_p,X_i) at each walk position p,
+    and is kept on the context."""
+    table = hom_table(context_quiver(request, name))
+    monkeypatch.setattr(table, "zero_cols", {})
+    for i in range(len(table.roots)):
+        col = orbits._zero_column(table, i)
+        assert col == [orbits._semisimple_hom(table, table.roots[p], i) - table.hom[p][i]
+                       for p in table.walk], i
+        assert table.zero_cols[i] is col and orbits._zero_column(table, i) is col
+
+
+def test_zero_columns_are_built_once_for_every_width(e8, monkeypatch):
+    """The 18 nullcone-e8 inputs pack at the widths 10 and 11; a simple
+    selected at both has one zero column, the same object at both."""
+    table = hom_table(e8)
+    monkeypatch.setattr(table, "zero_cols", {})
+    monkeypatch.setattr(table, "packed", {})
+    seen = {}  # width -> root index -> the zero column read at that width
+    for alpha in NULLCONE_E8:
+        spec = make_spec(e8, alpha)
+        components(spec)
+        cols = seen.setdefault(orbits._acc_width(e8, alpha), {})
+        for s in spec.selected_simples:
+            cols[table.index[s]] = table.zero_cols[table.index[s]]
+    assert sorted(seen) == sorted(table.packed) == [10, 11]
+    shared = seen[10].keys() & seen[11].keys()
+    assert shared and all(seen[10][i] is seen[11][i] for i in shared)
+    assert table.zero_cols == {**seen[10], **seen[11]}
 
 
 @pytest.mark.parametrize("name", ["a2", "a3", "a4", "d4", "d5", "e6", "e7", "e8"])
