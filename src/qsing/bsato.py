@@ -1,7 +1,11 @@
 """Bernstein-Sato linkage: generators b_c of the ideal associated with a
 multi-variable b-function family, the good-root test, exact reduction
-lemmas over rational LP, a case-split certification driver, and
-rational-singularity verdicts.
+lemmas over rational LP, a case-split certification driver, an exact r = 2
+refutation, and rational-singularity verdicts.
+
+The r = 2 refutation (``_refute``) has no search bound: the root lines of
+b_{e_1} and b_{e_2} fix a finite candidate set that holds the least bad
+member of Z(B~) whenever there is one (``certify_all_good``).
 
 The certification works branch by branch on a symbolic state: specialized
 coordinates are stored as affine values in integer parameters (k1, k2, ...)
@@ -80,9 +84,20 @@ def generator_bc(family: BFunctionFamily, c) -> GeneratorBc:
     return GeneratorBc(c, factors, binoms)
 
 
+def _point(z, r):
+    """z as a tuple of r Fractions.  Raises ValueError unless z has r
+    entries, each an int or a Fraction: a bool, a float or a str is not
+    read as a number."""
+    z = tuple(z)
+    if len(z) != r or not all(type(x) is int or isinstance(x, Fraction)
+                              for x in z):
+        raise ValueError(f"z = {z} is not a rational {r}-vector")
+    return tuple(map(Fraction, z))
+
+
 def is_good(z, r) -> bool:
     """good: z = -e or e.z < -r."""
-    z = [Fraction(x) for x in z]
+    z = _point(z, r)
     if all(x == -1 for x in z):
         return True
     return sum(z) < -Fraction(r)
@@ -161,10 +176,11 @@ def membership_in_ztilde(family: BFunctionFamily, z, box_bound=8) -> Membership:
     t-interval, so universal vanishing is a finite interval-cover check
     (``_half_line``).  For r > 2 a box |c_i| <= box_bound is scanned;
     absence of a counterexample there is reported as unknown, never as
-    membership.
+    membership.  Raises ValueError unless z holds r ints or Fractions
+    (``_point``).
     """
     r = family.r
-    z = tuple(Fraction(x) for x in z)
+    z = _point(z, r)
     if r == 1:
         gen = generator_bc(family, (1,))
         if gen.value_at(z) == 0:
@@ -683,52 +699,134 @@ def _certify(state: SymState, run: _Run):
     return None
 
 
-def _refutation_candidates(family: BFunctionFamily, bound):
-    """Intersections z of pairs of independent linear forms gamma.z = -v
-    with integers |v_1|, |v_2| <= bound, each point once, ordered by
-    (|v_1| + |v_2|, z) at the least level that reaches it.  Each level is
-    built and sorted only once the previous one is used up."""
-    gammas = {g for (g, _o) in family.offsets}
-    gammas.update(tuple(int(d == i) for d in range(family.r)) for i in range(family.r))
-    pairs = [(g1, g2, det) for g1, g2 in itertools.combinations(sorted(gammas), 2)
-             if (det := g1[0] * g2[1] - g1[1] * g2[0])]
-    seen = set()
-    for level in range(2 * bound + 1):
-        top = min(level, bound)
-        vs = [(v1, v2) for v1 in range(-top, top + 1)
-              for v2 in {level - abs(v1), abs(v1) - level}
-              if abs(v2) <= bound]
-        points = sorted({(Fraction(-v1 * g2[1] + v2 * g1[1], det),
-                          Fraction(-v2 * g1[0] + v1 * g2[0], det))
-                         for g1, g2, det in pairs for v1, v2 in vs} - seen)
-        seen.update(points)
-        yield from points
+def _line(g, k):
+    """The line g.z + k = 0 as its integer triple (a, b, c), gcd 1."""
+    d = math.gcd(g[0], g[1], k)
+    return g[0] // d, g[1] // d, k // d
 
 
-def _refute(family: BFunctionFamily, bound):
-    """The first refutation candidate that is not good but lies in Z(B~),
-    or None.  Only r = 2 has exact membership to refute with."""
+def _meet(l1, l2):
+    """The meet of two lines (a, b, c) as (x_1, x_2, d), z = x/d, d > 0 and
+    gcd 1; None when they are parallel."""
+    (a1, b1, c1), (a2, b2, c2) = l1, l2
+    det = a1 * b2 - a2 * b1
+    if not det:
+        return None
+    x1, x2 = b1 * c2 - b2 * c1, a2 * c1 - a1 * c2
+    if det < 0:
+        x1, x2, det = -x1, -x2, -det
+    d = math.gcd(x1, x2, det)
+    return x1 // d, x2 // d, det // d
+
+
+def _bad(pt):
+    """Is x/d not good at r = 2, that is neither -e nor e.z < -2?"""
+    x1, x2, d = pt
+    return x1 + x2 >= -2 * d and not x1 == x2 == -d
+
+
+def _generic_point(line, dirs):
+    """A point of the line on no line g.z + k = 0 across it, g in dirs, k
+    an integer: p = (0, -c/b) (or (-c/a, 0)) moved by (-b, a)/P, with P a
+    prime above |b| (or |a|) and every |g.(-b, a)|, so that g.z is g.p,
+    whose denominator divides |b| (or |a|), plus m/P, 0 < |m| < P."""
+    a, b, c = line
+    p = max([abs(b or a)] + [abs(a * g[1] - b * g[0]) for g in dirs]) + 1
+    while any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        p += 1
+    if b:
+        return Fraction(-b, p), Fraction(-c, b) + Fraction(a, p)
+    return Fraction(-c, a), Fraction(a, p)
+
+
+def _contained_points(line, dirs, level):
+    """The meets of a line with g.z = -v for each g in dirs across it and
+    |v| <= l0, the level of the first bad point met.  A point at level l
+    is one of them with |v| <= l, so they hold the line's least bad point.
+    The caller passes a line that holds bad points, so the loop ends."""
+    across = [g for g in dirs if g[0] * line[1] != g[1] * line[0]]
+    points, top, v = [], None, 0
+    while top is None or v <= top:
+        for g in across:
+            for w in {v, -v}:
+                points.append(_meet(line, (g[0], g[1], w)))
+                if top is None and _bad(points[-1]):
+                    top = level(points[-1])
+        v += 1
+    return points
+
+
+def _refute(family: BFunctionFamily):
+    """The bad member of Z(B~) least in (level, z) order, or None when
+    every member is good (see ``certify_all_good``); r = 2 only.  The level
+    of z is the least |g.z| + |g'.z| over independent g, g' among the
+    family's and the coordinate directions with both values integers."""
     if family.r != 2:
         return None
-    for z in _refutation_candidates(family, bound):
-        if not is_good(z, family.r) and membership_in_ztilde(family, z).kind == "member":
-            return z
+    dirs = sorted({g for g, _ in family.offsets} | {(1, 0), (0, 1)})
+    pairs = [(g, h) for g, h in itertools.combinations(dirs, 2)
+             if g[0] * h[1] != g[1] * h[0]]
+
+    def level(pt):
+        vals = {}
+        for g in dirs:
+            v, rem = divmod(g[0] * pt[0] + g[1] * pt[1], pt[2])
+            if not rem:
+                vals[g] = abs(v)
+        return min(vals[g] + vals[h] for g, h in pairs
+                   if g in vals and h in vals)
+
+    lines = [{_line(g, k) for g, k in generator_bc(family, c).factors}
+             for c in ((1, 0), (0, 1))]
+    points = {_meet(l1, l2) for l1 in lines[0] for l2 in lines[1]}
+    members = set()
+    for line in lines[0] & lines[1]:
+        got = membership_in_ztilde(family, _generic_point(line, dirs))
+        if got.kind == "member":
+            a, b, c = line
+            if a != b or c <= 2 * a:  # else e.z < -2 on the whole line
+                members.update(_contained_points(line, dirs, level))
+            continue
+        gen = generator_bc(family, got.witness_c)
+        roots = [_line(g, k) for g, k in gen.factors]
+        roots += [(int(i == 1), int(i == 2), -j)
+                  for i, order in gen.binomial_factors for j in range(order)]
+        points.update(_meet(line, root) for root in roots)
+    points.discard(None)
+    bad = sorted((level(pt), Fraction(pt[0], pt[2]), Fraction(pt[1], pt[2]), pt)
+                 for pt in points | members if _bad(pt))
+    for _, z1, z2, pt in bad:
+        if pt in members or membership_in_ztilde(family, (z1, z2)).kind == "member":
+            return z1, z2
     return None
 
 
-def certify_all_good(family: BFunctionFamily, refute_bound=30) -> CertifyOutcome:
+def certify_all_good(family: BFunctionFamily) -> CertifyOutcome:
     """Prove every element of Z(B~) is good, or exhibit a bad member.
 
     Alternates the reduction lemmas with integer case splits; a sound
-    certificate tree is returned on success.  On failure at r = 2 the
-    exact membership test scans candidate intersection points for an
-    explicit bad element of Z(B~).
+    certificate tree is returned on success.  On failure at r = 2,
+    ``_refute`` looks for a bad member among finitely many candidates,
+    with no bound, and finds one whenever there is one:
+
+    * Z(B~) lies in Z(b_{e_1}) and in Z(b_{e_2}), finite unions of root
+      lines, so a member is a meet of a line of each or lies on a line L
+      both share.
+    * At a point z_0 of L on no line across L that any b_c has
+      (``_generic_point``), b_c vanishes only through a factor that
+      vanishes on all of L.  So if z_0 is in Z(B~), so is L, and
+      ``_contained_points`` holds L's least bad point; if b_c does not
+      vanish at z_0, its roots on L, the meets of L with its factor lines
+      and binomial lines z_i = j, 0 <= j < -c_i, hold every member on L.
+    * Every member outside the candidates comes after a candidate in
+      (level, z) order, so the least bad candidate that is a member is the
+      least bad member, the witness the scan over levels once found.
     """
     state = sym_state_from_family(family)
     node = _certify(state, _Run(f"k{i}" for i in itertools.count(1)))
     if node is not None:
         return CertifyOutcome("certificate", certificate=node)
-    witness = _refute(family, refute_bound)
+    witness = _refute(family)
     if witness is not None:
         return CertifyOutcome("refuted", witness=witness)
     return CertifyOutcome("inconclusive",
@@ -918,8 +1016,7 @@ def single_variable_roots(family: BFunctionFamily):
     return sorted(roots.items(), reverse=True)
 
 
-def rational_singularities_verdict(q, alpha, selected=None,
-                                   refute_bound=30) -> Verdict:
+def rational_singularities_verdict(q, alpha, selected=None) -> Verdict:
     """Decision pipeline for rational singularities of the zero set of the
     selected fundamental semi-invariants.
 
@@ -955,7 +1052,7 @@ def rational_singularities_verdict(q, alpha, selected=None,
     if not check_form_assumption(fam):
         v = Verdict("not_certified", family=fam,
                     reason="bracket form condition e.gamma <= a fails")
-        v.witness = _refute(fam, refute_bound)
+        v.witness = _refute(fam)
         return v
 
     comps = components(spec)
@@ -967,7 +1064,7 @@ def rational_singularities_verdict(q, alpha, selected=None,
         return Verdict("not_applicable", family=fam, reducedness=red,
                        reason=f"reducedness verdict: {red.verdict} ({red.reason})")
 
-    out = certify_all_good(fam, refute_bound=refute_bound)
+    out = certify_all_good(fam)
     if out.kind == "certificate":
         return Verdict("rational_singularities", family=fam, reducedness=red,
                        certificate=out.certificate)

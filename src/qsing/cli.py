@@ -1,8 +1,13 @@
 """Command line interface.
 
 Subcommands: decompose | nullcone | bfunction | singularities | hom |
-verify-certificate.  Exit codes: 0 ok, 2 invalid input, 3 non-Dynkin
-quiver, 4 b-function recursion out of its validated regime.
+verify-certificate.  Exit codes: 0 ok, 2 invalid input (an unknown option
+included), 3 non-Dynkin quiver, 4 b-function recursion out of its
+validated regime; stderr then starts with an "error: ..." line.
+
+``singularities`` takes no search bound: at r = 2 it refutes from the
+finite candidate set of the family's root lines (``bsato._refute``), so it
+finds a bad member of Z(B~) wherever one lies.
 """
 
 from __future__ import annotations
@@ -213,11 +218,8 @@ def cmd_bfunction(args):
 
 
 def cmd_singularities(args):
-    if args.box_bound < 0:  # a negative bound would skip the refutation search
-        raise CliError(f"--box-bound must be >= 0, got {args.box_bound}")
     q, alpha, sel, branch = _load_request(args)
-    v = rational_singularities_verdict(q, alpha, sel,
-                                       refute_bound=args.box_bound)
+    v = rational_singularities_verdict(q, alpha, sel)
     text = [f"alpha = {_fmt_vec(alpha, branch)}", f"verdict: {v.kind}"]
     if v.reason:
         text.append(f"reason: {v.reason}")
@@ -289,8 +291,16 @@ def cmd_verify_certificate(args):
         sys.exit(1)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser with the CLI's error line: a usage error prints
+    "error: ..." and then the usage, and exits 2 like any bad input."""
+
+    def error(self, message):
+        self.exit(EXIT_BAD_INPUT, f"error: {message}\n{self.format_usage()}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="qsing",
         description="semi-invariants of Dynkin quivers: decomposition, "
                     "nullcone geometry, b-functions, singularity certificates")
@@ -322,11 +332,6 @@ def build_parser():
 
     sp = sub.add_parser("singularities", help="rational singularities verdict")
     common(sp)
-    sp.add_argument("--box-bound", type=int, default=30,
-                    help="bound on |v1|, |v2| of the r = 2 refutation "
-                         "candidates, the points z with gamma.z = -v1 and "
-                         "gamma'.z = -v2 for two independent bracket or "
-                         "coordinate directions (default 30)")
     sp.add_argument("--certificate-out", help="write certificate JSON here")
     sp.set_defaults(func=cmd_singularities)
 

@@ -51,6 +51,13 @@ references for what a ``qsing.bsato`` branch state carries: a bracket's
 signature as ``json.dumps`` writes it, and K as the negated sum of every
 fixed value.
 
+``scan_refute`` is the reference for ``qsing.bsato._refute`` at r = 2: it
+scans the intersection points of pairs of lines g.z = -v_1, g'.z = -v_2
+over independent bracket or coordinate directions with |v_1|, |v_2| <=
+bound, by level |v_1| + |v_2| and then z, for the first bad member of
+Z(B~).  The package enumerates the candidates the family's root lines
+determine and needs no bound.
+
 ``bracket_identity_check`` tests the telescoping identity of brackets,
 [s]^d_{a,b} [s]^d_{0,a} = [s]^d_{0,b}, on which the b-function recursion
 of ``qsing.brackets`` rests, by expanding both sides.
@@ -63,6 +70,7 @@ still run under ``python -O``.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,6 +78,7 @@ from fractions import Fraction
 from qsing import jacobian
 from qsing.affine import aff_to_json
 from qsing.brackets import BracketTerm, expand, family_from_terms
+from qsing.bsato import is_good, membership_in_ztilde
 from qsing.decomp import (PerpData, RepClass, class_hom, class_self_ext,
                           generic_decomposition, make_class, perp_simples)
 from qsing.orbits import _geq, _packing, _profile, _walk, is_set_theoretic_ci, survey
@@ -106,6 +115,40 @@ def summed_k(fixed):
     for _, v, _ in fixed:
         total = affine_add(total, v)
     return (-total[0], tuple((s, -c) for s, c in total[1]))
+
+
+# -- refutation at r = 2 ------------------------------------------------------
+
+def refutation_candidates(family, bound):
+    """Intersections z of pairs of independent linear forms gamma.z = -v
+    with integers |v_1|, |v_2| <= bound, each point once, ordered by
+    (|v_1| + |v_2|, z) at the least level that reaches it.  Each level is
+    built and sorted only once the previous one is used up."""
+    gammas = {g for (g, _o) in family.offsets}
+    gammas.update(tuple(int(d == i) for d in range(family.r)) for i in range(family.r))
+    pairs = [(g1, g2, det) for g1, g2 in itertools.combinations(sorted(gammas), 2)
+             if (det := g1[0] * g2[1] - g1[1] * g2[0])]
+    seen = set()
+    for level in range(2 * bound + 1):
+        top = min(level, bound)
+        vs = [(v1, v2) for v1 in range(-top, top + 1)
+              for v2 in {level - abs(v1), abs(v1) - level}
+              if abs(v2) <= bound]
+        points = sorted({(Fraction(-v1 * g2[1] + v2 * g1[1], det),
+                          Fraction(-v2 * g1[0] + v1 * g2[0], det))
+                         for g1, g2, det in pairs for v1, v2 in vs} - seen)
+        seen.update(points)
+        yield from points
+
+
+def scan_refute(family, bound):
+    """The first refutation candidate within the bound that is not good
+    but lies in Z(B~), or None; r = 2 only."""
+    assert family.r == 2, family.r
+    for z in refutation_candidates(family, bound):
+        if not is_good(z, family.r) and membership_in_ztilde(family, z).kind == "member":
+            return z
+    return None
 
 
 # -- brackets ----------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from qsing.bsato import (
     _cover_check,
     _leaf_node,
     _reduc_a_tuple_cert,
-    _refutation_candidates,
+    _refute,
     _t_interval,
     cert_to_json,
     certify_all_good,
@@ -56,7 +57,8 @@ from qsing.orbits import enumerate_classes, make_spec
 from qsing.presets import E6_QUIVER, preset
 from qsing.quiver import Quiver, euler_form
 
-from oracles import bracket_identity_check, signature_json, summed_k
+from oracles import (bracket_identity_check, refutation_candidates,
+                     scan_refute, signature_json, summed_k)
 from test_fmlp import reference_solve
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -178,6 +180,19 @@ INPUT_CHECKS = [
     "euler_form(Quiver(2, ((1, 2),)), (1.5, 1), (1, 1.9))",
     "euler_form(Quiver(2, ((1, 2),)), (1, 1), (True, 1))",
     "euler_form(Quiver(2, ((1, 2),)), ('1', -1), (1, 1))",
+    # a point z of Z(B~) or of the goodness test has r entries, each an int
+    # or a Fraction: none is dropped, missing or read from a bool, a float
+    # or a str
+    "membership_in_ztilde(E8_POS_FAMILY(1), (1, 2, 3))",
+    "membership_in_ztilde(E8_POS_FAMILY(1), (1,))",
+    "membership_in_ztilde(E8_POS_FAMILY(1), (True, 2))",
+    "membership_in_ztilde(E8_POS_FAMILY(1), (1.0, 2))",
+    "membership_in_ztilde(E8_POS_FAMILY(1), ('1', 2))",
+    "membership_in_ztilde(family_from_terms(4, []), (-1, -1, -1))",
+    "is_good((1,), 2)",
+    "is_good((-1, -1, -1), 2)",
+    "is_good((False, -5), 2)",
+    "is_good((-1.0, -1), 2)",
 ]
 
 
@@ -197,7 +212,8 @@ def test_input_checks_survive_optimize():
         "sys.path.insert(0, %r)" % TESTS,
         "from qsing.brackets import BracketTerm, compute_bfunction, expand, "
         "family_from_terms",
-        "from qsing.bsato import generator_bc, single_variable_roots",
+        "from qsing.bsato import generator_bc, is_good, membership_in_ztilde, "
+        "single_variable_roots",
         "from qsing.decomp import generic_decomposition",
         "from qsing.orbits import enumerate_classes, make_spec",
         "from qsing.presets import E6_QUIVER",
@@ -342,7 +358,7 @@ def test_membership_r2_matches_direct_evaluation(name):
 
 def sorted_refutation_candidates(family, bound):
     """Every candidate built and sorted at once: the oracle for the
-    level-by-level generator."""
+    level-by-level generator of ``oracles.scan_refute``."""
     gammas = sorted({g for (g, _o) in family.offsets})
     for i in range(family.r):
         gammas.append(tuple(1 if d == i else 0 for d in range(family.r)))
@@ -368,7 +384,7 @@ def sorted_refutation_candidates(family, bound):
 @pytest.mark.parametrize("bound", [0, 1, 4, 30])
 def test_refutation_candidates_match_sorted_oracle(bound):
     fam = E8_POS_FAMILY(1)
-    assert list(_refutation_candidates(fam, bound)) == \
+    assert list(refutation_candidates(fam, bound)) == \
         list(sorted_refutation_candidates(fam, bound))
 
 
@@ -1154,10 +1170,13 @@ CERT_BOX = (("d4", 9), ("d5", 8), ("e6", 9))
 CERT_BOX_DIGEST = "ada2dfec09da66bf4e927dbdb21a36501b424168842f641f2360fbc64c8bd13b"
 
 
-def _cert_box_rows(quivers):
-    """The CERT_BOX rows, and per certificate its r and how many
-    no-terms leaves it holds; each certificate passes the checker."""
-    rows, certs = [], []
+@pytest.fixture(scope="module")
+def cert_box(d4, d5):
+    """(name, alpha, selection, family, outcome of certify_all_good) for
+    each CERT_BOX family in order, computed once for the tests that read
+    the box."""
+    quivers = {"d4": d4, "d5": d5, "e6": E6_QUIVER}
+    box = []
     for name, bound in CERT_BOX:
         q = quivers[name]
         for alpha in itertools.product(range(1, bound + 1), repeat=q.n):
@@ -1172,26 +1191,27 @@ def _cert_box_rows(quivers):
                     fam = compute_bfunction(q, alpha, [simples[i] for i in sel])
                 except TerminalRuleInapplicable:
                     continue
-                out = certify_all_good(fam)
-                got = out.kind
-                if out.kind == "certificate":
-                    blob = cert_to_json(out.certificate)
-                    assert verify_certificate(fam, blob) == (
-                        True, "certificate verified"), (name, alpha, sel)
-                    text = json.dumps(blob, sort_keys=True)
-                    got = hashlib.sha256(text.encode()).hexdigest()
-                    certs.append((fam.r, text.count('"mode": "no-terms"')))
-                elif out.kind == "refuted":
-                    got = "refuted:" + ",".join(map(str, out.witness))
-                rows.append([name, list(alpha), list(sel), got])
-    return rows, certs
+                box.append((name, alpha, sel, fam, certify_all_good(fam)))
+    return box
 
 
-def test_certificates_beyond_the_grid_pinned(d4, d5):
+def test_certificates_beyond_the_grid_pinned(cert_box):
     """Certificates on D4, D5 and E6 boxes reach rules the grid does not
     (r = 3..5, the no-terms leaf), byte for byte as recorded, and the
     checker accepts each."""
-    rows, certs = _cert_box_rows({"d4": d4, "d5": d5, "e6": E6_QUIVER})
+    rows, certs = [], []
+    for name, alpha, sel, fam, out in cert_box:
+        got = out.kind
+        if out.kind == "certificate":
+            blob = cert_to_json(out.certificate)
+            assert verify_certificate(fam, blob) == (
+                True, "certificate verified"), (name, alpha, sel)
+            text = json.dumps(blob, sort_keys=True)
+            got = hashlib.sha256(text.encode()).hexdigest()
+            certs.append((fam.r, text.count('"mode": "no-terms"')))
+        elif out.kind == "refuted":
+            got = "refuted:" + ",".join(map(str, out.witness))
+        rows.append([name, list(alpha), list(sel), got])
     kinds = [got.split(":")[0] for *_, got in rows]
     assert (len(certs), kinds.count("refuted"), kinds.count("inconclusive")) \
         == (510, 91, 22)
@@ -1200,6 +1220,105 @@ def test_certificates_beyond_the_grid_pinned(d4, d5):
     assert sum(nt for _, nt in certs) == 4
     text = json.dumps(rows, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == CERT_BOX_DIGEST
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_refute_matches_the_scan_on_e8_pos(n):
+    """The enumeration of ``_refute`` and the bounded scan of
+    ``oracles.scan_refute`` name the same witness where the scan's box
+    holds it: (-4, 2) at n = 1, on the line z_1 + z_2 = -2 inside Z(B~),
+    and (4n - 3, 1 - 4n) after."""
+    fam = E8_POS_FAMILY(n)
+    assert _refute(fam) == scan_refute(fam, 30) == \
+        ((-4, 2) if n == 1 else (4 * n - 3, 1 - 4 * n))
+
+
+def test_refute_matches_the_scan_where_the_case_tree_fails(cert_box):
+    """Every r = 2 family of CERT_BOX that the case tree does not certify
+    is refuted, by the enumeration and by the scan alike."""
+    failed = [fam for *_, fam, out in cert_box
+              if fam.r == 2 and out.kind != "certificate"]
+    assert len(failed) == 91
+    for fam in failed:
+        witness = _refute(fam)
+        assert witness is not None and witness == scan_refute(fam, 30)
+
+
+def test_refute_matches_the_scan_on_random_families():
+    """A seeded sample of r = 2 families over directions that include
+    non-primitive ones, (2, 1) and (2, 2): where the scan over the box
+    |v_1|, |v_2| <= 7 finds a bad member, the enumeration names the same
+    one; where it finds none, the enumeration's witness, if any, lies
+    outside that box.  Both answers occur."""
+    rng = random.Random(11)
+    dirs = [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (2, 2), (1, 3)]
+    kinds = set()
+    for _ in range(200):
+        terms = []
+        for _ in range(rng.randint(2, 5)):
+            a = rng.randint(-1, 4)
+            terms.append(BracketTerm(rng.choice(dirs), a, a + rng.randint(1, 4),
+                                     rng.randint(1, 2)))
+        fam = family_from_terms(2, terms)
+        witness, scanned = _refute(fam), scan_refute(fam, 7)
+        kinds.add(witness is None)
+        if scanned is not None:
+            assert witness == scanned, terms
+        elif witness is not None:
+            assert witness not in set(refutation_candidates(fam, 7)), terms
+        if witness is not None:
+            assert not is_good(witness, 2)
+            assert membership_in_ztilde(fam, witness).kind == "member"
+    assert kinds == {True, False}
+
+
+def test_contained_points_hold_the_least_bad_point():
+    """On each line g.z + c = 0 over the e8-pos directions, |c| <= 6, that
+    holds bad points, ``_contained_points`` holds the least of them in
+    (level, z) order among its meets with h.z = -v, |v| <= 40."""
+    dirs = [(0, 1), (1, 0), (1, 1), (1, 2)]
+    pairs = [(g, h) for g, h in itertools.combinations(dirs, 2)
+             if g[0] * h[1] != g[1] * h[0]]
+
+    def level(pt):
+        vals = {g: abs((g[0] * pt[0] + g[1] * pt[1]) // pt[2]) for g in dirs
+                if (g[0] * pt[0] + g[1] * pt[1]) % pt[2] == 0}
+        return min(vals[g] + vals[h] for g, h in pairs
+                   if g in vals and h in vals)
+
+    for (a, b), c in itertools.product(dirs, range(-6, 7)):
+        if a == b and c > 2 * a:  # e.z < -2 on the whole line
+            continue
+        across = [g for g in dirs if g[0] * b != g[1] * a]
+        meets = {bsato._meet((a, b, c), (*g, v))
+                 for g in across for v in range(-40, 41)}
+        least = min((level(p), Fraction(p[0], p[2]), Fraction(p[1], p[2]), p)
+                    for p in meets if bsato._bad(p))[-1]
+        assert least in bsato._contained_points((a, b, c), dirs, level), (a, b, c)
+
+
+def test_refute_finds_no_bad_member_where_the_case_tree_certifies(cert_box):
+    """Two exact methods agree: on each r = 2 family of CERT_BOX that
+    carries a certificate that every member of Z(B~) is good, the
+    enumeration of candidates finds no bad member."""
+    certified = [fam for *_, fam, out in cert_box
+                 if fam.r == 2 and out.kind == "certificate"]
+    assert len(certified) == 429
+    assert all(_refute(fam) is None for fam in certified)
+
+
+@pytest.mark.parametrize("n", [2, 5, 9, 12])
+def test_e8_pos_refuted_at_paper_scale(n):
+    """e8-pos past the old candidate box |v_1|, |v_2| <= 30 (n >= 9) is
+    refuted with the bad member (4n - 3, 1 - 4n), in well under a second
+    (0.13 s at n = 12 on a 2-vCPU x86-64 Xeon)."""
+    fam = _preset_family("e8-pos", n)
+    t0 = time.perf_counter()
+    out = certify_all_good(fam)
+    elapsed = time.perf_counter() - t0
+    assert out.kind == "refuted"
+    assert out.witness == (4 * n - 3, 1 - 4 * n)
+    assert elapsed < 1, elapsed
 
 
 def test_certifier_and_checker_agree_beyond_the_presets(d4, d5):
@@ -1218,7 +1337,7 @@ def test_certifier_and_checker_agree_beyond_the_presets(d4, d5):
                 fam = compute_bfunction(q, spec.alpha, spec.selected_simples)
             except TerminalRuleInapplicable:
                 continue
-            out = certify_all_good(fam, refute_bound=4)
+            out = certify_all_good(fam)
             kinds.append(out.kind)
             if out.kind == "certificate":
                 assert verify_certificate(fam, out.certificate)[0], alpha

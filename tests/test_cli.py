@@ -177,6 +177,16 @@ def test_singularities_a2(tmp_path):
     assert data["largest_root"] == "-1"
 
 
+def test_singularities_e8_pos_beyond_the_old_box():
+    """e8-pos at n = 9: the bad member (33, -35) lies outside the box
+    |v_1|, |v_2| <= 30 the refutation once scanned, and is found."""
+    data = json.loads(run_cli(["singularities", "--preset", "e8-pos", "--n", "9",
+                               "--format", "json"]).stdout)
+    assert data["verdict"] == "not_certified"
+    assert data["reason"] == "explicit bad element of Z(B~)"
+    assert data["witness"] == ["33", "-35"]
+
+
 def test_singularities_certificate_file(tmp_path):
     cert = tmp_path / "cert.json"
     run_cli(["singularities", "--preset", "e6-ex1", "--n", "2", "--m", "2",
@@ -270,7 +280,7 @@ BAD_R = {"r-zero": 0, "r-true": True, "r-false": False, "r-negative": -1,
     ["singularities", "--quiver", "{a3}", "--dim", "1,2,3"],
 ], ids=["negative-dim", "negative-preset-n", "simples-not-int",
         "simples-range-file", "simples-range-preset", "simples-empty",
-        "box-bound-negative", "hom-no-quiver",
+        "box-bound-removed", "hom-no-quiver",
         "hom-not-a-root", "unknown-preset", "certificate-without-r",
         "certificate-term-a-above-b",
         "certificate-nested-past-json-recursion-limit",
