@@ -33,8 +33,11 @@ no more than the metric's ``bound`` in BENCHMARK.json, a fraction of the
 parent's median.  For a workload traced on both sides it gives
 ``traced_counters_equal``: whether every per-layer metric whose unit is not
 ``s`` (work counters and ratios; ``trace.*`` aside) is equal in the two
-traced runs, and ``traced_counters_differ``, the names of those that are
-not.  The table printed at the end reads all three.
+traced runs, ``traced_counters_differ``, the names of those that are
+not, and ``traced_spans``, every per-layer span time (the metrics named
+``*.s``) of both traced runs as [parent, change].  The table printed at
+the end reads all of these; of the spans it prints the three whose two
+values differ most.
 
 The record names the code each side measured: ``sources`` holds, per side,
 the sha256 of the package sources ``src/qsing/*.py`` (``source_digest``),
@@ -95,18 +98,22 @@ def quartiles(values):
     return [q[0], q[2]]
 
 
-def compare_traced(traced):
-    """Per workload traced on both sides, the names of the per-layer
-    metrics whose unit is not "s", ``trace.*`` aside, that differ between
+def traced_pairs(traced):
+    """Per workload traced on both sides, the (parent, change) metrics of
     the two traced runs (the last run of each side counts)."""
     by_workload = {}
     for r in traced:
         by_workload.setdefault(r["workload"], {})[r["side"]] = r["output"]["metrics"]
+    return {w: (sides["parent"], sides["change"])
+            for w, sides in by_workload.items() if len(sides) == 2}
+
+
+def compare_traced(traced):
+    """Per workload traced on both sides, the names of the per-layer
+    metrics whose unit is not "s", ``trace.*`` aside, that differ between
+    the two traced runs."""
     out = {}
-    for workload, sides in by_workload.items():
-        if len(sides) < 2:
-            continue
-        par, chg = sides["parent"], sides["change"]
+    for workload, (par, chg) in traced_pairs(traced).items():
         names = [k for k, m in {**par, **chg}.items()
                  if m["unit"] != "s" and not k.startswith("trace.")]
         out[workload] = [k for k in names
@@ -115,13 +122,33 @@ def compare_traced(traced):
     return out
 
 
+def traced_spans(traced):
+    """Per workload traced on both sides, every per-layer span time (the
+    metrics named ``*.s``) as [parent, change], None on a side without it."""
+    out = {}
+    for workload, (par, chg) in traced_pairs(traced).items():
+        out[workload] = {k: [par[k]["value"] if k in par else None,
+                             chg[k]["value"] if k in chg else None]
+                         for k in {**par, **chg} if k.endswith(".s")}
+    return out
+
+
+def widest_spans(spans, count=3):
+    """The ``count`` spans of a ``traced_spans`` entry whose two values
+    differ most, largest difference first; a span missing on one side
+    counts as 0 there."""
+    return sorted(spans.items(), reverse=True,
+                  key=lambda item: abs((item[1][1] or 0) - (item[1][0] or 0)))[:count]
+
+
 def summarize(runs, metrics, traced=()):
     """Per workload and end-to-end metric, given as (name, better, bound):
     medians, quartiles, wins, whether the gain rule holds and whether the
     change stays within the bound.  A seed run on one side only is skipped.
     A workload with a traced run on each side also gets whether their work
-    counters are equal, and the names of those that differ."""
-    differ = compare_traced(traced)
+    counters are equal, the names of those that differ, and every span
+    time of both runs."""
+    differ, spans = compare_traced(traced), traced_spans(traced)
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by_seed = {}
@@ -155,6 +182,7 @@ def summarize(runs, metrics, traced=()):
         if workload in differ:
             entry["traced_counters_equal"] = not differ[workload]
             entry["traced_counters_differ"] = differ[workload]
+            entry["traced_spans"] = spans[workload]
         summary[workload] = entry
     return summary
 
@@ -164,7 +192,7 @@ def print_table(summary):
           f"{'parent IQR':>24}{'wins':>8}  {'gain rule':<11}bound")
     for workload, entry in summary.items():
         for name, s in entry.items():
-            if not isinstance(s, dict):  # all_correct, traced_counters_*
+            if name == "traced_spans" or not isinstance(s, dict):  # all_correct, traced_*
                 continue
             lo, hi = s["parent_quartiles"]
             print(f"{workload:<18}{name:<14}{s['parent_median']:>12.5g}"
@@ -178,6 +206,10 @@ def print_table(summary):
             print(f"{workload:<18}traced counters equal: "
                   f"{entry['traced_counters_equal']}"
                   + (f" (differ: {', '.join(differ)})" if differ else ""))
+            for name, (par, chg) in widest_spans(entry["traced_spans"]):
+                print(f"{workload:<18}traced span {name}: "
+                      f"{'-' if par is None else f'{par:.5g}'} -> "
+                      f"{'-' if chg is None else f'{chg:.5g}'} s")
 
 
 def host():

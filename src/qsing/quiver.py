@@ -1,11 +1,12 @@
-"""Quivers, dimension vectors, simple reflections, Euler form, type classification.
+"""Quivers, dimension vectors, Euler form, type classification.
 
 Vertices are 1..n. Dimension vectors are plain integer tuples of length n;
 negative entries are allowed at the type level so Coxeter images can be
-inspected for membership in N^n.  The Coxeter transformation is applied by
-``roots.HomTable.coxeter_step``, which reflects one list in place along the
-admissible sink sequence of the per-quiver context, with the formula of
-``reflect_dim``.
+inspected for membership in N^n.  Simple reflections act in
+``roots``: ``roots.hom_table`` reflects every positive root at once along
+an admissible sink sequence, and ``roots.HomTable.coxeter_step`` applies
+the Coxeter transformation by reflecting one list in place along the same
+sequence.
 """
 
 from __future__ import annotations
@@ -130,13 +131,6 @@ def dimension_vector(q: Quiver, alpha) -> tuple:
 
 def simple_root(n, x):
     return tuple(1 if i == x else 0 for i in range(1, n + 1))
-
-
-def reflect_dim(q: Quiver, x, v):
-    """Simple reflection s_x on dimension vectors (underlying graph only)."""
-    w = list(v)
-    w[x - 1] = sum(v[y] for y in q.adjacency[x - 1]) - v[x - 1]
-    return tuple(w)
 
 
 # -- Euler form --------------------------------------------------------------

@@ -2,13 +2,20 @@
 
 ``hom_table`` builds the context once per quiver: the roots, every pairwise
 Hom/Ext dimension, the root order of the class walk and the steps of the
-sink walk that the generic decomposition follows.  Its Hom table comes from
-one reflection walk per root along an admissible sink sequence, in exact
-integer arithmetic on dimension vectors, and its Ext table from the Euler
-form, read as one dot product per pair against the root's Euler column.
-The root closure and the walks reflect through ``quiver.reflect_dim``,
-which reads the neighbour lists that ``Quiver.adjacency`` builds once from
-the arrows.  The Coxeter transformation c and its inverse are not stored:
+sink walk that the generic decomposition follows.  ``positive_roots``
+builds the roots height by height: in a simply-laced root system a
+positive root of height h + 1 is beta + e_x for a positive root beta of
+height h, and beta + e_x is a root exactly when (beta, e_x) = -1
+(Humphreys, *Introduction to Lie Algebras and Representation Theory*,
+9.4 and 10.2).  The Hom table comes from one walk along an admissible
+sink sequence that reflects every root at once, in exact integer
+arithmetic on one list per vertex, and the Ext table is read from the Hom
+table by the Auslander-Reiten formula Ext^1(X, Y) = D Hom(Y, tau X), with
+dim tau X = c(dim X) for a non-projective indecomposable X
+(Assem-Simson-Skowronski, *Elements of the Representation Theory of
+Associative Algebras* I, ch. IV and VIII).  The walk and the root steps
+read the neighbour lists that ``Quiver.adjacency`` builds once from the
+arrows.  The Coxeter transformation c and its inverse are not stored:
 ``HomTable.coxeter_step`` reflects one list in place at the first n steps
 of the same walk, forwards for c and backwards for c^-1, reading the
 neighbours each step already holds, and ``HomTable.translates`` keeps,
@@ -31,32 +38,37 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import mul
+from itertools import count
+from operator import add, neg
 
-from .quiver import Quiver, reflect_dim, require_dynkin, simple_root, tits_form
+from .quiver import Quiver, require_dynkin, simple_root, tits_form
 
 
 def positive_roots(q: Quiver):
-    """All positive roots of the underlying Dynkin diagram.
+    """All positive roots of the underlying Dynkin diagram, sorted by
+    height then lexicographically, which fixes the root indexing used
+    everywhere.
 
-    Closure of the simple roots under simple reflections; sorted by height
-    then lexicographically, which fixes the root indexing used everywhere.
+    Built height by height from the simple roots.  In a simply-laced root
+    system every positive root of height h + 1 is beta + e_x for some
+    positive root beta of height h (Humphreys 10.2), and beta + e_x is a
+    root exactly when (beta, e_x) = 2 beta_x - sum of beta_y over the
+    neighbours y of x is -1 (Humphreys 9.4: (beta, e_x) lies in {-1, 0, 1}
+    for beta != e_x, and the e_x-string through beta has length at most
+    two).  The symmetric form reads ``Quiver.adjacency``.
     """
     require_dynkin(q)
-    simples = [simple_root(q.n, x) for x in range(1, q.n + 1)]
-    seen = set(simples)
-    frontier = list(simples)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for x in range(1, q.n + 1):
-                w = reflect_dim(q, x, v)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    roots = sorted((v for v in seen if all(c >= 0 for c in v) and any(v)),
-                   key=lambda v: (sum(v), v))
+    n, adj = q.n, q.adjacency
+    level = sorted(simple_root(n, x) for x in range(1, n + 1))
+    roots = []
+    while level:
+        roots += level
+        up = set()
+        for b in level:
+            for x, nbrs in enumerate(adj):
+                if 2 * b[x] - sum(b[y] for y in nbrs) == -1:
+                    up.add(b[:x] + (b[x] + 1,) + b[x + 1:])
+        level = sorted(up)
     assert all(tits_form(q, r) == 1 for r in roots)
     return roots
 
@@ -74,19 +86,26 @@ class HomTable:
     admissible sink sequence, with 0-based vertices: step t reflects at x,
     whose neighbours in the underlying graph are listed, and root i is the
     one whose walk ends there as the simple at x (t_i = t in ``hom_table``),
-    or None when no root's walk does.  ``generic_decomposition`` walks a
-    dimension vector along these steps.
+    or None when no root's walk does, and end_step[i] = t_i, recorded by
+    the same walk.  ``generic_decomposition`` walks a dimension vector
+    along these steps; ``jacobian.realize`` starts a root at its end step,
+    or at step n from its Coxeter translate when t_i >= n.  ``hom`` comes
+    from one walk that reflects every root at once along these steps, and
+    ``ext`` from ``hom`` by the Auslander-Reiten formula: ext(i, j) =
+    hom(j, index[c(r_i)]) with tau = c = ``coxeter_step(+1)``, and 0 when
+    c(r_i) is not positive, X_i projective (Assem-Simson-Skowronski I,
+    ch. IV and VIII; see ``hom_table``).
 
     What later layers derive from the quiver alone is kept here too, filled
-    on demand: ``jacobian``'s realized roots, the steps ``end_step`` at
-    which their walks end, and its kernels of one block per side, the
-    packed integers of ``orbits``' class walk, one packing per field width,
-    its width-free zero columns ``zero_cols``, one per root, and the Hom
-    rows ``simple_hom`` of the simple roots, from which it reads Hom(E,X) at
-    a semisimple E, the bitmasks ``orth`` and ``below`` of
-    ``decomp.perp_simples`` (bit j of a mask stands for root j), and the
-    Coxeter images ``translates`` of the roots, which the b-function
-    recursion of ``brackets`` reads, each built once, on first use.
+    on demand: ``jacobian``'s realized roots and its kernels of one block
+    per side, the packed integers of ``orbits``' class walk, one packing
+    per field width, its width-free zero columns ``zero_cols``, one per
+    root, and the Hom rows ``simple_hom`` of the simple roots, from which
+    it reads Hom(E,X) at a semisimple E, the bitmasks ``orth`` and
+    ``below`` of ``decomp.perp_simples`` (bit j of a mask stands for root
+    j), and the Coxeter images ``translates`` of the roots, which the
+    b-function recursion of ``brackets`` reads, each built once, on first
+    use.
     """
 
     quiver: Quiver
@@ -98,6 +117,7 @@ class HomTable:
     start: list
     end: list
     steps: list
+    end_step: list  # end_step[i] = t_i, the step at which root i's walk ends
     # root -> its representation mod ``jacobian.P``, filled by
     # ``jacobian.realize`` on demand, never here
     realized: dict = field(default_factory=dict, repr=False, compare=False)
@@ -125,18 +145,6 @@ class HomTable:
         vertex x (0-based)."""
         n = self.quiver.n
         return [self.hom[self.index[simple_root(n, x)]] for x in range(1, n + 1)]
-
-    @cached_property
-    def end_step(self):
-        """end_step[i]: the step t_i of ``steps`` at which the walk of root
-        i ends, read off ``steps`` on first use; ``jacobian.realize``
-        starts there, or at step n from the root's Coxeter translate when
-        t_i >= n."""
-        out = [0] * len(self.roots)
-        for t, (_, _, i) in enumerate(self.steps):
-            if i is not None:
-                out[i] = t
-        return out
 
     @cached_property
     def orth(self):
@@ -190,8 +198,8 @@ class HomTable:
 
         The n reflections act on one list in place: each sets coordinate x
         to the sum of its neighbours' coordinates, read from ``steps``,
-        minus itself, as ``quiver.reflect_dim`` does, and one tuple is
-        built at the end.  v may have negative entries.
+        minus itself, and one tuple is built at the end.  v may have
+        negative entries.
         """
         n, w = self.quiver.n, list(v)
         get = w.__getitem__
@@ -207,46 +215,69 @@ def hom_table(q: Quiver) -> HomTable:
     Hom dimensions follow the reflection-functor recursion along the
     admissible sink sequence x_0, x_1, ...: at a sink x, Hom(S_x, N) =
     dim N(x) and Hom(M, S_x) = 0 for an indecomposable M != S_x, and C^+_x
-    preserves Hom between indecomposables other than S_x.  A root's walk
-    does not depend on the other root of a pair, so each root i is walked
-    once, to the step t_i at which it is the simple at the vertex x_{t_i}
-    reflected next.  Then hom(i, j) is coordinate x_{t_i} of root j walked
-    t_i steps when t_j >= t_i, and 0 otherwise.
+    preserves Hom between indecomposables other than S_x.  Root i is
+    walked to the step t_i at which it is first the simple at the vertex
+    x_{t_i} reflected next; then hom(i, j) is coordinate x_{t_i} of root j
+    walked t_i steps when t_j >= t_i, and 0 otherwise.
 
-    Ext comes from hom(i, j) - ext(i, j) = <r_i, r_j>, the Euler form.  For
-    each root b the Euler column E.b, with (E.b)_x = b_x - sum of b_h over
-    the arrows x -> h, is built once; then <a, b> = a . (E.b), so ext(i, j)
-    = hom(i, j) - r_i . (E.r_j) is one n-term dot product per pair.  The
-    walks, the root closure and ``steps`` read one table of neighbour
-    lists, ``Quiver.adjacency``.
+    One walk reflects every root at once.  It keeps one list per vertex,
+    cols[x][i] = coordinate x of root i, and step t replaces the list of
+    x_t by the sum of its neighbours' lists minus itself.  A root that has
+    not ended is a positive root, and s_x maps every positive root other
+    than e_x to a positive root and e_x to -e_x, so the root that ends at
+    step t is the one whose new coordinate x_t is -1.  Its row of hom is
+    the list of x_t before the step.  An ended root is taken out of the
+    test by setting its coordinates to 0, which every later reflection
+    keeps at 0: the list of x_t then holds 0 for each root j with t_j <
+    t_i, as hom(i, j) asks, and an ended root is never the simple again.
+
+    Ext is read from Hom by the Auslander-Reiten formula Ext^1(X, Y) = D
+    Hom(Y, tau X) with dim tau X = c(dim X) for a non-projective
+    indecomposable X (Assem-Simson-Skowronski I, ch. IV and VIII).  Here
+    tau = c = ``coxeter_step(+1)``, the n reflections at x_0, ..., x_{n-1}
+    that the walk takes first, so after n steps cols holds c(r_i) for every
+    root i still walking.  So ext(i, j) = hom(j, index[c(r_i)]), and
+    ext(i, j) = 0 when X_i is projective, which is when c(r_i) is not
+    positive, the roots whose walks end in the first n steps; their
+    coordinates are then 0.
     """
     roots = positive_roots(q)
     n, k = q.n, len(roots)
-    seq = q.admissible_sink_sequence()
-    simples = [simple_root(n, x) for x in range(1, n + 1)]
-    paths = []  # paths[i][t]: root i after t steps of the walk
-    for r in roots:
-        path, x = [r], seq[0]
-        while path[-1] != simples[x - 1]:
-            path.append(reflect_dim(q, x, path[-1]))
-            assert len(path) < 64 * n, "reflection walk failed to terminate"
-            x = seq[(len(path) - 1) % n]
-        paths.append(path)
-    columns = []  # columns[j]: the Euler column E.r_j
-    for b in roots:
-        c = list(b)
-        for t, h in q.arrows:
-            c[t - 1] -= b[h - 1]
-        columns.append(c)
-    hom, ext = [], []
-    for i, (r, pi) in enumerate(zip(roots, paths)):
-        t = len(pi) - 1
-        x = seq[t % n] - 1
-        h_row = [pj[t][x] if len(pj) > t else 0 for pj in paths]
-        e_row = [h - sum(map(mul, r, c)) for h, c in zip(h_row, columns)]
+    seq = [x - 1 for x in q.admissible_sink_sequence()]
+    adj = q.adjacency
+    cols = [list(c) for c in zip(*roots)]  # cols[x][i]: coordinate x of root i
+    hom, end_step, ends = [None] * k, [None] * k, []  # ends[t]: the root ending at t
+    left = k
+    for t in count():
+        if t == n:
+            tau = list(zip(*cols))  # tau[i] = c(r_i), or all 0 when X_i is projective
+        if not left:
+            break
+        assert t < 64 * n, "reflection walk failed to terminate"
+        x = seq[t % n]
+        old = cols[x]
+        new = map(neg, old)
+        for y in adj[x]:
+            new = map(add, new, cols[y])
+        cols[x] = new = list(new)
+        if -1 in new:
+            i = new.index(-1)
+            hom[i], end_step[i] = old, t
+            for col in cols:
+                col[i] = 0
+            left -= 1
+        else:
+            i = None
+        ends.append(i)
+
+    index = {r: i for i, r in enumerate(roots)}
+    hom_cols = list(zip(*hom))  # hom_cols[m][j] = hom(j, m)
+    projective = (0,) * k
+    ext = []
+    for i, c in enumerate(tau):
+        e_row = list(hom_cols[index[c]] if c in index else projective)
         assert min(e_row) >= 0
-        assert h_row[i] == 1 and e_row[i] == 0
-        hom.append(h_row)
+        assert hom[i][i] == 1 and e_row[i] == 0
         ext.append(e_row)
 
     first = [next(v for v, c in enumerate(r) if c) for r in roots]
@@ -254,9 +285,6 @@ def hom_table(q: Quiver) -> HomTable:
     walk_first = [first[i] for i in walk]
     start = [walk_first.index(x) for x in range(n)]
     end = [start[x] + walk_first.count(x) for x in range(n)]
-    ends = {len(p) - 1: i for i, p in enumerate(paths)}  # t_i -> i
-    steps = [(seq[t % n] - 1, q.adjacency[seq[t % n] - 1], ends.get(t))
-             for t in range(max(ends) + 1)]
+    steps = [(seq[t % n], adj[seq[t % n]], i) for t, i in enumerate(ends)]
 
-    return HomTable(q, roots, {r: i for i, r in enumerate(roots)}, hom, ext,
-                    walk, start, end, steps)
+    return HomTable(q, roots, index, hom, ext, walk, start, end, steps, end_step)

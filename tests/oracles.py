@@ -1,9 +1,14 @@
 """Representation-matrix oracles for the test suite.
 
 The package derives every Hom and Ext dimension from dimension vectors
-alone: ``qsing.roots.hom_table`` walks each root along an admissible sink
-sequence.  This module is the second, independent route, from explicit
-rational matrices:
+alone: ``qsing.roots.hom_table`` walks every root at once along an
+admissible sink sequence and reads Ext from Hom by the Auslander-Reiten
+formula.  ``walked_hom_table`` is the construction it replaced, and its
+reference: each root walked on its own with the simple reflection
+``reflect_dim``, and Ext from the Euler form, over the roots of
+``closure_roots``, the closure of the simple roots under simple
+reflections.  This module is also the second, independent route, from
+explicit rational matrices:
 
 * ``realize`` builds an indecomposable with a given root as dimension
   vector by Bernstein-Gelfand-Ponomarev reflection functors, reading the
@@ -83,7 +88,7 @@ from qsing.decomp import (PerpData, RepClass, class_hom, class_self_ext,
                           generic_decomposition, make_class, perp_simples)
 from qsing.orbits import _geq, _packing, _profile, _walk, is_set_theoretic_ci, survey
 from qsing.quiver import Quiver, euler_form, reflect_arrows, simple_root
-from qsing.roots import hom_table, positive_roots
+from qsing.roots import HomTable, hom_table, positive_roots
 
 
 # -- affine expressions ------------------------------------------------------
@@ -168,6 +173,85 @@ def bracket_identity_check(d, a, b, mults=((1,), (2,), (3,))) -> bool:
         if expand(left, mm) != expand(right, mm):
             return False
     return True
+
+
+# -- root walks one root at a time -------------------------------------------
+
+def reflect_dim(q: Quiver, x, v):
+    """Simple reflection s_x on dimension vectors (underlying graph only)."""
+    w = list(v)
+    w[x - 1] = sum(v[y] for y in q.adjacency[x - 1]) - v[x - 1]
+    return tuple(w)
+
+
+def closure_roots(q: Quiver):
+    """The positive roots as the closure of the simple roots under simple
+    reflections, sorted by height then lexicographically."""
+    simples = [simple_root(q.n, x) for x in range(1, q.n + 1)]
+    seen = set(simples)
+    frontier = list(simples)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for x in range(1, q.n + 1):
+                w = reflect_dim(q, x, v)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    roots = sorted((v for v in seen if all(c >= 0 for c in v) and any(v)),
+                   key=lambda v: (sum(v), v))
+    assert all(euler_form(q, r, r) == 1 for r in roots)
+    return roots
+
+
+def walked_hom_table(q: Quiver) -> HomTable:
+    """The per-quiver context built root by root: each root of
+    ``closure_roots`` is walked on its own with ``reflect_dim`` to the step
+    t_i at which it is the simple at the vertex reflected next, hom(i, j)
+    is coordinate x_{t_i} of root j walked t_i steps when t_j >= t_i, and
+    ext(i, j) = hom(i, j) - r_i . (E r_j) from the Euler column E r_j, with
+    (E b)_x = b_x - sum of b_h over the arrows x -> h."""
+    roots = closure_roots(q)
+    n, k = q.n, len(roots)
+    seq = q.admissible_sink_sequence()
+    simples = [simple_root(n, x) for x in range(1, n + 1)]
+    paths = []  # paths[i][t]: root i after t steps of the walk
+    for r in roots:
+        path, x = [r], seq[0]
+        while path[-1] != simples[x - 1]:
+            path.append(reflect_dim(q, x, path[-1]))
+            assert len(path) < 64 * n, "reflection walk failed to terminate"
+            x = seq[(len(path) - 1) % n]
+        paths.append(path)
+    columns = []  # columns[j]: the Euler column E.r_j
+    for b in roots:
+        c = list(b)
+        for t, h in q.arrows:
+            c[t - 1] -= b[h - 1]
+        columns.append(c)
+    hom, ext = [], []
+    for i, (r, pi) in enumerate(zip(roots, paths)):
+        t = len(pi) - 1
+        x = seq[t % n] - 1
+        h_row = [pj[t][x] if len(pj) > t else 0 for pj in paths]
+        e_row = [h - sum(a * b for a, b in zip(r, c)) for h, c in zip(h_row, columns)]
+        assert min(e_row) >= 0
+        assert h_row[i] == 1 and e_row[i] == 0
+        hom.append(h_row)
+        ext.append(e_row)
+
+    first = [next(v for v, c in enumerate(r) if c) for r in roots]
+    walk = sorted(range(k), key=lambda i: (first[i], [-c for c in roots[i]]))
+    walk_first = [first[i] for i in walk]
+    start = [walk_first.index(x) for x in range(n)]
+    end = [start[x] + walk_first.count(x) for x in range(n)]
+    end_step = [len(p) - 1 for p in paths]
+    ends = {t: i for i, t in enumerate(end_step)}  # t_i -> i
+    steps = [(seq[t % n] - 1, q.adjacency[seq[t % n] - 1], ends.get(t))
+             for t in range(max(ends) + 1)]
+    return HomTable(q, roots, {r: i for i, r in enumerate(roots)}, hom, ext,
+                    walk, start, end, steps, end_step)
 
 
 # -- exact linear algebra over the rationals ---------------------------------

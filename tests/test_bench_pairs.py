@@ -1,7 +1,7 @@
 """``scripts/bench_pairs.py``'s summary on synthetic runs: the gain rule and
-the bound check it stores per metric, and the comparison of the two traced
-runs' work counters; and the digest of the package sources that names the
-code each side measured."""
+the bound check it stores per metric, the comparison of the two traced
+runs' work counters and the span times it keeps of both; and the digest
+of the package sources that names the code each side measured."""
 
 import importlib.util
 from pathlib import Path
@@ -105,6 +105,41 @@ def test_traced_counters_are_compared(change, differ, capsys):
     # untraced, or traced on one side only: nothing to compare
     for partial in ([], [traced("parent")]):
         assert "traced_counters_equal" not in bench_pairs.summarize(runs, METRICS, partial)["w"]
+
+
+def traced_with(side, values):
+    """A traced run whose metrics are ``values``, a name -> value dict; a
+    name ending in ``s`` is a time, any other a count."""
+    return {"workload": "w", "seed": 31, "side": side, "output": {"metrics": {
+        k: {"value": v, "unit": "s" if k.endswith("s") else "count"}
+        for k, v in values.items()}}}
+
+
+def test_traced_spans_keep_both_sides_and_print_the_widest(capsys):
+    """Every span time (``*.s``) of both traced runs is kept as [parent,
+    change], one on a side alone with None on the other; the table prints
+    the three whose values differ most, largest first."""
+    par = {"roots.hom_table.s": 0.020, "orbits.components.s": 0.050,
+           "orbits.survey.s": 0.180, "brackets.compute_bfunction.s": 0.002,
+           "gone.s": 0.001, "roots.hom_table.pairs": 15696, "trace.wall_s": 0.4}
+    chg = {"roots.hom_table.s": 0.006, "orbits.components.s": 0.049,
+           "orbits.survey.s": 0.185, "brackets.compute_bfunction.s": 0.002,
+           "new.s": 0.003, "roots.hom_table.pairs": 15696, "trace.wall_s": 0.39}
+    runs = pairs(PARENT, PARENT)
+    both = [traced_with("parent", par), traced_with("change", chg)]
+    s = bench_pairs.summarize(runs, METRICS, both)["w"]
+    assert s["traced_spans"] == {
+        "roots.hom_table.s": [0.020, 0.006], "orbits.components.s": [0.050, 0.049],
+        "orbits.survey.s": [0.180, 0.185], "brackets.compute_bfunction.s": [0.002, 0.002],
+        "gone.s": [0.001, None], "new.s": [None, 0.003]}
+    assert s["traced_counters_equal"]
+    bench_pairs.print_table({"w": s})
+    lines = [l for l in capsys.readouterr().out.splitlines() if "traced span" in l]
+    assert lines == ["w                 traced span roots.hom_table.s: 0.02 -> 0.006 s",
+                     "w                 traced span orbits.survey.s: 0.18 -> 0.185 s",
+                     "w                 traced span new.s: - -> 0.003 s"]
+    # traced on one side only: no spans
+    assert "traced_spans" not in bench_pairs.summarize(runs, METRICS, both[:1])["w"]
 
 
 def write_package(root, files):

@@ -23,10 +23,10 @@ from qsing.brackets import (
 )
 from qsing.bsato import sym_state_from_family
 from qsing.decomp import generic_decomposition, perp_simples
-from qsing.quiver import NonDynkinError, Quiver, reflect_dim
+from qsing.quiver import NonDynkinError, Quiver
 from qsing.roots import hom_table
 
-from oracles import bracket_identity_check, coxeter_matrix
+from oracles import bracket_identity_check, coxeter_matrix, reflect_dim
 
 
 def offsets_of(terms, r):

@@ -4,10 +4,10 @@ import sympy
 from qsing import jacobian
 from qsing.jacobian import P, jacobian_minor, jacobian_rows
 from qsing.orbits import components, make_spec, reducedness_report
-from qsing.quiver import Quiver, reflect_dim
+from qsing.quiver import Quiver
 from qsing.roots import hom_table
 
-from oracles import (direct_sum, hom_matrix_dvw, realize, rep, walked_realize,
+from oracles import (direct_sum, hom_matrix_dvw, realize, reflect_dim, rep, walked_realize,
                      whole_jacobian_minor, whole_jacobian_rows)
 from test_roots import CONTEXT_DIGESTS, context_quiver
 from conftest import E6_ALPHA, fresh_jacobian_caches

@@ -10,12 +10,11 @@ from qsing.quiver import (
     euler_form,
     format_quiver_file,
     parse_quiver_file,
-    reflect_dim,
     simple_root,
 )
 from qsing.roots import hom_table
 
-from oracles import Mat, coxeter_matrix, det
+from oracles import Mat, coxeter_matrix, det, reflect_dim
 
 
 def test_construction_validates():
@@ -71,6 +70,15 @@ def test_euler_form_perp_vanishing(e6, e6_alpha):
     for beta in [(1, 1, 1, 0, 0, 1), (0, 0, 1, 1, 1, 1),
                  (0, 1, 1, 1, 1, 0), (1, 1, 1, 1, 0, 0)]:
         assert euler_form(e6, alpha, beta) == 0
+    # d^V_S is square on Rep(Q, alpha) iff <alpha, s> = 0.  At n = m = 2
+    # these four roots have <alpha, s> = 0 but <s, alpha> = 2, so a guard on
+    # <s, alpha> would refuse them; the first two are among the preset's
+    # own selected simples.  (1, 1, 1, 1, 1, 0) is not perpendicular.
+    alpha = e6_alpha(2, 2)
+    for s in [(0, 1, 1, 1, 1, 0), (1, 1, 1, 1, 0, 0),
+              (1, 1, 2, 2, 1, 1), (1, 2, 2, 1, 1, 1)]:
+        assert (euler_form(e6, alpha, s), euler_form(e6, s, alpha)) == (0, 2)
+    assert euler_form(e6, alpha, (1, 1, 1, 1, 1, 0)) == 2
 
 
 def test_coxeter_a2(a2):

@@ -10,8 +10,9 @@ from qsing.quiver import NonDynkinError, Quiver, euler_form, tits_form
 from qsing.roots import hom_table, positive_roots
 
 from oracles import (NotARootError, coxeter_matrix, ext_dim, hom_dim, hom_matrix_dvw, rank,
-                     realize)
+                     realize, walked_hom_table)
 from test_orbits import E8_RELABELLED, NULLCONE_E8
+from test_quiver import orientations
 
 ROOT_COUNTS = {"A2": 3, "A3": 6, "A4": 10, "D4": 12, "E6": 36, "E8": 120}
 # a D4 orientation with a source, a sink and two other arms
@@ -232,6 +233,54 @@ def test_zero_columns_are_built_once_for_every_width(e8, monkeypatch):
     shared = seen[10].keys() & seen[11].keys()
     assert shared and all(seen[10][i] is seen[11][i] for i in shared)
     assert table.zero_cols == {**seen[10], **seen[11]}
+
+
+def _type_a(n):
+    return Quiver(n, tuple((x, x + 1) for x in range(1, n)))
+
+
+def _type_d(n):
+    # arms 1 and 2 at vertex 3, then the row 3 -> 4 -> ... -> n
+    return Quiver(n, ((1, 3), (2, 3), *((x, x + 1) for x in range(3, n))))
+
+
+def sweep_quivers(name, request):
+    """Every orientation of A2-A6, D4-D6, E6 and E7; E8 and the relabelled
+    E8; and eight E8 orientations drawn with a fixed seed."""
+    if name == "e8":
+        return [request.getfixturevalue("e8"), E8_RELABELLED]
+    if name == "e8-sample":
+        all_e8 = list(orientations(request.getfixturevalue("e8")))
+        return random.Random(1509).sample(all_e8, 8)
+    letter, n = name[0], int(name[1:])
+    base = {"a": _type_a, "d": _type_d}.get(letter)
+    return list(orientations(base(n) if base else request.getfixturevalue(name)))
+
+
+SWEEP = ["a2", "a3", "a4", "a5", "a6", "d4", "d5", "d6", "e6", "e7", "e8", "e8-sample"]
+
+
+@pytest.mark.parametrize("name", SWEEP)
+def test_context_matches_the_walk_root_by_root(request, name):
+    """A fresh context, whose roots are built height by height, whose Hom
+    comes from one walk of every root at once and whose Ext is read from
+    Hom through the Coxeter translate, equals the context built root by
+    root with ``reflect_dim`` and the Euler form, field by field; and hom -
+    ext is the Euler form on every pair."""
+    quivers = sweep_quivers(name, request)
+    if name[0] in "ad":
+        assert len(quivers) == 2 ** (int(name[1:]) - 1)
+    for q in quivers:
+        table, ref = hom_table.__wrapped__(q), walked_hom_table(q)
+        assert table.roots == ref.roots and table.index == ref.index, q
+        assert table.hom == ref.hom, q
+        assert table.ext == ref.ext, q
+        assert (table.walk, table.start, table.end) == (ref.walk, ref.start, ref.end), q
+        assert table.steps == ref.steps, q
+        assert table.end_step == ref.end_step, q
+        for r, h_row, e_row in zip(table.roots, table.hom, table.ext):
+            assert [h - e for h, e in zip(h_row, e_row)] == \
+                [euler_form(q, r, s) for s in table.roots], (q, r)
 
 
 @pytest.mark.parametrize("name", ["a2", "a3", "a4", "d4", "d5", "e6", "e7", "e8"])
