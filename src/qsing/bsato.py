@@ -5,7 +5,8 @@ refutation, and rational-singularity verdicts.
 
 The r = 2 refutation (``_refute``) has no search bound: the root lines of
 b_{e_1} and b_{e_2} fix a finite candidate set that holds the least bad
-member of Z(B~) whenever there is one (``certify_all_good``).
+member of Z(B~) whenever there is one (``certify_all_good``).  It reads
+integer points, and a whole line on its parallel factors (``_line_cover``).
 
 The certification works branch by branch on a symbolic state: specialized
 coordinates are stored as affine values in integer parameters (k1, k2, ...)
@@ -85,22 +86,26 @@ def generator_bc(family: BFunctionFamily, c) -> GeneratorBc:
 
 
 def _point(z, r):
-    """z as a tuple of r Fractions.  Raises ValueError unless z has r
-    entries, each an int or a Fraction: a bool, a float or a str is not
-    read as a number."""
+    """z as the integers (x_1, ..., x_r, d), z = x/d over the least common
+    denominator d > 0.  Raises ValueError unless z has r entries, each an
+    int or a Fraction: a bool, a float or a str is not read as a number."""
     z = tuple(z)
     if len(z) != r or not all(type(x) is int or isinstance(x, Fraction)
                               for x in z):
         raise ValueError(f"z = {z} is not a rational {r}-vector")
-    return tuple(map(Fraction, z))
+    d = math.lcm(*(x.denominator for x in z))
+    return (*(x.numerator * (d // x.denominator) for x in z), d)
+
+
+def _good(pt):
+    """Goodness of z = x/d, pt = (*x, d), any d > 0: z = -e or e.z < -r."""
+    *x, d = pt
+    return all(v == -d for v in x) or sum(x) < -len(x) * d
 
 
 def is_good(z, r) -> bool:
     """good: z = -e or e.z < -r."""
-    z = _point(z, r)
-    if all(x == -1 for x in z):
-        return True
-    return sum(z) < -Fraction(r)
+    return _good(_point(z, r))
 
 
 @dataclass
@@ -142,29 +147,51 @@ def _t_interval(conds):
     return lo, hi
 
 
-def _half_line(offsets, z):
-    """The generators b_c with c = (1+t, -t), t >= 0, of an r = 2 family
-    at z, from its offsets (g, o) of nonzero multiplicity.
+def _half_line(values, tail):
+    """The first t >= 0 whose b_c, c = (1+t, -t), of an r = 2 family does
+    not vanish, or None when every one does.  Here c+ = (1+t, 0) and
+    c- = (0, -t), so the offset (g, o) gives the factors g.s - g_2*t + o + j,
+    j = 0 .. g_1*(1+t) - 1.  One vanishes iff w = -(g.z) - o is an integer
+    with 0 <= w + g_2*t <= g_1*(1+t) - 1, a t-interval, and binom(s_2, t)
+    vanishes for t >= tail = z_2 + 1 when z_2 is an integer >= 0.  The
+    pairs (g, w) of ``values`` have w an integer (``_witness``)."""
+    intervals = [_t_interval(((g[1], w), (g[0] - g[1], g[0] - 1 - w)))
+                 for g, w in values]
+    return _cover_check([iv for iv in intervals if iv], tail, 0)[1]
 
-    Here c+ = (1+t, 0) and c- = (0, -t), so the offset (g, o) gives the
-    factors g.s - g_2*t + o + j, j = 0 .. g_1*(1+t) - 1.  One of them
-    vanishes at z iff w = -(g.z) - o is an integer with
-    0 <= w + g_2*t <= g_1*(1+t) - 1, a t-interval; the factor
-    binom(s_2, t) vanishes iff z_2 is an integer with 0 <= z_2 < t.
-    Returns the first t whose b_c does not vanish at z, or None when every
-    one does.
-    """
-    intervals = []
-    for g, o in offsets:
-        w = -(g[0] * z[0] + g[1] * z[1]) - o
-        if w.denominator != 1:
-            continue
-        w = int(w)
-        iv = _t_interval(((g[1], w), (g[0] - g[1], g[0] - 1 - w)))
-        if iv:
-            intervals.append(iv)
-    tail = int(z[1]) + 1 if z[1].denominator == 1 and z[1] >= 0 else None
-    return _cover_check(intervals, tail, 0)[1]
+
+def _point_cover(offsets, x1, x2, d):
+    """``_witness``'s (values, tails) at z = (x1, x2)/d: an offset (g, o)
+    counts when d divides g.x, and the tail of z_i when d divides x_i >= 0."""
+    values = [(g, -(g[0] * x1 + g[1] * x2) // d - o)
+              for (g, o), cnt in offsets.items()
+              if cnt and not (g[0] * x1 + g[1] * x2) % d]
+    return values, [x // d + 1 if x >= 0 and not x % d else None
+                    for x in (x2, x1)]
+
+
+def _line_cover(offsets, a, b, c):
+    """``_witness``'s (values, tails) on the whole line a*z_1 + b*z_2 + c
+    = 0.  A factor across the line vanishes at one point of it, so b_c
+    vanishes on it iff a factor parallel to it does: g = lam*(a, b), where
+    g.z = -lam*c, so w = lam*c - o when lam*c is an integer.  There are no
+    tails: binom(s_2, t) vanishes on the line only when a = 0, and then no
+    factor of b_{e_1} (each has g_1 > 0) is parallel to it, so t = 0 is a
+    gap; so for binom(s_1, t) and b_{e_2} when b = 0."""
+    k, n = (0, a) if a else (1, b)  # lam = g[k] / n
+    return [(g, g[k] * c // n - o) for (g, o), cnt in offsets.items()
+            if cnt and g[0] * b == g[1] * a and not g[k] * c % n], (None, None)
+
+
+def _witness(values, tails):
+    """The first c on (1+t, -t), then (-t, 1+t), whose b_c does not vanish
+    where ``values`` and ``tails`` were read, or None when every b_c does.
+    (-t, 1+t) is (1+t, -t) with g and z swapped, which keeps w."""
+    for flip, tail in zip((1, -1), tails):
+        gap = _half_line([(g[::flip], w) for g, w in values], tail)
+        if gap is not None:
+            return (1 + gap, -gap)[::flip]
+    return None
 
 
 def membership_in_ztilde(family: BFunctionFamily, z, box_bound=8) -> Membership:
@@ -174,28 +201,22 @@ def membership_in_ztilde(family: BFunctionFamily, z, box_bound=8) -> Membership:
     (1+t, -t) and (-t, 1+t), t >= 0, the second being the first with both
     coordinates swapped.  On each, every bracket's vanishing condition is a
     t-interval, so universal vanishing is a finite interval-cover check
-    (``_half_line``).  For r > 2 a box |c_i| <= box_bound is scanned;
-    absence of a counterexample there is reported as unknown, never as
-    membership.  Raises ValueError unless z holds r ints or Fractions
-    (``_point``).
+    (``_half_line``) on z as integers over one denominator.  For r > 2 a
+    box |c_i| <= box_bound is scanned; absence of a counterexample there is
+    reported as unknown, never as membership.  Raises ValueError unless z
+    holds r ints or Fractions (``_point``).
     """
     r = family.r
-    z = _point(z, r)
+    pt = _point(z, r)
+    if r == 2:
+        c = _witness(*_point_cover(family.offsets, *pt))
+        return Membership("member" if c is None else "nonmember", c)
+    z = tuple(Fraction(x, pt[-1]) for x in pt[:-1])
     if r == 1:
         gen = generator_bc(family, (1,))
         if gen.value_at(z) == 0:
             return Membership("member")
         return Membership("nonmember", witness_c=(1,))
-    if r == 2:
-        offsets = [g_o for g_o, cnt in family.offsets.items() if cnt]
-        swapped = [((g[1], g[0]), o) for g, o in offsets]
-        for side, offs, zz in (("pos", offsets, z), ("neg", swapped, z[::-1])):
-            gap = _half_line(offs, zz)
-            if gap is not None:
-                c = (1 + gap, -gap)
-                return Membership("nonmember",
-                                  witness_c=c if side == "pos" else c[::-1])
-        return Membership("member")
 
     # r > 2: box scan
     rng = range(-box_bound, box_bound + 1)
@@ -719,26 +740,6 @@ def _meet(l1, l2):
     return x1 // d, x2 // d, det // d
 
 
-def _bad(pt):
-    """Is x/d not good at r = 2, that is neither -e nor e.z < -2?"""
-    x1, x2, d = pt
-    return x1 + x2 >= -2 * d and not x1 == x2 == -d
-
-
-def _generic_point(line, dirs):
-    """A point of the line on no line g.z + k = 0 across it, g in dirs, k
-    an integer: p = (0, -c/b) (or (-c/a, 0)) moved by (-b, a)/P, with P a
-    prime above |b| (or |a|) and every |g.(-b, a)|, so that g.z is g.p,
-    whose denominator divides |b| (or |a|), plus m/P, 0 < |m| < P."""
-    a, b, c = line
-    p = max([abs(b or a)] + [abs(a * g[1] - b * g[0]) for g in dirs]) + 1
-    while any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-        p += 1
-    if b:
-        return Fraction(-b, p), Fraction(-c, b) + Fraction(a, p)
-    return Fraction(-c, a), Fraction(a, p)
-
-
 def _contained_points(line, dirs, level):
     """The meets of a line with g.z = -v for each g in dirs across it and
     |v| <= l0, the level of the first bad point met.  A point at level l
@@ -750,7 +751,7 @@ def _contained_points(line, dirs, level):
         for g in across:
             for w in {v, -v}:
                 points.append(_meet(line, (g[0], g[1], w)))
-                if top is None and _bad(points[-1]):
+                if top is None and not _good(points[-1]):
                     top = level(points[-1])
         v += 1
     return points
@@ -768,11 +769,9 @@ def _refute(family: BFunctionFamily):
              if g[0] * h[1] != g[1] * h[0]]
 
     def level(pt):
-        vals = {}
-        for g in dirs:
-            v, rem = divmod(g[0] * pt[0] + g[1] * pt[1], pt[2])
-            if not rem:
-                vals[g] = abs(v)
+        x1, x2, d = pt
+        vals = {g: abs(g[0] * x1 + g[1] * x2) // d for g in dirs
+                if not (g[0] * x1 + g[1] * x2) % d}
         return min(vals[g] + vals[h] for g, h in pairs
                    if g in vals and h in vals)
 
@@ -781,22 +780,22 @@ def _refute(family: BFunctionFamily):
     points = {_meet(l1, l2) for l1 in lines[0] for l2 in lines[1]}
     members = set()
     for line in lines[0] & lines[1]:
-        got = membership_in_ztilde(family, _generic_point(line, dirs))
-        if got.kind == "member":
-            a, b, c = line
-            if a != b or c <= 2 * a:  # else e.z < -2 on the whole line
+        c = _witness(*_line_cover(family.offsets, *line))
+        if c is None:
+            a, b, k = line
+            if a != b or k <= 2 * a:  # else e.z < -2 on the whole line
                 members.update(_contained_points(line, dirs, level))
             continue
-        gen = generator_bc(family, got.witness_c)
+        gen = generator_bc(family, c)
         roots = [_line(g, k) for g, k in gen.factors]
         roots += [(int(i == 1), int(i == 2), -j)
                   for i, order in gen.binomial_factors for j in range(order)]
         points.update(_meet(line, root) for root in roots)
     points.discard(None)
     bad = sorted((level(pt), Fraction(pt[0], pt[2]), Fraction(pt[1], pt[2]), pt)
-                 for pt in points | members if _bad(pt))
+                 for pt in points | members if not _good(pt))
     for _, z1, z2, pt in bad:
-        if pt in members or membership_in_ztilde(family, (z1, z2)).kind == "member":
+        if pt in members or _witness(*_point_cover(family.offsets, *pt)) is None:
             return z1, z2
     return None
 
@@ -812,12 +811,12 @@ def certify_all_good(family: BFunctionFamily) -> CertifyOutcome:
     * Z(B~) lies in Z(b_{e_1}) and in Z(b_{e_2}), finite unions of root
       lines, so a member is a meet of a line of each or lies on a line L
       both share.
-    * At a point z_0 of L on no line across L that any b_c has
-      (``_generic_point``), b_c vanishes only through a factor that
-      vanishes on all of L.  So if z_0 is in Z(B~), so is L, and
-      ``_contained_points`` holds L's least bad point; if b_c does not
-      vanish at z_0, its roots on L, the meets of L with its factor lines
-      and binomial lines z_i = j, 0 <= j < -c_i, hold every member on L.
+    * b_c vanishes on all of L iff one of its factors parallel to L does,
+      an interval cover on those factors alone (``_line_cover``).  If
+      every b_c has one, L lies in Z(B~) and ``_contained_points`` holds
+      L's least bad point; if not, the first b_c without one, the witness,
+      vanishes on L only where L meets its factor lines and binomial
+      lines z_i = j, 0 <= j < -c_i, which hold every member on L.
     * Every member outside the candidates comes after a candidate in
       (level, z) order, so the least bad candidate that is a member is the
       least bad member, the witness the scan over levels once found.

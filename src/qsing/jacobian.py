@@ -121,7 +121,7 @@ def _realize(q: Quiver, table, root):
     n, steps = q.n, table.steps
     t = table.end_step[table.index[root]]
     if t >= n:
-        image = table.coxeter_step(root, +1)
+        image = table.translates[+1][root]
         dims, maps, t = list(image), list(_realize(q, table, image)[1]), n
     else:
         z = steps[t][0]

@@ -18,9 +18,10 @@ read the neighbour lists that ``Quiver.adjacency`` builds once from the
 arrows.  The Coxeter transformation c and its inverse are not stored:
 ``HomTable.coxeter_step`` reflects one list in place at the first n steps
 of the same walk, forwards for c and backwards for c^-1, reading the
-neighbours each step already holds, and ``HomTable.translates`` keeps,
-built on first use, the image under c and under c^-1 of every positive
-root, from which the b-function recursion advances its slots.  No
+neighbours each step already holds.  The walk keeps c(r) for every
+positive root r, and ``HomTable.translates`` reads from it, on first use,
+the image under c and under c^-1 of every positive root, from which the
+b-function recursion advances its slots.  No
 representation matrix is built here; the tests check the table against
 explicit matrices, and ``jacobian.realize`` builds a root's matrices mod a
 prime on demand, through its Coxeter translate once the root's walk passes
@@ -94,7 +95,8 @@ class HomTable:
     ``ext`` from ``hom`` by the Auslander-Reiten formula: ext(i, j) =
     hom(j, index[c(r_i)]) with tau = c = ``coxeter_step(+1)``, and 0 when
     c(r_i) is not positive, X_i projective (Assem-Simson-Skowronski I,
-    ch. IV and VIII; see ``hom_table``).
+    ch. IV and VIII; see ``hom_table``).  ``tau`` keeps c(r_i) as the walk
+    found it, all 0 for a projective X_i.
 
     What later layers derive from the quiver alone is kept here too, filled
     on demand: ``jacobian``'s realized roots and its kernels of one block
@@ -118,6 +120,7 @@ class HomTable:
     end: list
     steps: list
     end_step: list  # end_step[i] = t_i, the step at which root i's walk ends
+    tau: list  # tau[i] = c(r_i), or all 0 when X_i is projective
     # root -> its representation mod ``jacobian.P``, filled by
     # ``jacobian.realize`` on demand, never here
     realized: dict = field(default_factory=dict, repr=False, compare=False)
@@ -174,15 +177,15 @@ class HomTable:
         """translates[d][r]: c^d(r) for d = +1 and d = -1 and each positive
         root r, or None when that image is not positive.  c maps roots to
         roots, so the image is then a negative root: the object of r is
-        projective (d = +1) or injective (d = -1).  Built from
-        ``coxeter_step``; the b-function recursion advances its slots, which
-        are positive roots, by one lookup here."""
-        out = {}
-        for d in (+1, -1):
-            images = (self.coxeter_step(r, d) for r in self.roots)
-            out[d] = {r: w if min(w) >= 0 else None
-                      for r, w in zip(self.roots, images)}
-        return out
+        projective (d = +1) or injective (d = -1).  Read from ``tau``, which
+        the walk of ``hom_table`` keeps: c^-1 maps c(r) back to r, so c^-1(w)
+        is positive exactly for the w that are some c(r), r positive.  The
+        b-function recursion advances its slots, which are positive roots,
+        by one lookup here."""
+        forward = {r: w if any(w) else None for r, w in zip(self.roots, self.tau)}
+        backward = dict.fromkeys(self.roots)
+        backward.update((w, r) for r, w in forward.items() if w is not None)
+        return {+1: forward, -1: backward}
 
     def coxeter_step(self, v, direction=+1):
         """c(v) for direction +1 and c^{-1}(v) for -1, in integers.
@@ -287,4 +290,5 @@ def hom_table(q: Quiver) -> HomTable:
     end = [start[x] + walk_first.count(x) for x in range(n)]
     steps = [(seq[t % n], adj[seq[t % n]], i) for t, i in enumerate(ends)]
 
-    return HomTable(q, roots, index, hom, ext, walk, start, end, steps, end_step)
+    return HomTable(q, roots, index, hom, ext, walk, start, end, steps, end_step,
+                    tau)

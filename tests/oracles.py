@@ -61,7 +61,10 @@ scans the intersection points of pairs of lines g.z = -v_1, g'.z = -v_2
 over independent bracket or coordinate directions with |v_1|, |v_2| <=
 bound, by level |v_1| + |v_2| and then z, for the first bad member of
 Z(B~).  The package enumerates the candidates the family's root lines
-determine and needs no bound.
+determine and needs no bound.  ``generic_point`` is the reference for the
+package's test of a whole line, ``qsing.bsato._line_cover``: a point of
+the line on no line across it that a generator has, so membership there is
+membership of the line.
 
 ``bracket_identity_check`` tests the telescoping identity of brackets,
 [s]^d_{a,b} [s]^d_{0,a} = [s]^d_{0,b}, on which the b-function recursion
@@ -77,6 +80,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -146,6 +150,22 @@ def refutation_candidates(family, bound):
         yield from points
 
 
+def generic_point(line, dirs):
+    """A point of the line a*z_1 + b*z_2 + c = 0 on no line g.z + k = 0
+    across it, g in dirs, k an integer: p = (0, -c/b) (or (-c/a, 0)) moved
+    by (-b, a)/P, with P a prime above |b| (or |a|) and every |g.(-b, a)|,
+    so that g.z is g.p, whose denominator divides |b| (or |a|), plus m/P,
+    0 < |m| < P.  So every b_c vanishes at it iff every b_c vanishes on the
+    whole line."""
+    a, b, c = line
+    p = max([abs(b or a)] + [abs(a * g[1] - b * g[0]) for g in dirs]) + 1
+    while any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        p += 1
+    if b:
+        return Fraction(-b, p), Fraction(-c, b) + Fraction(a, p)
+    return Fraction(-c, a), Fraction(a, p)
+
+
 def scan_refute(family, bound):
     """The first refutation candidate within the bound that is not good
     but lies in Z(B~), or None; r = 2 only."""
@@ -211,7 +231,8 @@ def walked_hom_table(q: Quiver) -> HomTable:
     t_i at which it is the simple at the vertex reflected next, hom(i, j)
     is coordinate x_{t_i} of root j walked t_i steps when t_j >= t_i, and
     ext(i, j) = hom(i, j) - r_i . (E r_j) from the Euler column E r_j, with
-    (E b)_x = b_x - sum of b_h over the arrows x -> h."""
+    (E b)_x = b_x - sum of b_h over the arrows x -> h, and tau[i] is root i
+    walked n steps, c(r_i), or all 0 when its walk ends before."""
     roots = closure_roots(q)
     n, k = q.n, len(roots)
     seq = q.admissible_sink_sequence()
@@ -250,8 +271,9 @@ def walked_hom_table(q: Quiver) -> HomTable:
     ends = {t: i for i, t in enumerate(end_step)}  # t_i -> i
     steps = [(seq[t % n] - 1, q.adjacency[seq[t % n] - 1], ends.get(t))
              for t in range(max(ends) + 1)]
+    tau = [tuple(p[n]) if len(p) > n else (0,) * n for p in paths]
     return HomTable(q, roots, {r: i for i, r in enumerate(roots)}, hom, ext,
-                    walk, start, end, steps, end_step)
+                    walk, start, end, steps, end_step, tau)
 
 
 # -- exact linear algebra over the rationals ---------------------------------

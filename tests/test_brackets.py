@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsing import brackets
+from qsing import brackets, jacobian
 from qsing.affine import aff_of
 from qsing.brackets import (
     BracketTerm,
@@ -24,7 +24,7 @@ from qsing.brackets import (
 from qsing.bsato import sym_state_from_family
 from qsing.decomp import generic_decomposition, perp_simples
 from qsing.quiver import NonDynkinError, Quiver
-from qsing.roots import hom_table
+from qsing.roots import HomTable, hom_table
 
 from oracles import bracket_identity_check, coxeter_matrix, reflect_dim
 
@@ -507,6 +507,23 @@ def test_translates_match_the_sink_sequence(name, e7, e8, monkeypatch):
     for r, w in built[1].items():
         if w is not None:
             assert built[-1][w] == r
+
+
+@pytest.mark.parametrize("name", ["a2", "d4", "e6", "e8"])
+def test_translates_read_the_walk_without_coxeter_step(name, request, monkeypatch):
+    """``translates`` is read from the Coxeter images ``tau`` that the walk
+    of ``hom_table`` keeps: building it on a fresh context, and realizing
+    every root through its translate, makes no ``coxeter_step`` call."""
+    q = request.getfixturevalue(name)
+    table = hom_table.__wrapped__(q)
+    calls = []
+    step = HomTable.coxeter_step
+    monkeypatch.setattr(HomTable, "coxeter_step",
+                        lambda self, *a: calls.append(a) or step(self, *a))
+    built = table.translates
+    for r in table.roots:
+        jacobian._realize(q, table, r)
+    assert calls == [] and sorted(built) == [-1, 1]
 
 
 def orientations(q):

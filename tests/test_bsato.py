@@ -57,8 +57,9 @@ from qsing.orbits import enumerate_classes, make_spec
 from qsing.presets import E6_QUIVER, preset
 from qsing.quiver import Quiver, euler_form
 
-from oracles import (bracket_identity_check, refutation_candidates,
-                     scan_refute, signature_json, summed_k)
+from oracles import (bracket_identity_check, generic_point,
+                     refutation_candidates, scan_refute, signature_json,
+                     summed_k)
 from test_fmlp import reference_solve
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -89,6 +90,23 @@ def test_is_good():
     assert not is_good((9, -7), 2)
     assert is_good((-2, -1, -1, -1), 4)
     assert not is_good((Fraction(-1, 2), -1), 2)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_one_goodness_rule_matches_its_definition(r):
+    """The goodness rule on integer points, ``bsato._good``, against its
+    definition read in Fractions (z = -e or e.z < -r), on every point x/d
+    with d = 1..6 and -2d - 1 <= x_i <= d, in lowest terms or not: -e is
+    written (-d, ..., -d, d) for each d.  ``is_good`` on the same z, which
+    it reads over the least common denominator, agrees."""
+    minus_e = 0
+    for d in range(1, 7):
+        for x in itertools.product(range(-2 * d - 1, d + 1), repeat=r):
+            z = tuple(Fraction(v, d) for v in x)
+            want = z == (-1,) * r or sum(z) < -r
+            assert bsato._good((*x, d)) == want == is_good(z, r), (x, d)
+            minus_e += x == (-d,) * r
+    assert minus_e == 6
 
 
 def test_generator_unit_c():
@@ -331,11 +349,29 @@ def test_membership_r2_regressions():
     assert not is_good((-7, 6), 2)
 
 
+@pytest.mark.parametrize("terms, z", [
+    ([BracketTerm((0, 1), 4, 8, 2), BracketTerm((1, 3), 0, 4)], (-5, 1)),
+    ([BracketTerm((1, 0), 0, 1), BracketTerm((2, 1), 0, 4)], (0, -4)),
+])
+def test_membership_r2_reads_the_binomial_tails(terms, z):
+    """Points in Z(B~) only through a binomial factor binom(s_i, t), on
+    c = (1+t, -t) at z_2 = 1 and on c = (-t, 1+t) at z_1 = 0: no offset
+    gives an unbounded t-interval there, so without the tails some b_c
+    would not vanish.  Direct evaluation of every b_c, |t| <= 40, agrees."""
+    fam = family_from_terms(2, terms)
+    assert membership_in_ztilde(fam, z).kind == "member"
+    assert all(_vanishes(generator_bc(fam, (1 + t, -t)), z) for t in range(-40, 41))
+    values, tails = bsato._point_cover(fam.offsets, *z, 1)
+    assert bsato._witness(values, tails) is None
+    assert bsato._witness(values, (None, None)) is not None
+
+
 @pytest.mark.parametrize("name", ["e8-pos", "e8-pos swapped", "d4"])
 def test_membership_r2_matches_direct_evaluation(name):
     """Exact r = 2 membership against evaluating every b_c with
-    c = (1+t, -t), |t| <= 40, on a seeded sample of integer and
-    half-integer points with |z_i| <= 9; the sample holds both answers.
+    c = (1+t, -t), |t| <= 40, on a seeded sample of points with |z_i| <= 9
+    whose coordinates are halves or thirds, mixed, so that z is read over
+    the common denominators 1, 2, 3 and 6; the sample holds both answers.
     The d4 family is the one of D4 (three arms into the centre) at
     alpha = (1, 1, 2, 3)."""
     fam = {"e8-pos": E8_POS_FAMILY(1),
@@ -344,16 +380,20 @@ def test_membership_r2_matches_direct_evaluation(name):
                                        BracketTerm((1, 0), 0, 1),
                                        BracketTerm((1, 1), 1, 3)])}[name]
     gens = [generator_bc(fam, (1 + t, -t)) for t in range(-40, 41)]
-    grid = [(Fraction(a, 2), Fraction(b, 2))
-            for a, b in itertools.product(range(-18, 19), repeat=2)]
-    kinds = set()
-    for z in random.Random(7).sample(grid, 120):
+    grid = sorted({(Fraction(a, p), Fraction(b, q))
+                   for p, q in itertools.product((2, 3), repeat=2)
+                   for a in range(-9 * p, 9 * p + 1)
+                   for b in range(-9 * q, 9 * q + 1)})
+    kinds, denominators = set(), set()
+    for z in random.Random(7).sample(grid, 160):
         got = membership_in_ztilde(fam, z)
         kinds.add(got.kind)
+        denominators.add(bsato._point(z, 2)[-1])
         assert (got.kind == "member") == all(_vanishes(g, z) for g in gens), z
         if got.kind == "nonmember":
             assert not _vanishes(generator_bc(fam, got.witness_c), z)
     assert kinds == {"member", "nonmember"}
+    assert denominators == {1, 2, 3, 6}
 
 
 def sorted_refutation_candidates(family, bound):
@@ -1251,25 +1291,100 @@ def test_refute_matches_the_scan_on_random_families():
     one; where it finds none, the enumeration's witness, if any, lies
     outside that box.  Both answers occur."""
     rng = random.Random(11)
-    dirs = [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (2, 2), (1, 3)]
     kinds = set()
     for _ in range(200):
-        terms = []
-        for _ in range(rng.randint(2, 5)):
-            a = rng.randint(-1, 4)
-            terms.append(BracketTerm(rng.choice(dirs), a, a + rng.randint(1, 4),
-                                     rng.randint(1, 2)))
-        fam = family_from_terms(2, terms)
+        fam = random_r2_family(rng)
         witness, scanned = _refute(fam), scan_refute(fam, 7)
         kinds.add(witness is None)
         if scanned is not None:
-            assert witness == scanned, terms
+            assert witness == scanned, fam
         elif witness is not None:
-            assert witness not in set(refutation_candidates(fam, 7)), terms
+            assert witness not in set(refutation_candidates(fam, 7)), fam
         if witness is not None:
             assert not is_good(witness, 2)
             assert membership_in_ztilde(fam, witness).kind == "member"
     assert kinds == {True, False}
+
+
+def shared_lines(fam):
+    """The root lines (a, b, c) that b_{e_1} and b_{e_2} share, as
+    ``_refute`` reads them."""
+    lines = [{bsato._line(g, k) for g, k in generator_bc(fam, c).factors}
+             for c in ((1, 0), (0, 1))]
+    return lines[0] & lines[1]
+
+
+def assert_line_cover_matches_the_generic_point(fam, lines):
+    """On each line, ``_line_cover`` (the interval cover on the factors
+    parallel to the line) and membership at ``oracles.generic_point`` give
+    the same kind and the same witness c, with either half-line of c read
+    first: the swapped family on the swapped line reads (-t, 1+t) first.
+    Returns the number of lines contained in Z(B~)."""
+    swapped = _swapped(fam)
+    dirs = sorted({g for g, _ in fam.offsets} | {(1, 0), (0, 1)})
+    contained = 0
+    for a, b, c in lines:
+        for f, line, ds in ((fam, (a, b, c), dirs),
+                            (swapped, (b, a, c), [g[::-1] for g in dirs])):
+            got = bsato._witness(*bsato._line_cover(f.offsets, *line))
+            ref = membership_in_ztilde(f, generic_point(line, ds))
+            assert (got is None) == (ref.kind == "member"), (f, line)
+            assert got == ref.witness_c, (f, line)
+        contained += got is None
+    return contained
+
+
+def random_r2_family(rng):
+    """A seeded r = 2 family of two to five brackets over directions that
+    include non-primitive ones, (2, 2), (1, 2) and (2, 1)."""
+    dirs = [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (2, 2), (1, 3)]
+    terms = []
+    for _ in range(rng.randint(2, 5)):
+        a = rng.randint(-1, 4)
+        terms.append(BracketTerm(rng.choice(dirs), a, a + rng.randint(1, 4),
+                                 rng.randint(1, 2)))
+    return family_from_terms(2, terms)
+
+
+def test_line_cover_matches_the_generic_point_on_e8_pos():
+    """Every shared line of e8-pos n = 1..12, and every line
+    a*z_1 + b*z_2 + c = 0 with 0 <= a, b <= 2 and |c| <= 8 at n = 1,
+    whether the family has it or not: lines z_2 = j with j >= 0 among
+    them, where the point test reads the binomial tail and the line cover
+    has none."""
+    total = contained = 0
+    for n in range(1, 13):
+        lines = shared_lines(_preset_family("e8-pos", n))
+        total += len(lines)
+        contained += assert_line_cover_matches_the_generic_point(
+            _preset_family("e8-pos", n), lines)
+    assert (total, contained) == (468, 234)
+    small = {bsato._line((a, b), c) for a, b in itertools.product(range(3), repeat=2)
+             if a or b for c in range(-8, 9)}
+    assert (0, 1, -3) in small and (1, 0, -3) in small
+    assert assert_line_cover_matches_the_generic_point(E8_POS_FAMILY(1), small) > 0
+
+
+def test_line_cover_matches_the_generic_point_on_cert_box(cert_box):
+    """Every shared line of the r = 2 families of CERT_BOX."""
+    fams = [fam for *_, fam, _ in cert_box if fam.r == 2]
+    assert len(fams) == 520
+    counts = [assert_line_cover_matches_the_generic_point(f, shared_lines(f))
+              for f in fams]
+    assert any(counts)
+
+
+def test_line_cover_matches_the_generic_point_on_random_families():
+    """Every shared line of 2,000 seeded random r = 2 families; both kinds
+    occur, on lines of non-primitive directions too."""
+    rng = random.Random(40)
+    total = contained = 0
+    for _ in range(2000):
+        fam = random_r2_family(rng)
+        lines = shared_lines(fam)
+        total += len(lines)
+        contained += assert_line_cover_matches_the_generic_point(fam, lines)
+    assert (total, contained) == (12479, 5479)
 
 
 def test_contained_points_hold_the_least_bad_point():
@@ -1293,7 +1408,7 @@ def test_contained_points_hold_the_least_bad_point():
         meets = {bsato._meet((a, b, c), (*g, v))
                  for g in across for v in range(-40, 41)}
         least = min((level(p), Fraction(p[0], p[2]), Fraction(p[1], p[2]), p)
-                    for p in meets if bsato._bad(p))[-1]
+                    for p in meets if not bsato._good(p))[-1]
         assert least in bsato._contained_points((a, b, c), dirs, level), (a, b, c)
 
 
@@ -1311,7 +1426,7 @@ def test_refute_finds_no_bad_member_where_the_case_tree_certifies(cert_box):
 def test_e8_pos_refuted_at_paper_scale(n):
     """e8-pos past the old candidate box |v_1|, |v_2| <= 30 (n >= 9) is
     refuted with the bad member (4n - 3, 1 - 4n), in well under a second
-    (0.13 s at n = 12 on a 2-vCPU x86-64 Xeon)."""
+    (0.08 s at n = 12 on a 2-vCPU x86-64 Xeon)."""
     fam = _preset_family("e8-pos", n)
     t0 = time.perf_counter()
     out = certify_all_good(fam)

@@ -278,6 +278,7 @@ def test_context_matches_the_walk_root_by_root(request, name):
         assert (table.walk, table.start, table.end) == (ref.walk, ref.start, ref.end), q
         assert table.steps == ref.steps, q
         assert table.end_step == ref.end_step, q
+        assert table.tau == ref.tau, q
         for r, h_row, e_row in zip(table.roots, table.hom, table.ext):
             assert [h - e for h, e in zip(h_row, e_row)] == \
                 [euler_form(q, r, s) for s in table.roots], (q, r)
