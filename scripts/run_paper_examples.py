@@ -74,7 +74,7 @@ def main():
     v = rational_singularities_verdict(q, alpha, sel)
     print("  verdict:", v.kind, "| reason:", v.reason)
     if v.witness is not None:
-        print("  bad element of Z(B~):", tuple(str(x) for x in v.witness))
+        print("  bad common zero of the generators b_c:", tuple(str(x) for x in v.witness))
     print(f"  [{time.time() - t0:.1f}s]")
 
 

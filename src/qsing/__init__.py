@@ -32,7 +32,6 @@ from .brackets import (
     BracketTerm,
     TerminalRuleInapplicable,
     compute_bfunction,
-    evaluate,
     expand,
     family_from_terms,
     render_family,
@@ -42,7 +41,6 @@ from .bsato import (
     Verdict,
     certify_all_good,
     check_form_assumption,
-    generator_bc,
     is_good,
     membership_in_ztilde,
     rational_singularities_verdict,

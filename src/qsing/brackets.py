@@ -32,7 +32,6 @@ when the forward pass fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
@@ -137,15 +136,6 @@ def expand(family: BFunctionFamily, m):
             key = (g, i + j)
             forms[key] = forms.get(key, 0) + cnt
     return {k: v for k, v in forms.items() if v}
-
-
-def evaluate(family: BFunctionFamily, m, z):
-    """Exact rational value of b_m at the point z."""
-    val = Fraction(1)
-    for (g, c), cnt in expand(family, m).items():
-        lin = sum(Fraction(gi) * Fraction(zi) for gi, zi in zip(g, z)) + c
-        val *= lin ** cnt
-    return val
 
 
 def render_term(t: BracketTerm) -> str:

@@ -3,9 +3,18 @@ multi-variable b-function family, the good-root test, exact reduction
 lemmas over rational LP, a case-split certification driver, an exact r = 2
 refutation, and rational-singularity verdicts.
 
+The generators b_c = b_{c+}(s + c-) * prod_{c_i<0} binom(s_i, -c_i),
+e.c = 1, enter only through their zero sets: Z(B~) lies in Z_gen, the
+common zeros of the b_c.  So a b_c is read by its root hyperplanes
+g.s + k = 0 alone (``_roots``), as integer pairs read straight from the
+family's offsets, and a point z = x/d as integers (``_point``).  No b_c is
+evaluated here, and only the one-variable verdict, which needs the
+multiplicity of the largest root, expands one (``single_variable_roots``);
+the Fraction evaluator of b_c is the test suite's oracle.
+
 The r = 2 refutation (``_refute``) has no search bound: the root lines of
 b_{e_1} and b_{e_2} fix a finite candidate set that holds the least bad
-member of Z(B~) whenever there is one (``certify_all_good``).  It reads
+member of Z_gen whenever there is one (``certify_all_good``).  It reads
 integer points, and a whole line on its parallel factors (``_line_cover``).
 
 The certification works branch by branch on a symbolic state: specialized
@@ -39,6 +48,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import mul
 
 from .affine import (ZERO, aff_add, aff_from_json, aff_mul, aff_of, aff_sub,
                      aff_sym, aff_to_json, min_of, with_symbol)
@@ -46,43 +56,33 @@ from .brackets import BFunctionFamily, expand
 from .fmlp import cone_membership, int_row, separating_functional, solve
 
 
-def _binom_value(z, m):
-    v = Fraction(1)
-    for t in range(m):
-        v *= Fraction(z) - t
-    return v / math.factorial(m)
-
-
-@dataclass
-class GeneratorBc:
-    c: tuple
-    factors: dict  # (gamma, const) -> multiplicity; const is Fraction/int
-    binomial_factors: tuple  # ((variable index i, order -c_i), ...)
-
-    def value_at(self, z):
-        val = Fraction(1)
-        for (g, const), cnt in self.factors.items():
-            lin = sum(Fraction(gi) * Fraction(zi) for gi, zi in zip(g, z)) + const
-            val *= lin ** cnt
-        for i, order in self.binomial_factors:
-            val *= _binom_value(z[i - 1], order)
-        return val
-
-
-def generator_bc(family: BFunctionFamily, c) -> GeneratorBc:
-    """b_c = b_{c+}(s + c-) * prod_{c_i<0} binom(s_i, -c_i), e.c = 1."""
-    c = tuple(c)
-    if len(c) != family.r or set(map(type, c)) != {int} or sum(c) != 1:
-        raise ValueError(f"c = {c} is not an integer {family.r}-vector with e.c = 1")
-    cplus = tuple(max(x, 0) for x in c)
-    cminus = tuple(x - p for x, p in zip(c, cplus))
-    factors = {}
-    for (g, const), cnt in expand(family, cplus).items():
-        shift = sum(gi * mi for gi, mi in zip(g, cminus))
-        key = (g, const + shift)
-        factors[key] = factors.get(key, 0) + cnt
-    binoms = tuple((i + 1, -c[i]) for i in range(len(c)) if c[i] < 0)
-    return GeneratorBc(c, factors, binoms)
+def _roots(family: BFunctionFamily, c):
+    """The distinct root hyperplanes g.s + k = 0 of
+    b_c = b_{c+}(s + c-) * prod_{c_i<0} binom(s_i, -c_i), as a set of
+    integer pairs (g, k).  The offset (g, i) of the family gives the factors
+    g.s + k, k = i + g.c- .. i + g.c- + g.c+ - 1, so the k of one g are a
+    union of intervals of equal length, read as merged runs over the sorted
+    offsets.  binom(s_i, -c_i) vanishes on s_i = j, 0 <= j < -c_i.  The
+    caller passes c as an integer r-vector with e.c = 1."""
+    offsets = {}
+    for (g, i), cnt in family.offsets.items():
+        if cnt:
+            offsets.setdefault(g, []).append(i)
+    roots = set()
+    for g, starts in offsets.items():
+        depth = sum(gi * ci for gi, ci in zip(g, c) if ci > 0)
+        shift = sum(gi * ci for gi, ci in zip(g, c) if ci < 0)
+        runs = []  # [lo, hi): the merged runs of k
+        for i in sorted(starts):
+            if runs and i + shift <= runs[-1][1]:
+                runs[-1][1] = i + shift + depth
+            else:
+                runs.append([i + shift, i + shift + depth])
+        roots.update((g, k) for lo, hi in runs for k in range(lo, hi))
+    for v, ci in enumerate(c):
+        g = tuple(int(u == v) for u in range(len(c)))
+        roots.update((g, -j) for j in range(-ci))
+    return roots
 
 
 def _point(z, r):
@@ -197,12 +197,14 @@ def _witness(values, tails):
 def membership_in_ztilde(family: BFunctionFamily, z, box_bound=8) -> Membership:
     """Does every generator b_c vanish at z?
 
-    r <= 2 is decided exactly: the c with c_1 + c_2 = 1 are the half-lines
-    (1+t, -t) and (-t, 1+t), t >= 0, the second being the first with both
-    coordinates swapped.  On each, every bracket's vanishing condition is a
-    t-interval, so universal vanishing is a finite interval-cover check
-    (``_half_line``) on z as integers over one denominator.  For r > 2 a
-    box |c_i| <= box_bound is scanned; absence of a counterexample there is
+    b_c vanishes at z = x/d (``_point``) iff one of its root hyperplanes
+    does (``_roots``): g.x + k*d = 0 for some (g, k).  r <= 2 is decided
+    exactly.  At r = 1 the only c is (1).  At r = 2 the c with
+    c_1 + c_2 = 1 are the half-lines (1+t, -t) and (-t, 1+t), t >= 0, the
+    second being the first with both coordinates swapped.  On each, every
+    bracket's vanishing condition is a t-interval, so universal vanishing
+    is a finite interval-cover check (``_half_line``).  For r > 2 a box
+    |c_i| <= box_bound is scanned; absence of a counterexample there is
     reported as unknown, never as membership.  Raises ValueError unless z
     holds r ints or Fractions (``_point``).
     """
@@ -211,21 +213,15 @@ def membership_in_ztilde(family: BFunctionFamily, z, box_bound=8) -> Membership:
     if r == 2:
         c = _witness(*_point_cover(family.offsets, *pt))
         return Membership("member" if c is None else "nonmember", c)
-    z = tuple(Fraction(x, pt[-1]) for x in pt[:-1])
-    if r == 1:
-        gen = generator_bc(family, (1,))
-        if gen.value_at(z) == 0:
-            return Membership("member")
-        return Membership("nonmember", witness_c=(1,))
-
-    # r > 2: box scan
+    *x, d = pt
     rng = range(-box_bound, box_bound + 1)
-    for c in itertools.product(rng, repeat=r):
+    for c in [(1,)] if r == 1 else itertools.product(rng, repeat=r):
         if sum(c) != 1:
             continue
-        if generator_bc(family, c).value_at(z) != 0:
+        if not any(sum(map(mul, g, x)) + k * d == 0
+                   for g, k in _roots(family, c)):
             return Membership("nonmember", witness_c=tuple(c))
-    return Membership("unknown")
+    return Membership("member" if r == 1 else "unknown")
 
 
 # -- symbolic branch state ----------------------------------------------------
@@ -758,8 +754,10 @@ def _contained_points(line, dirs, level):
 
 
 def _refute(family: BFunctionFamily):
-    """The bad member of Z(B~) least in (level, z) order, or None when
-    every member is good (see ``certify_all_good``); r = 2 only.  The level
+    """The bad common zero of the generators b_c least in (level, z)
+    order, or None when every common zero is good (see
+    ``certify_all_good``); r = 2 only.  A member here is a point of Z_gen,
+    where every b_c vanishes (``membership_in_ztilde``).  The level
     of z is the least |g.z| + |g'.z| over independent g, g' among the
     family's and the coordinate directions with both values integers."""
     if family.r != 2:
@@ -775,7 +773,7 @@ def _refute(family: BFunctionFamily):
         return min(vals[g] + vals[h] for g, h in pairs
                    if g in vals and h in vals)
 
-    lines = [{_line(g, k) for g, k in generator_bc(family, c).factors}
+    lines = [{_line(g, k) for g, k in _roots(family, c)}
              for c in ((1, 0), (0, 1))]
     points = {_meet(l1, l2) for l1 in lines[0] for l2 in lines[1]}
     members = set()
@@ -786,11 +784,7 @@ def _refute(family: BFunctionFamily):
             if a != b or k <= 2 * a:  # else e.z < -2 on the whole line
                 members.update(_contained_points(line, dirs, level))
             continue
-        gen = generator_bc(family, c)
-        roots = [_line(g, k) for g, k in gen.factors]
-        roots += [(int(i == 1), int(i == 2), -j)
-                  for i, order in gen.binomial_factors for j in range(order)]
-        points.update(_meet(line, root) for root in roots)
+        points.update(_meet(line, _line(g, k)) for g, k in _roots(family, c))
     points.discard(None)
     bad = sorted((level(pt), Fraction(pt[0], pt[2]), Fraction(pt[1], pt[2]), pt)
                  for pt in points | members if not _good(pt))
@@ -801,22 +795,30 @@ def _refute(family: BFunctionFamily):
 
 
 def certify_all_good(family: BFunctionFamily) -> CertifyOutcome:
-    """Prove every element of Z(B~) is good, or exhibit a bad member.
+    """Prove every element of Z(B~) is good, or exhibit a bad common zero
+    of the generators b_c.
+
+    Z(B~) lies in Z_gen, the common zeros of the b_c with e.c = 1, since
+    each b_c lies in B~ (Budur-Mustata-Saito, Compositio 2006).  So a
+    certificate that every member of Z_gen is good is sound for Z(B~); a
+    refutation shows a bad member of Z_gen only, and whether Z_gen =
+    Z(B~) is open.
 
     Alternates the reduction lemmas with integer case splits; a sound
     certificate tree is returned on success.  On failure at r = 2,
-    ``_refute`` looks for a bad member among finitely many candidates,
-    with no bound, and finds one whenever there is one:
+    ``_refute`` looks for a bad member of Z_gen among finitely many
+    candidates, with no bound, and finds one whenever there is one:
 
-    * Z(B~) lies in Z(b_{e_1}) and in Z(b_{e_2}), finite unions of root
-      lines, so a member is a meet of a line of each or lies on a line L
-      both share.
+    * Z_gen lies in Z(b_{e_1}) and in Z(b_{e_2}), finite unions of root
+      lines (``_roots``), so a member is a meet of a line of each or lies
+      on a line L both share.
     * b_c vanishes on all of L iff one of its factors parallel to L does,
       an interval cover on those factors alone (``_line_cover``).  If
-      every b_c has one, L lies in Z(B~) and ``_contained_points`` holds
+      every b_c has one, L lies in Z_gen and ``_contained_points`` holds
       L's least bad point; if not, the first b_c without one, the witness,
-      vanishes on L only where L meets its factor lines and binomial
-      lines z_i = j, 0 <= j < -c_i, which hold every member on L.
+      vanishes on L only where L meets its root lines (its factor lines
+      and the binomial lines z_i = j, 0 <= j < -c_i), which hold every
+      member on L.
     * Every member outside the candidates comes after a candidate in
       (level, z) order, so the least bad candidate that is a member is the
       least bad member, the witness the scan over levels once found.
@@ -1070,6 +1072,6 @@ def rational_singularities_verdict(q, alpha, selected=None) -> Verdict:
     if out.kind == "refuted":
         return Verdict("not_certified", family=fam, reducedness=red,
                        witness=out.witness,
-                       reason="explicit bad element of Z(B~)")
+                       reason="bad common zero of the generators b_c")
     return Verdict("not_certified", family=fam, reducedness=red,
                    reason=out.reason)

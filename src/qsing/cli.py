@@ -7,7 +7,7 @@ validated regime; stderr then starts with an "error: ..." line.
 
 ``singularities`` takes no search bound: at r = 2 it refutes from the
 finite candidate set of the family's root lines (``bsato._refute``), so it
-finds a bad member of Z(B~) wherever one lies.
+finds a bad common zero of the generators b_c wherever one lies.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ def cmd_singularities(args):
         text.append(f"largest b-function root: {v.largest_root} "
                     f"(multiplicity {v.largest_root_mult})")
     if v.witness is not None:
-        text.append(f"bad element of Z(B~): ({', '.join(map(str, v.witness))})")
+        text.append(f"bad common zero of the generators b_c: ({', '.join(map(str, v.witness))})")
     report = {
         "verdict": v.kind,
         "reason": v.reason,

@@ -60,11 +60,19 @@ fixed value.
 scans the intersection points of pairs of lines g.z = -v_1, g'.z = -v_2
 over independent bracket or coordinate directions with |v_1|, |v_2| <=
 bound, by level |v_1| + |v_2| and then z, for the first bad member of
-Z(B~).  The package enumerates the candidates the family's root lines
-determine and needs no bound.  ``generic_point`` is the reference for the
-package's test of a whole line, ``qsing.bsato._line_cover``: a point of
-the line on no line across it that a generator has, so membership there is
-membership of the line.
+Z_gen, the common zeros of the generators b_c.  The package enumerates
+the candidates the family's root lines determine and needs no bound.
+``generic_point`` is the reference for the package's test of a whole
+line, ``qsing.bsato._line_cover``: a point of the line on no line across
+it that a generator has, so membership there is membership of the line.
+
+``generator_bc`` and ``generator_value`` are the references for a
+generator b_c = b_{c+}(s + c-) * prod_{c_i<0} binom(s_i, -c_i), which
+``qsing.bsato`` reads only by its root hyperplanes (``bsato._roots``):
+the whole multiset of its linear factors with multiplicities, and its
+exact value in Fractions, built on ``evaluate``, the value of b_m at a
+point.  Both raise ValueError unless c is an integer r-vector with
+e.c = 1.
 
 ``bracket_identity_check`` tests the telescoping identity of brackets,
 [s]^d_{a,b} [s]^d_{0,a} = [s]^d_{0,b}, on which the b-function recursion
@@ -168,12 +176,56 @@ def generic_point(line, dirs):
 
 def scan_refute(family, bound):
     """The first refutation candidate within the bound that is not good
-    but lies in Z(B~), or None; r = 2 only."""
+    but is a common zero of the generators b_c, or None; r = 2 only."""
     assert family.r == 2, family.r
     for z in refutation_candidates(family, bound):
         if not is_good(z, family.r) and membership_in_ztilde(family, z).kind == "member":
             return z
     return None
+
+
+# -- generators b_c ----------------------------------------------------------
+
+def evaluate(family, m, z):
+    """Exact rational value of b_m at the point z."""
+    val = Fraction(1)
+    for (g, c), cnt in expand(family, m).items():
+        lin = sum(Fraction(gi) * Fraction(zi) for gi, zi in zip(g, z)) + c
+        val *= lin ** cnt
+    return val
+
+
+def _parts(family, c):
+    """(c+, c-) of c, e.c = 1.  Raises ValueError unless c is an integer
+    r-vector (no bool or float) with entries summing to 1."""
+    c = tuple(c)
+    if len(c) != family.r or set(map(type, c)) != {int} or sum(c) != 1:
+        raise ValueError(f"c = {c} is not an integer {family.r}-vector with e.c = 1")
+    cplus = tuple(max(x, 0) for x in c)
+    return cplus, tuple(x - p for x, p in zip(c, cplus))
+
+
+def generator_bc(family, c):
+    """The factors of b_c: the multiset {(g, k): multiplicity} of the
+    linear forms g.s + k of b_{c+}(s + c-), and the binomial factors
+    ((i, -c_i), ...) over the 1-based i with c_i < 0."""
+    cplus, cminus = _parts(family, c)
+    factors = {}
+    for (g, k), cnt in expand(family, cplus).items():
+        key = (g, k + sum(gi * mi for gi, mi in zip(g, cminus)))
+        factors[key] = factors.get(key, 0) + cnt
+    return factors, tuple((i + 1, -x) for i, x in enumerate(c) if x < 0)
+
+
+def generator_value(family, c, z):
+    """b_c(z) exactly: evaluate(family, c+, z + c-) times
+    binom(z_i, -c_i) for each c_i < 0."""
+    cplus, cminus = _parts(family, c)
+    val = evaluate(family, cplus, [Fraction(zi) + mi for zi, mi in zip(z, cminus)])
+    for zi, mi in zip(z, cminus):
+        for t in range(-mi):
+            val *= Fraction(Fraction(zi) - t, t + 1)
+    return val
 
 
 # -- brackets ----------------------------------------------------------------

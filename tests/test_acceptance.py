@@ -17,7 +17,6 @@ from qsing.brackets import (
 )
 from qsing.bsato import (
     certify_all_good,
-    generator_bc,
     is_good,
     membership_in_ztilde,
     rational_singularities_verdict,
@@ -43,7 +42,7 @@ from qsing.quiver import Quiver, euler_form
 from qsing.roots import hom_table, positive_roots
 
 from conftest import E6_ALPHA, E8_ALPHA
-from oracles import bracket_identity_check, vanishing_mismatches
+from oracles import bracket_identity_check, generator_value, vanishing_mismatches
 
 
 def report(criterion, ok, note=""):
@@ -183,7 +182,7 @@ def test_criterion_3_e8_pos(e8, e8_alpha, capsys):
     ok &= not is_good((9, -7), 2)
     v = rational_singularities_verdict(e8, e8_alpha(1), (2, 4))
     ok &= v.kind == "not_certified"
-    # the attached witness is a verified bad member of Z(B~)
+    # the attached witness is a verified bad common zero of the b_c
     ok &= v.witness is not None and not is_good(v.witness, 2)
     ok &= membership_in_ztilde(fam, v.witness).kind == "member"
     data = run_cli_json(["bfunction", "--preset", "e8-pos", "--n", "1"], capsys)
@@ -209,8 +208,8 @@ def test_criterion_3_paper_membership_value(e8, e8_alpha):
     the positive and negative parts of c, this gives
     f^{-c-} f*(d)^{c+} f^{s+c} = b_{c+}(s + c-) f^s.  Multiplying by
     prod_{c_i<0} binom(s_i, -c_i) shows that the generator
-    b_c = b_{c+}(s + c-) * prod_{c_i<0} binom(s_i, -c_i) of ``generator_bc``
-    lies in B~ as Budur-Mustata-Saito define it ("Bernstein-Sato
+    b_c = b_{c+}(s + c-) * prod_{c_i<0} binom(s_i, -c_i), which the oracle
+    ``oracles.generator_value`` evaluates, lies in B~ as Budur-Mustata-Saito define it ("Bernstein-Sato
     polynomials of arbitrary varieties", Compositio 2006).  So
     Z(B~) lies in Z(b_c) for every c with c_1 + c_2 = 1, whether or not the
     b_c generate B~.
@@ -225,10 +224,12 @@ def test_criterion_3_paper_membership_value(e8, e8_alpha):
     - the [s]^{12}_{4n,7n} factors -4n-1 - 2t + i + j vanish only when
       t <= 3n-1.
     The generator at t = 3n falls between the two windows, so z is not in
-    Z(B~).  The example's conclusion stands: Z(B~) does contain bad points,
-    e.g. the verdict's witness (-4, 2) checked in test_criterion_3_e8_pos.
+    Z(B~).  What the package shows of the example's conclusion is weaker:
+    Z_gen, the common zeros of the b_c, holds bad points, e.g. the
+    verdict's witness (-4, 2) checked in test_criterion_3_e8_pos.  Whether
+    Z_gen = Z(B~), and so whether (-4, 2) lies in Z(B~), is open.
     tests/test_bfunction_oracle.py checks the identity and the c- shift of
-    ``generator_bc`` against a direct sympy computation.
+    the oracle's generators against a direct sympy computation.
     """
     for n in (1, 2):
         alpha = e8_alpha(n)
@@ -238,7 +239,7 @@ def test_criterion_3_paper_membership_value(e8, e8_alpha):
         z = (8 * n + 1, -6 * n - 1)
         c = (3 * n + 1, -3 * n)
         got = membership_in_ztilde(fam, z)
-        value = generator_bc(fam, c).value_at(z)
+        value = generator_value(fam, c, z)
         report("3-paper-value", got.kind == "nonmember" and got.witness_c == c,
                f"n={n}: printed point is {got.kind}, witness c={got.witness_c}")
         assert got.kind == "nonmember", (

@@ -23,15 +23,14 @@ import pytest
 from qsing.brackets import (
     BracketTerm,
     compute_bfunction,
-    evaluate,
     expand,
     family_from_terms,
 )
-from qsing.bsato import generator_bc
 from qsing.decomp import generic_decomposition, perp_simples
 from qsing.orbits import make_spec
 
-from oracles import evaluate_semiinvariant, hom_matrix_dvw, realize, rep
+from oracles import (evaluate, evaluate_semiinvariant, generator_bc,
+                     hom_matrix_dvw, realize, rep)
 
 
 def _coordinates(q, dims):
@@ -137,19 +136,21 @@ def test_oracle_a4_identity(a4_oracle):
 
 
 def test_oracle_a4_generator_shift(a4_oracle):
-    """The c- shift of ``generator_bc``.
+    """The c- shift of the oracle's ``generator_bc``.
 
     With c+ and c- the positive and negative parts of c,
     f^{-c-} f*(d)^{c+} f^{s+c} = b_{c+}(s + c-) f^s, and b_{c+}(s + c-) is
-    the product of ``generator_bc(fam, c).factors`` (the binomials of b_c
-    are the extra factor that puts b_c in B~).  Checked at every s in
-    {0..2}^2 with s + c >= 0.
+    the product of the factors of ``oracles.generator_bc(fam, c)`` (the
+    binomials of b_c are the extra factor that puts b_c in B~).  Checked
+    at every s in {0..2}^2 with s + c >= 0.  So sympy checks the oracle,
+    and the oracle checks the package's root hyperplanes
+    (``tests/test_bsato.py``).
     """
     sympy, fam, fs, kappa = a4_oracle
     for c in ((2, -1), (-1, 2), (3, -2)):
         cplus = tuple(max(x, 0) for x in c)
         cminus = tuple(x - p for x, p in zip(c, cplus))
-        factors = generator_bc(fam, c).factors
+        factors = generator_bc(fam, c)[0]
         scale = kappa[(1, 0)] ** cplus[0] * kappa[(0, 1)] ** cplus[1]
         for s in itertools.product(range(3), repeat=2):
             if any(a + b < 0 for a, b in zip(s, c)):

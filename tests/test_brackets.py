@@ -15,7 +15,6 @@ from qsing.brackets import (
     BracketTerm,
     TerminalRuleInapplicable,
     compute_bfunction,
-    evaluate,
     expand,
     family_from_terms,
     render_family,
@@ -26,7 +25,7 @@ from qsing.decomp import generic_decomposition, perp_simples
 from qsing.quiver import NonDynkinError, Quiver
 from qsing.roots import HomTable, hom_table
 
-from oracles import bracket_identity_check, coxeter_matrix, reflect_dim
+from oracles import bracket_identity_check, coxeter_matrix, evaluate, reflect_dim
 
 
 def offsets_of(terms, r):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -27,7 +28,6 @@ from qsing.bsato import (
     CertNode,
     CertifyOutcome,
     SymState,
-    _binom_value,
     _check_node,
     _cover_check,
     _leaf_node,
@@ -37,7 +37,6 @@ from qsing.bsato import (
     cert_to_json,
     certify_all_good,
     check_form_assumption,
-    generator_bc,
     is_good,
     leaf_all_fixed,
     leaf_empty_generator,
@@ -57,9 +56,9 @@ from qsing.orbits import enumerate_classes, make_spec
 from qsing.presets import E6_QUIVER, preset
 from qsing.quiver import Quiver, euler_form
 
-from oracles import (bracket_identity_check, generic_point,
-                     refutation_candidates, scan_refute, signature_json,
-                     summed_k)
+from oracles import (bracket_identity_check, generator_bc, generator_value,
+                     generic_point, refutation_candidates, scan_refute,
+                     signature_json, summed_k)
 from test_fmlp import reference_solve
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -110,38 +109,43 @@ def test_one_goodness_rule_matches_its_definition(r):
 
 
 def test_generator_unit_c():
+    """The oracle's b_{e_1} on the e6-ex1 family, and its root hyperplanes
+    as ``bsato._roots`` reads them."""
     fam = E6_FAMILY_PAPER_ORDER(2, 2)
-    gen = generator_bc(fam, (1, 0, 0, 0))
-    assert gen.binomial_factors == ()
-    assert gen.factors[((1, 0, 0, 0), 1)] == 1  # the factor s_1 + 1
+    factors, binomials = generator_bc(fam, (1, 0, 0, 0))
+    assert binomials == ()
+    assert factors[((1, 0, 0, 0), 1)] == 1  # the factor s_1 + 1
     # depth-1 factors of the two gamma_1-brackets only
-    gammas = {g for (g, _c) in gen.factors}
+    gammas = {g for (g, _c) in factors}
     assert gammas == {(1, 0, 0, 0), (1, 0, 0, 1)}
+    assert bsato._roots(fam, (1, 0, 0, 0)) == set(factors)
 
 
 def test_generator_with_negative_part():
     fam = E8_POS_FAMILY(1)
-    gen = generator_bc(fam, (2, -1))
-    assert gen.binomial_factors == ((2, 1),)
+    factors, binomials = generator_bc(fam, (2, -1))
+    assert binomials == ((2, 1),)
     # shift c^- = (0,-1) moves every gamma_2-involving constant down by gamma_2
-    assert ((1, 2), 3) in gen.factors  # offset 5, depth from c+=(2,0), shift -2
-    # evaluates like the stored factors
+    assert ((1, 2), 3) in factors  # offset 5, depth from c+=(2,0), shift -2
+    # the oracle's value, built on evaluate, is the product of its factors
     z = (Fraction(3), Fraction(-2))
-    val = gen.value_at(z)
     manual = Fraction(1)
-    for (g, c), cnt in gen.factors.items():
+    for (g, c), cnt in factors.items():
         manual *= (g[0] * z[0] + g[1] * z[1] + c) ** cnt
     manual *= z[1]  # binom(s_2, 1)
-    assert val == manual
+    assert generator_value(fam, (2, -1), z) == manual
+    # binom(s_2, 1) vanishes on s_2 = 0
+    assert bsato._roots(fam, (2, -1)) == set(factors) | {((0, 1), 0)}
 
 
 def test_generator_a2():
     fam = family_from_terms(1, [BracketTerm((1,), 0, 1)])
-    gen = generator_bc(fam, (1,))
-    assert gen.factors == {((1,), 1): 1}
+    assert generator_bc(fam, (1,)) == ({((1,), 1): 1}, ())
+    assert bsato._roots(fam, (1,)) == {((1,), 1)}
 
 
 INPUT_CHECKS = [
+    # the oracle's b_c takes c with e.c = 1 only
     "generator_bc(E8_POS_FAMILY(1), (2, 2))",
     "generator_bc(E8_POS_FAMILY(1), (1, 0, 0))",
     # c is a vector of ints: no float or bool is truncated to one
@@ -230,13 +234,13 @@ def test_input_checks_survive_optimize():
         "sys.path.insert(0, %r)" % TESTS,
         "from qsing.brackets import BracketTerm, compute_bfunction, expand, "
         "family_from_terms",
-        "from qsing.bsato import generator_bc, is_good, membership_in_ztilde, "
+        "from qsing.bsato import is_good, membership_in_ztilde, "
         "single_variable_roots",
         "from qsing.decomp import generic_decomposition",
         "from qsing.orbits import enumerate_classes, make_spec",
         "from qsing.presets import E6_QUIVER",
         "from qsing.quiver import Quiver, euler_form",
-        "from oracles import bracket_identity_check",
+        "from oracles import bracket_identity_check, generator_bc",
         "E8_POS_FAMILY = lambda n: family_from_terms(2, [",
         "    BracketTerm((0, 1), 0, 4 * n), BracketTerm((0, 1), n, 3 * n, 2),",
         "    BracketTerm((0, 1), 2 * n, 4 * n), BracketTerm((1, 0), 0, n),",
@@ -258,7 +262,9 @@ def test_input_checks_survive_optimize():
 
 
 def test_generator_soundness_random():
-    # product of stored factors equals direct evaluation for random c, z
+    """The oracle's two forms of b_c agree for random c and z: its value,
+    evaluate(family, c+, z + c-) times the binomials, is the product of
+    its factor multiset and binomials, written out here."""
     rng = random.Random(41)
     fam = E6_FAMILY_PAPER_ORDER(2, 2)
     for _ in range(20):
@@ -266,26 +272,36 @@ def test_generator_soundness_random():
         for i in range(3):
             c[i] = rng.randint(-2, 2)
         c[3] = 1 - sum(c[:3])
-        gen = generator_bc(fam, tuple(c))
+        factors, binomials = generator_bc(fam, tuple(c))
         z = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
                   for _ in range(4))
-        val = gen.value_at(z)
         manual = Fraction(1)
-        for (g, const), cnt in gen.factors.items():
+        for (g, const), cnt in factors.items():
             manual *= (sum(Fraction(a) * b for a, b in zip(g, z)) + const) ** cnt
-        for i, order in gen.binomial_factors:
+        for i, order in binomials:
             b = Fraction(1)
             for t in range(order):
                 b *= z[i - 1] - t
-            import math
             manual *= b / math.factorial(order)
-        assert val == manual
+        assert generator_value(fam, tuple(c), z) == manual
 
 
 def test_membership_r1():
+    """[s]_{0,1} = s + 1, and [s]^{(2)}_{0,1} = (2s + 1)(2s + 2): the
+    roots -1/2 and -1 of the second are members, and points near them are
+    not, with witness c = (1); the oracle's b_{(1)} agrees on each."""
     fam = family_from_terms(1, [BracketTerm((1,), 0, 1)])
     assert membership_in_ztilde(fam, (-1,)).kind == "member"
     assert membership_in_ztilde(fam, (-2,)).kind == "nonmember"
+    fam = family_from_terms(1, [BracketTerm((2,), 0, 1)])
+    for z in (Fraction(-1, 2), -1):
+        assert membership_in_ztilde(fam, (z,)) == bsato.Membership("member")
+        assert generator_value(fam, (1,), (z,)) == 0
+    for z in (Fraction(-1, 3), Fraction(-2, 3), Fraction(-3, 4), Fraction(-3, 2),
+              0, -2, Fraction(1, 2)):
+        got = membership_in_ztilde(fam, (z,))
+        assert (got.kind, got.witness_c) == ("nonmember", (1,)), z
+        assert generator_value(fam, (1,), (z,)) != 0
 
 
 def test_membership_expos_exact():
@@ -316,7 +332,7 @@ def test_membership_brute_force_cross_check():
     for z, expected in (((-4, 2), True), ((9, -7), False)):
         z = tuple(Fraction(v) for v in z)
         vanishes_everywhere = all(
-            generator_bc(fam, (1 + t, -t)).value_at(z) == 0
+            generator_value(fam, (1 + t, -t), z) == 0
             for t in range(-40, 41)
         )
         assert vanishes_everywhere == expected
@@ -328,11 +344,14 @@ def _swapped(fam):
 
 
 def _vanishes(gen, z):
-    """b_c(z) == 0, read factor by factor: a product vanishes iff one of
-    its factors does (every multiplicity is positive)."""
-    assert all(cnt > 0 for cnt in gen.factors.values())
-    return any(g[0] * z[0] + g[1] * z[1] + const == 0 for g, const in gen.factors) \
-        or any(_binom_value(z[i - 1], order) == 0 for i, order in gen.binomial_factors)
+    """b_c(z) == 0 for the oracle's gen = generator_bc(fam, c), read factor
+    by factor: a product vanishes iff one of its factors does (every
+    multiplicity is positive), and binom(z_i, order) iff z_i is one of
+    0 .. order - 1."""
+    factors, binomials = gen
+    assert all(cnt > 0 for cnt in factors.values())
+    return any(g[0] * z[0] + g[1] * z[1] + const == 0 for g, const in factors) \
+        or any(z[i - 1] in range(order) for i, order in binomials)
 
 
 def test_membership_r2_regressions():
@@ -341,11 +360,11 @@ def test_membership_r2_regressions():
     fam = E8_POS_FAMILY(1)
     got = membership_in_ztilde(fam, (-1, -5))
     assert got.kind == "nonmember" and got.witness_c == (0, 1)
-    assert generator_bc(fam, (0, 1)).value_at((-1, -5)) == -298598400
+    assert generator_value(fam, (0, 1), (-1, -5)) == -298598400
     swapped = _swapped(fam)
     got = membership_in_ztilde(swapped, (-7, 6))
     assert got.kind == "nonmember"
-    assert generator_bc(swapped, got.witness_c).value_at((-7, 6)) != 0
+    assert generator_value(swapped, got.witness_c, (-7, 6)) != 0
     assert not is_good((-7, 6), 2)
 
 
@@ -354,7 +373,7 @@ def test_membership_r2_regressions():
     ([BracketTerm((1, 0), 0, 1), BracketTerm((2, 1), 0, 4)], (0, -4)),
 ])
 def test_membership_r2_reads_the_binomial_tails(terms, z):
-    """Points in Z(B~) only through a binomial factor binom(s_i, t), on
+    """Points of Z_gen only through a binomial factor binom(s_i, t), on
     c = (1+t, -t) at z_2 = 1 and on c = (-t, 1+t) at z_1 = 0: no offset
     gives an unbounded t-interval there, so without the tails some b_c
     would not vanish.  Direct evaluation of every b_c, |t| <= 40, agrees."""
@@ -435,6 +454,100 @@ def test_membership_box_r4():
     assert got.kind == "unknown"
     got = membership_in_ztilde(fam, (50, 50, 50, 50), box_bound=1)
     assert got.kind == "nonmember"
+
+
+def oracle_roots(fam, c):
+    """The distinct root hyperplanes (g, k) of b_c from the oracle: its
+    distinct linear factors g.s + k, and s_i - j for each binomial factor
+    binom(s_i, order), 0 <= j < order."""
+    factors, binomials = generator_bc(fam, c)
+    unit = lambda i: tuple(int(v == i) for v in range(1, fam.r + 1))
+    return set(factors) | {(unit(i), -j) for i, order in binomials
+                           for j in range(order)}
+
+
+def _runs(roots, g):
+    """The number of maximal runs of consecutive k among the roots (g, k)."""
+    ks = sorted(k for h, k in roots if h == g)
+    return sum(1 for a, b in zip([None] + ks, ks) if a is None or b > a + 1)
+
+
+@pytest.mark.parametrize("source", ["e6-ex1", "e8-pos", "random"])
+def test_roots_match_the_oracle_factors(source):
+    """``bsato._roots`` against the oracle's distinct factors and binomial
+    hyperplanes, on seeded c with negative parts and on each e_j: e6-ex1
+    at n = m = 2 (r = 4), e8-pos at n = 1..3 and 50 seeded random r = 2
+    families.  The random families' offsets leave gaps, so the k of one g
+    fall in several runs for some c and in one merged run for others; a
+    wrong run merge fails here."""
+    rng = random.Random(23)
+    if source == "e6-ex1":
+        fams = [_preset_family("e6-ex1", 2, 2)]
+    elif source == "e8-pos":
+        fams = [_preset_family("e8-pos", n) for n in (1, 2, 3)]
+    else:
+        fams = [random_r2_family(rng) for _ in range(50)]
+    split = merged = 0
+    for fam in fams:
+        r = fam.r
+        cs = [tuple(int(v == i) for v in range(r)) for i in range(r)]
+        while len(cs) < r + 12:
+            c = [rng.randint(-4, 4) for _ in range(r - 1)]
+            c.append(1 - sum(c))
+            if min(c) < 0:
+                cs.append(tuple(c))
+        for c in cs:
+            roots = bsato._roots(fam, c)
+            assert roots == oracle_roots(fam, c), (fam, c)
+            for g in {g for g, _ in fam.offsets}:
+                runs = _runs(roots, g)
+                split += runs > 1
+                merged += runs == 1 and len({i for h, i in fam.offsets if h == g}) > 1
+    assert split and merged or source != "random"
+
+
+def _scan(fam, z, box_bound):
+    """The oracle's membership scan over the box |c_i| <= box_bound in the
+    package's c order: the first c whose b_c, evaluated exactly, does not
+    vanish at z."""
+    for c in itertools.product(range(-box_bound, box_bound + 1), repeat=fam.r):
+        if sum(c) == 1 and generator_value(fam, c, z) != 0:
+            return "nonmember", c
+    return "unknown", None
+
+
+def test_membership_r4_matches_an_oracle_scan():
+    """r = 4 membership, read on the root hyperplanes, against the oracle's
+    exact evaluation of every b_c in the same c order, on -e and 40 seeded
+    e6-ex1 (n = m = 2) points with integer or half-integer coordinates:
+    the same kind and the same witness c.  Both kinds occur, with several
+    witnesses."""
+    fam = _preset_family("e6-ex1", 2, 2)
+    rng = random.Random(3)
+    points = [(-1, -1, -1, -1)] + [
+        tuple(Fraction(rng.randint(-8, 1), rng.choice((1, 1, 1, 2)))
+              for _ in range(4)) for _ in range(40)]
+    seen = []
+    for z in points:
+        got = membership_in_ztilde(fam, z, box_bound=2)
+        seen.append(_scan(fam, z, 2))
+        assert (got.kind, got.witness_c) == seen[-1], z
+    assert seen[0] == ("unknown", None)
+    assert len({c for _, c in seen}) > 10
+
+
+@pytest.mark.parametrize("n, z", [(1, (7, -6)), (2, (15, -12))])
+def test_common_zeros_of_the_generators_hold_points_with_e_z_positive(n, z):
+    """Z_gen, the common zeros of the b_c on e8-pos, holds isolated points
+    with e.z = 2n - 1 > 0.  The b-function of f_1 f_2 has negative roots
+    only; if it lies in B~, Z(B~) has no such point and Z_gen != Z(B~).
+    Whether it does is open, so a refutation shows a bad member of Z_gen,
+    not of Z(B~).  The oracle's b_c vanish there for |t| <= 20."""
+    fam = _preset_family("e8-pos", n)
+    assert sum(z) == 2 * n - 1
+    assert membership_in_ztilde(fam, z).kind == "member"
+    assert all(generator_value(fam, c, z) == 0
+               for t in range(-20, 21) for c in ((1 + t, -t), (-t, 1 + t)))
 
 
 def test_check_form_assumption():
@@ -1266,7 +1379,7 @@ def test_certificates_beyond_the_grid_pinned(cert_box):
 def test_refute_matches_the_scan_on_e8_pos(n):
     """The enumeration of ``_refute`` and the bounded scan of
     ``oracles.scan_refute`` name the same witness where the scan's box
-    holds it: (-4, 2) at n = 1, on the line z_1 + z_2 = -2 inside Z(B~),
+    holds it: (-4, 2) at n = 1, on the line z_1 + z_2 = -2 inside Z_gen,
     and (4n - 3, 1 - 4n) after."""
     fam = E8_POS_FAMILY(n)
     assert _refute(fam) == scan_refute(fam, 30) == \
@@ -1307,9 +1420,9 @@ def test_refute_matches_the_scan_on_random_families():
 
 
 def shared_lines(fam):
-    """The root lines (a, b, c) that b_{e_1} and b_{e_2} share, as
-    ``_refute`` reads them."""
-    lines = [{bsato._line(g, k) for g, k in generator_bc(fam, c).factors}
+    """The root lines (a, b, c) that b_{e_1} and b_{e_2} share, read from
+    the oracle's factors of each."""
+    lines = [{bsato._line(g, k) for g, k in generator_bc(fam, c)[0]}
              for c in ((1, 0), (0, 1))]
     return lines[0] & lines[1]
 
@@ -1319,7 +1432,7 @@ def assert_line_cover_matches_the_generic_point(fam, lines):
     parallel to the line) and membership at ``oracles.generic_point`` give
     the same kind and the same witness c, with either half-line of c read
     first: the swapped family on the swapped line reads (-t, 1+t) first.
-    Returns the number of lines contained in Z(B~)."""
+    Returns the number of lines contained in Z_gen."""
     swapped = _swapped(fam)
     dirs = sorted({g for g, _ in fam.offsets} | {(1, 0), (0, 1)})
     contained = 0
@@ -1422,11 +1535,12 @@ def test_refute_finds_no_bad_member_where_the_case_tree_certifies(cert_box):
     assert all(_refute(fam) is None for fam in certified)
 
 
-@pytest.mark.parametrize("n", [2, 5, 9, 12])
+@pytest.mark.parametrize("n", [2, 5, 9, 12, 24, 40])
 def test_e8_pos_refuted_at_paper_scale(n):
     """e8-pos past the old candidate box |v_1|, |v_2| <= 30 (n >= 9) is
-    refuted with the bad member (4n - 3, 1 - 4n), in well under a second
-    (0.08 s at n = 12 on a 2-vCPU x86-64 Xeon)."""
+    refuted with the bad common zero (4n - 3, 1 - 4n) of the generators,
+    (93, -95) at n = 24 and (157, -159) at n = 40, in under a second
+    (0.12 s at n = 24 and 0.27 s at n = 40 on a 2-vCPU x86-64 Xeon)."""
     fam = _preset_family("e8-pos", n)
     t0 = time.perf_counter()
     out = certify_all_good(fam)
@@ -1440,7 +1554,7 @@ def test_certifier_and_checker_agree_beyond_the_presets(d4, d5):
     """Every all-simples family with r >= 2 on D4 (totals <= 8), D5 (<= 5)
     and E6 (<= 4): each certificate passes the checker as returned and
     after a JSON round trip, no path of it fixes a variable twice, and
-    each refutation witness is a bad member of Z(B~)."""
+    each refutation witness is a bad common zero of the generators b_c."""
     kinds = []
     for q, bound in ((d4, 8), (d5, 5), (E6_QUIVER, 4)):
         for alpha in itertools.product(range(bound + 1), repeat=q.n):

@@ -178,12 +178,13 @@ def test_singularities_a2(tmp_path):
 
 
 def test_singularities_e8_pos_beyond_the_old_box():
-    """e8-pos at n = 9: the bad member (33, -35) lies outside the box
-    |v_1|, |v_2| <= 30 the refutation once scanned, and is found."""
+    """e8-pos at n = 9: the bad common zero (33, -35) of the generators b_c
+    lies outside the box |v_1|, |v_2| <= 30 the refutation once scanned,
+    and is found."""
     data = json.loads(run_cli(["singularities", "--preset", "e8-pos", "--n", "9",
                                "--format", "json"]).stdout)
     assert data["verdict"] == "not_certified"
-    assert data["reason"] == "explicit bad element of Z(B~)"
+    assert data["reason"] == "bad common zero of the generators b_c"
     assert data["witness"] == ["33", "-35"]
 
 
