@@ -2,8 +2,8 @@
 
 The case-split driver tracks branch parameters (k1, k2, ...) symbolically:
 a value like n+m-k1 is an affine value; queries ("is this >= 1 on the
-whole box?") reduce to evaluating the affine minimum/maximum over the box,
-which is exact because each parameter appears independently.
+whole box?") reduce to evaluating the affine minimum over the box, which
+is exact because each parameter appears independently.
 
 An affine value is a plain tuple (const, coeffs): const is an int and
 coeffs a tuple of (symbol, int coefficient) pairs, sorted by symbol, one
@@ -11,18 +11,19 @@ per symbol, none zero.  ``aff_of``, ``aff_sym``, ``aff_from_json`` and the
 arithmetic build only this canonical form, so equal expressions are equal
 tuples, and adding a constant or multiplying by 1 keeps the coefficients
 as they are.  Nothing divides: every value the certifier builds is an
-integer (bracket endpoints, case values -o, -k and k, box bounds).  A
+integer (bracket endpoints, case values -o, -k and k, lower bounds).  A
 non-integer given to ``aff_of``, ``aff_sym``, ``aff_mul`` or
 ``aff_from_json`` raises ValueError, and so does a bool.
 
-A box is a dict from each symbol to its domain (lo, hi), lo <= k <= hi, hi
-None for infinity.  ``with_symbol`` returns a new dict; nothing changes a
-box once built.
+A box is a dict from each symbol to its least value: a symbol k with
+lower bound lo ranges over the integers k >= lo, with no upper bound.
+Every symbol the certifier binds is k >= 1 or k >= 0, and a parametric
+family's n, m >= 1 would be bounded the same way.  ``with_symbol``
+returns a new dict; nothing changes a box once built.
 """
 
 from __future__ import annotations
 
-INF = None  # upper bound marker for unbounded symbols
 ZERO = (0, ())
 
 
@@ -87,30 +88,21 @@ def aff_mul(x, k):
     return (c * k, tuple([(s, v * k) for s, v in xs]) if xs else xs)
 
 
-def with_symbol(box, name, lo, hi=INF):
+def with_symbol(box, name, lo):
     if name in box:
         raise ValueError(f"symbol {name} is already bound")
-    return {**box, name: (int(lo), None if hi is INF else int(hi))}
+    return {**box, name: int(lo)}
 
 
 def min_of(box, x):
-    """Exact minimum of x over the box; None means -infinity."""
+    """Exact minimum of x over the box; None means -infinity, which a
+    negative coefficient gives, as no symbol has an upper bound."""
     val, coeffs = x
     for s, c in coeffs:
-        lo, hi = box[s]
-        if c > 0:
-            val += c * lo
-        elif hi is None:
+        if c < 0:
             return None
-        else:
-            val += c * hi
+        val += c * box[s]
     return val
-
-
-def max_of(box, x):
-    """Exact maximum over the box; None means +infinity."""
-    mn = min_of(box, aff_neg(x))
-    return None if mn is None else -mn
 
 
 def aff_to_json(a):

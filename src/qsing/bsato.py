@@ -33,12 +33,16 @@ The certifier and the independent checker split the work three ways:
   it rebuilds, and a node's branches must be exactly the rule's cases.
 
 The values a node builds are plain: affine values, bracket terms and cases
-are tuples and a box is a dict (``qsing.affine``, ``sym_term``,
-``branch_state``).  Both sides carry K = -(sum of the fixed values) from a
-state to its child (``SymState.specialize``) rather than summing it again,
-hand the child every bracket the fixed variable does not touch, and name a
-bracket in a certificate by its signature, JSON text that ``signature``
-writes directly.
+are tuples, a box is a dict (``qsing.affine``, ``sym_term``), and a state
+is a ``SymState`` that ``branch_state`` builds in one call, holding only
+what the rules read.  Both sides hand the child every bracket the fixed
+variable does not touch, and name a bracket in a certificate by its
+signature, JSON text that ``signature`` writes directly.
+
+The rules cover families whose brackets all have a >= 0, as those of
+``compute_bfunction`` do: ``sym_state_from_family`` raises ValueError on
+any other, so the certifier refuses it and the checker rejects its
+certificates (``reduc_b`` says why).
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import mul
+from typing import NamedTuple
 
 from .affine import (ZERO, aff_add, aff_from_json, aff_mul, aff_of, aff_sub,
                      aff_sym, aff_to_json, min_of, with_symbol)
@@ -264,55 +269,52 @@ def signature(term, vars):
         _affine_signature(a), _affine_signature(b), mult)
 
 
-@dataclass
-class SymState:
-    """A branch: the active variables and their bracket terms, the values
-    fixed so far, the box of the symbols and the negation flags.
-
-    K = -(sum of the fixed values) is carried, not recomputed: the root
-    state has K = 0, and ``specialize`` hands its child K - value, so each
-    state costs one affine subtraction however many values are fixed.  The
-    values are plain tuples and dicts that no child changes, so a child
-    shares every term its fixed variable does not touch."""
+class SymState(NamedTuple):
+    """A branch, never changed once built: the active variables, their
+    bracket terms, and what the rules read of the values fixed so far.
+    K = -(sum of the fixed values) and ``clean`` (no fixed value came from
+    a nat_sym case) are carried, not recomputed: the root has K = 0 and is
+    clean, and ``branch_state`` hands its child K - value and the parent's
+    clean and its case's.  A child shares every term its fixed variable
+    does not touch."""
     vars: tuple  # original 1-based variable indices still active
     terms: tuple  # bracket terms (see sym_term) with deg >= 1
-    fixed: tuple  # ((orig var, affine value, clean_flag), ...) in fixing order
-    box: dict  # symbol -> (lo, hi), see qsing.affine
-    flags: dict  # orig var -> frozenset of {"not_neg_int", "not_nat"}
     r_global: int
     k_total: tuple  # K = -(sum of fixed values), affine
+    clean: bool
+    box: dict  # symbol -> least value, see qsing.affine
+    not_neg_int: frozenset  # active vars known not to be negative integers
 
-    @property
-    def clean(self):
-        return all(cl for _, _, cl in self.fixed)
 
-    def specialize(self, pos, value, clean_flag):
-        var = self.vars[pos]
-        new_terms, scalars = [], []
-        for t in self.terms:
-            gi = t[0][var]
-            if not gi:
-                new_terms.append(t)
-                continue
-            g, a, b, mult, deg = t
-            shift = aff_mul(value, gi)
-            a, b = aff_add(a, shift), aff_add(b, shift)
-            if deg > gi:
-                new_terms.append((g, a, b, mult, deg - gi))
-            else:
-                scalars.append((a, b, mult))
-        flags = {v: f for v, f in self.flags.items() if v != var}
-        st = SymState(self.vars[:pos] + self.vars[pos + 1:], tuple(new_terms),
-                      self.fixed + ((var, value, clean_flag),), self.box,
-                      flags, self.r_global, aff_sub(self.k_total, value))
-        return st, scalars
+def specialize(terms, var, value):
+    """The terms of s_var = value, those without s_var as they are, and
+    the scalar brackets (a, b, mult) of the terms it leaves of degree 0."""
+    new_terms, scalars = [], []
+    for t in terms:
+        gi = t[0][var]
+        if not gi:
+            new_terms.append(t)
+            continue
+        g, a, b, mult, deg = t
+        shift = aff_mul(value, gi)
+        a, b = aff_add(a, shift), aff_add(b, shift)
+        if deg > gi:
+            new_terms.append((g, a, b, mult, deg - gi))
+        else:
+            scalars.append((a, b, mult))
+    return tuple(new_terms), scalars
 
 
 def sym_state_from_family(family: BFunctionFamily) -> SymState:
-    terms = tuple(sym_term(t.gamma, aff_of(t.a), aff_of(t.b), t.mult)
-                  for t in family.terms())
-    return SymState(tuple(range(1, family.r + 1)), terms, (), {}, {},
-                    family.r, ZERO)
+    """The root state.  Raises ValueError on a bracket with a < 0, outside
+    the rules' domain (see ``reduc_b``)."""
+    terms = []
+    for t in family.terms():
+        if t.a < 0:
+            raise ValueError(f"bracket {t} has a = {t.a} < 0")
+        terms.append(sym_term(t.gamma, aff_of(t.a), aff_of(t.b), t.mult))
+    return SymState(tuple(range(1, family.r + 1)), tuple(terms), family.r,
+                    ZERO, True, {}, frozenset())
 
 
 def check_form_assumption(family: BFunctionFamily) -> bool:
@@ -349,7 +351,7 @@ def leaf_empty_generator(state: SymState, pos):
     touching = [t for t in state.terms if t[0][var] > 0]
     if not touching:
         return "no-terms", touching
-    if "not_neg_int" not in state.flags.get(var, frozenset()):
+    if var not in state.not_neg_int:
         return None
     for t in touching:
         if t[0][var] != 1 or t[4] != 1:  # not the unit bracket of s_i
@@ -433,27 +435,31 @@ def sign_cases(j_plus, j_minus, symbols):
 
 
 def branch_state(state: SymState, case):
-    """The state on the branch of ``case``, with the scalar brackets its
-    specialization leaves: the negation flags are set, the symbol is bound
-    to its domain, and the variable is fixed to the value.
+    """The state on the branch of ``case``, built in one call, with the
+    scalar brackets its specialization leaves: the variable is fixed to
+    the value, the symbol is bound to its least value, and the variables
+    negated as negative integers join ``not_neg_int``.
 
     A case is the plain tuple (var, kind, value, symbol, negations): the
     branch z_var = value, of kind "neg_int" (value -o for an integer
     o >= 1, symbol None), "neg_int_sym" (value -k for a new symbol k >= 1)
     or "nat_sym" (value k for a new symbol k >= 0), under the (var, flag)
-    pairs of negations."""
+    pairs of negations, never on the case's own var; no rule reads the
+    flag "not_nat"."""
     var, kind, value, symbol, negations = case
     box = state.box
     if symbol is not None:
         if symbol in box:
             raise CertificateError(f"symbol {symbol} is already bound")
         box = with_symbol(box, symbol, 1 if kind == "neg_int_sym" else 0)
-    st, scalars = state.specialize(state.vars.index(var), value,
-                                   kind != "nat_sym")
-    st.box = box
-    for v, flag in negations:  # the case's own var is never negated
-        st.flags[v] = st.flags.get(v, frozenset()) | {flag}
-    return st, scalars
+    pos = state.vars.index(var)
+    terms, scalars = specialize(state.terms, var, value)
+    not_neg_int = state.not_neg_int - {var} | {
+        v for v, flag in negations if flag == "not_neg_int"}
+    return SymState(state.vars[:pos] + state.vars[pos + 1:], terms,
+                    state.r_global, aff_sub(state.k_total, value),
+                    state.clean and kind != "nat_sym", box,
+                    not_neg_int), scalars
 
 
 def _gammas(state: SymState):
@@ -484,16 +490,12 @@ def _lemma_a_tuples(state: SymState, positions):
 
 # -- the searches: certifier only ---------------------------------------------
 
-@dataclass
-class ReducACert:
-    tuple_sigs: tuple  # signatures of the distinct terms in the tuple
-    u: tuple  # rational multipliers, same order
-
-
 def _reduc_a_tuple_cert(state: SymState, terms, solve=solve):
     """u >= 0 with sum u*gamma = e and (conservatively)
-    sum u*(a+1) - sum(fixed) > r_global; None if infeasible.  ``solve``
-    decides the integer LP system; the certifier passes its run's memo.
+    sum u*(a+1) - sum(fixed) > r_global, as the certificate's entry
+    {"tuple": the terms' signatures, "u": u as strings}; None if
+    infeasible.  ``solve`` decides the integer LP system; the certifier
+    passes its run's memo.
 
     When some coordinate d of e lies outside the support of every gamma,
     the row sum u*gamma_d = 1 reads 0 = 1, so the system is infeasible and
@@ -512,8 +514,8 @@ def _reduc_a_tuple_cert(state: SymState, terms, solve=solve):
     point = solve(cons, k)
     if point is None:
         return None
-    return ReducACert(tuple(signature(t, state.vars) for t in terms),
-                      tuple(point))
+    return {"tuple": [signature(t, state.vars) for t in terms],
+            "u": [str(x) for x in point]}
 
 
 def reduc_a(state: SymState, positions, solve=solve):
@@ -545,7 +547,15 @@ class ReducBData:
 
 def reduc_b(state: SymState):
     """Lemma (b): maximal J with e outside cone(Gamma) + span(e^J), then the
-    partition of the complement.  None when e is already in the cone."""
+    partition of the complement.  None when e is already in the cone.
+
+    The split (``sign_cases``) assumes that a unit factor s_v + i, v in
+    J+, vanishes only where z_v = -k, k >= 1: i >= 1, so every unit
+    bracket [s_v]_{a,b} has a >= 0 on the box.  With a = -1 it misses
+    z_v = 0, as on s_1*(s_2 + 1), whose (0, -1) lies in Z_gen.  The guard
+    of ``sym_state_from_family`` keeps the assumption at the root.  A
+    derived state need not keep it (z_1 = -k turns [s]^{(1,1)}_{0,b} into
+    [s_2]_{-k,b-k}); whether the split is sound there is not proved."""
     rcur = len(state.vars)
     gammas = _gammas(state)
     e = (1,) * rcur
@@ -688,8 +698,7 @@ def _certify(state: SymState, run: _Run):
             certs, cases = got
             node = CertNode("reduc_a", {
                 "I": [state.vars[i] for i in positions],
-                "certs": [{"tuple": list(c.tuple_sigs),
-                           "u": [str(x) for x in c.u]} for c in certs],
+                "certs": certs,
             })
             if _close(state, node, cases, run):
                 return node

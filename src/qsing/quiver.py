@@ -170,7 +170,8 @@ NON_DYNKIN = Classification("non-dynkin")
 
 
 def _branch_lengths(adj, center):
-    """Arm lengths of a tree from its only branching vertex."""
+    """Arm lengths of a tree from its only branching vertex, over the
+    0-based neighbour tuples of ``Quiver.adjacency``."""
     lengths = []
     for start in adj[center]:
         ln = 1
@@ -190,15 +191,10 @@ def classify(q: Quiver) -> Classification:
     (A/D/E, rank) or not.  Disconnected quivers are not Dynkin (the
     analysis pipeline always works with connected quivers).
     """
-    n = q.n
-    edges = [(min(t, h), max(t, h)) for t, h in q.arrows]
-    adj = {x: [] for x in range(1, n + 1)}
-    for t, h in edges:
-        adj[t].append(h)
-        adj[h].append(t)
+    n, adj = q.n, q.adjacency
     # connectivity
-    seen = {1}
-    stack = [1]
+    seen = {0}
+    stack = [0]
     while stack:
         x = stack.pop()
         for y in adj[x]:
@@ -206,13 +202,13 @@ def classify(q: Quiver) -> Classification:
                 seen.add(y)
                 stack.append(y)
     # a connected graph with n - 1 edges is a tree, so has no parallel edges
-    if len(seen) != n or len(edges) != n - 1:
+    if len(seen) != n or len(q.arrows) != n - 1:
         return NON_DYNKIN
 
-    degs = sorted(len(adj[x]) for x in range(1, n + 1))
+    degs = sorted(map(len, adj))
     if degs[-1] <= 2:
         return Classification("dynkin", "A", n)
-    branch = [x for x in range(1, n + 1) if len(adj[x]) >= 3]
+    branch = [x for x in range(n) if len(adj[x]) >= 3]
     if degs[-1] > 3 or len(branch) != 1:
         return NON_DYNKIN
     a, b, c = _branch_lengths(adj, branch[0])

@@ -20,7 +20,7 @@ from qsing.brackets import (
     render_family,
     render_term,
 )
-from qsing.bsato import sym_state_from_family
+from qsing.bsato import branch_state, sym_state_from_family
 from qsing.decomp import generic_decomposition, perp_simples
 from qsing.quiver import NonDynkinError, Quiver
 from qsing.roots import HomTable, hom_table
@@ -247,13 +247,14 @@ def test_forward_chain_sums_to_the_family(e6, e6_alpha):
 
 
 def specialize(state, var, value):
-    """The certifier's specialization s_var = value on a SymState.  Returns
-    the family of the state it leaves, over the other variables, that state,
-    and the scalar factors gamma_var*value + o as sorted (constant,
-    multiplicity) pairs, one per offset o of each bracket that loses its
-    last variable."""
-    sub, scalars = state.specialize(state.vars.index(var), aff_of(value),
-                                    True)
+    """The certifier's specialization s_var = value on a SymState, by
+    ``branch_state`` on a case of kind neg_int, which fixes the value
+    whatever its sign.  Returns the family of the state it leaves, over the
+    other variables, that state, and the scalar factors gamma_var*value + o
+    as sorted (constant, multiplicity) pairs, one per offset o of each
+    bracket that loses its last variable."""
+    sub, scalars = branch_state(state, (var, "neg_int", aff_of(value), None,
+                                        ()))
     assert all(not a[1] and not b[1] for _, a, b, _, _ in sub.terms)
     fam = family_from_terms(len(sub.vars), [
         BracketTerm(tuple(g[v] for v in sub.vars), a[0], b[0], mult)
@@ -267,7 +268,7 @@ def test_specialize_matches_printed_reduction(e6, e6_alpha):
     # the 4-variable family specialized at its third variable (the paper's
     # first), then at the fourth, must reproduce the printed 3- and 2-variable
     # families; k1 = 1, k2 = 1, n = m = 2.  The specialization is the
-    # certifier's own, SymState.specialize
+    # certifier's own, bsato.specialize
     n = m = 2
     fam = family_from_terms(4, E6_GOLDEN_NM(n, m))
     # our variable 3 is the paper's s_1

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from qsing import bsato, fmlp
 from qsing.affine import (ZERO, aff_add, aff_from_json, aff_mul, aff_neg,
-                          aff_of, aff_sub, aff_sym, aff_to_json, max_of,
-                          min_of, with_symbol)
+                          aff_of, aff_sub, aff_sym, aff_to_json, min_of,
+                          with_symbol)
 from qsing.brackets import (
     BracketTerm,
     TerminalRuleInapplicable,
@@ -56,9 +56,9 @@ from qsing.orbits import enumerate_classes, make_spec
 from qsing.presets import E6_QUIVER, preset
 from qsing.quiver import Quiver, euler_form
 
-from oracles import (bracket_identity_check, generator_bc, generator_value,
-                     generic_point, refutation_candidates, scan_refute,
-                     signature_json, summed_k)
+from oracles import (affine_add, bracket_identity_check, generator_bc,
+                     generator_value, generic_point, refutation_candidates,
+                     scan_refute, signature_json, summed_k)
 from test_fmlp import reference_solve
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -565,7 +565,7 @@ def test_reduc_a_examples():
     assert got is not None
     certs, cases = got
     assert len(certs) == 1
-    assert [Fraction(x) for x in certs[0].u] == [1, 1]
+    assert [Fraction(x) for x in certs[0]["u"]] == [1, 1]
     assert [(var, value[0]) for var, _, value, _, _ in cases] == \
         [(v, -o) for v in (1, 2) for o in (1, 2, 3, 4)]
     # ex:pos: I = {1} fails with the (1,1) bracket tuple
@@ -817,16 +817,23 @@ def grid_trace():
     """One pass over the 17 certify-grid inputs, certifier then checker on
     each: every state either side builds (the root state and each state
     ``branch_state`` returns), by side, the lemma (a) LP systems the
-    certifier solves (``bsato.solve``, called through the run's memo) and
-    the outcome kinds."""
+    certifier solves (``bsato.solve``, called through the run's memo), the
+    outcome kinds and every (parent, case, child) of ``branch_state``."""
     states = {"certifier": [], "checker": []}
     side = ["certifier"]
-    solves, kinds = [], []
+    solves, kinds, steps = [], [], []
     real_branch, real_solve = bsato.branch_state, bsato.solve
+    real_root = bsato.sym_state_from_family
+
+    def root(family):
+        got = real_root(family)
+        states[side[0]].append(got)
+        return got
 
     def branch(state, case):
         got = real_branch(state, case)
         states[side[0]].append(got[0])
+        steps.append((state, case, got[0]))
         return got
 
     def counting(*args):
@@ -835,25 +842,24 @@ def grid_trace():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bsato, "branch_state", branch)
+        mp.setattr(bsato, "sym_state_from_family", root)
         mp.setattr(bsato, "solve", counting)
         for inp in GRID_INPUTS:
             fam = _preset_family(*inp)
             side[0] = "certifier"
-            states["certifier"].append(sym_state_from_family(fam))
             out = certify_all_good(fam)
             kinds.append(out.kind)
             if out.kind == "certificate":
                 side[0] = "checker"
-                states["checker"].append(sym_state_from_family(fam))
                 assert verify_certificate(fam, out.certificate) == (
                     True, "certificate verified")
-    return states, solves, kinds
+    return states, solves, kinds, steps
 
 
 def test_signatures_are_the_json_text_on_the_grid(grid_trace):
     """Every bracket of every state the certifier and the checker build on
     the grid signs as json.dumps writes it."""
-    states, _, _ = grid_trace
+    states = grid_trace[0]
     terms = [(t, st_.vars) for side in states.values() for st_ in side
              for t in st_.terms]
     assert len(terms) > 14000
@@ -862,22 +868,32 @@ def test_signatures_are_the_json_text_on_the_grid(grid_trace):
 
 
 def test_k_total_is_the_summed_k_on_the_grid(grid_trace):
-    """K is handed from state to child, never re-summed; on both sides it
-    equals the negated sum of the fixed values after every branch_state.
-    The checker rebuilds one state per branch: 1,984 nodes in 12 trees."""
-    states, _, _ = grid_trace
+    """K is handed from state to child, never re-summed: each root state
+    has K = 0, and every branch_state gives its child the parent's K less
+    the case's value, summed by the reference ``affine_add``.  So on both
+    sides K is the negated sum of the values fixed on the state's path.
+    A child is clean exactly when its parent is and its case is not
+    nat_sym.  The checker rebuilds one state per branch: 1,984 nodes in
+    12 trees."""
+    states, _, _, steps = grid_trace
     assert len(states["checker"]) == 1984
     assert len(states["certifier"]) > len(states["checker"])
-    for side in states.values():
-        for state in side:
-            assert state.k_total == summed_k(state.fixed), state.fixed
+    roots = [st_ for side in states.values() for st_ in side
+             if len(st_.vars) == st_.r_global]
+    assert len(roots) == 17 + 12
+    assert all(st_.k_total == ZERO and st_.clean for st_ in roots)
+    assert len(steps) == sum(map(len, states.values())) - len(roots)
+    for parent, (_, kind, value, _, _), child in steps:
+        negated = (-value[0], tuple((s, -c) for s, c in value[1]))
+        assert child.k_total == affine_add(parent.k_total, negated), child
+        assert child.clean == (parent.clean and kind != "nat_sym"), child
 
 
 def test_term_degrees_on_the_grid(grid_trace):
     """Every bracket of every state either side builds on the grid carries
     deg = e.gamma over the state's active variables, at least 1: a term
     whose active gamma is 0 is a scalar, not a term."""
-    states, _, _ = grid_trace
+    states = grid_trace[0]
     for side in states.values():
         for state in side:
             for t in state.terms:
@@ -890,14 +906,14 @@ def test_specialize_keeps_the_terms_it_does_not_touch():
     with shifted endpoints and a smaller deg, or turns it into scalars."""
     state = sym_state_from_family(E6_FAMILY_PAPER_ORDER(2, 2))
     value = aff_sym("k1", -1)
-    for pos, var in enumerate(state.vars):
-        child, scalars = state.specialize(pos, value, True)
+    for var in state.vars:
+        terms, scalars = bsato.specialize(state.terms, var, value)
         untouched = [t for t in state.terms if not t[0][var]]
-        kept = [t for t in child.terms if not t[0][var]]
+        kept = [t for t in terms if not t[0][var]]
         assert len(kept) == len(untouched)
         assert all(u is t for u, t in zip(untouched, kept))
         touched = [t for t in state.terms if t[0][var]]
-        rebuilt = [t for t in child.terms if t[0][var]]
+        rebuilt = [t for t in terms if t[0][var]]
         assert len(rebuilt) + len(scalars) == len(touched) >= 1
         for old in touched:
             g = old[0][var]
@@ -914,7 +930,7 @@ def test_lemma_a_solves_on_the_grid_pinned(grid_trace):
     systems (641 while a tuple with a coordinate of e outside every
     gamma's support still went to the solver), and the outcomes stay 12
     certificates, 1 refutation, 4 inconclusive."""
-    _, solves, kinds = grid_trace
+    _, solves, kinds, _ = grid_trace
     assert len(solves) == 301
     assert (kinds.count("certificate"), kinds.count("refuted"),
             kinds.count("inconclusive")) == (12, 1, 4)
@@ -1006,7 +1022,7 @@ def _escaped_reduc_a():
     a2 = aff_add(aff_add(k[2], aff_mul(k[3], 3)), aff_of(6))
     state = SymState((1, 2), (sym_term((2, 0), a1, aff_add(a1, aff_of(1))),
                               sym_term((0, 2), a2, aff_add(a2, aff_of(2)))),
-                     (), box, {}, 2, ZERO)
+                     2, ZERO, True, box, frozenset())
     return state, reduc_a(state, (0, 1))
 
 
@@ -1018,9 +1034,8 @@ def test_checker_matches_escaped_symbols_through_their_signatures():
     state, (certs, cases) = _escaped_reduc_a()
     assert cases == [] and len(certs) == 1
     terms = state.terms
-    assert certs[0].tuple_sigs == tuple(signature_json(t, (1, 2))
-                                        for t in terms)
-    assert certs[0].u == (Fraction(1, 2), Fraction(1, 2))
+    assert certs[0] == {"tuple": [signature_json(t, (1, 2)) for t in terms],
+                        "u": ["1/2", "1/2"]}
 
     def node(sigs):
         return {"rule": "reduc_a", "branches": [], "data": {
@@ -1060,8 +1075,8 @@ def test_support_cut_declines_only_infeasible_tuples(args):
     system is infeasible; otherwise the solver decides it."""
     r, raw, k_const, r_global = args
     terms = [sym_term(tuple(g), aff_of(a), aff_of(a + 1)) for g, a in raw]
-    state = SymState(tuple(range(1, r + 1)), tuple(terms), (), {}, {},
-                     r_global, aff_of(k_const))
+    state = SymState(tuple(range(1, r + 1)), tuple(terms), r_global,
+                     aff_of(k_const), True, {}, frozenset())
     calls = []
 
     def spy(cons, nvars):
@@ -1283,8 +1298,9 @@ def nested_certificate(inner_symbol):
     fam = family_from_terms(3, [BracketTerm(tuple(t["gamma"]), 0, 2)
                                 for t in UNITS3_TERMS])
     outer = sym_state_from_family(fam)
-    inner, _ = outer.specialize(reduc_b(outer).j_plus[0], aff_sym("k1", -1),
-                                True)
+    var = outer.vars[reduc_b(outer).j_plus[0]]
+    inner, _ = bsato.branch_state(
+        outer, (var, "neg_int_sym", aff_sym("k1", -1), "k1", ()))
     leaf = {"rule": "leaf_last_var", "data": {}, "branches": []}
     return fam, _one_branch_reduc_b(
         outer, "k1", _one_branch_reduc_b(inner, inner_symbol, leaf))
@@ -1310,6 +1326,84 @@ def test_rebound_symbol_rejected_by_cli(tmp_path, flags):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == "REJECTED: symbol k1 is already bound\n"
     assert "Traceback" not in proc.stderr
+
+
+# b = s_1*(s_2 + 1) = [s]^{10}_{-1,0}[s]^{01}_{0,1}: a bracket with a < 0,
+# outside the rules' domain, and the certificate the certifier once gave it.
+# It closes lemma (b)'s J+ = {1} with z_1 = -k, k >= 1, after z_2 = -1, and
+# so misses (0, -1), a member of Z_gen with e.z = -1
+NEGATIVE_A_TERMS = [{"gamma": [1, 0], "a": -1, "b": 0, "mult": 1},
+                    {"gamma": [0, 1], "a": 0, "b": 1, "mult": 1}]
+NEGATIVE_A_CERT = json.loads(
+    '{"branches": [[{"kind": "neg_int", "scalars": [[{"coeffs": {}, "const": '
+    '"-1"}, {"coeffs": {}, "const": "0"}, 1]], "value": {"coeffs": {}, '
+    '"const": "-1"}, "var": 2}, {"branches": [[{"kind": "neg_int_sym", '
+    '"negations": [], "scalars": [[{"coeffs": {"k1": "-1"}, "const": "-1"}, '
+    '{"coeffs": {"k1": "-1"}, "const": "0"}, 1]], "symbol": "k1", "value": '
+    '{"coeffs": {"k1": "-1"}, "const": "0"}, "var": 1}, {"branches": [], '
+    '"data": {"mode": "clean"}, "rule": "leaf_all_fixed"}]], "data": {"J": [], '
+    '"Jminus": [], "Jplus": [1], "farkas": ["1"], "memberships": {"1": '
+    '{"lambdas": ["1"], "mus": [], "sign": 1}}}, "rule": "reduc_b"}]], '
+    '"data": {"I": [2], "certs": []}, "rule": "reduc_a"}')
+NEGATIVE_A_REJECTION = (
+    "malformed certificate: ValueError: bracket BracketTerm(gamma=(1, 0), "
+    "a=-1, b=0, mult=1) has a = -1 < 0")
+
+
+def _negative_a_family():
+    return family_from_terms(2, [BracketTerm(tuple(t["gamma"]), t["a"], t["b"],
+                                             t["mult"])
+                                 for t in NEGATIVE_A_TERMS])
+
+
+def test_a_family_with_a_negative_bracket_is_refused():
+    """s_1*(s_2 + 1) has the bad member (0, -1) of Z_gen, which membership
+    and the refutation find.  The certifier refuses the family, and the
+    checker rejects the certificate it once gave."""
+    fam = _negative_a_family()
+    assert membership_in_ztilde(fam, (0, -1)).kind == "member"
+    assert not is_good((0, -1), 2) and _refute(fam) == (0, -1)
+    with pytest.raises(ValueError, match=r"has a = -1 < 0$"):
+        certify_all_good(fam)
+    assert verify_certificate(fam, NEGATIVE_A_CERT) == (
+        False, NEGATIVE_A_REJECTION)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_negative_a_certificate_rejected_by_cli(tmp_path, flags):
+    path = tmp_path / "negative-a.json"
+    path.write_text(json.dumps({"terms": NEGATIVE_A_TERMS, "r": 2,
+                                "certificate": NEGATIVE_A_CERT}))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "qsing.cli", "verify-certificate",
+         str(path)], capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == "REJECTED: " + NEGATIVE_A_REJECTION + "\n"
+    assert "Traceback" not in proc.stderr
+
+
+def test_random_families_are_refused_or_certified_soundly():
+    """A seeded cross-check on the sampler ``random_r2_family`` (a in
+    -1..4): the certifier raises ValueError on each family with a bracket
+    a < 0, and on every other family a certificate means that the
+    refutation finds no bad member of Z_gen.  Before the guard, 14 of the
+    470 refused draws were certified, and 6 of those falsely."""
+    rng = random.Random(5)
+    kinds = []
+    for _ in range(1000):
+        fam = random_r2_family(rng)
+        if any(t.a < 0 for t in fam.terms()):
+            with pytest.raises(ValueError, match=r"< 0$"):
+                certify_all_good(fam)
+            kinds.append("refused")
+            continue
+        out = certify_all_good(fam)
+        kinds.append(out.kind)
+        if out.kind == "certificate":
+            assert _refute(fam) is None, fam
+    assert [kinds.count(k) for k in
+            ("refused", "certificate", "refuted", "inconclusive")] == \
+        [470, 82, 416, 32]
 
 
 # full-support dimension vectors of total at most the bound; on each, every
@@ -1535,6 +1629,41 @@ def test_refute_finds_no_bad_member_where_the_case_tree_certifies(cert_box):
     assert all(_refute(fam) is None for fam in certified)
 
 
+def test_no_member_of_z_gen_has_e_z_above_minus_2_on_cert_box(cert_box):
+    """On the r = 2 families of CERT_BOX, every member z of Z_gen has
+    e.z <= -2, unlike e8-pos, where (7, -6) is one at n = 1.  The
+    candidates are ``_refute``'s without its goodness filter: the meets of
+    the root lines of b_{e_1} with those of b_{e_2}, and on each shared
+    line with a witness c, its meets with the root lines of b_c.  Each
+    shared line that lies in Z_gen is z_1 + z_2 = -k/a, parallel to e, with
+    k >= 2a: 121 such lines, and 1,032 isolated members, the largest
+    e.z among them exactly -2."""
+    fams = [fam for *_, fam, _ in cert_box if fam.r == 2]
+    assert len(fams) == 520
+    members = contained = 0
+    top = None
+    for fam in fams:
+        lines = [{bsato._line(g, k) for g, k in bsato._roots(fam, c)}
+                 for c in ((1, 0), (0, 1))]
+        points = {bsato._meet(l1, l2) for l1 in lines[0] for l2 in lines[1]}
+        for line in lines[0] & lines[1]:
+            c = bsato._witness(*bsato._line_cover(fam.offsets, *line))
+            if c is None:
+                a, b, k = line
+                assert a == b and k >= 2 * a, (fam, line)
+                contained += 1
+            else:
+                points.update(bsato._meet(line, bsato._line(g, k))
+                              for g, k in bsato._roots(fam, c))
+        points.discard(None)
+        for x1, x2, d in points:
+            z = (Fraction(x1, d), Fraction(x2, d))
+            if membership_in_ztilde(fam, z).kind == "member":
+                members += 1
+                top = sum(z) if top is None else max(top, sum(z))
+    assert (members, top, contained) == (1032, -2, 121)
+
+
 @pytest.mark.parametrize("n", [2, 5, 9, 12, 24, 40])
 def test_e8_pos_refuted_at_paper_scale(n):
     """e8-pos past the old candidate box |v_1|, |v_2| <= 30 (n >= 9) is
@@ -1662,28 +1791,25 @@ def test_verdict_expos(e8, e8_alpha):
 
 
 def _box_min_fraction(box, const, coeffs):
-    """The minimum of const + sum c*s over the box in Fractions; None
-    for -infinity."""
+    """The minimum of const + sum c*s over the box of lower bounds in
+    Fractions; None for -infinity."""
     val = Fraction(const)
     for s, c in coeffs.items():
-        lo, hi = box[s]
-        if c > 0:
-            val += c * lo
-        elif c < 0:
-            if hi is None:
-                return None
-            val += c * hi
+        if c < 0:
+            return None
+        val += c * box[s]
     return val
 
 
-def leaf_last_var_fraction_oracle(state):
-    """leaf_last_var as written on Fractions: each bracket's bound is the
-    minimum of K + (a+1)/g, which must be >= r, and where it equals r the
-    branch must be clean with min (a+1)/g >= 1."""
+def leaf_last_var_fraction_oracle(state, fixed):
+    """leaf_last_var as written on Fractions: K is the negated sum of the
+    fixed values ((var, value, clean flag), ...), each bracket's bound is
+    the minimum of K + (a+1)/g, which must be >= r, and where it equals r
+    the branch must be clean, every flag true, with min (a+1)/g >= 1."""
     if len(state.vars) != 1 or not state.terms:
         return None
     k_const, k_coeffs = Fraction(0), {}
-    for _, (v_const, v_coeffs), _ in state.fixed:
+    for _, (v_const, v_coeffs), _ in fixed:
         k_const -= v_const
         for s, c in v_coeffs:
             k_coeffs[s] = k_coeffs.get(s, 0) - c
@@ -1700,7 +1826,8 @@ def leaf_last_var_fraction_oracle(state):
             return None
         if mu == state.r_global:
             lo = _box_min_fraction(state.box, a_const, a_coeffs)
-            if not (state.clean and lo is not None and lo >= 1):
+            if not (all(cl for *_, cl in fixed) and lo is not None
+                    and lo >= 1):
                 return None
         bounds.append((t, mu))
     return bounds
@@ -1708,11 +1835,12 @@ def leaf_last_var_fraction_oracle(state):
 
 def _random_last_var_state(rng):
     """A state with one active variable: g in 1..4, integer or symbolic
-    bracket endpoints and fixed values, bounded and unbounded symbols."""
+    bracket endpoints and fixed values, symbols with lower bounds 0..2.
+    Returns the state and its fixed values, which the state does not
+    hold."""
     box = {}
     for s in ("k1", "k2"):
-        lo = rng.randint(0, 2)
-        box = with_symbol(box, s, lo, rng.choice([None, lo + rng.randint(0, 3)]))
+        box = with_symbol(box, s, rng.randint(0, 2))
 
     def value(lo, hi):
         v = aff_of(rng.randint(lo, hi))
@@ -1729,33 +1857,39 @@ def _random_last_var_state(rng):
         terms.append(sym_term((rng.randint(1, 4),), a,
                               aff_add(a, aff_of(rng.randint(0, 3))),
                               rng.randint(1, 2)))
-    return SymState((1,), tuple(terms), fixed, box, {}, rng.randint(1, 4),
-                    summed_k(fixed))
+    return SymState((1,), tuple(terms), rng.randint(1, 4), summed_k(fixed),
+                    all(cl for *_, cl in fixed), box, frozenset()), fixed
 
 
 def _tight_last_var_state(fixed_value, a):
-    """A clean state with g = 2 and r = 1 over k1 in 0..1."""
+    """A clean state with g = 1 and r = 1 over k1 >= 0, and its fixed
+    values."""
     fixed = ((2, fixed_value, True),)
-    return SymState((1,), (sym_term((2,), a, aff_add(a, aff_of(1))),), fixed,
-                    with_symbol({}, "k1", 0, 1), {}, 1, summed_k(fixed))
+    return SymState((1,), (sym_term((1,), a, aff_add(a, aff_of(1))),), 1,
+                    summed_k(fixed), True, with_symbol({}, "k1", 0),
+                    frozenset()), fixed
 
 
 def test_leaf_last_var_matches_the_fraction_formula():
     """The integer rule accepts and rejects exactly where the Fraction
     formula does, and writes the same bound strings."""
     k1 = aff_sym("k1")
-    # the bound K + (a+1)/2 equals r = 1 on both, at k1 = 1; (a+1)/2 is
-    # 1 at least on the first but 1/2 at k1 = 0 on the second
-    accepts = _tight_last_var_state(aff_of(0), aff_of(1))
-    rejects = _tight_last_var_state(aff_sub(k1, aff_of(1)), k1)
-    assert [str(Fraction(gmu, g)) for _, gmu, g in leaf_last_var(accepts)] == ["1"]
-    assert leaf_last_var(rejects) is None
+    # the bound K + a + 1 equals r = 1 on both, the symbol cancelling:
+    # K = -k1 with a = k1, and K = 1 - k1 with a = k1 - 1; a + 1 is 1 at
+    # least on the first but 0 at k1 = 0 on the second
+    accepts = _tight_last_var_state(k1, k1)
+    rejects = _tight_last_var_state(aff_sub(k1, aff_of(1)),
+                                    aff_sub(k1, aff_of(1)))
+    assert [str(Fraction(gmu, g))
+            for _, gmu, g in leaf_last_var(accepts[0])] == ["1"]
+    assert leaf_last_var(rejects[0]) is None
     rng = random.Random(20261018)
     accepted = tight = fractional = 0
     states = [accepts, rejects] + [_random_last_var_state(rng)
                                    for _ in range(3000)]
-    for state in states:
-        got, want = leaf_last_var(state), leaf_last_var_fraction_oracle(state)
+    for state, fixed in states:
+        got = leaf_last_var(state)
+        want = leaf_last_var_fraction_oracle(state, fixed)
         assert (got is None) == (want is None), state
         if got is None:
             continue
@@ -1776,15 +1910,18 @@ def test_lemma_a_tuples_merge_brackets_equal_on_the_active_variables():
     each tuple of lemma (a) on both positions holds it once."""
     fam = family_from_terms(3, [BracketTerm((1, 1, 1), 0, 1),
                                 BracketTerm((2, 1, 1), 1, 2)])
-    child, _ = sym_state_from_family(fam).specialize(0, aff_of(-1), True)
+    child, _ = bsato.branch_state(sym_state_from_family(fam),
+                                  (1, "neg_int", aff_of(-1), None, ()))
     t1, t2 = child.terms
     assert t1 != t2 and signature(t1, child.vars) == signature(t2, child.vars)
     assert [len(d) for d in bsato._lemma_a_tuples(child, (0, 1))] == [1] * 4
 
 
 def _fixed_state(fixed, box, r):
-    """A state with no active variable left."""
-    return SymState((), (), fixed, box, {}, r, summed_k(fixed))
+    """A state with no active variable left, after the fixed values
+    ((var, value, clean flag), ...)."""
+    return SymState((), (), r, summed_k(fixed), all(cl for *_, cl in fixed),
+                    box, frozenset())
 
 
 def test_leaf_all_fixed_modes():
@@ -1801,7 +1938,7 @@ def test_leaf_all_fixed_modes():
     _check_node(state, cert_to_json(node))
     root = sym_state_from_family(family_from_terms(1, [BracketTerm((1,), 0, 1)]))
     dirty = bsato.branch_state(root, (1, "nat_sym", aff_sym("k1"), "k1", ()))[0]
-    assert dirty.vars == () and not dirty.clean and dirty.box == {"k1": (0, None)}
+    assert dirty.vars == () and not dirty.clean and dirty.box == {"k1": 0}
     assert min_of(dirty.box, dirty.k_total) is None
     assert leaf_all_fixed(dirty) is None and _leaf_node(dirty) is None
     for st, mode in ((dirty, "clean"), (state, "strict")):
@@ -1809,8 +1946,8 @@ def test_leaf_all_fixed_modes():
                            match="leaf_all_fixed does not hold"):
             _check_node(st, {"rule": "leaf_all_fixed", "data": {"mode": mode},
                              "branches": []})
-    active = SymState((3,), (), clean, with_symbol({}, "k1", 1), {}, 3,
-                      summed_k(clean))
+    active = SymState((3,), (), 3, summed_k(clean), True,
+                      with_symbol({}, "k1", 1), frozenset())
     assert leaf_all_fixed(active) is None
 
 
@@ -1857,8 +1994,6 @@ def test_affine_box_arithmetic():
     k = aff_sym("k")
     box = with_symbol({}, "k", 1)
     e = aff_add(aff_mul(k, 2), aff_of(3))
-    assert min_of(box, e) == 5 and max_of(box, e) is None
+    assert min_of(box, e) == 5
     assert min_of(box, aff_neg(k)) is None
-    bounded = with_symbol({}, "k", 1, 4)
-    assert max_of(bounded, e) == 11
     assert not aff_sub(k, k)[1]
