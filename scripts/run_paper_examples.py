@@ -8,7 +8,7 @@ import argparse
 import sys
 import time
 
-from qsing.brackets import compute_bfunction, render_family
+from qsing.brackets import render_family
 from qsing.bsato import rational_singularities_verdict, verify_certificate
 from qsing.decomp import generic_decomposition, perp_simples
 from qsing.orbits import components, is_set_theoretic_ci, make_spec, \
@@ -39,10 +39,9 @@ def main():
     print("== E6 nullcone example (e6-ex1) ==")
     q, alpha, _, _ = preset("e6-ex1", n=args.n, m=args.m)
     t0 = time.time()
-    t, perp = show_decomposition(q, alpha)
-    fam = compute_bfunction(q, alpha, perp.simples)
-    print("  b(s) =", render_family(fam))
-    v = rational_singularities_verdict(q, alpha)
+    show_decomposition(q, alpha)
+    v = rational_singularities_verdict(make_spec(q, alpha))
+    print("  b(s) =", render_family(v.family))
     print("  verdict:", v.kind)
     if v.certificate is not None:
         ok, msg = verify_certificate(v.family, v.certificate)
@@ -68,10 +67,8 @@ def main():
     print("== E8 positive-root example (e8-pos) ==")
     q, alpha, sel, _ = preset("e8-pos", n=1)
     t0 = time.time()
-    spec = make_spec(q, alpha, sel)
-    fam = compute_bfunction(q, alpha, spec.selected_simples)
-    print("  b(s) =", render_family(fam))
-    v = rational_singularities_verdict(q, alpha, sel)
+    v = rational_singularities_verdict(make_spec(q, alpha, sel))
+    print("  b(s) =", render_family(v.family))
     print("  verdict:", v.kind, "| reason:", v.reason)
     if v.witness is not None:
         print("  bad common zero of the generators b_c:", tuple(str(x) for x in v.witness))

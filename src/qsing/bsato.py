@@ -57,8 +57,10 @@ from typing import NamedTuple
 
 from .affine import (ZERO, aff_add, aff_from_json, aff_mul, aff_of, aff_sub,
                      aff_sym, aff_to_json, min_of, with_symbol)
-from .brackets import BFunctionFamily, expand
+from .brackets import BFunctionFamily, compute_bfunction, expand
 from .fmlp import cone_membership, int_row, separating_functional, solve
+from .orbits import (ZeroSetSpec, components, is_set_theoretic_ci,
+                     reducedness_report)
 
 
 def _roots(family: BFunctionFamily, c):
@@ -771,7 +773,8 @@ def _refute(family: BFunctionFamily):
     family's and the coordinate directions with both values integers."""
     if family.r != 2:
         return None
-    dirs = sorted({g for g, _ in family.offsets} | {(1, 0), (0, 1)})
+    dirs = sorted({g for (g, _), n in family.offsets.items() if n}
+                  | {(1, 0), (0, 1)})
     pairs = [(g, h) for g, h in itertools.combinations(dirs, 2)
              if g[0] * h[1] != g[1] * h[0]]
 
@@ -1026,9 +1029,9 @@ def single_variable_roots(family: BFunctionFamily):
     return sorted(roots.items(), reverse=True)
 
 
-def rational_singularities_verdict(q, alpha, selected=None) -> Verdict:
-    """Decision pipeline for rational singularities of the zero set of the
-    selected fundamental semi-invariants.
+def rational_singularities_verdict(spec: ZeroSetSpec) -> Verdict:
+    """Decision pipeline for rational singularities of ``spec``'s zero set,
+    that of its selected fundamental semi-invariants.
 
     r = 1 (hypersurface): decided directly from the single-variable
     b-function (largest root -1 with multiplicity one).  r >= 2: the zero
@@ -1036,12 +1039,7 @@ def rational_singularities_verdict(q, alpha, selected=None) -> Verdict:
     good-root certification route applies, with the bracket-form condition
     e.gamma <= a required for the multiplicity-one argument at -e.
     """
-    from .brackets import compute_bfunction
-    from .orbits import components, is_set_theoretic_ci, make_spec, \
-        reducedness_report
-
-    spec = make_spec(q, alpha, selected)
-    fam = compute_bfunction(q, spec.alpha, spec.selected_simples)
+    fam = compute_bfunction(spec.quiver, spec.alpha, spec.selected_simples)
     r = len(spec.selected)
 
     if r == 1:

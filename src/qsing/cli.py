@@ -1,13 +1,16 @@
 """Command line interface.
 
 Subcommands: decompose | nullcone | bfunction | singularities | hom |
-verify-certificate.  Exit codes: 0 ok, 2 invalid input (an unknown option
-included), 3 non-Dynkin quiver, 4 b-function recursion out of its
-validated regime; stderr then starts with an "error: ..." line.
+verify-certificate.  Exit codes: 0 ok, 1 certificate REJECTED by
+verify-certificate, 2 invalid input (an unknown option included), 3
+non-Dynkin quiver, 4 b-function recursion out of its validated regime; for
+2-4 stderr starts with an "error: ..." line.  The package checks the input
+(``quiver.dimension_vector``, ``orbits.make_spec``), once per request.
 
 ``singularities`` takes no search bound: at r = 2 it refutes from the
 finite candidate set of the family's root lines (``bsato._refute``), so it
-finds a bad common zero of the generators b_c wherever one lies.
+finds a bad common zero of the generators b_c wherever one lies.  Its JSON
+report is the certificate file that ``verify-certificate`` reads.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .bsato import (
 from .decomp import generic_decomposition, perp_simples
 from .orbits import components, is_set_theoretic_ci, make_spec, reducedness_report
 from .presets import PRESET_NAMES, preset
-from .quiver import NonDynkinError, QuiverError, parse_quiver_file
+from .quiver import NonDynkinError, QuiverError, dimension_vector, parse_quiver_file
 from .roots import hom_table
 
 EXIT_BAD_INPUT = 2
@@ -46,28 +49,12 @@ class CliError(Exception):
         self.code = code
 
 
-def _parse_dim(text, n=None):
+def _parse_ints(text, what):
+    """A comma (or semicolon) separated int tuple; the package checks it."""
     try:
-        vec = tuple(int(x) for x in text.replace(";", ",").split(","))
+        return tuple(int(x) for x in text.replace(";", ",").split(","))
     except ValueError as exc:
-        raise CliError(f"cannot parse dimension vector {text!r}: {exc}")
-    if n is not None and len(vec) != n:
-        raise CliError(f"dimension vector has {len(vec)} entries, expected {n}")
-    if any(a < 0 for a in vec):
-        raise CliError(f"dimension vector {text!r} has a negative entry")
-    return vec
-
-
-def _parse_simples(text, r):
-    """--simples as 1-based indices into the r perpendicular simples of alpha."""
-    try:
-        selected = tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise CliError(f"cannot parse --simples {text!r}: {exc}")
-    for j in selected:
-        if not 1 <= j <= r:
-            raise CliError(f"--simples index {j} out of range 1..{r}")
-    return selected
+        raise CliError(f"cannot parse {what} {text!r}: {exc}")
 
 
 def _read_quiver(path):
@@ -83,28 +70,32 @@ def _read_quiver(path):
 
 
 def _load_request(args):
-    """(quiver, alpha, selected, branch_last) from --preset or --quiver/--dim."""
+    """(quiver, alpha, spec, branch_last) from --preset or --quiver/--dim;
+    spec is the one ``ZeroSetSpec`` of nullcone, bfunction and singularities,
+    else None.  The package's ValueError is an input error; a QuiverError
+    (NonDynkinError included) goes on to ``main``."""
     if args.preset:
         if args.preset not in PRESET_NAMES:
             raise CliError(f"unknown preset {args.preset!r}; "
                            f"available: {', '.join(PRESET_NAMES)}")
         q, alpha, selected, branch = preset(args.preset, n=args.n, m=args.m)
-        if any(a < 0 for a in alpha):
-            raise CliError(f"--n {args.n} --m {args.m} give {args.preset} "
-                           f"a negative dimension vector")
     else:
         if not args.quiver or not args.dim:
             raise CliError("need --preset or both --quiver FILE and --dim VECTOR")
         q = _read_quiver(args.quiver)
-        alpha, selected, branch = _parse_dim(args.dim, q.n), None, False
-    if hasattr(args, "simples"):  # nullcone, bfunction and singularities select simples
-        r = perp_simples(q, generic_decomposition(q, alpha)).r
-        if not r:
-            raise CliError(f"dimension vector {alpha} has no perpendicular simple, "
-                           f"so there is no semi-invariant to select")
-        if args.simples is not None:  # an empty --simples is an error, not "all"
-            selected = _parse_simples(args.simples, r)
-    return q, alpha, selected, branch
+        alpha, selected, branch = _parse_ints(args.dim, "dimension vector"), None, False
+    spec = None
+    try:
+        alpha = dimension_vector(q, alpha)
+        if hasattr(args, "simples"):
+            if args.simples is not None:  # an empty --simples is an error, not "all"
+                selected = _parse_ints(args.simples, "--simples")
+            spec = make_spec(q, alpha, selected)
+    except QuiverError:
+        raise
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    return q, alpha, spec, branch
 
 
 def _fmt_vec(v, branch_last):
@@ -123,7 +114,7 @@ def _emit(report, args):
 
 
 def cmd_decompose(args):
-    q, alpha, _sel, branch = _load_request(args)
+    q, alpha, _spec, branch = _load_request(args)
     t = generic_decomposition(q, alpha)
     perp = perp_simples(q, t)
     text = [f"alpha = {_fmt_vec(alpha, branch)}", "generic decomposition:"]
@@ -143,8 +134,7 @@ def cmd_decompose(args):
 
 
 def cmd_nullcone(args):
-    q, alpha, sel, branch = _load_request(args)
-    spec = make_spec(q, alpha, sel)
+    _q, alpha, spec, branch = _load_request(args)
     comps = components(spec)
     ci = is_set_theoretic_ci(spec, comps)
     red = reducedness_report(spec, comps)
@@ -198,9 +188,8 @@ def _family_json(fam: BFunctionFamily):
 
 
 def cmd_bfunction(args):
-    q, alpha, sel, branch = _load_request(args)
-    spec = make_spec(q, alpha, sel)
-    fam = compute_bfunction(q, spec.alpha, spec.selected_simples)
+    q, alpha, spec, branch = _load_request(args)
+    fam = compute_bfunction(q, alpha, spec.selected_simples)
     text = [f"alpha = {_fmt_vec(alpha, branch)}",
             "variables (selected simples, lexicographic):"]
     for pos, j in enumerate(spec.selected, 1):
@@ -218,8 +207,8 @@ def cmd_bfunction(args):
 
 
 def cmd_singularities(args):
-    q, alpha, sel, branch = _load_request(args)
-    v = rational_singularities_verdict(q, alpha, sel)
+    _q, alpha, spec, branch = _load_request(args)
+    v = rational_singularities_verdict(spec)
     text = [f"alpha = {_fmt_vec(alpha, branch)}", f"verdict: {v.kind}"]
     if v.reason:
         text.append(f"reason: {v.reason}")
@@ -231,33 +220,24 @@ def cmd_singularities(args):
     report = {
         "verdict": v.kind,
         "reason": v.reason,
-        "terms": _family_json(v.family) if v.family else None,
+        "r": v.family.r,
+        "terms": _family_json(v.family),
         "largest_root": str(v.largest_root) if v.largest_root is not None else None,
         "largest_root_mult": v.largest_root_mult,
         "witness": [str(x) for x in v.witness] if v.witness else None,
         "certificate": cert_to_json(v.certificate) if v.certificate else None,
         "_text": text,
     }
-    if args.certificate_out and v.certificate is not None:
-        payload = {"terms": _family_json(v.family),
-                   "r": v.family.r,
-                   "certificate": cert_to_json(v.certificate)}
-        try:
-            with open(args.certificate_out, "w") as fh:
-                json.dump(payload, fh, indent=1)
-        except OSError as exc:
-            raise CliError(f"cannot write certificate: {exc}")
-        text.append(f"certificate written to {args.certificate_out}")
     _emit(report, args)
 
 
 def cmd_hom(args):
     if args.preset:
-        q, _alpha, _sel, branch = _load_request(args)
+        q, _alpha, _spec, branch = _load_request(args)
     else:
         q, branch = _read_quiver(args.quiver), False
-    a = _parse_dim(args.a, q.n)
-    b = _parse_dim(args.b, q.n)
+    a = _parse_ints(args.a, "--a")
+    b = _parse_ints(args.b, "--b")
     table = hom_table(q)
     if a not in table.index or b not in table.index:
         raise CliError("hom expects positive roots; use decompose for classes")
@@ -285,6 +265,9 @@ def cmd_verify_certificate(args):
         cert = payload["certificate"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed certificate file: {exc!r}")
+    if cert is None:
+        raise CliError(f"the report holds no certificate (verdict "
+                       f"{payload.get('verdict')!r})")
     ok, msg = verify_certificate(fam, cert)
     print(("accepted: " if ok else "REJECTED: ") + msg)
     if not ok:
@@ -332,7 +315,6 @@ def build_parser():
 
     sp = sub.add_parser("singularities", help="rational singularities verdict")
     common(sp)
-    sp.add_argument("--certificate-out", help="write certificate JSON here")
     sp.set_defaults(func=cmd_singularities)
 
     sp = sub.add_parser("hom", help="hom/ext dimensions between two roots")

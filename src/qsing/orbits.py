@@ -590,7 +590,9 @@ class ZeroSetSpec:
 
     def __post_init__(self):
         if not self.selected:
-            raise ValueError("selected must be nonempty")
+            raise ValueError("selected must be nonempty" if self.perp.r else
+                             f"dimension vector {self.alpha} has no perpendicular "
+                             f"simple, so there is no semi-invariant to select")
         if set(map(type, self.selected)) != {int}:
             raise ValueError(f"selected {self.selected} has an index that is not an int")
         object.__setattr__(self, "selected", tuple(sorted(set(self.selected))))

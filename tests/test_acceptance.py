@@ -180,7 +180,7 @@ def test_criterion_3_e8_pos(e8, e8_alpha, capsys):
     fam = compute_bfunction(e8, e8_alpha(1), spec.selected_simples)
     ok = fam.offsets == family_from_terms(2, E8_POS_PRINTED(1)).offsets
     ok &= not is_good((9, -7), 2)
-    v = rational_singularities_verdict(e8, e8_alpha(1), (2, 4))
+    v = rational_singularities_verdict(spec)
     ok &= v.kind == "not_certified"
     # the attached witness is a verified bad common zero of the b_c
     ok &= v.witness is not None and not is_good(v.witness, 2)
@@ -259,7 +259,7 @@ def test_criterion_4_e6_certification(e6):
     ok = out.kind == "certificate"
     ok_check, msg = verify_certificate(fam, out.certificate)
     ok &= ok_check
-    v = rational_singularities_verdict(e6, alpha)
+    v = rational_singularities_verdict(make_spec(e6, alpha))
     ok &= v.kind == "rational_singularities"
     ok_check2, _ = verify_certificate(v.family, v.certificate)
     ok &= ok_check2
@@ -403,7 +403,7 @@ def test_criterion_8_a2_end_to_end(a2):
     ok &= single_variable_roots(fam) == [(Fraction(-1), 1)]
     out = certify_all_good(fam)
     ok &= out.kind == "certificate"
-    v = rational_singularities_verdict(a2, (1, 1))
+    v = rational_singularities_verdict(make_spec(a2, (1, 1)))
     ok &= v.kind == "rational_singularities"
     elapsed = time.time() - t0
     ok &= elapsed <= 1

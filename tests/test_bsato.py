@@ -18,6 +18,7 @@ from qsing.affine import (ZERO, aff_add, aff_from_json, aff_mul, aff_neg,
                           aff_of, aff_sub, aff_sym, aff_to_json, min_of,
                           with_symbol)
 from qsing.brackets import (
+    BFunctionFamily,
     BracketTerm,
     TerminalRuleInapplicable,
     compute_bfunction,
@@ -1480,6 +1481,19 @@ def test_refute_matches_the_scan_on_e8_pos(n):
         ((-4, 2) if n == 1 else (4 * n - 3, 1 - 4 * n))
 
 
+def test_refute_ignores_offsets_with_count_zero():
+    """An offset with count zero is no factor of the family, as
+    ``terms()`` and ``_roots`` read it, so the witness does not move: it
+    is (-4, 2) at e8-pos n = 1 with the entry ((1, 3), 1): 0 as without
+    it, though the direction (1, 3) once entered the level of z."""
+    fam = E8_POS_FAMILY(1)
+    padded = BFunctionFamily(2, {**fam.offsets, ((1, 3), 1): 0})
+    assert padded.terms() == fam.terms()
+    assert _refute(padded) == _refute(fam) == (-4, 2)
+    out = certify_all_good(padded)
+    assert (out.kind, out.witness) == ("refuted", (-4, 2))
+
+
 def test_refute_matches_the_scan_where_the_case_tree_fails(cert_box):
     """Every r = 2 family of CERT_BOX that the case tree does not certify
     is refuted, by the enumeration and by the scan alike."""
@@ -1758,7 +1772,7 @@ def test_single_variable_roots():
 
 
 def test_verdict_a2(a2):
-    v = rational_singularities_verdict(a2, (1, 1))
+    v = rational_singularities_verdict(make_spec(a2, (1, 1)))
     assert v.kind == "rational_singularities"
     assert v.largest_root == -1 and v.largest_root_mult == 1
     # Z(B~) for the one-variable family is exactly {-1}
@@ -1768,13 +1782,13 @@ def test_verdict_a2(a2):
 def test_verdict_codim1_a3(a3):
     # a hypersurface orbit closure: alpha = (1,1,2) with its single
     # perpendicular simple (0,1,0); the semi-invariant is a coordinate
-    v = rational_singularities_verdict(a3, (1, 1, 2), selected=(1,))
+    v = rational_singularities_verdict(make_spec(a3, (1, 1, 2), (1,)))
     assert v.kind == "rational_singularities"
     assert v.largest_root == -1 and v.largest_root_mult == 1
 
 
 def test_verdict_e6(e6, e6_alpha):
-    v = rational_singularities_verdict(e6, e6_alpha(2, 2))
+    v = rational_singularities_verdict(make_spec(e6, e6_alpha(2, 2)))
     assert v.kind == "rational_singularities"
     assert v.certificate is not None
     ok, msg = verify_certificate(v.family, v.certificate)
@@ -1783,7 +1797,7 @@ def test_verdict_e6(e6, e6_alpha):
 
 
 def test_verdict_expos(e8, e8_alpha):
-    v = rational_singularities_verdict(e8, e8_alpha(1), selected=(2, 4))
+    v = rational_singularities_verdict(make_spec(e8, e8_alpha(1), (2, 4)))
     assert v.kind == "not_certified"
     assert v.witness is not None
     assert not is_good(v.witness, 2)

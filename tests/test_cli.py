@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qsing import cli
 from qsing.cli import main
 
 
@@ -188,18 +189,65 @@ def test_singularities_e8_pos_beyond_the_old_box():
     assert data["witness"] == ["33", "-35"]
 
 
+def write_report(path, *args):
+    """The singularities JSON report for ``args``, written to ``path``: the
+    certificate file ``verify-certificate`` reads."""
+    path.write_text(run_cli(["singularities", *args, "--format", "json"]).stdout)
+    return path
+
+
 def test_singularities_certificate_file(tmp_path):
-    cert = tmp_path / "cert.json"
-    run_cli(["singularities", "--preset", "e6-ex1", "--n", "2", "--m", "2",
-             "--certificate-out", str(cert)])
+    cert = write_report(tmp_path / "cert.json",
+                        "--preset", "e6-ex1", "--n", "2", "--m", "2")
+    assert json.loads(cert.read_text())["r"] == 4
     proc = run_cli(["verify-certificate", str(cert)])
-    assert "accepted" in proc.stdout
+    assert proc.stdout == "accepted: certificate verified\n"
     # tamper and expect rejection
     payload = json.loads(cert.read_text())
     payload["certificate"]["branches"] = payload["certificate"]["branches"][1:]
     cert.write_text(json.dumps(payload))
     proc = run_cli(["verify-certificate", str(cert)], check=False)
-    assert proc.returncode == 1 and "REJECTED" in proc.stdout
+    assert proc.returncode == 1 and proc.stdout.startswith("REJECTED: ")
+
+
+def test_report_without_a_certificate_exits_2(tmp_path):
+    """e8-pos at n = 1 is refuted, so its report's certificate is null."""
+    cert = write_report(tmp_path / "e8-pos.json", "--preset", "e8-pos", "--n", "1")
+    assert json.loads(cert.read_text())["certificate"] is None
+    proc = run_cli(["verify-certificate", str(cert)], check=False)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["nullcone", "bfunction", "singularities"])
+def test_one_spec_per_request(monkeypatch, capsys, command):
+    """A request that selects simples builds one ``ZeroSetSpec``, and alpha
+    is decomposed there and nowhere else in the CLI."""
+    calls = {"make_spec": 0, "generic_decomposition": 0}
+
+    def counted(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, wrapper)
+
+    counted("make_spec")
+    counted("generic_decomposition")
+    main([command, "--preset", "e6-ex1", "--format", "json"])
+    assert json.loads(capsys.readouterr().out)
+    assert calls == {"make_spec": 1, "generic_decomposition": 0}
+
+
+def test_no_perpendicular_simple_names_the_cause(tmp_path):
+    (tmp_path / "a3.quiver").write_text(A3_FILE)
+    proc = run_cli(["nullcone", "--quiver", str(tmp_path / "a3.quiver"),
+                    "--dim", "1,2,3"], check=False)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: dimension vector (1, 2, 3) has no perpendicular "
+                           "simple, so there is no semi-invariant to select\n")
 
 
 def test_hom_subcommand():
@@ -273,7 +321,7 @@ BAD_R = {"r-zero": 0, "r-true": True, "r-false": False, "r-negative": -1,
     *[["verify-certificate", "{%s}" % name] for name in BAD_R],
     *[["verify-certificate", "{%s}" % name] for name in NON_INT_TERMS],
     ["singularities", "--preset", "e6-ex1", "--n", "2", "--m", "1",
-     "--certificate-out", "{missing}/c.json"],
+     "--certificate-out", "{out}"],
     ["nullcone", "--quiver", "{words}", "--dim", "1,1"],
     ["nullcone", "--quiver", "{letter}", "--dim", "1,1"],
     ["nullcone", "--quiver", "{a3}", "--dim", "1,2,3"],
@@ -287,7 +335,7 @@ BAD_R = {"r-zero": 0, "r-true": True, "r-false": False, "r-negative": -1,
         "certificate-nested-past-json-recursion-limit",
         *("certificate-" + name for name in BAD_R),
         *("certificate-" + name for name in NON_INT_TERMS),
-        "certificate-out-missing-dir", "quiver-vertices-not-int",
+        "certificate-out-unknown-option", "quiver-vertices-not-int",
         "quiver-arrow-not-int", "nullcone-no-simple", "bfunction-no-simple",
         "singularities-no-simple"])
 def test_bad_input_exits_2_without_traceback(tmp_path, args):
@@ -307,7 +355,7 @@ def test_bad_input_exits_2_without_traceback(tmp_path, args):
     args = [a.format(a3=tmp_path / "a3.quiver", cert=tmp_path / "cert.json",
                      reversed=tmp_path / "reversed.json",
                      deep=tmp_path / "deep.json",
-                     missing=tmp_path / "missing",
+                     out=tmp_path / "out.json",
                      words=tmp_path / "words.quiver",
                      letter=tmp_path / "letter.quiver", **certs)
             for a in args]
@@ -326,9 +374,8 @@ MALFORMED_NODE = {
 
 
 def _e6_certificate(tmp_path):
-    cert = tmp_path / "full.json"
-    run_cli(["singularities", "--preset", "e6-ex1", "--n", "2", "--m", "2",
-             "--certificate-out", str(cert)])
+    cert = write_report(tmp_path / "full.json",
+                        "--preset", "e6-ex1", "--n", "2", "--m", "2")
     return json.loads(cert.read_text())
 
 

@@ -826,3 +826,13 @@ def test_packed_profiles_match_tuple_profiles(request, name, alpha):
 def test_dimension_vector_of_the_wrong_length_is_rejected(a3, call, alpha):
     with pytest.raises(ValueError, match="entries for 3 vertices"):
         call(a3, alpha)
+
+
+def test_make_spec_names_a_missing_perpendicular_simple(a3):
+    """alpha = (1, 2, 3) has no perpendicular simple: the error says so, not
+    only that the selection is empty."""
+    with pytest.raises(ValueError, match=r"^dimension vector \(1, 2, 3\) has no "
+                       "perpendicular simple, so there is no semi-invariant to select$"):
+        make_spec(a3, (1, 2, 3))
+    with pytest.raises(ValueError, match="^selected must be nonempty$"):
+        make_spec(a3, (1, 2, 1), ())
