@@ -31,7 +31,6 @@ when the forward pass fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import mul
 from typing import NamedTuple
 
@@ -50,7 +49,6 @@ class BracketTerm(NamedTuple):
     mult: int = 1
 
 
-@dataclass
 class BFunctionFamily:
     """Multiset of bracket factors over r semi-invariant variables.
 
@@ -58,9 +56,10 @@ class BFunctionFamily:
     [s]^gamma_{a,b} contributes +1 at offsets i = a+1..b.
     """
 
-    r: int
-    offsets: dict
-    meta: dict = field(default_factory=dict)
+    def __init__(self, r: int, offsets: dict, meta=None):
+        self.r = r
+        self.offsets = offsets
+        self.meta = {} if meta is None else meta
 
     def terms(self):
         """Canonical bracket presentation: maximal runs of equal multiplicity,

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import mul
@@ -115,8 +114,7 @@ def is_good(z, r) -> bool:
     return _good(_point(z, r))
 
 
-@dataclass
-class Membership:
+class Membership(NamedTuple):
     kind: str  # "member" | "nonmember" | "unknown"
     witness_c: tuple | None = None  # generator not vanishing at z
 
@@ -538,8 +536,7 @@ def reduc_a(state: SymState, positions, solve=solve):
     return certs, cases
 
 
-@dataclass
-class ReducBData:
+class ReducBData(NamedTuple):
     j_set: tuple  # active positions in J
     j_plus: tuple
     j_minus: tuple
@@ -597,15 +594,15 @@ def reduc_b(state: SymState):
 
 # -- case-split certification -------------------------------------------------
 
-@dataclass
 class CertNode:
-    rule: str
-    data: dict = field(default_factory=dict)
-    branches: list = field(default_factory=list)  # (assumption dict, CertNode)
+    def __init__(self, rule: str, data=None, branches=None):
+        self.rule = rule
+        self.data = {} if data is None else data
+        # (assumption dict, CertNode)
+        self.branches = [] if branches is None else branches
 
 
-@dataclass
-class CertifyOutcome:
+class CertifyOutcome(NamedTuple):
     kind: str  # "certificate" | "refuted" | "inconclusive"
     certificate: CertNode | None = None
     witness: tuple | None = None
@@ -643,16 +640,17 @@ def _case_json(case, scalars):
     return out
 
 
-@dataclass
 class _Run:
     """What one ``certify_all_good`` call shares across its branches: the
     iterator of fresh symbols and two memos.  ``reduc_b`` reads the state
     only through r' and the non-unit directions Gamma, and lemma (a)'s LP
     is a function of its integer system, so branches that agree on those
     reuse the answer.  Each call makes its own run; nothing outlives it."""
-    symbols: object
-    lemma_b: dict = field(default_factory=dict)  # (r', Gamma) -> ReducBData
-    lps: dict = field(default_factory=dict)  # (nvars, system) -> point or None
+
+    def __init__(self, symbols):
+        self.symbols = symbols
+        self.lemma_b = {}  # (r', Gamma) -> ReducBData
+        self.lps = {}  # (nvars, system) -> point or None
 
     def reduc_b(self, state: SymState):
         key = (len(state.vars), tuple(_gammas(state)))
@@ -1005,8 +1003,7 @@ def cert_to_json(node: CertNode):
 
 # -- rational singularities verdict -------------------------------------------
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     kind: str  # "rational_singularities" | "not_certified" | "not_applicable"
     reason: str = ""
     certificate: CertNode | None = None
@@ -1048,20 +1045,18 @@ def rational_singularities_verdict(spec: ZeroSetSpec) -> Verdict:
             return Verdict("not_applicable", reason="constant b-function",
                            family=fam)
         top, mult = roots[0]
-        v = Verdict("rational_singularities" if (top == -1 and mult == 1)
-                    else "not_certified",
-                    family=fam, largest_root=top, largest_root_mult=mult)
-        if v.kind == "not_certified":
-            v.reason = f"largest root {top} (multiplicity {mult}) is not -1 simple"
-        return v
+        if top == -1 and mult == 1:
+            return Verdict("rational_singularities", family=fam,
+                           largest_root=top, largest_root_mult=mult)
+        return Verdict("not_certified", family=fam, largest_root=top,
+                       largest_root_mult=mult,
+                       reason=f"largest root {top} (multiplicity {mult}) is not -1 simple")
 
     # the bracket form condition is cheap and already blocks certification,
     # so it is checked before the expensive orbit geometry
     if not check_form_assumption(fam):
-        v = Verdict("not_certified", family=fam,
-                    reason="bracket form condition e.gamma <= a fails")
-        v.witness = _refute(fam)
-        return v
+        return Verdict("not_certified", family=fam, witness=_refute(fam),
+                       reason="bracket form condition e.gamma <= a fails")
 
     comps = components(spec)
     if not is_set_theoretic_ci(spec, comps):

@@ -74,18 +74,18 @@ def _load_request(args):
     spec is the one ``ZeroSetSpec`` of nullcone, bfunction and singularities,
     else None.  The package's ValueError is an input error; a QuiverError
     (NonDynkinError included) goes on to ``main``."""
-    if args.preset:
-        if args.preset not in PRESET_NAMES:
-            raise CliError(f"unknown preset {args.preset!r}; "
-                           f"available: {', '.join(PRESET_NAMES)}")
-        q, alpha, selected, branch = preset(args.preset, n=args.n, m=args.m)
-    else:
-        if not args.quiver or not args.dim:
-            raise CliError("need --preset or both --quiver FILE and --dim VECTOR")
-        q = _read_quiver(args.quiver)
-        alpha, selected, branch = _parse_ints(args.dim, "dimension vector"), None, False
     spec = None
     try:
+        if args.preset:
+            if args.preset not in PRESET_NAMES:
+                raise CliError(f"unknown preset {args.preset!r}; "
+                               f"available: {', '.join(PRESET_NAMES)}")
+            q, alpha, selected, branch = preset(args.preset, n=args.n, m=args.m)
+        else:
+            if not args.quiver or not args.dim:
+                raise CliError("need --preset or both --quiver FILE and --dim VECTOR")
+            q = _read_quiver(args.quiver)
+            alpha, selected, branch = _parse_ints(args.dim, "dimension vector"), None, False
         alpha = dimension_vector(q, alpha)
         if hasattr(args, "simples"):
             if args.simples is not None:  # an empty --simples is an error, not "all"

@@ -14,14 +14,13 @@ collected root, not from a scan of every pair of roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .quiver import Quiver, dimension_vector
 from .roots import hom_table
 
 
-@dataclass(frozen=True)
-class RepClass:
+class RepClass(NamedTuple):
     """Isomorphism class of representations: multiset of roots with multiplicities."""
 
     parts: tuple  # tuple of (root tuple, multiplicity), roots pairwise distinct
@@ -108,8 +107,7 @@ def generic_decomposition(q: Quiver, alpha) -> RepClass:
     return RepClass(tuple(sorted(parts)))
 
 
-@dataclass(frozen=True)
-class PerpData:
+class PerpData(NamedTuple):
     """Dimension vectors of the simple objects of T-perp, lex sorted."""
 
     simples: tuple  # tuple of root tuples

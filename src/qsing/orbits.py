@@ -61,8 +61,8 @@ prime, on the roots realized mod that prime (``jacobian``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .decomp import (
     PerpData,
@@ -83,7 +83,6 @@ def reduced_bound(q: Quiver) -> int:
     return REDUCED_BOUND[cls.letter]
 
 
-@dataclass
 class _Packing:
     """``hom_table(q)`` packed w bits per field, each field's top bit a spare
     guard: no borrow crosses a field, and one subtraction compares them all.
@@ -94,15 +93,16 @@ class _Packing:
     are packed.  The zero columns of bound (v) hold no packed field, and
     ``_zero_column`` keeps them on the context, once for every width."""
 
-    table: HomTable
-    w: int
-    vguard: int  # the guard bits of a dimension vector, a field per vertex
-    guard: int  # the guard bits of a Hom profile, a field per root
-    roots: list  # the root at each walk position
-    # root index i -> (dim Hom(X_i, -) packed, its entry sum), filled by ``row``
-    rows: dict = field(default_factory=dict, repr=False)
-    # root index -> its ``gain_columns``, filled on demand
-    gain_cols: dict = field(default_factory=dict, repr=False)
+    def __init__(self, table: HomTable, w: int, vguard: int, guard: int, roots):
+        self.table = table
+        self.w = w
+        self.vguard = vguard  # the guard bits of a dimension vector, a field per vertex
+        self.guard = guard  # the guard bits of a Hom profile, a field per root
+        self.roots = roots  # the root at each walk position
+        # root index i -> (dim Hom(X_i, -) packed, its entry sum), filled by ``row``
+        self.rows = {}
+        # root index -> its ``gain_columns``, filled on demand
+        self.gain_cols = {}
 
     def row(self, i):
         """The Hom profile dim Hom(X_i, -) of root i, packed, and its entry
@@ -382,8 +382,7 @@ def _acc_width(q: Quiver, alpha) -> int:
     return 1 + (2 * bound).bit_length()
 
 
-@dataclass
-class _Bounds:
+class _Bounds(NamedTuple):
     """Packed per-root gains for a walk over the classes X of alpha, against
     the generic representation T of alpha and perpendicular simples S_j.
 
@@ -578,27 +577,26 @@ def enumerate_classes(q: Quiver, alpha, max_self_ext=None):
         yield _class_of(table, chosen)
 
 
-@dataclass(frozen=True)
 class ZeroSetSpec:
     """Zero set of the semi-invariants c_{S_j} for j in ``selected``."""
 
-    quiver: Quiver
-    alpha: tuple
-    t_class: RepClass
-    perp: PerpData
-    selected: tuple  # 1-based indices into perp.simples, nonempty
-
-    def __post_init__(self):
-        if not self.selected:
-            raise ValueError("selected must be nonempty" if self.perp.r else
-                             f"dimension vector {self.alpha} has no perpendicular "
+    def __init__(self, quiver: Quiver, alpha: tuple, t_class: RepClass, perp: PerpData,
+                 selected: tuple):
+        self.quiver = quiver
+        self.alpha = alpha
+        self.t_class = t_class
+        self.perp = perp
+        if not selected:
+            raise ValueError("selected must be nonempty" if perp.r else
+                             f"dimension vector {alpha} has no perpendicular "
                              f"simple, so there is no semi-invariant to select")
-        if set(map(type, self.selected)) != {int}:
-            raise ValueError(f"selected {self.selected} has an index that is not an int")
-        object.__setattr__(self, "selected", tuple(sorted(set(self.selected))))
-        for j in self.selected:
-            if not (1 <= j <= self.perp.r):
-                raise ValueError(f"selected index {j} out of range 1..{self.perp.r}")
+        if set(map(type, selected)) != {int}:
+            raise ValueError(f"selected {selected} has an index that is not an int")
+        # 1-based indices into perp.simples, nonempty, sorted
+        self.selected = selected = tuple(sorted(set(selected)))
+        for j in selected:
+            if not (1 <= j <= perp.r):
+                raise ValueError(f"selected index {j} out of range 1..{perp.r}")
 
     @property
     def selected_simples(self):
@@ -614,29 +612,38 @@ def make_spec(q: Quiver, alpha, selected=None) -> ZeroSetSpec:
     return ZeroSetSpec(q, alpha, t, perp, tuple(selected))
 
 
-@dataclass
 class ComponentReport:
-    rep_class: RepClass
-    codim: int
-    hom_to_simples: tuple  # against the selected simples, in selection order
-    gradient_a: bool  # every Hom(X,S_j) is 1; rule 1 of ``reducedness_report`` where not
-    # the coordinates (a, k, t), entry (k, t) of X(a) for X the direct sum of the
-    # class's roots realized mod p (``jacobian.jacobian_rows``), of a k x k minor
-    # of the Jacobian nonzero mod p, set when rule 2 proves the rank k over Q
-    jacobian_minor: tuple | None = None
+    def __init__(self, rep_class: RepClass, codim: int, hom_to_simples: tuple,
+                 gradient_a: bool, jacobian_minor=None):
+        self.rep_class = rep_class
+        self.codim = codim
+        # against the selected simples, in selection order
+        self.hom_to_simples = hom_to_simples
+        # every Hom(X,S_j) is 1; rule 1 of ``reducedness_report`` where not
+        self.gradient_a = gradient_a
+        # the coordinates (a, k, t), entry (k, t) of X(a) for X the direct sum of the
+        # class's roots realized mod p (``jacobian.jacobian_rows``), of a k x k minor
+        # of the Jacobian nonzero mod p, set when rule 2 proves the rank k over Q
+        self.jacobian_minor = jacobian_minor
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
-@dataclass
 class Survey:
     """The rare classes of alpha, in the enumeration order of
     ``enumerate_classes``.  ``total``, the exact number of classes of
     alpha, is counted when it is first read; no verdict needs it."""
 
-    spec: ZeroSetSpec
-    h_points: list  # classes with hom(X,S_j) == 1 for all selected j
-    patterns: dict  # selected index k -> classes with hom == 1 - delta_{jk}
-    zprime_witness: RepClass | None  # in zero set, Ext(T,X) = Ext(X,T) = 0
-    h_truncated: bool = False  # an h-point was dropped because of h_cap
+    def __init__(self, spec: ZeroSetSpec, h_points, patterns, zprime_witness,
+                 h_truncated=False):
+        self.spec = spec
+        self.h_points = h_points  # classes with hom(X,S_j) == 1 for all selected j
+        self.patterns = patterns  # selected index k -> classes with hom == 1 - delta_{jk}
+        self.zprime_witness = zprime_witness  # in zero set, Ext(T,X) = Ext(X,T) = 0
+        self.h_truncated = h_truncated  # an h-point was dropped because of h_cap
 
     @cached_property
     def total(self) -> int:
@@ -746,13 +753,13 @@ def is_set_theoretic_ci(spec: ZeroSetSpec, comps) -> bool:
     return all(c.codim == len(spec.selected) for c in comps)
 
 
-@dataclass
 class ReducednessReport:
-    verdict: str  # "reduced" | "not-reduced" | "unverified"
-    reason: str = ""
-    witness: RepClass | None = None  # offending component for not-reduced
-    components: list = field(default_factory=list)
-    ci: bool = False
+    def __init__(self, verdict, reason="", witness=None, components=None, ci=False):
+        self.verdict = verdict  # "reduced" | "not-reduced" | "unverified"
+        self.reason = reason
+        self.witness = witness  # offending component for not-reduced
+        self.components = [] if components is None else components
+        self.ci = ci
 
 
 def reducedness_report(spec: ZeroSetSpec, comps=None) -> ReducednessReport:

@@ -13,7 +13,12 @@ E8_QUIVER = Quiver(8, ((1, 2), (2, 3), (4, 3), (5, 4), (6, 5), (7, 6), (8, 3)))
 
 
 def preset(name, n=1, m=1):
-    """Returns (quiver, alpha, selected simple indices or None, branch_last)."""
+    """Returns (quiver, alpha, selected simple indices or None, branch_last).
+    The examples are indexed by n, m >= 1: raises ValueError unless both
+    are ints (a bool is not) of at least 1."""
+    for what, v in (("n", n), ("m", m)):
+        if type(v) is not int or v < 1:
+            raise ValueError(f"preset index {what} = {v!r} is not an int >= 1")
     if name == "e6-ex1":
         alpha = (n, 2 * n + m, 2 * n + m, 2 * n + m, n, n + m)
         return E6_QUIVER, alpha, None, True

@@ -11,8 +11,8 @@ sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 
 class QuiverError(ValueError):
@@ -23,35 +23,38 @@ class NonDynkinError(QuiverError):
     """Raised when an operation requires a Dynkin quiver."""
 
 
-@dataclass(frozen=True)
 class Quiver:
     """Directed multigraph without loops or oriented cycles.
 
-    Its hash is computed once, when it is built: ``roots.hom_table``, the
-    cache of the per-quiver context that every layer reads, looks the
-    quiver up by it, and a frozen dataclass would hash its fields anew on
-    each lookup.  Equal quivers hash equal, as the fields are hashed."""
+    Two quivers are equal when their vertex counts and arrows are.  The
+    hash, of the same two fields, is computed once, when the quiver is
+    built: ``roots.hom_table``, the cache of the per-quiver context that
+    every layer reads, looks the quiver up by it on every call, and would
+    otherwise hash the arrow tuple anew each time."""
 
-    n: int
-    arrows: tuple  # tuple of (tail, head), 1-indexed
-
-    def __post_init__(self):
-        if type(self.n) is not int:
-            raise QuiverError(f"vertex count {self.n!r} is not an int")
-        if self.n < 1:
+    def __init__(self, n: int, arrows):
+        if type(n) is not int:
+            raise QuiverError(f"vertex count {n!r} is not an int")
+        if n < 1:
             raise QuiverError("need at least one vertex")
-        object.__setattr__(self, "arrows", tuple((t, h) for t, h in self.arrows))
-        for t, h in self.arrows:
+        self.n = n
+        self.arrows = arrows = tuple((t, h) for t, h in arrows)  # (tail, head), 1-indexed
+        for t, h in arrows:
             if type(t) is not int or type(h) is not int:
                 raise QuiverError(
                     f"arrow ({t!r},{h!r}) has an endpoint that is not an int")
-            if not (1 <= t <= self.n and 1 <= h <= self.n):
+            if not (1 <= t <= n and 1 <= h <= n):
                 raise QuiverError(f"arrow ({t},{h}) references invalid vertex")
             if t == h:
                 raise QuiverError(f"loop at vertex {t}")
-        if len(self.topological_order()) != self.n:
+        if len(self.topological_order()) != n:
             raise QuiverError("quiver has an oriented cycle")
-        object.__setattr__(self, "_hash", hash((self.n, self.arrows)))
+        self._hash = hash((n, arrows))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.arrows) == (other.n, other.arrows)
 
     def __hash__(self):
         return self._hash
@@ -155,8 +158,7 @@ def tits_form(q: Quiver, a) -> int:
 
 # -- classification of the underlying graph ---------------------------------
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: str  # "dynkin" | "non-dynkin"
     letter: str | None = None  # "A" | "D" | "E"
     rank: int | None = None

@@ -37,7 +37,6 @@ from a quiver alone hangs off its context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import count
 from operator import add, neg
@@ -74,7 +73,6 @@ def positive_roots(q: Quiver):
     return roots
 
 
-@dataclass
 class HomTable:
     """The per-quiver context: every fact qsing derives from a Dynkin quiver
     alone, built once per quiver by ``hom_table``.
@@ -110,31 +108,33 @@ class HomTable:
     use.
     """
 
-    quiver: Quiver
-    roots: list  # positive roots, by height then lexicographically
-    index: dict  # root tuple -> position in roots
-    hom: list  # hom[i][j] = dim Hom(X_i, X_j)
-    ext: list  # ext[i][j] = dim Ext^1(X_i, X_j)
-    walk: list
-    start: list
-    end: list
-    steps: list
-    end_step: list  # end_step[i] = t_i, the step at which root i's walk ends
-    tau: list  # tau[i] = c(r_i), or all 0 when X_i is projective
-    # root -> its representation mod ``jacobian.P``, filled by
-    # ``jacobian.realize`` on demand, never here
-    realized: dict = field(default_factory=dict, repr=False, compare=False)
-    # (root, simple, side) -> the kernel (side 0) or left kernel (side 1)
-    # of d^X_S mod ``jacobian.P`` with its offsets, filled by ``jacobian``
-    # on demand, never here
-    kernels: dict = field(default_factory=dict, repr=False, compare=False)
-    # field width -> the table packed at that width with the class walk's
-    # columns (``orbits._Packing``), filled by ``orbits._packing`` on demand
-    packed: dict = field(default_factory=dict, repr=False, compare=False)
-    # root index i -> the zero column of bound (v) of ``orbits._Bounds``
-    # against root i, which no field width enters, filled by
-    # ``orbits._zero_column`` on demand, never here
-    zero_cols: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, quiver: Quiver, roots, index, hom, ext, walk, start, end,
+                 steps, end_step, tau):
+        self.quiver = quiver
+        self.roots = roots  # positive roots, by height then lexicographically
+        self.index = index  # root tuple -> position in roots
+        self.hom = hom  # hom[i][j] = dim Hom(X_i, X_j)
+        self.ext = ext  # ext[i][j] = dim Ext^1(X_i, X_j)
+        self.walk = walk
+        self.start = start
+        self.end = end
+        self.steps = steps
+        self.end_step = end_step  # end_step[i] = t_i, the step at which root i's walk ends
+        self.tau = tau  # tau[i] = c(r_i), or all 0 when X_i is projective
+        # root -> its representation mod ``jacobian.P``, filled by
+        # ``jacobian.realize`` on demand, never here
+        self.realized = {}
+        # (root, simple, side) -> the kernel (side 0) or left kernel (side 1)
+        # of d^X_S mod ``jacobian.P`` with its offsets, filled by ``jacobian``
+        # on demand, never here
+        self.kernels = {}
+        # field width -> the table packed at that width with the class walk's
+        # columns (``orbits._Packing``), filled by ``orbits._packing`` on demand
+        self.packed = {}
+        # root index i -> the zero column of bound (v) of ``orbits._Bounds``
+        # against root i, which no field width enters, filled by
+        # ``orbits._zero_column`` on demand, never here
+        self.zero_cols = {}
 
     def hom_root(self, a, b):
         return self.hom[self.index[tuple(a)]][self.index[tuple(b)]]

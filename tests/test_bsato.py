@@ -1643,6 +1643,42 @@ def test_refute_finds_no_bad_member_where_the_case_tree_certifies(cert_box):
     assert all(_refute(fam) is None for fam in certified)
 
 
+def _reduc_b_states(state, node):
+    """(state, node) for each reduc_b node of a certificate in JSON form,
+    the state rebuilt from ``state`` by ``branch_state`` along the path."""
+    if node["rule"] == "reduc_b":
+        yield state, node
+    for assume, child in node["branches"]:
+        case = (assume["var"], assume["kind"], aff_from_json(assume["value"]),
+                assume.get("symbol"),
+                tuple((n["var"], n["flag"]) for n in assume.get("negations", ())))
+        yield from _reduc_b_states(bsato.branch_state(state, case)[0], child)
+
+
+def test_reduc_b_unit_brackets_of_j_plus_start_at_zero_or_above(e6_grid, cert_box):
+    """The split of ``reduc_b`` assumes that every unit bracket [s_v]_{a,b}
+    with v in J+ has a >= 0 on the box, which is proved at the root state
+    only.  At each of the 132 reduc_b nodes of the 12 grid certificates and
+    the 510 CERT_BOX certificates, rebuilt along its path, it holds for all
+    396 such brackets, so no certificate there rests on the unproved
+    case."""
+    certs = [(fam, out.certificate) for fam, out in e6_grid.values()]
+    certs += [(fam, out.certificate) for *_, fam, out in cert_box]
+    certs = [(fam, cert_to_json(cert)) for fam, cert in certs if cert is not None]
+    assert len(certs) == 12 + 510
+    nodes = units = 0
+    for fam, cert in certs:
+        for state, node in _reduc_b_states(sym_state_from_family(fam), cert):
+            nodes += 1
+            for v in node["data"]["Jplus"]:
+                for g, a, _, _, deg in state.terms:
+                    if deg == 1 and g[v]:
+                        units += 1
+                        low = min_of(state.box, a)
+                        assert low is not None and low >= 0, (fam.offsets, state, v)
+    assert (nodes, units) == (132, 396)
+
+
 def test_no_member_of_z_gen_has_e_z_above_minus_2_on_cert_box(cert_box):
     """On the r = 2 families of CERT_BOX, every member z of Z_gen has
     e.z <= -2, unlike e8-pos, where (7, -6) is one at n = 1.  The

@@ -1,9 +1,13 @@
 """No module of qsing, nor the tests' oracle module, nor a script under
 scripts/, imports a name it never uses (there is no linter in the
-toolchain, so the standard library's ast does the check)."""
+toolchain, so the standard library's ast does the check); and importing
+qsing does not import ``dataclasses``."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -38,3 +42,18 @@ def test_checker_flags_unused_names():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+def test_qsing_does_not_import_dataclasses():
+    """A fresh interpreter that imports qsing, the modules the benchmark's
+    set-up imports and the CLI has no ``dataclasses`` loaded: each record
+    is a NamedTuple or a plain class, so no class creation generates and
+    compiles methods in every process.  -S keeps site-packages, whose
+    start-up hooks could load the module themselves, out of the check."""
+    code = ("import sys, qsing, qsing.cli\n"
+            "from qsing import brackets, bsato, decomp, orbits, presets, quiver, roots\n"
+            "print('dataclasses' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import importlib.util
 import itertools
 import random
@@ -507,7 +506,7 @@ def bounded_nodes(monkeypatch, q, alpha, bd):
         return real(pk, alpha, traced, fits, acc)
 
     monkeypatch.setattr(orbits, "_walk", walk)
-    uncut = dataclasses.replace(bd, ehom=[bd.cap + 1] * len(bd.ehom))
+    uncut = bd._replace(ehom=[bd.cap + 1] * len(bd.ehom))
     leaves = sum(1 for _ in orbits._bounded_walk(alpha, uncut, 10**9))
     monkeypatch.undo()
     return nodes, leaves
@@ -532,7 +531,7 @@ def test_bound_fields_decode_to_their_hom_and_ext(request, monkeypatch):
         assert bd.ehom == ehom
         if not all(ehom):
             assert components(make_spec(q, alpha)) == [], (q, alpha)
-        lifted = dataclasses.replace(bd, ehom=[bd.cap + 1] * len(bd.ehom))
+        lifted = bd._replace(ehom=[bd.cap + 1] * len(bd.ehom))
         single = [make_class([(table.roots[i], 1)]) for i in table.walk]
         nodes, leaves = bounded_nodes(monkeypatch, q, alpha, bd)
         for seq, acc in nodes:

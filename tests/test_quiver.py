@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from qsing.presets import PRESET_NAMES, preset
 from qsing.quiver import (
     Classification,
     Quiver,
@@ -34,6 +35,17 @@ def test_construction_rejects_non_int_input(n, arrows):
     or a str raises rather than being truncated or read as one."""
     with pytest.raises(QuiverError, match="not an int"):
         Quiver(n, arrows)
+
+
+def test_presets_reject_indices_outside_their_family():
+    """The examples are indexed by ints n, m >= 1: e8-pos at n = 0 would be
+    alpha = 0, with two constant semi-invariants and a certified verdict."""
+    for name in PRESET_NAMES:
+        for n, m in [(0, 1), (1, 0), (0, 0), (-1, 1), (True, 1), (1, True),
+                     (1.0, 1), ("1", 1)]:
+            with pytest.raises(ValueError, match="is not an int >= 1"):
+                preset(name, n, m)
+        assert preset(name, 1, 1) == preset(name)
 
 
 @pytest.mark.parametrize("a, b", [
