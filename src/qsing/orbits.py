@@ -36,9 +36,13 @@ y = alpha - c, (iv) Ext(X,X) >= Ext(C,C) + max(0, -<c,y>) + max(0, -<y,c>);
 and, as every representation of dimension y degenerates to the semisimple
 E_y, (v) Hom(X,S_j) <= Hom(C,S_j) + Hom(E_y,S_j).
 ``enumerate_classes`` with ``max_self_ext = k`` cuts once a bound (i), (ii)
-or (iv) exceeds k.  Its accumulator also carries, for every root R_i, the
+or (iv) exceeds k.  Its accumulator also carries, for each root R_i at or
+after C's last walk position, the only ones C's subtree can still read, the
 sums of Ext and of Hom between C and R_i, so one more copy of a root
-updates Ext(C,C) and the Euler forms of (iv) from two field reads.
+updates Ext(C,C) and the Euler forms of (iv) from two field reads.  On the
+18 nullcone-e8 inputs a stepped accumulator averages 724 bits, against
+2,609 when it carried every root's sums, and the columns those sums gain
+from form a triangle.
 Components of Z(f_1,...,f_k) have codimension at most k (Krull), so
 ``components`` runs that walk with the simples' fields of (v) added, which
 cut once some Hom(X,S_j) can no longer reach 1: every leaf is then a class
@@ -147,24 +151,28 @@ class _Packing:
 
     @cached_property
     def root_columns(self):
-        """The bounded walk's columns: for each walk position p, what one
-        more copy of R_p adds to fields 5-7 (the constants 1, 1, 2, as
-        Hom(R_p,R_p) = 1) and to the per-root fields above them
-        (Ext(R_i,R_p) + Ext(R_p,R_i) and Hom(R_i,R_p) + Hom(R_p,R_i) at each
-        walk position i); and the bit offset of the per-root fields of each
-        walk position.  Neither depends on the simples, which sit above the
-        per-root fields.  Each column is packed in one pass from its top
-        field down."""
+        """The bounded walk's columns, in the layout of ``_Bounds``: for
+        each walk position p, what one more copy of R_p adds to fields 5-7
+        (the constants 1, 1, 2 of the Hom(C,C) column, as Hom(R_p,R_p) = 1)
+        and to the per-root fields of the walk positions i >= p
+        (Ext(R_i,R_p) + Ext(R_p,R_i) and Hom(R_i,R_p) + Hom(R_p,R_i)), the
+        only ones a walk reads below a node whose last root is at p, so the
+        columns form a triangle.  Alongside them, ``at[i]``, the bit offset
+        of position i's fields; ``keep[p]``, the bits below the top of
+        position p's fields; and ``low``, the bits of the fields below the
+        per-root block.  None depends on alpha or the simples, whose 3n
+        reserved slots lie below the block.  Each column is packed in one
+        pass from its top field down."""
         w, hom, ext, walk = self.w, self.table.hom, self.table.ext, self.table.walk
-        top, w2, cols = walk[::-1], 2 * w, []
-        for p in walk:
-            hp, ep, x = hom[p], ext[p], 0
-            for i in top:  # H_i above E_i, from the top walk position down
-                x = (x << w2) + ((hom[i][p] + hp[i]) << w) + ext[i][p] + ep[i]
-            for v in (2, 1, 1):  # fields 7, 6 and 5
-                x = (x << w) + v
-            cols.append(x << 5 * w)
-        return cols, [w * (8 + 2 * j) for j in range(len(top))]
+        w2, base, cols = 2 * w, w * (8 + 3 * self.table.quiver.n), []
+        hcol = self.self_columns[1]
+        for p, rp in enumerate(walk):
+            hp, ep, x = hom[rp], ext[rp], 0
+            for i in walk[p:]:  # H_i above E_i, from position p down
+                x = (x << w2) + ((hom[i][rp] + hp[i]) << w) + ext[i][rp] + ep[i]
+            cols.append((x << base) + hcol)
+        at = [base + w2 * (len(walk) - 1 - p) for p in range(len(walk))]
+        return cols, at, [(1 << (a + w2)) - 1 for a in at], (1 << base) - 1
 
     @cached_property
     def self_columns(self):
@@ -393,14 +401,34 @@ class _Bounds(NamedTuple):
     - 5-7: the remainder forms off + Ext(C,C) - <c,y>, off + Ext(C,C) -
       <y,c> and 2 off + Ext(C,C) - <c,y> - <y,c>, whose offset ``off``
       keeps them nonnegative (``_acc_width``);
-    - fields 8 + 2i and 9 + 2i: E_i = Ext(C,R_i) + Ext(R_i,C) and H_i =
-      Hom(C,R_i) + Hom(R_i,C) for the root R_i at each walk position i;
-    - from field ``simple`` on, Hom(C,S_j) and Ext(C,S_j) for each j;
-    - from field ``simple`` + 2r on, for r simples, V_j = Hom(E_c,S_j) -
-      Hom(C,S_j) for each j, E_c the semisimple (+)_x S_x^{c_x}.
-    ``simple`` is 8 + 2N for N roots, so the per-root fields and their
-    columns (``_Packing.root_columns``) depend on the quiver and w alone,
-    not on the simples.
+    - 8 + 2j and 9 + 2j: Hom(C,S_j) and Ext(C,S_j) for each of the r
+      simples S_j;
+    - 8 + 2r + j: V_j = Hom(E_c,S_j) - Hom(C,S_j) for each j, E_c the
+      semisimple (+)_x S_x^{c_x};
+    - the per-root block, from field b = 8 + 3n on for n vertices: E_i =
+      Ext(C,R_i) + Ext(R_i,C) and H_i = Hom(C,R_i) + Hom(R_i,C) for the
+      root R_i at each walk position i, in fields b + 2(N - 1 - i) and
+      b + 2(N - 1 - i) + 1 for N roots, so position 0 is on top and
+      position N - 1 at the bottom.
+    The simples' 3r fields fit in the 3n below the block, as r <= n
+    (``perp_simples`` finds n - m simples for a T of m parts), so the
+    block and its columns (``_Packing.root_columns``) depend on the quiver
+    and w alone, not on alpha or the simples.  The fields below the block
+    are the low fields; the attribute ``n`` counts the 8 + 3r of them in
+    use, and the others stay 0.
+
+    The accumulator of a node whose last root is at walk position p
+    carries the per-root fields of the positions i >= p only: its step
+    drops the others with the mask ``keep[p]`` of ``root_columns``, and
+    column p holds no others.  No field it drops is read below the node.  Along any path
+    of the walk the positions strictly increase: a node's children start
+    at position p + 1 or later, and one more copy of R_p is stepped from
+    the node's own saved accumulator, which holds the fields of p.  So
+    every step below the node reads E and H of a position its accumulator
+    carries.  The per-root fields never cut: their limit would be the cap,
+    which ``_acc_width`` proves they stay below, so the cut reads the low
+    fields alone.  The walk takes the same steps and cuts, with the same
+    low fields, as it would with every per-root field carried.
 
     Every X lies in the closure of the dense orbit O_T.  For every class X
     of alpha that has C as a direct summand:
@@ -452,12 +480,11 @@ class _Bounds(NamedTuple):
 
     pk: _Packing  # ``_packing(q, alpha)``, whose columns the gains are built from
     r: int  # the number of simples
-    n: int  # the number of fields
-    simple: int  # the field of Hom(C,S_1), above the per-root fields if any
+    n: int  # the number of low fields, 8 + 3r
     htt: int  # dim Hom(T,T)
     off: int  # the offset of the remainder fields
     gains: list  # gains[p]: the constant fields one copy of the root at walk position p adds
-    guard: int  # the guard bit of every field
+    guard: int  # the guard bit of every low field
     ehom: list  # Hom(E_alpha,S_j) for each j, the limits of the V_j fields
 
     @property
@@ -475,7 +502,8 @@ class _Bounds(NamedTuple):
         return self.off * self.pk.self_columns[1]
 
     def limit(self, k):
-        """The packed limits of a class X in Z with Ext(X,X) <= k, k >= 0: by
+        """The packed limits of the low fields of a class X in Z with
+        Ext(X,X) <= k, k >= 0: by
         (i) and (ii), Ext(C,T), Ext(T,C) <= k and Hom(C,T), Hom(T,C) <=
         Hom(T,T) + k; by (iv), each form of fields 4-7 <= k, plus its
         offset; by (v), each V_j <= Hom(E_alpha,S_j) - 1, which needs every
@@ -484,13 +512,12 @@ class _Bounds(NamedTuple):
         most B, so a larger k than cap - max(Hom(T,T), 2 off) cuts nothing
         more and is clamped to it; then no limit exceeds cap."""
         k, o, w = min(k, self.cap - max(self.htt, 2 * self.off)), self.off, self.w
-        top = self.simple + 2 * self.r
         return (_pack([k, self.htt + k, k, self.htt + k, k, o + k, o + k, 2 * o + k], w)
-                + (_fill(self.cap, w, top - 8) << (8 * w))
-                + (_pack([e - 1 for e in self.ehom], w) << (top * w)))
+                + (_fill(self.cap, w, 2 * self.r) << (8 * w))
+                + (_pack([e - 1 for e in self.ehom], w) << ((8 + 2 * self.r) * w)))
 
     def fields(self, acc):
-        """The field values of a packed accumulator, bottom first."""
+        """The low field values of a packed accumulator, bottom first."""
         w = self.w
         mask = (1 << w) - 1
         return [(acc >> (w * j)) & mask for j in range(self.n)]
@@ -500,7 +527,7 @@ class _Bounds(NamedTuple):
         w = self.w
         mask = (1 << w) - 1
         return [(acc >> (w * j)) & mask
-                for j in range(self.simple, self.simple + 2 * self.r, 2)]
+                for j in range(8, 8 + 2 * self.r, 2)]
 
 
 def _bounds(pk: _Packing, alpha, t_class, simples) -> _Bounds:
@@ -508,18 +535,18 @@ def _bounds(pk: _Packing, alpha, t_class, simples) -> _Bounds:
     dimension vector is alpha (for alpha = 0, T has no parts), on the
     packing ``pk = _packing(q, alpha)``."""
     table, w, r = pk.table, pk.w, len(simples)
-    simple, gains = 8 + 2 * len(table.walk), pk.root_columns[0]
+    gains = pk.root_columns[0]
     for tr, m in t_class.parts:
         gains = [g + m * c for g, c in zip(gains, pk.gain_columns(table.index[tr])[0])]
     for j, s in enumerate(simples):
         i = table.index[s]
-        shift, up = w * (simple + 2 * j), w * (2 * r - j)  # V_j is 2r - j fields above Hom(C,S_j)
+        shift, up = w * (8 + 2 * j), w * (2 * r - j)  # V_j is 2r - j fields above Hom(C,S_j)
         gains = [g + ((c + (v << up)) << shift)
                  for g, c, v in zip(gains, pk.gain_columns(i)[1], _zero_column(table, i))]
     htt = euler_form(table.quiver, alpha, alpha)  # Hom(T,T), as Ext(T,T) = 0
     off = sum(a * a // 4 for a in alpha)
-    n = simple + 3 * r
-    return _Bounds(pk, r, n, simple, htt, off, gains, _fill(1 << (w - 1), w, n),
+    n = 8 + 3 * r
+    return _Bounds(pk, r, n, htt, off, gains, _fill(1 << (w - 1), w, n),
                    _semisimple_homs(table, alpha, simples))
 
 
@@ -527,12 +554,14 @@ def _bounded_walk(alpha, bd: _Bounds, k):
     """``_walk`` over the classes X of alpha with Ext(X,X) <= k, k >= 0,
     streaming (chosen, acc) with acc packed as ``bd`` lays it out.
 
-    One more copy of R_p adds the constant ``bd.gains[p]`` and the per-root
-    sums E_p and H_p, read from the accumulator: Ext(C + R_p, C + R_p) =
-    Ext(C,C) + E_p, since Ext(R_p,R_p) = 0, and Hom(C + R_p, C + R_p) =
-    Hom(C,C) + H_p + 1.  Earlier copies of R_p are counted in E_p and H_p.
-    Fields 5-7 take E_p and H_p with the coefficients of their forms.  The
-    walk cuts a branch once any field exceeds ``bd.limit(k)``, one guarded
+    One more copy of R_p drops the per-root fields of the positions before
+    p (``keep[p]``, see ``_Bounds``) and adds the constant ``bd.gains[p]``
+    and the per-root sums E_p and H_p, read from the accumulator:
+    Ext(C + R_p, C + R_p) = Ext(C,C) + E_p, since Ext(R_p,R_p) = 0, and
+    Hom(C + R_p, C + R_p) = Hom(C,C) + H_p + 1.  Earlier copies of R_p are
+    counted in E_p and H_p, the top fields left by the mask.  Fields 5-7
+    take E_p and H_p with the coefficients of their forms.  The walk cuts
+    a branch once a low field exceeds ``bd.limit(k)``, one guarded
     subtraction per child: once a bound (i), (ii) or (iv) on Ext(X,X)
     exceeds k, or, with simples, once (v) leaves some Hom(X,S_j) no room
     to reach 1.  So with simples every class streamed lies in their zero
@@ -541,17 +570,18 @@ def _bounded_walk(alpha, bd: _Bounds, k):
     assert all(bd.ehom), "a constant semi-invariant leaves (v) no limit"
     pk = bd.pk
     w, mask = pk.w, (1 << pk.w) - 1
-    gains, at = bd.gains, pk.root_columns[1]
+    gains, (_, at, keep, low) = bd.gains, pk.root_columns
     ecol, hcol = pk.self_columns
     guard = bd.guard
     top = bd.limit(k) | guard
 
     def step(acc, p):
-        v = acc >> at[p]
-        return acc + gains[p] + (v & mask) * ecol + (v >> w & mask) * hcol
+        acc &= keep[p]
+        v = acc >> at[p]  # E_p, and H_p above it
+        return acc + gains[p] + (v & mask) * ecol + (v >> w) * hcol
 
-    # _geq(guard, bd.limit(k), acc), inlined
-    return _walk(pk, alpha, step, lambda acc: (top - acc) & guard == guard, bd.start)
+    # _geq(guard, bd.limit(k), acc & low), inlined
+    return _walk(pk, alpha, step, lambda acc: (top - (acc & low)) & guard == guard, bd.start)
 
 
 def enumerate_classes(q: Quiver, alpha, max_self_ext=None):

@@ -15,10 +15,13 @@ E8_QUIVER = Quiver(8, ((1, 2), (2, 3), (4, 3), (5, 4), (6, 5), (7, 6), (8, 3)))
 def preset(name, n=1, m=1):
     """Returns (quiver, alpha, selected simple indices or None, branch_last).
     The examples are indexed by n, m >= 1: raises ValueError unless both
-    are ints (a bool is not) of at least 1."""
+    are ints (a bool is not) of at least 1, and unless each index the
+    example does not read, m of e8-pos and both of e8-notred, is 1."""
     for what, v in (("n", n), ("m", m)):
         if type(v) is not int or v < 1:
             raise ValueError(f"preset index {what} = {v!r} is not an int >= 1")
+        if v != 1 and what not in _INDICES.get(name, "nm"):  # an unknown name: KeyError below
+            raise ValueError(f"preset {name} has no index {what}: it must be 1, not {v}")
     if name == "e6-ex1":
         alpha = (n, 2 * n + m, 2 * n + m, 2 * n + m, n, n + m)
         return E6_QUIVER, alpha, None, True
@@ -34,3 +37,5 @@ def preset(name, n=1, m=1):
 
 
 PRESET_NAMES = ("e6-ex1", "e8-notred", "e8-pos")
+# the indices each example reads; e8-notred is one dimension vector
+_INDICES = {"e6-ex1": "nm", "e8-notred": "", "e8-pos": "n"}

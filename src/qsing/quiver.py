@@ -30,15 +30,19 @@ class Quiver:
     hash, of the same two fields, is computed once, when the quiver is
     built: ``roots.hom_table``, the cache of the per-quiver context that
     every layer reads, looks the quiver up by it on every call, and would
-    otherwise hash the arrow tuple anew each time."""
+    otherwise hash the arrow tuple anew each time.  So a built quiver
+    cannot be changed: assigning to or deleting an attribute raises
+    AttributeError, which keeps the stored hash and the cached context
+    those of its arrows.  ``__init__`` and the cached properties write the
+    instance dict directly."""
 
     def __init__(self, n: int, arrows):
         if type(n) is not int:
             raise QuiverError(f"vertex count {n!r} is not an int")
         if n < 1:
             raise QuiverError("need at least one vertex")
-        self.n = n
-        self.arrows = arrows = tuple((t, h) for t, h in arrows)  # (tail, head), 1-indexed
+        arrows = tuple((t, h) for t, h in arrows)  # (tail, head), 1-indexed
+        vars(self).update(n=n, arrows=arrows)
         for t, h in arrows:
             if type(t) is not int or type(h) is not int:
                 raise QuiverError(
@@ -49,7 +53,13 @@ class Quiver:
                 raise QuiverError(f"loop at vertex {t}")
         if len(self.topological_order()) != n:
             raise QuiverError("quiver has an oriented cycle")
-        self._hash = hash((n, arrows))
+        vars(self)["_hash"] = hash((n, arrows))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a built Quiver cannot be changed: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a built Quiver cannot be changed: cannot delete {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

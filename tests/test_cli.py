@@ -329,6 +329,9 @@ BAD_R = {"r-zero": 0, "r-true": True, "r-false": False, "r-negative": -1,
     ["singularities", "--quiver", "{a3}", "--dim", "1,2,3"],
     ["singularities", "--preset", "e8-pos", "--n", "0"],
     ["nullcone", "--preset", "e6-ex1", "--n", "0", "--m", "0"],
+    ["decompose", "--preset", "e8-notred", "--n", "5", "--m", "9"],
+    ["decompose", "--preset", "e8-notred", "--n", "5"],
+    ["decompose", "--preset", "e8-pos", "--n", "1", "--m", "9"],
 ], ids=["negative-dim", "negative-preset-n", "simples-not-int",
         "simples-range-file", "simples-range-preset", "simples-empty",
         "box-bound-removed", "hom-no-quiver",
@@ -339,7 +342,8 @@ BAD_R = {"r-zero": 0, "r-true": True, "r-false": False, "r-negative": -1,
         *("certificate-" + name for name in NON_INT_TERMS),
         "certificate-out-unknown-option", "quiver-vertices-not-int",
         "quiver-arrow-not-int", "nullcone-no-simple", "bfunction-no-simple",
-        "singularities-no-simple", "preset-n-zero", "preset-n-m-zero"])
+        "singularities-no-simple", "preset-n-zero", "preset-n-m-zero",
+        "preset-e8-notred-n-m", "preset-e8-notred-n", "preset-e8-pos-m"])
 def test_bad_input_exits_2_without_traceback(tmp_path, args):
     (tmp_path / "a3.quiver").write_text(A3_FILE)
     (tmp_path / "cert.json").write_text(json.dumps({"terms": []}))

@@ -512,11 +512,24 @@ def bounded_nodes(monkeypatch, q, alpha, bd):
     return nodes, leaves
 
 
+def per_root_block(q):
+    """The field where the per-root block of ``_Bounds`` starts, 8 + 3n, and
+    the field of E_i, walk position i's lower field, with position 0 on top
+    and position N - 1 at the bottom."""
+    base, top = 8 + 3 * q.n, len(hom_table(q).walk) - 1
+    return base, lambda i: base + 2 * (top - i)
+
+
 def test_bound_fields_decode_to_their_hom_and_ext(request, monkeypatch):
-    """Every field of every node of the bounded walk, with limits too large
-    to cut, decodes to the Hom or Ext dimension it sums, so no field
-    overflows into its neighbour or goes negative; the nodes satisfy facts
-    (i)-(v), and the cut at k = 0..3 passes a node exactly when none of the
+    """Every low field and every live per-root field of every node of the
+    bounded walk, with limits too large to cut, decodes to the Hom or Ext
+    dimension it sums, so no field overflows into its neighbour or goes
+    negative.  A node whose last root is at walk position p carries the
+    per-root fields of the positions i >= p, each where the ``_Bounds``
+    layout puts it, and no bit above position p's fields nor in the
+    reserved fields between the simples' and the per-root block.  The
+    nodes satisfy facts (i)-(v), and the cut at k = 0..3, which reads the
+    low fields, passes a node exactly when none of the
     bounds (i), (ii) and (iv) on Ext(X,X) exceeds k and, by (v), every
     Hom(E_alpha,S_j) - V_j is at least 1.  Where some Hom(E_alpha,S_j) is
     0, ``components`` walks nothing, (v) has no limit, and the cut with the
@@ -533,6 +546,9 @@ def test_bound_fields_decode_to_their_hom_and_ext(request, monkeypatch):
             assert components(make_spec(q, alpha)) == [], (q, alpha)
         lifted = bd._replace(ehom=[bd.cap + 1] * len(bd.ehom))
         single = [make_class([(table.roots[i], 1)]) for i in table.walk]
+        base, field = per_root_block(q)
+        w, mask = bd.w, (1 << bd.w) - 1
+        low = (1 << w * base) - 1
         nodes, leaves = bounded_nodes(monkeypatch, q, alpha, bd)
         for seq, acc in nodes:
             c = node_class(table, seq)
@@ -547,22 +563,27 @@ def test_bound_fields_decode_to_their_hom_and_ext(request, monkeypatch):
             yc = class_ext(table, y, c) - class_hom(table, y, c)  # -<y,c>
             rem = [bd.off + codim + cy, bd.off + codim + yc, 2 * bd.off + codim + cy + yc]
             pairs = [v for hom_ext in zip(homs, exts) for v in hom_ext]
-            per_root = [v for r in single for v in (
-                class_ext(table, c, r) + class_ext(table, r, c),
-                class_hom(table, c, r) + class_hom(table, r, c))]
             zero = [class_hom(table, semisimple(q.n, cv), s) - h for s, h in zip(simples, homs)]
-            assert bd.fields(acc) == [*t_fields, codim, *rem, *per_root, *pairs, *zero], (
-                q, alpha, c)
+            assert bd.fields(acc) == [*t_fields, codim, *rem, *pairs, *zero], (q, alpha, c)
             assert bd.homs(acc) == homs
+            acc_low = acc & low
+            assert acc_low >> w * bd.n == 0, (q, alpha, c)  # the reserved fields
+            p = seq[-1]  # the largest position stepped
+            assert acc >> w * (field(p) + 2) == 0, (q, alpha, c)
+            for i in range(p, len(single)):
+                r = single[i]
+                assert [(acc >> w * f) & mask for f in (field(i), field(i) + 1)] == [
+                    class_ext(table, c, r) + class_ext(table, r, c),
+                    class_hom(table, c, r) + class_hom(table, r, c)], (q, alpha, c, i)
             bound = max(t_fields[0], t_fields[2], t_fields[1] - bd.htt, t_fields[3] - bd.htt,
                         codim + max(0, cy) + max(0, yc))  # (i), (ii) and (iv)
             room = all(e - v >= 1 for e, v in zip(ehom, zero))  # (v)
             for k in range(4):
                 if all(ehom):
-                    assert orbits._geq(bd.guard, bd.limit(k), acc) == (bound <= k and room), (
-                        q, alpha, c, k)
+                    assert orbits._geq(bd.guard, bd.limit(k), acc_low) == (
+                        bound <= k and room), (q, alpha, c, k)
                 else:  # no limit for (v): the cut on (i), (ii) and (iv) alone
-                    assert orbits._geq(bd.guard, lifted.limit(k), acc) == (bound <= k), (
+                    assert orbits._geq(bd.guard, lifted.limit(k), acc_low) == (bound <= k), (
                         q, alpha, c, k)
             assert all(0 <= v <= e for v, e in zip(zero, ehom))
             if cv == alpha:
@@ -580,9 +601,12 @@ E8_NULLCONES = {(1, 3, 7, 2, 1, 2, 1, 3): (11, 2), (1, 2, 5, 2, 2, 2, 1, 3): (10
 
 def test_bounds_gains_match_their_definition(request, e8, e8_alpha):
     """Every gain of ``_bounds`` equals its fields as the ``_Bounds``
-    docstring lists them, rebuilt from ``hom_table`` and the Euler form and
-    packed by ``_pack``; and ``_bounded_walk``'s offsets read
-    E_p and H_p.  The gain of V_j is Hom(E_{r_p},S_j) - Hom(R_p,S_j),
+    docstring lays them out, rebuilt from ``hom_table`` and the Euler form
+    and packed by ``_pack``: the gain of walk position p holds the
+    per-root fields of the positions i >= p and none above them.
+    ``root_columns``' offsets read E_p and H_p, ``keep[p]`` is every bit
+    below the top of position p's fields, and ``low`` every bit below the
+    per-root block.  The gain of V_j is Hom(E_{r_p},S_j) - Hom(R_p,S_j),
     E_{r_p} the semisimple of dimension r_p, and its limit is set by
     Hom(E_alpha,S_j).
     Beside ``walk_box`` this reaches E8 at the widths of real inputs: the
@@ -593,13 +617,16 @@ def test_bounds_gains_match_their_definition(request, e8, e8_alpha):
         table = hom_table(q)
         hom, ext, walk = table.hom, table.ext, table.walk
         if q not in per_root:
-            per_root[q] = [[v for i in walk for v in (ext[i][p] + ext[p][i], hom[i][p] + hom[p][i])]
+            per_root[q] = [[(ext[i][p] + ext[p][i], hom[i][p] + hom[p][i]) for i in walk]
                            for p in walk]
         t = generic_decomposition(q, alpha)
         simples = perp_simples(q, t).simples
         pk = orbits._packing(q, alpha)
         bd = orbits._bounds(pk, alpha, t, simples)
-        assert (bd.simple, bd.n) == (8 + 2 * len(walk), 8 + 2 * len(walk) + 3 * len(simples))
+        assert bd.n == 8 + 3 * len(simples) and len(simples) <= q.n
+        base, field = per_root_block(q)
+        _, at, keep, low = pk.root_columns
+        assert low == (1 << bd.w * base) - 1
         assert bd.ehom == [class_hom(table, semisimple(q.n, alpha), s) for s in simples]
         if q == e8 and alpha in E8_NULLCONES:
             assert (bd.w, bd.r) == E8_NULLCONES[alpha]
@@ -612,15 +639,52 @@ def test_bounds_gains_match_their_definition(request, e8, e8_alpha):
             pairs = [v for s in simples for v in (class_hom(table, x, s), class_ext(table, x, s))]
             e_p = semisimple(q.n, table.roots[p])
             zero = [class_hom(table, e_p, s) - class_hom(table, x, s) for s in simples]
-            want = [*t_fields, 0, *rem, *per_root[q][pos], *pairs, *zero]
+            low_fields = [*t_fields, 0, *rem, *pairs, *zero]
+            # the live positions pos..N-1, from the bottom of the block up
+            block = [v for hom_ext in reversed(per_root[q][pos][pos:]) for v in hom_ext]
+            want = [*low_fields, *[0] * (base - len(low_fields)), *block]
             assert bd.gains[pos] == orbits._pack(want, bd.w), (q, alpha, pos)
-        at, mask = pk.root_columns[1], (1 << bd.w) - 1
+            assert keep[pos] == (1 << bd.w * (field(pos) + 2)) - 1, (q, alpha, pos)
+        mask = (1 << bd.w) - 1
         rng = random.Random(sum(alpha))
-        vals = [rng.randrange(mask + 1) for _ in range(bd.n)]
+        vals = [rng.randrange(mask + 1) for _ in range(base + 2 * len(walk))]
         acc = orbits._pack(vals, bd.w)
         for pos in range(len(walk)):
-            assert (acc >> at[pos]) & mask == vals[8 + 2 * pos], (q, alpha, pos)  # E_p
-            assert (acc >> at[pos] + bd.w) & mask == vals[9 + 2 * pos], (q, alpha, pos)  # H_p
+            assert (acc >> at[pos]) & mask == vals[field(pos)], (q, alpha, pos)  # E_p
+            assert (acc >> at[pos] + bd.w) & mask == vals[field(pos) + 1], (q, alpha, pos)  # H_p
+
+
+# the parts of the generic representation T of e8-notred's alpha, each once
+E8_NOTRED_T = ((0, 1, 2, 1, 1, 1, 1, 1), (1, 1, 2, 1, 1, 0, 0, 1), (1, 2, 3, 2, 1, 1, 0, 1))
+# the one component of the nullcone of 2 alpha
+E8_NOTRED_2 = make_class([(r, 1) for r in (
+    (0, 0, 1, 1, 0, 0, 0, 1), (0, 0, 1, 1, 1, 1, 1, 0), (0, 1, 1, 0, 0, 0, 0, 1),
+    (0, 1, 1, 1, 1, 0, 0, 0), (0, 1, 2, 1, 1, 1, 0, 1), (1, 1, 1, 0, 0, 0, 0, 0),
+    (1, 1, 2, 1, 1, 0, 0, 1), (1, 1, 2, 1, 1, 1, 0, 1), (1, 2, 3, 2, 1, 1, 1, 1))])
+
+
+def test_e8_notred_nullcone_of_n_alpha(e8, e8_alpha):
+    """The paper's first result on e8-notred: the nullcone of Rep(Q, N alpha)
+    at N = 1..4, whose accumulators are 11-14 bits wide.  At N = 1 it has 9
+    components and is not reduced (criterion 1 pins them).  From N = 2 on
+    it has one component, of codimension 5, reduced with a Jacobian minor;
+    T is N times each of its three parts, and each component is the one
+    before plus T."""
+    prev = None
+    for n, w in zip(range(1, 5), range(11, 15)):
+        spec = make_spec(e8, e8_alpha(n))
+        assert orbits._acc_width(e8, spec.alpha) == w
+        assert spec.t_class == make_class([(r, n) for r in E8_NOTRED_T])
+        comps = components(spec)
+        red = reducedness_report(spec, comps)
+        if n == 1:
+            assert len(comps) == 9 and red.verdict == "not-reduced"
+            continue
+        (comp,) = comps
+        want = E8_NOTRED_2 if n == 2 else make_class([*prev.parts, *((r, 1) for r in E8_NOTRED_T)])
+        assert (comp.rep_class, comp.codim) == (want, 5), n
+        assert red.verdict == "reduced" and comp.jacobian_minor is not None, n
+        prev = comp.rep_class
 
 
 def test_remainder_bound_is_at_most_the_self_ext_of_every_completion(request):

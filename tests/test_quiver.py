@@ -39,13 +39,21 @@ def test_construction_rejects_non_int_input(n, arrows):
 
 def test_presets_reject_indices_outside_their_family():
     """The examples are indexed by ints n, m >= 1: e8-pos at n = 0 would be
-    alpha = 0, with two constant semi-invariants and a certified verdict."""
+    alpha = 0, with two constant semi-invariants and a certified verdict.
+    An index the example does not read, m of e8-pos and both of e8-notred,
+    is 1: any other value would print the same alpha as 1."""
     for name in PRESET_NAMES:
         for n, m in [(0, 1), (1, 0), (0, 0), (-1, 1), (True, 1), (1, True),
                      (1.0, 1), ("1", 1)]:
             with pytest.raises(ValueError, match="is not an int >= 1"):
                 preset(name, n, m)
         assert preset(name, 1, 1) == preset(name)
+    for name, n, m in [("e8-notred", 5, 1), ("e8-notred", 1, 9), ("e8-notred", 5, 9),
+                       ("e8-pos", 1, 9), ("e8-pos", 2, 2)]:
+        with pytest.raises(ValueError, match=f"preset {name} has no index"):
+            preset(name, n, m)
+    assert preset("e8-pos", 2, 1)[1] == tuple(2 * a for a in preset("e8-pos")[1])
+    assert preset("e6-ex1", 2, 3)[1] == (2, 7, 7, 7, 2, 5)
 
 
 @pytest.mark.parametrize("a, b", [
@@ -212,3 +220,20 @@ def test_hash_is_stored_and_keys_the_context():
     assert hom_table(q1) is hom_table(q2)
     assert relabelled != q1 and hom_table(relabelled) is not hom_table(q1)
     assert {q1: 1, relabelled: 2}[q2] == 1
+
+
+def test_a_built_quiver_cannot_be_changed():
+    """Assigning to or deleting an attribute of a built quiver raises, so
+    its stored hash and its ``hom_table`` context stay those of its
+    arrows; the cached ``adjacency`` and ``incident`` still fill."""
+    q = Quiver(3, ((1, 2), (2, 3)))
+    h, table = hash(q), hom_table(q)
+    for name, value in [("arrows", ((1, 2),)), ("n", 4), ("_hash", 0), ("adjacency", ())]:
+        with pytest.raises(AttributeError, match="cannot be changed"):
+            setattr(q, name, value)
+    with pytest.raises(AttributeError, match="cannot be changed"):
+        del q.arrows
+    assert (q.n, q.arrows) == (3, ((1, 2), (2, 3)))
+    assert hash(q) == h == hash((3, ((1, 2), (2, 3)))) and hom_table(q) is table
+    assert q.adjacency == ((1,), (0, 2), (1,)) and q.incident == ((0,), (0, 1), (1,))
+    assert q.adjacency is q.adjacency
